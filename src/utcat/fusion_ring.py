@@ -9,13 +9,13 @@ strict and happens once, in :func:`validate_ring`.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from typing import NamedTuple
 
 import numpy as np
 
 from .errors import AxiomViolation, NonIrreducibleInput, RingAxiomError, UnknownLabel
 
-__all__ = ["FusionRing", "SupportSet", "validate_ring"]
+__all__ = ["FIndex", "FusionRing", "SupportSet", "validate_ring"]
 
 _POWER_ITER_TOL = 1e-12
 _POWER_ITER_MAX = 10_000
@@ -39,8 +39,29 @@ class SupportSet:
         return len(self.labels)
 
 
+class FIndex(NamedTuple):
+    """Basis index of one F-block F[a,b,c;d], in sorted channel order.
+
+    ``left`` holds the triples (e, α, β) with α ∈ O(e, a⊗b), β ∈ O(d, e⊗c);
+    ``right`` the triples (f, μ, ν) with μ ∈ O(f, b⊗c), ν ∈ O(d, a⊗f).
+    ``lpos``/``rpos`` map a triple to its position.
+    """
+
+    left: tuple
+    right: tuple
+    lpos: dict
+    rpos: dict
+
+
 class FusionRing:
-    """Validated fusion data.  Immutable; construct via :func:`validate_ring`."""
+    """Validated fusion data.  Immutable; construct via :func:`validate_ring`.
+
+    Every query reads tables built once per instance: ``_mult[i][j][k]`` is
+    N_ij^k over label positions, and ``_channels[(x, y)]`` is the tuple of
+    ``(z, N_xy^z)`` pairs with N_xy^z > 0, in sorted-label order.  F-block
+    indices and PF dimensions are cached on the instance as they are asked
+    for, so they live exactly as long as the ring.
+    """
 
     def __init__(self, labels, unit, dual, mult):
         # labels sorted lexicographically: the single deterministic ordering
@@ -55,6 +76,13 @@ class FusionRing:
             N[self.index[x], self.index[y], self.index[z]] = m
         self._N = N
         self._N.setflags(write=False)
+        self._mult = N.tolist()
+        self._channels = {
+            (x, y): tuple((z, m) for z, m in zip(self.labels, self._mult[i][j]) if m)
+            for i, x in enumerate(self.labels) for j, y in enumerate(self.labels)
+        }
+        self._f_index: dict[tuple, FIndex] = {}
+        self._fp_dim: dict[str, float] = {}
 
     # -- queries ----------------------------------------------------------
 
@@ -66,23 +94,48 @@ class FusionRing:
 
     def N(self, x: str, y: str, z: str) -> int:
         """Multiplicity of ``z`` in ``x ⊗ y``."""
-        return int(self._N[self._i(x), self._i(y), self._i(z)])
+        idx = self.index
+        try:
+            return self._mult[idx[x]][idx[y]][idx[z]]
+        except KeyError as exc:
+            raise UnknownLabel(exc.args[0]) from None
+
+    def channels(self, x: str, y: str) -> tuple:
+        """The ``(z, N_xy^z)`` pairs with N_xy^z > 0, in sorted-label order."""
+        try:
+            return self._channels[(x, y)]
+        except KeyError:
+            raise UnknownLabel(y if x in self.index else x) from None
 
     def fuse(self, x: str, y: str) -> dict[str, int]:
-        row = self._N[self._i(x), self._i(y)]
-        return {self.labels[k]: int(m) for k, m in enumerate(row) if m}
+        return dict(self.channels(x, y))
 
     def fusion_matrix(self, x: str) -> np.ndarray:
         """The matrix (N_x)[y, z] = N(x, y, z)."""
         return self._N[self._i(x)].astype(float)
 
+    def f_index(self, a: str, b: str, c: str, d: str) -> FIndex:
+        """The left/right basis index of F[a,b,c;d], built once per key."""
+        key = (a, b, c, d)
+        idx = self._f_index.get(key)
+        if idx is None:
+            left = tuple((e, al, be) for e, n_ab in self.channels(a, b)
+                         for al in range(n_ab) for be in range(self.N(e, c, d)))
+            right = tuple((f, mu, nu) for f, n_bc in self.channels(b, c)
+                          for mu in range(n_bc) for nu in range(self.N(a, f, d)))
+            idx = FIndex(left, right, {t: i for i, t in enumerate(left)},
+                         {t: i for i, t in enumerate(right)})
+            self._f_index[key] = idx
+        return idx
+
     def fp_dimension(self, x: str) -> float:
         if x not in self.index:
             raise NonIrreducibleInput(x)
-        return self._fp_dimension_cached(x)
+        if x not in self._fp_dim:
+            self._fp_dim[x] = self._perron_eigenvalue(x)
+        return self._fp_dim[x]
 
-    @lru_cache(maxsize=None)
-    def _fp_dimension_cached(self, x: str) -> float:
+    def _perron_eigenvalue(self, x: str) -> float:
         # Power iteration on N_x + I (the shift keeps the Perron pair but
         # breaks the period-2 oscillation of bipartite fusion graphs).
         M = self.fusion_matrix(x) + np.eye(len(self.labels))
@@ -110,7 +163,7 @@ class FusionRing:
             new = set(current)
             for x in current:
                 for y in current:
-                    new |= set(self.fuse(x, y))
+                    new.update(z for z, _ in self.channels(x, y))
             new |= {self.dual[x] for x in new}
             if new == current:
                 break

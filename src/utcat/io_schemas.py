@@ -125,16 +125,6 @@ def _index_groups(ring: FusionRing, entries):
     return {e: slice(lo, hi) for e, (lo, hi) in groups.items()}
 
 
-def _left_entries(ring, a, b, c, d):
-    return [(e, al, be) for e in ring.labels
-            for al in range(ring.N(a, b, e)) for be in range(ring.N(e, c, d))]
-
-
-def _right_entries(ring, a, b, c, d):
-    return [(f, mu, nu) for f in ring.labels
-            for mu in range(ring.N(b, c, f)) for nu in range(ring.N(a, f, d))]
-
-
 def cat_from_json(raw: dict) -> SkeletalUTC:
     """Ring schema extended with F, R (optional), qdim (optional)."""
     ring = ring_from_json(raw)
@@ -145,8 +135,8 @@ def cat_from_json(raw: dict) -> SkeletalUTC:
     for key, sub in fraw.items():
         ptr = f"/F/{key}"
         a, b, c, d = _split(key, (";", ","), 4, ptr)
-        left = _left_entries(ring, a, b, c, d)
-        right = _right_entries(ring, a, b, c, d)
+        idx = ring.f_index(a, b, c, d)
+        left, right = idx.left, idx.right
         if len(left) != len(right):
             raise SchemaError("hom-space dimensions disagree", ptr)
         lgrp = _index_groups(ring, left)
@@ -198,8 +188,9 @@ def cat_to_json(cat: SkeletalUTC) -> dict:
     out = ring_to_json(ring)
     F = {}
     for (a, b, c, d) in cat._F:
-        lgrp = _index_groups(ring, _left_entries(ring, a, b, c, d))
-        rgrp = _index_groups(ring, _right_entries(ring, a, b, c, d))
+        idx = ring.f_index(a, b, c, d)
+        lgrp = _index_groups(ring, idx.left)
+        rgrp = _index_groups(ring, idx.right)
         M = cat.fmat(a, b, c, d)
         sub = {}
         for e, ls in lgrp.items():

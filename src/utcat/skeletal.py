@@ -13,6 +13,24 @@ the data file and the engine cannot disagree about conventions silently.
 
 R-symbol convention: for w ∈ O(c, a⊗b), τ_{a,b}∘w = Σ_ν R^{a,b;c}[ν, μ] w'_ν
 with w' ∈ O(c, b⊗a).
+
+Tables.  The fusion ring holds its multiplicities as nested lists over label
+positions and, per label pair (x, y), the channel tuple ((z, N_xy^z), ...)
+of nonzero channels in sorted-label order.  ``ring.f_index(a, b, c, d)``
+enumerates the left basis (e, α, β) and right basis (f, μ, ν) of F[a,b,c;d]
+from those channels once per key and caches both, as tuples, with their
+position maps; it depends only on the fusion rules, so every category on one
+ring, the JSON reader and every move share it.  Trees are enumerated by
+walking the channel tables (:meth:`SkeletalUTC.admissible_trees`), so the
+coherence checks visit only the roots and trees that exist.
+
+Inverses and read-only blocks.  A move from left to right coordinates
+multiplies by F[a,b,c;d]⁻¹, computed once per block and cached.  It is the
+inverse, never F†: pentagon and hexagon must report the same residuals on
+non-unitary data, whose unitarity defect :meth:`SkeletalUTC.verify_unitarity`
+reports separately.  F and R blocks are copied at construction and made
+read-only (so are the cached inverses), because a block written after its
+inverse was cached would silently disagree with it.
 """
 
 from __future__ import annotations
@@ -93,6 +111,13 @@ class ConjugateSolution:
         return f"ConjugateSolution({self.label}, r={self.r:.6g}, rbar={self.rbar:.6g})"
 
 
+def _frozen(block) -> np.ndarray:
+    """A read-only complex copy of ``block``."""
+    M = np.array(block, dtype=complex)
+    M.setflags(write=False)
+    return M
+
+
 class SkeletalUTC:
     """Fusion ring plus F-symbols, optional R-symbols and quantum dimensions."""
 
@@ -100,12 +125,13 @@ class SkeletalUTC:
                  qdims: dict | None = None):
         self.ring = ring
         # f_symbols: (a,b,c,d) -> ndarray over (left_index, right_index)
-        self._F = {k: np.asarray(v, dtype=complex) for k, v in f_symbols.items()}
+        self._F = {k: _frozen(v) for k, v in f_symbols.items()}
         self._R = None if r_symbols is None else {
-            k: np.asarray(v, dtype=complex) for k, v in r_symbols.items()
+            k: _frozen(v) for k, v in r_symbols.items()
         }
         self.qdim = dict(qdims) if qdims else {x: ring.fp_dimension(x) for x in ring.labels}
         self._conj_cache: dict[str, ConjugateSolution] = {}
+        self._finv_cache: dict[tuple, np.ndarray] = {}
         self._check_completeness()
 
     # ------------------------------------------------------------------
@@ -122,30 +148,18 @@ class SkeletalUTC:
     def d(self, x: str) -> float:
         return float(self.qdim[x])
 
-    def left_index(self, a, b, c, d) -> list[tuple[str, int, int]]:
+    def left_index(self, a, b, c, d) -> tuple[tuple[str, int, int], ...]:
         """Triples (e, α, β): α ∈ O(e, a⊗b), β ∈ O(d, e⊗c), e lexicographic."""
-        ring = self.ring
-        out = []
-        for e in ring.labels:
-            for alpha in range(ring.N(a, b, e)):
-                for beta in range(ring.N(e, c, d)):
-                    out.append((e, alpha, beta))
-        return out
+        return self.ring.f_index(a, b, c, d).left
 
-    def right_index(self, a, b, c, d) -> list[tuple[str, int, int]]:
+    def right_index(self, a, b, c, d) -> tuple[tuple[str, int, int], ...]:
         """Triples (f, μ, ν): μ ∈ O(f, b⊗c), ν ∈ O(d, a⊗f), f lexicographic."""
-        ring = self.ring
-        out = []
-        for f in ring.labels:
-            for mu in range(ring.N(b, c, f)):
-                for nu in range(ring.N(a, f, d)):
-                    out.append((f, mu, nu))
-        return out
+        return self.ring.f_index(a, b, c, d).right
 
     def fmat(self, a, b, c, d) -> np.ndarray:
         """F-matrix mapping right-tree to left-tree coordinates."""
-        left = self.left_index(a, b, c, d)
-        right = self.right_index(a, b, c, d)
+        idx = self.ring.f_index(a, b, c, d)
+        left, right = idx.left, idx.right
         if len(left) != len(right):
             raise SchemaError(f"inconsistent hom dimensions for F[{a},{b},{c};{d}]")
         n = len(left)
@@ -164,6 +178,23 @@ class SkeletalUTC:
         if M.shape != (n, n):
             raise SchemaError(f"F block {key} has shape {M.shape}, expected {(n, n)}")
         return M
+
+    def _finv(self, a, b, c, d) -> np.ndarray:
+        """F[a,b,c;d]⁻¹, computed once per block (LinAlgError if singular)."""
+        key = (a, b, c, d)
+        inv = self._finv_cache.get(key)
+        if inv is None:
+            inv = np.linalg.inv(self.fmat(a, b, c, d))
+            inv.setflags(write=False)
+            self._finv_cache[key] = inv
+        return inv
+
+    def _f_move(self, a, b, c, d, left, coeff) -> list:
+        """Right-tree coordinates of ``coeff`` times the left basis tree
+        ``left`` = (e, α, β) of F[a,b,c;d], as nonzero ((f, μ, ν), value)."""
+        idx = self.ring.f_index(a, b, c, d)
+        col = self._finv(a, b, c, d)[:, idx.lpos[left]] * coeff
+        return [(t, v) for t, v in zip(idx.right, col.tolist()) if v]
 
     def rmat(self, a, b, c) -> np.ndarray:
         """R-matrix O(c, a⊗b) -> O(c, b⊗a) for τ_{a,b}."""
@@ -186,15 +217,20 @@ class SkeletalUTC:
             raise SchemaError(f"R block {key} has shape {M.shape}")
         return M
 
-    def _check_completeness(self):
+    def _f_keys(self) -> list[tuple[str, str, str, str]]:
+        """Sorted (a, b, c, d) whose F-block is nonzero, from the channel tables."""
         ring = self.ring
-        unit = ring.unit
-        for a, b, c in itertools.product(ring.labels, repeat=3):
-            if unit in (a, b, c):
-                continue
-            for dd in ring.labels:
-                if self.hom_dim(dd, [a, b, c]) > 0:
-                    self.fmat(a, b, c, dd)  # raises if absent/mis-shaped
+        return sorted({(a, b, c, d)
+                       for a, b in itertools.product(ring.labels, repeat=2)
+                       for e, _ in ring.channels(a, b)
+                       for c in ring.labels
+                       for d, _ in ring.channels(e, c)})
+
+    def _check_completeness(self):
+        unit = self.ring.unit
+        for key in self._f_keys():
+            if unit not in key[:3]:
+                self.fmat(*key)  # raises if absent/mis-shaped
 
     # ------------------------------------------------------------------
     # tree paths
@@ -222,17 +258,26 @@ class SkeletalUTC:
         if len(word) == 1:
             return [()] if word[0] == root else []
         paths: list[tuple[Path, str]] = [((), word[0])]
-        for i, x in enumerate(word[1:], start=1):
-            last = i == len(word) - 1
-            nxt = []
-            for partial, m_prev in paths:
-                targets = [root] if last else ring.labels
-                for m in targets:
-                    n_mult = ring.N(m_prev, x, m)
-                    for t in range(n_mult):
-                        nxt.append((partial + ((m, t),), m))
-            paths = nxt
-        return [p for p, _ in paths]
+        for x in word[1:-1]:
+            paths = [(p + ((m, t),), m) for p, prev in paths
+                     for m, n in ring.channels(prev, x) for t in range(n)]
+        return [p + ((root, t),) for p, prev in paths
+                for t in range(ring.N(prev, word[-1], root))]
+
+    def admissible_trees(self, length: int):
+        """Every left-associated basis tree on ``length`` ≥ 1 letters, as
+        (word, root, path), found by walking the channel tables.
+
+        For each (word, root) the paths come in :meth:`tree_paths` order.
+        """
+        ring = self.ring
+        labels = ring.labels
+        trees = (((x,), x, ()) for x in labels)
+        for _ in range(length - 1):
+            trees = ((w + (y,), m, p + ((m, t),)) for w, prev, p in trees
+                     for y in labels for m, n in ring.channels(prev, y)
+                     for t in range(n))
+        return trees
 
     def basis_tree(self, root: str, word, path: Path) -> TreeVector:
         return TreeVector(tuple(word), root, {path: 1.0 + 0.0j})
@@ -266,9 +311,8 @@ class SkeletalUTC:
             groups.setdefault(key, {})[(e, alpha, beta)] = groups.setdefault(key, {}).get((e, alpha, beta), 0.0) + c
         for key, local in groups.items():
             _, a, d, _ = key
-            idx = self.left_index(a, word[k], word[k + 1], d)
-            vec = np.zeros(len(idx), dtype=complex)
-            pos = {t: i for i, t in enumerate(idx)}
+            pos = self.ring.f_index(a, word[k], word[k + 1], d).lpos
+            vec = np.zeros(len(pos), dtype=complex)
             for t, c in local.items():
                 vec[pos[t]] += c
             yield key, vec
@@ -295,11 +339,10 @@ class SkeletalUTC:
                     _add(out, ((m1, t1p),) + path[1:], R[t1p, t1] * coeff)
             return TreeVector(new_word, tv.root, out)
         for (prefix, a, dd, suffix), vec in self._local_groups(tv, k):
-            F = self.fmat(a, b, c, dd)
-            right = np.linalg.solve(F, vec)
+            right = self._finv(a, b, c, dd) @ vec
             ridx = self.right_index(a, b, c, dd)
-            right2 = np.zeros(len(self.right_index(a, c, b, dd)), dtype=complex)
-            rpos2 = {t: i for i, t in enumerate(self.right_index(a, c, b, dd))}
+            rpos2 = self.ring.f_index(a, c, b, dd).rpos
+            right2 = np.zeros(len(rpos2), dtype=complex)
             for i, (f, mu, nu) in enumerate(ridx):
                 if abs(right[i]) == 0.0:
                     continue
@@ -354,8 +397,7 @@ class SkeletalUTC:
         else:
             new_word = word[:k] + (Z,) + word[k + 2:]
         for (prefix, a, dd, suffix), vec in self._local_groups(tv, k):
-            F = self.fmat(a, b, c, dd)
-            right = np.linalg.solve(F, vec)
+            right = self._finv(a, b, c, dd) @ vec
             ridx = self.right_index(a, b, c, dd)
             for i, (f, mu, nu) in enumerate(ridx):
                 if f != Z or abs(right[i]) == 0.0:
@@ -397,8 +439,8 @@ class SkeletalUTC:
         for path, coeff in tv.coeffs.items():
             a = word[0] if k == 1 else path[k - 2][0]
             F = self.fmat(a, y, z, a)
-            lidx = self.left_index(a, y, z, a)
-            rpos = {t: i for i, t in enumerate(self.right_index(a, y, z, a))}
+            idx = self.ring.f_index(a, y, z, a)
+            lidx, rpos = idx.left, idx.rpos
             rvec = np.zeros(len(rpos), dtype=complex)
             for mu, p in enumerate(p_coeffs):
                 rvec[rpos[(unit, mu, 0)]] = p
@@ -448,8 +490,8 @@ class SkeletalUTC:
             heads.setdefault((cprime, t), {})[path[:-1]] = coeff
         for (cprime, t), headcoeffs in heads.items():
             F = self.fmat(tva.root, cprime, y, root)
-            lidx = self.left_index(tva.root, cprime, y, root)
-            rpos = {tt: i for i, tt in enumerate(self.right_index(tva.root, cprime, y, root))}
+            idx = ring.f_index(tva.root, cprime, y, root)
+            lidx, rpos = idx.left, idx.rpos
             rvec = np.zeros(len(rpos), dtype=complex)
             for s in range(n_w):
                 rvec[rpos[(tvb.root, t, s)]] = w_coeffs[s]
@@ -477,11 +519,10 @@ class SkeletalUTC:
             raise UnknownLabel(x)
         xb = self.dual(x)
         dx = self.d(x)
-        lidx = self.left_index(x, xb, x, x)
-        ridx = self.right_index(x, xb, x, x)
+        idx = ring.f_index(x, xb, x, x)
         unit = ring.unit
         F = self.fmat(x, xb, x, x)
-        f11 = F[lidx.index((unit, 0, 0)), ridx.index((unit, 0, 0))]
+        f11 = F[idx.lpos[(unit, 0, 0)], idx.rpos[(unit, 0, 0)]]
         if abs(f11) < 1e-14:
             raise SolveFailed(f"zig-zag system singular for {x}")
         r = np.sqrt(dx)  # phase pin: positive real
@@ -593,85 +634,57 @@ class SkeletalUTC:
         return u3
 
     # ------------------------------------------------------------------
-    # verification: pentagon / hexagon / unitarity / resolution
+    # verification: pentagon / hexagon / zig-zag / unitarity
     # ------------------------------------------------------------------
 
     def verify_unitarity(self) -> float:
         worst = 0.0
-        for a, b, c in itertools.product(self.ring.labels, repeat=3):
-            for dd in self.ring.labels:
-                F = self.fmat(a, b, c, dd)
-                if F.size == 0:
-                    continue
-                worst = max(worst, float(np.max(np.abs(F @ F.conj().T - np.eye(F.shape[0])))))
+        for key in self._f_keys():
+            F = self.fmat(*key)
+            worst = max(worst, float(np.max(np.abs(F @ F.conj().T - np.eye(F.shape[0])))))
         if self.braided:
-            for a, b in itertools.product(self.ring.labels, repeat=2):
-                for c in self.ring.labels:
+            ring = self.ring
+            for a, b in itertools.product(ring.labels, repeat=2):
+                for c, _ in ring.channels(a, b):
                     R = self.rmat(a, b, c)
-                    if R.size == 0:
-                        continue
                     worst = max(worst, float(np.max(np.abs(R @ R.conj().T - np.eye(R.shape[0])))))
         return worst
 
     def verify_pentagon(self) -> float:
         """Max residual of the two re-association routes T1 -> T4 on 4 letters."""
         worst = 0.0
-        labels = self.ring.labels
-        for a, b, c, dd in itertools.product(labels, repeat=4):
-            for e in labels:
-                paths = self.tree_paths(e, (a, b, c, dd))
-                if not paths:
-                    continue
-                for p in paths:
-                    tv = self.basis_tree(e, (a, b, c, dd), p)
-                    r1 = self._route_1234(tv)
-                    r2 = self._route_154(tv)
-                    keys = set(r1) | set(r2)
-                    for kk in keys:
-                        worst = max(worst, abs(r1.get(kk, 0.0) - r2.get(kk, 0.0)))
+        for word, e, p in self.admissible_trees(4):
+            tv = self.basis_tree(e, word, p)
+            r1 = self._route_1234(tv)
+            r2 = self._route_154(tv)
+            for kk in set(r1) | set(r2):
+                worst = max(worst, abs(r1.get(kk, 0.0) - r2.get(kk, 0.0)))
         return worst
-
-    def _to_right(self, vec: np.ndarray, a, b, c, d) -> np.ndarray:
-        return np.linalg.solve(self.fmat(a, b, c, d), vec)
 
     def _route_1234(self, tv: TreeVector) -> dict:
         """((ab)c)d -> (a(bc))d -> a((bc)d) -> a(b(cd)); coords keyed by labels."""
         a, b, c, dd = tv.word
         e = tv.root
-        out: dict = {}
         # T1 coords: path ((m1,t1),(m2,t2),(e,t3))
         # move 1: triple (a,b,c) root m2 -> right coords (f, mu, nu) spectators (m2, t3)
         t2coords: dict = {}
         for path, coeff in tv.coeffs.items():
             (m1, t1), (m2, t2), (_, t3) = path
-            lidx = self.left_index(a, b, c, m2)
-            lvec = np.zeros(len(lidx), dtype=complex)
-            lvec[lidx.index((m1, t1, t2))] = coeff
-            rvec = self._to_right(lvec, a, b, c, m2)
-            for i, (f, mu, nu) in enumerate(self.right_index(a, b, c, m2)):
-                if abs(rvec[i]):
-                    t2coords[(f, mu, nu, m2, t3)] = t2coords.get((f, mu, nu, m2, t3), 0.0) + rvec[i]
+            for (f, mu, nu), v in self._f_move(a, b, c, m2, (m1, t1, t2), coeff):
+                key = (f, mu, nu, m2, t3)
+                t2coords[key] = t2coords.get(key, 0.0) + v
         # move 2: triple (a, f, d) root e on coords (m2, nu, t3)
         t3coords: dict = {}
         for (f, mu, nu, m2, t3), coeff in t2coords.items():
-            lidx = self.left_index(a, f, dd, e)
-            lvec = np.zeros(len(lidx), dtype=complex)
-            lvec[lidx.index((m2, nu, t3))] = coeff
-            rvec = self._to_right(lvec, a, f, dd, e)
-            for i, (g, rho, sig) in enumerate(self.right_index(a, f, dd, e)):
-                if abs(rvec[i]):
-                    t3coords[(f, mu, g, rho, sig)] = t3coords.get((f, mu, g, rho, sig), 0.0) + rvec[i]
+            for (g, rho, sig), v in self._f_move(a, f, dd, e, (m2, nu, t3), coeff):
+                key = (f, mu, g, rho, sig)
+                t3coords[key] = t3coords.get(key, 0.0) + v
         # move 3: triple (b, c, d) root g on coords (f, mu, rho)
-        out = {}
+        out: dict = {}
         for (f, mu, g, rho, sig), coeff in t3coords.items():
-            lidx = self.left_index(b, c, dd, g)
-            lvec = np.zeros(len(lidx), dtype=complex)
-            lvec[lidx.index((f, mu, rho))] = coeff
-            rvec = self._to_right(lvec, b, c, dd, g)
-            for i, (h, kap, lam) in enumerate(self.right_index(b, c, dd, g)):
-                if abs(rvec[i]):
-                    key = (h, kap, g, lam, sig)
-                    out[key] = out.get(key, 0.0) + rvec[i]
+            for (h, kap, lam), v in self._f_move(b, c, dd, g, (f, mu, rho), coeff):
+                key = (h, kap, g, lam, sig)
+                out[key] = out.get(key, 0.0) + v
         return out
 
     def _route_154(self, tv: TreeVector) -> dict:
@@ -681,24 +694,14 @@ class SkeletalUTC:
         t5coords: dict = {}
         for path, coeff in tv.coeffs.items():
             (m1, t1), (m2, t2), (_, t3) = path
-            lidx = self.left_index(m1, c, dd, e)
-            lvec = np.zeros(len(lidx), dtype=complex)
-            lvec[lidx.index((m2, t2, t3))] = coeff
-            rvec = self._to_right(lvec, m1, c, dd, e)
-            for i, (h, kap, nu2) in enumerate(self.right_index(m1, c, dd, e)):
-                if abs(rvec[i]):
-                    key = (m1, t1, h, kap, nu2)
-                    t5coords[key] = t5coords.get(key, 0.0) + rvec[i]
+            for (h, kap, nu2), v in self._f_move(m1, c, dd, e, (m2, t2, t3), coeff):
+                key = (m1, t1, h, kap, nu2)
+                t5coords[key] = t5coords.get(key, 0.0) + v
         out: dict = {}
         for (m1, t1, h, kap, nu2), coeff in t5coords.items():
-            lidx = self.left_index(a, b, h, e)
-            lvec = np.zeros(len(lidx), dtype=complex)
-            lvec[lidx.index((m1, t1, nu2))] = coeff
-            rvec = self._to_right(lvec, a, b, h, e)
-            for i, (g, lam, sig) in enumerate(self.right_index(a, b, h, e)):
-                if abs(rvec[i]):
-                    key = (h, kap, g, lam, sig)
-                    out[key] = out.get(key, 0.0) + rvec[i]
+            for (g, lam, sig), v in self._f_move(a, b, h, e, (m1, t1, nu2), coeff):
+                key = (h, kap, g, lam, sig)
+                out[key] = out.get(key, 0.0) + v
         return out
 
     def verify_hexagon(self) -> float:
@@ -706,17 +709,13 @@ class SkeletalUTC:
         if not self.braided:
             raise MissingBraiding("no R-symbols loaded")
         worst = 0.0
-        labels = self.ring.labels
-        for a, b, c in itertools.product(labels, repeat=3):
-            for dd in labels:
-                for p in self.tree_paths(dd, (a, b, c)):
-                    tv = self.basis_tree(dd, (a, b, c), p)
-                    for inverse in (False, True):
-                        lhs = self.braid_adjacent(self.braid_adjacent(tv, 0, inverse), 1, inverse)
-                        rhs = self._braid_past_pair(tv, inverse)
-                        keys = set(lhs.coeffs) | set(rhs.coeffs)
-                        for kk in keys:
-                            worst = max(worst, abs(lhs.coeffs.get(kk, 0.0) - rhs.coeffs.get(kk, 0.0)))
+        for word, dd, p in self.admissible_trees(3):
+            tv = self.basis_tree(dd, word, p)
+            for inverse in (False, True):
+                lhs = self.braid_adjacent(self.braid_adjacent(tv, 0, inverse), 1, inverse)
+                rhs = self._braid_past_pair(tv, inverse)
+                for kk in set(lhs.coeffs) | set(rhs.coeffs):
+                    worst = max(worst, abs(lhs.coeffs.get(kk, 0.0) - rhs.coeffs.get(kk, 0.0)))
         return worst
 
     def _braid_past_pair(self, tv: TreeVector, inverse: bool) -> TreeVector:
@@ -726,32 +725,12 @@ class SkeletalUTC:
         out: dict = {}
         for path, coeff in tv.coeffs.items():
             (m1, t1), (_, t2) = path
-            lidx = self.left_index(a, b, c, dd)
-            lvec = np.zeros(len(lidx), dtype=complex)
-            lvec[lidx.index((m1, t1, t2))] = coeff
-            rvec = self._to_right(lvec, a, b, c, dd)
-            for i, (f, mu, nu) in enumerate(self.right_index(a, b, c, dd)):
-                if abs(rvec[i]) == 0.0:
-                    continue
+            for (f, mu, nu), v in self._f_move(a, b, c, dd, (m1, t1, t2), coeff):
                 R = self.rmat(f, a, dd).conj().T if inverse else self.rmat(a, f, dd)
                 for nup in range(R.shape[0]):
                     key = ((f, mu), (dd, nup))
-                    out[key] = out.get(key, 0.0) + R[nup, nu] * rvec[i]
+                    out[key] = out.get(key, 0.0) + R[nup, nu] * v
         return TreeVector((b, c, a), dd, out)
 
     def verify_zigzag(self) -> float:
         return max(self.conjugate_solution(x).residual for x in self.ring.labels)
-
-    def verify_resolution(self) -> float:
-        """Σ_Z Σ_v v v* = id on every X⊗Y — here reduced to a dimension count
-        plus orthonormality, which is exact in tree coordinates."""
-        worst = 0.0
-        ring = self.ring
-        for X, Y in itertools.product(ring.labels, repeat=2):
-            total = sum(ring.N(X, Y, Z) for Z in ring.labels)
-            dim = self.hom_dim_product(X, Y)
-            worst = max(worst, abs(total - dim))
-        return worst
-
-    def hom_dim_product(self, X, Y) -> int:
-        return sum(self.ring.N(X, Y, Z) for Z in self.ring.labels)

@@ -1,10 +1,13 @@
+import gc
+import weakref
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from utcat.errors import RingAxiomError, UnknownLabel
-from utcat.fixtures import fibonacci, ising, mult2_ring, vec_zn
+from utcat.fixtures import FIXTURE_BUILDERS, fibonacci, ising, mult2_ring, vec_zn
 from utcat.fusion_ring import check_ring_axioms, validate_ring
 
 # closed-form Perron dimensions, computed independently of the power iteration
@@ -54,6 +57,41 @@ def test_unknown_label_raises():
     ring = fibonacci().ring
     with pytest.raises(UnknownLabel):
         ring.N("tau", "bogus", "1")
+    with pytest.raises(UnknownLabel):
+        ring.N("tau", "tau", "bogus")
+    for query in (ring.fuse, ring.channels):
+        for x, y in (("bogus", "tau"), ("tau", "bogus")):
+            with pytest.raises(UnknownLabel) as exc:
+                query(x, y)
+            assert exc.value.args[0] == "bogus"
+
+
+@pytest.mark.parametrize("name", [*FIXTURE_BUILDERS, "mult2"])
+def test_channel_table_agrees_with_N_and_fuse(name):
+    ring = mult2_ring() if name == "mult2" else FIXTURE_BUILDERS[name]().ring
+    for x in ring.labels:
+        for y in ring.labels:
+            chans = ring.channels(x, y)
+            assert [z for z, _ in chans] == sorted(z for z, _ in chans)
+            assert chans == tuple((z, ring.N(x, y, z)) for z in ring.labels
+                                  if ring.N(x, y, z))
+            assert dict(chans) == ring.fuse(x, y)
+
+
+def test_fp_dimension_cache_does_not_keep_the_ring_alive():
+    # labels no other test uses, so no cache can hold an equal ring already
+    names = ["w0", "w1", "w2"]
+    ring = validate_ring({
+        "labels": names, "unit": "w0",
+        "dual": {"w0": "w0", "w1": "w2", "w2": "w1"},
+        "mult": {(names[i], names[j], names[(i + j) % 3]): 1
+                 for i in range(3) for j in range(3)},
+    })
+    assert ring.fp_dimension("w1") == pytest.approx(1.0, abs=1e-9)
+    ref = weakref.ref(ring)
+    del ring
+    gc.collect()
+    assert ref() is None
 
 
 def test_fusion_closure_is_dual_closed_and_contains_unit():

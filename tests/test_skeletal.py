@@ -51,14 +51,43 @@ def test_tree_paths_fibonacci_counts(fib):
     assert dims == [0, 1, 1, 2, 3, 5]
 
 
-def test_multiplicity_two_paths():
-    ring = mult2_ring()
-    cat = SkeletalUTC.__new__(SkeletalUTC)  # path enumeration needs only the ring
+def _ring_only(ring):
+    cat = SkeletalUTC.__new__(SkeletalUTC)  # tree enumeration needs only the ring
     cat.ring = ring
+    return cat
+
+
+def test_multiplicity_two_paths():
+    cat = _ring_only(mult2_ring())
     paths = cat.tree_paths("x", ("x", "x", "x"))
     # channels: (x x -> 1) then (1 x -> x), or (x x -> x)[2] then (x x -> x)[2]
     assert len(paths) == 1 + 2 * 2
     assert cat.hom_dim("x", ("x", "x", "x")) == 5
+
+
+def _assert_admissible_trees_are_tree_paths(cat, length):
+    got = {}
+    for word, root, path in cat.admissible_trees(length):
+        got.setdefault((word, root), []).append(path)
+    for word in itertools.product(cat.ring.labels, repeat=length):
+        for root in cat.ring.labels:
+            want = cat.tree_paths(root, word)
+            assert got.pop((word, root), []) == want
+            assert len(want) == cat.hom_dim(root, word)
+    assert not got
+
+
+def test_admissible_trees_are_the_tree_paths(cat):
+    for length in (3, 4):
+        _assert_admissible_trees_are_tree_paths(cat, length)
+
+
+def test_admissible_trees_with_multiplicity_two():
+    cat = _ring_only(mult2_ring())
+    _assert_admissible_trees_are_tree_paths(cat, 4)
+    # x⊗x = 1 ⊕ 2x, so x^⊗3 = 2·1 ⊕ 5x and x^⊗4 = 5·1 ⊕ 12x
+    assert len(cat.tree_paths("1", ("x",) * 4)) == 5
+    assert len(cat.tree_paths("x", ("x",) * 4)) == 12
 
 
 def test_onb_trees_raises_on_empty(fib):
@@ -89,6 +118,22 @@ def test_zigzag_solutions_standard(cat):
         sol = cat.conjugate_solution(x)
         assert sol.r.real > 0 and abs(sol.r.imag) < TOL
         assert abs(abs(sol.rbar) ** 2 - cat.d(x)) < 1e-9
+
+
+def test_blocks_are_read_only():
+    cat = fibonacci()
+    block = np.array(cat._F[("tau", "tau", "tau", "tau")])
+    F = {**cat._F, ("tau", "tau", "tau", "tau"): block}
+    own = SkeletalUTC(cat.ring, F, cat._R, qdims=cat.qdim)
+    with pytest.raises(ValueError):
+        own.fmat("tau", "tau", "tau", "tau")[0, 0] = 0.0
+    with pytest.raises(ValueError):
+        own.rmat("tau", "tau", "1")[0, 0] = 0.0
+    # the category keeps its own copy: the caller's array stays writable and
+    # writing to it changes nothing the category computes with
+    block[0, 0] = 7.0
+    assert own.fmat("tau", "tau", "tau", "tau")[0, 0] == pytest.approx(1.0 / PHI)
+    assert own.verify_pentagon() < TOL
 
 
 def test_missing_braiding_raises():
