@@ -626,8 +626,16 @@ def pp_check(D: AlgebraObject, X: str, samples: int, seed: int = 0,
 # ---------------------------------------------------------------------------
 
 def group_algebra_object(cat: SkeletalUTC, side: str = "cat") -> AlgebraObject:
-    """The group algebra of a pointed category: 𝒟(g) = ℂ, μ = group law."""
+    """The group algebra of a pointed category: 𝒟(g) = ℂ, μ = group law.
+
+    Requires every label invertible (d = 1).
+    """
     ring = cat.ring
+    for x in ring.labels:
+        if abs(cat.d(x) - 1.0) > 1e-9:
+            raise PositivityFailure(
+                f"no group algebra: label {x} has dimension {cat.d(x):.4f} ≠ 1"
+            )
     fibers = {g: 1 for g in ring.labels}
     mult = {}
     for g in ring.labels:
@@ -664,11 +672,6 @@ def trivial_action_object(cat: SkeletalUTC) -> AlgebraObject:
 
     Requires every label invertible (d = 1); the lax structure is unitary.
     """
-    for x in cat.ring.labels:
-        if abs(cat.d(x) - 1.0) > 1e-9:
-            raise PositivityFailure(
-                f"no action on ℂ exists: label {x} has dimension {cat.d(x):.4f} ≠ 1"
-            )
     obj = group_algebra_object(cat, side="op")
     obj.meta = {"fixture": "trivial_action", "base": "C", "center_trivial": True}
     return obj

@@ -48,6 +48,7 @@ from .semicircular import (
     BaseAlgebra,
     CovarianceMatrix,
     build_fock,
+    catalan_moments,
     semicircular_ops,
     vacuum_expectation,
 )
@@ -332,17 +333,22 @@ def _cmd_fock(args) -> tuple:
         eta = CovarianceMatrix(alg, (0,), {(0, 0): np.eye(alg.dim)})
     fam = semicircular_ops(build_fock(eta, args.depth))
     i0 = eta.index[0]
-    moments = []
-    for m in range(args.moments + 1):
-        val = alg.trace(vacuum_expectation(fam, [("X", i0)] * m))
-        moments.append(float(val.real))
+    moments, residual = [], 0.0
+    for m, want in enumerate(catalan_moments(eta, i0, args.moments)):
+        got = vacuum_expectation(fam, [("X", i0)] * m)
+        moments.append(float(alg.trace(got).real))
+        residual = max(residual, float(np.max(np.abs(got - want)))
+                       / max(1.0, float(np.max(np.abs(want)))))
+    sym = eta.trace_symmetry_residual()
+    ok = residual <= args.tol and sym <= 1e-12
     report = {"command": "fock", "base": list(alg.blocks),
               "index": list(eta.index), "depth": args.depth,
               "level_dims": list(fam.fock.level_dims),
               "moments": moments,
-              "trace_symmetry_residual": eta.trace_symmetry_residual(),
-              "ok": True}
-    return EXIT_OK, report
+              "moment_residual": residual,
+              "trace_symmetry_residual": sym,
+              "ok": ok}
+    return (EXIT_OK if ok else EXIT_ASSERT), report
 
 
 # -- argument parsing --------------------------------------------------------

@@ -4,22 +4,26 @@ The base algebra A is a concrete multi-matrix algebra ⊕_b M_{k_b} embedded
 block-diagonally in M_d.  A covariance matrix is a completely positive
 η: A → A⊗ℒ(ℓ²(I)) stored entrywise as linear maps η_ij in A-coordinates.
 The Fock space ⨁_{m≤n} 𝒳^{⊠m} is assembled level by level: a raw level-m
-basis vector is a word ((a₁,i₁),…,(a_m,i_m); b) of slot coefficients and a
-right tail, the A-valued inner product follows the recursion
+basis vector ((a₁,i₁),…,(a_m,i_m); β) has the mixed-radix index over
+(a₁,i₁,…,a_m,i_m,β), and the A-valued inner product follows the recursion
 
     ⟨(a,i)::u, (c,j)::v⟩ = ⟨u, η_ij(a*c) ▹ v⟩,      ⟨b, b′⟩₀ = b*b′,
 
-and degenerate directions are quotiented per level through the normalized
-trace.  Creation prepends a slot, annihilation is its adjoint in the
-quotient orthonormal coordinates, and X_i = T_i + T_i† is self-adjoint by
-construction.  Vacuum moments of words with at most 2·depth letters are
-exact: a path through the truncated level cannot return to the vacuum.
+one tensor contraction per level, where ▹ acts on the first slot of v.
+Degenerate directions are quotiented per level through the normalized
+trace.  On the raw index left multiplication is L(a) ⊗ I, right
+multiplication I ⊗ R(a) and creation (unit ⊗ e_i) ⊗ I; operators are kept
+as blocks between quotient levels, and dense matrices are assembled from
+them.  X_i = T_i + T_i† is self-adjoint by construction.  Vacuum moments
+walk a word through the levels its vector lives on and are exact for at
+most 2·depth letters: a path through the truncated level cannot return.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -54,29 +58,33 @@ class BaseAlgebra:
         if any(k <= 0 for k in self.blocks):
             raise ValueError("block sizes must be positive")
         self.d = sum(self.blocks)
-        self.basis = []
-        self._slots = []  # (row, col) of each matrix unit
+        slots = []  # (row, col) of each matrix unit
         off = 0
         for k in self.blocks:
-            for r in range(k):
-                for c in range(k):
-                    e = np.zeros((self.d, self.d), dtype=complex)
-                    e[off + r, off + c] = 1.0
-                    self.basis.append(e)
-                    self._slots.append((off + r, off + c))
+            slots += [(off + r, off + c) for r in range(k) for c in range(k)]
             off += k
-        self.dim = len(self.basis)
+        self._rows, self._cols = (np.array(ix) for ix in zip(*slots))
+        self.dim = len(slots)
+        self.basis = np.zeros((self.dim, self.d, self.d), dtype=complex)
+        self.basis[np.arange(self.dim), self._rows, self._cols] = 1.0
         self.unit_coords = self.coords(np.eye(self.d))
 
     def coords(self, mat) -> np.ndarray:
-        mat = np.asarray(mat, dtype=complex)
-        return np.array([mat[r, c] for r, c in self._slots])
+        """Matrix-unit coordinates of a d×d matrix, or of a stack of them."""
+        return np.asarray(mat, dtype=complex)[..., self._rows, self._cols]
 
     def element(self, coords) -> np.ndarray:
         out = np.zeros((self.d, self.d), dtype=complex)
-        for v, (r, c) in zip(coords, self._slots):
-            out[r, c] = v
+        out[self._rows, self._cols] = coords
         return out
+
+    def left_matrix(self, a) -> np.ndarray:
+        """Coordinate matrix of x ↦ a·x."""
+        return self.coords(a @ self.basis).T
+
+    def right_matrix(self, a) -> np.ndarray:
+        """Coordinate matrix of x ↦ x·a."""
+        return self.coords(self.basis @ a).T
 
     def trace(self, mat) -> complex:
         return complex(np.trace(mat)) / self.d
@@ -238,7 +246,6 @@ def covariance_from_automorphisms(alphas, algebra: BaseAlgebra = None,
 class TruncatedFock:
     eta: CovarianceMatrix
     depth: int
-    level_basis: list      # per level: list of (pairs, beta)
     level_dims: tuple      # quotient dimensions
     raw_dims: tuple
     to_onb: list           # per level: raw → ONB matrix
@@ -246,67 +253,69 @@ class TruncatedFock:
     offsets: list
     total_dim: int
 
+    def _block(self, m, n, raw) -> np.ndarray:
+        """ONB block, level n → level m, of a raw operator."""
+        return self.to_onb[m] @ raw @ self.from_onb[n]
+
+    def left_block(self, m, L) -> np.ndarray:
+        """x ↦ a·x on level m for L = left_matrix(a): L ⊗ I on the first slot."""
+        return self._block(m, m, np.kron(L, np.eye(self.raw_dims[m] // len(L))))
+
+    def creation_blocks(self, i) -> list:
+        """T_i from level m to m+1, m < depth: (unit ⊗ e_i) ⊗ I."""
+        e_i = np.eye(len(self.eta.index))[self.eta.index.index(i)]
+        slot = np.kron(self.eta.algebra.unit_coords, e_i)[:, None]
+        return [self._block(m + 1, m, np.kron(slot, np.eye(s)))
+                for m, s in enumerate(self.raw_dims[:-1])]
+
+    def assemble(self, blocks: dict) -> np.ndarray:
+        """Dense operator on the whole Fock space from {(m, n): block}."""
+        M = np.zeros((self.total_dim, self.total_dim), dtype=complex)
+        for (m, n), B in blocks.items():
+            M[self.offsets[m], self.offsets[n]] = B
+        return M
+
     def left_mult(self, a) -> np.ndarray:
-        return self._diagonal_op(a, side="left")
+        L = self.eta.algebra.left_matrix(a)
+        return self.assemble({(m, m): self.left_block(m, L)
+                              for m in range(self.depth + 1)})
 
     def right_mult(self, a) -> np.ndarray:
-        return self._diagonal_op(a, side="right")
-
-    def _diagonal_op(self, a, side) -> np.ndarray:
-        alg = self.eta.algebra
-        M = np.zeros((self.total_dim, self.total_dim), dtype=complex)
-        for m, basis in enumerate(self.level_basis):
-            idx = {key: t for t, key in enumerate(basis)}
-            raw = np.zeros((len(basis), len(basis)), dtype=complex)
-            for t, (pairs, beta) in enumerate(basis):
-                if side == "left" and pairs:
-                    (al, i), rest = pairs[0], pairs[1:]
-                    prod = alg.coords(a @ alg.basis[al])
-                    for c, v in enumerate(prod):
-                        if v:
-                            raw[idx[(((c, i),) + rest, beta)], t] += v
-                else:
-                    e = alg.basis[beta]
-                    prod = alg.coords(a @ e if side == "left" else e @ a)
-                    for c, v in enumerate(prod):
-                        if v:
-                            raw[idx[(pairs, c)], t] += v
-            sl = self.offsets[m]
-            M[sl, sl] = self.to_onb[m] @ raw @ self.from_onb[m]
-        return M
-
-    def creation(self, i) -> np.ndarray:
-        alg = self.eta.algebra
-        M = np.zeros((self.total_dim, self.total_dim), dtype=complex)
-        for m in range(self.depth):
-            basis, up = self.level_basis[m], self.level_basis[m + 1]
-            idx = {key: t for t, key in enumerate(up)}
-            raw = np.zeros((len(up), len(basis)), dtype=complex)
-            for t, (pairs, beta) in enumerate(basis):
-                for c, v in enumerate(alg.unit_coords):
-                    if v:
-                        raw[idx[(((c, i),) + pairs, beta)], t] += v
-            M[self.offsets[m + 1], self.offsets[m]] = \
-                self.to_onb[m + 1] @ raw @ self.from_onb[m]
-        return M
+        R = self.eta.algebra.right_matrix(a)
+        return self.assemble({
+            (m, m): self._block(m, m, np.kron(np.eye(s // len(R)), R))
+            for m, s in enumerate(self.raw_dims)})
 
     def vacuum(self) -> np.ndarray:
         v = np.zeros(self.total_dim, dtype=complex)
-        alg = self.eta.algebra
-        raw = np.zeros(len(self.level_basis[0]), dtype=complex)
-        for t, (pairs, beta) in enumerate(self.level_basis[0]):
-            raw[t] = self.eta.algebra.unit_coords[beta]
-        v[self.offsets[0]] = self.to_onb[0] @ raw
+        v[self.offsets[0]] = self.to_onb[0] @ self.eta.algebra.unit_coords
         return v
 
     def ground_component(self, vec) -> np.ndarray:
         """A-element carried by the level-0 part of an ONB vector."""
-        alg = self.eta.algebra
-        raw = self.from_onb[0] @ vec[self.offsets[0]]
-        out = np.zeros((alg.d, alg.d), dtype=complex)
-        for t, (pairs, beta) in enumerate(self.level_basis[0]):
-            out += raw[t] * alg.basis[beta]
-        return out
+        return self.eta.algebra.element(self.from_onb[0] @ vec[self.offsets[0]])
+
+
+def level_grams(eta: CovarianceMatrix, depth: int):
+    """Yield the A-valued Gram of each level m ≤ depth, shape (s, s, d, d).
+
+    One contraction per level: ⟨(a,i)::u, (c,j)::(f,r)⟩ is
+    Σ_g lam[a,i,c,j,g,f]·⟨u, (g,r)⟩, where f is the first slot of the
+    shorter vector (β at level 0) and r the rest of it.
+    """
+    alg = eta.algebra
+    nA, nI, d, B = alg.dim, len(eta.index), alg.d, alg.basis
+    E = np.array([[eta.entries[(i, j)] for j in eta.index] for i in eta.index])
+    G = B.conj().transpose(0, 2, 1)[:, None] @ B[None]  # ⟨b, c⟩₀ = b*c
+    mul = alg.coords(B[:, None] @ B[None])  # e_h e_f = Σ_g mul[h,f,g] e_g
+    # lam[a,i,c,j,g,f]: g-th coordinate of η_ij(e_a* e_c)·e_f
+    lam = np.einsum("ijhq,acq,hfg->aicjgf", E, alg.coords(G), mul)
+    yield G
+    for _ in range(depth):
+        s, t = len(G), len(G) * nA * nI
+        G = np.einsum("aicjgf,ugrxy->aiucjfrxy", lam,
+                      G.reshape(s, nA, s // nA, d, d)).reshape(t, t, d, d)
+        yield G
 
 
 def build_fock(eta: CovarianceMatrix, depth: int, max_depth: int = 12,
@@ -316,109 +325,90 @@ def build_fock(eta: CovarianceMatrix, depth: int, max_depth: int = 12,
         raise DimensionCap(f"depth {depth} exceeds the maximum {max_depth}")
     alg = eta.algebra
     nA, nI = alg.dim, len(eta.index)
-
-    level_basis = []
-    raw_dims = []
-    for m in range(depth + 1):
-        size = nA ** (m + 1) * nI ** m
-        if sum(raw_dims) + size > dim_cap:
+    raw_dims = [nA * (nA * nI) ** m for m in range(depth + 1)]
+    for m, total in enumerate(itertools.accumulate(raw_dims)):
+        if total > dim_cap:
             raise DimensionCap(
                 f"raw dimension exceeds the cap {dim_cap} at level {m}")
-        pairs_iter = itertools.product(
-            itertools.product(range(nA), range(len(eta.index))), repeat=m)
-        basis = [(pairs, beta) for pairs in pairs_iter for beta in range(nA)]
-        level_basis.append(basis)
-        raw_dims.append(size)
-
-    # A-valued Grams per level, shape (s, s, d, d)
-    grams = []
-    g0 = np.zeros((nA, nA, alg.d, alg.d), dtype=complex)
-    for b in range(nA):
-        for c in range(nA):
-            g0[b, c] = alg.basis[b].conj().T @ alg.basis[c]
-    grams.append(g0)
-    for m in range(1, depth + 1):
-        basis = level_basis[m]
-        down = level_basis[m - 1]
-        didx = {key: t for t, key in enumerate(down)}
-        s = len(basis)
-        G = np.zeros((s, s, alg.d, alg.d), dtype=complex)
-        prev = grams[m - 1]
-        for t, (pu, bu) in enumerate(basis):
-            (au, iu), ru = pu[0], pu[1:]
-            urow = didx[(ru, bu)]
-            for tt, (pv, bv) in enumerate(basis):
-                (av, iv), rv = pv[0], pv[1:]
-                K = eta.apply(eta.index[iu], eta.index[iv],
-                              alg.basis[au].conj().T @ alg.basis[av])
-                first = rv[0][0] if rv else bv
-                prod = alg.coords(K @ alg.basis[first])
-                for c, coeff in enumerate(prod):
-                    if not coeff:
-                        continue
-                    if rv:
-                        key = (((c, rv[0][1]),) + rv[1:], bv)
-                    else:
-                        key = ((), c)
-                    G[t, tt] += coeff * prev[urow, didx[key]]
-        grams.append(G)
 
     to_onb, from_onb, dims = [], [], []
-    for m in range(depth + 1):
-        Q = np.einsum("stii->st", grams[m]) / alg.d  # scalar Gram via τ
+    for G in level_grams(eta, depth):
+        Q = np.einsum("stii->st", G) / alg.d  # scalar Gram via τ
         Q = (Q + Q.conj().T) / 2
         w, U = np.linalg.eigh(Q)
         thresh = 1e-10 * max(float(np.max(np.abs(w))), 1e-300)
         keep = w > thresh
-        S = (np.sqrt(w[keep])[:, None] * U[:, keep].conj().T)
-        P = U[:, keep] / np.sqrt(w[keep])[None, :]
-        to_onb.append(S)
-        from_onb.append(P)
+        to_onb.append(np.sqrt(w[keep])[:, None] * U[:, keep].conj().T)
+        from_onb.append(U[:, keep] / np.sqrt(w[keep])[None, :])
         dims.append(int(np.sum(keep)))
 
-    offsets = []
-    off = 0
-    for dmn in dims:
-        offsets.append(slice(off, off + dmn))
-        off += dmn
-    return TruncatedFock(eta, depth, level_basis, tuple(dims),
-                         tuple(raw_dims), to_onb, from_onb, offsets, off)
+    ends = list(itertools.accumulate(dims))
+    return TruncatedFock(eta, depth, tuple(dims), tuple(raw_dims), to_onb,
+                         from_onb, [slice(e - n, e) for e, n in zip(ends, dims)],
+                         ends[-1])
 
 
 @dataclass
 class SemicircularFamily:
+    """X_i = T_i + T_i† as level blocks of T_i; dense views on request."""
+
     fock: TruncatedFock
-    creations: dict
-    ops: dict
+    blocks: dict    # i -> [T_i: level m → m+1 for m < depth]
+
+    @cached_property
+    def annihilations(self) -> dict:
+        """T_i† from level m+1 to m: the adjoints of `blocks`."""
+        return {i: [T.conj().T for T in Ts] for i, Ts in self.blocks.items()}
+
+    @cached_property
+    def creations(self) -> dict:
+        return {i: self.fock.assemble({(m + 1, m): T for m, T in enumerate(Ts)})
+                for i, Ts in self.blocks.items()}
+
+    @cached_property
+    def ops(self) -> dict:
+        return {i: T + T.conj().T for i, T in self.creations.items()}
 
     def X(self, i) -> np.ndarray:
         return self.ops[i]
 
 
 def semicircular_ops(fock: TruncatedFock) -> SemicircularFamily:
-    creations = {i: fock.creation(i) for i in fock.eta.index}
-    ops = {i: T + T.conj().T for i, T in creations.items()}
-    return SemicircularFamily(fock, creations, ops)
+    return SemicircularFamily(
+        fock, {i: fock.creation_blocks(i) for i in fock.eta.index})
 
 
 def vacuum_expectation(fam: SemicircularFamily, word) -> np.ndarray:
     """E(w) = ⟨wΩ, Ω⟩ ∈ A for a word in the X_i and left factors from A.
 
     Word letters: ("X", i) or a d×d matrix of A.  Exact when the number of
-    X letters is at most 2·depth; longer words are refused.
+    X letters is at most 2·depth; longer words are refused.  The vector is
+    kept per level; a level above the number of X letters still to come
+    cannot reach the vacuum, so it is dropped.
     """
     fock = fam.fock
     nx = sum(1 for w in word if isinstance(w, tuple) and w[0] == "X")
     if nx > 2 * fock.depth:
         raise WordTooLong(
             f"{nx} semicircular letters exceed 2·depth = {2 * fock.depth}")
-    v = fock.vacuum()
+    levels = {0: fock.to_onb[0] @ fock.eta.algebra.unit_coords}
     for w in reversed(word):
         if isinstance(w, tuple) and w[0] == "X":
-            v = fam.ops[w[1]] @ v
+            nx -= 1
+            up, down = fam.blocks[w[1]], fam.annihilations[w[1]]
+            top = min(nx, fock.depth)
+            out = {}
+            for m, v in levels.items():
+                if m < top:
+                    out[m + 1] = out.get(m + 1, 0) + up[m] @ v
+                if m:
+                    out[m - 1] = out.get(m - 1, 0) + down[m - 1] @ v
+            levels = out
         else:
-            v = fock.left_mult(np.asarray(w, dtype=complex)) @ v
-    return fock.ground_component(v)
+            L = fock.eta.algebra.left_matrix(np.asarray(w, dtype=complex))
+            levels = {m: fock.left_block(m, L) @ v for m, v in levels.items()}
+    ground = levels.get(0, np.zeros(fock.level_dims[0]))
+    return fock.eta.algebra.element(fock.from_onb[0] @ ground)
 
 
 def catalan(m: int) -> int:
@@ -426,6 +416,16 @@ def catalan(m: int) -> int:
     for n in range(m):
         cs.append(sum(cs[k] * cs[n - k] for k in range(n + 1)))
     return cs[m]
+
+
+def catalan_moments(eta: CovarianceMatrix, i, n: int) -> list:
+    """E(X_i^k) for k ≤ n from η alone, by the operator-valued Catalan
+    recursion m₀ = 1, m_k = Σ_{j≤k−2} η_ii(m_j)·m_{k−2−j}."""
+    ms = [np.eye(eta.algebra.d, dtype=complex)]
+    for k in range(1, n + 1):
+        ms.append(sum((eta.apply(i, i, ms[j]) @ ms[k - 2 - j]
+                       for j in range(k - 1)), np.zeros_like(ms[0])))
+    return ms
 
 
 # ---------------------------------------------------------------------------

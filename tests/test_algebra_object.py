@@ -62,6 +62,11 @@ def test_trivial_action_refuses_nonpointed():
         trivial_action_object(fibonacci())
 
 
+def test_group_algebra_refuses_nonpointed():
+    with pytest.raises(PositivityFailure):
+        group_algebra_object(fibonacci())
+
+
 def test_corrupting_mult_is_detected(fib_ann):
     import copy
 

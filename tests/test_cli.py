@@ -9,7 +9,7 @@ from utcat.annulus import build_annulus
 from utcat.cli import main
 from utcat.errors import SchemaError
 from utcat.fixtures import fibonacci, ising, vec_zn
-from utcat.semicircular import BaseAlgebra
+from utcat.semicircular import BaseAlgebra, covariance_from_vectors
 
 
 def run(capsys, *argv):
@@ -145,6 +145,13 @@ def test_coend_group_oracle(capsys):
     assert rep["faithfulness"]["failures"] == 0
 
 
+def test_coend_refuses_group_algebra_of_non_pointed_category(capsys):
+    code, rep = run(capsys, "coend", "--cat", "ising",
+                    "--left", "groupalg", "--right", "groupalg")
+    assert code == 2
+    assert "sigma" in rep["error"]
+
+
 def test_coend_fibonacci_annulus(capsys):
     code, rep = run(capsys, "coend", "--cat", "fib",
                     "--left", "annulus", "--right", "annulus",
@@ -171,9 +178,10 @@ def test_analyze_explicit_state(capsys, tmp_path):
 
 def test_fock_catalan_moments(capsys):
     code, rep = run(capsys, "fock", "--depth", "10", "--moments", "8")
-    assert code == 0
+    assert code == 0 and rep["ok"]
     assert rep["moments"] == pytest.approx([1, 0, 1, 0, 2, 0, 5, 0, 14],
                                            abs=1e-9)
+    assert rep["moment_residual"] <= 1e-12
 
 
 def test_fock_custom_base_and_cov(capsys, tmp_path):
@@ -185,8 +193,27 @@ def test_fock_custom_base_and_cov(capsys, tmp_path):
         "entries": {"0,0": [[[0, 0], [1, 0]], [[1, 0], [0, 0]]]}}))
     code, rep = run(capsys, "fock", "--base", str(base), "--cov", str(cov),
                     "--depth", "4", "--moments", "4")
-    assert code == 0
+    assert code == 0 and rep["ok"]
     assert rep["trace_symmetry_residual"] < 1e-12
+    assert rep["moment_residual"] <= 1e-12
+
+
+def test_fock_refuses_non_trace_symmetric_covariance(capsys, tmp_path):
+    # η(a) = ξ* a ξ for a random ξ ∈ M₂: CP, but not symmetric for Tr/2
+    rng = np.random.default_rng(0)
+    xi = rng.normal(size=(1, 2, 2)) + 1j * rng.normal(size=(1, 2, 2))
+    eta = covariance_from_vectors([xi], BaseAlgebra((2,))).entries[(0, 0)]
+    base = tmp_path / "base.json"
+    base.write_text(json.dumps({"blocks": [2]}))
+    cov = tmp_path / "eta.json"
+    cov.write_text(json.dumps({
+        "index": [0],
+        "entries": {"0,0": [[[z.real, z.imag] for z in row] for row in eta]}}))
+    code, rep = run(capsys, "fock", "--base", str(base), "--cov", str(cov),
+                    "--depth", "4", "--moments", "8")
+    assert code == 2 and not rep["ok"]
+    assert rep["trace_symmetry_residual"] > 0.1
+    assert rep["moment_residual"] <= 1e-12
 
 
 def test_reports_are_deterministic(capsys, tmp_path):
