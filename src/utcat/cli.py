@@ -340,7 +340,7 @@ def _cmd_fock(args) -> tuple:
         residual = max(residual, float(np.max(np.abs(got - want)))
                        / max(1.0, float(np.max(np.abs(want)))))
     sym = eta.trace_symmetry_residual()
-    ok = residual <= args.tol and sym <= 1e-12
+    ok = residual <= args.tol and eta.is_trace_symmetric()
     report = {"command": "fock", "base": list(alg.blocks),
               "index": list(eta.index), "depth": args.depth,
               "level_dims": list(fam.fock.level_dims),

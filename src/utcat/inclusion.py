@@ -9,7 +9,9 @@ which A acts on the left and right and the grading is remembered by the
 central projections.  Bimodule endomorphisms are then exactly the block
 matrices on the multiplicity spaces, and the whole structure theory
 (hom counts, block decompositions, IND verdicts) reduces to explicit
-intertwiner solves against the generator matrices.
+intertwiner solves against the generator matrices: the null space of one
+Hermitian form per solve, then one averaged central element whose
+eigenvalue clusters are the commutant's blocks.
 """
 
 from __future__ import annotations
@@ -153,9 +155,9 @@ def corrupt_correspondence(corr: RealizedCorrespondence,
                            K: str = None) -> RealizedCorrespondence:
     """Adjoin a nilpotent, non-star-closed generator inside one block.
 
-    Anything commuting with a full Jordan block is a polynomial in it, so
-    the commutant acquires nilpotents and stops being a multi-matrix
-    algebra — the finite stand-in for an inclusion outside the ind class.
+    At k = 1 the commutant acquires nilpotents and is not star-closed; at
+    k ≥ 2 the Jordan block also mixes the ℂ^k⊗ℂ^k factor and the commutant
+    shrinks below M_{h_K}.  Either way: a stand-in outside the ind class.
     """
     cands = [L for L, h in corr.hobj.dims.items() if h >= 2]
     if K is None:
@@ -183,22 +185,30 @@ def corrupt_correspondence(corr: RealizedCorrespondence,
 # intertwiner solves
 # ---------------------------------------------------------------------------
 
-def _intertwiner_space(gens1, gens2, n1, n2) -> np.ndarray:
-    """Orthonormal basis (columns, vectorized) of {X : X g₁ = g₂ X}."""
-    rows = []
-    for g1, g2 in zip(gens1, gens2):
-        # vec(X g1 - g2 X) = (g1^T ⊗ I - I ⊗ g2) vec(X), row-major vec
-        rows.append(np.kron(np.eye(n2), g1.T) - np.kron(g2, np.eye(n1)))
-    A = np.concatenate(rows, axis=0)
-    # full nullspace needed: pad with zero rows if underdetermined so that
-    # Vh spans the whole domain even with full_matrices=False
-    if A.shape[0] < A.shape[1]:
-        A = np.concatenate([A, np.zeros((A.shape[1] - A.shape[0],
-                                         A.shape[1]))], axis=0)
-    _, s, Vh = np.linalg.svd(A, full_matrices=False)
-    tol = 1e-10 * max(float(s[0]) if len(s) else 1.0, 1.0)
-    rank = int(np.sum(s > tol))
-    return Vh[rank:].conj().T  # nullspace columns
+def _intertwiner_space(gens1, gens2, n1, n2) -> tuple:
+    """Orthonormal basis (columns, row-major vec) of {X : X g₁ = g₂ X}, and
+    (largest eigenvalue cut as null, smallest kept), None where empty.
+
+    The space is the null space of H = Σ_g A_g†A_g, A_g = I⊗g₁ᵀ − g₂⊗I,
+    from one `eigh`.  Eigenvalues of H are squared singular values of the
+    stacked A_g, resolved only to eps·λ_max: the cut is 1e-10·max(λ_max, 1).
+    """
+    m = n1 * n2
+    if m == 0:
+        return np.zeros((0, 0), dtype=complex), (None, None)
+    G1 = np.asarray(gens1, dtype=complex).reshape(-1, n1, n1)
+    G2 = np.asarray(gens2, dtype=complex).reshape(-1, n2, n2)
+    # Σ_g g₂⊗ḡ₁: g₂[a,c]·ḡ₁[b,d] at row (a,b), column (c,d)
+    cross = G2.reshape(len(G2), -1).T @ G1.conj().reshape(len(G1), -1)
+    cross = cross.reshape(n2, n2, n1, n1).transpose(0, 2, 1, 3).reshape(m, m)
+    H = (np.kron(np.eye(n2), np.einsum("gij,gkj->ik", G1.conj(), G1))
+         + np.kron(np.einsum("gji,gjk->ik", G2.conj(), G2), np.eye(n1))
+         - cross - cross.conj().T)
+    w, U = np.linalg.eigh(H)
+    null = w <= 1e-10 * max(float(w[-1]), 1.0)
+    gap = (float(w[null][-1]) if null.any() else None,
+           float(w[~null][0]) if not null.all() else None)
+    return U[:, null], gap
 
 
 def hom_count(h1: HilbertSpaceObject, h2: HilbertSpaceObject,
@@ -208,10 +218,8 @@ def hom_count(h1: HilbertSpaceObject, h2: HilbertSpaceObject,
     count = sum(h1.h(K) * h2.h(K) for K in set(h1.dims) | set(h2.dims))
     if cross_check:
         labels = sorted(set(h1.dims) | set(h2.dims))
-        pad1 = HilbertSpaceObject({K: h1.h(K) for K in labels if h1.h(K)})
-        pad2 = HilbertSpaceObject({K: h2.h(K) for K in labels if h2.h(K)})
-        c1 = realize(pad1, base_dim, rng)
-        c2 = realize(pad2, base_dim, rng)
+        c1 = realize(h1, base_dim, rng)
+        c2 = realize(h2, base_dim, rng)
         solved = _solve_hom(c1, c2, labels)
         if solved != count:
             raise NotSemisimpleInput(
@@ -231,15 +239,21 @@ def _solve_hom(c1: RealizedCorrespondence, c2: RealizedCorrespondence,
     for K in labels:
         g1s.append(c1.projections.get(K, z1))
         g2s.append(c2.projections.get(K, z2))
-    basis = _intertwiner_space(g1s, g2s, c1.total_dim, c2.total_dim)
+    basis, _ = _intertwiner_space(g1s, g2s, c1.total_dim, c2.total_dim)
     return basis.shape[1]
 
 
 @dataclass(frozen=True)
 class BlockDecomposition:
-    """(label, multiplicity) pairs with Σ h² = commutant dimension."""
+    """(label, multiplicity) pairs with Σ h² = commutant dimension, and the
+    margins of the two cuts behind them: `null_gap` (largest eigenvalue of
+    the intertwiner form cut as null, smallest kept) and `cluster_gap`
+    (largest spread inside an eigenvalue cluster of the central element,
+    smallest gap between clusters; the cut is 1e-6 relative)."""
 
     blocks: tuple
+    null_gap: tuple
+    cluster_gap: tuple
 
     @property
     def commutant_dim(self) -> int:
@@ -253,118 +267,103 @@ def commutant_blocks(corr: RealizedCorrespondence,
                      tol: float = 1e-9) -> BlockDecomposition:
     """Decompose End_{A-A}(ℰ) = {X : [X, gens] = 0} into matrix blocks.
 
-    The commutant basis is solved by SVD nullspace; it must be star-closed
-    (else the generating set was not a *-algebra and the commutant is not
-    semisimple) and its center's minimal projections carve it into full
+    The HS-orthonormal commutant basis B_i must be star-closed, else the
+    generating set was not a *-algebra and the commutant is not semisimple.
+    Then it is ⊕_K M_{h_K}⊗1_{m_K}, and Z = Σ_i B_i Y B_i* for a random
+    self-adjoint Y in it is ⊕_K (tr y_K/m_K)·1: central and generically
+    separating.  Z's eigenvalue clusters carve the commutant into full
     matrix blocks of sizes h_K, matched to labels through P_K overlaps.
     """
     n = corr.total_dim
-    basis = _intertwiner_space(corr.generators, corr.generators, n, n)
+    basis, null_gap = _intertwiner_space(corr.generators, corr.generators,
+                                         n, n)
     dim_c = basis.shape[1]
-    mats = [basis[:, i].reshape(n, n) for i in range(dim_c)]
+    B = basis.T.reshape(dim_c, n, n)
 
-    # star closure: X* must stay inside the span for every basis X
-    flat = basis  # columns are orthonormal in the HS inner product
-    for X in mats:
-        v = X.conj().T.reshape(-1)
-        resid = v - flat @ (flat.conj().T @ v)
-        if np.linalg.norm(resid) > tol * max(np.linalg.norm(v), 1.0):
-            raise NotSemisimpleInput(
-                "commutant is not star-closed; data outside the ind class")
+    # star closure: every vec(B_i*) must stay inside the span
+    V = B.conj().transpose(0, 2, 1).reshape(dim_c, n * n)
+    resid = np.linalg.norm(V - (V @ basis.conj()) @ basis.T, axis=1)
+    if np.max(resid, initial=0.0) > tol:
+        raise NotSemisimpleInput(
+            "commutant is not star-closed; data outside the ind class")
 
-    # a generic self-adjoint element of the center separates the blocks
-    rng = np.random.default_rng(0)
-    center = _center_basis(mats, n, tol)
-    zel = np.zeros((n, n), dtype=complex)
-    for i, Z in enumerate(center):
-        c = rng.normal()
-        zel += c * (Z + Z.conj().T) / 2
-    w, U = np.linalg.eigh(zel)
+    Z = _central_element(B, tol)
+    w, U = np.linalg.eigh(Z)
     # cluster eigenvalues into central components
-    order = np.argsort(w)
-    w, U = w[order], U[:, order]
-    groups = []
-    start = 0
-    for i in range(1, n + 1):
-        if i == n or w[i] - w[i - 1] > 1e-6 * max(1.0, abs(w[i])):
-            groups.append(slice(start, i))
-            start = i
-    blocks = []
-    used = 0
+    cuts = [i for i in range(1, n)
+            if w[i] - w[i - 1] > 1e-6 * max(1.0, abs(w[i]))]
+    groups = [slice(a, b) for a, b in zip([0] + cuts, cuts + [n]) if b > a]
+    cluster_gap = (max((float(w[g.stop - 1] - w[g.start]) for g in groups),
+                       default=None),
+                   min((float(w[i] - w[i - 1]) for i in cuts), default=None))
+    merged, used = {}, 0
     for sl in groups:
         cols = U[:, sl]
-        p_dim = cols.shape[1]
         # commutant compressed to this central component must be a full
-        # matrix algebra M_h with h² = its dimension and h·(k²m) = p_dim
-        comp = [cols.conj().T @ X @ cols for X in mats]
-        span = np.stack([m.reshape(-1) for m in comp], axis=1)
-        r = np.linalg.matrix_rank(span, tol=1e-8)
+        # matrix algebra M_h with h² = its dimension
+        comp = (cols.conj().T @ B @ cols).reshape(dim_c, -1)
+        r = np.linalg.matrix_rank(comp, tol=1e-8)
         h = int(round(np.sqrt(r)))
         if h * h != r:
             raise NotSemisimpleInput(
                 f"central component of dimension {r} is not a matrix algebra")
-        label = _match_label(corr, cols, tol)
-        blocks.append((label, h))
+        label = _match_label(corr, cols)
+        merged[label] = merged.get(label, 0) + h
         used += r
     if used != dim_c:
         raise NotSemisimpleInput(
             f"block dimensions {used} do not exhaust the commutant {dim_c}")
-    merged = {}
-    for K, h in blocks:
-        merged[K] = merged.get(K, 0) + h
-    return BlockDecomposition(tuple(sorted(merged.items())))
+    return BlockDecomposition(tuple(sorted(merged.items())), null_gap,
+                              cluster_gap)
 
 
-def _center_basis(mats, n, tol):
-    """Basis of the center of span(mats), assuming it is an algebra."""
-    if not mats:
-        return []
-    # coefficients c with Σ c_i [mats_i, Y] = 0 for all Y
-    eqs = []
-    for Y in mats:
-        eqs.append(np.stack([(X @ Y - Y @ X).reshape(-1) for X in mats],
-                            axis=1))
-    E = np.concatenate(eqs, axis=0)
-    if E.shape[0] < E.shape[1]:
-        E = np.concatenate([E, np.zeros((E.shape[1] - E.shape[0],
-                                         E.shape[1]))], axis=0)
-    _, s, Vh = np.linalg.svd(E, full_matrices=False)
-    t = 1e-10 * max(float(s[0]) if len(s) else 1.0, 1.0)
-    rank = int(np.sum(s > t))
-    coeffs = Vh[rank:].conj().T
-    return [sum(c[i] * mats[i] for i in range(len(mats)))
-            for c in coeffs.T]
+def _central_element(B, tol) -> np.ndarray:
+    """Z = Σ_i B_i Y B_i* for a seeded random self-adjoint Y in span(B).
+
+    Central when span(B) is a *-algebra with HS-orthonormal basis B_i;
+    raises NotSemisimpleInput when Z fails to commute with some B_i.
+    """
+    u, v = np.random.default_rng(0).normal(size=(2, len(B)))
+    Y = np.tensordot(u + 1j * v, B, axes=1)
+    Y = (Y + Y.conj().T) / 2
+    Z = np.tensordot(B @ Y, B.conj(), axes=([0, 2], [0, 2]))
+    worst = np.max(np.linalg.norm(Z @ B - B @ Z, axis=(1, 2)), initial=0.0)
+    if worst > tol * max(float(np.linalg.norm(Z)), 1.0):
+        raise NotSemisimpleInput(
+            f"commutant is not an algebra: ‖[Z, B_i]‖ = {worst:.3e} for "
+            f"the averaged element Z")
+    return (Z + Z.conj().T) / 2
 
 
-def _match_label(corr, cols, tol):
+def _match_label(corr, cols):
     """Assign the central component spanned by `cols` to its label K."""
-    best, best_ov = None, -1.0
-    for K, P in corr.projections.items():
-        ov = float(np.real(np.trace(cols.conj().T @ P @ cols)))
-        ov /= cols.shape[1]
-        if ov > best_ov:
-            best, best_ov = K, ov
-    if best is None or best_ov < 1.0 - 1e-6:
+    ovs = {K: float(np.real(np.trace(cols.conj().T @ P @ cols)))
+           / cols.shape[1] for K, P in corr.projections.items()}
+    best = max(ovs, key=ovs.get, default=None)
+    if best is None or ovs[best] < 1.0 - 1e-6:
         raise NotSemisimpleInput(
             f"central component not aligned with any label projection "
-            f"(best overlap {best_ov:.3f})")
+            f"(best overlap {ovs.get(best, -1.0):.3f})")
     return best
 
 
 def ind_check(corr: RealizedCorrespondence) -> dict:
-    """IND iff the commutant is ∏ ℬ(H_K) with ΣP_K = id on the truncation."""
+    """IND iff the commutant is ∏ ℬ(ℋ(K)), its blocks carry the graded
+    dimensions Tr P_K / k², and ΣP_K = id on the truncation."""
+    blocks = obstruction = None
     try:
         blocks = commutant_blocks(corr)
     except NotSemisimpleInput as exc:
-        return {"verdict": "NOT-IND", "obstruction": str(exc),
-                "blocks": None, "fgp_condition": "finitely vacuous"}
-    total_p = sum(corr.projections.values())
-    complete = bool(np.max(np.abs(total_p - np.eye(corr.total_dim))) < 1e-9)
-    if not complete:
-        return {"verdict": "NOT-IND",
-                "obstruction": "central projections do not sum to id",
-                "blocks": blocks, "fgp_condition": "finitely vacuous"}
-    return {"verdict": "IND", "obstruction": None, "blocks": blocks,
+        obstruction = str(exc)
+    else:
+        total_p = sum(corr.projections.values())
+        if np.max(np.abs(total_p - np.eye(corr.total_dim))) >= 1e-9:
+            obstruction = "central projections do not sum to id"
+        elif blocks.dims() != corr.graded_dims():
+            obstruction = (f"commutant blocks {blocks.dims()} differ from "
+                           f"the graded dimensions {corr.graded_dims()}")
+    return {"verdict": "NOT-IND" if obstruction else "IND",
+            "obstruction": obstruction, "blocks": blocks,
             "fgp_condition": "finitely vacuous"}
 
 

@@ -159,10 +159,11 @@ class CovarianceMatrix:
                 best = max(best, s / na ** 2)
         return best
 
-    def trace_symmetry_residual(self) -> float:
-        """max |τ(η_ij(x)·y) − τ(x·η_ji(y))| over basis pairs."""
+    def _trace_pairs(self) -> tuple:
+        """(max |τ(η_ij(x)·y) − τ(x·η_ji(y))|, max |τ(η_ij(x)·y)|) over
+        basis pairs."""
         alg = self.algebra
-        worst = 0.0
+        worst = scale = 0.0
         for i in self.index:
             for j in self.index:
                 for x in alg.basis:
@@ -170,7 +171,18 @@ class CovarianceMatrix:
                         lhs = alg.trace(self.apply(i, j, x) @ y)
                         rhs = alg.trace(x @ self.apply(j, i, y))
                         worst = max(worst, abs(lhs - rhs))
-        return worst
+                        scale = max(scale, abs(lhs))
+        return worst, scale
+
+    def trace_symmetry_residual(self) -> float:
+        """max |τ(η_ij(x)·y) − τ(x·η_ji(y))| over basis pairs."""
+        return self._trace_pairs()[0]
+
+    def is_trace_symmetric(self) -> bool:
+        """Trace symmetry within 1e-12 of the largest |τ(η_ij(x)·y)|, so the
+        verdict does not change when η is rescaled."""
+        worst, scale = self._trace_pairs()
+        return worst <= 1e-12 * scale
 
 
 def covariance_from_vectors(vectors, algebra: BaseAlgebra = None,
@@ -530,7 +542,7 @@ def ind_faithfulness_probe(eta: CovarianceMatrix, depth: int = 4,
 
     return {
         "trace_symmetry_residual": sym,
-        "trace_symmetric": sym < 1e-12,
+        "trace_symmetric": eta.is_trace_symmetric(),
         "kernel_failures": kernel_failures,
         "samples": samples,
         "corner_dims": corner_dims,

@@ -9,7 +9,11 @@ from utcat.annulus import build_annulus
 from utcat.cli import main
 from utcat.errors import SchemaError
 from utcat.fixtures import fibonacci, ising, vec_zn
-from utcat.semicircular import BaseAlgebra, covariance_from_vectors
+from utcat.semicircular import (
+    BaseAlgebra,
+    covariance_from_automorphisms,
+    covariance_from_vectors,
+)
 
 
 def run(capsys, *argv):
@@ -213,6 +217,27 @@ def test_fock_refuses_non_trace_symmetric_covariance(capsys, tmp_path):
                     "--depth", "4", "--moments", "8")
     assert code == 2 and not rep["ok"]
     assert rep["trace_symmetry_residual"] > 0.1
+    assert rep["moment_residual"] <= 1e-12
+
+
+def test_fock_accepts_a_rescaled_trace_symmetric_covariance(capsys, tmp_path):
+    # the M₂ rotation covariance × 10⁶ is trace-symmetric; its absolute
+    # residual (≈ 2e-10) only reflects the scale of η
+    alg = BaseAlgebra((2,))
+    th = 0.7
+    u = np.array([[np.cos(th), -np.sin(th)], [np.sin(th), np.cos(th)]])
+    ad = np.stack([alg.coords(u @ e @ u.T) for e in alg.basis], axis=1)
+    eta = 1e6 * covariance_from_automorphisms([ad], alg).entries[(0, 0)]
+    base = tmp_path / "base.json"
+    base.write_text(json.dumps({"blocks": [2]}))
+    cov = tmp_path / "eta.json"
+    cov.write_text(json.dumps({
+        "index": [0],
+        "entries": {"0,0": [[[z.real, z.imag] for z in row] for row in eta]}}))
+    code, rep = run(capsys, "fock", "--base", str(base), "--cov", str(cov),
+                    "--depth", "4", "--moments", "8")
+    assert rep["trace_symmetry_residual"] > 1e-12
+    assert code == 0 and rep["ok"]
     assert rep["moment_residual"] <= 1e-12
 
 

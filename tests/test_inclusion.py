@@ -9,6 +9,8 @@ from utcat.errors import NotAState, NotSemisimpleInput
 from utcat.fixtures import fibonacci, ising, vec_zn
 from utcat.inclusion import (
     HilbertSpaceObject,
+    _central_element,
+    _intertwiner_space,
     boxtimes,
     commutant_blocks,
     corrupt_correspondence,
@@ -18,6 +20,119 @@ from utcat.inclusion import (
     ind_check,
     realize,
 )
+
+
+# -- reference solves: the SVD nullspace and center solve they replaced -------
+
+def _svd_intertwiner_space(gens1, gens2, n1, n2):
+    """Orthonormal basis of {X : X g₁ = g₂ X} from the stacked SVD."""
+    rows = []
+    for g1, g2 in zip(gens1, gens2):
+        rows.append(np.kron(np.eye(n2), g1.T) - np.kron(g2, np.eye(n1)))
+    A = np.concatenate(rows, axis=0)
+    if A.shape[0] < A.shape[1]:
+        A = np.concatenate([A, np.zeros((A.shape[1] - A.shape[0],
+                                         A.shape[1]))], axis=0)
+    _, s, Vh = np.linalg.svd(A, full_matrices=False)
+    tol = 1e-10 * max(float(s[0]) if len(s) else 1.0, 1.0)
+    rank = int(np.sum(s > tol))
+    return Vh[rank:].conj().T
+
+
+def _reference_center_basis(mats):
+    """Basis of the center of span(mats), assuming it is an algebra."""
+    eqs = []
+    for Y in mats:
+        eqs.append(np.stack([(X @ Y - Y @ X).reshape(-1) for X in mats],
+                            axis=1))
+    E = np.concatenate(eqs, axis=0)
+    if E.shape[0] < E.shape[1]:
+        E = np.concatenate([E, np.zeros((E.shape[1] - E.shape[0],
+                                         E.shape[1]))], axis=0)
+    _, s, Vh = np.linalg.svd(E, full_matrices=False)
+    t = 1e-10 * max(float(s[0]) if len(s) else 1.0, 1.0)
+    rank = int(np.sum(s > t))
+    coeffs = Vh[rank:].conj().T
+    return [sum(c[i] * mats[i] for i in range(len(mats)))
+            for c in coeffs.T]
+
+
+def _hom_inputs(dims1, dims2, base_dim, seed):
+    """Aligned generator lists of two realizations with the same support."""
+    c1 = realize(HilbertSpaceObject(dims1), base_dim,
+                 np.random.default_rng(seed))
+    c2 = realize(HilbertSpaceObject(dims2), base_dim,
+                 np.random.default_rng(seed + 1))
+    return c1.generators, c2.generators, c1.total_dim, c2.total_dim
+
+
+def _self_inputs(corr):
+    return corr.generators, corr.generators, corr.total_dim, corr.total_dim
+
+
+NULLSPACE_CASES = {
+    "planted": lambda: _self_inputs(realize(
+        HilbertSpaceObject({"a": 3, "b": 2}), rng=np.random.default_rng(1))),
+    "planted_base_dim_2": lambda: _self_inputs(realize(
+        HilbertSpaceObject({"a": 2, "b": 1}), 2, np.random.default_rng(2))),
+    "rectangular_hom": lambda: _hom_inputs({"a": 2, "b": 1},
+                                           {"a": 1, "b": 3}, 1, 3),
+    "rectangular_hom_base_dim_2": lambda: _hom_inputs({"a": 1, "b": 2},
+                                                      {"a": 2, "b": 1}, 2, 4),
+    "n1_zero": lambda: ([np.zeros((0, 0))] * 3,
+                        realize(HilbertSpaceObject({"a": 2})).generators,
+                        0, 2),
+    "both_zero": lambda: _self_inputs(realize(HilbertSpaceObject({}))),
+    "corrupted": lambda: _self_inputs(corrupt_correspondence(realize(
+        HilbertSpaceObject({"a": 3, "b": 2}), rng=np.random.default_rng(5)))),
+    "corrupted_base_dim_2": lambda: _self_inputs(corrupt_correspondence(
+        realize(HilbertSpaceObject({"a": 2}), 2, np.random.default_rng(0)))),
+}
+
+
+@pytest.mark.parametrize("case", sorted(NULLSPACE_CASES))
+def test_nullspace_projector_matches_svd_reference(case):
+    g1, g2, n1, n2 = NULLSPACE_CASES[case]()
+    basis, (dropped, kept) = _intertwiner_space(g1, g2, n1, n2)
+    ref = _svd_intertwiner_space(g1, g2, n1, n2)
+    assert basis.shape == ref.shape
+    assert np.allclose(basis.conj().T @ basis, np.eye(basis.shape[1]),
+                       atol=1e-12)
+    diff = basis @ basis.conj().T - ref @ ref.conj().T
+    assert np.max(np.abs(diff), initial=0.0) < 1e-10
+    if n1 * n2:
+        assert dropped is None or dropped < 1e-12
+        assert kept is None or kept > 1e-2
+
+
+@pytest.mark.parametrize("dims,base_dim", [({"a": 3, "b": 2}, 1),
+                                           ({"a": 2, "b": 1, "c": 1}, 1),
+                                           ({"a": 2, "b": 1}, 2)])
+def test_central_element_lies_in_the_reference_center(dims, base_dim):
+    corr = realize(HilbertSpaceObject(dims), base_dim,
+                   np.random.default_rng(8))
+    n = corr.total_dim
+    basis, _ = _intertwiner_space(*_self_inputs(corr))
+    B = basis.T.reshape(-1, n, n)
+    Z = _central_element(B, 1e-9)
+    center = _reference_center_basis(list(B))
+    assert len(center) == len(dims)
+    C = np.stack([c.reshape(-1) for c in center], axis=1)
+    coef = np.linalg.lstsq(C, Z.reshape(-1), rcond=None)[0]
+    assert np.max(np.abs(C @ coef - Z.reshape(-1))) < 1e-10
+    # one distinct eigenvalue per central component
+    w = np.linalg.eigvalsh(Z)
+    assert int(np.sum(np.diff(w) > 1e-6)) + 1 == len(dims)
+
+
+def test_central_element_refuses_a_span_that_is_not_an_algebra():
+    # span{A, A*} is star-closed but not closed under products
+    rng = np.random.default_rng(4)
+    A = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
+    Q, _ = np.linalg.qr(np.stack([A.reshape(-1), A.conj().T.reshape(-1)],
+                                 axis=1))
+    with pytest.raises(NotSemisimpleInput, match="not an algebra"):
+        _central_element(Q.T.reshape(2, 4, 4), 1e-9)
 
 
 def test_hilbert_space_object_drops_zeros_and_rejects_negatives():
@@ -67,6 +182,35 @@ def test_randomized_recovery(seed):
     corr = realize(h, rng=rng)
     assert commutant_blocks(corr).dims() == h.dims
     assert ind_check(corr)["verdict"] == "IND"
+
+
+@pytest.mark.parametrize("base_dim,dims", [
+    (2, {"a": 2, "b": 1}),
+    (2, {"a": 1, "b": 3, "c": 1}),
+    (3, {"a": 2, "b": 1}),
+    (3, {"a": 1, "b": 1, "c": 1}),
+])
+@pytest.mark.parametrize("seed", range(2))
+def test_scrambled_recovery_at_base_dim(base_dim, dims, seed):
+    h = HilbertSpaceObject(dims)
+    corr = realize(h, base_dim, np.random.default_rng(seed))
+    bd = commutant_blocks(corr)
+    assert bd.dims() == h.dims
+    verdict = ind_check(corr)
+    assert verdict["verdict"] == "IND"
+    assert verdict["blocks"].null_gap == bd.null_gap
+
+
+def test_rank_cut_gaps_are_reported():
+    corr = realize(HilbertSpaceObject({"a": 3, "b": 2}),
+                   rng=np.random.default_rng(1))
+    bd = commutant_blocks(corr)
+    dropped, kept = bd.null_gap
+    assert dropped < 1e-12 and kept > 1.0
+    spread, gap = bd.cluster_gap
+    assert spread < 1e-12 and gap > 1e-3
+    single = commutant_blocks(realize(HilbertSpaceObject({"a": 2})))
+    assert single.cluster_gap[1] is None
 
 
 def test_hom_count_oracles():
@@ -125,6 +269,19 @@ def test_corrupted_correspondence_is_not_ind():
     verdict = ind_check(bad)
     assert verdict["verdict"] == "NOT-IND"
     assert "star-closed" in verdict["obstruction"]
+
+
+@pytest.mark.parametrize("dims", [{"a": 2}, {"a": 3, "b": 2}])
+@pytest.mark.parametrize("seed", range(3))
+def test_corrupted_correspondence_at_base_dim_2_is_not_ind(dims, seed):
+    # the Jordan block sits in an arbitrary basis of P_K, not on the
+    # multiplicity factor, so the commutant shrinks but stays star-closed
+    corr = realize(HilbertSpaceObject(dims), base_dim=2,
+                   rng=np.random.default_rng(seed))
+    verdict = ind_check(corrupt_correspondence(corr))
+    assert verdict["verdict"] == "NOT-IND"
+    assert verdict["blocks"].dims() != corr.graded_dims()
+    assert "graded dimensions" in verdict["obstruction"]
 
 
 def test_corrupt_needs_multiplicity():

@@ -402,6 +402,24 @@ def test_probe_flags_non_symmetric_covariance():
     assert rep["kernel_failures"] == 0
 
 
+def test_probe_trace_symmetry_is_scale_invariant():
+    alg = BaseAlgebra((2,))
+    th = 0.7
+    u = np.array([[np.cos(th), -np.sin(th)], [np.sin(th), np.cos(th)]])
+    ad = np.stack([alg.coords(u @ e @ u.T) for e in alg.basis], axis=1)
+    eta = covariance_from_automorphisms([ad], alg)
+    big = CovarianceMatrix(alg, eta.index,
+                           {k: 1e6 * m for k, m in eta.entries.items()})
+    assert big.trace_symmetry_residual() > 1e-12
+    assert eta.is_trace_symmetric() and big.is_trace_symmetric()
+    assert ind_faithfulness_probe(big, depth=2, samples=5)["trace_symmetric"]
+    skew = CovarianceMatrix(BaseAlgebra((1, 1)), (0,),
+                            {(0, 0): 1e-6 * np.array([[0.0, 2.0],
+                                                      [1.0, 0.0]])})
+    assert skew.trace_symmetry_residual() < 1e-5
+    assert not skew.is_trace_symmetric()
+
+
 def test_kraus_round_trip_m2():
     alg = BaseAlgebra((2,))
     rng = np.random.default_rng(5)
