@@ -95,7 +95,21 @@ def _load_cat(path: str):
     return io.cat_from_json(_load_raw(path))
 
 
-def _load_aobj(cat, path: str):
+def _worst_residual(res: dict) -> tuple:
+    """(name, value) of the largest `validate_algebra_object` residual; the
+    positivity floor counts by how far it lies below 0."""
+    bad = {k: -v if k == "positivity_floor" else v for k, v in res.items()}
+    key = max(bad, key=bad.get)
+    return key, max(bad[key], 0.0)
+
+
+def _load_aobj(cat, path: str, args=None):
+    """A bundled algebra object by name, or one read from JSON.
+
+    With ``args``, an object read from JSON must pass
+    `validate_algebra_object` at ``args.tol`` (seeded by ``args.seed``);
+    otherwise `CounterexampleFound` names its worst residual.
+    """
     name = os.path.basename(path)
     name = name[:-5] if name.endswith(".json") else name
     if not os.path.exists(path):
@@ -105,7 +119,16 @@ def _load_aobj(cat, path: str):
             return trivial_action_object(cat)
         if name == "annulus":
             return build_annulus(cat)
-    return io.aobj_from_json(cat, _load_raw(path))
+    D = io.aobj_from_json(cat, _load_raw(path))
+    if args is not None:
+        res = validate_algebra_object(D, rng=np.random.default_rng(args.seed),
+                                      tol=args.tol)
+        key, worst = _worst_residual(res)
+        if worst > args.tol:
+            raise CounterexampleFound(
+                f"algebra object {path} is not valid: worst residual "
+                f"{worst:.3e} ({key}) exceeds tol {args.tol:g}")
+    return D
 
 
 def _parse_support(cat, spec: str | None):
@@ -209,10 +232,7 @@ def _cmd_aobj_verify(args) -> tuple:
     D = _load_aobj(cat, args.aobj)
     rng = np.random.default_rng(args.seed)
     res = validate_algebra_object(D, rng=rng, tol=args.tol)
-    worst = max(abs(res["positivity_floor"]) if res["positivity_floor"] < 0
-                else 0.0,
-                *(v for k, v in res.items() if k != "positivity_floor"))
-    ok = worst <= args.tol
+    ok = _worst_residual(res)[1] <= args.tol
     return (EXIT_OK if ok else EXIT_ASSERT), {
         "command": "aobj-verify", "cat": args.cat, "aobj": args.aobj,
         "residuals": res, "ok": ok}
@@ -245,10 +265,10 @@ def _group_oracle(co: CoendAlgebra):
 
 def _cmd_coend(args) -> tuple:
     cat = _load_cat(args.cat)
-    A = _load_aobj(cat, args.left)
+    A = _load_aobj(cat, args.left, args)
     if A.side == "cat":
         A = opposite_object(A)
-    B = _load_aobj(cat, args.right)
+    B = _load_aobj(cat, args.right, args)
     S = _parse_support(cat, args.support)
     co = CoendAlgebra(A, B, S=S, mode=args.mode)
     rng = np.random.default_rng(args.seed)
@@ -286,7 +306,7 @@ def _cmd_coend(args) -> tuple:
 
 def _cmd_analyze(args) -> tuple:
     cat = _load_cat(args.cat)
-    D = _load_aobj(cat, args.aobj)
+    D = _load_aobj(cat, args.aobj, args)
     n1 = D.n(cat.ring.unit)
     if args.state:
         omega = io.state_from_json(_load_raw(args.state), n1)

@@ -9,14 +9,26 @@ the truncated ℓ²-module ℰ_S = ⊕_{X∈S} 𝔸(X)⊗𝔹(X) through the tri
 the canonical expectation is the vacuum matrix coefficient 𝔼(T) = ⟨TΩ, Ω⟩,
 and crossed products A ⋊ 𝒟 are the same construction with 𝔸 an action on A.
 
+On each fusion channel X₀⊗X₁ → X₂ the action is one fixed bilinear map, held
+as a channel tensor C = Σ_v μ_𝔸(X₀,X₁,X₂,v) ⊗ μ_𝔹(X₀,X₁,X₂,v) of shape
+(dim X₂, dim X₀, dim X₁), built once per grade pair and kept for the life of
+the instance.  A product is two matrix–vector products per channel, an
+acting matrix one contraction per channel, and the acting matrices of the
+whole basis one stacked array.  The Gram block at X is J_Xᵀ(w·C[X̄,X→1]) with
+J_X = 𝔸.star[X] ⊗ 𝔹.star[X] and w = w_𝔸 ⊗ w_𝔹 the canonical ground traces;
+one eigendecomposition of the Gram gives both G^{1/2} and G^{-1/2}, so no
+operator norm inverts a matrix.
+
 Support truncation has two modes: "strict" raises :class:`SupportOverflow`
-when a product has a channel outside S, "project" silently cuts it.  All
-norm statements are computed in strict mode on fusion-closed supports.
+when a product has a channel outside S (each time that grade pair is used),
+"project" silently cuts it.  All norm statements are computed in strict mode
+on fusion-closed supports.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -96,7 +108,7 @@ class CoendAlgebra:
             off += self.dims[X]
         self.total_dim = off
         self._gram = None
-        self._gns = None
+        self._chan = {}
 
     # -- distinguished elements ---------------------------------------------
 
@@ -105,8 +117,7 @@ class CoendAlgebra:
                              np.kron(self.A.unit, self.B.unit)})
 
     def unit(self) -> GradedElement:
-        return GradedElement({self.cat.ring.unit:
-                              np.kron(self.A.unit, self.B.unit)})
+        return GradedElement(self.vacuum().comps)
 
     def basis(self):
         """Graded basis elements (X, index) in flattening order."""
@@ -121,41 +132,44 @@ class CoendAlgebra:
             X: rng.normal(size=self.dims[X]) + 1j * rng.normal(size=self.dims[X])
             for X in self.support})
 
-    # -- triangle action ------------------------------------------------------
+    # -- channel tensors and the triangle action ------------------------------
 
-    def _component_product(self, X0, X1, m0, m1) -> dict:
-        """Channels of (𝔸(X0)⊗𝔹(X0)) · (𝔸(X1)⊗𝔹(X1)); matrices in/(out)."""
-        ring = self.cat.ring
-        out = {}
-        for X2 in ring.labels:
-            nch = ring.N(X0, X1, X2)
-            if nch == 0 or self.A.n(X2) == 0 or self.B.n(X2) == 0:
-                continue
-            if X2 not in self.support:
-                if self.mode == "strict":
-                    raise SupportOverflow(
-                        f"product channel {X2} of {X0}⊠{X1} is outside the support")
-                continue
-            acc = np.zeros((self.A.n(X2), self.B.n(X2)), dtype=complex)
-            for v in range(nch):
-                acc += np.einsum("aij,bkl,ik,jl->ab",
-                                 self.A.mu(X0, X1, X2, v),
-                                 self.B.mu(X0, X1, X2, v), m0, m1)
-            if np.any(acc):
-                out[X2] = acc
+    def _tensor(self, X0, X1, X2) -> np.ndarray:
+        """Σ_v μ_𝔸(X0,X1,X2,v) ⊗ μ_𝔹(X0,X1,X2,v), shape (dim X2, dim X0, dim X1)."""
+        A, B = self.A, self.B
+        vs = range(self.cat.ring.N(X0, X1, X2))
+        C = np.einsum("vaij,vbkl->abikjl",
+                      np.array([A.mu(X0, X1, X2, v) for v in vs]),
+                      np.array([B.mu(X0, X1, X2, v) for v in vs]))
+        return C.reshape(A.n(X2) * B.n(X2), A.n(X0) * B.n(X0), -1)
+
+    def _channels(self, X0, X1) -> list:
+        """[(X2, C)] over the channels of X0⊗X1 in S, built once per pair.
+
+        Strict mode raises on a channel outside S each time the pair is
+        used; project mode drops it.
+        """
+        out = self._chan.get((X0, X1))
+        if out is None:
+            out = []
+            for X2, _ in self.cat.ring.channels(X0, X1):
+                if self.A.n(X2) == 0 or self.B.n(X2) == 0:
+                    continue
+                if X2 not in self.offsets:
+                    if self.mode == "strict":
+                        raise SupportOverflow(
+                            f"product channel {X2} of {X0}⊠{X1} is outside the support")
+                    continue
+                out.append((X2, self._tensor(X0, X1, X2)))
+            self._chan[(X0, X1)] = out
         return out
-
-    def _shape(self, X, vec):
-        return np.asarray(vec, dtype=complex).reshape(self.A.n(X), self.B.n(X))
 
     def triangle_act(self, T: GradedElement, xi: ModuleVector) -> ModuleVector:
         out = {}
         for X0, t in T.comps.items():
-            m0 = self._shape(X0, t)
             for X1, x in xi.comps.items():
-                m1 = self._shape(X1, x)
-                for X2, acc in self._component_product(X0, X1, m0, m1).items():
-                    out[X2] = out.get(X2, 0.0) + acc.reshape(-1)
+                for X2, C in self._channels(X0, X1):
+                    out[X2] = out.get(X2, 0.0) + (C @ x) @ t
         return ModuleVector(out)
 
     def mul(self, T: GradedElement, U: GradedElement) -> GradedElement:
@@ -165,78 +179,81 @@ class CoendAlgebra:
         ring = self.cat.ring
         out = {}
         for X, t in T.comps.items():
-            m = self._shape(X, t)
+            m = np.asarray(t, dtype=complex).reshape(self.A.n(X), self.B.n(X))
             jm = self.A.star[X] @ np.conj(m) @ self.B.star[X].T
             Xb = ring.dual[X]
             out[Xb] = out.get(Xb, 0.0) + jm.reshape(-1)
         return GradedElement(out)
 
-    # -- inner product on ℰ_S -------------------------------------------------
+    def act_matrix(self, T: GradedElement) -> np.ndarray:
+        M = np.zeros((self.total_dim, self.total_dim), dtype=complex)
+        for X0, t in T.comps.items():
+            for X1, sl in self.offsets.items():
+                for X2, C in self._channels(X0, X1):
+                    M[self.offsets[X2], sl] += t @ C
+        return M
 
-    def _unit_channel(self, X0, X1, m0, m1) -> np.ndarray:
-        """Only the 1-graded channel of the product, never overflowing S."""
-        ring = self.cat.ring
-        unit = ring.unit
-        acc = np.zeros((self.A.n(unit), self.B.n(unit)), dtype=complex)
-        for v in range(ring.N(X0, X1, unit)):
-            acc += np.einsum("aij,bkl,ik,jl->ab",
-                             self.A.mu(X0, X1, unit, v),
-                             self.B.mu(X0, X1, unit, v), m0, m1)
-        return acc
+    def basis_operators(self) -> np.ndarray:
+        """The acting matrices of the graded basis, stacked in basis order."""
+        n = self.total_dim
+        M = np.zeros((n, n, n), dtype=complex)
+        for X0, sl0 in self.offsets.items():
+            for X1, sl1 in self.offsets.items():
+                for X2, C in self._channels(X0, X1):
+                    M[sl0, self.offsets[X2], sl1] = C.transpose(1, 0, 2)
+        return M
+
+    # -- inner product on ℰ_S -------------------------------------------------
 
     def state(self, T: GradedElement) -> complex:
         """φ(T) = (tr⊗tr)(𝔼(T)) for the canonical traces on 𝔸(1), 𝔹(1)."""
-        unit = self.cat.ring.unit
-        m = self.canonical_expectation(T).reshape(self.A.n(unit),
-                                                  self.B.n(unit))
-        wA = self._ground_trace_vec(self.A)
-        wB = self._ground_trace_vec(self.B)
-        return complex(wA @ m @ wB)
+        return complex(self._ground_traces[2] @ self.canonical_expectation(T))
 
-    @staticmethod
-    def _ground_trace_vec(obj) -> np.ndarray:
-        g = obj.ground()
-        return np.array([g.trace(np.eye(g.dim)[i]) for i in range(g.dim)])
+    @cached_property
+    def _ground_traces(self) -> tuple:
+        """(w_𝔸, w_𝔹, w = w_𝔸 ⊗ w_𝔹): the canonical ground traces on the
+        basis, so that φ(T) = w·𝔼(T)."""
+        wA, wB = (np.array([g.trace(e) for e in np.eye(g.dim)])
+                  for g in (self.A.ground(), self.B.ground()))
+        return wA, wB, np.kron(wA, wB)
+
+    @cached_property
+    def _ground_regular(self) -> tuple:
+        """Per side, the stack S·L(eᵢ)·S⁻¹ of GNS-conjugated left-regular
+        matrices of the ground algebra."""
+        return tuple(g._gns_transform() @ g.P.transpose(1, 0, 2)
+                     @ np.linalg.inv(g._gns_transform())
+                     for g in (self.A.ground(), self.B.ground()))
 
     def gram(self) -> np.ndarray:
         """GNS form of φ = (tr⊗tr)∘𝔼 on the graded basis: G[i,j] = φ(eᵢ*eⱼ).
 
         Star maps grade X to X̄ and X̄⊗Y hits 1 only for Y = X, so G is
-        block diagonal in the grading; adjointness of the action under the
-        GNS conjugation is automatic for this inner product.
+        block diagonal in the grading, with block J_Xᵀ(w·C[X̄,X→1]) for the
+        star matrix J_X = 𝔸.star[X] ⊗ 𝔹.star[X]; adjointness of the action
+        under the GNS conjugation is automatic for this inner product.
         """
         if self._gram is None:
             ring = self.cat.ring
-            wA = self._ground_trace_vec(self.A)
-            wB = self._ground_trace_vec(self.B)
             G = np.zeros((self.total_dim, self.total_dim), dtype=complex)
             for X, sl in self.offsets.items():
-                Xb = ring.dual[X]
-                block = np.zeros((self.dims[X], self.dims[X]), dtype=complex)
-                stars = []
-                for i in range(self.dims[X]):
-                    e = np.zeros(self.dims[X])
-                    e[i] = 1.0
-                    stars.append(self._shape(Xb, self.star(
-                        GradedElement({X: e})).comps[Xb]))
-                for i in range(self.dims[X]):
-                    for k in range(self.dims[X]):
-                        e = np.zeros(self.dims[X])
-                        e[k] = 1.0
-                        m = self._unit_channel(Xb, X, stars[i], self._shape(X, e))
-                        block[i, k] = wA @ m @ wB
-                G[sl, sl] = block
+                J = np.kron(self.A.star[X], self.B.star[X])
+                C = self._tensor(ring.dual[X], X, ring.unit)
+                G[sl, sl] = J.T @ np.tensordot(self._ground_traces[2], C, 1)
             self._gram = (G + G.conj().T) / 2.0
         return self._gram
 
+    @cached_property
+    def _gns(self) -> tuple:
+        """(G^{1/2}, G^{-1/2}) from one eigendecomposition of the Gram."""
+        w, U = np.linalg.eigh(self.gram())
+        if np.min(w) <= 1e-12 * max(float(np.max(w)), 1.0):
+            raise SolveFailed("module inner product on ℰ_S is degenerate")
+        r = np.sqrt(w)
+        return (U * r) @ U.conj().T, (U / r) @ U.conj().T
+
     def _gns_transform(self) -> np.ndarray:
-        if self._gns is None:
-            G = self.gram()
-            w, U = np.linalg.eigh(G)
-            if np.min(w) <= 1e-12 * max(float(np.max(w)), 1.0):
-                raise SolveFailed("module inner product on ℰ_S is degenerate")
-            self._gns = (U * np.sqrt(w)) @ U.conj().T
-        return self._gns
+        return self._gns[0]
 
     def flatten(self, xi: ModuleVector) -> np.ndarray:
         out = np.zeros(self.total_dim, dtype=complex)
@@ -250,30 +267,17 @@ class CoendAlgebra:
         v = self.flatten(xi)
         return float(np.sqrt(max((v.conj() @ self.gram() @ v).real, 0.0)))
 
-    def act_matrix(self, T: GradedElement) -> np.ndarray:
-        M = np.zeros((self.total_dim, self.total_dim), dtype=complex)
-        for X in self.support:
-            for i in range(self.dims[X]):
-                e = np.zeros(self.dims[X])
-                e[i] = 1.0
-                col = self.flatten(self.triangle_act(T, ModuleVector({X: e})))
-                M[:, self.offsets[X]][:, i] = col
-        return M
-
     def op_norm(self, T: GradedElement) -> float:
-        S = self._gns_transform()
-        return float(np.linalg.norm(S @ self.act_matrix(T) @ np.linalg.inv(S), 2))
+        S, Sinv = self._gns
+        return float(np.linalg.norm(S @ self.act_matrix(T) @ Sinv, 2))
 
     # -- canonical expectation --------------------------------------------------
 
     def canonical_expectation(self, T: GradedElement) -> np.ndarray:
         """𝔼(T) = ⟨TΩ, Ω⟩: the vacuum-graded component of TΩ ∈ 𝔸(1)⊗𝔹(1)."""
-        out = self.triangle_act(T, self.vacuum())
         unit = self.cat.ring.unit
-        comp = out.comps.get(unit)
-        if comp is None:
-            return np.zeros(self.dims[unit], dtype=complex)
-        return comp
+        comp = self.triangle_act(T, self.vacuum()).comps.get(unit)
+        return np.zeros(self.dims[unit], dtype=complex) if comp is None else comp
 
 
 # ---------------------------------------------------------------------------
@@ -282,18 +286,12 @@ class CoendAlgebra:
 
 def ground_op_norm(co: CoendAlgebra, m: np.ndarray) -> float:
     """C*-norm of m ∈ 𝔸(1)⊗𝔹(1) through the tensor left-regular rep."""
-    gA, gB = co.A.ground(), co.B.ground()
-    SA, SB = gA._gns_transform(), gB._gns_transform()
-    SAi, SBi = np.linalg.inv(SA), np.linalg.inv(SB)
-    m = np.asarray(m, dtype=complex).reshape(gA.dim, gB.dim)
-    acc = np.zeros((gA.dim * gB.dim,) * 2, dtype=complex)
-    for i in range(gA.dim):
-        LA = SA @ gA.left_mult(np.eye(gA.dim)[i]) @ SAi
-        for k in range(gB.dim):
-            if m[i, k] == 0:
-                continue
-            LB = SB @ gB.left_mult(np.eye(gB.dim)[k]) @ SBi
-            acc += m[i, k] * np.kron(LA, LB)
+    LA, LB = co._ground_regular
+    a, b = LA.shape[1], LB.shape[1]
+    m = np.asarray(m, dtype=complex).reshape(a, b)
+    # Σᵢₖ m[i,k]·L_𝔸(eᵢ) ⊗ L_𝔹(eₖ) as two products, then the Kronecker layout
+    acc = LA.reshape(a, a * a).T @ (m @ LB.reshape(b, b * b))
+    acc = acc.reshape(a, a, b, b).transpose(0, 2, 1, 3).reshape(a * b, a * b)
     return float(np.linalg.norm(acc, 2))
 
 
@@ -322,7 +320,9 @@ def norm_sandwich_check(co: CoendAlgebra, T: GradedElement,
     ok_right = op_norm <= d * d * vac_norm + slack * max(1.0, op_norm)
     return {"grade": X, "vacuum_norm": vac_norm, "scalar_vacuum_norm":
             scalar_norm, "op_norm": op_norm, "bound": d * d,
-            "left_ok": bool(ok_left), "right_ok": bool(ok_right)}
+            "left_ok": bool(ok_left), "right_ok": bool(ok_right),
+            "left_margin": op_norm - vac_norm,
+            "right_margin": d * d * vac_norm - op_norm}
 
 
 def positivity_check(co: CoendAlgebra, X: str, terms: list,
@@ -350,6 +350,21 @@ def positivity_check(co: CoendAlgebra, X: str, terms: list,
     return ev >= -floor, ev
 
 
+def _probe_grams(co: CoendAlgebra) -> tuple:
+    """Vacuum columns V (column i is eᵢΩ), the vacuum Gram V*GV and the
+    normalized Hilbert–Schmidt Gram Tr(Mᵢ*Mₖ)/dim of the GNS-conjugated
+    acting matrices Mᵢ = S·act(eᵢ)·S⁻¹ of the graded basis."""
+    S, Sinv = co._gns
+    ops = co.basis_operators()
+    V = (ops @ co.flatten(co.vacuum())).T
+    # Mᵢ overwrites ops and conj(Mᵢ) the temporary, so at most two stacks
+    # of N³ entries are alive at once
+    tmp = S @ ops
+    P = np.matmul(tmp, Sinv, out=ops).reshape(len(ops), -1)
+    gram_op = np.conj(P, out=tmp.reshape(P.shape)) @ P.T / co.total_dim
+    return V, V.conj().T @ co.gram() @ V, gram_op
+
+
 def faithfulness_probe(co: CoendAlgebra, trials: int, seed: int = 0) -> dict:
     """𝔼(T*T) ≠ 0 for random nonzero T, plus the quantitative Gram bound.
 
@@ -360,19 +375,12 @@ def faithfulness_probe(co: CoendAlgebra, trials: int, seed: int = 0) -> dict:
     uniformly; strongly skewed traces can shrink the vacuum Gram below it.
     """
     rng = np.random.default_rng(seed)
-    unit = co.cat.ring.unit
-
     failures = 0
     min_expect = np.inf
     for _ in range(trials):
         T = co.random_element(rng)
         E = co.canonical_expectation(co.mul(co.star(T), T))
-        nA1, nB1 = co.A.n(unit), co.B.n(unit)
-        m = E.reshape(nA1, nB1)
-        val = 0.0
-        for i in range(nA1):
-            for k in range(nB1):
-                val += abs(m[i, k])
+        val = float(np.sum(np.abs(E)))
         min_expect = min(min_expect, val)
         if val < 1e-12:
             failures += 1
@@ -381,20 +389,7 @@ def faithfulness_probe(co: CoendAlgebra, trials: int, seed: int = 0) -> dict:
             f"canonical expectation vanished on {failures} nonzero samples")
 
     # quantitative kernel bound on the graded basis
-    S = co._gns_transform()
-    Sinv = np.linalg.inv(S)
-    vac_cols = []
-    op_mats = []
-    for X, i, T in co.basis():
-        vac_cols.append(co.flatten(co.triangle_act(T, co.vacuum())))
-        op_mats.append(S @ co.act_matrix(T) @ Sinv)
-    V = np.stack(vac_cols, axis=1)
-    gram_vac = V.conj().T @ co.gram() @ V
-    n = len(op_mats)
-    gram_op = np.zeros((n, n), dtype=complex)
-    for i in range(n):
-        for k in range(n):
-            gram_op[i, k] = np.trace(op_mats[i].conj().T @ op_mats[k]) / co.total_dim
+    V, gram_vac, gram_op = _probe_grams(co)
     lo_vac = float(np.min(np.linalg.eigvalsh((gram_vac + gram_vac.conj().T) / 2)))
     lo_op = float(np.min(np.linalg.eigvalsh((gram_op + gram_op.conj().T) / 2)))
     dmax = max(co.cat.d(X) for X in co.support)
@@ -406,8 +401,9 @@ def faithfulness_probe(co: CoendAlgebra, trials: int, seed: int = 0) -> dict:
     return {"trials": trials, "seed": seed, "failures": failures,
             "min_expectation_mass": float(min_expect),
             "vacuum_gram_floor": lo_vac, "operator_gram_floor": lo_op,
-            "bound_constant": dmax**-4, "cyclic_rank": int(
-                np.linalg.matrix_rank(V, tol=1e-10)),
+            "bound_constant": dmax**-4,
+            "bound_margin": lo_vac - lo_op * dmax**-4,
+            "cyclic_rank": int(np.linalg.matrix_rank(V, tol=1e-10)),
             "expected_rank": co.total_dim}
 
 
@@ -457,7 +453,7 @@ def descend_expectation(co: CoendAlgebra, omega: np.ndarray):
 
     # faithfulness of E_ω through the Gram kernel on the graded basis:
     # K[i,j] = tr_A(E_ω(eᵢ*eⱼ)) is PSD and degenerate iff E_ω has a kernel
-    wA = co._ground_trace_vec(co.A)
+    wA = co._ground_traces[0]
     els = [(T, co.star(T)) for _, _, T in co.basis()]
     K = np.array([[wA @ E_omega(co.mul(si, tj))
                    for tj, _ in els] for _, si in els])

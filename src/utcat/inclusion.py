@@ -357,7 +357,7 @@ def ind_check(corr: RealizedCorrespondence) -> dict:
         obstruction = str(exc)
     else:
         total_p = sum(corr.projections.values())
-        if np.max(np.abs(total_p - np.eye(corr.total_dim))) >= 1e-9:
+        if np.max(np.abs(total_p - np.eye(corr.total_dim)), initial=0.0) >= 1e-9:
             obstruction = "central projections do not sum to id"
         elif blocks.dims() != corr.graded_dims():
             obstruction = (f"commutant blocks {blocks.dims()} differ from "

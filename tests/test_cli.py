@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from utcat import io_schemas as io
-from utcat.algebra_object import validate_algebra_object
+from utcat.algebra_object import group_algebra_object, validate_algebra_object
 from utcat.annulus import build_annulus
 from utcat.cli import main
 from utcat.errors import SchemaError
@@ -147,6 +147,38 @@ def test_coend_group_oracle(capsys):
     assert rep["group_oracle_residual"] == 0.0
     assert rep["norm_sandwich"]["violations"] == 0
     assert rep["faithfulness"]["failures"] == 0
+
+
+def _group_algebra_file(tmp_path, perturb):
+    raw = io.aobj_to_json(group_algebra_object(vec_zn(3)))
+    if perturb:
+        key = next(iter(raw["mult"]))
+        raw["mult"][key][0][0][0] = [1.5, 0.0]
+    p = tmp_path / ("bad_ga.json" if perturb else "ga.json")
+    p.write_text(json.dumps(raw))
+    return str(p)
+
+
+def test_coend_and_analyze_accept_a_valid_json_algebra_object(capsys, tmp_path):
+    path = _group_algebra_file(tmp_path, perturb=False)
+    code, rep = run(capsys, "coend", "--cat", "z3",
+                    "--left", "fiber", "--right", path)
+    assert code == 0 and rep["group_oracle_residual"] == 0.0
+    code, rep = run(capsys, "analyze", "--cat", "z3", "--aobj", path)
+    assert code == 0 and rep["ok"]
+
+
+@pytest.mark.parametrize("cmd", ["coend", "analyze"])
+def test_json_algebra_object_is_validated(capsys, tmp_path, cmd):
+    # one multiplication coefficient of the Z3 group algebra off by 1/2
+    path = _group_algebra_file(tmp_path, perturb=True)
+    argv = (["coend", "--cat", "z3", "--left", "fiber", "--right", path]
+            if cmd == "coend" else ["analyze", "--cat", "z3", "--aobj", path])
+    code, rep = run(capsys, *argv)
+    assert code == 2
+    assert "not valid: worst residual" in rep["error"]
+    worst = float(rep["error"].split("worst residual ")[1].split()[0])
+    assert worst > 0.1
 
 
 def test_coend_refuses_group_algebra_of_non_pointed_category(capsys):

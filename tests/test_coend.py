@@ -1,29 +1,37 @@
+import dataclasses
+import itertools
+
 import numpy as np
 import pytest
 
 from utcat.algebra_object import (
+    AlgebraObject,
     group_algebra_object,
     opposite_object,
     trivial_action_object,
+    validate_algebra_object,
 )
 from utcat.annulus import build_annulus
 from utcat.coend import (
     CoendAlgebra,
     GradedElement,
     ModuleVector,
+    _probe_grams,
     crossed_product,
     descend_expectation,
     faithfulness_probe,
+    ground_op_norm,
     norm_sandwich_check,
     positivity_check,
 )
 from utcat.errors import (
     CenterNotTrivial,
+    CounterexampleFound,
     LabelMismatch,
     NotAState,
     SupportOverflow,
 )
-from utcat.fixtures import fibonacci, vec_zn
+from utcat.fixtures import fibonacci, ising, vec_zn
 
 PHI = (1.0 + np.sqrt(5.0)) / 2.0
 
@@ -39,6 +47,21 @@ def zn_cross(request):
 def fib_coend():
     ann = build_annulus(fibonacci())
     return CoendAlgebra(opposite_object(ann), ann)
+
+
+BRAIDED = {"fib": fibonacci, "ising": ising,
+           **{f"vec_z{n}": (lambda n=n: vec_zn(n)) for n in range(2, 6)}}
+
+
+def _annulus_coend(name):
+    ann = build_annulus(BRAIDED[name]())
+    return CoendAlgebra(opposite_object(ann), ann)
+
+
+@pytest.fixture(scope="module",
+                params=["fib", "ising", "vec_z2", "vec_z3", "vec_z4"])
+def braided_annulus(request):
+    return _annulus_coend(request.param)
 
 
 def _delta(co, g):
@@ -83,9 +106,7 @@ def test_group_difference_has_nonzero_mass():
     assert abs(e[0] - 2.0) < 1e-12
 
 
-@pytest.mark.parametrize("which", ["zn", "fib"])
-def test_action_is_a_star_homomorphism(which, zn_cross, fib_coend):
-    co = zn_cross if which == "zn" else fib_coend
+def _assert_star_homomorphism(co):
     rng = np.random.default_rng(11)
     S = co._gns_transform()
     Si = np.linalg.inv(S)
@@ -99,18 +120,7 @@ def test_action_is_a_star_homomorphism(which, zn_cross, fib_coend):
         assert np.max(np.abs(Mst - MT.conj().T)) < 1e-9
 
 
-def test_grading_respects_fusion(fib_coend):
-    co = fib_coend
-    ring = co.cat.ring
-    for X, _, T in co.basis():
-        for Y, _, U in co.basis():
-            prod = co.mul(T, U)
-            for Z in prod.comps:
-                assert ring.N(X, Y, Z) > 0
-
-
-def test_expectation_is_bimodular(fib_coend):
-    co = fib_coend
+def _assert_bimodular(co):
     rng = np.random.default_rng(5)
     unit = co.cat.ring.unit
     for _ in range(5):
@@ -125,12 +135,46 @@ def test_expectation_is_bimodular(fib_coend):
         assert np.max(np.abs(lhs - rhs)) < 1e-10
 
 
+def _assert_cyclic_vacuum(co):
+    cols = [co.flatten(co.triangle_act(T, co.vacuum()))
+            for _, _, T in co.basis()]
+    V = np.stack(cols, axis=1)
+    assert np.linalg.matrix_rank(V, tol=1e-10) == co.total_dim
+
+
+def _assert_unit_sandwich_collapses(co, seed, samples):
+    rng = np.random.default_rng(seed)
+    unit = co.cat.ring.unit
+    for _ in range(samples):
+        T = GradedElement({unit: rng.normal(size=co.dims[unit])
+                           + 1j * rng.normal(size=co.dims[unit])})
+        rep = norm_sandwich_check(co, T)
+        assert rep["left_ok"] and rep["right_ok"]
+        assert abs(rep["op_norm"] - rep["vacuum_norm"]) < 1e-9
+
+
+@pytest.mark.parametrize("which", ["zn", "fib"])
+def test_action_is_a_star_homomorphism(which, zn_cross, fib_coend):
+    _assert_star_homomorphism(zn_cross if which == "zn" else fib_coend)
+
+
+def test_grading_respects_fusion(fib_coend):
+    co = fib_coend
+    ring = co.cat.ring
+    for X, _, T in co.basis():
+        for Y, _, U in co.basis():
+            prod = co.mul(T, U)
+            for Z in prod.comps:
+                assert ring.N(X, Y, Z) > 0
+
+
+def test_expectation_is_bimodular(fib_coend):
+    _assert_bimodular(fib_coend)
+
+
 def test_vacuum_is_cyclic(fib_coend, zn_cross):
     for co in (fib_coend, zn_cross):
-        cols = [co.flatten(co.triangle_act(T, co.vacuum()))
-                for _, _, T in co.basis()]
-        V = np.stack(cols, axis=1)
-        assert np.linalg.matrix_rank(V, tol=1e-10) == co.total_dim
+        _assert_cyclic_vacuum(co)
 
 
 def test_module_gram_is_positive_definite(fib_coend, zn_cross):
@@ -138,17 +182,32 @@ def test_module_gram_is_positive_definite(fib_coend, zn_cross):
         assert np.min(np.linalg.eigvalsh(co.gram())) > 1e-8
 
 
+# -- the same properties on the annulus of every braided fixture -------------
+
+def test_annulus_action_is_a_star_homomorphism(braided_annulus):
+    _assert_star_homomorphism(braided_annulus)
+
+
+def test_annulus_expectation_is_bimodular(braided_annulus):
+    _assert_bimodular(braided_annulus)
+
+
+def test_annulus_vacuum_is_cyclic(braided_annulus):
+    _assert_cyclic_vacuum(braided_annulus)
+
+
+def test_annulus_gram_is_positive_definite(braided_annulus):
+    assert np.min(np.linalg.eigvalsh(braided_annulus.gram())) > 1e-8
+
+
+def test_annulus_sandwich_collapses_at_the_unit_grade(braided_annulus):
+    _assert_unit_sandwich_collapses(braided_annulus, 21, 5)
+
+
 # -- norm sandwich ----------------------------------------------------------
 
 def test_sandwich_collapses_at_the_unit_grade(fib_coend):
-    rng = np.random.default_rng(21)
-    unit = fib_coend.cat.ring.unit
-    for _ in range(10):
-        T = GradedElement({unit: rng.normal(size=fib_coend.dims[unit])
-                           + 1j * rng.normal(size=fib_coend.dims[unit])})
-        rep = norm_sandwich_check(fib_coend, T)
-        assert rep["left_ok"] and rep["right_ok"]
-        assert abs(rep["op_norm"] - rep["vacuum_norm"]) < 1e-9
+    _assert_unit_sandwich_collapses(fib_coend, 21, 10)
 
 
 def test_sandwich_collapses_for_invertible_grades(zn_cross):
@@ -304,3 +363,249 @@ def test_descent_is_order_preserving(z2_ann_cross):
         T = co.random_element(rng)
         tt = co.mul(co.star(T), T)
         assert 0.5 * Echar(tt).real <= E2(tt).real + 1e-10
+
+
+# -- channel tensors against the per-channel einsum reference ----------------
+# The kernels below are the earlier per-basis-vector implementation, kept
+# only as references: one 4-operand einsum per channel per product, one
+# triangle action per column of an acting matrix, a double loop per Gram
+# block and a trace per entry of the operator Gram.
+
+def _ref_shape(co, X, vec):
+    return np.asarray(vec, dtype=complex).reshape(co.A.n(X), co.B.n(X))
+
+
+def _ref_component_product(co, X0, X1, m0, m1):
+    ring = co.cat.ring
+    out = {}
+    for X2 in ring.labels:
+        nch = ring.N(X0, X1, X2)
+        if nch == 0 or co.A.n(X2) == 0 or co.B.n(X2) == 0:
+            continue
+        if X2 not in co.support:
+            if co.mode == "strict":
+                raise SupportOverflow(f"{X2} of {X0}⊠{X1} outside the support")
+            continue
+        acc = np.zeros((co.A.n(X2), co.B.n(X2)), dtype=complex)
+        for v in range(nch):
+            acc += np.einsum("aij,bkl,ik,jl->ab", co.A.mu(X0, X1, X2, v),
+                             co.B.mu(X0, X1, X2, v), m0, m1)
+        if np.any(acc):
+            out[X2] = acc
+    return out
+
+
+def _ref_triangle_act(co, T, xi):
+    out = {}
+    for X0, t in T.comps.items():
+        for X1, x in xi.comps.items():
+            for X2, acc in _ref_component_product(
+                    co, X0, X1, _ref_shape(co, X0, t), _ref_shape(co, X1, x)).items():
+                out[X2] = out.get(X2, 0.0) + acc.reshape(-1)
+    return ModuleVector(out)
+
+
+def _ref_act_matrix(co, T):
+    M = np.zeros((co.total_dim, co.total_dim), dtype=complex)
+    for X in co.support:
+        for i in range(co.dims[X]):
+            e = np.zeros(co.dims[X])
+            e[i] = 1.0
+            col = co.flatten(_ref_triangle_act(co, T, ModuleVector({X: e})))
+            M[:, co.offsets[X].start + i] = col
+    return M
+
+
+def _ref_gram(co):
+    ring = co.cat.ring
+    unit = ring.unit
+    wA, wB, _ = co._ground_traces
+    G = np.zeros((co.total_dim, co.total_dim), dtype=complex)
+    for X, sl in co.offsets.items():
+        Xb = ring.dual[X]
+        eye = np.eye(co.dims[X])
+        stars = [_ref_shape(co, Xb, co.star(GradedElement({X: e})).comps[Xb])
+                 for e in eye]
+        block = np.zeros((co.dims[X], co.dims[X]), dtype=complex)
+        for i in range(co.dims[X]):
+            for k in range(co.dims[X]):
+                m = np.zeros((co.A.n(unit), co.B.n(unit)), dtype=complex)
+                for v in range(ring.N(Xb, X, unit)):
+                    m += np.einsum("aij,bkl,ik,jl->ab", co.A.mu(Xb, X, unit, v),
+                                   co.B.mu(Xb, X, unit, v), stars[i],
+                                   _ref_shape(co, X, eye[k]))
+                block[i, k] = wA @ m @ wB
+        G[sl, sl] = block
+    return (G + G.conj().T) / 2.0
+
+
+def _ref_probe_grams(co):
+    G = _ref_gram(co)
+    w, U = np.linalg.eigh(G)
+    S = (U * np.sqrt(w)) @ U.conj().T
+    Sinv = np.linalg.inv(S)
+    basis = [T for _, _, T in co.basis()]
+    V = np.stack([co.flatten(_ref_triangle_act(co, T, co.vacuum()))
+                  for T in basis], axis=1)
+    mats = [S @ _ref_act_matrix(co, T) @ Sinv for T in basis]
+    gram_op = np.array([[np.trace(a.conj().T @ b) / co.total_dim
+                         for b in mats] for a in mats])
+    return V, V.conj().T @ G @ V, gram_op
+
+
+def _ref_ground_op_norm(co, m):
+    gA, gB = co.A.ground(), co.B.ground()
+    SA, SB = gA._gns_transform(), gB._gns_transform()
+    SAi, SBi = np.linalg.inv(SA), np.linalg.inv(SB)
+    m = np.asarray(m, dtype=complex).reshape(gA.dim, gB.dim)
+    acc = np.zeros((gA.dim * gB.dim,) * 2, dtype=complex)
+    for i in range(gA.dim):
+        LA = SA @ gA.left_mult(np.eye(gA.dim)[i]) @ SAi
+        for k in range(gB.dim):
+            LB = SB @ gB.left_mult(np.eye(gB.dim)[k]) @ SBi
+            acc += m[i, k] * np.kron(LA, LB)
+    return float(np.linalg.norm(acc, 2))
+
+
+def _rel(new, ref):
+    new, ref = np.asarray(new), np.asarray(ref)
+    assert new.shape == ref.shape
+    return float(np.max(np.abs(new - ref), initial=0.0)
+                 / max(float(np.max(np.abs(ref), initial=0.0)), 1e-300))
+
+
+def _crossed(n, S=None, mode="strict"):
+    cat = vec_zn(n)
+    return crossed_product(trivial_action_object(cat),
+                           group_algebra_object(cat), S=S, mode=mode)
+
+
+def _rotated(D, seed):
+    """D with each fiber in a random complex unitary basis: the same algebra
+    object with complex structure constants, which real fixtures lack."""
+    rng = np.random.default_rng(seed)
+    u = {X: np.linalg.qr(rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n)))[0]
+         for X, n in D.fibers.items() if n}
+    mult = {(X, Y, Z, v): np.einsum("za,abc,xb,yc->zxy", u[Z], m,
+                                     u[X].conj(), u[Y].conj())
+            for (X, Y, Z, v), m in D.mult.items()}
+    star = {X: u[D.cat.ring.dual[X]] @ m @ u[X].T for X, m in D.star.items()
+            if X in u}
+    unit = u[D.cat.ring.unit] @ D.unit
+    return dataclasses.replace(D, mult=mult, star=star, unit=unit)
+
+
+def _rotated_annulus(name):
+    ann = _rotated(build_annulus(BRAIDED[name]()), seed=7)
+    assert validate_algebra_object(ann)["associativity"] < 1e-9
+    return CoendAlgebra(opposite_object(ann), ann)
+
+
+def _matrix_ground(side):
+    """M₂ alone in the unit fiber of Vec(Z2): a non-commutative ground, where
+    a misplaced Kronecker factor changes operator norms."""
+    cat = vec_zn(2)
+    mu = np.zeros((4, 4, 4))
+    star = np.zeros((4, 4))
+    for i, j in itertools.product(range(2), repeat=2):
+        star[2 * j + i, 2 * i + j] = 1.0
+        for k in range(2):
+            mu[2 * i + k, 2 * i + j, 2 * j + k] = 1.0  # E_ij E_jk = E_ik
+    return AlgebraObject(cat, {"g0": 4}, {("g0", "g0", "g0", 0): mu},
+                         {"g0": star}, np.eye(2).reshape(-1), side=side)
+
+
+def _truncated_annulus():
+    ann = build_annulus(vec_zn(4))
+    return CoendAlgebra(opposite_object(ann), ann, S=("g0", "g1"),
+                        mode="project")
+
+
+REFERENCE_CASES = {
+    **{f"annulus-{name}": (lambda name=name: _annulus_coend(name))
+       for name in BRAIDED},
+    **{f"crossed-vec_z{n}": (lambda n=n: _crossed(n)) for n in range(2, 7)},
+    "rotated-annulus-fib": lambda: _rotated_annulus("fib"),
+    "rotated-annulus-vec_z3": lambda: _rotated_annulus("vec_z3"),
+    "matrix-ground": lambda: CoendAlgebra(_matrix_ground("op"),
+                                          _matrix_ground("cat")),
+    "project-crossed-vec_z4": lambda: _crossed(4, ("g0", "g1"), "project"),
+    "project-annulus-vec_z4": _truncated_annulus,
+}
+
+
+@pytest.fixture(scope="module", params=sorted(REFERENCE_CASES))
+def reference_case(request):
+    return REFERENCE_CASES[request.param]()
+
+
+def test_channel_tensors_match_the_einsum_reference(reference_case):
+    co = reference_case
+    rng = np.random.default_rng(17)
+    for _ in range(3):
+        T, U = co.random_element(rng), co.random_element(rng)
+        assert _rel(co.flatten(co.mul(T, U)),
+                    co.flatten(_ref_triangle_act(co, T, U))) < 1e-12
+        assert _rel(co.act_matrix(T), _ref_act_matrix(co, T)) < 1e-12
+        ref_e = _ref_triangle_act(co, T, co.vacuum()).comps.get(
+            co.cat.ring.unit, np.zeros(co.dims[co.cat.ring.unit]))
+        assert _rel(co.canonical_expectation(T), ref_e) < 1e-12
+    assert _rel(co.gram(), _ref_gram(co)) < 1e-12
+    S, Sinv = co._gns
+    assert _rel(S @ Sinv, np.eye(co.total_dim)) < 1e-12
+    unit = co.cat.ring.unit
+    for _ in range(3):
+        T, m = co.random_element(rng), co.random_element(rng).comps[unit]
+        ref_M = S @ _ref_act_matrix(co, T) @ np.linalg.inv(S)
+        assert _rel(co.op_norm(T), np.linalg.norm(ref_M, 2)) < 1e-12
+        assert _rel(ground_op_norm(co, m), _ref_ground_op_norm(co, m)) < 1e-12
+    ops = co.basis_operators()
+    for i, (_, _, T) in enumerate(co.basis()):
+        assert _rel(ops[i], _ref_act_matrix(co, T)) < 1e-12
+
+
+def test_probe_grams_match_the_traced_reference(reference_case):
+    co = reference_case
+    for new, ref in zip(_probe_grams(co), _ref_probe_grams(co)):
+        assert _rel(new, ref) < 1e-12
+
+
+def test_strict_mode_pairs_inside_the_support_do_not_raise():
+    # S = {g0, g1} in Z4 is not fusion closed: only g1⊗g1 leaves it
+    co = _crossed(4, ("g0", "g1"))
+    d0, d1 = _delta(co, "g0"), _delta(co, "g1")
+    assert list(co.mul(d0, d1).comps) == ["g1"]
+    assert list(co.mul(d1, d0).comps) == ["g1"]
+    assert _rel(co.act_matrix(d0), np.eye(2)) < 1e-12
+    assert np.allclose(co.gram(), np.eye(2))
+    # the overflowing pair raises each time it is used, not only the first
+    for _ in range(2):
+        with pytest.raises(SupportOverflow):
+            co.mul(d1, d1)
+
+
+def test_sandwich_reports_margins(fib_coend):
+    rng = np.random.default_rng(24)
+    for X in fib_coend.support:
+        T = GradedElement({X: rng.normal(size=fib_coend.dims[X])
+                           + 1j * rng.normal(size=fib_coend.dims[X])})
+        rep = norm_sandwich_check(fib_coend, T)
+        assert rep["left_margin"] == rep["op_norm"] - rep["vacuum_norm"]
+        assert rep["right_margin"] == (rep["bound"] * rep["vacuum_norm"]
+                                       - rep["op_norm"])
+        assert rep["left_margin"] >= -1e-8 and rep["right_margin"] >= -1e-8
+
+
+def test_probe_reports_the_bound_margin(zn_cross, fib_coend):
+    for co in (zn_cross, fib_coend):
+        rep = faithfulness_probe(co, 5, seed=1)
+        assert rep["bound_margin"] == pytest.approx(
+            rep["vacuum_gram_floor"]
+            - rep["operator_gram_floor"] * rep["bound_constant"], abs=1e-15)
+        assert rep["bound_margin"] >= -1e-10
+
+
+def test_ising_probe_still_fails_the_bound():
+    # a known defect of the quantitative bound on the Ising annulus
+    with pytest.raises(CounterexampleFound, match="^vacuum Gram floor"):
+        faithfulness_probe(_annulus_coend("ising"), 6, seed=3)

@@ -213,6 +213,15 @@ def test_rank_cut_gaps_are_reported():
     assert single.cluster_gap[1] is None
 
 
+def test_empty_correspondence_gets_a_verdict():
+    # the ΣP_K = id check used to reduce over a zero-size array
+    corr = realize(HilbertSpaceObject({}))
+    assert commutant_blocks(corr).dims() == {}
+    verdict = ind_check(corr)
+    assert verdict["verdict"] == "IND" and verdict["obstruction"] is None
+    assert verdict["blocks"].dims() == {}
+
+
 def test_hom_count_oracles():
     h1 = HilbertSpaceObject({"a": 2, "b": 3})
     assert hom_count(h1, h1, cross_check=True) == 13
