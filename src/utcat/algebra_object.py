@@ -16,16 +16,18 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
 from .errors import (
     CounterexampleFound,
     LabelMismatch,
+    NotAState,
     PositivityFailure,
-    SolveFailed,
     SupportTooSmall,
 )
+from .gns import GramRoot, form, min_eig
 from .skeletal import SkeletalUTC, TreeVector
 
 __all__ = [
@@ -109,22 +111,6 @@ class AlgebraObject:
                     out[(Z, v)] = val
         return out
 
-    def contract_against(self, dist: dict, target: TreeVector, pair: tuple) -> np.ndarray:
-        """𝒟(q)(Θ) for Θ distributed over the channels of pair = (A, B).
-
-        ``target`` is the morphism q : root -> A⊗B as a TreeVector; the result
-        lives in 𝒟(root).  Uses 𝒟(M*∘q) = ⟨M, q⟩ on the tree basis M.
-        """
-        A, B = pair
-        root = target.root
-        out = np.zeros(self.n(root), dtype=complex)
-        for (Z, v), vec in dist.items():
-            if Z != root:
-                continue
-            coeff = target.coeffs.get(((Z, v),), 0.0)
-            out += self.scalar(coeff) * vec
-        return out
-
     def conjugate_distributed(self, dist: dict, pair: tuple) -> dict:
         """j applied to a distributed element of 𝒟(A⊗B); lands over (B̄, Ā)."""
         A, B = pair
@@ -179,35 +165,6 @@ class AlgebraObject:
                     FiberElement(X, np.eye(nx)[i]), FiberElement(X, np.eye(nx)[k])
                 )
         return G
-
-    def composite_inner_product(self, pair: tuple, dist1: dict, dist2: dict) -> np.ndarray:
-        """⟨Θ₁,Θ₂⟩_{𝒟(1)} for Θᵢ ∈ 𝒟(A⊗B) distributed, via the standard
-        solution R_{A⊗B} = (id_B̄ ⊗ R_A ⊗ id_B) ∘ R_B."""
-        A, B = pair
-        cat = self.cat
-        ring = cat.ring
-        jdist = self.conjugate_distributed(dist1, pair)
-        r_ab = cat.insert_pair(cat.r_vector(B), 1, ring.dual[A], A,
-                               [cat.conjugate_solution(A).r])
-        d_ab = cat.d(A) * cat.d(B)
-        out = np.zeros(self.n(ring.unit), dtype=complex)
-        # expand R_{AB} in merged trees (s ⊗ t)∘w over (B̄Ā)(AB) and contract
-        for (Zb, s), jvec in jdist.items():
-            for (Z2, t), vec2 in dist2.items():
-                nw = ring.N(Zb, Z2, ring.unit)
-                for w in range(nw):
-                    e_w = np.zeros(nw)
-                    e_w[w] = 1.0
-                    M = cat.merge(
-                        cat.basis_tree(Zb, (ring.dual[B], ring.dual[A]), ((Zb, s),)),
-                        cat.basis_tree(Z2, (A, B), ((Z2, t),)),
-                        ring.unit, e_w)
-                    coeff = M.inner(r_ab)
-                    if abs(coeff) == 0.0:
-                        continue
-                    out += (self.scalar(coeff) / d_ab) * self.mu_apply(
-                        Zb, Z2, ring.unit, w, jvec, vec2)
-        return out
 
     def fiber_action(self, xi: FiberElement, T: "SquareElement") -> FiberElement:
         """Right action ξ ◁ T = 𝒟(R̄_X ⊗ id_X)(𝒟²(ξ ⊙ T)) on 𝒟(X).
@@ -270,7 +227,6 @@ class GroundAlgebra:
         self.P = D.mu(unit_lbl, unit_lbl, unit_lbl, 0)  # (z, x, y)
         self.star_mat = D.star[unit_lbl]
         self.unit = D.unit
-        self._gns = None
 
     def mul(self, x, y) -> np.ndarray:
         return np.einsum("zxy,x,y->z", self.P, x, y)
@@ -281,35 +237,43 @@ class GroundAlgebra:
     def left_mult(self, x) -> np.ndarray:
         return np.einsum("zxy,x->zy", self.P, x)
 
+    @cached_property
+    def weights(self) -> np.ndarray:
+        """The canonical trace on the basis: Tr(L_{eₓ})/Tr(L_1)."""
+        t = np.einsum("zxz->x", self.P)
+        return t / (t @ self.unit)
+
     def trace(self, x) -> complex:
         """The canonical faithful trace tr(x) = Tr(L_x)/Tr(L_1); tr(1) = 1."""
-        return complex(np.trace(self.left_mult(x)) / np.trace(self.left_mult(self.unit)))
+        return complex(self.weights @ x)
 
-    def _gns_transform(self):
-        if self._gns is None:
-            n = self.dim
-            basis = np.eye(n)
-            G = np.array([[self.trace(self.mul(self.star(basis[i]), basis[k]))
-                           for k in range(n)] for i in range(n)])
-            G = (G + G.conj().T) / 2.0
-            w, U = np.linalg.eigh(G)
-            if np.min(w) <= 1e-13:
-                raise SolveFailed("ground algebra trace form is degenerate")
-            self._gns = (U * np.sqrt(w)) @ U.conj().T  # G^{1/2}
-        return self._gns
+    @cached_property
+    def gns(self) -> GramRoot:
+        """The factored GNS form of the canonical trace."""
+        return GramRoot(form(self.P, self.star_mat, self.weights),
+                        "ground algebra trace form")
+
+    def check_state(self, omega) -> tuple:
+        """(ω, eigenvalues of its GNS form) for a state ω given on the basis;
+        raises :class:`NotAState` unless ω is unital and positive."""
+        omega = np.asarray(omega, dtype=complex)
+        if omega.shape != (self.dim,):
+            raise NotAState(f"expected functional on a {self.dim}-dim algebra")
+        if abs(omega @ self.unit - 1.0) > 1e-10:
+            raise NotAState("ω is not unital")
+        ev = np.linalg.eigvalsh(form(self.P, self.star_mat, omega))
+        if float(ev[0]) < -1e-10:
+            raise NotAState(f"ω is not positive: min GNS eigenvalue {ev[0]:.3e}")
+        return omega, ev
 
     def op_norm(self, x) -> float:
-        S = self._gns_transform()
-        M = S @ self.left_mult(x) @ np.linalg.inv(S)
-        return float(np.linalg.norm(M, 2))
+        return self.gns.op_norm(self.left_mult(x))
 
     def is_positive(self, x, floor=1e-10) -> bool:
         # positive iff x = x* and spectrum of L_x on the GNS space ≥ -floor
         if np.max(np.abs(self.star(x) - x)) > 1e-8 * max(1.0, np.max(np.abs(x))):
             return False
-        S = self._gns_transform()
-        M = S @ self.left_mult(x) @ np.linalg.inv(S)
-        return bool(np.min(np.linalg.eigvalsh((M + M.conj().T) / 2.0)) >= -floor)
+        return min_eig(self.gns.conj(self.left_mult(x))) >= -floor
 
 
 # ---------------------------------------------------------------------------
@@ -358,8 +322,6 @@ class SquareAlgebra:
                 off += nz
         self.dim = off
         self._tensor = None
-        self._star = None
-        self._gns = None
 
     # -- element plumbing ---------------------------------------------------
 
@@ -422,24 +384,27 @@ class SquareAlgebra:
         P = self._structure_tensor()
         return self.from_vec(np.einsum("kij,i,j->k", P, a.to_vec(), b.to_vec()))
 
+    @cached_property
+    def star_mat(self) -> np.ndarray:
+        """S with a* = S·conj(a) on the flattened basis."""
+        D, cat = self.D, self.D.cat
+        ring = cat.ring
+        S = np.zeros((self.dim, self.dim), dtype=complex)
+        for (Z, v) in self.keys:
+            n = ring.N(self.Xb, self.X, Z)
+            e = np.zeros(n)
+            e[v] = 1.0
+            K = cat.conj_pair_basis(self.Xb, self.X, Z, e)
+            Zb = ring.dual[Z]
+            for s, k_vs in enumerate(K):
+                k_vs = D.scalar(k_vs)
+                if abs(k_vs) == 0.0 or (Zb, s) not in self.slices:
+                    continue
+                S[self.slices[(Zb, s)], self.slices[(Z, v)]] += k_vs * D.star[Z]
+        return S
+
     def star(self, a: SquareElement) -> SquareElement:
-        if self._star is None:
-            D, cat = self.D, self.D.cat
-            ring = cat.ring
-            S = np.zeros((self.dim, self.dim), dtype=complex)
-            for (Z, v) in self.keys:
-                n = ring.N(self.Xb, self.X, Z)
-                e = np.zeros(n)
-                e[v] = 1.0
-                K = cat.conj_pair_basis(self.Xb, self.X, Z, e)
-                Zb = ring.dual[Z]
-                for s, k_vs in enumerate(K):
-                    k_vs = D.scalar(k_vs)
-                    if abs(k_vs) == 0.0 or (Zb, s) not in self.slices:
-                        continue
-                    S[self.slices[(Zb, s)], self.slices[(Z, v)]] += k_vs * D.star[Z]
-            self._star = S
-        return self.from_vec(self._star @ np.conj(a.to_vec()))
+        return self.from_vec(self.star_mat @ np.conj(a.to_vec()))
 
     def expect(self, a: SquareElement) -> np.ndarray:
         """E_X(a) ∈ 𝒟(1)."""
@@ -447,33 +412,24 @@ class SquareAlgebra:
 
     # -- operator norm via GNS of tr∘E_X ------------------------------------
 
-    def _phi(self, a: SquareElement) -> complex:
-        return self.D.ground().trace(self.expect(a))
-
-    def _gns_transform(self):
-        if self._gns is None:
-            n = self.dim
-            G = np.zeros((n, n), dtype=complex)
-            basis = [self.from_vec(np.eye(n)[i]) for i in range(n)]
-            stars = [self.star(b) for b in basis]
-            for i in range(n):
-                for k in range(n):
-                    G[i, k] = self._phi(self.mul(stars[i], basis[k]))
-            G = (G + G.conj().T) / 2.0
-            w, U = np.linalg.eigh(G)
-            if np.min(w) <= 1e-12 * max(np.max(w), 1.0):
-                raise SolveFailed(f"tr∘E_{self.X} is degenerate on 𝒟({self.Xb}⊗{self.X})")
-            self._gns = (U * np.sqrt(w)) @ U.conj().T
-        return self._gns
+    @cached_property
+    def gns(self) -> GramRoot:
+        """The factored GNS form of tr∘E_X: E_X reads the (1, 0) slice,
+        scaled by r/d_X."""
+        D = self.D
+        unit = D.cat.ring.unit
+        w = np.zeros(self.dim, dtype=complex)
+        w[self.slices[(unit, 0)]] = (D.scalar(D.cat.conjugate_solution(self.X).r)
+                                     / D.cat.d(self.X) * D.ground().weights)
+        return GramRoot(form(self._structure_tensor(), self.star_mat, w),
+                        f"tr∘E_{self.X} on 𝒟({self.Xb}⊗{self.X})")
 
     def left_mult_matrix(self, a: SquareElement) -> np.ndarray:
         P = self._structure_tensor()
         return np.einsum("kij,i->kj", P, a.to_vec())
 
     def op_norm(self, a: SquareElement) -> float:
-        S = self._gns_transform()
-        M = S @ self.left_mult_matrix(a) @ np.linalg.inv(S)
-        return float(np.linalg.norm(M, 2))
+        return self.gns.op_norm(self.left_mult_matrix(a))
 
     def random_element(self, rng) -> SquareElement:
         v = rng.normal(size=self.dim) + 1j * rng.normal(size=self.dim)
@@ -566,22 +522,15 @@ def validate_algebra_object(D: AlgebraObject, rng=None, tol: float = 1e-9) -> di
             res["star_monoidality"] = max(res["star_monoidality"],
                                           float(np.max(np.abs(a - b))) / scale)
 
-    # positivity of the 𝒟(1)-valued Gram on each fiber
+    # positivity of the 𝒟(1)-valued Gram on each fiber: the block matrix
+    # [L(⟨eᵢ, eₖ⟩)] on the GNS space of 𝒟(1)
     g = D.ground()
-    S = g._gns_transform()
-    Sinv = np.linalg.inv(S)
     floor = 0.0
     for X in sup:
-        nx = D.n(X)
         G = D.fiber_gram(X)  # (nx, nx, n1)
-        big = np.zeros((nx * g.dim, nx * g.dim), dtype=complex)
-        for i in range(nx):
-            for k in range(nx):
-                blk = S @ g.left_mult(G[i, k]) @ Sinv
-                big[i * g.dim:(i + 1) * g.dim, k * g.dim:(k + 1) * g.dim] = blk
-        big = (big + big.conj().T) / 2.0
-        ev = np.linalg.eigvalsh(big)
-        floor = min(floor, float(np.min(ev)))
+        M = g.gns.conj(np.einsum("zxy,ikx->ikzy", g.P, G))
+        floor = min(floor, min_eig(M.transpose(0, 2, 1, 3)
+                                   .reshape(len(G) * g.dim, -1)))
     res["positivity_floor"] = floor
     return res
 

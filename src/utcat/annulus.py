@@ -20,6 +20,7 @@ import numpy as np
 from .algebra_object import AlgebraObject, validate_algebra_object
 from .errors import MissingBraiding, PositivityFailure, SolveFailed, SupportTooSmall
 from .fusion_ring import SupportSet
+from .gns import form, min_eig
 from .skeletal import SkeletalUTC
 
 __all__ = ["build_annulus", "annulus_basis", "z_state"]
@@ -336,17 +337,11 @@ def z_state(ann: AlgebraObject, floor: float = 1e-10) -> dict:
     n1 = ann.n(ring.unit)
     omega = np.zeros(n1, dtype=complex)
     omega[idx] = 1.0
-    # positivity: omega(a* a) ≥ 0 for all a — assemble the quadratic form
-    P = ann.mu(ring.unit, ring.unit, ring.unit, 0)   # (z, x, y)
-    Smat = ann.star[ring.unit]
-
-    # Q[i,y] = omega(e_i* · e_y) with e_i* = Smat @ conj(e_i) = Smat[:, i]
-    Q = np.einsum("z,zxy,xi->iy", omega, P, Smat)
-    Q = (Q + Q.conj().T) / 2.0
-    ev = np.linalg.eigvalsh(Q)
-    if float(np.min(ev)) < -floor:
-        raise PositivityFailure(f"annulus Z-state not positive: min eig {np.min(ev)}")
+    # positivity: omega(a* a) ≥ 0 for all a, from the GNS form of omega
+    lo = min_eig(form(ann.mu(ring.unit, ring.unit, ring.unit, 0),
+                      ann.star[ring.unit], omega))
+    if lo < -floor:
+        raise PositivityFailure(f"annulus Z-state not positive: min eig {lo}")
     if abs(omega @ ann.unit - 1.0) > 1e-10:
         raise PositivityFailure("annulus Z-state not unital")
-    return {"omega": omega, "positivity_floor": float(np.min(ev)),
-            "unital": True}
+    return {"omega": omega, "positivity_floor": lo, "unital": True}

@@ -4,10 +4,11 @@ Exit codes: 0 all assertions pass, 2 axiom/assertion failure, 3 input error.
 Reports are deterministic for a fixed config and seed (modulo the wall-clock
 field) and always embed the seed and tolerance actually used.
 
-Bundled fixtures resolve by name wherever a path is expected: `fib`, `ising`,
-`vec_z2` … `vec_z6` (aliases `z2` … `z6`), and the multiplicity-2 ring
-`mult2`.  Algebra-object slots additionally accept `groupalg`, `fiber`
-(the trivial action on ℂ), and `annulus`, built over the category in play.
+Bundled fixtures resolve by name wherever a path is expected: the names of
+`fixtures.FIXTURE_BUILDERS` (`fib`, `ising`, `vec_z1` … `vec_z6`, aliases
+`fibonacci` and `z1` … `z6`), and the multiplicity-2 ring `mult2`.
+Algebra-object slots additionally accept `groupalg`, `fiber` (the trivial
+action on ℂ), and `annulus`, built over the category in play.
 """
 
 from __future__ import annotations
@@ -25,7 +26,6 @@ from . import io_schemas as io
 from .algebra_object import (
     group_algebra_object,
     opposite_object,
-    pp_check,
     trivial_action_object,
     validate_algebra_object,
 )
@@ -42,7 +42,7 @@ from .errors import (
     SchemaError,
     UtcatError,
 )
-from .fixtures import fibonacci, ising, mult2_ring, vec_zn
+from .fixtures import FIXTURE_BUILDERS, mult2_ring
 from .inclusion import discreteness_report
 from .semicircular import (
     BaseAlgebra,
@@ -55,13 +55,12 @@ from .semicircular import (
 
 EXIT_OK, EXIT_ASSERT, EXIT_INPUT = 0, 2, 3
 
-_BUNDLED_CATS = {
-    "fib": fibonacci,
-    "fibonacci": fibonacci,
-    "ising": ising,
-    **{name: (lambda n=n: vec_zn(n))
-       for n in range(2, 7) for name in (f"z{n}", f"vec_z{n}")},
-}
+# CLI aliases of registry names: `fibonacci` and `z<n>` for `vec_z<n>`
+_ALIASES = {"fibonacci": "fib",
+            **{name[4:]: name for name in FIXTURE_BUILDERS
+               if name.startswith("vec_z")}}
+_BUNDLED_CATS = {**FIXTURE_BUILDERS,
+                 **{a: FIXTURE_BUILDERS[name] for a, name in _ALIASES.items()}}
 
 
 def _bundled_raw(name: str):

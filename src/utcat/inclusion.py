@@ -21,7 +21,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .algebra_object import AlgebraObject
-from .errors import NotAState, NotSemisimpleInput, UnknownLabel
+from .errors import NotSemisimpleInput
+from .gns import form, rank_cut
 
 __all__ = [
     "BlockDecomposition",
@@ -371,19 +372,22 @@ def ind_check(corr: RealizedCorrespondence) -> dict:
 # GNS objects and the discreteness report
 # ---------------------------------------------------------------------------
 
-def _check_state(D: AlgebraObject, omega) -> np.ndarray:
-    g = D.ground()
-    omega = np.asarray(omega, dtype=complex)
-    if omega.shape != (g.dim,):
-        raise NotAState(f"expected functional on a {g.dim}-dim algebra")
-    if abs(omega @ D.unit - 1.0) > 1e-10:
-        raise NotAState("ω is not unital")
-    Q = np.array([[omega @ g.mul(g.star(np.eye(g.dim)[i]), np.eye(g.dim)[k])
-                   for k in range(g.dim)] for i in range(g.dim)])
-    Q = (Q + Q.conj().T) / 2
-    if float(np.min(np.linalg.eigvalsh(Q))) < -1e-10:
-        raise NotAState("ω is not positive")
-    return omega
+def _gns_cuts(D: AlgebraObject, omega) -> tuple:
+    """(HilbertSpaceObject of the ranks, label K → rank cut of the form
+    ω(⟨eᵢ, eₖ⟩) on the fiber 𝒟(K)).
+
+    ⟨ξ, η⟩ = E_K(𝒟²(j(ξ) ⊙ η)) reads the unit channel of K̄⊗K scaled by
+    r/d_K, so the form is the GNS form of that channel under r/d_K·ω.
+    """
+    omega, _ = D.ground().check_state(omega)
+    cat = D.cat
+    unit = cat.ring.unit
+    cuts = {}
+    for K in D.support:
+        w = D.scalar(cat.conjugate_solution(K).r) / cat.d(K) * omega
+        cuts[K] = rank_cut(form(D.mu(cat.ring.dual[K], K, unit, 0),
+                                D.star[K], w))
+    return HilbertSpaceObject({K: c.rank for K, c in cuts.items()}), cuts
 
 
 def gns_object(D: AlgebraObject, omega) -> tuple:
@@ -392,20 +396,8 @@ def gns_object(D: AlgebraObject, omega) -> tuple:
     Returns (HilbertSpaceObject, quotient maps label → matrix whose rows
     are the surviving directions).  Rank threshold 1e-10·σ_max per fiber.
     """
-    omega = _check_state(D, omega)
-    dims = {}
-    quotients = {}
-    for K in D.support:
-        G = D.fiber_gram(K)  # 𝒟(1)-valued Gram, shape (n, n, dim 𝒟(1))
-        Q = np.einsum("ikz,z->ik", G, omega)
-        Q = (Q + Q.conj().T) / 2
-        w, U = np.linalg.eigh(Q)
-        thresh = 1e-10 * max(float(np.max(np.abs(w))), 1e-300)
-        keep = w > thresh
-        if np.any(keep):
-            dims[K] = int(np.sum(keep))
-            quotients[K] = (U[:, keep] * np.sqrt(w[keep])).conj().T
-    return HilbertSpaceObject(dims), quotients
+    hobj, cuts = _gns_cuts(D, omega)
+    return hobj, {K: c.factor.conj().T for K, c in cuts.items() if c.rank}
 
 
 def discreteness_report(D: AlgebraObject, omega, base_dim: int = 1,
@@ -417,10 +409,17 @@ def discreteness_report(D: AlgebraObject, omega, base_dim: int = 1,
     realization of L²_ω𝒟 carries every GNS fiber with the projections
     resolving the identity; `ind` the commutant block verdict.  The
     `corrupt` switch adjoins the block-mixing generator before the verdict
-    to model data outside the ind class.
+    to model data outside the ind class.  `gns_cut_gap` is (smallest kept,
+    largest dropped) eigenvalue over the fiber rank cuts behind `gns_dims`,
+    or None when no direction was dropped.
     """
-    hobj, quotients = gns_object(D, omega)
+    hobj, cuts = _gns_cuts(D, omega)
     discrete = hobj.total() > 0
+    dropped = [c.gap[1] for c in cuts.values() if c.gap]
+    cut_gap = None
+    if dropped:
+        cut_gap = (min((float(c.w[0]) for c in cuts.values() if c.rank),
+                       default=None), max(dropped))
     corr = realize(hobj, base_dim=base_dim)
     graded = corr.graded_dims()
     total_p = sum(corr.projections.values())
@@ -433,4 +432,4 @@ def discreteness_report(D: AlgebraObject, omega, base_dim: int = 1,
     chain_ok = (not discrete or pqr) and (not pqr or ind)
     return {"discrete": discrete, "pqr": pqr, "ind": ind,
             "chain_ok": chain_ok, "gns_dims": dict(hobj.dims),
-            "verdict": verdict}
+            "gns_cut_gap": cut_gap, "verdict": verdict}

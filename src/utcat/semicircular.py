@@ -31,10 +31,10 @@ from .errors import (
     CPFailure,
     DimensionCap,
     NotAnAutomorphism,
-    NotAState,
     RowBoundFailure,
     WordTooLong,
 )
+from .gns import min_eig, rank_cut
 
 __all__ = [
     "BaseAlgebra",
@@ -139,7 +139,7 @@ class CovarianceMatrix:
                         r = (ai * nI + x) * d
                         c = (bi * nI + y) * d
                         big[r:r + d, c:c + d] = self.apply(i, j, prod)
-        floor = float(np.min(np.linalg.eigvalsh((big + big.conj().T) / 2)))
+        floor = min_eig(big)
         if floor < -1e-10 * max(1.0, float(np.max(np.abs(big)))):
             raise CPFailure(f"Choi-type matrix has eigenvalue {floor:.3e}")
         return floor
@@ -345,14 +345,10 @@ def build_fock(eta: CovarianceMatrix, depth: int, max_depth: int = 12,
 
     to_onb, from_onb, dims = [], [], []
     for G in level_grams(eta, depth):
-        Q = np.einsum("stii->st", G) / alg.d  # scalar Gram via τ
-        Q = (Q + Q.conj().T) / 2
-        w, U = np.linalg.eigh(Q)
-        thresh = 1e-10 * max(float(np.max(np.abs(w))), 1e-300)
-        keep = w > thresh
-        to_onb.append(np.sqrt(w[keep])[:, None] * U[:, keep].conj().T)
-        from_onb.append(U[:, keep] / np.sqrt(w[keep])[None, :])
-        dims.append(int(np.sum(keep)))
+        cut = rank_cut(np.einsum("stii->st", G) / alg.d)  # scalar Gram via τ
+        to_onb.append(cut.factor.conj().T)
+        from_onb.append(cut.factor / cut.w)
+        dims.append(cut.rank)
 
     ends = list(itertools.accumulate(dims))
     return TruncatedFock(eta, depth, tuple(dims), tuple(raw_dims), to_onb,
@@ -467,18 +463,10 @@ def _kraus_vectors(eta: CovarianceMatrix) -> list:
                         eta.apply(i, j, e)
             choi[p * k * nI:(p + 1) * k * nI,
                  q * k * nI:(q + 1) * k * nI] = blk
-    w, U = np.linalg.eigh((choi + choi.conj().T) / 2)
-    keep = w > 1e-10 * max(float(np.max(np.abs(w))), 1e-300)
-    vecs = []
-    for i in range(len(eta.index)):
-        comps = []
-        for s in np.nonzero(keep)[0]:
-            v = (np.sqrt(w[s]) * U[:, s]).reshape(k, nI, k)
-            # with W_s^{(i)}[o,p] = v[p,i,o] the Choi gives
-            # η_ij(a) = Σ_s W^{(i)} a W^{(j)†}, so ξ_{i,s} = W_s^{(i)†}
-            comps.append(v[:, i, :].conj())
-        vecs.append(np.stack(comps, axis=0))
-    return vecs
+    # column s of the factor, reshaped to v[p,i,o], gives W_s^{(i)}[o,p] =
+    # v[p,i,o] with η_ij(a) = Σ_s W^{(i)} a W^{(j)†}, so ξ_{i,s} = W_s^{(i)†}
+    v = rank_cut(choi).factor.T.reshape(-1, k, nI, k)
+    return [v[:, :, i, :].conj() for i in range(nI)]
 
 
 def ind_faithfulness_probe(eta: CovarianceMatrix, depth: int = 4,
@@ -526,9 +514,7 @@ def ind_faithfulness_probe(eta: CovarianceMatrix, depth: int = 4,
                 val = alg.trace(b.conj().T
                                 @ eta.apply(i, i, a.conj().T @ c) @ dd)
                 Q[ai * n + bi, ci * n + di] = val
-        w = np.linalg.eigvalsh((Q + Q.conj().T) / 2)
-        thresh = 1e-10 * max(float(np.max(np.abs(w))), 1e-300)
-        corner_dims[i] = int(np.sum(w > thresh))
+        corner_dims[i] = rank_cut(Q).rank
     hobj = HilbertSpaceObject({f"i{i}": h for i, h in corner_dims.items()})
     blocks = commutant_blocks(realize(hobj)) if hobj.dims else None
 

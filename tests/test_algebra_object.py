@@ -181,7 +181,7 @@ def test_expectation_gns_oracle(fib_ann):
         for k in range(n1):
             a = sq.from_vec(corner[:, i])
             b = sq.from_vec(corner[:, k])
-            phi_gram[i, k] = sq._phi(sq.mul(sq.star(a), b))
+            phi_gram[i, k] = g.trace(sq.expect(sq.mul(sq.star(a), b)))
     for _ in range(3):
         T = sq.random_element(rng)
         # ⟨ι(e_i), T ι(e_k)⟩_φ = φ(ι(e_i)* T ι(e_k)) = tr(e_i* E(T) e_k)
@@ -190,7 +190,7 @@ def test_expectation_gns_oracle(fib_ann):
             for k in range(n1):
                 a = sq.from_vec(corner[:, i])
                 b = sq.mul(T, sq.from_vec(corner[:, k]))
-                rhs[i, k] = sq._phi(sq.mul(sq.star(a), b))
+                rhs[i, k] = g.trace(sq.expect(sq.mul(sq.star(a), b)))
         # solve tr(e_i* c e_k) = rhs for c; the map c -> that matrix is the
         # same Gram transform as phi_gram applied to left-multiplication
         M = np.zeros((n1 * n1, n1), dtype=complex)

@@ -6,9 +6,10 @@ import pytest
 from utcat import io_schemas as io
 from utcat.algebra_object import group_algebra_object, validate_algebra_object
 from utcat.annulus import build_annulus
+from utcat import cli
 from utcat.cli import main
 from utcat.errors import SchemaError
-from utcat.fixtures import fibonacci, ising, vec_zn
+from utcat.fixtures import FIXTURE_BUILDERS, fibonacci, ising, vec_zn
 from utcat.semicircular import (
     BaseAlgebra,
     covariance_from_automorphisms,
@@ -82,6 +83,14 @@ def test_complex_wire_format():
         for row in rows:
             for v in row:
                 assert isinstance(v, list) and len(v) == 2
+
+
+@pytest.mark.parametrize("name", [*FIXTURE_BUILDERS, *cli._ALIASES])
+def test_every_fixture_name_and_alias_resolves(name):
+    want = FIXTURE_BUILDERS[cli._ALIASES.get(name, name)]()
+    got = cli._load_cat(name)
+    assert got.ring.labels == want.ring.labels
+    assert got.ring.dual == want.ring.dual
 
 
 # -- exit codes ----------------------------------------------------------------
@@ -210,6 +219,7 @@ def test_analyze_explicit_state(capsys, tmp_path):
     code, rep = run(capsys, "analyze", "--cat", "z2", "--aobj", "annulus",
                     "--state", str(p))
     assert code == 0 and rep["gns_dims"] == {"g0": 2}
+    assert rep["gns_cut_gap"] is None
 
 
 def test_fock_catalan_moments(capsys):

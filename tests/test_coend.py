@@ -108,7 +108,7 @@ def test_group_difference_has_nonzero_mass():
 
 def _assert_star_homomorphism(co):
     rng = np.random.default_rng(11)
-    S = co._gns_transform()
+    S = co.gns.half
     Si = np.linalg.inv(S)
     for _ in range(5):
         T, U = co.random_element(rng), co.random_element(rng)
@@ -337,6 +337,18 @@ def test_descend_character_state_is_not_faithful(z2_ann_cross):
     assert abs(E(tt)) < 1e-12
 
 
+def test_descend_on_a_support_that_is_not_fusion_closed():
+    # the kernel reads only the unit channel, so strict mode does not
+    # overflow where products leave the support
+    cat = vec_zn(4)
+    reports = [descend_expectation(
+        crossed_product(trivial_action_object(cat), group_algebra_object(cat),
+                        S=("g0", "g1"), mode=mode), np.array([1.0]))[1]
+        for mode in ("strict", "project")]
+    assert reports[0] == reports[1] == {
+        "omega_faithful": True, "E_omega_faithful": True, "gns_rank": 1}
+
+
 def test_descend_rejects_non_states(z2_ann_cross):
     with pytest.raises(NotAState):
         descend_expectation(z2_ann_cross, np.array([2.0, 0.0]))  # not unital
@@ -455,7 +467,7 @@ def _ref_probe_grams(co):
 
 def _ref_ground_op_norm(co, m):
     gA, gB = co.A.ground(), co.B.ground()
-    SA, SB = gA._gns_transform(), gB._gns_transform()
+    SA, SB = gA.gns.half, gB.gns.half
     SAi, SBi = np.linalg.inv(SA), np.linalg.inv(SB)
     m = np.asarray(m, dtype=complex).reshape(gA.dim, gB.dim)
     acc = np.zeros((gA.dim * gB.dim,) * 2, dtype=complex)
@@ -551,7 +563,7 @@ def test_channel_tensors_match_the_einsum_reference(reference_case):
             co.cat.ring.unit, np.zeros(co.dims[co.cat.ring.unit]))
         assert _rel(co.canonical_expectation(T), ref_e) < 1e-12
     assert _rel(co.gram(), _ref_gram(co)) < 1e-12
-    S, Sinv = co._gns
+    S, Sinv = co.gns.half, co.gns.inv_half
     assert _rel(S @ Sinv, np.eye(co.total_dim)) < 1e-12
     unit = co.cat.ring.unit
     for _ in range(3):
