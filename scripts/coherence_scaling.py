@@ -1,0 +1,67 @@
+"""Time the pentagon and hexagon checks as the category grows.
+
+Each check moves every basis tree at once through one entry table per
+category, so its cost should follow the number of trees.  The scan runs
+``vec_z{n}`` for n = 2 … ``--max-n`` (valid data: every residual must be at
+most 1e-9, else the exit code is 1) and the multiplicity-two ring
+x⊗x = 1 ⊕ 2x with seeded random blocks (not a category: timed only).
+Seconds are wall clock of one fresh call, the entry table included.  Run:
+
+    PYTHONPATH=src python3 scripts/coherence_scaling.py --max-n 12
+"""
+
+import argparse
+import sys
+import time
+
+import numpy as np
+
+from utcat.fixtures import mult2_ring, random_blocks, vec_zn
+
+TOL = 1e-9
+
+
+def trees(cat, length: int) -> int:
+    """Basis trees on ``length`` letters: Σ dim Hom(e, x₁⊗…⊗x_n)."""
+    ring = cat.ring
+    fuse_any = ring._N.sum(axis=1)  # [x, z] = Σ_y N(x, y, z)
+    ones = np.ones(len(ring.labels))
+    return int(ones @ np.linalg.matrix_power(fuse_any, length - 1) @ ones)
+
+
+def timed(cat, check: str) -> tuple:
+    t0 = time.perf_counter()
+    residual = getattr(cat, f"verify_{check}")()
+    return residual, time.perf_counter() - t0
+
+
+def main(argv=None) -> int:
+    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    ap.add_argument("--max-n", type=int, default=12)
+    ap.add_argument("--seed", type=int, default=0)
+    args = ap.parse_args(argv)
+
+    cases = [(f"vec_z{n}", (lambda n=n: vec_zn(n)), True)
+             for n in range(2, args.max_n + 1)]
+    cases.append((f"mult2 seed {args.seed}",
+                  lambda: random_blocks(mult2_ring(), args.seed), False))
+    print(f"{'category':<14} {'pentagon trees':>14} {'s':>8} {'residual':>10}"
+          f" {'hexagon trees':>14} {'s':>8} {'residual':>10}")
+    failed = []
+    for name, build, valid in cases:
+        row = [name]
+        for check, length in (("pentagon", 4), ("hexagon", 3)):
+            cat = build()
+            residual, seconds = timed(cat, check)
+            row += [f"{trees(cat, length):>14d}", f"{seconds:>8.4f}",
+                    f"{residual:>10.2e}"]
+            if valid and not residual <= TOL:
+                failed.append(f"{name} {check} {residual:.3e}")
+        print(f"{row[0]:<14} " + " ".join(row[1:]))
+    for line in failed:
+        print(f"residual above {TOL:g}: {line}", file=sys.stderr)
+    return 1 if failed else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -194,35 +194,42 @@ def _cmd_validate(args) -> tuple:
     try:
         if isinstance(raw, dict) and "F" in raw:
             cat = io.cat_from_json(raw)
-            residuals = {
-                "pentagon": cat.verify_pentagon(),
-                "hexagon": cat.verify_hexagon() if cat.braided else None,
-                "zigzag": cat.verify_zigzag(),
-                "unitarity": cat.verify_unitarity(),
-            }
+            residuals, worst = _coherence(cat)
+            residuals.update(zigzag=cat.verify_zigzag(),
+                             unitarity=cat.verify_unitarity())
         else:
             io.ring_from_json(raw)
-            residuals = {}
+            residuals, worst = {}, None
     except RingAxiomError as exc:
         return EXIT_ASSERT, {"command": "validate", "input": args.input,
                              "ok": False,
                              "violations": [v.as_dict() for v in exc.violations]}
     bad = [k for k, r in residuals.items() if r is not None and r > args.tol]
-    return (EXIT_ASSERT if bad else EXIT_OK), {
-        "command": "validate", "input": args.input, "ok": not bad,
-        "violations": [], "residuals": residuals}
+    report = {"command": "validate", "input": args.input, "ok": not bad,
+              "violations": [], "residuals": residuals}
+    if worst is not None:
+        report["worst"] = worst
+    return (EXIT_ASSERT if bad else EXIT_OK), report
+
+
+def _coherence(cat) -> tuple:
+    """Pentagon and hexagon residuals, and the labels where each is largest:
+    [a, b, c, d, e] for the pentagon, [a, b, c, d] for the hexagon (None
+    without a braiding)."""
+    p, where_p = cat.coherence("pentagon")
+    h, where_h = cat.coherence("hexagon") if cat.braided else (None, None)
+    return ({"pentagon": p, "hexagon": h},
+            {"pentagon": list(where_p),
+             "hexagon": None if where_h is None else list(where_h)})
 
 
 def _cmd_verify(args) -> tuple:
     cat = _load_cat(args.input)
-    residuals = {
-        "pentagon": cat.verify_pentagon(),
-        "hexagon": cat.verify_hexagon() if cat.braided else None,
-        "zigzag": cat.verify_zigzag(),
-    }
+    residuals, worst = _coherence(cat)
+    residuals["zigzag"] = cat.verify_zigzag()
     bad = [k for k, r in residuals.items() if r is not None and r > args.tol]
     report = {"command": "verify", "input": args.input, **residuals,
-              "ok": not bad}
+              "ok": not bad, "worst": worst}
     return (EXIT_ASSERT if bad else EXIT_OK), report
 
 

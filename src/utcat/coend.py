@@ -43,7 +43,7 @@ from .errors import (
     SupportOverflow,
     SupportTooSmall,
 )
-from .gns import GramRoot, form, min_eig
+from .gns import GramRoot, form, min_eig, rank_cut
 
 __all__ = [
     "CoendAlgebra",
@@ -414,10 +414,14 @@ def descend_expectation(co: CoendAlgebra, omega: np.ndarray):
 
     ``omega`` is the coefficient vector of the functional on the basis of
     𝒟(1).  Returns (E_ω as a callable GradedElement → vector in 𝔸(1),
-    report dict with faithfulness of ω and of E_ω).
+    report dict with faithfulness of ω and of E_ω).  Both verdicts and
+    `gns_rank` come from :func:`gns.rank_cut` (faithful: nothing dropped);
+    `gns_cut_gap` is the (smallest kept, largest dropped) eigenvalue of ω's
+    GNS form, or None when nothing was dropped.
     """
-    omega, ev = co.B.ground().check_state(omega)
-    omega_faithful = bool(np.min(ev) > 1e-10 * max(float(np.max(ev)), 1.0))
+    ground = co.B.ground()
+    omega, _ = ground.check_state(omega)
+    cut = rank_cut(form(ground.P, ground.star_mat, omega))
     if not co.A.meta.get("center_trivial", False):
         raise CenterNotTrivial(
             "expectation descent needs 𝔸(1) with trivial center "
@@ -431,8 +435,8 @@ def descend_expectation(co: CoendAlgebra, omega: np.ndarray):
 
     # faithfulness of E_ω through the Gram kernel on the graded basis:
     # K[i,j] = tr_A(E_ω(eᵢ*eⱼ)) is PSD and degenerate iff E_ω has a kernel
-    kev = np.linalg.eigvalsh(co._form(np.kron(co._ground_traces[0], omega)))
-    e_faithful = bool(np.min(kev) > 1e-10 * max(float(np.max(kev)), 1.0))
-    report = {"omega_faithful": omega_faithful, "E_omega_faithful": e_faithful,
-              "gns_rank": int(np.sum(ev > 1e-10 * max(float(np.max(ev)), 1.0)))}
+    kernel = rank_cut(co._form(np.kron(co._ground_traces[0], omega)))
+    report = {"omega_faithful": cut.gap is None,
+              "E_omega_faithful": kernel.gap is None,
+              "gns_rank": cut.rank, "gns_cut_gap": cut.gap}
     return E_omega, report

@@ -7,6 +7,8 @@ pentagon/hexagon route checks in :mod:`.skeletal` pin everything down.
 
 from __future__ import annotations
 
+import itertools
+
 import numpy as np
 
 from .fusion_ring import FusionRing, validate_ring
@@ -17,6 +19,7 @@ __all__ = [
     "ising",
     "vec_zn",
     "mult2_ring",
+    "random_blocks",
     "FIXTURE_BUILDERS",
 ]
 
@@ -123,6 +126,29 @@ def mult2_ring() -> FusionRing:
         ("x", "x", "x"): 2,
     }
     return _ring(["1", "x"], "1", {"1": "1", "x": "x"}, mult)
+
+
+def random_blocks(ring: FusionRing, seed: int) -> SkeletalUTC:
+    """Seeded random complex F and R blocks of the shapes ``ring`` asks for.
+
+    Not a category (pentagon and hexagon fail), but every block index and
+    multiplicity index is populated, so the coherence checks can be compared
+    with a reference on rings such as :func:`mult2_ring`.
+    """
+    rng = np.random.default_rng(seed)
+
+    def block(n):
+        return rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+
+    unit, labels = ring.unit, ring.labels
+    F = {}
+    for key in itertools.product(labels, repeat=4):
+        n = len(ring.f_index(*key).left)
+        if n and unit not in key[:3]:
+            F[key] = block(n)
+    R = {(a, b, c): block(n) for a, b in itertools.product(labels, repeat=2)
+         for c, n in ring.channels(a, b) if unit not in (a, b)}
+    return SkeletalUTC(ring, F, R)
 
 
 FIXTURE_BUILDERS = {

@@ -16,27 +16,31 @@ with w' ∈ O(c, b⊗a).
 
 Tables.  The fusion ring holds its multiplicities as nested lists over label
 positions and, per label pair (x, y), the channel tuple ((z, N_xy^z), ...)
-of nonzero channels in sorted-label order.  ``ring.f_index(a, b, c, d)``
-enumerates the left basis (e, α, β) and right basis (f, μ, ν) of F[a,b,c;d]
-from those channels once per key and caches both, as tuples, with their
-position maps; it depends only on the fusion rules, so every category on one
-ring, the JSON reader and every move share it.  Trees are enumerated by
-walking the channel tables (:meth:`SkeletalUTC.admissible_trees`), so the
-coherence checks visit only the roots and trees that exist.
+in sorted-label order; ``ring.f_index(a, b, c, d)`` lists the left (e, α, β)
+and right (f, μ, ν) basis of F[a,b,c;d] once per key for every category on
+the ring.  The coherence checks read one entry table per category, built on
+the first check: each entry of F⁻¹, F, R and R(b,a)† is a row (source
+address, target slot, value), the address being block key and source slot
+as one mixed-radix integer over label positions and multiplicity indices.
+Basis trees are integer rows joined from the channel table, so moving all
+trees is one sorted join of their addresses to the table; the residual is
+the largest per-(tree, slot) sum of both routes' coefficients, one negated.
 
-Inverses and read-only blocks.  A move from left to right coordinates
-multiplies by F[a,b,c;d]⁻¹, computed once per block and cached.  It is the
-inverse, never F†: pentagon and hexagon must report the same residuals on
-non-unitary data, whose unitarity defect :meth:`SkeletalUTC.verify_unitarity`
-reports separately.  F and R blocks are copied at construction and made
-read-only (so are the cached inverses), because a block written after its
-inverse was cached would silently disagree with it.
+Inverses and read-only blocks.  F⁻¹ comes from one stacked ``np.linalg.inv``
+per block size (a singular block raises ``LinAlgError``) and fills the cache
+that the single-tree moves read.  It is the inverse, never F†: pentagon and
+hexagon must report the same residuals on non-unitary data, whose unitarity
+defect :meth:`SkeletalUTC.verify_unitarity` reports separately.  F and R
+blocks are copied at construction and made read-only (so are the cached
+inverses), because a block written after its inverse was cached would
+silently disagree with it.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -51,9 +55,6 @@ from .errors import (
 from .fusion_ring import FusionRing
 
 __all__ = ["SkeletalUTC", "TreeVector", "ConjugateSolution"]
-
-STRUCT_TOL = 1e-10
-
 
 Path = tuple  # tuple of (label, int) steps
 
@@ -118,6 +119,46 @@ def _frozen(block) -> np.ndarray:
     return M
 
 
+_CHUNK = 2048  # trees moved at once: bounds the memory of a check
+
+
+def _encode(cols: np.ndarray, radix: int) -> np.ndarray:
+    """The rows of ``cols`` as mixed-radix integers, first column highest."""
+    return cols @ radix ** np.arange(cols.shape[1] - 1, -1, -1)
+
+
+def _join(keys: np.ndarray, table: np.ndarray) -> tuple:
+    """All index pairs (i, j) with keys[i] == table[j], for sorted ``table``."""
+    lo = np.searchsorted(table, keys)
+    n = np.searchsorted(table, keys, "right") - lo
+    i = np.repeat(np.arange(len(keys)), n)
+    return i, np.arange(len(i)) + np.repeat(lo - np.cumsum(n) + n, n)
+
+
+# Both routes of a check, as moves (table, address columns of the tree rows
+# of SkeletalUTC._tree_rows) and the target-slot columns they end in.  Tree
+# rows on 4 letters: a=0, b=3, m₁=4, t₁=5, c=6, m₂=7, t₂=8, d=9, e=10, t₃=11.
+_PENTAGON = (
+    # ((ab)c)d -> (a(bc))d -> a((bc)d) -> a(b(cd))
+    ((("finv", [0, 3, 6, 7, 4, 5, 8]), ("finv", [0, 4, 9, 10, 7, 8, 11]),
+      ("finv", [3, 6, 9, 7, 4, 5, 8])), [4, 5, 7, 8, 11]),
+    # ((ab)c)d -> (ab)(cd) -> a(b(cd))
+    ((("finv", [4, 6, 9, 10, 7, 8, 11]), ("finv", [0, 3, 7, 10, 4, 5, 11])),
+     [7, 8, 4, 5, 11]),
+)
+
+
+# Tree rows on 3 letters: a=0, b=3, m₁=4, t₁=5, c=6, d=7, t₂=8.  "r" is the
+# braiding of the crossing checked: R, or R(b,a)† ("rinv") for the inverse.
+_HEXAGON = (
+    # (τ_{a,b} ⊗ id_c) then id_b ⊗ τ_{a,c}, the latter as F⁻¹, R, F
+    ((("r", [0, 3, 4, 5]), ("finv", [3, 0, 6, 7, 4, 5, 8]), ("r", [0, 6, 4, 5]),
+      ("f", [3, 6, 0, 7, 4, 5, 8])), [4, 5, 8]),
+    # τ_{a, b⊗c} channelwise: F⁻¹, then R^{a,f}
+    ((("finv", [0, 3, 6, 7, 4, 5, 8]), ("r", [0, 4, 7, 8])), [4, 5, 8]),
+)
+
+
 class SkeletalUTC:
     """Fusion ring plus F-symbols, optional R-symbols and quantum dimensions."""
 
@@ -132,6 +173,7 @@ class SkeletalUTC:
         self.qdim = dict(qdims) if qdims else {x: ring.fp_dimension(x) for x in ring.labels}
         self._conj_cache: dict[str, ConjugateSolution] = {}
         self._finv_cache: dict[tuple, np.ndarray] = {}
+        self._tables: dict = {}  # the entry table, by move kind; see _table
         self._check_completeness()
 
     # ------------------------------------------------------------------
@@ -165,12 +207,8 @@ class SkeletalUTC:
         n = len(left)
         if n == 0:
             return np.zeros((0, 0))
-        unit = self.ring.unit
-        if a == unit:
-            # left (b, 0, β), right (d', μ, 0) with both multiplicity indices over N(b,c,d)
-            return np.eye(n, dtype=complex)
-        if b == unit or c == unit:
-            return np.eye(n, dtype=complex)
+        if self.ring.unit in (a, b, c):
+            return np.eye(n, dtype=complex)  # strict unitors: both bases list the same trees
         key = (a, b, c, d)
         if key not in self._F:
             raise SchemaError(f"missing F-symbol block {key}")
@@ -189,13 +227,6 @@ class SkeletalUTC:
             self._finv_cache[key] = inv
         return inv
 
-    def _f_move(self, a, b, c, d, left, coeff) -> list:
-        """Right-tree coordinates of ``coeff`` times the left basis tree
-        ``left`` = (e, α, β) of F[a,b,c;d], as nonzero ((f, μ, ν), value)."""
-        idx = self.ring.f_index(a, b, c, d)
-        col = self._finv(a, b, c, d)[:, idx.lpos[left]] * coeff
-        return [(t, v) for t, v in zip(idx.right, col.tolist()) if v]
-
     def rmat(self, a, b, c) -> np.ndarray:
         """R-matrix O(c, a⊗b) -> O(c, b⊗a) for τ_{a,b}."""
         if self._R is None:
@@ -206,8 +237,7 @@ class SkeletalUTC:
             raise SchemaError(f"non-commutative fusion under braiding at ({a},{b};{c})")
         if n_src == 0:
             return np.zeros((0, 0))
-        unit = self.ring.unit
-        if a == unit or b == unit:
+        if self.ring.unit in (a, b):
             return np.eye(n_src, dtype=complex)
         key = (a, b, c)
         if key not in self._R:
@@ -220,11 +250,13 @@ class SkeletalUTC:
     def _f_keys(self) -> list[tuple[str, str, str, str]]:
         """Sorted (a, b, c, d) whose F-block is nonzero, from the channel tables."""
         ring = self.ring
-        return sorted({(a, b, c, d)
-                       for a, b in itertools.product(ring.labels, repeat=2)
-                       for e, _ in ring.channels(a, b)
-                       for c in ring.labels
-                       for d, _ in ring.channels(e, c)})
+        return sorted({(a, b, c, d) for a, b, e in self._r_keys()
+                       for c in ring.labels for d, _ in ring.channels(e, c)})
+
+    def _r_keys(self) -> list[tuple[str, str, str]]:
+        """(a, b, c) whose R-block is nonzero, from the channel tables."""
+        return [(a, b, c) for a, b in itertools.product(self.ring.labels, repeat=2)
+                for c, _ in self.ring.channels(a, b)]
 
     def _check_completeness(self):
         unit = self.ring.unit
@@ -266,18 +298,14 @@ class SkeletalUTC:
 
     def admissible_trees(self, length: int):
         """Every left-associated basis tree on ``length`` ≥ 1 letters, as
-        (word, root, path), found by walking the channel tables.
+        (word, root, path), read off :meth:`_tree_rows`.
 
         For each (word, root) the paths come in :meth:`tree_paths` order.
         """
-        ring = self.ring
-        labels = ring.labels
-        trees = (((x,), x, ()) for x in labels)
-        for _ in range(length - 1):
-            trees = ((w + (y,), m, p + ((m, t),)) for w, prev, p in trees
-                     for y in labels for m, n in ring.channels(prev, y)
-                     for t in range(n))
-        return trees
+        labels = self.ring.labels
+        for row in self._tree_rows(length).tolist():
+            yield (tuple(labels[x] for x in row[0:-1:3]), labels[row[-3]],
+                   tuple((labels[m], t) for m, t in zip(row[4:-1:3], row[5:-1:3])))
 
     def basis_tree(self, root: str, word, path: Path) -> TreeVector:
         return TreeVector(tuple(word), root, {path: 1.0 + 0.0j})
@@ -554,15 +582,6 @@ class SkeletalUTC:
         tv = self.contract_pair(tv, 0, self.ring.unit, [np.conj(r)])
         return tv.coeffs.get((), 0.0)
 
-    def r_vector(self, x: str) -> TreeVector:
-        """R_x : 1 -> x̄ ⊗ x as a TreeVector."""
-        sol = self.conjugate_solution(x)
-        return TreeVector((self.dual(x), x), self.ring.unit, {((self.ring.unit, 0),): sol.r})
-
-    def rbar_vector(self, x: str) -> TreeVector:
-        sol = self.conjugate_solution(x)
-        return TreeVector((x, self.dual(x)), self.ring.unit, {((self.ring.unit, 0),): sol.rbar})
-
     # Frobenius bends.  All four are antilinear in the input coefficients.
 
     def bend_left(self, a: str, b: str, c: str, v: np.ndarray) -> np.ndarray:
@@ -637,100 +656,121 @@ class SkeletalUTC:
     # verification: pentagon / hexagon / zig-zag / unitarity
     # ------------------------------------------------------------------
 
+    def _blocks(self, kind: str) -> list:
+        """Every F (``kind`` "F") or R ("R") block stacked by size, built once:
+        (keys, key label positions, left slots, right slots, stack) per size;
+        an F slot is (label position, multiplicity, multiplicity), an R slot one."""
+        out = self._tables.get(kind)
+        if out is None:
+            F, pos, groups = kind == "F", self.ring.index, {}
+            for key in self._f_keys() if F else self._r_keys():
+                M = self.fmat(*key) if F else self.rmat(*key)
+                slots = ([[(pos[x], i, j) for x, i, j in side] for side in self.ring.f_index(*key)[:2]]
+                         if F else [[(i,) for i in range(len(M))]] * 2)
+                groups.setdefault(len(M), []).append((key, M, slots))
+            out = self._tables[kind] = []
+            for g in groups.values():
+                keys, blocks, slots = zip(*g)
+                out.append((keys, np.array([[pos[x] for x in k] for k in keys]),
+                            *np.array(slots).swapaxes(0, 1), np.array(blocks)))
+        return out
+
+    def _table(self, kind: str) -> tuple:
+        """The entries (source addresses, target slots, values) of one move
+        kind, sorted by address and built once: "finv" (F⁻¹, left to right
+        slots), "f" (F, right to left), "r" (R) or "rinv" (R(b,a)†)."""
+        table = self._tables.get(kind)
+        if table is None:
+            B, parts = self._radix, []
+            for keys, kpos, left, right, M in self._blocks(kind[0].upper()):
+                if kind == "finv":
+                    M = np.linalg.inv(M)  # one stacked inverse per block size
+                    M.setflags(write=False)
+                    self._finv_cache.update(zip(keys, M))
+                elif kind == "f":
+                    left, right = right, left
+                elif kind == "rinv":
+                    kpos, left, right, M = kpos[:, [1, 0, 2]], right, left, M.conj().swapaxes(1, 2)
+                # M[k, p, q] moves source slot left[k, q] to target slot right[k, p]
+                K, n, w = left.shape
+                src = _encode(kpos, B)[:, None] * B ** w + _encode(left.reshape(-1, w), B).reshape(K, n)
+                keep = M != 0
+                parts.append((np.broadcast_to(src[:, None, :], M.shape)[keep],
+                              np.broadcast_to(right[:, :, None], (K, n, n, w))[keep], M[keep]))
+            src, dst, val = map(np.concatenate, zip(*parts))
+            order = np.argsort(src, kind="stable")
+            table = self._tables[kind] = (src[order], dst[order], val[order])
+        return table
+
+    @cached_property
+    def _radix(self) -> int:
+        """The radix of every code: above any label position or multiplicity index."""
+        return max(len(self.ring.labels), int(self.ring._N.max()))
+
+    def _tree_rows(self, length: int) -> np.ndarray:
+        """Every basis tree on ``length`` letters as an integer row (x₁, x₁, 0,
+        x₂, m₁, t₁, …, x_n, root, t_{n−1}, tree number) in :meth:`admissible_trees`
+        order: the channel table (x, y, z, t) joined to itself on the last channel."""
+        N = self.ring._N
+        x, *yzt = np.nonzero(N[..., None] > np.arange(N.max()))
+        yzt = np.array(yzt, dtype=np.int32).T  # int32 rows halve the peak memory
+        S = (np.arange(len(N))[:, None] * [1, 1, 0]).astype(np.int32)
+        for _ in range(length - 1):
+            i, j = _join(S[:, -2], x)
+            S = np.column_stack([S[i], yzt[j]])
+        return np.column_stack([S, np.arange(len(S), dtype=np.int32)])
+
+    def coherence(self, check: str) -> tuple[float, tuple[str, ...]]:
+        """The "pentagon" or "hexagon" residual and where it is largest.
+
+        All basis trees move along both routes at once; the residual is the
+        largest |route₁ − route₂| coefficient over (tree, target slot), at the
+        labels (a, b, c, d, e) of its tree ((ab)c)d -> e or (a, b, c, d) of (ab)c -> d.
+        """
+        if check == "hexagon" and not self.braided:
+            raise MissingBraiding("no R-symbols loaded")
+        length, where, passes = {
+            "pentagon": (4, [0, 3, 6, 9, 10], [(_PENTAGON, {})]),
+            "hexagon": (3, [0, 3, 6, 7], [(_HEXAGON, {}), (_HEXAGON, {"r": "rinv"})])}[check]
+        T = self._tree_rows(length)
+        B, worst, tree = self._radix, -1.0, 0
+        for (routes, kinds), lo in itertools.product(passes, range(0, len(T), _CHUNK)):
+            codes, vals = [], []
+            for sign, (moves, target) in zip((1.0, -1.0), routes):
+                S = T[lo:lo + _CHUNK]
+                v = np.full(len(S), sign, dtype=complex)
+                for kind, cols in moves:
+                    # each row becomes one row per entry at its address S[:, cols],
+                    # the source slot (the last columns of cols) set to the target
+                    src, dst, val = self._table(kinds.get(kind, kind))
+                    i, j = _join(_encode(S[:, cols], B), src)
+                    S, v = S[i], v[i] * val[j]
+                    S[:, cols[-dst.shape[1]:]] = dst[j]
+                codes.append(_encode(S[:, [-1, *target]], B))
+                vals.append(v)
+            codes, v = np.concatenate(codes), np.concatenate(vals)
+            order = np.argsort(codes, kind="stable")
+            codes, v = codes[order], v[order]
+            starts = np.flatnonzero(np.diff(codes, prepend=-1))  # one per (tree, slot)
+            diff = np.abs(np.add.reduceat(v, starts))
+            k = int(np.argmax(diff))
+            if diff[k] > worst:
+                worst, tree = float(diff[k]), int(codes[starts[k]]) // B ** len(target)
+        return worst, tuple(self.ring.labels[x] for x in T[tree, where])
+
     def verify_unitarity(self) -> float:
-        worst = 0.0
-        for key in self._f_keys():
-            F = self.fmat(*key)
-            worst = max(worst, float(np.max(np.abs(F @ F.conj().T - np.eye(F.shape[0])))))
-        if self.braided:
-            ring = self.ring
-            for a, b in itertools.product(ring.labels, repeat=2):
-                for c, _ in ring.channels(a, b):
-                    R = self.rmat(a, b, c)
-                    worst = max(worst, float(np.max(np.abs(R @ R.conj().T - np.eye(R.shape[0])))))
-        return worst
+        """Largest entry of F·F† − I and R·R† − I, one stacked product per size."""
+        stacks = self._blocks("F") + (self._blocks("R") if self.braided else [])
+        return max(float(np.max(np.abs(M @ M.conj().swapaxes(1, 2) - np.eye(M.shape[1]))))
+                   for *_, M in stacks)
 
     def verify_pentagon(self) -> float:
-        """Max residual of the two re-association routes T1 -> T4 on 4 letters."""
-        worst = 0.0
-        for word, e, p in self.admissible_trees(4):
-            tv = self.basis_tree(e, word, p)
-            r1 = self._route_1234(tv)
-            r2 = self._route_154(tv)
-            for kk in set(r1) | set(r2):
-                worst = max(worst, abs(r1.get(kk, 0.0) - r2.get(kk, 0.0)))
-        return worst
-
-    def _route_1234(self, tv: TreeVector) -> dict:
-        """((ab)c)d -> (a(bc))d -> a((bc)d) -> a(b(cd)); coords keyed by labels."""
-        a, b, c, dd = tv.word
-        e = tv.root
-        # T1 coords: path ((m1,t1),(m2,t2),(e,t3))
-        # move 1: triple (a,b,c) root m2 -> right coords (f, mu, nu) spectators (m2, t3)
-        t2coords: dict = {}
-        for path, coeff in tv.coeffs.items():
-            (m1, t1), (m2, t2), (_, t3) = path
-            for (f, mu, nu), v in self._f_move(a, b, c, m2, (m1, t1, t2), coeff):
-                key = (f, mu, nu, m2, t3)
-                t2coords[key] = t2coords.get(key, 0.0) + v
-        # move 2: triple (a, f, d) root e on coords (m2, nu, t3)
-        t3coords: dict = {}
-        for (f, mu, nu, m2, t3), coeff in t2coords.items():
-            for (g, rho, sig), v in self._f_move(a, f, dd, e, (m2, nu, t3), coeff):
-                key = (f, mu, g, rho, sig)
-                t3coords[key] = t3coords.get(key, 0.0) + v
-        # move 3: triple (b, c, d) root g on coords (f, mu, rho)
-        out: dict = {}
-        for (f, mu, g, rho, sig), coeff in t3coords.items():
-            for (h, kap, lam), v in self._f_move(b, c, dd, g, (f, mu, rho), coeff):
-                key = (h, kap, g, lam, sig)
-                out[key] = out.get(key, 0.0) + v
-        return out
-
-    def _route_154(self, tv: TreeVector) -> dict:
-        """((ab)c)d -> (ab)(cd) -> a(b(cd)); same target coordinates as _route_1234."""
-        a, b, c, dd = tv.word
-        e = tv.root
-        t5coords: dict = {}
-        for path, coeff in tv.coeffs.items():
-            (m1, t1), (m2, t2), (_, t3) = path
-            for (h, kap, nu2), v in self._f_move(m1, c, dd, e, (m2, t2, t3), coeff):
-                key = (m1, t1, h, kap, nu2)
-                t5coords[key] = t5coords.get(key, 0.0) + v
-        out: dict = {}
-        for (m1, t1, h, kap, nu2), coeff in t5coords.items():
-            for (g, lam, sig), v in self._f_move(a, b, h, e, (m1, t1, nu2), coeff):
-                key = (h, kap, g, lam, sig)
-                out[key] = out.get(key, 0.0) + v
-        return out
+        """Max residual of the two re-association routes ((ab)c)d -> a(b(cd))."""
+        return self.coherence("pentagon")[0]
 
     def verify_hexagon(self) -> float:
         """Max residual of braiding-route equality for both crossings."""
-        if not self.braided:
-            raise MissingBraiding("no R-symbols loaded")
-        worst = 0.0
-        for word, dd, p in self.admissible_trees(3):
-            tv = self.basis_tree(dd, word, p)
-            for inverse in (False, True):
-                lhs = self.braid_adjacent(self.braid_adjacent(tv, 0, inverse), 1, inverse)
-                rhs = self._braid_past_pair(tv, inverse)
-                for kk in set(lhs.coeffs) | set(rhs.coeffs):
-                    worst = max(worst, abs(lhs.coeffs.get(kk, 0.0) - rhs.coeffs.get(kk, 0.0)))
-        return worst
-
-    def _braid_past_pair(self, tv: TreeVector, inverse: bool) -> TreeVector:
-        """τ_{a, b⊗c} channelwise: [a,b,c] -> [b,c,a] via right coords + R^{a,f}."""
-        a, b, c = tv.word
-        dd = tv.root
-        out: dict = {}
-        for path, coeff in tv.coeffs.items():
-            (m1, t1), (_, t2) = path
-            for (f, mu, nu), v in self._f_move(a, b, c, dd, (m1, t1, t2), coeff):
-                R = self.rmat(f, a, dd).conj().T if inverse else self.rmat(a, f, dd)
-                for nup in range(R.shape[0]):
-                    key = ((f, mu), (dd, nup))
-                    out[key] = out.get(key, 0.0) + R[nup, nu] * v
-        return TreeVector((b, c, a), dd, out)
+        return self.coherence("hexagon")[0]
 
     def verify_zigzag(self) -> float:
         return max(self.conjugate_solution(x).residual for x in self.ring.labels)

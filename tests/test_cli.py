@@ -10,6 +10,7 @@ from utcat import cli
 from utcat.cli import main
 from utcat.errors import SchemaError
 from utcat.fixtures import FIXTURE_BUILDERS, fibonacci, ising, vec_zn
+from utcat.skeletal import SkeletalUTC
 from utcat.semicircular import (
     BaseAlgebra,
     covariance_from_automorphisms,
@@ -131,6 +132,24 @@ def test_verify_reports_three_residuals(capsys, tmp_path):
     p.write_text(json.dumps(raw))
     code, rep = run(capsys, "verify", str(p))
     assert code == 0 and rep["hexagon"] is None
+    assert rep["worst"]["hexagon"] is None and len(rep["worst"]["pentagon"]) == 5
+
+
+def test_worst_location_is_reported_outside_the_residuals(capsys, tmp_path):
+    # F[tau,tau,tau;tau] × e^{0.3i}: the worst pentagon reads that block
+    cat = fibonacci()
+    F = dict(cat._F)
+    F[("tau",) * 4] = F[("tau",) * 4] * np.exp(0.3j)
+    p = tmp_path / "bad_fib.json"
+    p.write_text(json.dumps(io.cat_to_json(SkeletalUTC(cat.ring, F, cat._R, cat.qdim))))
+    for cmd in ("validate", "verify"):
+        code, rep = run(capsys, cmd, str(p))
+        res = rep["residuals"] if cmd == "validate" else rep
+        assert code == cli.EXIT_ASSERT and res["pentagon"] > 0.5
+        assert set(res) >= {"pentagon", "hexagon", "zigzag"}
+        assert "worst" not in rep.get("residuals", {})
+        assert rep["worst"]["pentagon"][:4] == ["tau"] * 4
+        assert len(rep["worst"]["hexagon"]) == 4
 
 
 def test_aobj_verify_annulus_round_trip(capsys, tmp_path):

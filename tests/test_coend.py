@@ -323,7 +323,7 @@ def test_descend_trivial_ground_recovers_expectation(zn_cross):
 def test_descend_trace_state_is_faithful(z2_ann_cross):
     E, rep = descend_expectation(z2_ann_cross, np.array([1.0, 0.0]))
     assert rep == {"omega_faithful": True, "E_omega_faithful": True,
-                   "gns_rank": 2}
+                   "gns_rank": 2, "gns_cut_gap": None}
     assert abs(E(z2_ann_cross.unit()) - 1.0) < 1e-12
 
 
@@ -332,6 +332,8 @@ def test_descend_character_state_is_not_faithful(z2_ann_cross):
     E, rep = descend_expectation(z2_ann_cross, np.array([1.0, 1.0]))
     assert rep["gns_rank"] == 1
     assert not rep["omega_faithful"] and not rep["E_omega_faithful"]
+    kept, dropped = rep["gns_cut_gap"]
+    assert kept == pytest.approx(2.0) and abs(dropped) < 1e-12
     p_minus = GradedElement({"g0": np.array([0.5, -0.5])})
     tt = z2_ann_cross.mul(z2_ann_cross.star(p_minus), p_minus)
     assert abs(E(tt)) < 1e-12
@@ -346,7 +348,8 @@ def test_descend_on_a_support_that_is_not_fusion_closed():
                         S=("g0", "g1"), mode=mode), np.array([1.0]))[1]
         for mode in ("strict", "project")]
     assert reports[0] == reports[1] == {
-        "omega_faithful": True, "E_omega_faithful": True, "gns_rank": 1}
+        "omega_faithful": True, "E_omega_faithful": True, "gns_rank": 1,
+        "gns_cut_gap": None}
 
 
 def test_descend_rejects_non_states(z2_ann_cross):

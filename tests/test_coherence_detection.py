@@ -11,7 +11,8 @@ import itertools
 import numpy as np
 import pytest
 
-from utcat.fixtures import fibonacci, ising, vec_zn
+from utcat.fixtures import fibonacci, ising, mult2_ring, random_blocks, vec_zn
+from utcat import skeletal
 from utcat.skeletal import SkeletalUTC
 
 CASES = {"fib": fibonacci, "ising": ising, "vec_z3": lambda: vec_zn(3)}
@@ -218,3 +219,78 @@ def test_singular_block_raises():
     F[("tau", "tau", "tau", "tau")] = np.zeros((2, 2))
     with pytest.raises(np.linalg.LinAlgError):
         _rebuilt(cat, F).verify_pentagon()
+
+
+def test_multiplicity_indices_agree_with_the_reference():
+    cat = random_blocks(mult2_ring(), 0)
+    assert {k: v.shape for k, v in cat._F.items()} == {
+        ("x", "x", "x", "1"): (2, 2), ("x", "x", "x", "x"): (5, 5)}
+    pentagon, hexagon = cat.verify_pentagon(), cat.verify_hexagon()
+    assert pentagon == pytest.approx(reference_pentagon(cat), rel=1e-12)
+    assert hexagon == pytest.approx(reference_hexagon(cat), rel=1e-12)
+    assert (pentagon, hexagon) == pytest.approx((1.83466, 16.5702), rel=1e-5)
+
+
+def _ch(ring, x, y):
+    return [z for z, _ in ring.channels(x, y)]
+
+
+def _pentagon_blocks(ring, a, b, c, d, e):
+    """Every F key one of the five moves of the pentagon at (a,b,c,d; e) reads."""
+    keys = set()
+    for m1 in _ch(ring, a, b):
+        for m2 in _ch(ring, m1, c):
+            if e not in _ch(ring, m2, d):
+                continue
+            keys |= {(a, b, c, m2), (m1, c, d, e)}
+            for f in _ch(ring, b, c):
+                if m2 in _ch(ring, a, f):
+                    keys |= {(a, f, d, e)}
+                keys |= {(b, c, d, g) for g in _ch(ring, f, d) if e in _ch(ring, a, g)}
+            keys |= {(a, b, h, e) for h in _ch(ring, c, d) if e in _ch(ring, m1, h)}
+    return keys
+
+
+def _hexagon_blocks(ring, a, b, c, d):
+    """Every R key the hexagon at (a,b,c; d) reads, for either crossing."""
+    keys = {(a, b, m) for m in _ch(ring, a, b) if d in _ch(ring, m, c)}
+    keys |= {(a, c, f) for f in _ch(ring, a, c) if d in _ch(ring, b, f)}
+    keys |= {(a, f, d) for f in _ch(ring, b, c) if d in _ch(ring, a, f)}
+    return keys | {(y, x, z) for x, y, z in keys}
+
+
+@pytest.mark.parametrize("name", ["fib", "ising"])
+def test_worst_location_names_the_corrupted_block(name):
+    cat = _corrupted(CASES[name]())
+    kf, kr = sorted(cat._F)[-1], sorted(cat._R)[-1]
+    res, where = cat.coherence("pentagon")
+    assert res == cat.verify_pentagon() and len(where) == 5
+    assert kf in _pentagon_blocks(cat.ring, *where)
+    # hexagons also read F, so only R is corrupted here
+    only_r = _rebuilt(cat, F=CASES[name]()._F)
+    res, where = only_r.coherence("hexagon")
+    assert res == only_r.verify_hexagon() >= 0.1 and len(where) == 4
+    assert kr in _hexagon_blocks(cat.ring, *where)
+    # a valid fixture still names an admissible tree
+    res, where = vec_zn(3).coherence("pentagon")
+    assert res < 1e-12 and vec_zn(3).hom_dim(where[-1], where[:-1]) >= 1
+
+
+def test_table_inverses_are_the_cached_inverses():
+    cat = _rebuilt(fibonacci())
+    cat.verify_pentagon()
+    for key, inv in cat._finv_cache.items():
+        assert not inv.flags.writeable
+        assert np.allclose(inv @ cat.fmat(*key), np.eye(len(inv)), atol=1e-12)
+    assert ("tau", "tau", "tau", "tau") in cat._finv_cache
+
+
+def test_chunked_trees_give_the_same_residuals(monkeypatch):
+    # trees move in chunks; no chunk size changes the residuals or where
+    # they are largest (random blocks: the largest is at one tree only)
+    cat = random_blocks(mult2_ring(), 0)
+    whole = cat.coherence("pentagon"), cat.coherence("hexagon")
+    assert whole[0][0] == pytest.approx(reference_pentagon(cat), rel=1e-12)
+    for chunk in (1, 2, 3, 5):
+        monkeypatch.setattr(skeletal, "_CHUNK", chunk)
+        assert (cat.coherence("pentagon"), cat.coherence("hexagon")) == whole
