@@ -2,9 +2,10 @@
 
 Each check moves every basis tree at once through one entry table per
 category, so its cost should follow the number of trees.  The scan runs
-``vec_z{n}`` for n = 2 … ``--max-n`` (valid data: every residual must be at
-most 1e-9, else the exit code is 1) and the multiplicity-two ring
-x⊗x = 1 ⊕ 2x with seeded random blocks (not a category: timed only).
+``vec_z{n}`` for n = 2 … ``--max-n`` and ``su2_{k}`` for k = 2 … 8 (valid
+data: every residual must be at most 1e-9, else the exit code is 1) and the
+multiplicity-two ring x⊗x = 1 ⊕ 2x with seeded random blocks (not a
+category: timed only).
 Seconds are wall clock of one fresh call, the entry table included.  Run:
 
     PYTHONPATH=src python3 scripts/coherence_scaling.py --max-n 12
@@ -16,7 +17,7 @@ import time
 
 import numpy as np
 
-from utcat.fixtures import mult2_ring, random_blocks, vec_zn
+from utcat.fixtures import mult2_ring, random_blocks, su2k, vec_zn
 
 TOL = 1e-9
 
@@ -43,6 +44,7 @@ def main(argv=None) -> int:
 
     cases = [(f"vec_z{n}", (lambda n=n: vec_zn(n)), True)
              for n in range(2, args.max_n + 1)]
+    cases += [(f"su2_{k}", (lambda k=k: su2k(k)), True) for k in range(2, 9)]
     cases.append((f"mult2 seed {args.seed}",
                   lambda: random_blocks(mult2_ring(), args.seed), False))
     print(f"{'category':<14} {'pentagon trees':>14} {'s':>8} {'residual':>10}"

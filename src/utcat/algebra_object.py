@@ -386,9 +386,15 @@ class SquareAlgebra:
 
     @cached_property
     def star_mat(self) -> np.ndarray:
-        """S with a* = S·conj(a) on the flattened basis."""
+        """S with a* = S·conj(a) on the flattened basis.
+
+        The conjugate of the unit-channel tree carries the phase of r/r̄ of
+        X's conjugate solution (−1 on labels of Frobenius–Schur indicator
+        −1); the phase of r̄/r undoes it, so the star fixes the unit."""
         D, cat = self.D, self.D.cat
         ring = cat.ring
+        sol = cat.conjugate_solution(self.X)
+        phase = D.scalar(sol.rbar / sol.r)
         S = np.zeros((self.dim, self.dim), dtype=complex)
         for (Z, v) in self.keys:
             n = ring.N(self.Xb, self.X, Z)
@@ -401,7 +407,7 @@ class SquareAlgebra:
                 if abs(k_vs) == 0.0 or (Zb, s) not in self.slices:
                     continue
                 S[self.slices[(Zb, s)], self.slices[(Z, v)]] += k_vs * D.star[Z]
-        return S
+        return S * (phase / abs(phase))
 
     def star(self, a: SquareElement) -> SquareElement:
         return self.from_vec(self.star_mat @ np.conj(a.to_vec()))

@@ -11,6 +11,14 @@ and the second arrow decomposes through conjugate intertwiner pairs
 normalization of the conjugates is the one choice not forced by the data; it
 is recorded in the object's metadata and exercised by the associativity
 check in :func:`build_annulus`.
+
+The star is the tube algebra's involution in closed form (Ghosh–Jones,
+*Annular representation theory for rigid C*-tensor categories*, JFA 2016):
+for f ∈ Hom(Y, X̄⊗X), j(f) is the conjugate morphism in Hom(Ȳ, X̄⊗X),
+braided to X⊗X̄ so that it lies in the X̄ summand of 𝒟(Ȳ), times the twist
+θ_X = d_X⁻¹ Σ_c d_c Tr R^{X,X}_c of the loop label.  The metadata records
+these phases as ``star_phases[(X, Y)] = θ_X``.  The assembled object is
+validated once; a residual above ``tol`` raises :class:`PositivityFailure`.
 """
 
 from __future__ import annotations
@@ -61,6 +69,7 @@ def build_annulus(cat: SkeletalUTC, S=None, tol: float = 1e-9) -> AlgebraObject:
     labels = ring.labels
     bases = {Y: annulus_basis(cat, S, Y) for Y in labels}
     fibers = {Y: len(bases[Y]) for Y in labels}
+    twist = {X: cat.twist(X) for X in S}
 
     # conjugate pair trees: for each (V, X, Xp) an onb b_q of O(V, X⊗Xp) and
     # the normalized conjugates conj(b_q)/‖conj(b_q)‖ ∈ Hom(V̄, X̄p⊗X̄)
@@ -106,11 +115,10 @@ def build_annulus(cat: SkeletalUTC, S=None, tol: float = 1e-9) -> AlgebraObject:
                     if np.any(arr):
                         mult[(Y, Z, W, u)] = arr
 
-    # star: conjugate f: Y → X̄⊗X, then braid back X̄⊗X → X⊗X̄ so the result
-    # sits in the X̄ summand of 𝒟(Ȳ) (for pointed categories this is the only
-    # way e_X* ∝ e_{X̄} can hold).  A phase per (loop label, fiber label) slot
-    # is still free and is solved against the measured defects below.
-    raw_star = {}
+    # star: conjugate f: Y → X̄⊗X, braid back X̄⊗X → X⊗X̄ so the result sits
+    # in the X̄ summand of 𝒟(Ȳ), and multiply by the twist θ_X of the loop
+    # label (the tube algebra's involution, Ghosh–Jones 2016)
+    star = {}
     for Y in labels:
         Yb = ring.dual[Y]
         Smat = np.zeros((fibers[Yb], fibers[Y]), dtype=complex)
@@ -123,199 +131,29 @@ def build_annulus(cat: SkeletalUTC, S=None, tol: float = 1e-9) -> AlgebraObject:
             for path, coeff in tv.coeffs.items():
                 jidx = bases[Yb].index((Xb, path[0][1]))
                 Smat[jidx, iy] += coeff
-        raw_star[Y] = Smat
+        star[Y] = np.array([twist[X] for X, _ in bases[Yb]])[:, None] * Smat
 
     unit_idx = bases[ring.unit].index((ring.unit, 0))
     unit = np.zeros(fibers[ring.unit], dtype=complex)
     unit[unit_idx] = 1.0
 
     meta = {"fixture": "annulus", "support": tuple(sorted(S)),
-            "conjugate_normalization": "unit-norm"}
-    ann0 = AlgebraObject(cat=cat, fibers=fibers, mult=mult, star=raw_star,
-                         unit=unit, side="cat", unitary_lax=False, meta=meta)
-
-    last_res = None
-    for phases in _star_phase_candidates(ann0, bases):
-        star = {}
-        for Y in labels:
-            if fibers[Y] == 0:
-                star[Y] = raw_star[Y]
-                continue
-            Yb = ring.dual[Y]
-            diag = np.array([phases[(X, Yb)] for (X, t) in bases[Yb]],
-                            dtype=complex)
-            star[Y] = diag[:, None] * raw_star[Y]
-        ann = AlgebraObject(cat=cat, fibers=fibers, mult=mult, star=star,
-                            unit=unit, side="cat", unitary_lax=False,
-                            meta=dict(meta, star_phases=phases))
-        try:
-            res = validate_algebra_object(ann, rng=np.random.default_rng(1),
-                                          tol=tol)
-        except SolveFailed as err:
-            # e.g. a sign choice that degenerates the ground trace form
-            last_res = {"error": str(err)}
-            continue
-        last_res = res
-        worst = max(res["associativity"], res["unitality"],
-                    res["star_involution"], res["star_monoidality"],
-                    -res["positivity_floor"])
-        if worst <= tol:
-            ann.meta["residuals"] = res
-            return ann
-    raise PositivityFailure(
-        f"assembled annulus object fails its own axioms: {last_res}")
-
-
-def _star_phase_candidates(ann0: AlgebraObject, bases: dict):
-    """Yield phase corrections for the braided-conjugate annulus star.
-
-    The braided conjugate is antimultiplicative and involutive only up to a
-    phase per (loop label, fiber label) slot class.  The defects are measured
-    directly on basis products: every nonzero component of
-
-        conjugate_distributed(e_a . e_b)  vs  j(e_b) . j(e_a)
-
-    gives one multiplicative equation u_a u_b = ratio * u_out, and the
-    involution gives u_{(X,Y)} conj(u_{(X~,Y~)}) kappa = 1 over dual slots.
-    The unknown phases are solved by constraint propagation; square-root
-    equations fork into sign branches, so candidates come out in a
-    deterministic order and the validation gate downstream (in particular
-    Gram positivity) selects among them.
-    """
-    import itertools as _it
-
-    ring = ann0.cat.ring
-    unit = ring.unit
-    sup = sorted(Y for Y in ring.labels if ann0.n(Y) > 0)
-    slots = sorted({(X, Y) for Y in sup for (X, t) in bases[Y]})
-
-    def slot_slices(Y):
-        out = {}
-        for i, (X, t) in enumerate(bases[Y]):
-            out.setdefault(X, []).append(i)
-        return out
-
-    # involution defects: raw[Y~] conj(raw[Y]) = kappa_{(X,Y)} on slot (X, .)
-    kappa = {}
-    for Y in sup:
-        M = ann0.star[ring.dual[Y]] @ np.conj(ann0.star[Y])
-        for X, idx in slot_slices(Y).items():
-            block = M[np.ix_(idx, idx)]
-            off = M[idx, :].copy()
-            off[:, idx] = 0.0
-            k = np.trace(block) / len(idx)
-            if np.max(np.abs(off)) > 1e-10 or abs(abs(k) - 1.0) > 1e-10 or \
-                    np.max(np.abs(block - k * np.eye(len(idx)))) > 1e-10:
-                raise SolveFailed(
-                    f"annulus star involution defect on slot ({X},{Y}) is "
-                    "not a phase; cannot repair by slot phases")
-            kappa[(X, Y)] = k
-
-    # corrected j must fix the unit vector, which pins the unit slot phase
-    uvec = ann0.j(unit, ann0.unit)
-    scal = np.vdot(ann0.unit, uvec)
-    if abs(abs(scal) - 1.0) > 1e-10 or \
-            np.max(np.abs(uvec - scal * ann0.unit)) > 1e-10:
-        raise SolveFailed("annulus star does not fix the unit up to phase")
-
-    # antimultiplicativity defects on basis pairs:
-    #   u[(X~,Y~)] u[(X'~,Z~)] = ratio * u[(V,W~)]
-    eqmap = {}
-    for Y, Z in _it.product(sup, repeat=2):
-        for iy, (X, t) in enumerate(bases[Y]):
-            xi = np.eye(ann0.n(Y))[iy]
-            jxi = ann0.j(Y, xi)
-            for iz, (Xp, tp) in enumerate(bases[Z]):
-                eta = np.eye(ann0.n(Z))[iz]
-                lhs = ann0.conjugate_distributed(
-                    ann0.lax_product(Y, Z, xi, eta), (Y, Z))
-                rhs = ann0.lax_product(ring.dual[Z], ring.dual[Y],
-                                       ann0.j(Z, eta), jxi)
-                for key in set(lhs) | set(rhs):
-                    Wb = key[0]
-                    a = lhs.get(key, np.zeros(ann0.n(Wb), dtype=complex))
-                    b = rhs.get(key, np.zeros(ann0.n(Wb), dtype=complex))
-                    sc = max(float(np.max(np.abs(a))) if a.size else 0.0,
-                             float(np.max(np.abs(b))) if b.size else 0.0,
-                             1e-30)
-                    for comp, (V, s) in enumerate(bases[Wb]):
-                        av, bv = a[comp], b[comp]
-                        if abs(av) < 1e-9 * sc and abs(bv) < 1e-9 * sc:
-                            continue
-                        if abs(av) < 1e-9 * sc or abs(bv) < 1e-9 * sc or \
-                                abs(abs(av / bv) - 1.0) > 1e-8:
-                            raise SolveFailed(
-                                "annulus star defect is not a phase on "
-                                f"({X},{Y})({Xp},{Z}) -> ({V},{Wb})")
-                        ekey = ((ring.dual[X], ring.dual[Y]),
-                                (ring.dual[Xp], ring.dual[Z]), (V, Wb))
-                        prev = eqmap.setdefault(ekey, av / bv)
-                        if abs(prev - av / bv) > 1e-8:
-                            raise SolveFailed(
-                                f"annulus star defect on {ekey} is not "
-                                "slot-diagonal")
-    eqs = [(a, b, d, r) for (a, b, d), r in sorted(eqmap.items())]
-
-    def verify(u):
-        for a, b, d, r in eqs:
-            if abs(u[a] * u[b] - r * u[d]) > 1e-8:
-                return False
-        for (X, Y), k in kappa.items():
-            if abs(u[(X, Y)] * np.conj(u[(ring.dual[X], ring.dual[Y])]) * k
-                   - 1.0) > 1e-8:
-                return False
-        return True
-
-    def propagate(u):
-        """Fill in uniquely-determined phases; return sign forks when stuck."""
-        changed = True
-        while changed:
-            changed = False
-            for (X, Y), k in kappa.items():
-                dual = (ring.dual[X], ring.dual[Y])
-                if (X, Y) in u and dual not in u:
-                    u[dual] = u[(X, Y)] / k  # unimodular: 1/conj(x) = x
-                    changed = True
-            for a, b, d, r in eqs:
-                if a == b:
-                    if a not in u and d in u:
-                        continue  # square root: fork below
-                    if a in u and d not in u:
-                        u[d] = u[a] * u[a] / r
-                        changed = True
-                    continue
-                known = [a in u, b in u, d in u]
-                if known.count(False) != 1:
-                    continue
-                if not known[0]:
-                    u[a] = r * u[d] / u[b]
-                elif not known[1]:
-                    u[b] = r * u[d] / u[a]
-                else:
-                    u[d] = u[a] * u[b] / r
-                changed = True
-        for a, b, d, r in eqs:
-            if a == b and a not in u and d in u:
-                root = complex(np.sqrt(r * u[d]))
-                return [(a, root), (a, -root)]
-        missing = [s for s in slots if s not in u]
-        if missing:
-            # disconnected slot: try both signs and let verification decide
-            return [(missing[0], 1.0 + 0.0j), (missing[0], -1.0 + 0.0j)]
-        return None
-
-    def search(u):
-        forks = propagate(u)
-        if forks is None:
-            if verify(u):
-                yield dict(u)
-            return
-        for slot, val in forks:
-            u2 = dict(u)
-            u2[slot] = val
-            yield from search(u2)
-
-    yield from search({(unit, unit): 1.0 / scal})
+            "conjugate_normalization": "unit-norm",
+            "star_phases": {(X, Y): twist[X] for Y in labels for X, _ in bases[Y]}}
+    ann = AlgebraObject(cat=cat, fibers=fibers, mult=mult, star=star,
+                        unit=unit, side="cat", unitary_lax=False, meta=meta)
+    try:
+        res = validate_algebra_object(ann, rng=np.random.default_rng(1), tol=tol)
+    except SolveFailed as err:  # a wrong star degenerates the ground trace form
+        raise PositivityFailure(
+            f"assembled annulus object fails its own axioms: {err}") from err
+    worst = max(res["associativity"], res["unitality"], res["star_involution"],
+                res["star_monoidality"], -res["positivity_floor"])
+    if worst > tol:
+        raise PositivityFailure(
+            f"assembled annulus object fails its own axioms: {res}")
+    meta["residuals"] = res
+    return ann
 
 
 def _vec_tree(cat, root, word, coeffs):

@@ -5,8 +5,9 @@ Reports are deterministic for a fixed config and seed (modulo the wall-clock
 field) and always embed the seed and tolerance actually used.
 
 Bundled fixtures resolve by name wherever a path is expected: the names of
-`fixtures.FIXTURE_BUILDERS` (`fib`, `ising`, `vec_z1` … `vec_z6`, aliases
-`fibonacci` and `z1` … `z6`), and the multiplicity-2 ring `mult2`.
+`fixtures.FIXTURE_BUILDERS` (`fib`, `ising`, `vec_z1` … `vec_z6`, `su2_2` …
+`su2_5`, aliases `fibonacci` and `z1` … `z6`), and the multiplicity-2 ring
+`mult2`.
 Algebra-object slots additionally accept `groupalg`, `fiber` (the trivial
 action on ℂ), and `annulus`, built over the category in play.
 """

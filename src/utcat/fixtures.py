@@ -1,8 +1,9 @@
 """Built-in example categories used by tests and the CLI.
 
 All F/R data here is in the gauge where the tree bases are orthonormal and
-the F-matrices are real symmetric, so the matrices are convention-robust; the
-pentagon/hexagon route checks in :mod:`.skeletal` pin everything down.
+the F-matrices are real orthogonal (symmetric, except for some SU(2)_k
+blocks), so the matrices are convention-robust; the pentagon/hexagon route
+checks in :mod:`.skeletal` pin everything down.
 """
 
 from __future__ import annotations
@@ -18,6 +19,7 @@ __all__ = [
     "fibonacci",
     "ising",
     "vec_zn",
+    "su2k",
     "mult2_ring",
     "random_blocks",
     "FIXTURE_BUILDERS",
@@ -113,6 +115,62 @@ def vec_zn(n: int) -> SkeletalUTC:
     return SkeletalUTC(ring, F, R, qdims={x: 1.0 for x in labels})
 
 
+def su2k(k: int) -> SkeletalUTC:
+    """SU(2)_k from q-6j symbols (Kirillov–Reshetikhin), q = e^{2πi/(k+2)}.
+
+    Labels ``j<2j>`` for spins j = 0, ½, …, k/2, all self-dual; d_j = [2j+1]_q,
+    F^{abc}_d[e,f] = (−1)^{a+b+c+d}·√([2e+1][2f+1])·{a b e; c d f}_q from the
+    Racah sum, R^{ab}_c = (−1)^{c−a−b} q^{(c(c+1)−a(a+1)−b(b+1))/2} (spins).
+    Blocks are filled in ``ring.f_index`` order, which sorts ``j10`` before
+    ``j2``.  The mirror category has the conjugate R blocks.
+    """
+    if not (1 <= k <= 36):
+        raise ValueError("k out of supported range")
+    s = np.pi / (k + 2)
+    # [n]! for n ≤ 2k+2; past [k+1]! each holds [k+2] = 0 (up to rounding)
+    qfact = np.cumprod([1.0] + [np.sin(n * s) / np.sin(s) for n in range(1, 2 * k + 3)])
+    labels = [f"j{n}" for n in range(k + 1)]
+
+    def admissible(a, b, c):  # doubled spins
+        return (a + b + c) % 2 == 0 and abs(a - b) <= c <= min(a + b, 2 * k - a - b)
+
+    def delta(a, b, c):
+        return np.sqrt(qfact[(a + b - c) // 2] * qfact[(a - b + c) // 2]
+                       * qfact[(b + c - a) // 2] / qfact[(a + b + c) // 2 + 1])
+
+    def sixj(a, b, e, c, d, f):
+        tri = [(a + b + e) // 2, (e + c + d) // 2, (b + c + f) // 2, (a + f + d) // 2]
+        quad = [(a + b + c + d) // 2, (a + e + c + f) // 2, (b + e + d + f) // 2]
+        racah = sum((-1) ** z * qfact[z + 1]
+                    / np.prod([qfact[z - t] for t in tri] + [qfact[p - z] for p in quad])
+                    for z in range(max(tri), min(quad) + 1))
+        return delta(a, b, e) * delta(e, c, d) * delta(b, c, f) * delta(a, f, d) * racah
+
+    mult = {(labels[a], labels[b], labels[c]): 1
+            for a, b, c in itertools.product(range(k + 1), repeat=3) if admissible(a, b, c)}
+    ring = _ring(labels, "j0", {x: x for x in labels}, mult)
+    spin = {x: int(x[1:]) for x in labels}  # doubled spin
+    F = {}
+    for key in itertools.product(labels[1:], labels[1:], labels[1:], labels):
+        idx = ring.f_index(*key)
+        if not idx.left:
+            continue
+        a, b, c, d = (spin[x] for x in key)
+        F[key] = np.array([[(-1) ** ((a + b + c + d) // 2)
+                            * np.sqrt(qfact[spin[e] + 1] / qfact[spin[e]]
+                                      * qfact[spin[f] + 1] / qfact[spin[f]])
+                            * sixj(a, b, spin[e], c, d, spin[f])
+                            for f, _, _ in idx.right] for e, _, _ in idx.left])
+    R = {}
+    for x, y in itertools.product(labels[1:], repeat=2):
+        for z, _ in ring.channels(x, y):
+            a, b, c = spin[x], spin[y], spin[z]
+            R[(x, y, z)] = np.array([[(-1) ** ((c - a - b) // 2) * np.exp(
+                2j * s * (c * (c + 2) - a * (a + 2) - b * (b + 2)) / 8)]])
+    qdims = {x: qfact[spin[x] + 1] / qfact[spin[x]] for x in labels}
+    return SkeletalUTC(ring, F, R, qdims=qdims)
+
+
 def mult2_ring() -> FusionRing:
     """Fusion ring {1, x} with x ⊗ x = 1 ⊕ 2x (no categorification supplied).
 
@@ -155,4 +213,5 @@ FIXTURE_BUILDERS = {
     "fib": fibonacci,
     "ising": ising,
     **{f"vec_z{n}": (lambda n=n: vec_zn(n)) for n in range(1, 7)},
+    **{f"su2_{k}": (lambda k=k: su2k(k)) for k in range(2, 6)},
 }

@@ -247,6 +247,11 @@ class SkeletalUTC:
             raise SchemaError(f"R block {key} has shape {M.shape}")
         return M
 
+    def twist(self, x: str) -> complex:
+        """θ_x = d_x⁻¹ Σ_c d_c Tr R^{x,x}_c, the ribbon twist of x."""
+        return complex(sum(self.d(c) * np.trace(self.rmat(x, x, c))
+                           for c, _ in self.ring.channels(x, x)) / self.d(x))
+
     def _f_keys(self) -> list[tuple[str, str, str, str]]:
         """Sorted (a, b, c, d) whose F-block is nonzero, from the channel tables."""
         ring = self.ring

@@ -1,24 +1,44 @@
 import numpy as np
 import pytest
 
+from utcat.algebra_object import pp_check
 from utcat.annulus import annulus_basis, build_annulus, z_state
-from utcat.errors import MissingBraiding, SupportTooSmall
-from utcat.fixtures import fibonacci, ising, vec_zn
+from utcat.errors import MissingBraiding, PositivityFailure, SupportTooSmall
+from utcat.fixtures import FIXTURE_BUILDERS, fibonacci, ising, su2k, vec_zn
 from utcat.fusion_ring import SupportSet
 from utcat.skeletal import SkeletalUTC
 
-ALL_FIXTURES = {
-    "fib": fibonacci,
-    "ising": ising,
-    "vec_z2": lambda: vec_zn(2),
-    "vec_z3": lambda: vec_zn(3),
-    "vec_z5": lambda: vec_zn(5),
-}
+
+def _mirror(cat):
+    """The mirror category: the same F blocks, the conjugate R blocks."""
+    return SkeletalUTC(cat.ring, cat._F, {k: v.conj() for k, v in cat._R.items()},
+                       cat.qdim)
 
 
-@pytest.fixture(scope="module", params=sorted(ALL_FIXTURES))
+def _gauged(cat, seed):
+    """The same multiplicity-free category in a seeded random unitary vertex
+    gauge: each basis vector of O(c, a⊗b) with a, b ≠ 1 times a phase u."""
+    ring, rng = cat.ring, np.random.default_rng(seed)
+    u = {(a, b, c): 1.0 if ring.unit in (a, b) else np.exp(2j * np.pi * rng.random())
+         for a in ring.labels for b in ring.labels for c, _ in ring.channels(a, b)}
+    F = {}
+    for (a, b, c, d), M in cat._F.items():
+        idx = ring.f_index(a, b, c, d)
+        left = np.array([u[(a, b, e)] * u[(e, c, d)] for e, _, _ in idx.left])
+        right = np.array([u[(b, c, f)] * u[(a, f, d)] for f, _, _ in idx.right])
+        F[(a, b, c, d)] = M * right / left[:, None]
+    R = {(a, b, c): M * u[(a, b, c)] / u[(b, a, c)] for (a, b, c), M in cat._R.items()}
+    return SkeletalUTC(ring, F, R, cat.qdim)
+
+
+def _worst(res):
+    return max(res["associativity"], res["unitality"], res["star_involution"],
+               res["star_monoidality"], -res["positivity_floor"])
+
+
+@pytest.fixture(scope="module", params=sorted(FIXTURE_BUILDERS))
 def ann(request):
-    return build_annulus(ALL_FIXTURES[request.param]())
+    return build_annulus(FIXTURE_BUILDERS[request.param]())
 
 
 def test_ground_fiber_counts_support(ann):
@@ -38,6 +58,13 @@ def test_build_residuals_are_tiny(ann):
 def test_star_phases_are_unimodular(ann):
     for phase in ann.meta["star_phases"].values():
         assert abs(abs(phase) - 1.0) < 1e-10
+
+
+def test_pp_check_on_every_label(ann):
+    # the square-algebra star fixes the unit also on labels of
+    # Frobenius–Schur indicator −1 (the half-integer spins of SU(2)_k)
+    for X in ann.cat.ring.labels:
+        assert pp_check(ann, X, samples=3)["violations"] == 0
 
 
 def test_z_state_is_positive_and_unital(ann):
@@ -100,3 +127,42 @@ def test_annulus_basis_enumeration():
     assert annulus_basis(cat, S, "1") == [("1", 0), ("psi", 0), ("sigma", 0)]
     assert annulus_basis(cat, S, "psi") == [("sigma", 0)]
     assert annulus_basis(cat, S, "sigma") == []
+
+
+@pytest.mark.parametrize("mirror", [False, True])
+@pytest.mark.parametrize("k", range(1, 9))
+def test_su2k_annulus_builds(k, mirror):
+    cat = _mirror(su2k(k)) if mirror else su2k(k)
+    assert _worst(build_annulus(cat).meta["residuals"]) <= 1e-9
+
+
+def test_star_phases_are_the_loop_twists():
+    tau, sigma = np.exp(4j * np.pi / 5), np.exp(1j * np.pi / 8)
+    want = {
+        "fib": {("1", "1"): 1, ("tau", "1"): tau, ("tau", "tau"): tau},
+        "ising": {("1", "1"): 1, ("psi", "1"): -1, ("sigma", "1"): sigma,
+                  ("sigma", "psi"): sigma},
+    }
+    for name, phases in want.items():
+        got = build_annulus(FIXTURE_BUILDERS[name]()).meta["star_phases"]
+        assert set(got) == set(phases)
+        assert all(abs(got[key] - phases[key]) < 1e-12 for key in phases)
+
+
+@pytest.mark.parametrize("name, label", [
+    (name, label) for name in ("fib", "ising", "su2_2", "su2_3", "su2_4")
+    for label in FIXTURE_BUILDERS[name]().ring.labels if label not in ("1", "j0")])
+def test_negated_twist_is_refused(name, label):
+    cat = FIXTURE_BUILDERS[name]()
+    twist = cat.twist
+    cat.twist = lambda x: -twist(x) if x == label else twist(x)
+    with pytest.raises(PositivityFailure):
+        build_annulus(cat)
+
+
+@pytest.mark.parametrize("seed", range(3))
+@pytest.mark.parametrize("build", [ising, lambda: vec_zn(3)], ids=["ising", "vec_z3"])
+def test_random_vertex_gauge_still_builds(build, seed):
+    cat = _gauged(build(), seed)
+    assert cat.verify_pentagon() < 1e-12 and cat.verify_hexagon() < 1e-12
+    assert _worst(build_annulus(cat).meta["residuals"]) <= 1e-9

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from utcat.errors import EmptyHomSpace, InapplicableMove, MissingBraiding
-from utcat.fixtures import fibonacci, ising, mult2_ring, vec_zn
+from utcat.fixtures import fibonacci, ising, mult2_ring, su2k, vec_zn
 from utcat.skeletal import SkeletalUTC, TreeVector
 
 TOL = 1e-10
@@ -118,6 +118,45 @@ def test_zigzag_solutions_standard(cat):
         sol = cat.conjugate_solution(x)
         assert sol.r.real > 0 and abs(sol.r.imag) < TOL
         assert abs(abs(sol.rbar) ** 2 - cat.d(x)) < 1e-9
+
+
+def _mirror(cat):
+    """The mirror category: the same F blocks, the conjugate R blocks."""
+    return SkeletalUTC(cat.ring, cat._F, {k: v.conj() for k, v in cat._R.items()},
+                       cat.qdim)
+
+
+@pytest.mark.parametrize("mirror", [False, True])
+@pytest.mark.parametrize("k", range(2, 9))
+def test_su2k_is_coherent(k, mirror):
+    cat = _mirror(su2k(k)) if mirror else su2k(k)
+    assert cat.verify_pentagon() <= 1e-12
+    assert cat.verify_hexagon() <= 1e-12
+    assert cat.verify_unitarity() <= 1e-12
+    assert cat.verify_zigzag() <= 1e-12
+
+
+def test_su2k_pentagon_when_labels_sort_out_of_spin_order():
+    # from k = 10 on "j10" sorts before "j2": blocks follow ring.f_index
+    assert su2k(10).verify_pentagon() <= 1e-12
+
+
+@pytest.mark.parametrize("k", range(1, 9))
+def test_su2k_twists_and_dimensions(k):
+    cat = su2k(k)
+    q = np.exp(2j * np.pi / (k + 2))
+    for n in range(k + 1):
+        j = n / 2
+        assert abs(cat.twist(f"j{n}") - q ** (j * (j + 1))) < 1e-12
+        assert abs(cat.d(f"j{n}") - np.sin((n + 1) * np.pi / (k + 2))
+                   / np.sin(np.pi / (k + 2))) < 1e-12
+
+
+def test_twists_of_fib_and_ising():
+    assert abs(fibonacci().twist("tau") - np.exp(4j * np.pi / 5)) < 1e-12
+    isg = ising()
+    assert abs(isg.twist("psi") + 1.0) < 1e-12
+    assert abs(isg.twist("sigma") - np.exp(1j * np.pi / 8)) < 1e-12
 
 
 def test_blocks_are_read_only():
