@@ -8,10 +8,14 @@ label K is carried by a concrete irreducible block ℂ^k⊗ℂ^k⊗ℂ^{h_K} on
 which A acts on the left and right and the grading is remembered by the
 central projections.  Bimodule endomorphisms are then exactly the block
 matrices on the multiplicity spaces, and the whole structure theory
-(hom counts, block decompositions, IND verdicts) reduces to explicit
-intertwiner solves against the generator matrices: the null space of one
-Hermitian form per solve, then one averaged central element whose
-eigenvalue clusters are the commutant's blocks.
+(hom counts, block decompositions, IND verdicts) reduces to linear algebra
+on the generator matrices.  Hom counts are intertwiner solves: the null
+space of one Hermitian form.  Block decompositions decompose the
+*-algebra the generators and their adjoints generate: the eigenspaces of
+one generic self-adjoint element, merged where a generator links them,
+give its isotypic components and an adapted basis with n×n work.  One
+intertwiner solve on the compressed generators then certifies that the
+commutant is the star-closed ⊕_K M_{m_K}.
 """
 
 from __future__ import annotations
@@ -247,14 +251,25 @@ def _solve_hom(c1: RealizedCorrespondence, c2: RealizedCorrespondence,
 @dataclass(frozen=True)
 class BlockDecomposition:
     """(label, multiplicity) pairs with Σ h² = commutant dimension, and the
-    margins of the two cuts behind them: `null_gap` (largest eigenvalue of
-    the intertwiner form cut as null, smallest kept) and `cluster_gap`
-    (largest spread inside an eigenvalue cluster of the central element,
-    smallest gap between clusters; the cut is 1e-6 relative)."""
+    margins of the cuts behind them, each a (largest value cut, smallest
+    value kept) pair with None where a side is empty:
+
+    - `null_gap`: eigenvalues of the certificate's intertwiner form, cut
+      as null at 1e-10 relative;
+    - `cluster_gap`: (largest spread inside an eigenvalue cluster of the
+      generic element, smallest gap between clusters); the cut is 1e-6
+      relative;
+    - `link_gap`: Frobenius norms of the generators' inter-cluster blocks,
+      treated as no link at or below 1e-6·max(1, max_g ‖g‖);
+    - `form_residual`: max_g ‖g − ⊕_K s_K(g)⊗1‖ in the adapted basis over
+      max(1, max_g ‖g‖), gated against `tol` (a single number).
+    """
 
     blocks: tuple
     null_gap: tuple
     cluster_gap: tuple
+    link_gap: tuple
+    form_residual: float
 
     @property
     def commutant_dim(self) -> int:
@@ -264,76 +279,182 @@ class BlockDecomposition:
         return {K: h for K, h in self.blocks if h}
 
 
+# relative cut for eigenvalue clusters and for inter-cluster links
+_CUT = 1e-6
+
+
 def commutant_blocks(corr: RealizedCorrespondence,
                      tol: float = 1e-9) -> BlockDecomposition:
     """Decompose End_{A-A}(ℰ) = {X : [X, gens] = 0} into matrix blocks.
 
-    The HS-orthonormal commutant basis B_i must be star-closed, else the
-    generating set was not a *-algebra and the commutant is not semisimple.
-    Then it is ⊕_K M_{h_K}⊗1_{m_K}, and Z = Σ_i B_i Y B_i* for a random
-    self-adjoint Y in it is ⊕_K (tr y_K/m_K)·1: central and generically
-    separating.  Z's eigenvalue clusters carve the commutant into full
-    matrix blocks of sizes h_K, matched to labels through P_K overlaps.
+    The *-algebra 𝒜 generated by the generators S and S* is ⊕_K M_{d_K}
+    acting with multiplicity m_K, so in an adapted basis every g ∈ S reads
+    ⊕_K s_K(g)⊗1_{m_K}.  The basis comes from n×n work:
+
+    1. one `eigh` of the Hermitian part H of M₁ + M₁M₂ (M_i seeded random
+       combinations of S ∪ S*), generic in 𝒜; its eigenvalue clusters,
+       D of them, have dimension m_K and d_K of them lie in component K;
+    2. the generators rotated into H's eigenbasis; clusters linked by any
+       generator block merge into the isotypic components K;
+    3. each cluster's basis carried along the strongest links by the polar
+       factor of the linking block, so that every block is a scalar times
+       1_{m_K}; `form_residual` gates that form against `tol`.
+
+    A non-generic H shows as unequal cluster dimensions inside a component
+    or as a failed form; the word length then doubles, with fresh M_i,
+    until it reaches n, before the input is refused (the Clifford algebra
+    of 2r generators on ℂ^{2^r} needs length r).
+
+    The commutant of S is exactly ⊕_{K,L} Hom_S(L, K)⊗M_{m_K×m_L}, so it
+    is the star-closed ⊕_K M_{m_K} iff the commutant of the compressed
+    generators ⊕_K s_K, one D²×D² intertwiner solve, is one scalar per
+    component; otherwise the input is refused.  Components are matched to
+    labels through P_K overlaps and give the blocks (K, m_K).  Cost
+    O(g·n³ + D⁶) for g generators; at base dimension k,
+    D = k²·(number of labels) on valid input.
     """
     n = corr.total_dim
-    basis, null_gap = _intertwiner_space(corr.generators, corr.generators,
-                                         n, n)
-    dim_c = basis.shape[1]
-    B = basis.T.reshape(dim_c, n, n)
+    if n == 0:
+        return BlockDecomposition((), (None, None), (None, None),
+                                  (None, None), 0.0)
+    G = np.asarray(corr.generators, dtype=complex).reshape(
+        len(corr.generators), n, n)
+    scale = max(1.0, float(np.max(np.linalg.norm(G, axis=(1, 2)),
+                                  initial=0.0)))
+    rng = np.random.default_rng(0)
+    length = 2
+    while True:
+        try:
+            comps, D, cluster_gap, link_gap, residual = _isotypic(
+                G, _generic_element(G, length, rng), scale, tol)
+            break
+        except NotSemisimpleInput:
+            if length >= n:
+                raise
+            length *= 2
 
-    # star closure: every vec(B_i*) must stay inside the span
-    V = B.conj().transpose(0, 2, 1).reshape(dim_c, n * n)
-    resid = np.linalg.norm(V - (V @ basis.conj()) @ basis.T, axis=1)
-    if np.max(resid, initial=0.0) > tol:
+    compressed = np.zeros((len(G), D, D), dtype=complex)
+    at = 0
+    for _, _, s in comps:
+        d = s.shape[-1]
+        compressed[:, at:at + d, at:at + d] = s
+        at += d
+    basis, null_gap = _intertwiner_space(compressed, compressed, D, D)
+    if basis.shape[1] != len(comps):
         raise NotSemisimpleInput(
             "commutant is not star-closed; data outside the ind class")
-
-    Z = _central_element(B, tol)
-    w, U = np.linalg.eigh(Z)
-    # cluster eigenvalues into central components
-    cuts = [i for i in range(1, n)
-            if w[i] - w[i - 1] > 1e-6 * max(1.0, abs(w[i]))]
-    groups = [slice(a, b) for a, b in zip([0] + cuts, cuts + [n]) if b > a]
-    cluster_gap = (max((float(w[g.stop - 1] - w[g.start]) for g in groups),
-                       default=None),
-                   min((float(w[i] - w[i - 1]) for i in cuts), default=None))
-    merged, used = {}, 0
-    for sl in groups:
-        cols = U[:, sl]
-        # commutant compressed to this central component must be a full
-        # matrix algebra M_h with h² = its dimension
-        comp = (cols.conj().T @ B @ cols).reshape(dim_c, -1)
-        r = np.linalg.matrix_rank(comp, tol=1e-8)
-        h = int(round(np.sqrt(r)))
-        if h * h != r:
-            raise NotSemisimpleInput(
-                f"central component of dimension {r} is not a matrix algebra")
+    merged = {}
+    for cols, m, _ in comps:
         label = _match_label(corr, cols)
-        merged[label] = merged.get(label, 0) + h
-        used += r
-    if used != dim_c:
-        raise NotSemisimpleInput(
-            f"block dimensions {used} do not exhaust the commutant {dim_c}")
+        merged[label] = merged.get(label, 0) + m
     return BlockDecomposition(tuple(sorted(merged.items())), null_gap,
-                              cluster_gap)
+                              cluster_gap, link_gap, residual)
 
 
-def _central_element(B, tol) -> np.ndarray:
-    """Z = Σ_i B_i Y B_i* for a seeded random self-adjoint Y in span(B).
+def _generic_element(G, length, rng) -> np.ndarray:
+    """Hermitian part of M₁ + M₁M₂ + … + M₁⋯M_length, each M_i a seeded
+    random complex combination of G ∪ G*."""
+    both = np.concatenate([G, G.conj().transpose(0, 2, 1)])
+    c = rng.normal(size=(length, 2, len(both)))
+    M = np.tensordot(c[:, 0] + 1j * c[:, 1], both, axes=1)
+    T = M[-1]
+    for Mi in M[-2::-1]:
+        T = Mi + Mi @ T
+    return (T + T.conj().T) / 2
 
-    Central when span(B) is a *-algebra with HS-orthonormal basis B_i;
-    raises NotSemisimpleInput when Z fails to commute with some B_i.
+
+def _isotypic(G, H, scale, tol) -> tuple:
+    """Isotypic components of the *-algebra generated by G ∪ G*, read off
+    the eigenspaces of H; raises NotSemisimpleInput when H is not generic.
+
+    Returns (components, D, cluster_gap, link_gap, form_residual), where
+    each component is (its columns in the adapted basis, m_K, s_K) with
+    s_K the generators compressed to d_K×d_K, and D = Σ_K d_K.
     """
-    u, v = np.random.default_rng(0).normal(size=(2, len(B)))
-    Y = np.tensordot(u + 1j * v, B, axes=1)
-    Y = (Y + Y.conj().T) / 2
-    Z = np.tensordot(B @ Y, B.conj(), axes=([0, 2], [0, 2]))
-    worst = np.max(np.linalg.norm(Z @ B - B @ Z, axis=(1, 2)), initial=0.0)
-    if worst > tol * max(float(np.linalg.norm(Z)), 1.0):
+    n = G.shape[1]
+    w, U = np.linalg.eigh(H)
+    cuts = [i for i in range(1, n)
+            if w[i] - w[i - 1] > _CUT * max(1.0, abs(w[i]))]
+    starts = np.array([0] + cuts)
+    sizes = np.diff(np.append(starts, n))
+    D = len(starts)
+    cluster_gap = (max((float(w[a + m - 1] - w[a])
+                        for a, m in zip(starts, sizes)), default=None),
+                   min((float(w[i] - w[i - 1]) for i in cuts), default=None))
+
+    Gr = U.conj().T @ G @ U
+    sq = np.add.reduceat(np.abs(Gr) ** 2, starts, axis=1)
+    norms = np.sqrt(np.add.reduceat(sq, starts, axis=2))
+    W = np.maximum(norms, norms.transpose(0, 2, 1)).max(axis=0, initial=0.0)
+    off = ~np.eye(D, dtype=bool)
+    cut = _CUT * scale
+    unlinked, linked = W[off & (W <= cut)], W[off & (W > cut)]
+    link_gap = (float(unlinked.max()) if unlinked.size else None,
+                float(linked.min()) if linked.size else None)
+
+    # Prim's maximum spanning forest over the links: each tree is one
+    # component, and each cluster is reached through its strongest link
+    owner = np.full(D, -1)
+    via = np.full(D, -1)
+    best = np.zeros(D)
+    order, ncomp = [], 0
+    for _ in range(D):
+        j = int(np.argmax(np.where(owner < 0, best, -np.inf)))
+        if best[j] > cut:
+            owner[j] = owner[via[j]]
+        else:
+            owner[j], via[j] = ncomp, -1
+            ncomp += 1
+        order.append(j)
+        grow = (owner < 0) & (W[j] > best)
+        best[grow], via[grow] = W[j][grow], j
+    for K in range(ncomp):
+        dims = set(sizes[owner == K].tolist())
+        if len(dims) > 1:
+            raise NotSemisimpleInput(
+                f"clusters of one isotypic component differ in dimension "
+                f"{sorted(dims)}")
+
+    # carry each cluster's basis along its link: R_i† X R_j ∝ 1, with
+    # R = 1 on the roots
+    blk = [slice(a, a + m) for a, m in zip(starts, sizes)]
+    R = {}
+    for j in order:
+        i = via[j]
+        if i < 0:
+            continue
+        g_in, g_out = norms[:, i, j].argmax(), norms[:, j, i].argmax()
+        if norms[g_in, i, j] >= norms[g_out, j, i]:
+            X = Gr[g_in, blk[i], blk[j]]
+        else:
+            X = Gr[g_out, blk[j], blk[i]].conj().T
+        if i in R:
+            X = R[i].conj().T @ X
+        P, _, Qh = np.linalg.svd(X)
+        R[j] = Qh.conj().T @ P.conj().T
+    for j in R:
+        Gr[:, blk[j], :] = R[j].conj().T @ Gr[:, blk[j], :]
+        Gr[:, :, blk[j]] = Gr[:, :, blk[j]] @ R[j]
+        U[:, blk[j]] = U[:, blk[j]] @ R[j]
+
+    # compress to s_K and subtract ⊕ s_K⊗1: what is left is the residual
+    comps = []
+    for K in range(ncomp):
+        cl = np.flatnonzero(owner == K)
+        m = int(sizes[cl[0]])
+        idx = starts[cl][:, None] + np.arange(m)
+        rows, cols = idx[:, None, :], idx[None, :, :]
+        block = Gr[:, rows, cols]
+        s = block.mean(axis=-1)
+        Gr[:, rows, cols] = block - s[..., None]
+        comps.append((U[:, idx.reshape(-1)], m, s))
+    residual = float(np.max(np.linalg.norm(Gr, axis=(1, 2)),
+                            initial=0.0)) / scale
+    if residual > tol:
         raise NotSemisimpleInput(
-            f"commutant is not an algebra: ‖[Z, B_i]‖ = {worst:.3e} for "
-            f"the averaged element Z")
-    return (Z + Z.conj().T) / 2
+            f"generators not of the form s_K⊗1 on the isotypic components: "
+            f"residual {residual:.3e}")
+    return comps, D, cluster_gap, link_gap, residual
 
 
 def _match_label(corr, cols):

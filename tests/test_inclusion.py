@@ -3,14 +3,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from utcat import inclusion
 from utcat.algebra_object import group_algebra_object
 from utcat.annulus import build_annulus, z_state
 from utcat.errors import NotAState, NotSemisimpleInput
 from utcat.fixtures import fibonacci, ising, vec_zn
 from utcat.inclusion import (
+    BlockDecomposition,
     HilbertSpaceObject,
-    _central_element,
+    RealizedCorrespondence,
     _intertwiner_space,
+    _match_label,
     boxtimes,
     commutant_blocks,
     corrupt_correspondence,
@@ -55,6 +58,72 @@ def _reference_center_basis(mats):
     coeffs = Vh[rank:].conj().T
     return [sum(c[i] * mats[i] for i in range(len(mats)))
             for c in coeffs.T]
+
+
+def _reference_commutant_blocks(corr, tol=1e-9):
+    """The n²-form solver `commutant_blocks` replaced: one n²×n² intertwiner
+    solve for the commutant, a star-closure test on its basis, then one
+    averaged central element whose eigenvalue clusters are the blocks.
+    It makes no link or form cut, so those margins are None."""
+    n = corr.total_dim
+    basis, null_gap = _intertwiner_space(corr.generators, corr.generators,
+                                         n, n)
+    dim_c = basis.shape[1]
+    B = basis.T.reshape(dim_c, n, n)
+
+    # star closure: every vec(B_i*) must stay inside the span
+    V = B.conj().transpose(0, 2, 1).reshape(dim_c, n * n)
+    resid = np.linalg.norm(V - (V @ basis.conj()) @ basis.T, axis=1)
+    if np.max(resid, initial=0.0) > tol:
+        raise NotSemisimpleInput(
+            "commutant is not star-closed; data outside the ind class")
+
+    Z = _central_element(B, tol)
+    w, U = np.linalg.eigh(Z)
+    # cluster eigenvalues into central components
+    cuts = [i for i in range(1, n)
+            if w[i] - w[i - 1] > 1e-6 * max(1.0, abs(w[i]))]
+    groups = [slice(a, b) for a, b in zip([0] + cuts, cuts + [n]) if b > a]
+    cluster_gap = (max((float(w[g.stop - 1] - w[g.start]) for g in groups),
+                       default=None),
+                   min((float(w[i] - w[i - 1]) for i in cuts), default=None))
+    merged, used = {}, 0
+    for sl in groups:
+        cols = U[:, sl]
+        # commutant compressed to this central component must be a full
+        # matrix algebra M_h with h² = its dimension
+        comp = (cols.conj().T @ B @ cols).reshape(dim_c, -1)
+        r = np.linalg.matrix_rank(comp, tol=1e-8)
+        h = int(round(np.sqrt(r)))
+        if h * h != r:
+            raise NotSemisimpleInput(
+                f"central component of dimension {r} is not a matrix algebra")
+        label = _match_label(corr, cols)
+        merged[label] = merged.get(label, 0) + h
+        used += r
+    if used != dim_c:
+        raise NotSemisimpleInput(
+            f"block dimensions {used} do not exhaust the commutant {dim_c}")
+    return BlockDecomposition(tuple(sorted(merged.items())), null_gap,
+                              cluster_gap, (None, None), None)
+
+
+def _central_element(B, tol) -> np.ndarray:
+    """Z = Σ_i B_i Y B_i* for a seeded random self-adjoint Y in span(B).
+
+    Central when span(B) is a *-algebra with HS-orthonormal basis B_i;
+    raises NotSemisimpleInput when Z fails to commute with some B_i.
+    """
+    u, v = np.random.default_rng(0).normal(size=(2, len(B)))
+    Y = np.tensordot(u + 1j * v, B, axes=1)
+    Y = (Y + Y.conj().T) / 2
+    Z = np.tensordot(B @ Y, B.conj(), axes=([0, 2], [0, 2]))
+    worst = np.max(np.linalg.norm(Z @ B - B @ Z, axis=(1, 2)), initial=0.0)
+    if worst > tol * max(float(np.linalg.norm(Z)), 1.0):
+        raise NotSemisimpleInput(
+            f"commutant is not an algebra: ‖[Z, B_i]‖ = {worst:.3e} for "
+            f"the averaged element Z")
+    return (Z + Z.conj().T) / 2
 
 
 def _hom_inputs(dims1, dims2, base_dim, seed):
@@ -297,6 +366,146 @@ def test_corrupt_needs_multiplicity():
     corr = realize(HilbertSpaceObject({"a": 1}))
     with pytest.raises(ValueError):
         corrupt_correspondence(corr)
+
+
+# -- the decomposition solver against the n²-form reference ------------------
+
+SOLVERS = {"decomposition": commutant_blocks,
+           "reference": _reference_commutant_blocks}
+
+
+def _planted(seed):
+    rng = np.random.default_rng(seed)
+    nlab = int(rng.integers(1, 5))
+    dims = {f"K{i}": int(rng.integers(1, 6)) for i in range(nlab)}
+    return realize(HilbertSpaceObject(dims), rng=rng)
+
+
+# case → (function making the correspondence, obstruction class of its
+# verdict or None)
+PARITY_CASES = {f"planted_{seed}": (lambda seed=seed: _planted(seed), None)
+                for seed in range(100, 110)}
+for _k, _dims in [(2, {"a": 2, "b": 1}), (2, {"a": 1, "b": 3, "c": 1}),
+                  (3, {"a": 2, "b": 1}), (3, {"a": 1, "b": 1, "c": 1})]:
+    PARITY_CASES[f"scrambled_k{_k}_{len(_dims)}_labels"] = (
+        lambda k=_k, dims=_dims: realize(HilbertSpaceObject(dims), k,
+                                         np.random.default_rng(9)), None)
+for _k, _cls in [(1, "star-closed"), (2, "graded dimensions")]:
+    for _seed in range(5):
+        PARITY_CASES[f"corrupted_k{_k}_seed{_seed}"] = (
+            lambda k=_k, seed=_seed: corrupt_correspondence(realize(
+                HilbertSpaceObject({"a": 3, "b": 2}), k,
+                np.random.default_rng(seed))), _cls)
+
+
+@pytest.mark.parametrize("case", sorted(PARITY_CASES))
+def test_blocks_and_verdicts_match_the_reference(case, monkeypatch):
+    build, obstruction = PARITY_CASES[case]
+    corr = build()
+    new = ind_check(corr)
+    with monkeypatch.context() as patched:
+        patched.setattr(inclusion, "commutant_blocks",
+                        _reference_commutant_blocks)
+        old = ind_check(corr)
+    assert new["verdict"] == old["verdict"]
+    assert (new["blocks"] is None) == (old["blocks"] is None)
+    if new["blocks"] is not None:
+        assert new["blocks"].blocks == old["blocks"].blocks
+    if obstruction is None:
+        assert new["verdict"] == "IND"
+        assert new["blocks"].dims() == corr.hobj.dims
+    else:
+        assert obstruction in new["obstruction"]
+        assert obstruction in old["obstruction"]
+
+
+_PAULI = (np.array([[0, 1], [1, 0]]), np.array([[0, -1j], [1j, 0]]))
+
+
+def _clifford(r, m, seed=0):
+    """The 2r Jordan–Wigner generators Z⊗…⊗Z⊗{X, Y}⊗1⊗…⊗1 of the
+    Clifford algebra M_{2^r}, with multiplicity m, in a Haar-random basis:
+    the commutant is M_m."""
+    Z = np.diag([1.0, -1.0])
+    gens = []
+    for i in range(r):
+        for P in _PAULI:
+            g = np.eye(m)
+            for f in [Z] * i + [P] + [np.eye(2)] * (r - i - 1):
+                g = np.kron(f, g)
+            gens.append(g)
+    n = m * 2 ** r
+    rng = np.random.default_rng(seed)
+    Q, _ = np.linalg.qr(rng.normal(size=(n, n))
+                        + 1j * rng.normal(size=(n, n)))
+    gens = [Q @ g @ Q.conj().T for g in gens]
+    return RealizedCorrespondence(HilbertSpaceObject({"a": m}), 1, gens,
+                                  {"a": np.eye(n)}, n)
+
+
+@pytest.mark.parametrize("solver", sorted(SOLVERS))
+@pytest.mark.parametrize("m", (1, 2))
+def test_clifford_generators_are_decomposed(solver, m):
+    # every Hermitian element of span{X⊗1, Y⊗1, Z⊗X, Z⊗Y} has doubly
+    # degenerate eigenvalues, so an element taken from the span alone
+    # refuses this irreducible algebra
+    assert SOLVERS[solver](_clifford(2, m)).dims() == {"a": m}
+
+
+@pytest.mark.parametrize("r", (3, 4, 5))
+def test_clifford_algebras_that_need_longer_words(r):
+    # 2r anticommuting generators need words of length r before the
+    # generic element has a simple spectrum
+    bd = commutant_blocks(_clifford(r, 1))
+    assert bd.dims() == {"a": 1}
+    assert bd.form_residual < 1e-12
+
+
+@pytest.mark.parametrize("solver", sorted(SOLVERS))
+@pytest.mark.parametrize("seed", range(3))
+def test_similarity_linked_set_that_is_not_star_closed_is_refused(solver,
+                                                                  seed):
+    # diag(J, T J T⁻¹) with T not unitary: the commutant holds the
+    # intertwiners q(J)·T⁻¹ across the two components but not their
+    # adjoints
+    rng = np.random.default_rng(seed)
+    J = np.diag(np.ones(2), 1)
+    T = rng.normal(size=(3, 3)) + 3 * np.eye(3)
+    A = np.zeros((6, 6))
+    A[:3, :3], A[3:, 3:] = J, T @ J @ np.linalg.inv(T)
+    P = {"a": np.diag([1.0] * 3 + [0.0] * 3),
+         "b": np.diag([0.0] * 3 + [1.0] * 3)}
+    corr = RealizedCorrespondence(HilbertSpaceObject({"a": 3, "b": 3}), 1,
+                                  [np.eye(6), A], P, 6)
+    with pytest.raises(NotSemisimpleInput, match="star-closed"):
+        SOLVERS[solver](corr)
+
+
+@pytest.mark.parametrize("solver", sorted(SOLVERS))
+def test_projection_only_generators_give_whole_label_blocks(solver):
+    # the solver is blind to which generators are projections: with the
+    # matrix units dropped, each label's k²·h_K block is one matrix block
+    corr = realize(HilbertSpaceObject({"a": 2, "b": 1, "c": 3}), 2,
+                   np.random.default_rng(4))
+    only = RealizedCorrespondence(corr.hobj, 2,
+                                  list(corr.projections.values()),
+                                  corr.projections, corr.total_dim)
+    assert SOLVERS[solver](only).dims() == {"a": 8, "b": 4, "c": 12}
+
+
+def test_link_and_form_margins_are_reported():
+    corr = realize(HilbertSpaceObject({"a": 2, "b": 1}), 2,
+                   np.random.default_rng(3))
+    bd = commutant_blocks(corr)
+    unlinked, linked = bd.link_gap
+    assert unlinked < 1e-12 and linked > 1e-3
+    assert bd.form_residual < 1e-12
+    # one cluster per label at base dimension 1: nothing links
+    two = commutant_blocks(realize(HilbertSpaceObject({"a": 3, "b": 2}),
+                                   rng=np.random.default_rng(1)))
+    assert two.link_gap[0] < 1e-12 and two.link_gap[1] is None
+    single = commutant_blocks(realize(HilbertSpaceObject({"a": 2})))
+    assert single.link_gap == (None, None)
 
 
 # -- GNS objects --------------------------------------------------------------
