@@ -1,0 +1,107 @@
+"""Time the vacuum moment sweep as the Fock depth grows.
+
+At depth n every X-word of length ≤ 2n has an exact vacuum moment, the
+sum over its non-crossing pairings of the covariance η(1) per pair.  For
+each depth the scan builds two families, a 2-index one over A = ℂ from two
+orthonormal vectors of a seeded Haar unitary, and η = Ad(u) + Ad(u)⁻¹ on
+M₂ (η(1) = 2·1, depth ≤ 3 under the default dimension cap).  It then times
+`vacuum_expectation` over every such word.  A deviation above 1e-9
+(relative to max(1, |moment|)) makes the exit code 1.
+Seconds are wall clock of the sweep alone, the Fock build excluded.  Run:
+
+    PYTHONPATH=src python3 scripts/fock_moment_scaling.py --max-depth 6
+"""
+
+import argparse
+import itertools
+import sys
+import time
+
+import numpy as np
+
+from utcat.semicircular import (
+    BaseAlgebra,
+    build_fock,
+    covariance_from_automorphisms,
+    covariance_from_vectors,
+    semicircular_ops,
+    vacuum_expectation,
+)
+
+TOL = 1e-9
+
+
+def nc_moment(word, cov) -> complex:
+    """Σ over the non-crossing pairings of `word` of Π cov[i, j] per pair."""
+    memo = {}
+
+    def m(lo, hi):
+        if lo == hi:
+            return 1.0
+        if (lo, hi) not in memo:
+            memo[(lo, hi)] = sum(cov[word[lo], word[k]] * m(lo + 1, k)
+                                 * m(k + 1, hi)
+                                 for k in range(lo + 1, hi, 2))
+        return memo[(lo, hi)]
+
+    return m(0, len(word)) if len(word) % 2 == 0 else 0.0
+
+
+def pair_family(rng):
+    q, _ = np.linalg.qr(rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2)))
+    cov = np.array([[np.vdot(u, v) for v in q] for u in q])
+    return covariance_from_vectors([q[0], q[1]]), cov
+
+
+def m2_family(rng):
+    alg = BaseAlgebra((2,))
+    th = rng.uniform(0.1, np.pi - 0.1)
+    u = np.array([[np.cos(th), -np.sin(th)], [np.sin(th), np.cos(th)]])
+    ad = np.stack([alg.coords(u @ e @ u.T) for e in alg.basis], axis=1)
+    return covariance_from_automorphisms([ad], alg), np.array([[2.0]])
+
+
+def sweep(eta, cov, depth) -> tuple:
+    """(words, seconds, worst relative deviation) over every X-word of
+    length 1…2·depth."""
+    fam = semicircular_ops(build_fock(eta, depth))
+    one = np.eye(eta.algebra.d)
+    words = [w for n in range(1, 2 * depth + 1)
+             for w in itertools.product(range(len(cov)), repeat=n)]
+    wants = [nc_moment(w, cov) for w in words]
+    t0 = time.perf_counter()
+    gots = [vacuum_expectation(fam, [("X", eta.index[i]) for i in w])
+            for w in words]
+    seconds = time.perf_counter() - t0
+    worst = max(float(np.max(np.abs(got - want * one))) / max(1.0, abs(want))
+                for got, want in zip(gots, wants))
+    return fam.fock.total_dim, len(words), seconds, worst
+
+
+def main(argv=None) -> int:
+    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    ap.add_argument("--max-depth", type=int, default=6)
+    ap.add_argument("--seed", type=int, default=0)
+    args = ap.parse_args(argv)
+
+    rng = np.random.default_rng(args.seed)
+    families = {"pair": pair_family(rng), "m2": m2_family(rng)}
+    print(f"{'family':>6} {'depth':>5} {'fock dim':>8} {'words':>6} "
+          f"{'s':>8} {'us/word':>8} {'max dev':>9}")
+    failed = []
+    for depth in range(1, args.max_depth + 1):
+        for name, (eta, cov) in families.items():
+            if name == "m2" and depth > 3:
+                continue
+            dim, n, seconds, worst = sweep(eta, cov, depth)
+            print(f"{name:>6} {depth:>5} {dim:>8} {n:>6} {seconds:>8.4f} "
+                  f"{1e6 * seconds / n:>8.1f} {worst:>9.1e}")
+            if not worst <= TOL:
+                failed.append(f"{name} at depth {depth}: {worst:.2e}")
+    for line in failed:
+        print(f"moment deviation above {TOL:g}: {line}", file=sys.stderr)
+    return 1 if failed else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

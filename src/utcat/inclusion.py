@@ -204,7 +204,8 @@ def _intertwiner_space(gens1, gens2, n1, n2) -> tuple:
     G1 = np.asarray(gens1, dtype=complex).reshape(-1, n1, n1)
     G2 = np.asarray(gens2, dtype=complex).reshape(-1, n2, n2)
     # Σ_g g₂⊗ḡ₁: g₂[a,c]·ḡ₁[b,d] at row (a,b), column (c,d)
-    cross = G2.reshape(len(G2), -1).T @ G1.conj().reshape(len(G1), -1)
+    cross = (G2.reshape(len(G2), n2 * n2).T
+             @ G1.conj().reshape(len(G1), n1 * n1))
     cross = cross.reshape(n2, n2, n1, n1).transpose(0, 2, 1, 3).reshape(m, m)
     H = (np.kron(np.eye(n2), np.einsum("gij,gkj->ik", G1.conj(), G1))
          + np.kron(np.einsum("gji,gjk->ik", G2.conj(), G2), np.eye(n1))
@@ -311,11 +312,20 @@ def commutant_blocks(corr: RealizedCorrespondence,
     component; otherwise the input is refused.  Components are matched to
     labels through P_K overlaps and give the blocks (K, m_K).  Cost
     O(g·n³ + D⁶) for g generators; at base dimension k,
-    D = k²·(number of labels) on valid input.
+    D = k²·(number of labels) on valid input.  Without generators the
+    commutant is all of M_n: one block of multiplicity n, labelled by the
+    projection that covers the space, or None if no projection does.
     """
     n = corr.total_dim
     if n == 0:
         return BlockDecomposition((), (None, None), (None, None),
+                                  (None, None), 0.0)
+    if len(corr.generators) == 0:
+        try:
+            label = _match_label(corr, np.eye(n))
+        except NotSemisimpleInput:
+            label = None
+        return BlockDecomposition(((label, n),), (None, None), (None, None),
                                   (None, None), 0.0)
     G = np.asarray(corr.generators, dtype=complex).reshape(
         len(corr.generators), n, n)

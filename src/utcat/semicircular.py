@@ -11,17 +11,20 @@ basis vector ((a₁,i₁),…,(a_m,i_m); β) has the mixed-radix index over
 
 one tensor contraction per level, where ▹ acts on the first slot of v.
 Degenerate directions are quotiented per level through the normalized
-trace.  On the raw index left multiplication is L(a) ⊗ I, right
-multiplication I ⊗ R(a) and creation (unit ⊗ e_i) ⊗ I; operators are kept
-as blocks between quotient levels, and dense matrices are assembled from
-them.  X_i = T_i + T_i† is self-adjoint by construction.  Vacuum moments
-walk a word through the levels its vector lives on and are exact for at
-most 2·depth letters: a path through the truncated level cannot return.
+trace; over A = ℂ the level-m Gram is C^{⊗m}, cut from the cut of C.  On
+the raw index left multiplication is L(a) ⊗ I, right multiplication
+I ⊗ R(a) and creation (unit ⊗ e_i) ⊗ I; operators are kept as blocks
+between quotient levels, and dense matrices are assembled from them.
+X_i = T_i + T_i† is self-adjoint by construction.  A vacuum moment
+of a word with nx X letters only sees the levels 0…⌊nx/2⌋, since a path
+above them cannot return to the vacuum; it is one dense vector pushed
+through X_i compressed to that window, and is exact for nx ≤ 2·depth.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -34,20 +37,12 @@ from .errors import (
     RowBoundFailure,
     WordTooLong,
 )
-from .gns import min_eig, rank_cut
+from .gns import RANK_CUT, min_eig, rank_cut
 
-__all__ = [
-    "BaseAlgebra",
-    "CovarianceMatrix",
-    "SemicircularFamily",
-    "TruncatedFock",
-    "build_fock",
-    "covariance_from_automorphisms",
-    "covariance_from_vectors",
-    "ind_faithfulness_probe",
-    "semicircular_ops",
-    "vacuum_expectation",
-]
+__all__ = ["BaseAlgebra", "CovarianceMatrix", "SemicircularFamily",
+           "TruncatedFock", "build_fock", "covariance_from_automorphisms",
+           "covariance_from_vectors", "ind_faithfulness_probe",
+           "semicircular_ops", "vacuum_expectation"]
 
 
 class BaseAlgebra:
@@ -68,14 +63,18 @@ class BaseAlgebra:
         self.basis = np.zeros((self.dim, self.d, self.d), dtype=complex)
         self.basis[np.arange(self.dim), self._rows, self._cols] = 1.0
         self.unit_coords = self.coords(np.eye(self.d))
+        # star_prods[a, c] = coordinates of e_a* e_c
+        self.star_prods = self.coords(
+            self.basis.conj().transpose(0, 2, 1)[:, None] @ self.basis[None])
 
     def coords(self, mat) -> np.ndarray:
         """Matrix-unit coordinates of a d×d matrix, or of a stack of them."""
         return np.asarray(mat, dtype=complex)[..., self._rows, self._cols]
 
     def element(self, coords) -> np.ndarray:
-        out = np.zeros((self.d, self.d), dtype=complex)
-        out[self._rows, self._cols] = coords
+        """d×d matrix of A-coordinates, or a stack of them (last axis)."""
+        out = np.zeros(np.shape(coords)[:-1] + (self.d, self.d), dtype=complex)
+        out[..., self._rows, self._cols] = coords
         return out
 
     def left_matrix(self, a) -> np.ndarray:
@@ -105,16 +104,11 @@ class CovarianceMatrix:
     cp_floor: float = field(default=None)
 
     def __post_init__(self):
-        alg = self.algebra
+        zero = np.zeros((self.algebra.dim,) * 2)
         self.index = tuple(self.index)
-        full = {}
-        for i in self.index:
-            for j in self.index:
-                m = self.entries.get((i, j))
-                if m is None:
-                    m = np.zeros((alg.dim, alg.dim))
-                full[(i, j)] = np.asarray(m, dtype=complex)
-        self.entries = full
+        self.entries = {(i, j): np.asarray(self.entries.get((i, j), zero),
+                                           dtype=complex)
+                        for i in self.index for j in self.index}
         self.cp_floor = self._verify_cp()
         computed = self._row_bound()
         if self.bound is not None and computed > self.bound + 1e-9:
@@ -126,53 +120,56 @@ class CovarianceMatrix:
         alg = self.algebra
         return alg.element(self.entries[(i, j)] @ alg.coords(a))
 
+    @cached_property
+    def stacked(self) -> np.ndarray:
+        """The entries as one array E[x, y] = η_{index[x] index[y]}."""
+        n, dim = len(self.index), self.algebra.dim
+        return np.array([[self.entries[(i, j)] for j in self.index]
+                         for i in self.index]).reshape(n, n, dim, dim)
+
     def _verify_cp(self) -> float:
         """[η_ij(e_α* e_β)] over a basis of A must be PSD in M_n(A⊗M_I)."""
         alg = self.algebra
-        nA, nI, d = alg.dim, len(self.index), alg.d
-        big = np.zeros((nA * nI * d, nA * nI * d), dtype=complex)
-        for ai, ei in enumerate(alg.basis):
-            for bi, ej in enumerate(alg.basis):
-                prod = ei.conj().T @ ej
-                for x, i in enumerate(self.index):
-                    for y, j in enumerate(self.index):
-                        r = (ai * nI + x) * d
-                        c = (bi * nI + y) * d
-                        big[r:r + d, c:c + d] = self.apply(i, j, prod)
+        # big[(α,x,r), (β,y,c)] = η_xy(e_α* e_β)[r, c]
+        big = alg.element(np.einsum("xyqp,abp->axbyq", self.stacked,
+                                    alg.star_prods))
+        n = alg.dim * len(self.index) * alg.d
+        big = big.transpose(0, 1, 4, 2, 3, 5).reshape(n, n)
         floor = min_eig(big)
         if floor < -1e-10 * max(1.0, float(np.max(np.abs(big)))):
             raise CPFailure(f"Choi-type matrix has eigenvalue {floor:.3e}")
         return floor
 
     def _row_bound(self, samples: int = 20, seed: int = 0) -> float:
+        """max_i Σ_j ‖η_ij(a)‖² / ‖a‖² over the basis, the unit and seeded
+        random elements of A.  By Russo–Dye ‖η_ii‖ = ‖η_ii(1)‖, so the unit makes the bound exact
+        for a single index; for rows of several indices it is a lower
+        estimate of the supremum over A.
+        """
         rng = np.random.default_rng(seed)
         alg = self.algebra
-        tests = [e for e in alg.basis] + [alg.random(rng) for _ in range(samples)]
-        best = 0.0
-        for a in tests:
-            na = np.linalg.norm(a, 2)
-            if na < 1e-14:
-                continue
-            for i in self.index:
-                s = sum(np.linalg.norm(self.apply(i, j, a), 2) ** 2
-                        for j in self.index)
-                best = max(best, s / na ** 2)
-        return best
+        tests = np.concatenate([alg.basis, np.eye(alg.d)[None]]
+                               + [alg.random(rng)[None] for _ in range(samples)])
+        outs = alg.element(np.einsum("xyqp,tp->xytq", self.stacked,
+                                     alg.coords(tests)))
+        norms = np.linalg.svd(np.concatenate([outs.reshape(-1, alg.d, alg.d),
+                                              tests]), compute_uv=False)[:, 0]
+        na = norms[-len(tests):]
+        rows = (norms[:-len(tests)] ** 2).reshape(outs.shape[:3]).sum(axis=1)
+        keep = na >= 1e-14
+        return float(np.max(rows[:, keep] / na[keep] ** 2, initial=0.0))
 
     def _trace_pairs(self) -> tuple:
         """(max |τ(η_ij(x)·y) − τ(x·η_ji(y))|, max |τ(η_ij(x)·y)|) over
         basis pairs."""
         alg = self.algebra
-        worst = scale = 0.0
-        for i in self.index:
-            for j in self.index:
-                for x in alg.basis:
-                    for y in alg.basis:
-                        lhs = alg.trace(self.apply(i, j, x) @ y)
-                        rhs = alg.trace(x @ self.apply(j, i, y))
-                        worst = max(worst, abs(lhs - rhs))
-                        scale = max(scale, abs(lhs))
-        return worst, scale
+        B = alg.basis
+        tau = np.einsum("qrc,ycr->qy", B, B) / alg.d  # τ(e_q e_y), symmetric
+        lhs = np.einsum("ijqx,qy->ijxy", self.stacked, tau)
+        # τ(x·η_ji(y)) = τ(η_ji(y)·x) is lhs with both pairs swapped
+        worst = float(np.max(np.abs(lhs - lhs.transpose(1, 0, 3, 2)),
+                             initial=0.0))
+        return worst, float(np.max(np.abs(lhs), initial=0.0))
 
     def trace_symmetry_residual(self) -> float:
         """max |τ(η_ij(x)·y) − τ(x·η_ji(y))| over basis pairs."""
@@ -195,25 +192,16 @@ def covariance_from_vectors(vectors, algebra: BaseAlgebra = None,
     if algebra is None:
         algebra = BaseAlgebra((1,))
     alg = algebra
-    xs = []
-    for v in vectors:
-        v = np.asarray(v, dtype=complex)
-        if v.ndim == 1:
-            v = v.reshape(-1, 1, 1)
-        if v.shape[1:] != (alg.d, alg.d):
-            raise ValueError(f"vector components must be {alg.d}×{alg.d}")
-        xs.append(v)
-    index = tuple(range(len(xs)))
-    entries = {}
-    for i in index:
-        for j in index:
-            cols = []
-            for e in alg.basis:
-                out = sum(xs[i][s].conj().T @ e @ xs[j][s]
-                          for s in range(xs[i].shape[0]))
-                cols.append(alg.coords(out))
-            entries[(i, j)] = np.stack(cols, axis=1)
-    return CovarianceMatrix(alg, index, entries, bound=bound)
+    xs = [np.asarray(v, dtype=complex) for v in vectors]
+    xs = [v.reshape(-1, 1, 1) if v.ndim == 1 else v for v in xs]
+    if any(v.shape[1:] != (alg.d, alg.d) for v in xs):
+        raise ValueError(f"vector components must be {alg.d}×{alg.d}")
+    X = np.array(xs).reshape(len(xs), -1, alg.d, alg.d)
+    # ent[i, j, e] = Σ_s ξ_is* e ξ_js, then A-coordinates in rows
+    ent = alg.coords(np.einsum("isrp,erc,jsck->ijepk", X.conj(), alg.basis, X))
+    return CovarianceMatrix(alg, tuple(range(len(xs))),
+                            {(i, j): ent[i, j].T for i, j in np.ndindex(
+                                ent.shape[:2])}, bound=bound)
 
 
 def covariance_from_automorphisms(alphas, algebra: BaseAlgebra = None,
@@ -265,24 +253,25 @@ class TruncatedFock:
     offsets: list
     total_dim: int
 
-    def _block(self, m, n, raw) -> np.ndarray:
-        """ONB block, level n → level m, of a raw operator."""
-        return self.to_onb[m] @ raw @ self.from_onb[n]
-
     def left_block(self, m, L) -> np.ndarray:
         """x ↦ a·x on level m for L = left_matrix(a): L ⊗ I on the first slot."""
-        return self._block(m, m, np.kron(L, np.eye(self.raw_dims[m] // len(L))))
+        raw = np.kron(L, np.eye(self.raw_dims[m] // len(L)))
+        return self.to_onb[m] @ raw @ self.from_onb[m]
 
     def creation_blocks(self, i) -> list:
         """T_i from level m to m+1, m < depth: (unit ⊗ e_i) ⊗ I."""
         e_i = np.eye(len(self.eta.index))[self.eta.index.index(i)]
-        slot = np.kron(self.eta.algebra.unit_coords, e_i)[:, None]
-        return [self._block(m + 1, m, np.kron(slot, np.eye(s)))
+        slot = np.kron(self.eta.algebra.unit_coords, e_i)
+        # to_onb·(slot ⊗ I) contracts the first raw slot of level m+1
+        return [np.tensordot(slot, self.to_onb[m + 1].reshape(-1, len(slot), s),
+                             (0, 1)) @ self.from_onb[m]
                 for m, s in enumerate(self.raw_dims[:-1])]
 
-    def assemble(self, blocks: dict) -> np.ndarray:
-        """Dense operator on the whole Fock space from {(m, n): block}."""
-        M = np.zeros((self.total_dim, self.total_dim), dtype=complex)
+    def assemble(self, blocks: dict, top: int = None) -> np.ndarray:
+        """Dense operator from {(m, n): block} on the levels 0…top, by
+        default the whole Fock space."""
+        size = self.offsets[self.depth if top is None else top].stop
+        M = np.zeros((size, size), dtype=complex)
         for (m, n), B in blocks.items():
             M[self.offsets[m], self.offsets[n]] = B
         return M
@@ -295,8 +284,8 @@ class TruncatedFock:
     def right_mult(self, a) -> np.ndarray:
         R = self.eta.algebra.right_matrix(a)
         return self.assemble({
-            (m, m): self._block(m, m, np.kron(np.eye(s // len(R)), R))
-            for m, s in enumerate(self.raw_dims)})
+            (m, m): self.to_onb[m] @ np.kron(np.eye(s // len(R)), R)
+            @ self.from_onb[m] for m, s in enumerate(self.raw_dims)})
 
     def vacuum(self) -> np.ndarray:
         v = np.zeros(self.total_dim, dtype=complex)
@@ -317,17 +306,43 @@ def level_grams(eta: CovarianceMatrix, depth: int):
     """
     alg = eta.algebra
     nA, nI, d, B = alg.dim, len(eta.index), alg.d, alg.basis
-    E = np.array([[eta.entries[(i, j)] for j in eta.index] for i in eta.index])
-    G = B.conj().transpose(0, 2, 1)[:, None] @ B[None]  # ⟨b, c⟩₀ = b*c
+    G = alg.element(alg.star_prods)  # ⟨b, c⟩₀ = b*c
     mul = alg.coords(B[:, None] @ B[None])  # e_h e_f = Σ_g mul[h,f,g] e_g
     # lam[a,i,c,j,g,f]: g-th coordinate of η_ij(e_a* e_c)·e_f
-    lam = np.einsum("ijhq,acq,hfg->aicjgf", E, alg.coords(G), mul)
+    lam = np.einsum("ijhq,acq,hfg->aicjgf", eta.stacked, alg.star_prods, mul)
     yield G
     for _ in range(depth):
         s, t = len(G), len(G) * nA * nI
         G = np.einsum("aicjgf,ugrxy->aiucjfrxy", lam,
-                      G.reshape(s, nA, s // nA, d, d)).reshape(t, t, d, d)
+                      G.reshape(s, nA, s // nA, d, d),
+                      optimize=True).reshape(t, t, d, d)
         yield G
+
+
+def level_cuts(eta: CovarianceMatrix, depth: int):
+    """Yield (factor, kept eigenvalues) of the scalar Gram τ⟨·,·⟩ of each
+    level m ≤ depth, cut as `rank_cut` does.
+
+    Over A = ℂ the level-m Gram is C^{⊗m}, C = [η_ij(1)], so its cut is the
+    Kronecker power of the cut of C; otherwise each `level_grams` Gram is
+    cut, in real arithmetic when it is real.
+    """
+    if eta.algebra.dim > 1:
+        for G in level_grams(eta, depth):
+            Q = np.einsum("stii->st", G) / eta.algebra.d
+            cut = rank_cut(Q if Q.imag.any() else Q.real)
+            yield cut.factor, cut.w
+        return
+    c = rank_cut(eta.stacked[:, :, 0, 0])
+    F, w = np.ones((1, 1)), np.ones(1)
+    yield F, w
+    for _ in range(depth):
+        F = (c.factor[:, None, :, None] * F[None, :, None, :]).reshape(
+            len(c.factor) * len(F), -1)
+        w = np.outer(c.w, w).ravel()
+        keep = w > RANK_CUT * np.max(w, initial=1e-300)
+        F, w = F[:, keep], w[keep]
+        yield F, w
 
 
 def build_fock(eta: CovarianceMatrix, depth: int, max_depth: int = 12,
@@ -344,11 +359,10 @@ def build_fock(eta: CovarianceMatrix, depth: int, max_depth: int = 12,
                 f"raw dimension exceeds the cap {dim_cap} at level {m}")
 
     to_onb, from_onb, dims = [], [], []
-    for G in level_grams(eta, depth):
-        cut = rank_cut(np.einsum("stii->st", G) / alg.d)  # scalar Gram via τ
-        to_onb.append(cut.factor.conj().T)
-        from_onb.append(cut.factor / cut.w)
-        dims.append(cut.rank)
+    for F, w in level_cuts(eta, depth):
+        to_onb.append(F.conj().T)
+        from_onb.append(F / w)
+        dims.append(len(w))
 
     ends = list(itertools.accumulate(dims))
     return TruncatedFock(eta, depth, tuple(dims), tuple(raw_dims), to_onb,
@@ -362,20 +376,27 @@ class SemicircularFamily:
 
     fock: TruncatedFock
     blocks: dict    # i -> [T_i: level m → m+1 for m < depth]
+    _windows: dict = field(default_factory=dict, init=False, repr=False)
 
-    @cached_property
-    def annihilations(self) -> dict:
-        """T_i† from level m+1 to m: the adjoints of `blocks`."""
-        return {i: [T.conj().T for T in Ts] for i, Ts in self.blocks.items()}
-
-    @cached_property
+    @property
     def creations(self) -> dict:
-        return {i: self.fock.assemble({(m + 1, m): T for m, T in enumerate(Ts)})
-                for i, Ts in self.blocks.items()}
+        """Dense T_i: the part of X_i strictly below the diagonal."""
+        return {i: np.tril(X, -1) for i, X in self.ops.items()}
 
-    @cached_property
+    def window(self, h: int) -> dict:
+        """X_i compressed to the levels 0…h (T_i out of level h dropped),
+        dense and cached per h."""
+        if h not in self._windows:
+            self._windows[h] = {}
+            for i, Ts in self.blocks.items():
+                T = self.fock.assemble(
+                    {(m + 1, m): T for m, T in enumerate(Ts[:h])}, h)
+                self._windows[h][i] = T + T.conj().T
+        return self._windows[h]
+
+    @property
     def ops(self) -> dict:
-        return {i: T + T.conj().T for i, T in self.creations.items()}
+        return self.window(self.fock.depth)
 
     def X(self, i) -> np.ndarray:
         return self.ops[i]
@@ -389,41 +410,33 @@ def semicircular_ops(fock: TruncatedFock) -> SemicircularFamily:
 def vacuum_expectation(fam: SemicircularFamily, word) -> np.ndarray:
     """E(w) = ⟨wΩ, Ω⟩ ∈ A for a word in the X_i and left factors from A.
 
-    Word letters: ("X", i) or a d×d matrix of A.  Exact when the number of
-    X letters is at most 2·depth; longer words are refused.  The vector is
-    kept per level; a level above the number of X letters still to come
-    cannot reach the vacuum, so it is dropped.
+    Word letters: ("X", i) or a d×d matrix of A.  Exact when the number nx
+    of X letters is at most 2·depth; longer words are refused.  A path above
+    level ⌊nx/2⌋ has too few X letters left to return to the vacuum, so one
+    dense vector on the levels 0…⌊nx/2⌋ carries the word: an X letter is one
+    matvec with `fam.window`, a letter of A acts per level by `left_block`.
     """
     fock = fam.fock
     nx = sum(1 for w in word if isinstance(w, tuple) and w[0] == "X")
     if nx > 2 * fock.depth:
         raise WordTooLong(
             f"{nx} semicircular letters exceed 2·depth = {2 * fock.depth}")
-    levels = {0: fock.to_onb[0] @ fock.eta.algebra.unit_coords}
+    h = nx // 2
+    X = fam.window(h)
+    v = np.zeros(fock.offsets[h].stop, dtype=complex)
+    v[fock.offsets[0]] = fock.to_onb[0] @ fock.eta.algebra.unit_coords
     for w in reversed(word):
         if isinstance(w, tuple) and w[0] == "X":
-            nx -= 1
-            up, down = fam.blocks[w[1]], fam.annihilations[w[1]]
-            top = min(nx, fock.depth)
-            out = {}
-            for m, v in levels.items():
-                if m < top:
-                    out[m + 1] = out.get(m + 1, 0) + up[m] @ v
-                if m:
-                    out[m - 1] = out.get(m - 1, 0) + down[m - 1] @ v
-            levels = out
+            v = X[w[1]] @ v
         else:
             L = fock.eta.algebra.left_matrix(np.asarray(w, dtype=complex))
-            levels = {m: fock.left_block(m, L) @ v for m, v in levels.items()}
-    ground = levels.get(0, np.zeros(fock.level_dims[0]))
-    return fock.eta.algebra.element(fock.from_onb[0] @ ground)
+            for m in range(h + 1):
+                v[fock.offsets[m]] = fock.left_block(m, L) @ v[fock.offsets[m]]
+    return fock.eta.algebra.element(fock.from_onb[0] @ v[fock.offsets[0]])
 
 
 def catalan(m: int) -> int:
-    cs = [1]
-    for n in range(m):
-        cs.append(sum(cs[k] * cs[n - k] for k in range(n + 1)))
-    return cs[m]
+    return math.comb(2 * m, m) // (m + 1)
 
 
 def catalan_moments(eta: CovarianceMatrix, i, n: int) -> list:
@@ -450,19 +463,11 @@ def _kraus_vectors(eta: CovarianceMatrix) -> list:
     if len(alg.blocks) != 1:
         return None
     k, nI = alg.d, len(eta.index)
-    choi = np.zeros((k * k * nI, k * k * nI), dtype=complex)
-    # Choi of Φ: M_k → M_{kI}, C = Σ_pq E_pq ⊗ Φ(E_pq)
-    for p in range(k):
-        for q in range(k):
-            e = np.zeros((k, k), dtype=complex)
-            e[p, q] = 1.0
-            blk = np.zeros((k * nI, k * nI), dtype=complex)
-            for x, i in enumerate(eta.index):
-                for y, j in enumerate(eta.index):
-                    blk[x * k:(x + 1) * k, y * k:(y + 1) * k] = \
-                        eta.apply(i, j, e)
-            choi[p * k * nI:(p + 1) * k * nI,
-                 q * k * nI:(q + 1) * k * nI] = blk
+    # Choi of Φ: M_k → M_{kI}, C = Σ_pq E_pq ⊗ Φ(E_pq), rows (p, x, r);
+    # E_pq is basis element p·k + q of the single block
+    phi = alg.element(np.moveaxis(eta.stacked, 3, 0)).reshape(
+        k, k, nI, nI, k, k)
+    choi = phi.transpose(0, 2, 4, 1, 3, 5).reshape(k * nI * k, k * nI * k)
     # column s of the factor, reshaped to v[p,i,o], gives W_s^{(i)}[o,p] =
     # v[p,i,o] with η_ij(a) = Σ_s W^{(i)} a W^{(j)†}, so ξ_{i,s} = W_s^{(i)†}
     v = rank_cut(choi).factor.T.reshape(-1, k, nI, k)
@@ -502,19 +507,14 @@ def ind_faithfulness_probe(eta: CovarianceMatrix, depth: int = 4,
         if abs(alg.trace(ee)) < 1e-12 and np.linalg.norm(v) > 1e-8:
             kernel_failures += 1
 
-    corner_dims = {}
-    for i in eta.index:
-        # scalar Gram of A⊗_{η_ii}A: ⟨a⊗b, c⊗d⟩ = τ(b* η_ii(a*c) d)
-        n = alg.dim
-        Q = np.zeros((n * n, n * n), dtype=complex)
-        for (ai, a), (bi, b) in itertools.product(enumerate(alg.basis),
-                                                  repeat=2):
-            for (ci, c), (di, dd) in itertools.product(enumerate(alg.basis),
-                                                       repeat=2):
-                val = alg.trace(b.conj().T
-                                @ eta.apply(i, i, a.conj().T @ c) @ dd)
-                Q[ai * n + bi, ci * n + di] = val
-        corner_dims[i] = rank_cut(Q).rank
+    # scalar Gram of A⊗_{η_ii}A: ⟨a⊗b, c⊗d⟩ = τ(b* η_ii(a*c) d), where
+    # tau3[b, q, d] = τ(e_b* e_q e_d)
+    B, n = alg.basis, alg.dim
+    tau3 = np.einsum("bsr,qst,dtr->bqd", B.conj(), B, B) / alg.d
+    corner_dims = {
+        i: rank_cut(np.einsum("acp,qp,bqd->abcd", alg.star_prods,
+                              eta.stacked[x, x], tau3).reshape(n * n, n * n)).rank
+        for x, i in enumerate(eta.index)}
     hobj = HilbertSpaceObject({f"i{i}": h for i, h in corner_dims.items()})
     blocks = commutant_blocks(realize(hobj)) if hobj.dims else None
 

@@ -291,6 +291,25 @@ def test_empty_correspondence_gets_a_verdict():
     assert verdict["blocks"].dims() == {}
 
 
+def test_no_generators_leave_all_of_m_n():
+    # nothing acts, so the commutant is M_n; the intertwiner solve used to
+    # reshape the empty generator stack and fail
+    one = RealizedCorrespondence(HilbertSpaceObject({"a": 3}), 1, [],
+                                 {"a": np.eye(3)}, 3)
+    blocks = commutant_blocks(one)
+    assert blocks.blocks == (("a", 3),) and blocks.commutant_dim == 9
+    assert ind_check(one)["verdict"] == "IND"
+    # two labels whose projections do not act: M_3 is not M_2 ⊕ M_1
+    two = realize(HilbertSpaceObject({"a": 2, "b": 1}), 1,
+                  np.random.default_rng(0))
+    two.generators = []
+    blocks = commutant_blocks(two)
+    assert blocks.blocks == ((None, 3),) and blocks.commutant_dim == 9
+    verdict = ind_check(two)
+    assert verdict["verdict"] == "NOT-IND"
+    assert "graded dimensions" in verdict["obstruction"]
+
+
 def test_hom_count_oracles():
     h1 = HilbertSpaceObject({"a": 2, "b": 3})
     assert hom_count(h1, h1, cross_check=True) == 13

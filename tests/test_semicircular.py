@@ -10,6 +10,7 @@ from utcat.errors import (
     RowBoundFailure,
     WordTooLong,
 )
+from utcat.gns import rank_cut
 from utcat.semicircular import (
     BaseAlgebra,
     CovarianceMatrix,
@@ -18,6 +19,7 @@ from utcat.semicircular import (
     covariance_from_automorphisms,
     covariance_from_vectors,
     ind_faithfulness_probe,
+    level_cuts,
     level_grams,
     semicircular_ops,
     vacuum_expectation,
@@ -75,6 +77,161 @@ def test_cp_failure():
 def test_row_bound_failure():
     with pytest.raises(RowBoundFailure):
         covariance_from_vectors([np.array([2.0])], bound=1.0)
+
+
+def _seeded_m2_vector():
+    rng = np.random.default_rng(0)
+    return rng.normal(size=(1, 2, 2)) + 1j * rng.normal(size=(1, 2, 2))
+
+
+def test_row_bound_sees_the_unit():
+    # η(a) = ξ*aξ has ‖η‖ = ‖η(1)‖ = ‖ξ‖² (Russo–Dye); the basis and the
+    # seeded samples alone reach only 9.111 of ‖ξ‖⁴ = 9.579
+    alg = BaseAlgebra((2,))
+    xi = _seeded_m2_vector()
+    exact = np.linalg.norm(xi[0], 2) ** 4
+    eta = covariance_from_vectors([xi], alg)
+    assert abs(eta.bound - exact) <= 1e-12 * exact
+    assert 9.111 < 9.3 < exact
+    with pytest.raises(RowBoundFailure):
+        covariance_from_vectors([xi], alg, bound=9.3)
+    assert covariance_from_vectors([xi], alg, bound=9.58).bound == eta.bound
+
+
+# -- covariance checks against their per-entry loops ---------------------------
+
+def _reference_cp_floor(eta):
+    """Choi-type matrix filled one η_ij(e_α* e_β) block at a time."""
+    alg = eta.algebra
+    nA, nI, d = alg.dim, len(eta.index), alg.d
+    big = np.zeros((nA * nI * d, nA * nI * d), dtype=complex)
+    for ai, ei in enumerate(alg.basis):
+        for bi, ej in enumerate(alg.basis):
+            prod = ei.conj().T @ ej
+            for x, i in enumerate(eta.index):
+                for y, j in enumerate(eta.index):
+                    r = (ai * nI + x) * d
+                    c = (bi * nI + y) * d
+                    big[r:r + d, c:c + d] = eta.apply(i, j, prod)
+    return float(np.linalg.eigvalsh((big + big.conj().T) / 2)[0])
+
+
+def _reference_row_bound(eta, samples=20, seed=0):
+    """Row bound over the basis, the unit and the seeded samples, one
+    spectral norm at a time."""
+    rng = np.random.default_rng(seed)
+    alg = eta.algebra
+    tests = list(alg.basis) + [np.eye(alg.d)] + [alg.random(rng)
+                                                 for _ in range(samples)]
+    best = 0.0
+    for a in tests:
+        na = np.linalg.norm(a, 2)
+        if na < 1e-14:
+            continue
+        for i in eta.index:
+            s = sum(np.linalg.norm(eta.apply(i, j, a), 2) ** 2
+                    for j in eta.index)
+            best = max(best, s / na ** 2)
+    return best
+
+
+def _reference_trace_residual(eta):
+    alg = eta.algebra
+    worst = 0.0
+    for i in eta.index:
+        for j in eta.index:
+            for x in alg.basis:
+                for y in alg.basis:
+                    lhs = alg.trace(eta.apply(i, j, x) @ y)
+                    rhs = alg.trace(x @ eta.apply(j, i, y))
+                    worst = max(worst, abs(lhs - rhs))
+    return worst
+
+
+def _m2_vectors_eta():
+    rng = np.random.default_rng(3)
+    vs = [rng.normal(size=(2, 2, 2)) + 1j * rng.normal(size=(2, 2, 2))
+          for _ in range(2)]
+    return covariance_from_vectors(vs, BaseAlgebra((2,)))
+
+
+def _skew_eta():
+    """A non-trace-symmetric covariance on ℂ ⊕ ℂ."""
+    return CovarianceMatrix(BaseAlgebra((1, 1)), (0,),
+                            {(0, 0): np.array([[0.0, 2.0], [1.0, 0.0]])})
+
+
+# lambdas, since the rotation and block helpers are defined further down
+COVARIANCE_CASES = {
+    "eta1": lambda: covariance_from_vectors([np.array([1.0])]),
+    "pair": lambda: covariance_from_vectors([np.array([1.0, 0.0]),
+                                             np.array([0.0, 1.0])]),
+    "seeded_xi": lambda: covariance_from_vectors([_seeded_m2_vector()],
+                                                 BaseAlgebra((2,))),
+    "m2_vectors": _m2_vectors_eta,
+    "m2_rotation": lambda: _rotation_eta(),
+    "blocks_1_2": lambda: _block_vector_eta(),
+    "skew_1_1": _skew_eta,
+}
+
+
+def _reference_vector_entries(vectors, alg):
+    """η_ij column by column: the coordinates of Σ_s ξ_is* e ξ_js."""
+    xs = [np.asarray(v, dtype=complex).reshape(-1, alg.d, alg.d)
+          for v in vectors]
+    return {(i, j): np.stack([alg.coords(sum(xs[i][s].conj().T @ e @ xs[j][s]
+                                             for s in range(len(xs[i]))))
+                              for e in alg.basis], axis=1)
+            for i in range(len(xs)) for j in range(len(xs))}
+
+
+def _reference_corner_ranks(eta):
+    """Ranks of the scalar Grams τ(b* η_ii(a*c) d) of A⊗_{η_ii}A."""
+    alg, n = eta.algebra, eta.algebra.dim
+    ranks = {}
+    for i in eta.index:
+        Q = np.zeros((n * n, n * n), dtype=complex)
+        for (ai, a), (bi, b) in itertools.product(enumerate(alg.basis),
+                                                  repeat=2):
+            for (ci, c), (di, dd) in itertools.product(enumerate(alg.basis),
+                                                       repeat=2):
+                Q[ai * n + bi, ci * n + di] = alg.trace(
+                    b.conj().T @ eta.apply(i, i, a.conj().T @ c) @ dd)
+        ranks[i] = rank_cut(Q).rank
+    return ranks
+
+
+@pytest.mark.parametrize("case", ["pair", "m2_vectors", "blocks_1_2"])
+def test_vector_covariance_matches_the_loop(case):
+    alg = {"pair": BaseAlgebra((1,)), "m2_vectors": BaseAlgebra((2,)),
+           "blocks_1_2": BaseAlgebra((1, 2))}[case]
+    rng = np.random.default_rng(6)
+    shape = (2, alg.d, alg.d)
+    mask = alg.element(np.ones(alg.dim)).real  # keeps vectors inside A
+    vs = [(rng.normal(size=shape) + 1j * rng.normal(size=shape)) * mask
+          for _ in range(2)]
+    eta = covariance_from_vectors(vs, alg)
+    for key, want in _reference_vector_entries(vs, alg).items():
+        assert np.max(np.abs(eta.entries[key] - want)) \
+            <= 1e-12 * max(1.0, np.max(np.abs(want)))
+
+
+@pytest.mark.parametrize("case", ["m2_rotation", "m2_vectors", "blocks_1_2",
+                                  "skew_1_1"])
+def test_probe_corner_ranks_match_the_loop(case):
+    eta = COVARIANCE_CASES[case]()
+    rep = ind_faithfulness_probe(eta, depth=1, samples=1)
+    assert rep["corner_dims"] == _reference_corner_ranks(eta)
+
+
+@pytest.mark.parametrize("case", sorted(COVARIANCE_CASES))
+def test_batched_covariance_checks_match_the_loops(case):
+    eta = COVARIANCE_CASES[case]()
+    for got, want in ((eta.cp_floor, _reference_cp_floor(eta)),
+                      (eta.bound, _reference_row_bound(eta)),
+                      (eta.trace_symmetry_residual(),
+                       _reference_trace_residual(eta))):
+        assert abs(got - want) <= 1e-12 * max(1.0, abs(want))
 
 
 # -- automorphisms ------------------------------------------------------------
@@ -251,6 +408,33 @@ def test_level_grams_match_the_pair_loop(case):
     assert fock.level_dims == level_dims
 
 
+SCALAR_CUT_CASES = {
+    **{k: v[:2] for k, v in GRAM_CASES.items()},
+    # A = ℂ with a non-orthonormal and a rank-deficient covariance
+    "skewed": (lambda: covariance_from_vectors([np.array([1.0, 0.5j]),
+                                                np.array([0.3, 1.0])]), 6),
+    "proportional": (lambda: covariance_from_vectors(
+        [np.array([1.0, 2.0]), np.array([2.0, 4.0])]), 5),
+    # eigenvalues 1 and 1e-6: their products fall below the cut at level 2
+    "graded": (lambda: covariance_from_vectors([np.array([1.0, 0.0]),
+                                                np.array([0.0, 1e-3])]), 4),
+}
+
+
+@pytest.mark.parametrize("case", sorted(SCALAR_CUT_CASES))
+def test_level_cuts_factor_the_scalar_grams(case):
+    # over A = ℂ the cut is a Kronecker power, elsewhere a real or complex
+    # eigh: either way F·F* is the scalar Gram and the rank is rank_cut's
+    make, depth = SCALAR_CUT_CASES[case]
+    eta = make()
+    cuts = list(level_cuts(eta, depth))
+    assert len(cuts) == depth + 1
+    for (F, w), G in zip(cuts, level_grams(eta, depth)):
+        Q = np.einsum("stii->st", G) / eta.algebra.d
+        assert np.max(np.abs(F @ F.conj().T - Q)) <= 1e-12 * np.max(np.abs(Q))
+        assert len(w) == rank_cut(Q).rank
+
+
 @pytest.mark.parametrize("case", ["pair", "m2_rotation", "blocks_1_2"])
 def test_level_walk_matches_dense_operators(case):
     make, depth = GRAM_CASES[case][:2]
@@ -272,6 +456,71 @@ def test_level_walk_matches_dense_operators(case):
         want = fock.ground_component(v)
         got = vacuum_expectation(fam, word)
         assert np.max(np.abs(got - want)) <= 1e-12 * max(1.0, np.max(np.abs(want)))
+
+
+def _reference_walk(fam, word):
+    """The per-level walk: one vector per level, T_i and T_i† applied
+    blockwise, levels above the X letters still to come dropped."""
+    fock = fam.fock
+    nx = sum(1 for w in word if isinstance(w, tuple))
+    levels = {0: fock.to_onb[0] @ fock.eta.algebra.unit_coords}
+    for w in reversed(word):
+        if isinstance(w, tuple):
+            nx -= 1
+            up = fam.blocks[w[1]]
+            top = min(nx, fock.depth)
+            out = {}
+            for m, v in levels.items():
+                if m < top:
+                    out[m + 1] = out.get(m + 1, 0) + up[m] @ v
+                if m:
+                    out[m - 1] = out.get(m - 1, 0) + up[m - 1].conj().T @ v
+            levels = out
+        else:
+            L = fock.eta.algebra.left_matrix(np.asarray(w, dtype=complex))
+            levels = {m: fock.left_block(m, L) @ v for m, v in levels.items()}
+    ground = levels.get(0, np.zeros(fock.level_dims[0]))
+    return fock.eta.algebra.element(fock.from_onb[0] @ ground)
+
+
+def _window_words(eta, depth, rng):
+    """Mixed X/A words, the empty word, A-only words and words with
+    exactly 2·depth X letters."""
+    alg, index = eta.algebra, eta.index
+
+    def x_word(nx):
+        return [("X", index[rng.integers(len(index))]) for _ in range(nx)]
+
+    def with_a(word, k):
+        word = list(word)
+        for _ in range(k):
+            word.insert(int(rng.integers(len(word) + 1)), alg.random(rng))
+        return word
+
+    words = [[]] + [with_a([], k) for k in (1, 2, 3)]
+    words += [with_a(x_word(int(rng.integers(1, 2 * depth + 1))),
+                     int(rng.integers(1, 4))) for _ in range(6)]
+    words += [x_word(2 * depth) for _ in range(3)]
+    words += [with_a(x_word(2 * depth), 2) for _ in range(3)]
+    return words
+
+
+@pytest.mark.parametrize("case", sorted(GRAM_CASES))
+def test_window_matches_the_level_walk(case):
+    make, top = GRAM_CASES[case][:2]
+    eta = make()
+    rng = np.random.default_rng(17)
+    for depth in range(1, min(top, 4) + 1):
+        fam = semicircular_ops(build_fock(eta, depth))
+        for word in _window_words(eta, depth, rng):
+            want = _reference_walk(fam, word)
+            got = vacuum_expectation(fam, word)
+            assert np.max(np.abs(got - want)) \
+                <= 1e-12 * max(1.0, np.max(np.abs(want)))
+        with pytest.raises(WordTooLong):
+            vacuum_expectation(fam, [("X", eta.index[0])] * (2 * depth + 1))
+        # the window of the full depth is the dense family
+        assert fam.window(depth) is fam.ops
 
 
 @pytest.mark.parametrize("case", ["pair", "m2_rotation", "blocks_1_2"])
