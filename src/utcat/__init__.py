@@ -7,11 +7,11 @@ from .coend import CoendAlgebra, crossed_product
 from .fusion_ring import FusionRing, SupportSet, validate_ring
 from .inclusion import HilbertSpaceObject, commutant_blocks, discreteness_report
 from .semicircular import build_fock, semicircular_ops
-from .skeletal import SkeletalUTC, TreeVector
+from .skeletal import SkeletalUTC
 
 __all__ = [
     "AlgebraObject", "CoendAlgebra", "FusionRing", "HilbertSpaceObject",
-    "SkeletalUTC", "SupportSet", "TreeVector", "annulus_basis",
+    "SkeletalUTC", "SupportSet", "annulus_basis",
     "build_annulus", "build_fock", "commutant_blocks", "crossed_product",
     "discreteness_report", "relabel_category", "semicircular_ops",
     "validate_algebra_object", "validate_ring", "z_state",

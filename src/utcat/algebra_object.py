@@ -14,6 +14,7 @@ so every coefficient drawn from the category data passes through
 
 from __future__ import annotations
 
+import dataclasses
 import itertools
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -28,7 +29,7 @@ from .errors import (
     SupportTooSmall,
 )
 from .gns import GramRoot, form, min_eig
-from .skeletal import SkeletalUTC, TreeVector
+from .skeletal import SkeletalUTC
 
 __all__ = [
     "AlgebraObject",
@@ -62,6 +63,8 @@ class AlgebraObject:
     side: str = "cat"
     unitary_lax: bool = False
     meta: dict = field(default_factory=dict)
+    # the ground and square algebras, built once per object
+    _derived: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         self.unit = np.asarray(self.unit, dtype=complex)
@@ -69,6 +72,11 @@ class AlgebraObject:
         self.star = {k: np.asarray(v, dtype=complex) for k, v in self.star.items()}
         if self.side not in ("cat", "op"):
             raise ValueError(f"side must be 'cat' or 'op', got {self.side!r}")
+
+    def __copy__(self):
+        """A shallow copy with its own (empty) cache of derived algebras, so
+        that replacing its ``mult`` or ``star`` is seen by them."""
+        return dataclasses.replace(self)
 
     # -- basic queries -----------------------------------------------------
 
@@ -174,31 +182,29 @@ class AlgebraObject:
         unit ι(1) = 𝒟(R_X*)(1) is exactly 1, so no dimension factor is
         needed for the unit to act as the identity and ξ ◁ ι(x) = ξ·x.
         """
-        X = xi.label
-        cat = self.cat
-        ring = cat.ring
-        sol = cat.conjugate_solution(X)
-        q = cat.insert_pair(TreeVector((X,), X, {(): 1.0 + 0j}), 0,
-                            X, ring.dual[X], [sol.rbar])
+        X, cat = xi.label, self.cat
+        rbar = cat.conjugate_solution(X).rbar
         out = np.zeros(self.n(X), dtype=complex)
         for (Z, v), tvec in T.comps.items():
-            for s in range(ring.N(X, Z, X)):
-                M = cat.merge(TreeVector((X,), X, {(): 1.0 + 0j}),
-                              cat.basis_tree(Z, (ring.dual[X], X), ((Z, v),)),
-                              X, np.eye(ring.N(X, Z, X))[s])
-                coeff = M.inner(q)
-                if abs(coeff) == 0.0:
-                    continue
+            # the cap on (Z, v, s ∈ O(X, X⊗Z)): r̄ conj F[X,X̄,X;X][(1,0,0), (Z,v,s)]
+            cap = rbar * cat.fblock(X, cat.dual(X), X, X, cat.ring.unit, Z)[0, 0, v].conj()
+            for s, coeff in enumerate(cap):
                 out += self.scalar(coeff) * self.mu_apply(X, Z, X, s, xi.vec, tvec)
         return FiberElement(X, out)
 
     # -- derived algebras ---------------------------------------------------
 
     def ground(self) -> "GroundAlgebra":
-        return GroundAlgebra(self)
+        """𝒟(1), built on the first call."""
+        if "ground" not in self._derived:
+            self._derived["ground"] = GroundAlgebra(self)
+        return self._derived["ground"]
 
     def square_algebra(self, X: str) -> "SquareAlgebra":
-        return SquareAlgebra(self, X)
+        """𝒟(X̄⊗X), built on the first call for X."""
+        if X not in self._derived:
+            self._derived[X] = SquareAlgebra(self, X)
+        return self._derived[X]
 
     def fiber_norms(self, xi: FiberElement) -> tuple:
         """(module norm ‖ξ‖_{𝒟(1)}, operator norm ‖ξ‖)."""
@@ -311,12 +317,14 @@ class SquareAlgebra:
             raise SupportTooSmall(missing)
         self.keys = []      # (Z, v) with n_Z > 0
         self.slices = {}
+        self._spans = {}    # Z -> the slice of all its (Z, v)
         off = 0
         for Z in ring.labels:
-            nz = D.n(Z)
-            if nz == 0:
+            nz, nv = D.n(Z), ring.N(self.Xb, X, Z)
+            if nz == 0 or nv == 0:
                 continue
-            for v in range(ring.N(self.Xb, X, Z)):
+            self._spans[Z] = slice(off, off + nv * nz)
+            for v in range(nv):
                 self.keys.append((Z, v))
                 self.slices[(Z, v)] = slice(off, off + nz)
                 off += nz
@@ -333,8 +341,7 @@ class SquareAlgebra:
         return SquareElement(self, {k: vec[sl] for k, sl in self.slices.items()})
 
     def unit(self) -> SquareElement:
-        r = self.D.scalar(self.D.cat.conjugate_solution(self.X).r)
-        return self.element({(self.D.cat.ring.unit, 0): r * self.D.unit})
+        return self.include_ground(self.D.unit)
 
     def include_ground(self, x) -> SquareElement:
         """ι : 𝒟(1) → 𝒟(X̄⊗X), ι = 𝒟(R_X*)."""
@@ -344,41 +351,31 @@ class SquareAlgebra:
     # -- product ------------------------------------------------------------
 
     def _structure_tensor(self) -> np.ndarray:
-        """Dense P[k, i, j] with (a·b)_k = Σ P[k,i,j] a_i b_j."""
-        if self._tensor is not None:
-            return self._tensor
-        D, cat = self.D, self.D.cat
-        ring = cat.ring
-        X, Xb = self.X, self.Xb
-        rbar = cat.conjugate_solution(X).rbar
-        P = np.zeros((self.dim, self.dim, self.dim), dtype=complex)
-        # m∘u for every output basis tree u
-        targets = {}
-        for (U, u) in self.keys:
-            tu = cat.basis_tree(U, (Xb, X), ((U, u),))
-            targets[(U, u)] = cat.insert_pair(tu, 1, X, Xb, [rbar])
-        for (Z, v) in self.keys:
-            tv = cat.basis_tree(Z, (Xb, X), ((Z, v),))
-            for (W, w) in self.keys:
-                tw = cat.basis_tree(W, (Xb, X), ((W, w),))
-                for U in ring.labels:
-                    nu_dim = D.n(U)
-                    if nu_dim == 0:
-                        continue
-                    ns = ring.N(Z, W, U)
-                    for s in range(ns):
-                        M = cat.merge(tv, tw, U, np.eye(ns)[s])
-                        mu = D.mu(Z, W, U, s)       # (n_U, n_Z, n_W)
-                        for u in range(ring.N(Xb, X, U)):
-                            gamma = D.scalar(M.inner(targets[(U, u)]))
-                            if abs(gamma) == 0.0:
-                                continue
-                            so = self.slices[(U, u)]
-                            sz = self.slices[(Z, v)]
-                            sw = self.slices[(W, w)]
-                            P[so, sz, sw] += gamma * mu
-        self._tensor = P
-        return P
+        """Dense P[k, i, j] with (a·b)_k = Σ P[k,i,j] a_i b_j.
+
+        The channels (Z, v) and (W, w) multiply along s ∈ O(U, Z⊗W) into
+        (U, u) with the coefficient of their merged tree on (id ⊗ R̄_X ⊗ id)∘u,
+        γ = Σ_β r̄ F[X̄,X,X̄;X̄][(Z,v,β),(1,0,0)] conj(F[Z,X̄,X;U][(X̄,β,u),(W,w,s)]).
+        """
+        if self._tensor is None:
+            D, cat = self.D, self.D.cat
+            ring, X, Xb, span = cat.ring, self.X, self.Xb, self._spans
+            rbar = cat.conjugate_solution(X).rbar
+            P = np.zeros((self.dim,) * 3, dtype=complex)
+            for Z in span:
+                cup = rbar * cat.fblock(Xb, X, Xb, Xb, Z, ring.unit)[:, :, 0, 0]
+                for W in span:
+                    for U, ns in ring.channels(Z, W):
+                        if U not in span:
+                            continue
+                        gamma = D.scalar(np.einsum("vb,buws->uvws", cup,
+                                                   cat.fblock(Z, Xb, X, U, Xb, W).conj()))
+                        mu = np.array([D.mu(Z, W, U, s) for s in range(ns)])
+                        block = np.einsum("uvws,skij->ukviwj", gamma, mu)
+                        at = (span[U], span[Z], span[W])
+                        P[at] += block.reshape(P[at].shape)
+            self._tensor = P
+        return self._tensor
 
     def mul(self, a: SquareElement, b: SquareElement) -> SquareElement:
         P = self._structure_tensor()

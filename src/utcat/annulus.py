@@ -4,24 +4,30 @@ Fibers are 𝒟(Y) = ⊕_{X∈S} Hom(Y, X̄⊗X) with the basis (X, t) ordered b
 then multiplicity index.  The multiplication braids the left factor pair past
 the right conjugate letter,
 
-    X̄⊗X⊗Ȳ⊗Y → (Ȳ⊗X̄)⊗(X⊗Y) → W̄⊗W,
+    X̄⊗X⊗X̄'⊗X' → (X̄'⊗X̄)⊗(X⊗X') → V̄⊗V,
 
 and the second arrow decomposes through conjugate intertwiner pairs
-(conj(b)/‖conj(b)‖ ⊗ b) over an orthonormal basis b of O(W, X⊗Y).  The
-normalization of the conjugates is the one choice not forced by the data; it
-is recorded in the object's metadata and exercised by the associativity
-check in :func:`build_annulus`.
+(conj(b)/‖conj(b)‖ ⊗ b) over an orthonormal basis b of O(V, X⊗X').  The
+product is a fixed contraction of F and R blocks, as for the tube algebra in
+Bultinck et al., *Anyons and matrix product operator algebras* (Ann. Phys.
+2017): one F[Y,X̄',X';W] column merges the factors, F⁻¹·R·F and then R braid,
+and F[V̄,X,X';W] projects on the pairs.  Their normalization is the one
+choice not forced by the data; it is recorded in the object's metadata and
+exercised by the associativity check in :func:`build_annulus`.
 
 The star is the tube algebra's involution in closed form (Ghosh–Jones,
 *Annular representation theory for rigid C*-tensor categories*, JFA 2016):
 for f ∈ Hom(Y, X̄⊗X), j(f) is the conjugate morphism in Hom(Ȳ, X̄⊗X),
-braided to X⊗X̄ so that it lies in the X̄ summand of 𝒟(Ȳ), times the twist
-θ_X = d_X⁻¹ Σ_c d_c Tr R^{X,X}_c of the loop label.  The metadata records
-these phases as ``star_phases[(X, Y)] = θ_X``.  The assembled object is
-validated once; a residual above ``tol`` raises :class:`PositivityFailure`.
+braided by one R block to X⊗X̄ so that it lies in the X̄ summand of 𝒟(Ȳ),
+times the twist θ_X = d_X⁻¹ Σ_c d_c Tr R^{X,X}_c of the loop label.  The
+metadata records these phases as ``star_phases[(X, Y)] = θ_X``.  The
+assembled object is validated once; a residual above ``tol`` raises
+:class:`PositivityFailure`.
 """
 
 from __future__ import annotations
+
+import itertools
 
 import numpy as np
 
@@ -44,17 +50,6 @@ def annulus_basis(cat: SkeletalUTC, S, Y: str) -> list:
     return out
 
 
-def _closed(cat: SkeletalUTC, S) -> bool:
-    labels = set(S)
-    for x in labels:
-        if cat.ring.dual[x] not in labels:
-            return False
-        for y in labels:
-            if set(cat.ring.fuse(x, y)) - labels:
-                return False
-    return True
-
-
 def build_annulus(cat: SkeletalUTC, S=None, tol: float = 1e-9) -> AlgebraObject:
     """Assemble the annulus object over the support S (default: all labels)."""
     if not cat.braided:
@@ -62,86 +57,12 @@ def build_annulus(cat: SkeletalUTC, S=None, tol: float = 1e-9) -> AlgebraObject:
     ring = cat.ring
     if S is None:
         S = SupportSet(labels=ring.labels, generators=ring.labels, depth=0)
-    if not _closed(cat, S):
-        raise SupportTooSmall(sorted(set().union(
-            *[set(ring.fuse(x, y)) for x in S for y in S]) - set(S)))
+    missing = ({ring.dual[x] for x in S}
+               | {z for x in S for y in S for z in ring.fuse(x, y)}) - set(S)
+    if missing:
+        raise SupportTooSmall(sorted(missing))
 
-    labels = ring.labels
-    bases = {Y: annulus_basis(cat, S, Y) for Y in labels}
-    fibers = {Y: len(bases[Y]) for Y in labels}
-    twist = {X: cat.twist(X) for X in S}
-
-    # conjugate pair trees: for each (V, X, Xp) an onb b_q of O(V, X⊗Xp) and
-    # the normalized conjugates conj(b_q)/‖conj(b_q)‖ ∈ Hom(V̄, X̄p⊗X̄)
-    def conj_pairs(V, X, Xp):
-        n = ring.N(X, Xp, V)
-        pairs = []
-        for q in range(n):
-            cb = cat.conj_pair_basis(X, Xp, V, np.eye(n)[q])
-            cb = cb / np.linalg.norm(cb)
-            pairs.append((np.eye(n)[q], cb))
-        return pairs
-
-    mult = {}
-    for Y in labels:
-        for Z in labels:
-            for W in labels:
-                nu = ring.N(Y, Z, W)
-                if nu == 0 or fibers[W] == 0 or fibers[Y] == 0 or fibers[Z] == 0:
-                    continue
-                for u in range(nu):
-                    arr = np.zeros((fibers[W], fibers[Y], fibers[Z]), dtype=complex)
-                    for iy, (X, t) in enumerate(bases[Y]):
-                        Xb = ring.dual[X]
-                        f = cat.basis_tree(Y, (Xb, X), ((Y, t),))
-                        for iz, (Xp, tp) in enumerate(bases[Z]):
-                            Xpb = ring.dual[Xp]
-                            gtv = cat.basis_tree(Z, (Xpb, Xp), ((Z, tp),))
-                            big = cat.merge(f, gtv, W, np.eye(nu)[u])
-                            # τ_{X̄⊗X, X̄p}: move letter 2 left past letters 1, 0
-                            big = cat.braid_adjacent(big, 1)
-                            big = cat.braid_adjacent(big, 0)
-                            # now word = (X̄p, X̄, X, Xp); project on pair trees
-                            for iw, (V, h) in enumerate(bases[W]):
-                                Vb = ring.dual[V]
-                                nh = ring.N(Vb, V, W)
-                                total = 0.0 + 0.0j
-                                for b_q, cb_q in conj_pairs(V, X, Xp):
-                                    left = _vec_tree(cat, Vb, (Xpb, Xb), cb_q)
-                                    right = _vec_tree(cat, V, (X, Xp), b_q)
-                                    M = cat.merge(left, right, W, np.eye(nh)[h])
-                                    total += M.inner(big)
-                                arr[iw, iy, iz] = total
-                    if np.any(arr):
-                        mult[(Y, Z, W, u)] = arr
-
-    # star: conjugate f: Y → X̄⊗X, braid back X̄⊗X → X⊗X̄ so the result sits
-    # in the X̄ summand of 𝒟(Ȳ), and multiply by the twist θ_X of the loop
-    # label (the tube algebra's involution, Ghosh–Jones 2016)
-    star = {}
-    for Y in labels:
-        Yb = ring.dual[Y]
-        Smat = np.zeros((fibers[Yb], fibers[Y]), dtype=complex)
-        for iy, (X, t) in enumerate(bases[Y]):
-            Xb = ring.dual[X]
-            n = ring.N(Xb, X, Y)
-            cb = cat.conj_pair_basis(Xb, X, Y, np.eye(n)[t])  # ∈ Hom(Ȳ, X̄⊗X)
-            tv = _vec_tree(cat, Yb, (Xb, X), cb)
-            tv = cat.braid_adjacent(tv, 0)                    # ∈ Hom(Ȳ, X⊗X̄)
-            for path, coeff in tv.coeffs.items():
-                jidx = bases[Yb].index((Xb, path[0][1]))
-                Smat[jidx, iy] += coeff
-        star[Y] = np.array([twist[X] for X, _ in bases[Yb]])[:, None] * Smat
-
-    unit_idx = bases[ring.unit].index((ring.unit, 0))
-    unit = np.zeros(fibers[ring.unit], dtype=complex)
-    unit[unit_idx] = 1.0
-
-    meta = {"fixture": "annulus", "support": tuple(sorted(S)),
-            "conjugate_normalization": "unit-norm",
-            "star_phases": {(X, Y): twist[X] for Y in labels for X, _ in bases[Y]}}
-    ann = AlgebraObject(cat=cat, fibers=fibers, mult=mult, star=star,
-                        unit=unit, side="cat", unitary_lax=False, meta=meta)
+    ann = _assemble(cat, S)
     try:
         res = validate_algebra_object(ann, rng=np.random.default_rng(1), tol=tol)
     except SolveFailed as err:  # a wrong star degenerates the ground trace form
@@ -152,14 +73,87 @@ def build_annulus(cat: SkeletalUTC, S=None, tol: float = 1e-9) -> AlgebraObject:
     if worst > tol:
         raise PositivityFailure(
             f"assembled annulus object fails its own axioms: {res}")
-    meta["residuals"] = res
+    ann.meta["residuals"] = res
     return ann
 
 
-def _vec_tree(cat, root, word, coeffs):
-    from .skeletal import TreeVector
-    return TreeVector(tuple(word), root,
-                      {((root, t),): c for t, c in enumerate(coeffs) if abs(c) > 0})
+def _assemble(cat: SkeletalUTC, S) -> AlgebraObject:
+    """The annulus object over a fusion-closed support S, not yet validated."""
+    ring = cat.ring
+    bases = {Y: annulus_basis(cat, S, Y) for Y in ring.labels}
+    twist = {X: cat.twist(X) for X in S}
+    unit = np.zeros(len(bases[ring.unit]), dtype=complex)
+    unit[bases[ring.unit].index((ring.unit, 0))] = 1.0
+    meta = {"fixture": "annulus", "support": tuple(sorted(S)),
+            "conjugate_normalization": "unit-norm",
+            "star_phases": {(X, Y): twist[X] for Y, basis in bases.items() for X, _ in basis}}
+    return AlgebraObject(cat=cat, fibers={Y: len(basis) for Y, basis in bases.items()},
+                         mult=_product(cat, S, bases), star=_star(cat, bases, twist),
+                         unit=unit, side="cat", unitary_lax=False, meta=meta)
+
+
+def _product(cat: SkeletalUTC, S, bases: dict) -> dict:
+    """mult[(Y, Z, W, u)] of the annulus over S with fiber ``bases``."""
+    ring, dual, N = cat.ring, cat.ring.dual, cat.ring.N
+    start = {Y: {X: i for i, (X, t) in enumerate(basis) if t == 0}
+             for Y, basis in bases.items()}
+    mult = {(Y, Z, W, u): np.zeros((len(bases[W]), len(bases[Y]), len(bases[Z])), dtype=complex)
+            for Y, Z in itertools.product(ring.labels, repeat=2)
+            for W, n in ring.channels(Y, Z) for u in range(n)}
+    for X, Xp in itertools.product(sorted(S), repeat=2):
+        Xb, Xpb = dual[X], dual[Xp]
+        # per V: the unit-norm conjugates of an onb of O(V, X⊗X'), conjugated
+        # and pulled back through R^{X̄,X̄'}, as C[q, α'] with α' ∈ O(V̄, X̄⊗X̄')
+        pairs = {}
+        for V, n in ring.channels(X, Xp):
+            cb = np.array([cat.conj_pair_basis(X, Xp, V, e) for e in np.eye(n)])
+            cb /= np.linalg.norm(cb, axis=1, keepdims=True)
+            pairs[V] = cb.conj() @ cat.rmat(Xb, Xpb, dual[V])
+        for Y, _ in ring.channels(Xb, X):
+            y = slice(start[Y][X], start[Y][X] + N(Xb, X, Y))
+            for p, _ in ring.channels(Y, Xpb):
+                # id_X̄ ⊗ τ_{X,X̄'} as F⁻¹, R, F: from the trees (X̄X)X̄' → p
+                # through Y to the trees (X̄X̄')X → p through V̄
+                braid = {V: sum(np.einsum("xamn,mk,tckn->xatc",
+                                          cat.fblock(Xb, Xpb, X, p, dual[V], f),
+                                          cat.rmat(X, Xpb, f),
+                                          cat.fblock(Xb, X, Xpb, p, Y, f, inverse=True))
+                                for f, _ in ring.channels(X, Xpb))
+                         for V in pairs}
+                for W, _ in ring.channels(p, Xp):
+                    # the pairs through F[V̄,X,X';W], rows (V, h) of 𝒟(W)
+                    proj = np.zeros((len(bases[W]), N(p, Xp, W), N(Xb, X, Y), N(Y, Xpb, p)),
+                                    dtype=complex)
+                    for V, C in pairs.items():
+                        if N(dual[V], V, W):
+                            h = start[W][V]
+                            F3 = cat.fblock(dual[V], X, Xp, W, p, V).conj()
+                            proj[h:h + F3.shape[3]] = np.einsum("qx,abqh,xatc->hbtc",
+                                                                C, F3, braid[V])
+                    for Z, _ in ring.channels(Xpb, Xp):
+                        # the merge along u: one column of F[Y,X̄',X';W]
+                        F1 = cat.fblock(Y, Xpb, Xp, W, p, Z)
+                        z = slice(start[Z][Xp], start[Z][Xp] + F1.shape[2])
+                        for u, blk in enumerate(np.einsum("hbtc,cbsu->uhts", proj, F1)):
+                            mult[(Y, Z, W, u)][:, y, z] += blk
+    return {key: m for key, m in mult.items() if np.any(m)}
+
+
+def _star(cat: SkeletalUTC, bases: dict, twist: dict) -> dict:
+    """star[Y] of the annulus: the conjugate of t: Y → X̄⊗X in Hom(Ȳ, X̄⊗X),
+    braided by R^{X̄,X} into the X̄ summand of 𝒟(Ȳ), times θ_X̄."""
+    ring = cat.ring
+    star = {}
+    for Y, basis in bases.items():
+        Yb = ring.dual[Y]
+        S = np.zeros((len(bases[Yb]), len(basis)), dtype=complex)
+        for iy, (X, t) in enumerate(basis):
+            Xb = ring.dual[X]
+            cb = cat.conj_pair_basis(Xb, X, Y, np.eye(ring.N(Xb, X, Y))[t])
+            j = bases[Yb].index((Xb, 0))
+            S[j:j + len(cb), iy] = twist[Xb] * (cat.rmat(Xb, X, Yb) @ cb)
+        star[Y] = S
+    return star
 
 
 def z_state(ann: AlgebraObject, floor: float = 1e-10) -> dict:

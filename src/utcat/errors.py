@@ -50,14 +50,6 @@ class NonIrreducibleInput(UtcatError):
     pass
 
 
-class EmptyHomSpace(UtcatError):
-    pass
-
-
-class InapplicableMove(UtcatError):
-    pass
-
-
 class MissingBraiding(UtcatError):
     pass
 

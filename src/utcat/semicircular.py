@@ -106,6 +106,8 @@ class CovarianceMatrix:
     def __post_init__(self):
         zero = np.zeros((self.algebra.dim,) * 2)
         self.index = tuple(self.index)
+        if not self.index:
+            raise ValueError("a covariance needs a nonempty index set I")
         self.entries = {(i, j): np.asarray(self.entries.get((i, j), zero),
                                            dtype=complex)
                         for i in self.index for j in self.index}
@@ -193,6 +195,8 @@ def covariance_from_vectors(vectors, algebra: BaseAlgebra = None,
         algebra = BaseAlgebra((1,))
     alg = algebra
     xs = [np.asarray(v, dtype=complex) for v in vectors]
+    if not xs:
+        raise ValueError("no vectors: a covariance needs a nonempty index set I")
     xs = [v.reshape(-1, 1, 1) if v.ndim == 1 else v for v in xs]
     if any(v.shape[1:] != (alg.d, alg.d) for v in xs):
         raise ValueError(f"vector components must be {alg.d}×{alg.d}")

@@ -26,7 +26,7 @@ from utcat.coend import (
     norm_sandwich_check,
 )
 from utcat.errors import NotSemisimpleInput
-from utcat.fixtures import fibonacci, ising, vec_zn
+from utcat.fixtures import FIXTURE_BUILDERS, fibonacci, ising, vec_zn
 from utcat.inclusion import (
     HilbertSpaceObject,
     commutant_blocks,
@@ -72,16 +72,27 @@ def test_criterion_1_axiom_suite():
 
 def test_criterion_2_pimsner_popa_sandwich():
     t0 = time.perf_counter()
-    ann = build_annulus(fibonacci())
-    rep = pp_check(ann, "tau", 1000, seed=0, slack=1e-8)
+    ok, labels, used = True, 0, 0.0
+    for name, build in FIXTURE_BUILDERS.items():
+        cat = build()
+        ann = build_annulus(cat)
+        for X in cat.ring.labels:
+            rep = pp_check(ann, X, 1000, seed=0, slack=1e-8)
+            ok &= (rep["violations"] == 0
+                   and abs(rep["bound"] - cat.d(X) ** 2) < 1e-8
+                   and rep["max_ratio"] <= rep["bound"] + 1e-8)
+            labels += 1
+            if cat.d(X) > 1.0 + 1e-9:
+                used = max(used, rep["max_ratio"] / rep["bound"])
+            if (name, X) == ("fib", "tau"):
+                fib = rep
+    ok &= abs(fib["bound"] - 2.6180339887) < 1e-8
     elapsed = time.perf_counter() - t0
-    ok = (rep["violations"] == 0
-          and abs(rep["bound"] - 2.6180339887) < 1e-8
-          and rep["max_ratio"] <= rep["bound"] + 1e-8
-          and elapsed < 30.0)
-    _report(2, ok, f"1000 samples, 0 violations, max ratio "
-                   f"{rep['max_ratio']:.6f} ≤ {rep['bound']:.10f}, "
-                   f"{elapsed:.2f}s")
+    ok &= elapsed < 30.0
+    _report(2, ok, f"1000 samples on each of {labels} labels of "
+                   f"{len(FIXTURE_BUILDERS)} fixtures, 0 violations, at most "
+                   f"{used:.3%} of d_X² > 1 used (fib: max ratio "
+                   f"{fib['max_ratio']:.6f} ≤ {fib['bound']:.10f}), {elapsed:.2f}s")
 
 
 def _coend_fixtures():

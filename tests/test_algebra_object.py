@@ -1,3 +1,5 @@
+import copy
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -5,12 +7,16 @@ from hypothesis import strategies as st
 
 from utcat.algebra_object import (
     FiberElement,
+    GroundAlgebra,
+    SquareAlgebra,
     group_algebra_object,
+    opposite_object,
     pp_check,
     trivial_action_object,
     validate_algebra_object,
 )
 from utcat.annulus import build_annulus
+from utcat.coend import CoendAlgebra, GradedElement, norm_sandwich_check
 from utcat.errors import LabelMismatch, PositivityFailure
 from utcat.fixtures import fibonacci, ising, vec_zn
 
@@ -76,6 +82,38 @@ def test_corrupting_mult_is_detected(fib_ann):
     D.mult[key] = D.mult[key] + 0.05
     res = validate_algebra_object(D, rng=np.random.default_rng(0))
     assert res["associativity"] > 1e-3 or res["star_monoidality"] > 1e-3
+
+
+def test_copy_builds_its_own_derived_algebras(fib_ann):
+    # the original has cached both; a copy whose mult is replaced must not
+    # answer from that cache
+    fib_ann.ground(), fib_ann.square_algebra("tau")
+    D = copy.copy(fib_ann)
+    D.mult = dict(D.mult)
+    key = ("1", "1", "1", 0)
+    D.mult[key] = 2.0 * D.mult[key]
+    assert D.ground() is not fib_ann.ground()
+    assert np.array_equal(D.ground().P, D.mult[key])
+    assert D.square_algebra("tau") is not fib_ann.square_algebra("tau")
+
+
+def test_ground_and_square_algebras_are_built_once(fib_ann, monkeypatch):
+    built = []
+    for cls in (GroundAlgebra, SquareAlgebra):
+        def counted(self, *args, _init=cls.__init__):
+            built.append(type(self).__name__)
+            _init(self, *args)
+        monkeypatch.setattr(cls, "__init__", counted)
+    D = copy.copy(fib_ann)
+    for seed in range(2):
+        pp_check(D, "tau", 2, seed=seed)
+        D.fiber_norms(FiberElement("tau", np.ones(D.n("tau"))))
+    assert sorted(built) == ["GroundAlgebra", "SquareAlgebra"]
+    # a coend of two objects builds one ground algebra per side
+    co = CoendAlgebra(opposite_object(D), D)
+    for X in co.support:
+        norm_sandwich_check(co, GradedElement({X: np.ones(co.dims[X])}))
+    assert built.count("GroundAlgebra") == 2
 
 
 # --------------------------------------------------------------------------

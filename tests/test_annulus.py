@@ -1,8 +1,11 @@
+import itertools
+
 import numpy as np
 import pytest
 
-from utcat.algebra_object import pp_check
-from utcat.annulus import annulus_basis, build_annulus, z_state
+import tree_reference as ref
+from utcat.algebra_object import FiberElement, pp_check
+from utcat.annulus import _assemble, annulus_basis, build_annulus, z_state
 from utcat.errors import MissingBraiding, PositivityFailure, SupportTooSmall
 from utcat.fixtures import FIXTURE_BUILDERS, fibonacci, ising, su2k, vec_zn
 from utcat.fusion_ring import SupportSet
@@ -166,3 +169,55 @@ def test_random_vertex_gauge_still_builds(build, seed):
     cat = _gauged(build(), seed)
     assert cat.verify_pentagon() < 1e-12 and cat.verify_hexagon() < 1e-12
     assert _worst(build_annulus(cat).meta["residuals"]) <= 1e-9
+
+
+REFERENCE_CASES = {
+    **{name: build for name, build in FIXTURE_BUILDERS.items()},
+    **{f"{name}_mirror": (lambda build=build: _mirror(build()))
+       for name, build in FIXTURE_BUILDERS.items()},
+    **{f"su2_{k}": (lambda k=k: su2k(k)) for k in (6, 7, 8)},
+    **{f"{name}_gauge{seed}": (lambda build=build, seed=seed: _gauged(build(), seed))
+       for name, build in FIXTURE_BUILDERS.items() for seed in (0, 1)},
+}
+
+
+def _dict_gap(got: dict, want: dict) -> float:
+    gap = 0.0
+    for key in set(got) | set(want):
+        a, b = got.get(key), want.get(key)
+        a = np.zeros_like(b) if a is None else a
+        b = np.zeros_like(a) if b is None else b
+        gap = max(gap, float(np.max(np.abs(a - b), initial=0.0)))
+    return gap
+
+
+@pytest.mark.parametrize("name", sorted(REFERENCE_CASES))
+def test_contractions_equal_the_tree_reference(name):
+    # every closed-form F/R contraction against the tree walk it replaced,
+    # on the object before build_annulus validates it (which refuses some
+    # gauged fixtures)
+    cat = REFERENCE_CASES[name]()
+    ring, trees = cat.ring, ref.TreeCalculus(cat)
+    rng = np.random.default_rng(0)
+    for x in ring.labels:
+        got, want = cat.conjugate_solution(x), trees.conjugate_solution(x)
+        assert abs(got.r - want.r) < 1e-12 and abs(got.rbar - want.rbar) < 1e-12
+        assert abs(got.residual - want.residual) < 1e-12
+    for a, b, c in itertools.product(ring.labels, repeat=3):
+        for v in np.eye(ring.N(a, b, c)):
+            for move in ("bend_left", "bend_right", "conj_pair_basis"):
+                got, want = getattr(cat, move)(a, b, c, v), getattr(trees, move)(a, b, c, v)
+                assert got.shape == want.shape
+                assert np.max(np.abs(got - want), initial=0.0) < 1e-12, (move, a, b, c)
+    ann = _assemble(cat, tuple(ring.labels))
+    assert _dict_gap(ann.mult, ref.annulus_mult(cat, ring.labels)) < 1e-12
+    assert _dict_gap(ann.star, ref.annulus_star(cat, ring.labels)) < 1e-12
+    for X in ring.labels:
+        sq = ann.square_algebra(X)
+        assert np.max(np.abs(sq._structure_tensor() - ref.square_structure_tensor(sq))) < 1e-12
+        assert np.max(np.abs(sq.star_mat - ref.square_star_mat(sq))) < 1e-12
+        if ann.n(X):
+            xi = FiberElement(X, rng.normal(size=ann.n(X)) + 1j * rng.normal(size=ann.n(X)))
+            T = sq.random_element(rng)
+            assert np.max(np.abs(ann.fiber_action(xi, T).vec
+                                 - ref.fiber_action(ann, xi, T))) < 1e-12

