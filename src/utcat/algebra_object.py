@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import dataclasses
 import itertools
+import weakref
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -194,16 +195,19 @@ class AlgebraObject:
 
     # -- derived algebras ---------------------------------------------------
 
+    # The derived algebras hold a weak proxy of the object that keeps them,
+    # so the two form no reference cycle and are freed as soon as the object is.
+
     def ground(self) -> "GroundAlgebra":
-        """𝒟(1), built on the first call."""
+        """𝒟(1), built on the first call; valid while this object lives."""
         if "ground" not in self._derived:
-            self._derived["ground"] = GroundAlgebra(self)
+            self._derived["ground"] = GroundAlgebra(weakref.proxy(self))
         return self._derived["ground"]
 
     def square_algebra(self, X: str) -> "SquareAlgebra":
-        """𝒟(X̄⊗X), built on the first call for X."""
+        """𝒟(X̄⊗X), built on the first call for X; valid while this object lives."""
         if X not in self._derived:
-            self._derived[X] = SquareAlgebra(self, X)
+            self._derived[X] = SquareAlgebra(weakref.proxy(self), X)
         return self._derived[X]
 
     def fiber_norms(self, xi: FiberElement) -> tuple:

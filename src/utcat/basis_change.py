@@ -10,11 +10,35 @@ suite re-runs its numeric criteria through it.
 
 from __future__ import annotations
 
+import numpy as np
+
 from .errors import LabelMismatch
-from .fusion_ring import FusionRing
+from .fusion_ring import BlockTable, FusionRing, _encode
 from .skeletal import SkeletalUTC
 
 __all__ = ["relabel_category"]
+
+
+def _moved(old: BlockTable, new: BlockTable, P: np.ndarray, buf: np.ndarray) -> np.ndarray:
+    """The flat buffer ``buf`` of table ``old`` in the layout of ``new``, the
+    table after label position x became P[x]: each block's rows and columns
+    re-sorted by the renamed channel labels."""
+    K, L = len(old.size), len(P)
+    k = np.searchsorted(new.codes, _encode(P[old.keys], L))  # old block -> new block
+    blk = np.repeat(np.arange(K), old.size)
+    pos = np.arange(len(blk)) - old.start[blk]
+
+    def order(slots):  # the old slot row at each new slot row
+        cols = slots.copy()
+        if old.chan is not None:  # F slots start with a channel label
+            cols[:, 0] = P[cols[:, 0]]
+        return np.lexsort((*cols.T[::-1], k[blk]))
+
+    rows, cols = order(old.left), order(old.right)
+    nb, p, q = new.entry_index()
+    ob = np.argsort(k)[nb]
+    return buf[old.offset[ob] + pos[rows[new.start[nb] + p]] * old.size[ob]
+               + pos[cols[new.start[nb] + q]]]
 
 
 def relabel_category(cat: SkeletalUTC, rename: dict) -> SkeletalUTC:
@@ -25,39 +49,17 @@ def relabel_category(cat: SkeletalUTC, rename: dict) -> SkeletalUTC:
     intermediate channels so the rebuilt category is internally consistent.
     """
     ring = cat.ring
-    rn = {x: rename.get(x, x) for x in ring.labels}
-    if len(set(rn.values())) != len(ring.labels):
+    rn = [rename.get(x, x) for x in ring.labels]
+    if len(set(rn)) != len(ring.labels):
         raise LabelMismatch("rename is not a bijection on the labels")
-
-    mult = {}
-    for x in ring.labels:
-        for y in ring.labels:
-            for z in ring.labels:
-                m = ring.N(x, y, z)
-                if m:
-                    mult[(rn[x], rn[y], rn[z])] = m
-    new_ring = FusionRing([rn[x] for x in ring.labels], rn[ring.unit],
-                          {rn[x]: rn[ring.dual[x]] for x in ring.labels},
+    mult = {(rn[x], rn[y], rn[z]): int(ring._N[x, y, z])
+            for x, y, z in np.argwhere(ring._N).tolist()}
+    new_ring = FusionRing(rn, rn[ring.index[ring.unit]],
+                          {rn[i]: rn[ring.index[ring.dual[x]]] for i, x in enumerate(ring.labels)},
                           mult)
-
-    def _perm(entries):
-        # entries: list of (channel, α, β) in the old sorted order; the new
-        # order sorts by the renamed channel name
-        order = sorted(range(len(entries)),
-                       key=lambda t: (rn[entries[t][0]],) + entries[t][1:])
-        return order
-
-    F = {}
-    for (a, b, c, d), _ in cat._F.items():
-        M = cat.fmat(a, b, c, d)
-        pl = _perm(cat.left_index(a, b, c, d))
-        pr = _perm(cat.right_index(a, b, c, d))
-        F[(rn[a], rn[b], rn[c], rn[d])] = M[pl][:, pr]
-
-    R = None
-    if cat.braided:
-        # R blocks are indexed by multiplicity only; no reordering needed
-        R = {(rn[a], rn[b], rn[c]): M for (a, b, c), M in cat._R.items()}
-
-    qdims = {rn[x]: cat.qdim[x] for x in ring.labels}
-    return SkeletalUTC(new_ring, F, R, qdims=qdims)
+    P = np.array([new_ring.index[x] for x in rn])
+    F = _moved(ring.ftable, new_ring.ftable, P, cat._F)
+    # R blocks are indexed by multiplicity only: moved, not reordered
+    R = _moved(ring.rtable, new_ring.rtable, P, cat._R) if cat.braided else None
+    qdims = {rn[i]: cat.qdim[x] for i, x in enumerate(ring.labels)}
+    return SkeletalUTC.from_buffers(new_ring, F, R, qdims)

@@ -198,14 +198,8 @@ def random_blocks(ring: FusionRing, seed: int) -> SkeletalUTC:
     def block(n):
         return rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
 
-    unit, labels = ring.unit, ring.labels
-    F = {}
-    for key in itertools.product(labels, repeat=4):
-        n = len(ring.f_index(*key).left)
-        if n and unit not in key[:3]:
-            F[key] = block(n)
-    R = {(a, b, c): block(n) for a, b in itertools.product(labels, repeat=2)
-         for c, n in ring.channels(a, b) if unit not in (a, b)}
+    F, R = ({tuple(ring.labels[x] for x in t.keys[k]): block(t.size[k])
+             for k in np.flatnonzero(~t.unit_leg)} for t in (ring.ftable, ring.rtable))
     return SkeletalUTC(ring, F, R)
 
 

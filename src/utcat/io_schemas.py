@@ -1,19 +1,33 @@
 """JSON (de)serialization for rings, categories, algebra objects, states, η.
 
-Wire conventions: complex numbers are ``[re, im]`` pairs; composite keys are
-comma/semicolon joined label strings ("x,y", "a,b,c;d", "X,Y;Z;v").  Parsing
-failures raise :class:`SchemaError` carrying a JSON-pointer-ish path.
+Wire conventions: complex numbers are ``[re, im]`` pairs (a bare real is
+read as ``[re, 0]``); composite keys are comma/semicolon joined label strings
+("x,y", "a,b,c;d", "X,Y;Z;v").  Parsing failures raise :class:`SchemaError`
+carrying a JSON-pointer-ish path.
+
+Skeletal categories: ``F`` maps every key "a,b,c;d" whose block is nonzero
+and has no unit among a, b, c to an object of its nonzero channel
+sub-blocks, "e,f" → the rows (e, α, β) × columns (f, μ, ν) of F[a,b,c;d];
+sub-blocks left out are zero.  ``R`` maps "a,b;c" to the N_ab^c × N_ab^c
+R-matrix for every nonzero block with a, b ≠ 1.  Blocks with a unit leg are
+the identity (strict unitors): they may be left out, and one given must be
+the identity, or the payload is refused.
 """
 
 from __future__ import annotations
+
+import itertools
+import operator
 
 import numpy as np
 
 from .algebra_object import AlgebraObject
 from .errors import SchemaError
-from .fusion_ring import FusionRing, validate_ring
+from .fusion_ring import FusionRing, _encode, _join, validate_ring
 from .semicircular import BaseAlgebra, CovarianceMatrix
 from .skeletal import SkeletalUTC
+from .wire import (check_key, complex_array, complex_in, complex_out, first_failure,
+                   key_positions, matrices, matrix_in, matrix_out, rows_in, split)
 
 __all__ = [
     "aobj_from_json", "aobj_to_json", "base_from_json", "cat_from_json",
@@ -22,53 +36,12 @@ __all__ = [
 ]
 
 
-# -- scalars -------------------------------------------------------------
-
-def _complex_in(v, ptr: str) -> complex:
-    if isinstance(v, (int, float)):
-        return complex(v)
-    if (isinstance(v, (list, tuple)) and len(v) == 2
-            and all(isinstance(t, (int, float)) for t in v)):
-        return complex(v[0], v[1])
-    raise SchemaError(f"expected a complex number as [re, im], got {v!r}", ptr)
-
-
-def _complex_out(z) -> list:
-    z = complex(z)
-    return [float(z.real), float(z.imag)]
-
-
-def _matrix_in(rows, ptr: str) -> np.ndarray:
-    if not isinstance(rows, list) or not all(isinstance(r, list) for r in rows):
-        raise SchemaError("expected a matrix as a list of rows", ptr)
-    widths = {len(r) for r in rows}
-    if len(widths) > 1:
-        raise SchemaError("ragged matrix rows", ptr)
-    out = np.array([[_complex_in(v, f"{ptr}/{i}/{k}")
-                     for k, v in enumerate(row)]
-                    for i, row in enumerate(rows)], dtype=complex)
-    return out.reshape((len(rows), widths.pop() if widths else 0))
-
-
-def _matrix_out(m) -> list:
-    return [[_complex_out(v) for v in row] for row in np.atleast_2d(m)]
-
-
 def _require(raw: dict, key: str, ptr: str = ""):
     if not isinstance(raw, dict):
         raise SchemaError("expected a JSON object", ptr or "/")
     if key not in raw:
         raise SchemaError(f"missing required key {key!r}", f"{ptr}/{key}")
     return raw[key]
-
-
-def _split(key: str, seps: tuple, arity: int, ptr: str) -> list:
-    parts = [key]
-    for sep in seps:
-        parts = [p for chunk in parts for p in chunk.split(sep)]
-    if len(parts) != arity:
-        raise SchemaError(f"expected a {arity}-part key, got {key!r}", ptr)
-    return parts
 
 
 # -- fusion rings --------------------------------------------------------
@@ -87,7 +60,7 @@ def ring_from_json(raw: dict) -> FusionRing:
         raise SchemaError("fusion must be an object keyed by 'x,y'", "/fusion")
     mult = {}
     for key, channels in fusion.items():
-        x, y = _split(key, (",",), 2, f"/fusion/{key}")
+        x, y = split(key, (",",), 2, f"/fusion/{key}")
         if not isinstance(channels, dict):
             raise SchemaError("fusion entry must map channels to counts",
                               f"/fusion/{key}")
@@ -114,15 +87,92 @@ def ring_to_json(ring: FusionRing) -> dict:
 
 # -- skeletal categories --------------------------------------------------
 
-def _index_groups(ring: FusionRing, entries):
-    """Contiguous (channel → row slice) map of a sorted multiplicity index."""
-    groups, start = {}, 0
-    for pos, (e, _, _) in enumerate(entries):
-        if e not in groups:
-            groups[e] = [pos, pos + 1]
-        else:
-            groups[e][1] = pos + 1
-    return {e: slice(lo, hi) for e, (lo, hi) in groups.items()}
+def _scatter(t, k: np.ndarray, shape: np.ndarray, corner: np.ndarray, vals: np.ndarray):
+    """The flat buffer of table ``t`` holding the matrices of entries ``vals``
+    at their places (see :meth:`BlockTable.positions`), zero elsewhere."""
+    buf = np.zeros(t.buffer_length, dtype=complex)
+    buf[t.positions(k, shape, corner)] = vals
+    return buf
+
+
+def _given(t, keys: np.ndarray, radix: int) -> np.ndarray:
+    """The mask of the blocks of ``t`` whose key (label positions) is among ``keys``."""
+    codes = _encode(keys, radix)
+    k = np.minimum(np.searchsorted(t.codes, codes), len(t.codes) - 1)
+    given = np.zeros(len(t.size), dtype=bool)
+    given[k[t.codes[k] == codes]] = True
+    return given
+
+
+def _f_in(ring: FusionRing, fraw: dict) -> tuple:
+    """The flat F buffer of ``ring.ftable`` and the mask of the blocks given.
+
+    One pass over the payload splits the keys into label positions and
+    gathers the sub-blocks and every number; keys, channel pairs, shapes and
+    numbers are then checked as arrays.  The first failure in payload order
+    is raised, else the sub-blocks are scattered into the buffer."""
+    index, L, N, t = ring.index, len(ring.labels), ring._N, ring.ftable
+    keys, blocks = list(fraw), list(fraw.values())
+    pos, k = key_positions(keys, 4, index)
+    many = itertools.repeat
+    obj = np.fromiter(map(isinstance, blocks[:k], many(dict)), dtype=bool, count=k)
+    k = k if obj.all() else int(np.argmax(~obj))
+    pos, blocks = pos[:k], blocks[:k]
+    nsub = np.fromiter(map(len, blocks), dtype=int, count=k)
+    owner = np.repeat(np.arange(k), nsub)
+    pairs = list(itertools.chain.from_iterable(blocks))
+    shape, s, flat = matrices(list(itertools.chain.from_iterable(map(dict.values, blocks))))
+    # channel pairs "e,f": two known labels with a nonzero sub-block
+    two = np.fromiter(map(str.count, pairs, many(",")), dtype=int, count=len(pairs)) == 1
+    ef = list(map(str.partition, pairs, many(",")))
+    e, f = (np.fromiter(map(index.get, map(operator.itemgetter(i), ef), many(-1)),
+                        dtype=int, count=len(ef)) for i in (0, 2))
+    a, b, c, d = pos[owner].T
+    want = np.column_stack([N[a, b, e] * N[e, c, d], N[b, c, f] * N[a, f, d]])
+    allowed = two & (e >= 0) & (f >= 0) & np.all(want > 0, axis=1)
+    s = min(s, int(np.argmax(~allowed)) if not allowed.all() else s)
+
+    def where(i):
+        return f"/F/{keys[owner[i]]}/{pairs[i]}"
+
+    flat = flat[:int(np.sum(shape[:s, 0] * shape[:s, 1]))]
+    vals, bad = complex_array(flat)
+    failure = first_failure(where, flat, bad, shape[:s], want[:s], "submatrix")
+    if failure:
+        raise failure
+    if s < len(pairs):  # the channel pair or the matrix of sub-block s
+        e, f = split(pairs[s], (",",), 2, where(s))
+        if not allowed[s]:
+            raise SchemaError(f"channel pair ({e},{f}) not allowed here", where(s))
+        rows_in(fraw[keys[owner[s]]][pairs[s]], where(s), [])
+    if k < len(keys):
+        check_key(index, keys[k], 4, f"/F/{keys[k]}")
+        raise SchemaError("F block must be an object keyed by 'e,f'", f"/F/{keys[k]}")
+    blk = np.searchsorted(t.codes, _encode(pos[owner], L))
+    corner = np.column_stack([t.chan[blk, 0, e], t.chan[blk, 1, f]])
+    return _scatter(t, blk, shape, corner, vals), _given(t, pos, L)
+
+
+def _r_in(ring: FusionRing, rraw: dict) -> tuple:
+    """The flat R buffer of ``ring.rtable`` and the mask of the blocks given,
+    parsed as :func:`_f_in` does."""
+    L, t = len(ring.labels), ring.rtable
+    keys = list(rraw)
+    pos, k = key_positions(keys, 3, ring.index)
+    shape, s, flat = matrices(list(rraw.values())[:k])
+    n = ring._N[tuple(pos.T)]
+    vals, bad = complex_array(flat)
+    failure = first_failure(lambda i: f"/R/{keys[i]}", flat, bad, shape[:s],
+                             np.column_stack([n, n])[:s], "R block")
+    if failure:
+        raise failure
+    if s < k:
+        rows_in(rraw[keys[s]], f"/R/{keys[s]}", [])
+    if k < len(keys):
+        check_key(ring.index, keys[k], 3, f"/R/{keys[k]}")
+    blk = np.searchsorted(t.codes, _encode(pos[n > 0], L))
+    return (_scatter(t, blk, shape[n > 0], np.zeros((len(blk), 2), dtype=int), vals),
+            _given(t, pos, L))
 
 
 def cat_from_json(raw: dict) -> SkeletalUTC:
@@ -131,45 +181,12 @@ def cat_from_json(raw: dict) -> SkeletalUTC:
     fraw = _require(raw, "F")
     if not isinstance(fraw, dict):
         raise SchemaError("F must be an object keyed by 'a,b,c;d'", "/F")
-    F = {}
-    for key, sub in fraw.items():
-        ptr = f"/F/{key}"
-        a, b, c, d = _split(key, (";", ","), 4, ptr)
-        idx = ring.f_index(a, b, c, d)
-        left, right = idx.left, idx.right
-        if len(left) != len(right):
-            raise SchemaError("hom-space dimensions disagree", ptr)
-        lgrp = _index_groups(ring, left)
-        rgrp = _index_groups(ring, right)
-        block = np.zeros((len(left), len(right)), dtype=complex)
-        if not isinstance(sub, dict):
-            raise SchemaError("F block must be an object keyed by 'e,f'", ptr)
-        for pair, rows in sub.items():
-            e, f = _split(pair, (",",), 2, f"{ptr}/{pair}")
-            if e not in lgrp or f not in rgrp:
-                raise SchemaError(f"channel pair ({e},{f}) not allowed here",
-                                  f"{ptr}/{pair}")
-            m = _matrix_in(rows, f"{ptr}/{pair}")
-            want = (lgrp[e].stop - lgrp[e].start, rgrp[f].stop - rgrp[f].start)
-            if m.shape != want:
-                raise SchemaError(f"submatrix shape {m.shape} != {want}",
-                                  f"{ptr}/{pair}")
-            block[lgrp[e], rgrp[f]] = m
-        F[(a, b, c, d)] = block
-
-    R = None
+    F, fgiven = _f_in(ring, fraw)
+    R = rgiven = None
     if "R" in raw:
         if not isinstance(raw["R"], dict):
             raise SchemaError("R must be an object keyed by 'a,b;c'", "/R")
-        R = {}
-        for key, rows in raw["R"].items():
-            ptr = f"/R/{key}"
-            a, b, c = _split(key, (";", ","), 3, ptr)
-            m = _matrix_in(rows, ptr)
-            n = ring.N(a, b, c)
-            if m.shape != (n, n):
-                raise SchemaError(f"R block shape {m.shape} != {(n, n)}", ptr)
-            R[(a, b, c)] = m
+        R, rgiven = _r_in(ring, raw["R"])
 
     qdims = None
     if "qdim" in raw:
@@ -180,30 +197,51 @@ def cat_from_json(raw: dict) -> SkeletalUTC:
             if x not in ring.labels or not isinstance(v, (int, float)):
                 raise SchemaError(f"bad qdim entry {x!r}: {v!r}", f"/qdim/{x}")
             qdims[x] = float(v)
-    return SkeletalUTC(ring, F, R, qdims=qdims)
+    return SkeletalUTC.from_buffers(ring, F, R, qdims, (fgiven, rgiven))
+
+
+def _blocks_out(ring: FusionRing, kind: str, buf: np.ndarray) -> dict:
+    """The ``kind`` ("F" or "R") object of a category's flat buffer: every
+    block without a unit leg, F by its nonzero channel sub-blocks."""
+    t, lab = ring.ftable if kind == "F" else ring.rtable, ring.labels
+    if kind == "F":
+        # channel runs of each side: (block, channel, first slot, length)
+        blk = np.repeat(np.arange(len(t.size)), t.size)
+        runs = []
+        for side in (t.left, t.right):
+            first = np.flatnonzero(np.diff(blk * len(lab) + side[:, 0], prepend=-1))
+            runs.append((blk[first], side[first, 0], first - t.start[blk[first]],
+                         np.diff(first, append=len(blk))))
+        i, j = _join(runs[0][0], runs[1][0])
+        k, e, f = runs[0][0][i], runs[0][1][i], runs[1][1][j]
+        corner = np.column_stack([runs[0][2][i], runs[1][2][j]])
+        shape = np.column_stack([runs[0][3][i], runs[1][3][j]])
+    else:
+        k = np.arange(len(t.size))
+        corner, shape = np.zeros((len(k), 2), dtype=int), np.column_stack([t.size, t.size])
+    vals = buf[t.positions(k, shape, corner)]
+    start = np.cumsum(shape[:, 0] * shape[:, 1]) - shape[:, 0] * shape[:, 1]
+    nonzero = np.logical_or.reduceat(vals != 0, start) if len(vals) else []
+    pairs = np.column_stack([vals.real, vals.imag]).tolist()
+    name = [",".join(lab[x] for x in key[:-1]) + ";" + lab[key[-1]] for key in t.keys.tolist()]
+    out = {name[b]: {} for b in np.flatnonzero(~t.unit_leg).tolist()}
+    for sub, (b, (r, c), lo) in enumerate(zip(k.tolist(), shape.tolist(), start.tolist())):
+        if t.unit_leg[b] or (kind == "F" and not nonzero[sub]):
+            continue
+        rows = [pairs[p:p + c] for p in range(lo, lo + r * c, c)]
+        if kind == "R":
+            out[name[b]] = rows
+        else:
+            out[name[b]][f"{lab[e[sub]]},{lab[f[sub]]}"] = rows
+    return out
 
 
 def cat_to_json(cat: SkeletalUTC) -> dict:
-    ring = cat.ring
-    out = ring_to_json(ring)
-    F = {}
-    for (a, b, c, d) in cat._F:
-        idx = ring.f_index(a, b, c, d)
-        lgrp = _index_groups(ring, idx.left)
-        rgrp = _index_groups(ring, idx.right)
-        M = cat.fmat(a, b, c, d)
-        sub = {}
-        for e, ls in lgrp.items():
-            for f, rs in rgrp.items():
-                m = M[ls, rs]
-                if np.any(m):
-                    sub[f"{e},{f}"] = _matrix_out(m)
-        F[f"{a},{b},{c};{d}"] = sub
-    out["F"] = F
+    out = ring_to_json(cat.ring)
+    out["F"] = _blocks_out(cat.ring, "F", cat._F)
     if cat.braided:
-        out["R"] = {f"{a},{b};{c}": _matrix_out(m)
-                    for (a, b, c), m in cat._R.items()}
-    out["qdim"] = {x: float(cat.qdim[x]) for x in ring.labels}
+        out["R"] = _blocks_out(cat.ring, "R", cat._R)
+    out["qdim"] = {x: float(cat.qdim[x]) for x in cat.ring.labels}
     return out
 
 
@@ -236,7 +274,7 @@ def aobj_from_json(cat: SkeletalUTC, raw: dict) -> AlgebraObject:
     mult = {}
     for key, arr in _require(raw, "mult").items():
         ptr = f"/mult/{key}"
-        X, Y, Z, v = _split(key, (";", ","), 4, ptr)
+        X, Y, Z, v = split(key, (";", ","), 4, ptr)
         try:
             v = int(v)
         except ValueError:
@@ -246,7 +284,7 @@ def aobj_from_json(cat: SkeletalUTC, raw: dict) -> AlgebraObject:
             raise SchemaError(f"multiplicity index {v} out of range", ptr)
         if not isinstance(arr, list):
             raise SchemaError("expected a rank-3 coefficient array", ptr)
-        t = np.array([[[_complex_in(val, f"{ptr}/{i}/{k}/{l}")
+        t = np.array([[[complex_in(val, f"{ptr}/{i}/{k}/{l}")
                         for l, val in enumerate(row)]
                        for k, row in enumerate(mat)]
                       for i, mat in enumerate(arr)], dtype=complex)
@@ -258,7 +296,7 @@ def aobj_from_json(cat: SkeletalUTC, raw: dict) -> AlgebraObject:
     star = {}
     for X, rows in _require(raw, "star").items():
         ptr = f"/star/{X}"
-        m = _matrix_in(rows, ptr)
+        m = matrix_in(rows, ptr)
         want = (dim(cat.dual(X), ptr), dim(X, ptr))
         if m.shape != want:
             raise SchemaError(f"star matrix shape {m.shape} != {want}", ptr)
@@ -267,7 +305,7 @@ def aobj_from_json(cat: SkeletalUTC, raw: dict) -> AlgebraObject:
     unit_raw = _require(raw, "unit")
     if not isinstance(unit_raw, list):
         raise SchemaError("unit must be a coefficient vector", "/unit")
-    unit = np.array([_complex_in(v, f"/unit/{i}")
+    unit = np.array([complex_in(v, f"/unit/{i}")
                      for i, v in enumerate(unit_raw)], dtype=complex)
     if unit.shape != (fibers.get(ring.unit, 0),):
         raise SchemaError(f"unit vector length {unit.shape[0]} != "
@@ -283,11 +321,11 @@ def aobj_to_json(D: AlgebraObject) -> dict:
         "support": list(D.support),
         "fibers": {X: int(n) for X, n in D.fibers.items() if n},
         "mult": {f"{X},{Y};{Z};{v}":
-                 [_matrix_out(plane) for plane in arr]
+                 [matrix_out(plane) for plane in arr]
                  for (X, Y, Z, v), arr in sorted(D.mult.items())
                  if np.any(arr)},
-        "star": {X: _matrix_out(m) for X, m in sorted(D.star.items())},
-        "unit": [_complex_out(z) for z in D.unit],
+        "star": {X: matrix_out(m) for X, m in sorted(D.star.items())},
+        "unit": [complex_out(z) for z in D.unit],
     }
     if D.side != "cat":
         out["side"] = D.side
@@ -300,7 +338,7 @@ def state_from_json(raw, dim: int) -> np.ndarray:
     """Coefficient vector over the 𝒟(1) basis."""
     if not isinstance(raw, list):
         raise SchemaError("state must be a coefficient vector", "/")
-    vec = np.array([_complex_in(v, f"/{i}") for i, v in enumerate(raw)],
+    vec = np.array([complex_in(v, f"/{i}") for i, v in enumerate(raw)],
                    dtype=complex)
     if vec.shape != (dim,):
         raise SchemaError(f"state has {vec.shape[0]} coefficients, "
@@ -329,10 +367,10 @@ def eta_from_json(raw: dict, algebra: BaseAlgebra) -> CovarianceMatrix:
     entries = {}
     for key, rows in _require(raw, "entries").items():
         ptr = f"/entries/{key}"
-        i, j = _split(key, (",",), 2, ptr)
+        i, j = split(key, (",",), 2, ptr)
         if i not in ids or j not in ids:
             raise SchemaError(f"entry key {key!r} outside the index", ptr)
-        m = _matrix_in(rows, ptr)
+        m = matrix_in(rows, ptr)
         if m.shape != (algebra.dim, algebra.dim):
             raise SchemaError(f"entry shape {m.shape} != "
                               f"{(algebra.dim, algebra.dim)}", ptr)

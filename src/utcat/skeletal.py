@@ -18,26 +18,38 @@ silently.
 R-symbol convention: for w ∈ O(c, a⊗b), τ_{a,b}∘w = Σ_ν R^{a,b;c}[ν, μ] w'_ν
 with w' ∈ O(c, b⊗a).
 
-Tables.  The fusion ring holds its multiplicities as nested lists over label
-positions and, per label pair (x, y), the channel tuple ((z, N_xy^z), ...)
-in sorted-label order; ``ring.f_index(a, b, c, d)`` lists the left (e, α, β)
-and right (f, μ, ν) basis of F[a,b,c;d] once per key for every category on
-the ring.  The coherence checks read one entry table per category, built on
-the first check: each entry of F⁻¹, F, R and R(b,a)† is a row (source
-address, target slot, value), the address being block key and source slot
-as one mixed-radix integer over label positions and multiplicity indices.
-Basis trees are integer rows joined from the channel table, so moving all
-trees is one sorted join of their addresses to the table; the residual is
-the largest per-(tree, slot) sum of both routes' coefficients, one negated.
+Tables.  The fusion ring holds one F-index table, ``ring.ftable`` (a
+:class:`~utcat.fusion_ring.BlockTable` built with numpy from the
+multiplicities): for every nonzero block F[a,b,c;d], its label positions, its
+size, its left slots (e, α, β) and right slots (f, μ, ν) as integer rows, the
+first row and column of each channel, and its place in one flat buffer where
+the blocks are grouped by size; ``ring.rtable`` does the same for the
+R-blocks.  A category stores its F and R blocks in those flat buffers, so the
+blocks of one size are one (K, n, n) stack.  :meth:`SkeletalUTC.fmat`,
+:meth:`SkeletalUTC.fblock` and :meth:`SkeletalUTC.rmat` slice the buffers at
+the offsets of the table; the JSON schema scatters a payload into them.  The
+coherence checks read one entry table per category, built on the first
+check from the stacks and the slot rows: each entry of F⁻¹, F, R and R(b,a)†
+is a row (source address, target slot, value), the address being block key
+and source slot as one mixed-radix integer over label positions and
+multiplicity indices.  Basis trees are integer rows joined from the channel
+table, so moving all trees is one sorted join of their addresses to the
+table; the residual is the largest per-(tree, slot) sum of both routes'
+coefficients, one negated.
+
+Strict unitors.  A block with the unit among a, b, c (an R-block with the
+unit among a, b) lists the same trees on both sides and is the identity.  The
+buffers hold it as such; a supplied unit-leg block must be the identity, and
+every other nonzero block must be supplied.
 
 Inverses and read-only blocks.  F⁻¹ comes from one stacked ``np.linalg.inv``
-per block size (a singular block raises ``LinAlgError``) and fills the cache
-that :meth:`SkeletalUTC.fblock` reads.  It is the inverse, never F†: pentagon
-and hexagon must report the same residuals on non-unitary data, whose
-unitarity defect :meth:`SkeletalUTC.verify_unitarity` reports separately.
-F and R blocks are copied at construction and made read-only (so are the
-cached inverses), because a block written after its inverse was cached would
-silently disagree with it.
+per block size (a singular block raises ``LinAlgError``), into a second
+buffer that :meth:`SkeletalUTC.fblock` and the coherence checks read.  It is
+the inverse, never F†: pentagon and hexagon must report the same residuals
+on non-unitary data, whose unitarity defect
+:meth:`SkeletalUTC.verify_unitarity` reports separately.  Both buffers are
+the category's own copies and read-only, because a block written after its
+inverse was built would silently disagree with it.
 """
 
 from __future__ import annotations
@@ -48,7 +60,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import MissingBraiding, SchemaError, SolveFailed, UnknownLabel
-from .fusion_ring import FusionRing
+from .fusion_ring import BlockTable, FusionRing, _encode, _join
 
 __all__ = ["SkeletalUTC", "ConjugateSolution"]
 
@@ -71,27 +83,63 @@ class ConjugateSolution:
         return f"ConjugateSolution({self.label}, r={self.r:.6g}, rbar={self.rbar:.6g})"
 
 
-def _frozen(block) -> np.ndarray:
-    """A read-only complex copy of ``block``."""
-    M = np.array(block, dtype=complex)
-    M.setflags(write=False)
-    return M
-
-
 _CHUNK = 2048  # trees moved at once: bounds the memory of a check
 
 
-def _encode(cols: np.ndarray, radix: int) -> np.ndarray:
-    """The rows of ``cols`` as mixed-radix integers, first column highest."""
-    return cols @ radix ** np.arange(cols.shape[1] - 1, -1, -1)
+def _stacks(buf: np.ndarray, t: BlockTable) -> list:
+    """(block numbers, (K, n, n) stack) per block size of the flat ``buf``."""
+    return [(ids, buf[t.offset[ids[0]]:t.offset[ids[0]] + len(ids) * n * n].reshape(-1, n, n))
+            for n, ids in t.groups]
 
 
-def _join(keys: np.ndarray, table: np.ndarray) -> tuple:
-    """All index pairs (i, j) with keys[i] == table[j], for sorted ``table``."""
-    lo = np.searchsorted(table, keys)
-    n = np.searchsorted(table, keys, "right") - lo
-    i = np.repeat(np.arange(len(keys)), n)
-    return i, np.arange(len(i)) + np.repeat(lo - np.cumsum(n) + n, n)
+def _view(buf: np.ndarray, blk: tuple) -> np.ndarray:
+    """The block (number, offset, size) ``blk`` of the flat ``buf``."""
+    _, o, n = blk
+    return buf[o:o + n * n].reshape(n, n)
+
+
+def _pointer(kind: str, labels: tuple) -> str:
+    """The JSON pointer of a block key: /F/a,b,c;d or /R/a,b;c."""
+    return f"/{kind}/{','.join(labels[:-1])};{labels[-1]}"
+
+
+def _checked(ring: FusionRing, kind: str, buf, given) -> np.ndarray:
+    """A read-only copy of the flat ``kind`` ("F" or "R") buffer with every
+    unit-leg block the identity.  ``given`` marks the blocks supplied (None:
+    all); a missing block other than a unit-leg one, or a supplied unit-leg
+    block that is not the identity, raises :class:`SchemaError`."""
+    t = ring.ftable if kind == "F" else ring.rtable
+    buf = np.array(buf, dtype=complex)
+    given = np.ones(len(t.size), dtype=bool) if given is None else given
+    blk, p, q = t.entry_index()
+    leg = t.unit_leg[blk]
+    bad = leg & given[blk] & (buf != (p == q))
+    missing = ~given & ~t.unit_leg
+    for k, message in ((blk[bad], "on a unit leg is not the identity"),
+                       (np.flatnonzero(missing), "is missing")):
+        if len(k):
+            key = tuple(ring.labels[x] for x in t.keys[k.min()])
+            raise SchemaError(f"{kind}-symbol block {key} {message}", _pointer(kind, key))
+    buf[leg] = p[leg] == q[leg]
+    buf.setflags(write=False)
+    return buf
+
+
+def _gathered(ring: FusionRing, kind: str, symbols: dict) -> tuple:
+    """The flat ``kind`` buffer and given-block mask of a dict of blocks keyed
+    by label tuples."""
+    t = ring.ftable if kind == "F" else ring.rtable
+    block = ring.f_block if kind == "F" else ring.r_block
+    buf, given = np.zeros(t.buffer_length, dtype=complex), np.zeros(len(t.size), dtype=bool)
+    for key, M in symbols.items():
+        blk = block(*key)
+        M, n = np.asarray(M), 0 if blk is None else blk[2]
+        if M.shape != (n, n):
+            raise SchemaError(f"{kind} block {key} has shape {M.shape}, expected {(n, n)}")
+        if blk is not None:
+            buf[blk[1]:blk[1] + n * n] = M.ravel()
+            given[blk[0]] = True
+    return buf, given
 
 
 # Both routes of a check, as moves (table, address columns of the tree rows
@@ -119,21 +167,44 @@ _HEXAGON = (
 
 
 class SkeletalUTC:
-    """Fusion ring plus F-symbols, optional R-symbols and quantum dimensions."""
+    """Fusion ring plus F-symbols, optional R-symbols and quantum dimensions.
+
+    ``f_symbols`` maps keys (a, b, c, d) to F-matrices and ``r_symbols`` keys
+    (a, b, c) to R-matrices; every nonzero block without a unit leg must be
+    given.  :meth:`from_buffers` takes the flat buffers of the ring's tables
+    instead.
+    """
 
     def __init__(self, ring: FusionRing, f_symbols: dict, r_symbols: dict | None = None,
                  qdims: dict | None = None):
+        F, fgiven = _gathered(ring, "F", f_symbols)
+        R, rgiven = (None, None) if r_symbols is None else _gathered(ring, "R", r_symbols)
+        self._setup(ring, F, R, qdims, (fgiven, rgiven))
+
+    @classmethod
+    def from_buffers(cls, ring: FusionRing, F: np.ndarray, R: np.ndarray | None = None,
+                     qdims: dict | None = None, given: tuple = (None, None)) -> "SkeletalUTC":
+        """The category whose blocks are the flat buffers ``F`` and ``R``, laid
+        out as ``ring.ftable`` and ``ring.rtable``.  ``given`` holds the masks
+        of the F and R blocks supplied (None: all of them)."""
+        cat = cls.__new__(cls)
+        cat._setup(ring, F, R, qdims, given)
+        return cat
+
+    def _setup(self, ring, F, R, qdims, given):
         self.ring = ring
-        # f_symbols: (a,b,c,d) -> ndarray over (left_index, right_index)
-        self._F = {k: _frozen(v) for k, v in f_symbols.items()}
-        self._R = None if r_symbols is None else {
-            k: _frozen(v) for k, v in r_symbols.items()
-        }
+        self._F = _checked(ring, "F", F, given[0])
+        self._R = None
+        if R is not None:
+            N = ring._N
+            if not np.array_equal(N, N.transpose(1, 0, 2)):
+                a, b, c = (ring.labels[x] for x in np.argwhere(N != N.transpose(1, 0, 2))[0])
+                raise SchemaError(f"non-commutative fusion under braiding at ({a},{b};{c})")
+            self._R = _checked(ring, "R", R, given[1])
         self.qdim = dict(qdims) if qdims else {x: ring.fp_dimension(x) for x in ring.labels}
         self._conj_cache: dict[str, ConjugateSolution] = {}
-        self._finv_cache: dict[tuple, np.ndarray] = {}
+        self._Finv = None  # the F⁻¹ buffer; see _inverses
         self._tables: dict = {}  # the entry table, by move kind; see _table
-        self._check_completeness()
 
     # ------------------------------------------------------------------
     # index bookkeeping
@@ -142,6 +213,22 @@ class SkeletalUTC:
     @property
     def braided(self) -> bool:
         return self._R is not None
+
+    @property
+    def f_symbols(self) -> dict:
+        """The F-blocks without a unit leg, keyed (a, b, c, d)."""
+        return self._symbols("F")
+
+    @property
+    def r_symbols(self) -> dict | None:
+        """The R-blocks without a unit leg, keyed (a, b, c); None if unbraided."""
+        return self._symbols("R") if self.braided else None
+
+    def _symbols(self, kind: str) -> dict:
+        t = self.ring.ftable if kind == "F" else self.ring.rtable
+        buf, lab = self._F if kind == "F" else self._R, self.ring.labels
+        return {tuple(lab[x] for x in t.keys[k]): _view(buf, (k, t.offset[k], t.size[k]))
+                for k in np.flatnonzero(~t.unit_leg)}
 
     def dual(self, x: str) -> str:
         return self.ring.dual[x]
@@ -159,90 +246,54 @@ class SkeletalUTC:
 
     def fmat(self, a, b, c, d) -> np.ndarray:
         """F-matrix mapping right-tree to left-tree coordinates."""
-        idx = self.ring.f_index(a, b, c, d)
-        left, right = idx.left, idx.right
-        if len(left) != len(right):
-            raise SchemaError(f"inconsistent hom dimensions for F[{a},{b},{c};{d}]")
-        n = len(left)
-        if n == 0:
-            return np.zeros((0, 0))
-        if self.ring.unit in (a, b, c):
-            return np.eye(n, dtype=complex)  # strict unitors: both bases list the same trees
-        key = (a, b, c, d)
-        if key not in self._F:
-            raise SchemaError(f"missing F-symbol block {key}")
-        M = self._F[key]
-        if M.shape != (n, n):
-            raise SchemaError(f"F block {key} has shape {M.shape}, expected {(n, n)}")
-        return M
+        blk = self.ring.f_block(a, b, c, d)
+        return np.zeros((0, 0)) if blk is None else _view(self._F, blk)
 
     def _finv(self, a, b, c, d) -> np.ndarray:
-        """F[a,b,c;d]⁻¹, computed once per block (LinAlgError if singular)."""
-        key = (a, b, c, d)
-        inv = self._finv_cache.get(key)
-        if inv is None:
-            inv = np.linalg.inv(self.fmat(a, b, c, d))
+        """F[a,b,c;d]⁻¹ (LinAlgError if any block is singular)."""
+        blk = self.ring.f_block(a, b, c, d)
+        return np.zeros((0, 0)) if blk is None else _view(self._inverses(), blk)
+
+    def _inverses(self) -> np.ndarray:
+        """The F⁻¹ buffer: one stacked inverse per block size, built once."""
+        if self._Finv is None:
+            t, inv = self.ring.ftable, np.empty_like(self._F)
+            for (_, M), (_, out) in zip(_stacks(self._F, t), _stacks(inv, t)):
+                out[...] = np.linalg.inv(M)
             inv.setflags(write=False)
-            self._finv_cache[key] = inv
-        return inv
+            self._Finv = inv
+        return self._Finv
 
     def fblock(self, a, b, c, d, e, f, inverse: bool = False) -> np.ndarray:
         """F[a,b,c;d] between the left trees through e and the right trees
         through f, as T[α, β, μ, ν] with α ∈ O(e, a⊗b), β ∈ O(d, e⊗c),
         μ ∈ O(f, b⊗c), ν ∈ O(d, a⊗f); with ``inverse`` the same slots of F⁻¹,
         T[α, β, μ, ν] = F⁻¹[(f, μ, ν), (e, α, β)]."""
-        N, idx = self.ring.N, self.ring.f_index(a, b, c, d)
+        ring = self.ring
+        N = ring.N
         shape = (N(a, b, e), N(e, c, d), N(b, c, f), N(a, f, d))
         if 0 in shape:
             return np.zeros(shape, dtype=complex)
-        i, j = idx.lpos[(e, 0, 0)], idx.rpos[(f, 0, 0)]  # each channel's slots are contiguous
+        blk = ring.f_block(a, b, c, d)
+        chan = ring.ftable.chan[blk[0]]
+        i, j = int(chan[0, ring.index[e]]), int(chan[1, ring.index[f]])
         rows = slice(i, i + shape[0] * shape[1])
         cols = slice(j, j + shape[2] * shape[3])
         if inverse:
-            return self._finv(a, b, c, d)[cols, rows].T.reshape(shape)
-        return self.fmat(a, b, c, d)[rows, cols].reshape(shape)
+            return _view(self._inverses(), blk)[cols, rows].T.reshape(shape)
+        return _view(self._F, blk)[rows, cols].reshape(shape)
 
     def rmat(self, a, b, c) -> np.ndarray:
         """R-matrix O(c, a⊗b) -> O(c, b⊗a) for τ_{a,b}."""
         if self._R is None:
             raise MissingBraiding("category has no R-symbols")
-        n_src = self.ring.N(a, b, c)
-        n_dst = self.ring.N(b, a, c)
-        if n_src != n_dst:
-            raise SchemaError(f"non-commutative fusion under braiding at ({a},{b};{c})")
-        if n_src == 0:
-            return np.zeros((0, 0))
-        if self.ring.unit in (a, b):
-            return np.eye(n_src, dtype=complex)
-        key = (a, b, c)
-        if key not in self._R:
-            raise SchemaError(f"missing R-symbol block {key}")
-        M = self._R[key]
-        if M.shape != (n_dst, n_src):
-            raise SchemaError(f"R block {key} has shape {M.shape}")
-        return M
+        blk = self.ring.r_block(a, b, c)
+        return np.zeros((0, 0)) if blk is None else _view(self._R, blk)
 
     def twist(self, x: str) -> complex:
         """θ_x = d_x⁻¹ Σ_c d_c Tr R^{x,x}_c, the ribbon twist of x."""
         return complex(sum(self.d(c) * np.trace(self.rmat(x, x, c))
                            for c, _ in self.ring.channels(x, x)) / self.d(x))
-
-    def _f_keys(self) -> list[tuple[str, str, str, str]]:
-        """Sorted (a, b, c, d) whose F-block is nonzero, from the channel tables."""
-        ring = self.ring
-        return sorted({(a, b, c, d) for a, b, e in self._r_keys()
-                       for c in ring.labels for d, _ in ring.channels(e, c)})
-
-    def _r_keys(self) -> list[tuple[str, str, str]]:
-        """(a, b, c) whose R-block is nonzero, from the channel tables."""
-        return [(a, b, c) for a, b in itertools.product(self.ring.labels, repeat=2)
-                for c, _ in self.ring.channels(a, b)]
-
-    def _check_completeness(self):
-        unit = self.ring.unit
-        for key in self._f_keys():
-            if unit not in key[:3]:
-                self.fmat(*key)  # raises if absent/mis-shaped
 
     # ------------------------------------------------------------------
     # conjugate equations and bending: single F and F⁻¹ entries
@@ -305,22 +356,16 @@ class SkeletalUTC:
     # ------------------------------------------------------------------
 
     def _blocks(self, kind: str) -> list:
-        """Every F (``kind`` "F") or R ("R") block stacked by size, built once:
-        (keys, key label positions, left slots, right slots, stack) per size;
-        an F slot is (label position, multiplicity, multiplicity), an R slot one."""
-        out = self._tables.get(kind)
-        if out is None:
-            F, pos, groups = kind == "F", self.ring.index, {}
-            for key in self._f_keys() if F else self._r_keys():
-                M = self.fmat(*key) if F else self.rmat(*key)
-                slots = ([[(pos[x], i, j) for x, i, j in side] for side in self.ring.f_index(*key)[:2]]
-                         if F else [[(i,) for i in range(len(M))]] * 2)
-                groups.setdefault(len(M), []).append((key, M, slots))
-            out = self._tables[kind] = []
-            for g in groups.values():
-                keys, blocks, slots = zip(*g)
-                out.append((keys, np.array([[pos[x] for x in k] for k in keys]),
-                            *np.array(slots).swapaxes(0, 1), np.array(blocks)))
+        """Every F ("F"), F⁻¹ ("finv") or R ("R") block stacked by size, a
+        grouping of the ring's table: (key label positions, left slots, right
+        slots, stack) per size; an F slot is (label position, multiplicity,
+        multiplicity), an R slot one multiplicity."""
+        t = self.ring.rtable if kind == "R" else self.ring.ftable
+        buf = {"F": self._F, "R": self._R}[kind] if kind != "finv" else self._inverses()
+        out = []
+        for ids, M in _stacks(buf, t):
+            slots = t.start[ids][:, None] + np.arange(M.shape[1])
+            out.append((t.keys[ids], t.left[slots], t.right[slots], M))
         return out
 
     def _table(self, kind: str) -> tuple:
@@ -330,12 +375,8 @@ class SkeletalUTC:
         table = self._tables.get(kind)
         if table is None:
             B, parts = self._radix, []
-            for keys, kpos, left, right, M in self._blocks(kind[0].upper()):
-                if kind == "finv":
-                    M = np.linalg.inv(M)  # one stacked inverse per block size
-                    M.setflags(write=False)
-                    self._finv_cache.update(zip(keys, M))
-                elif kind == "f":
+            for kpos, left, right, M in self._blocks({"finv": "finv", "f": "F"}.get(kind, "R")):
+                if kind == "f":
                     left, right = right, left
                 elif kind == "rinv":
                     kpos, left, right, M = kpos[:, [1, 0, 2]], right, left, M.conj().swapaxes(1, 2)
@@ -359,10 +400,9 @@ class SkeletalUTC:
         """Every basis tree on ``length`` letters as an integer row (x₁, x₁, 0,
         x₂, m₁, t₁, …, x_n, root, t_{n−1}, tree number), sorted by its labels:
         the channel table (x, y, z, t) joined to itself on the last channel."""
-        N = self.ring._N
-        x, *yzt = np.nonzero(N[..., None] > np.arange(N.max()))
-        yzt = np.array(yzt, dtype=np.int32).T  # int32 rows halve the peak memory
-        S = (np.arange(len(N))[:, None] * [1, 1, 0]).astype(np.int32)
+        ch = self.ring.channel_rows
+        x, yzt = ch[:, 0], ch[:, 1:].astype(np.int32)  # int32 rows halve the peak memory
+        S = (np.arange(len(self.ring.labels))[:, None] * [1, 1, 0]).astype(np.int32)
         for _ in range(length - 1):
             i, j = _join(S[:, -2], x)
             S = np.column_stack([S[i], yzt[j]])

@@ -1,0 +1,128 @@
+"""The per-key F-index bookkeeping and ring-axiom loops, kept as the
+reference for the integer tables of :mod:`utcat.fusion_ring`.
+
+:func:`f_index` lists the left (e, α, β) and right (f, μ, ν) basis of one
+F-block by looping over channels, :func:`index_groups` cuts such a list into
+its channel slices (as the JSON schema once did), :func:`blocks` stacks every
+F or R block of a category by size one key at a time (as the coherence
+checks once did), and :func:`check_ring_axioms` is the loop form of the ring
+axiom check.
+"""
+
+from __future__ import annotations
+
+import itertools
+
+import numpy as np
+
+from utcat.errors import AxiomViolation
+from utcat.fusion_ring import FIndex
+
+
+def f_index(ring, a, b, c, d) -> FIndex:
+    """The left/right basis index of F[a,b,c;d], from the channel tuples."""
+    left = tuple((e, al, be) for e, n_ab in ring.channels(a, b)
+                 for al in range(n_ab) for be in range(ring.N(e, c, d)))
+    right = tuple((f, mu, nu) for f, n_bc in ring.channels(b, c)
+                  for mu in range(n_bc) for nu in range(ring.N(a, f, d)))
+    return FIndex(left, right, {t: i for i, t in enumerate(left)},
+                  {t: i for i, t in enumerate(right)})
+
+
+def index_groups(entries) -> dict:
+    """Contiguous (channel → row slice) map of a sorted multiplicity index."""
+    groups = {}
+    for pos, (e, _, _) in enumerate(entries):
+        if e not in groups:
+            groups[e] = [pos, pos + 1]
+        else:
+            groups[e][1] = pos + 1
+    return {e: slice(lo, hi) for e, (lo, hi) in groups.items()}
+
+
+def f_keys(ring) -> list:
+    """Sorted (a, b, c, d) whose F-block is nonzero."""
+    return sorted({(a, b, c, d) for a, b, e in r_keys(ring)
+                   for c in ring.labels for d, _ in ring.channels(e, c)})
+
+
+def r_keys(ring) -> list:
+    """(a, b, c) whose R-block is nonzero."""
+    return [(a, b, c) for a, b in itertools.product(ring.labels, repeat=2)
+            for c, _ in ring.channels(a, b)]
+
+
+def blocks(cat, kind: str) -> list:
+    """Every F (``kind`` "F") or R ("R") block stacked by size, one key at a
+    time: (keys, key label positions, left slots, right slots, stack) per
+    size; an F slot is (label position, multiplicity, multiplicity), an R
+    slot one multiplicity."""
+    F, pos, groups = kind == "F", cat.ring.index, {}
+    for key in f_keys(cat.ring) if F else r_keys(cat.ring):
+        M = cat.fmat(*key) if F else cat.rmat(*key)
+        slots = ([[(pos[x], i, j) for x, i, j in side] for side in f_index(cat.ring, *key)[:2]]
+                 if F else [[(i,) for i in range(len(M))]] * 2)
+        groups.setdefault(len(M), []).append((key, M, slots))
+    out = []
+    for g in groups.values():
+        keys, stack, slots = zip(*g)
+        out.append((keys, np.array([[pos[x] for x in k] for k in keys]),
+                    *np.array(slots).swapaxes(0, 1), np.array(stack)))
+    return out
+
+
+def check_ring_axioms(labels, unit, dual, mult) -> list[AxiomViolation]:
+    """Return the full list of violated axioms (empty when the data is a ring)."""
+    violations: list[AxiomViolation] = []
+    labels = sorted(labels)
+    idx = {x: i for i, x in enumerate(labels)}
+    n = len(labels)
+    N = np.zeros((n, n, n), dtype=np.int64)
+    for (x, y, z), m in mult.items():
+        if m < 0:
+            violations.append(AxiomViolation("nonnegativity", (x, y, z), f"N={m}"))
+        N[idx[x], idx[y], idx[z]] = m
+
+    u = idx[unit]
+    for y in range(n):
+        for z in range(n):
+            if N[u, y, z] != (1 if y == z else 0):
+                violations.append(AxiomViolation("unit_left", (unit, labels[y], labels[z])))
+            if N[y, u, z] != (1 if y == z else 0):
+                violations.append(AxiomViolation("unit_right", (labels[y], unit, labels[z])))
+
+    for x in labels:
+        if dual.get(dual.get(x)) != x:
+            violations.append(AxiomViolation("dual_involution", (x,)))
+    if dual.get(unit) != unit:
+        violations.append(AxiomViolation("dual_unit", (unit,)))
+
+    dvec = np.array([idx[dual[x]] for x in labels])
+    for x in range(n):
+        for y in range(n):
+            want = 1 if dvec[x] == y else 0
+            if N[x, y, u] != want:
+                violations.append(AxiomViolation("duality", (labels[x], labels[y], unit)))
+
+    # associativity: sum_w N[x,y,w] N[w,v,z] == sum_w N[y,v,w] N[x,w,z]
+    lhs = np.einsum("xyw,wvz->xyvz", N, N)
+    rhs = np.einsum("yvw,xwz->xyvz", N, N)
+    for x, y, v, z in zip(*np.nonzero(lhs != rhs)):
+        violations.append(
+            AxiomViolation(
+                "associativity",
+                (labels[x], labels[y], labels[v], labels[z]),
+                f"{lhs[x, y, v, z]} != {rhs[x, y, v, z]}",
+            )
+        )
+
+    # Frobenius reciprocity: N[x][y][z] = N[dual x][z][y] = N[z][dual y][x]
+    for x in range(n):
+        for y in range(n):
+            for z in range(n):
+                a = N[x, y, z]
+                if N[dvec[x], z, y] != a or N[z, dvec[y], x] != a:
+                    violations.append(
+                        AxiomViolation("frobenius_reciprocity", (labels[x], labels[y], labels[z]))
+                    )
+    return violations

@@ -1,4 +1,6 @@
 import copy
+import gc
+import weakref
 
 import numpy as np
 import pytest
@@ -95,6 +97,21 @@ def test_copy_builds_its_own_derived_algebras(fib_ann):
     assert D.ground() is not fib_ann.ground()
     assert np.array_equal(D.ground().P, D.mult[key])
     assert D.square_algebra("tau") is not fib_ann.square_algebra("tau")
+
+
+def test_derived_algebras_leave_no_reference_cycle():
+    # an object and the algebras it derived are freed without the cycle
+    # collector, so their arrays do not wait for a full collection
+    gc.disable()
+    try:
+        D = build_annulus(fibonacci())
+        pp_check(D, "tau", 5, seed=0)
+        D.fiber_norms(FiberElement("tau", np.ones(D.n("tau"))))
+        gone = weakref.ref(D)
+        del D
+        assert gone() is None
+    finally:
+        gc.enable()
 
 
 def test_ground_and_square_algebras_are_built_once(fib_ann, monkeypatch):

@@ -14,7 +14,7 @@ from utcat.skeletal import SkeletalUTC
 
 def _mirror(cat):
     """The mirror category: the same F blocks, the conjugate R blocks."""
-    return SkeletalUTC(cat.ring, cat._F, {k: v.conj() for k, v in cat._R.items()},
+    return SkeletalUTC(cat.ring, cat.f_symbols, {k: v.conj() for k, v in cat.r_symbols.items()},
                        cat.qdim)
 
 
@@ -25,12 +25,12 @@ def _gauged(cat, seed):
     u = {(a, b, c): 1.0 if ring.unit in (a, b) else np.exp(2j * np.pi * rng.random())
          for a in ring.labels for b in ring.labels for c, _ in ring.channels(a, b)}
     F = {}
-    for (a, b, c, d), M in cat._F.items():
+    for (a, b, c, d), M in cat.f_symbols.items():
         idx = ring.f_index(a, b, c, d)
         left = np.array([u[(a, b, e)] * u[(e, c, d)] for e, _, _ in idx.left])
         right = np.array([u[(b, c, f)] * u[(a, f, d)] for f, _, _ in idx.right])
         F[(a, b, c, d)] = M * right / left[:, None]
-    R = {(a, b, c): M * u[(a, b, c)] / u[(b, a, c)] for (a, b, c), M in cat._R.items()}
+    R = {(a, b, c): M * u[(a, b, c)] / u[(b, a, c)] for (a, b, c), M in cat.r_symbols.items()}
     return SkeletalUTC(ring, F, R, cat.qdim)
 
 
@@ -119,7 +119,7 @@ def test_unclosed_support_raises():
 
 def test_unbraided_category_raises():
     fib = fibonacci()
-    bare = SkeletalUTC(fib.ring, fib._F, None, fib.qdim)
+    bare = SkeletalUTC(fib.ring, fib.f_symbols, None, fib.qdim)
     with pytest.raises(MissingBraiding):
         build_annulus(bare)
 

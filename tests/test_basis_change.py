@@ -37,7 +37,7 @@ def test_relabeled_category_satisfies_axioms(name):
 def test_identity_relabel_is_identity():
     cat = fibonacci()
     again = relabel_category(cat, {})
-    for key, M in cat._F.items():
+    for key, M in cat.f_symbols.items():
         assert np.allclose(again.fmat(*key), M)
 
 

@@ -36,9 +36,9 @@ def test_cat_round_trip_preserves_f_and_r():
     for cat in (fibonacci(), ising(), vec_zn(4)):
         again = io.cat_from_json(io.cat_to_json(cat))
         assert again.verify_pentagon() < 1e-10
-        for key, M in cat._F.items():
+        for key, M in cat.f_symbols.items():
             assert np.allclose(again.fmat(*key), M)
-        for key, M in cat._R.items():
+        for key, M in cat.r_symbols.items():
             assert np.allclose(again.rmat(*key), M)
         assert again.qdim == pytest.approx(cat.qdim)
 
@@ -138,10 +138,10 @@ def test_verify_reports_three_residuals(capsys, tmp_path):
 def test_worst_location_is_reported_outside_the_residuals(capsys, tmp_path):
     # F[tau,tau,tau;tau] × e^{0.3i}: the worst pentagon reads that block
     cat = fibonacci()
-    F = dict(cat._F)
+    F = dict(cat.f_symbols)
     F[("tau",) * 4] = F[("tau",) * 4] * np.exp(0.3j)
     p = tmp_path / "bad_fib.json"
-    p.write_text(json.dumps(io.cat_to_json(SkeletalUTC(cat.ring, F, cat._R, cat.qdim))))
+    p.write_text(json.dumps(io.cat_to_json(SkeletalUTC(cat.ring, F, cat.r_symbols, cat.qdim))))
     for cmd in ("validate", "verify"):
         code, rep = run(capsys, cmd, str(p))
         res = rep["residuals"] if cmd == "validate" else rep

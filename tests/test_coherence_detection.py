@@ -11,6 +11,7 @@ import itertools
 import numpy as np
 import pytest
 
+import index_reference
 from utcat.fixtures import fibonacci, ising, mult2_ring, random_blocks, vec_zn
 from utcat import skeletal
 from utcat.skeletal import SkeletalUTC
@@ -170,11 +171,11 @@ def reference_hexagon(cat):
 # -- tests -------------------------------------------------------------------
 
 def _rebuilt(cat, F=None, R=None):
-    return SkeletalUTC(cat.ring, F or cat._F, R or cat._R, qdims=cat.qdim)
+    return SkeletalUTC(cat.ring, F or cat.f_symbols, R or cat.r_symbols, qdims=cat.qdim)
 
 
 def _corrupted(cat):
-    F, R = dict(cat._F), dict(cat._R)
+    F, R = dict(cat.f_symbols), dict(cat.r_symbols)
     kf, kr = sorted(F)[-1], sorted(R)[-1]
     F[kf] = F[kf] * np.exp(0.3j)
     R[kr] = R[kr] * np.exp(0.2j)
@@ -201,7 +202,7 @@ def test_corrupted_blocks_are_detected(name):
 def test_non_unitary_block_uses_the_inverse():
     # a unitary-only shortcut F⁻¹ = F† would change both residuals here
     cat = fibonacci()
-    F = dict(cat._F)
+    F = dict(cat.f_symbols)
     M = np.array(F[("tau", "tau", "tau", "tau")])
     M[0, 0] *= 1.5
     F[("tau", "tau", "tau", "tau")] = M
@@ -215,7 +216,7 @@ def test_non_unitary_block_uses_the_inverse():
 
 def test_singular_block_raises():
     cat = fibonacci()
-    F = dict(cat._F)
+    F = dict(cat.f_symbols)
     F[("tau", "tau", "tau", "tau")] = np.zeros((2, 2))
     with pytest.raises(np.linalg.LinAlgError):
         _rebuilt(cat, F).verify_pentagon()
@@ -223,7 +224,7 @@ def test_singular_block_raises():
 
 def test_multiplicity_indices_agree_with_the_reference():
     cat = random_blocks(mult2_ring(), 0)
-    assert {k: v.shape for k, v in cat._F.items()} == {
+    assert {k: v.shape for k, v in cat.f_symbols.items()} == {
         ("x", "x", "x", "1"): (2, 2), ("x", "x", "x", "x"): (5, 5)}
     pentagon, hexagon = cat.verify_pentagon(), cat.verify_hexagon()
     assert pentagon == pytest.approx(reference_pentagon(cat), rel=1e-12)
@@ -262,12 +263,12 @@ def _hexagon_blocks(ring, a, b, c, d):
 @pytest.mark.parametrize("name", ["fib", "ising"])
 def test_worst_location_names_the_corrupted_block(name):
     cat = _corrupted(CASES[name]())
-    kf, kr = sorted(cat._F)[-1], sorted(cat._R)[-1]
+    kf, kr = sorted(cat.f_symbols)[-1], sorted(cat.r_symbols)[-1]
     res, where = cat.coherence("pentagon")
     assert res == cat.verify_pentagon() and len(where) == 5
     assert kf in _pentagon_blocks(cat.ring, *where)
     # hexagons also read F, so only R is corrupted here
-    only_r = _rebuilt(cat, F=CASES[name]()._F)
+    only_r = _rebuilt(cat, F=CASES[name]().f_symbols)
     res, where = only_r.coherence("hexagon")
     assert res == only_r.verify_hexagon() >= 0.1 and len(where) == 4
     assert kr in _hexagon_blocks(cat.ring, *where)
@@ -279,10 +280,14 @@ def test_worst_location_names_the_corrupted_block(name):
 def test_table_inverses_are_the_cached_inverses():
     cat = _rebuilt(fibonacci())
     cat.verify_pentagon()
-    for key, inv in cat._finv_cache.items():
-        assert not inv.flags.writeable
-        assert np.allclose(inv @ cat.fmat(*key), np.eye(len(inv)), atol=1e-12)
-    assert ("tau", "tau", "tau", "tau") in cat._finv_cache
+    inv = cat._Finv  # built for the pentagon's F⁻¹ entry table
+    assert inv is not None and not inv.flags.writeable
+    for key in index_reference.f_keys(cat.ring):
+        M = cat._finv(*key)
+        assert np.shares_memory(M, inv)
+        assert np.allclose(M @ cat.fmat(*key), np.eye(len(M)), atol=1e-12)
+    assert cat._inverses() is inv
+    assert cat._finv("tau", "tau", "tau", "tau").shape == (2, 2)
 
 
 def test_chunked_trees_give_the_same_residuals(monkeypatch):

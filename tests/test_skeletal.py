@@ -125,7 +125,7 @@ def test_zigzag_solutions_standard(cat):
 
 def _mirror(cat):
     """The mirror category: the same F blocks, the conjugate R blocks."""
-    return SkeletalUTC(cat.ring, cat._F, {k: v.conj() for k, v in cat._R.items()},
+    return SkeletalUTC(cat.ring, cat.f_symbols, {k: v.conj() for k, v in cat.r_symbols.items()},
                        cat.qdim)
 
 
@@ -164,9 +164,9 @@ def test_twists_of_fib_and_ising():
 
 def test_blocks_are_read_only():
     cat = fibonacci()
-    block = np.array(cat._F[("tau", "tau", "tau", "tau")])
-    F = {**cat._F, ("tau", "tau", "tau", "tau"): block}
-    own = SkeletalUTC(cat.ring, F, cat._R, qdims=cat.qdim)
+    block = np.array(cat.f_symbols[("tau", "tau", "tau", "tau")])
+    F = {**cat.f_symbols, ("tau", "tau", "tau", "tau"): block}
+    own = SkeletalUTC(cat.ring, F, cat.r_symbols, qdims=cat.qdim)
     with pytest.raises(ValueError):
         own.fmat("tau", "tau", "tau", "tau")[0, 0] = 0.0
     with pytest.raises(ValueError):
@@ -180,7 +180,7 @@ def test_blocks_are_read_only():
 
 def test_missing_braiding_raises():
     cat = fibonacci()
-    stripped = SkeletalUTC(cat.ring, cat._F, None, qdims=cat.qdim)
+    stripped = SkeletalUTC(cat.ring, cat.f_symbols, None, qdims=cat.qdim)
     with pytest.raises(MissingBraiding):
         stripped.rmat("tau", "tau", "1")
     with pytest.raises(MissingBraiding):
