@@ -10,6 +10,17 @@ v ∈ O(Z, X⊗Y)), an antilinear star ``j_X : 𝒟(X) → 𝒟(X̄)`` given by
 its opposite ("op"); the opposite category has conjugated structure scalars,
 so every coefficient drawn from the category data passes through
 :meth:`AlgebraObject.scalar`.
+
+An element of 𝒟(A⊗B) is one coefficient vector.  The map θ ⊗ v ↦ 𝒟(v*)θ
+identifies ⊕_{Z,v} 𝒟(Z) with 𝒟(A⊗B), and :meth:`AlgebraObject.layout`
+places the summand of each tree v ∈ O(Z, A⊗B) with n_Z > 0 at a slice of
+that vector: Z in sorted-label order, v ascending within Z.  The lax product
+𝒟²(ξ ⊙ η), the conjugation 𝒟(A⊗B) → 𝒟(B̄⊗Ā) (one matrix,
+:meth:`AlgebraObject.conj_matrix`), the expectation E_X and the right action
+on 𝒟(X) all read and write such vectors.  The ground algebra 𝒟(1) and the
+square algebras 𝒟(X̄⊗X) are both a :class:`StarAlgebra`, the triple of
+:mod:`gns` (structure tensor, star matrix, faithful functional) from which
+product, star, GNS form and norms follow.
 """
 
 from __future__ import annotations
@@ -19,6 +30,7 @@ import itertools
 import weakref
 from dataclasses import dataclass, field
 from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 
@@ -28,6 +40,7 @@ from .errors import (
     NotAState,
     PositivityFailure,
     SupportTooSmall,
+    UnknownLabel,
 )
 from .gns import GramRoot, form, min_eig
 from .skeletal import SkeletalUTC
@@ -36,7 +49,9 @@ __all__ = [
     "AlgebraObject",
     "FiberElement",
     "GroundAlgebra",
+    "Layout",
     "SquareAlgebra",
+    "StarAlgebra",
     "validate_algebra_object",
     "group_algebra_object",
     "trivial_action_object",
@@ -54,6 +69,16 @@ class FiberElement:
         object.__setattr__(self, "vec", np.asarray(self.vec, dtype=complex))
 
 
+class Layout(NamedTuple):
+    """𝒟(A⊗B) ≅ ⊕_{Z,v} 𝒟(Z) as one flat vector of length ``dim``:
+    ``slices[(Z, v)]`` holds the summand of v ∈ O(Z, A⊗B) and ``spans[Z]``
+    the summands of all of Z's trees."""
+
+    slices: dict
+    spans: dict
+    dim: int
+
+
 @dataclass
 class AlgebraObject:
     cat: SkeletalUTC
@@ -64,7 +89,8 @@ class AlgebraObject:
     side: str = "cat"
     unitary_lax: bool = False
     meta: dict = field(default_factory=dict)
-    # the ground and square algebras, built once per object
+    # layouts, conjugation matrices and the ground and square algebras,
+    # each built once per object under a tuple key
     _derived: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -75,7 +101,7 @@ class AlgebraObject:
             raise ValueError(f"side must be 'cat' or 'op', got {self.side!r}")
 
     def __copy__(self):
-        """A shallow copy with its own (empty) cache of derived algebras, so
+        """A shallow copy with its own (empty) cache of derived data, so
         that replacing its ``mult`` or ``star`` is seen by them."""
         return dataclasses.replace(self)
 
@@ -104,78 +130,88 @@ class AlgebraObject:
     def j(self, X: str, xi) -> np.ndarray:
         return self.star[X] @ np.conj(np.asarray(xi, dtype=complex))
 
-    # -- distributed elements over a pair word (A, B) ----------------------
-    # An element of 𝒟(A⊗B) is a dict (Z, v) -> vector in 𝒟(Z); the map
-    # θ ⊗ v ↦ 𝒟(v*)θ identifies ⊕_{Z,v} 𝒟(Z) with 𝒟(A⊗B).
+    def dual(self, X: str) -> str:
+        """X̄; raises :class:`UnknownLabel` on a label the category does not have."""
+        if X not in self.cat.ring.index:
+            raise UnknownLabel(X)
+        return self.cat.ring.dual[X]
 
-    def lax_product(self, X: str, Y: str, xi, eta) -> dict:
-        """𝒟²_{X,Y}(ξ ⊙ η) distributed over the channels of X⊗Y."""
-        out = {}
-        for Z in self.cat.ring.labels:
-            if self.n(Z) == 0:
-                continue
-            for v in range(self.cat.ring.N(X, Y, Z)):
-                val = self.mu_apply(X, Y, Z, v, xi, eta)
-                if np.any(val):
-                    out[(Z, v)] = val
-        return out
+    # -- elements of 𝒟(A⊗B) as coefficient vectors --------------------------
 
-    def conjugate_distributed(self, dist: dict, pair: tuple) -> dict:
-        """j applied to a distributed element of 𝒟(A⊗B); lands over (B̄, Ā)."""
-        A, B = pair
-        ring = self.cat.ring
-        out = {}
-        for (Z, v), vec in dist.items():
-            n = ring.N(A, B, Z)
-            e = np.zeros(n)
-            e[v] = 1.0
-            conj_coeffs = self.cat.conj_pair_basis(A, B, Z, e)
-            jvec = self.j(Z, vec)
-            Zb = ring.dual[Z]
-            for s, K in enumerate(conj_coeffs):
-                K = self.scalar(K)
-                if abs(K) == 0.0:
+    def _cached(self, key: tuple, build):
+        if key not in self._derived:
+            self._derived[key] = build()
+        return self._derived[key]
+
+    def layout(self, A: str, B: str) -> Layout:
+        """The layout of 𝒟(A⊗B), built on the first call for (A, B); raises
+        :class:`UnknownLabel` on a label the category does not have."""
+        def build():
+            slices, spans, off = {}, {}, 0
+            for Z, nv in self.cat.ring.channels(A, B):
+                nz = self.n(Z)
+                if nz == 0:
                     continue
-                key = (Zb, s)
-                out[key] = out.get(key, np.zeros(self.n(Zb), dtype=complex)) + K * jvec
+                spans[Z] = slice(off, off + nv * nz)
+                for v in range(nv):
+                    slices[(Z, v)] = slice(off, off + nz)
+                    off += nz
+            return Layout(slices, spans, off)
+        return self._cached(("layout", A, B), build)
+
+    def lax_product(self, X: str, Y: str, xi, eta) -> np.ndarray:
+        """𝒟²_{X,Y}(ξ ⊙ η) on the layout of 𝒟(X⊗Y)."""
+        L = self.layout(X, Y)
+        out = np.zeros(L.dim, dtype=complex)
+        for (Z, v), sl in L.slices.items():
+            out[sl] = self.mu_apply(X, Y, Z, v, xi, eta)
         return out
+
+    def conj_matrix(self, A: str, B: str) -> np.ndarray:
+        """C with j(t) = C·conj(t) for t ∈ 𝒟(A⊗B), landing in 𝒟(B̄⊗Ā): the
+        star of each summand 𝒟(Z) times the coefficients of the conjugate
+        trees Z̄ → B̄⊗Ā of v ∈ O(Z, A⊗B)."""
+        def build():
+            cat = self.cat
+            src = self.layout(A, B)
+            dst = self.layout(self.dual(B), self.dual(A))
+            C = np.zeros((dst.dim, src.dim), dtype=complex)
+            for (Z, v), sl in src.slices.items():
+                e = np.zeros(cat.ring.N(A, B, Z))
+                e[v] = 1.0
+                Zb = cat.ring.dual[Z]
+                for s, K in enumerate(cat.conj_pair_basis(A, B, Z, e)):
+                    K = self.scalar(K)
+                    if abs(K) != 0.0 and (Zb, s) in dst.slices:
+                        C[dst.slices[(Zb, s)], sl] += K * self.star[Z]
+            return C
+        return self._cached(("conj", A, B), build)
 
     # -- canonical expectation and inner products ---------------------------
 
-    def cond_expect_component(self, X: str, dist: dict) -> np.ndarray:
-        """E_X = d_X⁻¹ 𝒟(R_X) on an element distributed over X̄⊗X."""
-        ring = self.cat.ring
-        unit = ring.unit
+    def expect_weight(self, X: str) -> complex:
+        """r/d_X: E_X = d_X⁻¹ 𝒟(R_X) is the unit summand of 𝒟(X̄⊗X) times
+        this scalar."""
+        unit = self.cat.ring.unit
         if self.n(unit) == 0:
             raise SupportTooSmall([unit])
-        sol = self.cat.conjugate_solution(X)
-        comp = dist.get((unit, 0))
-        if comp is None:
-            return np.zeros(self.n(unit), dtype=complex)
-        return self.scalar(sol.r) / self.cat.d(X) * comp
+        return self.scalar(self.cat.conjugate_solution(X).r) / self.cat.d(X)
+
+    def fiber_gram(self, X: str) -> np.ndarray:
+        """The 𝒟(1)-valued Gram ⟨eᵢ, eₖ⟩ = E_X(𝒟²(j(eᵢ) ⊙ eₖ)) of the
+        standard basis of 𝒟(X), shape (n_X, n_X, n_1): μ(X̄, X → 1)
+        contracted with star[X]."""
+        mu = self.mu(self.dual(X), X, self.cat.ring.unit, 0)
+        return self.expect_weight(X) * np.einsum("zxk,xi->ikz", mu, self.star[X])
 
     def fiber_inner_product(self, xi: FiberElement, eta: FiberElement) -> np.ndarray:
         """⟨ξ,η⟩_{𝒟(1)} = E_X(𝒟²(j(ξ) ⊙ η)); conjugate-linear in ξ."""
         if xi.label != eta.label:
             raise LabelMismatch(f"{xi.label} != {eta.label}")
-        X = xi.label
-        Xb = self.cat.ring.dual[X]
-        dist = self.lax_product(Xb, X, self.j(X, xi.vec), eta.vec)
-        return self.cond_expect_component(X, dist)
+        return np.einsum("ikz,i,k->z", self.fiber_gram(xi.label),
+                         np.conj(xi.vec), eta.vec)
 
-    def fiber_gram(self, X: str) -> np.ndarray:
-        """The 𝒟(1)-valued Gram matrix of the standard basis of 𝒟(X),
-        flattened to shape (n_X, n_X, n_1)."""
-        nx, n1 = self.n(X), self.n(self.cat.ring.unit)
-        G = np.zeros((nx, nx, n1), dtype=complex)
-        for i in range(nx):
-            for k in range(nx):
-                G[i, k] = self.fiber_inner_product(
-                    FiberElement(X, np.eye(nx)[i]), FiberElement(X, np.eye(nx)[k])
-                )
-        return G
-
-    def fiber_action(self, xi: FiberElement, T: "SquareElement") -> FiberElement:
+    def fiber_action(self, xi: FiberElement, T) -> FiberElement:
         """Right action ξ ◁ T = 𝒟(R̄_X ⊗ id_X)(𝒟²(ξ ⊙ T)) on 𝒟(X).
 
         The adjoint of R̄_X ⊗ id_X caps ξ's strand with the left X̄ of the
@@ -184,13 +220,14 @@ class AlgebraObject:
         needed for the unit to act as the identity and ξ ◁ ι(x) = ξ·x.
         """
         X, cat = xi.label, self.cat
+        Xb = self.dual(X)
         rbar = cat.conjugate_solution(X).rbar
         out = np.zeros(self.n(X), dtype=complex)
-        for (Z, v), tvec in T.comps.items():
+        for (Z, v), sl in self.layout(Xb, X).slices.items():
             # the cap on (Z, v, s ∈ O(X, X⊗Z)): r̄ conj F[X,X̄,X;X][(1,0,0), (Z,v,s)]
-            cap = rbar * cat.fblock(X, cat.dual(X), X, X, cat.ring.unit, Z)[0, 0, v].conj()
+            cap = rbar * cat.fblock(X, Xb, X, X, cat.ring.unit, Z)[0, 0, v].conj()
             for s, coeff in enumerate(cap):
-                out += self.scalar(coeff) * self.mu_apply(X, Z, X, s, xi.vec, tvec)
+                out += self.scalar(coeff) * self.mu_apply(X, Z, X, s, xi.vec, T[sl])
         return FiberElement(X, out)
 
     # -- derived algebras ---------------------------------------------------
@@ -200,43 +237,35 @@ class AlgebraObject:
 
     def ground(self) -> "GroundAlgebra":
         """𝒟(1), built on the first call; valid while this object lives."""
-        if "ground" not in self._derived:
-            self._derived["ground"] = GroundAlgebra(weakref.proxy(self))
-        return self._derived["ground"]
+        return self._cached(("ground",), lambda: GroundAlgebra(weakref.proxy(self)))
 
     def square_algebra(self, X: str) -> "SquareAlgebra":
         """𝒟(X̄⊗X), built on the first call for X; valid while this object lives."""
-        if X not in self._derived:
-            self._derived[X] = SquareAlgebra(weakref.proxy(self), X)
-        return self._derived[X]
+        return self._cached(("square", X), lambda: SquareAlgebra(weakref.proxy(self), X))
 
     def fiber_norms(self, xi: FiberElement) -> tuple:
         """(module norm ‖ξ‖_{𝒟(1)}, operator norm ‖ξ‖)."""
         g = self.ground()
         module = np.sqrt(max(g.op_norm(self.fiber_inner_product(xi, xi)), 0.0))
         sq = self.square_algebra(xi.label)
-        Xb = self.cat.ring.dual[xi.label]
-        dist = self.lax_product(Xb, xi.label, self.j(xi.label, xi.vec), xi.vec)
-        operator = np.sqrt(max(sq.op_norm(sq.element(dist)), 0.0))
+        t = self.lax_product(sq.Xb, xi.label, self.j(xi.label, xi.vec), xi.vec)
+        operator = np.sqrt(max(sq.op_norm(t), 0.0))
         return module, operator
 
 
 # ---------------------------------------------------------------------------
-# ground algebra 𝒟(1)
+# *-algebras 𝒟(1) and 𝒟(X̄⊗X)
 # ---------------------------------------------------------------------------
 
-class GroundAlgebra:
-    """𝒟(1) as a concrete finite-dimensional C*-algebra."""
+class StarAlgebra:
+    """A finite-dimensional *-algebra on coefficient vectors of length
+    ``dim``, given by the triple of :mod:`gns`: the structure tensor ``P``
+    (e_x e_y = Σ_z P[z,x,y] e_z), the star matrix ``star_mat``
+    (x* = star_mat·conj(x)) and a faithful functional ``weights``, whose GNS
+    form ``what`` names."""
 
-    def __init__(self, D: AlgebraObject):
-        self.D = D
-        unit_lbl = D.cat.ring.unit
-        self.dim = D.n(unit_lbl)
-        if self.dim == 0:
-            raise SupportTooSmall([unit_lbl])
-        self.P = D.mu(unit_lbl, unit_lbl, unit_lbl, 0)  # (z, x, y)
-        self.star_mat = D.star[unit_lbl]
-        self.unit = D.unit
+    dim: int
+    what: str
 
     def mul(self, x, y) -> np.ndarray:
         return np.einsum("zxy,x,y->z", self.P, x, y)
@@ -248,6 +277,35 @@ class GroundAlgebra:
         return np.einsum("zxy,x->zy", self.P, x)
 
     @cached_property
+    def gns(self) -> GramRoot:
+        """The factored GNS form of ``weights``."""
+        return GramRoot(form(self.P, self.star_mat, self.weights), self.what)
+
+    def op_norm(self, x) -> float:
+        return self.gns.op_norm(self.left_mult(x))
+
+    def is_positive(self, x, floor=1e-10) -> bool:
+        # positive iff x = x* and spectrum of L_x on the GNS space ≥ -floor
+        if np.max(np.abs(self.star(x) - x)) > 1e-8 * max(1.0, np.max(np.abs(x))):
+            return False
+        return min_eig(self.gns.conj(self.left_mult(x))) >= -floor
+
+
+class GroundAlgebra(StarAlgebra):
+    """𝒟(1) with its canonical trace."""
+
+    def __init__(self, D: AlgebraObject):
+        self.D = D
+        unit_lbl = D.cat.ring.unit
+        self.dim = D.n(unit_lbl)
+        if self.dim == 0:
+            raise SupportTooSmall([unit_lbl])
+        self.P = D.mu(unit_lbl, unit_lbl, unit_lbl, 0)  # (z, x, y)
+        self.star_mat = D.star[unit_lbl]
+        self.unit = D.unit
+        self.what = "ground algebra trace form"
+
+    @cached_property
     def weights(self) -> np.ndarray:
         """The canonical trace on the basis: Tr(L_{eₓ})/Tr(L_1)."""
         t = np.einsum("zxz->x", self.P)
@@ -256,12 +314,6 @@ class GroundAlgebra:
     def trace(self, x) -> complex:
         """The canonical faithful trace tr(x) = Tr(L_x)/Tr(L_1); tr(1) = 1."""
         return complex(self.weights @ x)
-
-    @cached_property
-    def gns(self) -> GramRoot:
-        """The factored GNS form of the canonical trace."""
-        return GramRoot(form(self.P, self.star_mat, self.weights),
-                        "ground algebra trace form")
 
     def check_state(self, omega) -> tuple:
         """(ω, eigenvalues of its GNS form) for a state ω given on the basis;
@@ -276,171 +328,87 @@ class GroundAlgebra:
             raise NotAState(f"ω is not positive: min GNS eigenvalue {ev[0]:.3e}")
         return omega, ev
 
-    def op_norm(self, x) -> float:
-        return self.gns.op_norm(self.left_mult(x))
 
-    def is_positive(self, x, floor=1e-10) -> bool:
-        # positive iff x = x* and spectrum of L_x on the GNS space ≥ -floor
-        if np.max(np.abs(self.star(x) - x)) > 1e-8 * max(1.0, np.max(np.abs(x))):
-            return False
-        return min_eig(self.gns.conj(self.left_mult(x))) >= -floor
-
-
-# ---------------------------------------------------------------------------
-# square algebras 𝒟(X̄⊗X)
-# ---------------------------------------------------------------------------
-
-class SquareElement:
-    """Element of 𝒟(X̄⊗X) distributed over (channel, tree) pairs."""
-
-    def __init__(self, algebra: "SquareAlgebra", comps: dict):
-        self.algebra = algebra
-        self.comps = {k: np.asarray(v, dtype=complex) for k, v in comps.items()
-                      if np.any(np.asarray(v))}
-
-    def to_vec(self) -> np.ndarray:
-        out = np.zeros(self.algebra.dim, dtype=complex)
-        for key, sl in self.algebra.slices.items():
-            if key in self.comps:
-                out[sl] = self.comps[key]
-        return out
-
-
-class SquareAlgebra:
-    """𝒟(X̄⊗X) with product a·b = 𝒟(id ⊗ R̄_X ⊗ id ∘ -)(𝒟²(a ⊙ b))."""
+class SquareAlgebra(StarAlgebra):
+    """𝒟(X̄⊗X) on the layout of X̄⊗X, with product
+    a·b = 𝒟(id ⊗ R̄_X ⊗ id ∘ -)(𝒟²(a ⊙ b)) and the faithful state tr∘E_X."""
 
     def __init__(self, D: AlgebraObject, X: str):
         self.D = D
         self.X = X
-        cat = D.cat
-        ring = cat.ring
-        self.Xb = ring.dual[X]
-        missing = [Z for Z in ring.labels
-                   if ring.N(self.Xb, X, Z) > 0 and D.fibers.get(Z, None) is None]
+        ring = D.cat.ring
+        self.Xb = D.dual(X)
+        missing = [Z for Z, _ in ring.channels(self.Xb, X) if D.fibers.get(Z) is None]
         if missing:
             raise SupportTooSmall(missing)
-        self.keys = []      # (Z, v) with n_Z > 0
-        self.slices = {}
-        self._spans = {}    # Z -> the slice of all its (Z, v)
-        off = 0
-        for Z in ring.labels:
-            nz, nv = D.n(Z), ring.N(self.Xb, X, Z)
-            if nz == 0 or nv == 0:
-                continue
-            self._spans[Z] = slice(off, off + nv * nz)
-            for v in range(nv):
-                self.keys.append((Z, v))
-                self.slices[(Z, v)] = slice(off, off + nz)
-                off += nz
-        self.dim = off
-        self._tensor = None
+        self.layout = D.layout(self.Xb, X)
+        self.dim = self.layout.dim
+        self.what = f"tr∘E_{X} on 𝒟({self.Xb}⊗{X})"
 
-    # -- element plumbing ---------------------------------------------------
-
-    def element(self, comps: dict) -> SquareElement:
-        return SquareElement(self, comps)
-
-    def from_vec(self, vec) -> SquareElement:
-        vec = np.asarray(vec, dtype=complex)
-        return SquareElement(self, {k: vec[sl] for k, sl in self.slices.items()})
-
-    def unit(self) -> SquareElement:
+    def unit(self) -> np.ndarray:
         return self.include_ground(self.D.unit)
 
-    def include_ground(self, x) -> SquareElement:
+    def include_ground(self, x) -> np.ndarray:
         """ι : 𝒟(1) → 𝒟(X̄⊗X), ι = 𝒟(R_X*)."""
+        out = np.zeros(self.dim, dtype=complex)
         r = self.D.scalar(self.D.cat.conjugate_solution(self.X).r)
-        return self.element({(self.D.cat.ring.unit, 0): r * np.asarray(x, dtype=complex)})
+        out[self._unit_slice] = r * np.asarray(x)
+        return out
 
-    # -- product ------------------------------------------------------------
+    @property
+    def _unit_slice(self) -> slice:
+        return self.layout.slices[(self.D.cat.ring.unit, 0)]
 
-    def _structure_tensor(self) -> np.ndarray:
+    @cached_property
+    def P(self) -> np.ndarray:
         """Dense P[k, i, j] with (a·b)_k = Σ P[k,i,j] a_i b_j.
 
         The channels (Z, v) and (W, w) multiply along s ∈ O(U, Z⊗W) into
         (U, u) with the coefficient of their merged tree on (id ⊗ R̄_X ⊗ id)∘u,
         γ = Σ_β r̄ F[X̄,X,X̄;X̄][(Z,v,β),(1,0,0)] conj(F[Z,X̄,X;U][(X̄,β,u),(W,w,s)]).
         """
-        if self._tensor is None:
-            D, cat = self.D, self.D.cat
-            ring, X, Xb, span = cat.ring, self.X, self.Xb, self._spans
-            rbar = cat.conjugate_solution(X).rbar
-            P = np.zeros((self.dim,) * 3, dtype=complex)
-            for Z in span:
-                cup = rbar * cat.fblock(Xb, X, Xb, Xb, Z, ring.unit)[:, :, 0, 0]
-                for W in span:
-                    for U, ns in ring.channels(Z, W):
-                        if U not in span:
-                            continue
-                        gamma = D.scalar(np.einsum("vb,buws->uvws", cup,
-                                                   cat.fblock(Z, Xb, X, U, Xb, W).conj()))
-                        mu = np.array([D.mu(Z, W, U, s) for s in range(ns)])
-                        block = np.einsum("uvws,skij->ukviwj", gamma, mu)
-                        at = (span[U], span[Z], span[W])
-                        P[at] += block.reshape(P[at].shape)
-            self._tensor = P
-        return self._tensor
-
-    def mul(self, a: SquareElement, b: SquareElement) -> SquareElement:
-        P = self._structure_tensor()
-        return self.from_vec(np.einsum("kij,i,j->k", P, a.to_vec(), b.to_vec()))
+        D, cat = self.D, self.D.cat
+        ring, X, Xb, span = cat.ring, self.X, self.Xb, self.layout.spans
+        rbar = cat.conjugate_solution(X).rbar
+        P = np.zeros((self.dim,) * 3, dtype=complex)
+        for Z in span:
+            cup = rbar * cat.fblock(Xb, X, Xb, Xb, Z, ring.unit)[:, :, 0, 0]
+            for W in span:
+                for U, ns in ring.channels(Z, W):
+                    if U not in span:
+                        continue
+                    gamma = D.scalar(np.einsum("vb,buws->uvws", cup,
+                                               cat.fblock(Z, Xb, X, U, Xb, W).conj()))
+                    mu = np.array([D.mu(Z, W, U, s) for s in range(ns)])
+                    block = np.einsum("uvws,skij->ukviwj", gamma, mu)
+                    at = (span[U], span[Z], span[W])
+                    P[at] += block.reshape(P[at].shape)
+        return P
 
     @cached_property
     def star_mat(self) -> np.ndarray:
-        """S with a* = S·conj(a) on the flattened basis.
+        """The conjugation of 𝒟(X̄⊗X) onto itself, times a phase.
 
         The conjugate of the unit-channel tree carries the phase of r/r̄ of
         X's conjugate solution (−1 on labels of Frobenius–Schur indicator
         −1); the phase of r̄/r undoes it, so the star fixes the unit."""
-        D, cat = self.D, self.D.cat
-        ring = cat.ring
-        sol = cat.conjugate_solution(self.X)
-        phase = D.scalar(sol.rbar / sol.r)
-        S = np.zeros((self.dim, self.dim), dtype=complex)
-        for (Z, v) in self.keys:
-            n = ring.N(self.Xb, self.X, Z)
-            e = np.zeros(n)
-            e[v] = 1.0
-            K = cat.conj_pair_basis(self.Xb, self.X, Z, e)
-            Zb = ring.dual[Z]
-            for s, k_vs in enumerate(K):
-                k_vs = D.scalar(k_vs)
-                if abs(k_vs) == 0.0 or (Zb, s) not in self.slices:
-                    continue
-                S[self.slices[(Zb, s)], self.slices[(Z, v)]] += k_vs * D.star[Z]
-        return S * (phase / abs(phase))
-
-    def star(self, a: SquareElement) -> SquareElement:
-        return self.from_vec(self.star_mat @ np.conj(a.to_vec()))
-
-    def expect(self, a: SquareElement) -> np.ndarray:
-        """E_X(a) ∈ 𝒟(1)."""
-        return self.D.cond_expect_component(self.X, a.comps)
-
-    # -- operator norm via GNS of tr∘E_X ------------------------------------
+        sol = self.D.cat.conjugate_solution(self.X)
+        phase = self.D.scalar(sol.rbar / sol.r)
+        return self.D.conj_matrix(self.Xb, self.X) * (phase / abs(phase))
 
     @cached_property
-    def gns(self) -> GramRoot:
-        """The factored GNS form of tr∘E_X: E_X reads the (1, 0) slice,
-        scaled by r/d_X."""
-        D = self.D
-        unit = D.cat.ring.unit
+    def weights(self) -> np.ndarray:
+        """tr∘E_X on the basis: E_X reads the unit summand."""
         w = np.zeros(self.dim, dtype=complex)
-        w[self.slices[(unit, 0)]] = (D.scalar(D.cat.conjugate_solution(self.X).r)
-                                     / D.cat.d(self.X) * D.ground().weights)
-        return GramRoot(form(self._structure_tensor(), self.star_mat, w),
-                        f"tr∘E_{self.X} on 𝒟({self.Xb}⊗{self.X})")
+        w[self._unit_slice] = self.D.expect_weight(self.X) * self.D.ground().weights
+        return w
 
-    def left_mult_matrix(self, a: SquareElement) -> np.ndarray:
-        P = self._structure_tensor()
-        return np.einsum("kij,i->kj", P, a.to_vec())
+    def expect(self, a) -> np.ndarray:
+        """E_X(a) ∈ 𝒟(1)."""
+        return self.D.expect_weight(self.X) * a[self._unit_slice]
 
-    def op_norm(self, a: SquareElement) -> float:
-        return self.gns.op_norm(self.left_mult_matrix(a))
-
-    def random_element(self, rng) -> SquareElement:
-        v = rng.normal(size=self.dim) + 1j * rng.normal(size=self.dim)
-        return self.from_vec(v)
+    def random_element(self, rng) -> np.ndarray:
+        return rng.normal(size=self.dim) + 1j * rng.normal(size=self.dim)
 
 
 # ---------------------------------------------------------------------------
@@ -514,17 +482,13 @@ def validate_algebra_object(D: AlgebraObject, rng=None, tol: float = 1e-9) -> di
     res["star_involution"] = max(res["star_involution"],
                                  float(np.max(np.abs(D.j(unit, D.unit) - D.unit))))
 
-    # star monoidality: j(𝒟²(ξ⊙η)) = 𝒟²(j(η)⊙j(ξ)) after conjugating trees
+    # star monoidality: j(𝒟²(ξ⊙η)) = 𝒟²(j(η)⊙j(ξ)), summand by summand
     for X, Y in itertools.product(sup, repeat=2):
         xi, eta = rand(D.n(X)), rand(D.n(Y))
-        lhs = D.conjugate_distributed(D.lax_product(X, Y, xi, eta), (X, Y))
+        lhs = D.conj_matrix(X, Y) @ np.conj(D.lax_product(X, Y, xi, eta))
         rhs = D.lax_product(ring.dual[Y], ring.dual[X], D.j(Y, eta), D.j(X, xi))
-        keys = set(lhs) | set(rhs)
-        for k in keys:
-            a = lhs.get(k)
-            b = rhs.get(k)
-            a = np.zeros(D.n(k[0]), dtype=complex) if a is None else a
-            b = np.zeros(D.n(k[0]), dtype=complex) if b is None else b
+        for sl in D.layout(ring.dual[Y], ring.dual[X]).slices.values():
+            a, b = lhs[sl], rhs[sl]
             scale = max(1.0, float(np.max(np.abs(a))), float(np.max(np.abs(b))))
             res["star_monoidality"] = max(res["star_monoidality"],
                                           float(np.max(np.abs(a - b))) / scale)

@@ -334,10 +334,10 @@ def positivity_check(co: CoendAlgebra, X: str, terms: list,
     acc = np.zeros((sqA.dim * sqB.dim, sqA.dim * sqB.dim), dtype=complex)
     for a_i, b_i in terms:
         for a_j, b_j in terms:
-            ea = sqA.element(co.A.lax_product(Xb, X, co.A.j(X, a_i), a_j))
-            eb = sqB.element(co.B.lax_product(Xb, X, co.B.j(X, b_i), b_j))
-            acc += np.kron(sqA.gns.conj(sqA.left_mult_matrix(ea)),
-                           sqB.gns.conj(sqB.left_mult_matrix(eb)))
+            ea = co.A.lax_product(Xb, X, co.A.j(X, a_i), a_j)
+            eb = co.B.lax_product(Xb, X, co.B.j(X, b_i), b_j)
+            acc += np.kron(sqA.gns.conj(sqA.left_mult(ea)),
+                           sqB.gns.conj(sqB.left_mult(eb)))
     ev = min_eig(acc)
     return ev >= -floor, ev
 

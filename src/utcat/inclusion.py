@@ -26,7 +26,7 @@ import numpy as np
 
 from .algebra_object import AlgebraObject
 from .errors import NotSemisimpleInput
-from .gns import form, rank_cut
+from .gns import rank_cut
 
 __all__ = [
     "BlockDecomposition",
@@ -505,19 +505,9 @@ def ind_check(corr: RealizedCorrespondence) -> dict:
 
 def _gns_cuts(D: AlgebraObject, omega) -> tuple:
     """(HilbertSpaceObject of the ranks, label K → rank cut of the form
-    ω(⟨eᵢ, eₖ⟩) on the fiber 𝒟(K)).
-
-    ⟨ξ, η⟩ = E_K(𝒟²(j(ξ) ⊙ η)) reads the unit channel of K̄⊗K scaled by
-    r/d_K, so the form is the GNS form of that channel under r/d_K·ω.
-    """
+    ω(⟨eᵢ, eₖ⟩) on the fiber 𝒟(K))."""
     omega, _ = D.ground().check_state(omega)
-    cat = D.cat
-    unit = cat.ring.unit
-    cuts = {}
-    for K in D.support:
-        w = D.scalar(cat.conjugate_solution(K).r) / cat.d(K) * omega
-        cuts[K] = rank_cut(form(D.mu(cat.ring.dual[K], K, unit, 0),
-                                D.star[K], w))
+    cuts = {K: rank_cut(D.fiber_gram(K) @ omega) for K in D.support}
     return HilbertSpaceObject({K: c.rank for K, c in cuts.items()}), cuts
 
 

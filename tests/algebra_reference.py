@@ -1,0 +1,88 @@
+"""The dict-keyed elements of 𝒟(A⊗B), kept as the reference for the
+coefficient vectors of :mod:`utcat.algebra_object`.
+
+An element of 𝒟(A⊗B) is a dict (Z, v) → vector in 𝒟(Z), one entry per tree
+v ∈ O(Z, A⊗B) with a nonzero component.  The kernels below are the lax
+product, the conjugation of trees, the expectation E_X and the per-entry
+fiber Gram as :mod:`utcat` once computed them on such dicts; :func:`flatten`
+and :func:`split` move between a dict and the vector on a layout.
+"""
+
+from __future__ import annotations
+
+import numpy as np
+
+from utcat.errors import SupportTooSmall
+
+
+def flatten(layout, dist: dict) -> np.ndarray:
+    """The vector on ``layout`` of a dict element; every nonzero summand must
+    have a slice."""
+    out = np.zeros(layout.dim, dtype=complex)
+    for key, vec in dist.items():
+        if key in layout.slices:
+            out[layout.slices[key]] = vec
+        else:
+            assert not np.any(vec), f"summand {key} has no slice"
+    return out
+
+
+def split(layout, vec) -> dict:
+    """The dict element of a vector on ``layout``."""
+    return {key: vec[sl] for key, sl in layout.slices.items() if np.any(vec[sl])}
+
+
+def lax_product(D, X: str, Y: str, xi, eta) -> dict:
+    """𝒟²_{X,Y}(ξ ⊙ η) distributed over the channels of X⊗Y."""
+    out = {}
+    for Z in D.cat.ring.labels:
+        if D.n(Z) == 0:
+            continue
+        for v in range(D.cat.ring.N(X, Y, Z)):
+            val = D.mu_apply(X, Y, Z, v, xi, eta)
+            if np.any(val):
+                out[(Z, v)] = val
+    return out
+
+
+def conjugate_distributed(D, dist: dict, pair: tuple) -> dict:
+    """j applied to a distributed element of 𝒟(A⊗B); lands over (B̄, Ā)."""
+    A, B = pair
+    ring = D.cat.ring
+    out = {}
+    for (Z, v), vec in dist.items():
+        e = np.zeros(ring.N(A, B, Z))
+        e[v] = 1.0
+        conj_coeffs = D.cat.conj_pair_basis(A, B, Z, e)
+        jvec = D.j(Z, vec)
+        Zb = ring.dual[Z]
+        for s, K in enumerate(conj_coeffs):
+            K = D.scalar(K)
+            if abs(K) == 0.0:
+                continue
+            key = (Zb, s)
+            out[key] = out.get(key, np.zeros(D.n(Zb), dtype=complex)) + K * jvec
+    return out
+
+
+def cond_expect_component(D, X: str, dist: dict) -> np.ndarray:
+    """E_X = d_X⁻¹ 𝒟(R_X) on an element distributed over X̄⊗X."""
+    unit = D.cat.ring.unit
+    if D.n(unit) == 0:
+        raise SupportTooSmall([unit])
+    comp = dist.get((unit, 0))
+    if comp is None:
+        return np.zeros(D.n(unit), dtype=complex)
+    return D.scalar(D.cat.conjugate_solution(X).r) / D.cat.d(X) * comp
+
+
+def fiber_gram(D, X: str) -> np.ndarray:
+    """⟨eᵢ, eₖ⟩ = E_X(𝒟²(j(eᵢ) ⊙ eₖ)) entry by entry, shape (n_X, n_X, n_1)."""
+    nx, n1 = D.n(X), D.n(D.cat.ring.unit)
+    Xb = D.cat.ring.dual[X]
+    G = np.zeros((nx, nx, n1), dtype=complex)
+    for i in range(nx):
+        for k in range(nx):
+            dist = lax_product(D, Xb, X, D.j(X, np.eye(nx)[i]), np.eye(nx)[k])
+            G[i, k] = cond_expect_component(D, X, dist)
+    return G

@@ -252,8 +252,7 @@ def test_criterion_9_basis_independence():
         ann = build_annulus(cat)
         sq = ann.square_algebra(X)
         g = ann.ground()
-        s = sq.element({k: np.ones(sq.slices[k].stop - sq.slices[k].start)
-                        for k in sq.keys})
+        s = np.ones(sq.dim)
         T = sq.mul(sq.star(s), s)
         rep = pp_check(ann, X, 200, seed=0, slack=1e-8)
         norms.append((sq.op_norm(T), g.op_norm(sq.expect(T)), rep["bound"],

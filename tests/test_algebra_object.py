@@ -162,12 +162,12 @@ def test_ground_positive_cone(ising_ann):
 @pytest.mark.parametrize("label", ["1", "tau"])
 def test_square_algebra_is_associative_on_basis(fib_ann, label):
     sq = fib_ann.square_algebra(label)
-    basis = [sq.from_vec(np.eye(sq.dim)[i]) for i in range(sq.dim)]
+    basis = [np.eye(sq.dim)[i] for i in range(sq.dim)]
     for a in basis:
         for b in basis:
             for c in basis:
-                lhs = sq.mul(sq.mul(a, b), c).to_vec()
-                rhs = sq.mul(a, sq.mul(b, c)).to_vec()
+                lhs = sq.mul(sq.mul(a, b), c)
+                rhs = sq.mul(a, sq.mul(b, c))
                 assert np.max(np.abs(lhs - rhs)) < TOL
 
 
@@ -176,11 +176,11 @@ def test_square_algebra_star_and_unit(fib_ann):
     rng = np.random.default_rng(4)
     a, b = sq.random_element(rng), sq.random_element(rng)
     one = sq.unit()
-    assert np.max(np.abs(sq.mul(one, a).to_vec() - a.to_vec())) < TOL
-    assert np.max(np.abs(sq.mul(a, one).to_vec() - a.to_vec())) < TOL
-    assert np.max(np.abs(sq.star(sq.star(a)).to_vec() - a.to_vec())) < TOL
-    lhs = sq.star(sq.mul(a, b)).to_vec()
-    rhs = sq.mul(sq.star(b), sq.star(a)).to_vec()
+    assert np.max(np.abs(sq.mul(one, a) - a)) < TOL
+    assert np.max(np.abs(sq.mul(a, one) - a)) < TOL
+    assert np.max(np.abs(sq.star(sq.star(a)) - a)) < TOL
+    lhs = sq.star(sq.mul(a, b))
+    rhs = sq.mul(sq.star(b), sq.star(a))
     assert np.max(np.abs(lhs - rhs)) < 1e-9 * max(1.0, np.max(np.abs(lhs)))
 
 
@@ -189,12 +189,12 @@ def test_include_ground_is_unital_star_homomorphism(ising_ann):
     g = ising_ann.ground()
     rng = np.random.default_rng(5)
     x, y = _rand(rng, g.dim), _rand(rng, g.dim)
-    prod = sq.mul(sq.include_ground(x), sq.include_ground(y)).to_vec()
-    assert np.max(np.abs(prod - sq.include_ground(g.mul(x, y)).to_vec())) < 1e-9
-    st_ = sq.star(sq.include_ground(x)).to_vec()
-    assert np.max(np.abs(st_ - sq.include_ground(g.star(x)).to_vec())) < 1e-9
-    assert np.max(np.abs(sq.unit().to_vec()
-                         - sq.include_ground(ising_ann.unit).to_vec())) < TOL
+    prod = sq.mul(sq.include_ground(x), sq.include_ground(y))
+    assert np.max(np.abs(prod - sq.include_ground(g.mul(x, y)))) < 1e-9
+    st_ = sq.star(sq.include_ground(x))
+    assert np.max(np.abs(st_ - sq.include_ground(g.star(x)))) < 1e-9
+    assert np.max(np.abs(sq.unit()
+                         - sq.include_ground(ising_ann.unit))) < TOL
 
 
 # --------------------------------------------------------------------------
@@ -229,13 +229,13 @@ def test_expectation_gns_oracle(fib_ann):
     g = fib_ann.ground()
     rng = np.random.default_rng(8)
     n1 = g.dim
-    corner = np.stack([sq.include_ground(np.eye(n1)[i]).to_vec()
+    corner = np.stack([sq.include_ground(np.eye(n1)[i])
                        for i in range(n1)], axis=1)          # dim × n1
     phi_gram = np.zeros((n1, n1), dtype=complex)
     for i in range(n1):
         for k in range(n1):
-            a = sq.from_vec(corner[:, i])
-            b = sq.from_vec(corner[:, k])
+            a = corner[:, i]
+            b = corner[:, k]
             phi_gram[i, k] = g.trace(sq.expect(sq.mul(sq.star(a), b)))
     for _ in range(3):
         T = sq.random_element(rng)
@@ -243,8 +243,8 @@ def test_expectation_gns_oracle(fib_ann):
         rhs = np.zeros((n1, n1), dtype=complex)
         for i in range(n1):
             for k in range(n1):
-                a = sq.from_vec(corner[:, i])
-                b = sq.mul(T, sq.from_vec(corner[:, k]))
+                a = corner[:, i]
+                b = sq.mul(T, corner[:, k])
                 rhs[i, k] = g.trace(sq.expect(sq.mul(sq.star(a), b)))
         # solve tr(e_i* c e_k) = rhs for c; the map c -> that matrix is the
         # same Gram transform as phi_gram applied to left-multiplication

@@ -214,7 +214,7 @@ def test_contractions_equal_the_tree_reference(name):
     assert _dict_gap(ann.star, ref.annulus_star(cat, ring.labels)) < 1e-12
     for X in ring.labels:
         sq = ann.square_algebra(X)
-        assert np.max(np.abs(sq._structure_tensor() - ref.square_structure_tensor(sq))) < 1e-12
+        assert np.max(np.abs(sq.P - ref.square_structure_tensor(sq))) < 1e-12
         assert np.max(np.abs(sq.star_mat - ref.square_star_mat(sq))) < 1e-12
         if ann.n(X):
             xi = FiberElement(X, rng.normal(size=ann.n(X)) + 1j * rng.normal(size=ann.n(X)))

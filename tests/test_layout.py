@@ -1,0 +1,140 @@
+"""Elements of 𝒟(A⊗B) as vectors on one layout: the conjugation matrix, the
+lax product, the expectation and the fiber Gram against the dict kernels they
+replaced, and the label checks of the library entry points.
+
+The kernels are compared on the annuli of every registry fixture, its
+mirror, SU(2)_6 and two random vertex gauges, and on random objects over the
+multiplicity-2 ring and over Vec(ℤ/3), whose labels g1, g2 are not
+self-dual; each also over the opposite category."""
+
+import itertools
+
+import numpy as np
+import pytest
+
+import algebra_reference as ref
+from test_annulus import _gauged, _mirror
+from utcat.algebra_object import AlgebraObject, FiberElement, opposite_object, pp_check
+from utcat.annulus import _assemble, build_annulus
+from utcat.basis_change import relabel_category
+from utcat.errors import UnknownLabel
+from utcat.fixtures import FIXTURE_BUILDERS, fibonacci, mult2_ring, random_blocks, su2k
+
+TOL = 1e-12
+
+
+def _annulus(cat):
+    # assembled without the validation of build_annulus, which refuses some
+    # gauged fixtures
+    return _assemble(cat, tuple(cat.ring.labels))
+
+
+def _random_object(cat, seed):
+    """Seeded random fibers, products and stars over ``cat``: not an algebra,
+    but every multiplicity index of every product is populated."""
+    ring, rng = cat.ring, np.random.default_rng(seed)
+
+    def rand(*shape):
+        return rng.normal(size=shape) + 1j * rng.normal(size=shape)
+
+    n = {X: int(rng.integers(1, 4)) for X in ring.labels}
+    mult = {(X, Y, Z, v): rand(n[Z], n[X], n[Y])
+            for X, Y in itertools.product(ring.labels, repeat=2)
+            for Z, nv in ring.channels(X, Y) for v in range(nv)}
+    star = {X: rand(n[ring.dual[X]], n[X]) for X in ring.labels}
+    return AlgebraObject(cat, n, mult, star, rand(n[ring.unit]))
+
+
+CASES = {
+    **{name: (lambda build=build: _annulus(build())) for name, build in FIXTURE_BUILDERS.items()},
+    **{f"{name}_mirror": (lambda build=build: _annulus(_mirror(build())))
+       for name, build in FIXTURE_BUILDERS.items()},
+    "su2_6": lambda: _annulus(su2k(6)),
+    **{f"{name}_gauge{seed}": (lambda build=build, seed=seed: _annulus(_gauged(build(), seed)))
+       for name, build in FIXTURE_BUILDERS.items() for seed in (0, 1)},
+    "mult2_random": lambda: _random_object(random_blocks(mult2_ring(), 0), 0),
+    "vec_z3_random": lambda: _random_object(FIXTURE_BUILDERS["vec_z3"](), 1),
+}
+
+
+@pytest.fixture(scope="module", params=[(name, side) for name in sorted(CASES)
+                                         for side in ("cat", "op")],
+                ids=lambda p: f"{p[0]}-{p[1]}")
+def obj(request):
+    name, side = request.param
+    D = CASES[name]()
+    return D if side == "cat" else opposite_object(D)
+
+
+def _rand(rng, n):
+    return rng.normal(size=n) + 1j * rng.normal(size=n)
+
+
+def _gap(a, b) -> float:
+    return float(np.max(np.abs(a - b), initial=0.0))
+
+
+def test_conj_matrix_equals_the_reference(obj):
+    # every column: the conjugate of one basis vector of one summand
+    labels = obj.cat.ring.labels
+    for A, B in itertools.product(labels, repeat=2):
+        src = obj.layout(A, B)
+        dst = obj.layout(obj.cat.dual(B), obj.cat.dual(A))
+        C = obj.conj_matrix(A, B)
+        assert C.shape == (dst.dim, src.dim)
+        for (Z, v), sl in src.slices.items():
+            for k, e in zip(range(sl.start, sl.stop), np.eye(obj.n(Z))):
+                want = ref.flatten(dst, ref.conjugate_distributed(obj, {(Z, v): e}, (A, B)))
+                assert _gap(C[:, k], want) < TOL, (A, B, Z, v)
+
+
+def test_lax_product_and_expectation_equal_the_reference(obj):
+    rng = np.random.default_rng(0)
+    for X, Y in itertools.product(obj.support, repeat=2):
+        xi, eta = _rand(rng, obj.n(X)), _rand(rng, obj.n(Y))
+        got = obj.lax_product(X, Y, xi, eta)
+        assert _gap(got, ref.flatten(obj.layout(X, Y), ref.lax_product(obj, X, Y, xi, eta))) < TOL
+    for X in obj.support:
+        sq = obj.square_algebra(X)
+        T = sq.random_element(rng)
+        want = ref.cond_expect_component(obj, X, ref.split(sq.layout, T))
+        assert _gap(sq.expect(T), want) < TOL
+
+
+def test_fiber_gram_equals_the_reference(obj):
+    for X in obj.support:
+        got, want = obj.fiber_gram(X), ref.fiber_gram(obj, X)
+        assert got.shape == want.shape
+        assert _gap(got, want) < TOL
+
+
+def test_a_label_named_ground_is_a_square_algebra():
+    # the derived-data cache once keyed 𝒟(1) by "ground" and 𝒟(X̄⊗X) by X
+    D = build_annulus(relabel_category(fibonacci(), {"tau": "ground"}))
+    assert D.square_algebra("ground").X == "ground"
+    got = pp_check(D, "ground", 5)
+    want = pp_check(build_annulus(fibonacci()), "tau", 5)
+    assert got["max_ratio"] == pytest.approx(want["max_ratio"], abs=TOL)
+    assert got["bound"] == pytest.approx(want["bound"], abs=TOL)
+
+
+ENTRY_POINTS = {
+    "pp_check": lambda D: pp_check(D, "nope", 2),
+    "square_algebra": lambda D: D.square_algebra("nope"),
+    "fiber_gram": lambda D: D.fiber_gram("nope"),
+    "fiber_inner_product": lambda D: D.fiber_inner_product(
+        FiberElement("nope", np.ones(1)), FiberElement("nope", np.ones(1))),
+    "fiber_action": lambda D: D.fiber_action(FiberElement("nope", np.ones(1)), np.ones(1)),
+    "fiber_norms": lambda D: D.fiber_norms(FiberElement("nope", np.ones(1))),
+    "layout_left": lambda D: D.layout("nope", "tau"),
+    "layout_right": lambda D: D.layout("tau", "nope"),
+    "lax_product": lambda D: D.lax_product("tau", "nope", np.ones(1), np.ones(1)),
+    "conj_matrix": lambda D: D.conj_matrix("nope", "tau"),
+}
+
+
+@pytest.mark.parametrize("entry", sorted(ENTRY_POINTS))
+def test_unknown_label_is_refused(entry):
+    D = build_annulus(fibonacci())
+    with pytest.raises(UnknownLabel):
+        ENTRY_POINTS[entry](D)

@@ -567,13 +567,13 @@ def square_structure_tensor(sq) -> np.ndarray:
     X, Xb = sq.X, sq.Xb
     rbar = tc.conjugate_solution(X).rbar
     P = np.zeros((sq.dim, sq.dim, sq.dim), dtype=complex)
-    targets = {}
-    for (U, u) in sq.keys:
+    targets, at = {}, sq.layout.slices
+    for (U, u) in at:
         tu = tc.basis_tree(U, (Xb, X), ((U, u),))
         targets[(U, u)] = tc.insert_pair(tu, 1, X, Xb, [rbar])
-    for (Z, v) in sq.keys:
+    for (Z, v) in at:
         tv = tc.basis_tree(Z, (Xb, X), ((Z, v),))
-        for (W, w) in sq.keys:
+        for (W, w) in at:
             tw = tc.basis_tree(W, (Xb, X), ((W, w),))
             for U in ring.labels:
                 if D.n(U) == 0:
@@ -586,7 +586,7 @@ def square_structure_tensor(sq) -> np.ndarray:
                         gamma = D.scalar(M.inner(targets[(U, u)]))
                         if abs(gamma) == 0.0:
                             continue
-                        P[sq.slices[(U, u)], sq.slices[(Z, v)], sq.slices[(W, w)]] += gamma * mu
+                        P[at[(U, u)], at[(Z, v)], at[(W, w)]] += gamma * mu
     return P
 
 
@@ -597,14 +597,15 @@ def square_star_mat(sq) -> np.ndarray:
     sol = tc.conjugate_solution(sq.X)
     phase = D.scalar(sol.rbar / sol.r)
     S = np.zeros((sq.dim, sq.dim), dtype=complex)
-    for (Z, v) in sq.keys:
+    at = sq.layout.slices
+    for (Z, v) in at:
         K = tc.conj_pair_basis(sq.Xb, sq.X, Z, np.eye(ring.N(sq.Xb, sq.X, Z))[v])
         Zb = ring.dual[Z]
         for s, k_vs in enumerate(K):
             k_vs = D.scalar(k_vs)
-            if abs(k_vs) == 0.0 or (Zb, s) not in sq.slices:
+            if abs(k_vs) == 0.0 or (Zb, s) not in at:
                 continue
-            S[sq.slices[(Zb, s)], sq.slices[(Z, v)]] += k_vs * D.star[Z]
+            S[at[(Zb, s)], at[(Z, v)]] += k_vs * D.star[Z]
     return S * (phase / abs(phase))
 
 
@@ -616,7 +617,7 @@ def fiber_action(D, xi, T) -> np.ndarray:
     q = tc.insert_pair(TreeVector((X,), X, {(): 1.0 + 0j}), 0,
                        X, ring.dual[X], [sol.rbar])
     out = np.zeros(D.n(X), dtype=complex)
-    for (Z, v), tvec in T.comps.items():
+    for (Z, v), sl in D.layout(ring.dual[X], X).slices.items():
         for s in range(ring.N(X, Z, X)):
             M = tc.merge(TreeVector((X,), X, {(): 1.0 + 0j}),
                          tc.basis_tree(Z, (ring.dual[X], X), ((Z, v),)),
@@ -624,5 +625,5 @@ def fiber_action(D, xi, T) -> np.ndarray:
             coeff = M.inner(q)
             if abs(coeff) == 0.0:
                 continue
-            out += D.scalar(coeff) * D.mu_apply(X, Z, X, s, xi.vec, tvec)
+            out += D.scalar(coeff) * D.mu_apply(X, Z, X, s, xi.vec, T[sl])
     return out
