@@ -89,7 +89,7 @@ def _assemble(cat: SkeletalUTC, S) -> AlgebraObject:
             "star_phases": {(X, Y): twist[X] for Y, basis in bases.items() for X, _ in basis}}
     return AlgebraObject(cat=cat, fibers={Y: len(basis) for Y, basis in bases.items()},
                          mult=_product(cat, S, bases), star=_star(cat, bases, twist),
-                         unit=unit, side="cat", unitary_lax=False, meta=meta)
+                         unit=unit, side="cat", meta=meta)
 
 
 def _product(cat: SkeletalUTC, S, bases: dict) -> dict:

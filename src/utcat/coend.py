@@ -139,10 +139,7 @@ class CoendAlgebra:
     def _tensor(self, X0, X1, X2) -> np.ndarray:
         """Σ_v μ_𝔸(X0,X1,X2,v) ⊗ μ_𝔹(X0,X1,X2,v), shape (dim X2, dim X0, dim X1)."""
         A, B = self.A, self.B
-        vs = range(self.cat.ring.N(X0, X1, X2))
-        C = np.einsum("vaij,vbkl->abikjl",
-                      np.array([A.mu(X0, X1, X2, v) for v in vs]),
-                      np.array([B.mu(X0, X1, X2, v) for v in vs]))
+        C = np.einsum("vaij,vbkl->abikjl", A.mu_stack(X0, X1, X2), B.mu_stack(X0, X1, X2))
         return C.reshape(A.n(X2) * B.n(X2), A.n(X0) * B.n(X0), -1)
 
     def _channels(self, X0, X1) -> list:
@@ -206,10 +203,6 @@ class CoendAlgebra:
         return M
 
     # -- inner product on ℰ_S -------------------------------------------------
-
-    def state(self, T: GradedElement) -> complex:
-        """φ(T) = (tr⊗tr)(𝔼(T)) for the canonical traces on 𝔸(1), 𝔹(1)."""
-        return complex(self._ground_traces[2] @ self.canonical_expectation(T))
 
     @cached_property
     def _ground_traces(self) -> tuple:
@@ -404,9 +397,7 @@ def faithfulness_probe(co: CoendAlgebra, trials: int, seed: int = 0) -> dict:
 def crossed_product(A: AlgebraObject, D: AlgebraObject, S=None,
                     mode: str = "strict") -> CoendAlgebra:
     """A ⋊ 𝒟: the coend realization of an action 𝔸 against the object 𝒟."""
-    co = CoendAlgebra(A, D, S=S, mode=mode)
-    co.alias = "crossed_product"
-    return co
+    return CoendAlgebra(A, D, S=S, mode=mode)
 
 
 def descend_expectation(co: CoendAlgebra, omega: np.ndarray):

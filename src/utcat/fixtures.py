@@ -121,8 +121,9 @@ def su2k(k: int) -> SkeletalUTC:
     Labels ``j<2j>`` for spins j = 0, ½, …, k/2, all self-dual; d_j = [2j+1]_q,
     F^{abc}_d[e,f] = (−1)^{a+b+c+d}·√([2e+1][2f+1])·{a b e; c d f}_q from the
     Racah sum, R^{ab}_c = (−1)^{c−a−b} q^{(c(c+1)−a(a+1)−b(b+1))/2} (spins).
-    Blocks are filled in ``ring.f_index`` order, which sorts ``j10`` before
-    ``j2``.  The mirror category has the conjugate R blocks.
+    Each block is filled along its slot rows in ``ring.ftable`` (channel e
+    down the rows, f across the columns), whose label order sorts ``j10``
+    before ``j2``.  The mirror category has the conjugate R blocks.
     """
     if not (1 <= k <= 36):
         raise ValueError("k out of supported range")
@@ -150,17 +151,16 @@ def su2k(k: int) -> SkeletalUTC:
             for a, b, c in itertools.product(range(k + 1), repeat=3) if admissible(a, b, c)}
     ring = _ring(labels, "j0", {x: x for x in labels}, mult)
     spin = {x: int(x[1:]) for x in labels}  # doubled spin
-    F = {}
-    for key in itertools.product(labels[1:], labels[1:], labels[1:], labels):
-        idx = ring.f_index(*key)
-        if not idx.left:
-            continue
-        a, b, c, d = (spin[x] for x in key)
-        F[key] = np.array([[(-1) ** ((a + b + c + d) // 2)
-                            * np.sqrt(qfact[spin[e] + 1] / qfact[spin[e]]
-                                      * qfact[spin[f] + 1] / qfact[spin[f]])
-                            * sixj(a, b, spin[e], c, d, spin[f])
-                            for f, _, _ in idx.right] for e, _, _ in idx.left])
+    pos_spin = [spin[x] for x in ring.labels]  # by label position
+    t, F = ring.ftable, {}
+    for blk in np.flatnonzero(~t.unit_leg).tolist():
+        rows, key = slice(t.start[blk], t.start[blk] + t.size[blk]), t.keys[blk].tolist()
+        a, b, c, d = (pos_spin[x] for x in key)
+        es, fs = ([pos_spin[x] for x in side[rows, 0].tolist()] for side in (t.left, t.right))
+        F[tuple(ring.labels[x] for x in key)] = np.array(
+            [[(-1) ** ((a + b + c + d) // 2)
+              * np.sqrt(qfact[e + 1] / qfact[e] * qfact[f + 1] / qfact[f])
+              * sixj(a, b, e, c, d, f) for f in fs] for e in es])
     R = {}
     for x, y in itertools.product(labels[1:], repeat=2):
         for z, _ in ring.channels(x, y):

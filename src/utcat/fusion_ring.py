@@ -16,7 +16,7 @@ import numpy as np
 
 from .errors import AxiomViolation, NonIrreducibleInput, RingAxiomError, SchemaError, UnknownLabel
 
-__all__ = ["BlockTable", "FIndex", "FusionRing", "SupportSet", "validate_ring"]
+__all__ = ["BlockTable", "FusionRing", "SupportSet", "validate_ring"]
 
 _POWER_ITER_TOL = 1e-12
 _POWER_ITER_MAX = 10_000
@@ -38,20 +38,6 @@ class SupportSet:
 
     def __len__(self) -> int:
         return len(self.labels)
-
-
-class FIndex(NamedTuple):
-    """Basis index of one F-block F[a,b,c;d], in sorted channel order.
-
-    ``left`` holds the triples (e, α, β) with α ∈ O(e, a⊗b), β ∈ O(d, e⊗c);
-    ``right`` the triples (f, μ, ν) with μ ∈ O(f, b⊗c), ν ∈ O(d, a⊗f).
-    ``lpos``/``rpos`` map a triple to its position.
-    """
-
-    left: tuple
-    right: tuple
-    lpos: dict
-    rpos: dict
 
 
 def _encode(cols: np.ndarray, radix: int) -> np.ndarray:
@@ -148,9 +134,10 @@ class FusionRing:
     basis and ((bc)f, (af)d) for the right.  ``rtable`` lists the R-blocks
     (a, b; c).  Every F and R reader goes through them: the category stores
     its blocks in their flat buffers, the JSON schema scatters into them, and
-    the coherence checks join against their slots.  :meth:`f_index` is a
-    per-key view of ``ftable`` with label names, for callers that iterate
-    basis triples.
+    the coherence checks join against their slots.  The basis of block k is
+    its slot rows, ``start[k]`` … ``start[k] + size[k]`` of ``left`` and
+    ``right``: channel first, then multiplicities, the row and column order
+    of the block.
     """
 
     def __init__(self, labels, unit, dual, mult):
@@ -171,7 +158,6 @@ class FusionRing:
             (x, y): tuple((z, m) for z, m in zip(self.labels, self._mult[i][j]) if m)
             for i, x in enumerate(self.labels) for j, y in enumerate(self.labels)
         }
-        self._f_index: dict[tuple, FIndex] = {}
         self._fp_dim: dict[str, float] = {}
 
     # -- queries ----------------------------------------------------------
@@ -276,21 +262,6 @@ class FusionRing:
             for x in (a, b, c):
                 self._i(x)
         return blk
-
-    def f_index(self, a: str, b: str, c: str, d: str) -> FIndex:
-        """The left/right basis index of F[a,b,c;d]: its slots in ``ftable``
-        with label names."""
-        key = (a, b, c, d)
-        idx = self._f_index.get(key)
-        if idx is None:
-            blk, t = self.f_block(*key), self.ftable
-            rows = slice(0, 0) if blk is None else slice(t.start[blk[0]], t.start[blk[0]] + blk[2])
-            left, right = (tuple((self.labels[x], i, j) for x, i, j in side[rows].tolist())
-                           for side in (t.left, t.right))
-            idx = FIndex(left, right, {t: i for i, t in enumerate(left)},
-                         {t: i for i, t in enumerate(right)})
-            self._f_index[key] = idx
-        return idx
 
     def fp_dimension(self, x: str) -> float:
         if x not in self.index:

@@ -521,8 +521,7 @@ def gns_object(D: AlgebraObject, omega) -> tuple:
     return hobj, {K: c.factor.conj().T for K, c in cuts.items() if c.rank}
 
 
-def discreteness_report(D: AlgebraObject, omega, base_dim: int = 1,
-                        corrupt: bool = False) -> dict:
+def discreteness_report(D: AlgebraObject, omega, corrupt: bool = False) -> dict:
     """{discrete, pqr, ind} flags for (𝒟, ω) at the given truncation.
 
     Finitely supported data is C*-discrete by construction, so `discrete`
@@ -541,7 +540,7 @@ def discreteness_report(D: AlgebraObject, omega, base_dim: int = 1,
     if dropped:
         cut_gap = (min((float(c.w[0]) for c in cuts.values() if c.rank),
                        default=None), max(dropped))
-    corr = realize(hobj, base_dim=base_dim)
+    corr = realize(hobj)
     graded = corr.graded_dims()
     total_p = sum(corr.projections.values())
     pqr = bool(discrete and graded == hobj.dims

@@ -44,6 +44,14 @@ def _require(raw: dict, key: str, ptr: str = ""):
     return raw[key]
 
 
+def _object(raw: dict, key: str, message: str) -> dict:
+    """The JSON object under required ``key``; ``message`` if it is not one."""
+    value = _require(raw, key)
+    if not isinstance(value, dict):
+        raise SchemaError(message, f"/{key}")
+    return value
+
+
 # -- fusion rings --------------------------------------------------------
 
 def ring_from_json(raw: dict) -> FusionRing:
@@ -251,9 +259,9 @@ def aobj_from_json(cat: SkeletalUTC, raw: dict) -> AlgebraObject:
     """{support, fibers, mult: {"X,Y;Z;v": [[[complex]]]}, star, unit}."""
     ring = cat.ring
     support = _require(raw, "support")
-    fibers_raw = _require(raw, "fibers")
-    if not isinstance(fibers_raw, dict):
-        raise SchemaError("fibers must map labels to dimensions", "/fibers")
+    if not isinstance(support, list) or not all(isinstance(x, str) for x in support):
+        raise SchemaError("support must be a list of labels", "/support")
+    fibers_raw = _object(raw, "fibers", "fibers must map labels to dimensions")
     fibers = {}
     for X, n in fibers_raw.items():
         if X not in ring.labels:
@@ -272,7 +280,7 @@ def aobj_from_json(cat: SkeletalUTC, raw: dict) -> AlgebraObject:
         return fibers.get(X, 0)
 
     mult = {}
-    for key, arr in _require(raw, "mult").items():
+    for key, arr in _object(raw, "mult", "mult must be an object keyed by 'X,Y;Z;v'").items():
         ptr = f"/mult/{key}"
         X, Y, Z, v = split(key, (";", ","), 4, ptr)
         try:
@@ -284,17 +292,17 @@ def aobj_from_json(cat: SkeletalUTC, raw: dict) -> AlgebraObject:
             raise SchemaError(f"multiplicity index {v} out of range", ptr)
         if not isinstance(arr, list):
             raise SchemaError("expected a rank-3 coefficient array", ptr)
-        t = np.array([[[complex_in(val, f"{ptr}/{i}/{k}/{l}")
-                        for l, val in enumerate(row)]
-                       for k, row in enumerate(mat)]
-                      for i, mat in enumerate(arr)], dtype=complex)
+        planes = [matrix_in(mat, f"{ptr}/{i}") for i, mat in enumerate(arr)]
         want = (dim(Z, ptr), dim(X, ptr), dim(Y, ptr))
-        if t.shape != want:
-            raise SchemaError(f"tensor shape {t.shape} != {want}", ptr)
-        mult[(X, Y, Z, v)] = t
+        if len(planes) != want[0]:
+            raise SchemaError(f"tensor has {len(planes)} planes, expected {want[0]}", ptr)
+        for i, m in enumerate(planes):
+            if m.shape != want[1:]:
+                raise SchemaError(f"tensor plane shape {m.shape} != {want[1:]}", f"{ptr}/{i}")
+        mult[(X, Y, Z, v)] = np.array(planes, dtype=complex).reshape(want)
 
     star = {}
-    for X, rows in _require(raw, "star").items():
+    for X, rows in _object(raw, "star", "star must map labels to matrices").items():
         ptr = f"/star/{X}"
         m = matrix_in(rows, ptr)
         want = (dim(cat.dual(X), ptr), dim(X, ptr))
@@ -365,7 +373,7 @@ def eta_from_json(raw: dict, algebra: BaseAlgebra) -> CovarianceMatrix:
     if len(ids) != len(index):
         raise SchemaError("index ids must be distinct", "/index")
     entries = {}
-    for key, rows in _require(raw, "entries").items():
+    for key, rows in _object(raw, "entries", "entries must be an object keyed by 'i,j'").items():
         ptr = f"/entries/{key}"
         i, j = split(key, (",",), 2, ptr)
         if i not in ids or j not in ids:

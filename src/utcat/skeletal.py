@@ -18,14 +18,16 @@ silently.
 R-symbol convention: for w ∈ O(c, a⊗b), τ_{a,b}∘w = Σ_ν R^{a,b;c}[ν, μ] w'_ν
 with w' ∈ O(c, b⊗a).
 
-Tables.  The fusion ring holds one F-index table, ``ring.ftable`` (a
+Tables.  The fusion ring holds the one F-index table, ``ring.ftable`` (a
 :class:`~utcat.fusion_ring.BlockTable` built with numpy from the
 multiplicities): for every nonzero block F[a,b,c;d], its label positions, its
 size, its left slots (e, α, β) and right slots (f, μ, ν) as integer rows, the
 first row and column of each channel, and its place in one flat buffer where
 the blocks are grouped by size; ``ring.rtable`` does the same for the
-R-blocks.  A category stores its F and R blocks in those flat buffers, so the
-blocks of one size are one (K, n, n) stack.  :meth:`SkeletalUTC.fmat`,
+R-blocks.  The slot rows of a block, in order, are its rows and columns:
+channel first, multiplicities after.  A
+category stores its F and R blocks in those flat buffers, so the blocks of
+one size are one (K, n, n) stack.  :meth:`SkeletalUTC.fmat`,
 :meth:`SkeletalUTC.fblock` and :meth:`SkeletalUTC.rmat` slice the buffers at
 the offsets of the table; the JSON schema scatters a payload into them.  The
 coherence checks read one entry table per category, built on the first
@@ -236,14 +238,6 @@ class SkeletalUTC:
     def d(self, x: str) -> float:
         return float(self.qdim[x])
 
-    def left_index(self, a, b, c, d) -> tuple[tuple[str, int, int], ...]:
-        """Triples (e, α, β): α ∈ O(e, a⊗b), β ∈ O(d, e⊗c), e lexicographic."""
-        return self.ring.f_index(a, b, c, d).left
-
-    def right_index(self, a, b, c, d) -> tuple[tuple[str, int, int], ...]:
-        """Triples (f, μ, ν): μ ∈ O(f, b⊗c), ν ∈ O(d, a⊗f), f lexicographic."""
-        return self.ring.f_index(a, b, c, d).right
-
     def fmat(self, a, b, c, d) -> np.ndarray:
         """F-matrix mapping right-tree to left-tree coordinates."""
         blk = self.ring.f_block(a, b, c, d)
@@ -448,9 +442,11 @@ class SkeletalUTC:
 
     def verify_unitarity(self) -> float:
         """Largest entry of F·F† − I and R·R† − I, one stacked product per size."""
-        stacks = self._blocks("F") + (self._blocks("R") if self.braided else [])
+        stacks = _stacks(self._F, self.ring.ftable)
+        if self.braided:
+            stacks += _stacks(self._R, self.ring.rtable)
         return max(float(np.max(np.abs(M @ M.conj().swapaxes(1, 2) - np.eye(M.shape[1]))))
-                   for *_, M in stacks)
+                   for _, M in stacks)
 
     def verify_pentagon(self) -> float:
         """Max residual of the two re-association routes ((ab)c)d -> a(b(cd))."""

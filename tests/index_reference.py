@@ -2,21 +2,39 @@
 reference for the integer tables of :mod:`utcat.fusion_ring`.
 
 :func:`f_index` lists the left (e, α, β) and right (f, μ, ν) basis of one
-F-block by looping over channels, :func:`index_groups` cuts such a list into
+F-block by looping over channels, as an :class:`FIndex` with the position of
+each triple, :func:`index_groups` cuts such a list into
 its channel slices (as the JSON schema once did), :func:`blocks` stacks every
 F or R block of a category by size one key at a time (as the coherence
-checks once did), and :func:`check_ring_axioms` is the loop form of the ring
-axiom check.
+checks once did), :func:`check_ring_axioms` is the loop form of the ring
+axiom check, and :func:`su2k` builds SU(2)_k filling each F-block key by key
+through :func:`f_index`, as :func:`utcat.fixtures.su2k` once did.
 """
 
 from __future__ import annotations
 
 import itertools
+from typing import NamedTuple
 
 import numpy as np
 
 from utcat.errors import AxiomViolation
-from utcat.fusion_ring import FIndex
+from utcat.fusion_ring import validate_ring
+from utcat.skeletal import SkeletalUTC
+
+
+class FIndex(NamedTuple):
+    """Basis index of one F-block F[a,b,c;d], in sorted channel order.
+
+    ``left`` holds the triples (e, α, β) with α ∈ O(e, a⊗b), β ∈ O(d, e⊗c);
+    ``right`` the triples (f, μ, ν) with μ ∈ O(f, b⊗c), ν ∈ O(d, a⊗f).
+    ``lpos``/``rpos`` map a triple to its position.
+    """
+
+    left: tuple
+    right: tuple
+    lpos: dict
+    rpos: dict
 
 
 def f_index(ring, a, b, c, d) -> FIndex:
@@ -126,3 +144,51 @@ def check_ring_axioms(labels, unit, dual, mult) -> list[AxiomViolation]:
                         AxiomViolation("frobenius_reciprocity", (labels[x], labels[y], labels[z]))
                     )
     return violations
+
+
+def su2k(k: int) -> SkeletalUTC:
+    """SU(2)_k from q-6j symbols, each F-block filled over the label triples
+    of :func:`f_index`; the formulas are those of :func:`utcat.fixtures.su2k`."""
+    s = np.pi / (k + 2)
+    qfact = np.cumprod([1.0] + [np.sin(n * s) / np.sin(s) for n in range(1, 2 * k + 3)])
+    labels = [f"j{n}" for n in range(k + 1)]
+
+    def admissible(a, b, c):  # doubled spins
+        return (a + b + c) % 2 == 0 and abs(a - b) <= c <= min(a + b, 2 * k - a - b)
+
+    def delta(a, b, c):
+        return np.sqrt(qfact[(a + b - c) // 2] * qfact[(a - b + c) // 2]
+                       * qfact[(b + c - a) // 2] / qfact[(a + b + c) // 2 + 1])
+
+    def sixj(a, b, e, c, d, f):
+        tri = [(a + b + e) // 2, (e + c + d) // 2, (b + c + f) // 2, (a + f + d) // 2]
+        quad = [(a + b + c + d) // 2, (a + e + c + f) // 2, (b + e + d + f) // 2]
+        racah = sum((-1) ** z * qfact[z + 1]
+                    / np.prod([qfact[z - t] for t in tri] + [qfact[p - z] for p in quad])
+                    for z in range(max(tri), min(quad) + 1))
+        return delta(a, b, e) * delta(e, c, d) * delta(b, c, f) * delta(a, f, d) * racah
+
+    mult = {(labels[a], labels[b], labels[c]): 1
+            for a, b, c in itertools.product(range(k + 1), repeat=3) if admissible(a, b, c)}
+    ring = validate_ring({"labels": labels, "unit": "j0", "dual": {x: x for x in labels},
+                          "mult": mult})
+    spin = {x: int(x[1:]) for x in labels}  # doubled spin
+    F = {}
+    for key in itertools.product(labels[1:], labels[1:], labels[1:], labels):
+        idx = f_index(ring, *key)
+        if not idx.left:
+            continue
+        a, b, c, d = (spin[x] for x in key)
+        F[key] = np.array([[(-1) ** ((a + b + c + d) // 2)
+                            * np.sqrt(qfact[spin[e] + 1] / qfact[spin[e]]
+                                      * qfact[spin[f] + 1] / qfact[spin[f]])
+                            * sixj(a, b, spin[e], c, d, spin[f])
+                            for f, _, _ in idx.right] for e, _, _ in idx.left])
+    R = {}
+    for x, y in itertools.product(labels[1:], repeat=2):
+        for z, _ in ring.channels(x, y):
+            a, b, c = spin[x], spin[y], spin[z]
+            R[(x, y, z)] = np.array([[(-1) ** ((c - a - b) // 2) * np.exp(
+                2j * s * (c * (c + 2) - a * (a + 2) - b * (b + 2)) / 8)]])
+    qdims = {x: qfact[spin[x] + 1] / qfact[spin[x]] for x in labels}
+    return SkeletalUTC(ring, F, R, qdims=qdims)

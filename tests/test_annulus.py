@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import tree_reference as ref
+from index_reference import f_index
 from utcat.algebra_object import FiberElement, pp_check
 from utcat.annulus import _assemble, annulus_basis, build_annulus, z_state
 from utcat.errors import MissingBraiding, PositivityFailure, SupportTooSmall
@@ -26,7 +27,7 @@ def _gauged(cat, seed):
          for a in ring.labels for b in ring.labels for c, _ in ring.channels(a, b)}
     F = {}
     for (a, b, c, d), M in cat.f_symbols.items():
-        idx = ring.f_index(a, b, c, d)
+        idx = f_index(ring, a, b, c, d)
         left = np.array([u[(a, b, e)] * u[(e, c, d)] for e, _, _ in idx.left])
         right = np.array([u[(b, c, f)] * u[(a, f, d)] for f, _, _ in idx.right])
         F[(a, b, c, d)] = M * right / left[:, None]

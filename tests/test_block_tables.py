@@ -76,8 +76,15 @@ def test_tables_and_stacks_equal_the_per_key_reference(name):
     lab = ring.labels
     assert [tuple(lab[x] for x in k) for k in ring.ftable.keys.tolist()] == keys
     assert [tuple(lab[x] for x in k) for k in ring.rtable.keys.tolist()] == ref.r_keys(ring)
-    for key in keys + [(lab[-1], lab[-1], lab[-1], lab[0])]:
-        assert ring.f_index(*key) == ref.f_index(ring, *key)
+    # the slot rows of every block, and of one zero block where there is one
+    have = set(keys)
+    zero = [k for k in itertools.product(lab, repeat=4) if k not in have][:1]
+    for key in keys + [(lab[-1], lab[-1], lab[-1], lab[0])] + zero:
+        blk, t = ring.f_block(*key), ring.ftable
+        rows = slice(0, 0) if blk is None else slice(t.start[blk[0]], t.start[blk[0]] + blk[2])
+        idx = ref.f_index(ring, *key)
+        for side, want in ((t.left, idx.left), (t.right, idx.right)):
+            assert [(lab[x], i, j) for x, i, j in side[rows].tolist()] == list(want)
     for k, key in enumerate(keys):  # the first slot of each channel
         idx = ref.f_index(ring, *key)
         for side, pos in enumerate((idx.lpos, idx.rpos)):

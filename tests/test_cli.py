@@ -317,6 +317,36 @@ def test_reports_are_deterministic(capsys, tmp_path):
     assert json.loads(outs[0])["seed"] == 7
 
 
+# one malformed container or μ plane each: (edit of the fib annulus JSON, pointer)
+_MALFORMED_AOBJ = {
+    "support_not_a_list": (lambda raw, key: raw.update(support=5), "/support"),
+    "mult_not_an_object": (lambda raw, key: raw.update(mult=[]), "/mult"),
+    "star_not_an_object": (lambda raw, key: raw.update(star=[]), "/star"),
+    "mult_plane_not_a_matrix": (lambda raw, key: raw["mult"].update({key: [5]}), "/mult/{key}/0"),
+    "mult_row_not_a_list": (lambda raw, key: raw["mult"].update({key: [[5]]}), "/mult/{key}/0"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_MALFORMED_AOBJ))
+def test_malformed_algebra_object_exits_3_with_its_pointer(capsys, tmp_path, case):
+    raw = io.aobj_to_json(build_annulus(fibonacci()))
+    key = next(iter(raw["mult"]))
+    edit, pointer = _MALFORMED_AOBJ[case]
+    edit(raw, key)
+    p = tmp_path / "aobj.json"
+    p.write_text(json.dumps(raw))
+    code, rep = run(capsys, "aobj-verify", "fib", str(p))
+    assert code == 3
+    assert rep["pointer"] == pointer.format(key=key)
+
+
+def test_covariance_entries_not_an_object_exits_3(capsys, tmp_path):
+    cov = tmp_path / "eta.json"
+    cov.write_text(json.dumps({"index": [0], "entries": []}))
+    code, rep = run(capsys, "fock", "--cov", str(cov), "--depth", "2", "--moments", "2")
+    assert code == 3 and rep["pointer"] == "/entries"
+
+
 def test_bad_support_spec_exits_3(capsys):
     assert run(capsys, "annulus", "--cat", "fib",
                "--support", "gen=omega,depth=1")[0] == 3

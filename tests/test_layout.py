@@ -1,12 +1,14 @@
 """Elements of 𝒟(A⊗B) as vectors on one layout: the conjugation matrix, the
 lax product, the expectation and the fiber Gram against the dict kernels they
-replaced, and the label checks of the library entry points.
+replaced, the stacked associativity check against its per-tree form, and the
+label checks of the library entry points.
 
 The kernels are compared on the annuli of every registry fixture, its
 mirror, SU(2)_6 and two random vertex gauges, and on random objects over the
 multiplicity-2 ring and over Vec(ℤ/3), whose labels g1, g2 are not
 self-dual; each also over the opposite category."""
 
+import copy
 import itertools
 
 import numpy as np
@@ -14,7 +16,8 @@ import pytest
 
 import algebra_reference as ref
 from test_annulus import _gauged, _mirror
-from utcat.algebra_object import AlgebraObject, FiberElement, opposite_object, pp_check
+from utcat.algebra_object import (AlgebraObject, FiberElement, _associativity, opposite_object,
+                                  pp_check, validate_algebra_object)
 from utcat.annulus import _assemble, build_annulus
 from utcat.basis_change import relabel_category
 from utcat.errors import UnknownLabel
@@ -72,6 +75,25 @@ def _rand(rng, n):
 
 def _gap(a, b) -> float:
     return float(np.max(np.abs(a - b), initial=0.0))
+
+
+def test_associativity_equals_the_per_tree_reference(obj):
+    got = _associativity(obj, np.random.default_rng(0))
+    assert abs(got - ref.associativity(obj)) <= TOL
+
+
+@pytest.mark.parametrize("name", ["fib", "su2_3"])
+def test_associativity_detects_one_scaled_product_entry(name):
+    # the largest entry of the first product with no unit leg, times 1 + 1e-3
+    tol = 1e-9
+    D = copy.copy(build_annulus(FIXTURE_BUILDERS[name]()))
+    unit = D.cat.ring.unit
+    key = min(k for k in D.mult if unit not in k[:2])
+    M = D.mult[key].copy()
+    M[np.unravel_index(np.argmax(np.abs(M)), M.shape)] *= 1 + 1e-3
+    D.mult = {**D.mult, key: M}
+    assert validate_algebra_object(D, tol=tol)["associativity"] > tol
+    assert ref.associativity(D) > tol
 
 
 def test_conj_matrix_equals_the_reference(obj):

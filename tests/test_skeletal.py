@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import index_reference
 from tree_reference import EmptyHomSpace, InapplicableMove, TreeCalculus, TreeVector
 from utcat.errors import MissingBraiding
 from utcat.fixtures import fibonacci, ising, mult2_ring, su2k, vec_zn
@@ -139,8 +140,16 @@ def test_su2k_is_coherent(k, mirror):
     assert cat.verify_zigzag() <= 1e-12
 
 
+@pytest.mark.parametrize("k", [2, 5, 10])
+def test_su2k_buffers_equal_the_per_key_reference(k):
+    # k = 10 is the first level where "j10" sorts before "j2"
+    got, want = su2k(k), index_reference.su2k(k)
+    for x, y in ((got._F, want._F), (got._R, want._R)):
+        assert x.shape == y.shape and x.tobytes() == y.tobytes()
+
+
 def test_su2k_pentagon_when_labels_sort_out_of_spin_order():
-    # from k = 10 on "j10" sorts before "j2": blocks follow ring.f_index
+    # from k = 10 on "j10" sorts before "j2": blocks follow the ftable slot rows
     assert su2k(10).verify_pentagon() <= 1e-12
 
 

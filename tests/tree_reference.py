@@ -18,6 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from index_reference import f_index
 from utcat.annulus import annulus_basis
 from utcat.errors import SolveFailed, UnknownLabel
 from utcat.skeletal import ConjugateSolution
@@ -145,7 +146,7 @@ class TreeCalculus:
         """Group the coefficients of ``tv`` for a move at letters (k, k+1), k>=1.
 
         Yields ((prefix, a, d, suffix), dense local left vector over
-        left_index(a, word[k], word[k+1], d)).
+        the left basis of f_index(ring, a, word[k], word[k+1], d)).
         """
         word = tv.word
         groups: dict[tuple, dict] = {}
@@ -159,7 +160,7 @@ class TreeCalculus:
             groups.setdefault(key, {})[(e, alpha, beta)] = groups.setdefault(key, {}).get((e, alpha, beta), 0.0) + c
         for key, local in groups.items():
             _, a, d, _ = key
-            pos = self.ring.f_index(a, word[k], word[k + 1], d).lpos
+            pos = f_index(self.ring, a, word[k], word[k + 1], d).lpos
             vec = np.zeros(len(pos), dtype=complex)
             for t, c in local.items():
                 vec[pos[t]] += c
@@ -188,8 +189,8 @@ class TreeCalculus:
             return TreeVector(new_word, tv.root, out)
         for (prefix, a, dd, suffix), vec in self._local_groups(tv, k):
             right = self._finv(a, b, c, dd) @ vec
-            ridx = self.right_index(a, b, c, dd)
-            rpos2 = self.ring.f_index(a, c, b, dd).rpos
+            ridx = f_index(self.ring, a, b, c, dd).right
+            rpos2 = f_index(self.ring, a, c, b, dd).rpos
             right2 = np.zeros(len(rpos2), dtype=complex)
             for i, (f, mu, nu) in enumerate(ridx):
                 if abs(right[i]) == 0.0:
@@ -198,7 +199,7 @@ class TreeCalculus:
                 for mup in range(R.shape[0]):
                     right2[rpos2[(f, mup, nu)]] += R[mup, mu] * right[i]
             left2 = self.fmat(a, c, b, dd) @ right2
-            lidx2 = self.left_index(a, c, b, dd)
+            lidx2 = f_index(self.ring, a, c, b, dd).left
             for i, (e, alpha, beta) in enumerate(lidx2):
                 if abs(left2[i]) == 0.0:
                     continue
@@ -246,7 +247,7 @@ class TreeCalculus:
             new_word = word[:k] + (Z,) + word[k + 2:]
         for (prefix, a, dd, suffix), vec in self._local_groups(tv, k):
             right = self._finv(a, b, c, dd) @ vec
-            ridx = self.right_index(a, b, c, dd)
+            ridx = f_index(self.ring, a, b, c, dd).right
             for i, (f, mu, nu) in enumerate(ridx):
                 if f != Z or abs(right[i]) == 0.0:
                     continue
@@ -287,7 +288,7 @@ class TreeCalculus:
         for path, coeff in tv.coeffs.items():
             a = word[0] if k == 1 else path[k - 2][0]
             F = self.fmat(a, y, z, a)
-            idx = self.ring.f_index(a, y, z, a)
+            idx = f_index(self.ring, a, y, z, a)
             lidx, rpos = idx.left, idx.rpos
             rvec = np.zeros(len(rpos), dtype=complex)
             for mu, p in enumerate(p_coeffs):
@@ -338,7 +339,7 @@ class TreeCalculus:
             heads.setdefault((cprime, t), {})[path[:-1]] = coeff
         for (cprime, t), headcoeffs in heads.items():
             F = self.fmat(tva.root, cprime, y, root)
-            idx = ring.f_index(tva.root, cprime, y, root)
+            idx = f_index(ring, tva.root, cprime, y, root)
             lidx, rpos = idx.left, idx.rpos
             rvec = np.zeros(len(rpos), dtype=complex)
             for s in range(n_w):
@@ -367,7 +368,7 @@ class TreeCalculus:
             raise UnknownLabel(x)
         xb = self.dual(x)
         dx = self.d(x)
-        idx = ring.f_index(x, xb, x, x)
+        idx = f_index(ring, x, xb, x, x)
         unit = ring.unit
         F = self.fmat(x, xb, x, x)
         f11 = F[idx.lpos[(unit, 0, 0)], idx.rpos[(unit, 0, 0)]]
