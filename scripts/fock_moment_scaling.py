@@ -1,13 +1,15 @@
-"""Time the vacuum moment sweep as the Fock depth grows.
+"""Time the Fock build and the vacuum moment sweep as the depth grows.
 
 At depth n every X-word of length ≤ 2n has an exact vacuum moment, the
 sum over its non-crossing pairings of the covariance η(1) per pair.  For
 each depth the scan builds two families, a 2-index one over A = ℂ from two
 orthonormal vectors of a seeded Haar unitary, and η = Ad(u) + Ad(u)⁻¹ on
-M₂ (η(1) = 2·1, depth ≤ 3 under the default dimension cap).  It then times
-`vacuum_expectation` over every such word.  A deviation above 1e-9
-(relative to max(1, |moment|)) makes the exit code 1.
-Seconds are wall clock of the sweep alone, the Fock build excluded.  Run:
+M₂ (η(1) = 2·1).  It prints the seconds of `build_fock`, the raw and the
+quotient dimension of every level, and the seconds of `vacuum_expectation`
+over every such word.  A depth whose raw dimensions exceed the `build_fock`
+cap is reported as such (M₂ from depth 5 on).  A deviation above 1e-9
+(relative to max(1, |moment|)) makes the exit code 1.  Seconds are wall
+clock, the build and the sweep timed apart.  Run:
 
     PYTHONPATH=src python3 scripts/fock_moment_scaling.py --max-depth 6
 """
@@ -19,6 +21,7 @@ import time
 
 import numpy as np
 
+from utcat.errors import DimensionCap
 from utcat.semicircular import (
     BaseAlgebra,
     build_fock,
@@ -61,10 +64,10 @@ def m2_family(rng):
     return covariance_from_automorphisms([ad], alg), np.array([[2.0]])
 
 
-def sweep(eta, cov, depth) -> tuple:
+def sweep(fam, cov) -> tuple:
     """(words, seconds, worst relative deviation) over every X-word of
     length 1…2·depth."""
-    fam = semicircular_ops(build_fock(eta, depth))
+    eta, depth = fam.fock.eta, fam.fock.depth
     one = np.eye(eta.algebra.d)
     words = [w for n in range(1, 2 * depth + 1)
              for w in itertools.product(range(len(cov)), repeat=n)]
@@ -75,7 +78,11 @@ def sweep(eta, cov, depth) -> tuple:
     seconds = time.perf_counter() - t0
     worst = max(float(np.max(np.abs(got - want * one))) / max(1.0, abs(want))
                 for got, want in zip(gots, wants))
-    return fam.fock.total_dim, len(words), seconds, worst
+    return len(words), seconds, worst
+
+
+def dims(values) -> str:
+    return "/".join(map(str, values))
 
 
 def main(argv=None) -> int:
@@ -86,16 +93,24 @@ def main(argv=None) -> int:
 
     rng = np.random.default_rng(args.seed)
     families = {"pair": pair_family(rng), "m2": m2_family(rng)}
-    print(f"{'family':>6} {'depth':>5} {'fock dim':>8} {'words':>6} "
-          f"{'s':>8} {'us/word':>8} {'max dev':>9}")
+    print(f"{'family':>6} {'depth':>5} {'build s':>8} {'fock dim':>8} "
+          f"{'words':>6} {'sweep s':>8} {'us/word':>8} {'max dev':>9}  "
+          f"raw dims; level dims")
     failed = []
     for depth in range(1, args.max_depth + 1):
         for name, (eta, cov) in families.items():
-            if name == "m2" and depth > 3:
+            t0 = time.perf_counter()
+            try:
+                fock = build_fock(eta, depth)
+            except DimensionCap as exc:
+                print(f"{name:>6} {depth:>5}  not built: {exc}")
                 continue
-            dim, n, seconds, worst = sweep(eta, cov, depth)
-            print(f"{name:>6} {depth:>5} {dim:>8} {n:>6} {seconds:>8.4f} "
-                  f"{1e6 * seconds / n:>8.1f} {worst:>9.1e}")
+            build = time.perf_counter() - t0
+            n, seconds, worst = sweep(semicircular_ops(fock), cov)
+            print(f"{name:>6} {depth:>5} {build:>8.4f} {fock.total_dim:>8} "
+                  f"{n:>6} {seconds:>8.4f} {1e6 * seconds / n:>8.1f} "
+                  f"{worst:>9.1e}  {dims(fock.raw_dims)}; "
+                  f"{dims(fock.level_dims)}")
             if not worst <= TOL:
                 failed.append(f"{name} at depth {depth}: {worst:.2e}")
     for line in failed:

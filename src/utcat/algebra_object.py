@@ -39,10 +39,11 @@ from .errors import (
     LabelMismatch,
     NotAState,
     PositivityFailure,
+    SolveFailed,
     SupportTooSmall,
     UnknownLabel,
 )
-from .gns import GramRoot, form, min_eig
+from .gns import FAITHFUL_FLOOR, GramRoot, form, min_eig
 from .skeletal import SkeletalUTC
 
 __all__ = [
@@ -507,8 +508,17 @@ def validate_algebra_object(D: AlgebraObject, rng=None, tol: float = 1e-9) -> di
                                           float(np.max(np.abs(a - b))) / scale)
 
     # positivity of the 𝒟(1)-valued Gram on each fiber: the block matrix
-    # [L(⟨eᵢ, eₖ⟩)] on the GNS space of 𝒟(1)
+    # [L(⟨eᵢ, eₖ⟩)] on the GNS space of 𝒟(1).  A degenerate trace form of
+    # 𝒟(1) has no GNS space; its margin to the faithful floor, which is
+    # then ≤ 0, is the residual.
     g = D.ground()
+    try:
+        g.gns
+    except SolveFailed:
+        lam = np.linalg.eigvalsh(form(g.P, g.star_mat, g.weights))
+        res["positivity_floor"] = float(
+            lam[0] - FAITHFUL_FLOOR * max(float(lam[-1]), 1.0))
+        return res
     floor = 0.0
     for X in sup:
         G = D.fiber_gram(X)  # (nx, nx, n1)

@@ -371,6 +371,7 @@ def _cmd_fock(args) -> tuple:
     report = {"command": "fock", "base": list(alg.blocks),
               "index": list(eta.index), "depth": args.depth,
               "level_dims": list(fam.fock.level_dims),
+              "level_cut_gaps": list(fam.fock.cut_gaps),
               "moments": moments,
               "moment_residual": residual,
               "trace_symmetry_residual": sym,

@@ -88,7 +88,7 @@ class Cut(NamedTuple):
 def rank_cut(Q: np.ndarray) -> Cut:
     """Cut the Hermitian part of Q to the eigenvalues above RANK_CUT·max|λ|."""
     w, U = np.linalg.eigh((Q + Q.conj().T) / 2)
-    keep = w > RANK_CUT * max(float(np.max(np.abs(w))), 1e-300)
+    keep = w > RANK_CUT * max(float(np.max(np.abs(w), initial=0.0)), 1e-300)
     gap = None
     if not keep.all():
         gap = (float(w[keep][0]) if keep.any() else None,

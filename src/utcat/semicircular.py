@@ -9,16 +9,26 @@ basis vector ((a₁,i₁),…,(a_m,i_m); β) has the mixed-radix index over
 
     ⟨(a,i)::u, (c,j)::v⟩ = ⟨u, η_ij(a*c) ▹ v⟩,      ⟨b, b′⟩₀ = b*b′,
 
-one tensor contraction per level, where ▹ acts on the first slot of v.
-Degenerate directions are quotiented per level through the normalized
-trace; over A = ℂ the level-m Gram is C^{⊗m}, cut from the cut of C.  On
-the raw index left multiplication is L(a) ⊗ I, right multiplication
-I ⊗ R(a) and creation (unit ⊗ e_i) ⊗ I; operators are kept as blocks
-between quotient levels, and dense matrices are assembled from them.
-X_i = T_i + T_i† is self-adjoint by construction.  A vacuum moment
-of a word with nx X letters only sees the levels 0…⌊nx/2⌋, since a path
-above them cannot return to the vacuum; it is one dense vector pushed
-through X_i compressed to that window, and is exact for nx ≤ 2·depth.
+where ▹ acts on the first slot of v.  Degenerate directions are quotiented
+per level through the normalized trace, and the quotient is what the next
+level is built on: the null space of level m−1 is a left submodule that
+the A-valued inner product does not see, so level m is the Gram on
+(A⊗ℂ^I) ⊗ (range of level m−1), of size P·r_{m−1} for P = nA·nI and
+r_m = level_dims[m], not on the nA·P^m raw vectors.  A level costs
+O(d²·(P·r_{m−1})³) for its Gram, its `eigh` and the compression carried to
+the next level; its factor is carried back to the raw index by one product
+with the previous one.  Over A = ℂ the level-m Gram is C^{⊗m}, cut from the
+cut of C.  On the raw index left multiplication is L(a) ⊗ I and creation
+(unit ⊗ e_i) ⊗ I; operators are kept as blocks between quotient levels, and
+dense matrices are assembled from them.  X_i = T_i + T_i† is self-adjoint
+by construction.
+
+A vacuum moment of a word with nx X letters is the inner product of two
+half-word states X_{i₁}···X_{i_k}·P₀* with k ≤ ⌈nx/2⌉, each on the levels
+0…k that a path of k letters from the vacuum can reach.  The pure-X
+halves are cached per family, at most Σ_{k≤depth} |I|^k of them, so once
+they are built a moment costs one product of r₀ columns; it is exact for
+nx ≤ 2·depth.
 """
 
 from __future__ import annotations
@@ -37,7 +47,7 @@ from .errors import (
     RowBoundFailure,
     WordTooLong,
 )
-from .gns import RANK_CUT, min_eig, rank_cut
+from .gns import RANK_CUT, Cut, min_eig, rank_cut
 
 __all__ = ["BaseAlgebra", "CovarianceMatrix", "SemicircularFamily",
            "TruncatedFock", "build_fock", "covariance_from_automorphisms",
@@ -252,6 +262,7 @@ class TruncatedFock:
     depth: int
     level_dims: tuple      # quotient dimensions
     raw_dims: tuple
+    cut_gaps: tuple        # per level: (smallest kept, largest dropped) or None
     to_onb: list           # per level: raw → ONB matrix
     from_onb: list         # per level: ONB → raw representative
     offsets: list
@@ -285,15 +296,14 @@ class TruncatedFock:
         return self.assemble({(m, m): self.left_block(m, L)
                               for m in range(self.depth + 1)})
 
-    def right_mult(self, a) -> np.ndarray:
-        R = self.eta.algebra.right_matrix(a)
-        return self.assemble({
-            (m, m): self.to_onb[m] @ np.kron(np.eye(s // len(R)), R)
-            @ self.from_onb[m] for m, s in enumerate(self.raw_dims)})
+    @cached_property
+    def omega(self) -> np.ndarray:
+        """ONB coordinates of the vacuum 1 ∈ A on level 0."""
+        return self.to_onb[0] @ self.eta.algebra.unit_coords
 
     def vacuum(self) -> np.ndarray:
         v = np.zeros(self.total_dim, dtype=complex)
-        v[self.offsets[0]] = self.to_onb[0] @ self.eta.algebra.unit_coords
+        v[self.offsets[0]] = self.omega
         return v
 
     def ground_component(self, vec) -> np.ndarray:
@@ -301,52 +311,85 @@ class TruncatedFock:
         return self.eta.algebra.element(self.from_onb[0] @ vec[self.offsets[0]])
 
 
-def level_grams(eta: CovarianceMatrix, depth: int):
-    """Yield the A-valued Gram of each level m ≤ depth, shape (s, s, d, d).
-
-    One contraction per level: ⟨(a,i)::u, (c,j)::(f,r)⟩ is
-    Σ_g lam[a,i,c,j,g,f]·⟨u, (g,r)⟩, where f is the first slot of the
-    shorter vector (β at level 0) and r the rest of it.
-    """
-    alg = eta.algebra
-    nA, nI, d, B = alg.dim, len(eta.index), alg.d, alg.basis
-    G = alg.element(alg.star_prods)  # ⟨b, c⟩₀ = b*c
-    mul = alg.coords(B[:, None] @ B[None])  # e_h e_f = Σ_g mul[h,f,g] e_g
-    # lam[a,i,c,j,g,f]: g-th coordinate of η_ij(e_a* e_c)·e_f
-    lam = np.einsum("ijhq,acq,hfg->aicjgf", eta.stacked, alg.star_prods, mul)
-    yield G
-    for _ in range(depth):
-        s, t = len(G), len(G) * nA * nI
-        G = np.einsum("aicjgf,ugrxy->aiucjfrxy", lam,
-                      G.reshape(s, nA, s // nA, d, d),
-                      optimize=True).reshape(t, t, d, d)
-        yield G
+def _scalar_cut(G: np.ndarray, d: int) -> Cut:
+    """`rank_cut` of τ of an A-valued Gram G[y, z, s, t], in real arithmetic
+    when the trace is real."""
+    Q = np.trace(G) / d
+    return rank_cut(Q if Q.imag.any() else Q.real)
 
 
 def level_cuts(eta: CovarianceMatrix, depth: int):
-    """Yield (factor, kept eigenvalues) of the scalar Gram τ⟨·,·⟩ of each
-    level m ≤ depth, cut as `rank_cut` does.
+    """Yield the `Cut` of the scalar Gram τ⟨·,·⟩ of each level m ≤ depth,
+    its factor F on the raw basis (F·F* is the Gram, F*·F = diag(w)).
 
-    Over A = ℂ the level-m Gram is C^{⊗m}, C = [η_ij(1)], so its cut is the
-    Kronecker power of the cut of C; otherwise each `level_grams` Gram is
-    cut, in real arithmetic when it is real.
+    Level m is built on (A⊗ℂ^I) ⊗ U, U the kept eigenvectors of level m−1,
+    which carries H = U*GU and the left action M_h = U*(L(e_h) ⊗ I)U of
+    each basis element: the null space of level m−1 is a left submodule
+    and orthogonal to the A-valued Gram, so
+
+        G_m[(a,i,s), (c,j,t)] = Σ_h K[a,i,c,j,h]·(H·M_h)[s, t],
+
+    K[a,i,c,j,·] the coordinates of η_ij(e_a* e_c), is the isometric
+    compression of the raw level-m Gram by I ⊗ U, with the same kept
+    eigenvalues; directions dropped at a lower level are not seen again, so
+    the largest dropped value is that of this level's own cut.  A level
+    costs O(d²·(nA·nI·r)³) for r = level_dims[m−1] instead of the raw
+    O(d²·(nA·(nA·nI)^m)³).  Over A = ℂ the level-m Gram is C^{⊗m},
+    C = [η_ij(1)], so its cut is the Kronecker power of the cut of C; its
+    gap is read off the products of all eigenvalues of C.
     """
-    if eta.algebra.dim > 1:
-        for G in level_grams(eta, depth):
-            Q = np.einsum("stii->st", G) / eta.algebra.d
-            cut = rank_cut(Q if Q.imag.any() else Q.real)
-            yield cut.factor, cut.w
+    alg = eta.algebra
+    nA, nI, d = alg.dim, len(eta.index), alg.d
+    if nA == 1:
+        yield from _kronecker_cuts(eta.stacked[:, :, 0, 0], depth)
         return
-    c = rank_cut(eta.stacked[:, :, 0, 0])
-    F, w = np.ones((1, 1)), np.ones(1)
-    yield F, w
+    P = nA * nI
+    K = np.einsum("ijhq,acq->aicjh", eta.stacked,
+                  alg.star_prods).reshape(P, P, nA)
+    L = np.stack([alg.left_matrix(e) for e in alg.basis])  # L[h] = L(e_h)
+    G = np.moveaxis(alg.element(alg.star_prods), (2, 3), (0, 1))  # e_b* e_c
+    cut = _scalar_cut(G, d)
+    F = cut.factor
+    yield cut
+    for _ in range(depth):
+        r = cut.rank
+        V = cut.factor / np.sqrt(cut.w)  # Euclidean-orthonormal eigenvectors
+        U = F / np.sqrt(cut.w)
+        H = V.conj().T @ G @ V
+        LV = np.tensordot(L, V.reshape(nA, len(V) // nA, r), (2, 0))
+        M = V.conj().T @ LV.reshape(nA, len(V), r)
+        # G[y, z, (p,s), (q,t)] = Σ_h K[p,q,h]·(H·M_h)[y, z, s, t]
+        G = np.tensordot(K, H @ M[:, None, None], (2, 0))
+        G = G.transpose(2, 3, 0, 4, 1, 5).reshape(d, d, P * r, P * r)
+        cut = _scalar_cut(G, d)
+        # back to the raw basis: (I ⊗ U_{m−1})·F̃
+        F = (U @ cut.factor.reshape(P, r, cut.rank)).reshape(
+            P * len(U), cut.rank)
+        yield Cut(F, cut.w, cut.gap)
+
+
+def _kronecker_cuts(C: np.ndarray, depth: int):
+    """Cuts of C^{⊗m}, m ≤ depth, from the cut of C.  A product of
+    eigenvalues with a dropped factor lies below the level's threshold, so
+    the kept ones are products of kept eigenvalues; the largest dropped one
+    is read from the products of all of them."""
+    c = rank_cut(C)
+    every = np.linalg.eigvalsh((C + C.conj().T) / 2)
+    F, w, lam = np.ones((1, 1)), np.ones(1), np.ones(1)
+    yield Cut(F, w, None)
     for _ in range(depth):
         F = (c.factor[:, None, :, None] * F[None, :, None, :]).reshape(
             len(c.factor) * len(F), -1)
         w = np.outer(c.w, w).ravel()
-        keep = w > RANK_CUT * np.max(w, initial=1e-300)
+        thr = RANK_CUT * np.max(w, initial=1e-300)
+        keep = w > thr
         F, w = F[:, keep], w[keep]
-        yield F, w
+        lam = np.outer(every, lam).ravel()
+        dropped = lam[lam <= thr]
+        gap = None
+        if dropped.size:
+            gap = (float(w.min()) if w.size else None, float(dropped.max()))
+        yield Cut(F, w, gap)
 
 
 def build_fock(eta: CovarianceMatrix, depth: int, max_depth: int = 12,
@@ -362,25 +405,30 @@ def build_fock(eta: CovarianceMatrix, depth: int, max_depth: int = 12,
             raise DimensionCap(
                 f"raw dimension exceeds the cap {dim_cap} at level {m}")
 
-    to_onb, from_onb, dims = [], [], []
-    for F, w in level_cuts(eta, depth):
-        to_onb.append(F.conj().T)
-        from_onb.append(F / w)
-        dims.append(len(w))
-
+    cuts = list(level_cuts(eta, depth))
+    dims = [cut.rank for cut in cuts]
     ends = list(itertools.accumulate(dims))
-    return TruncatedFock(eta, depth, tuple(dims), tuple(raw_dims), to_onb,
-                         from_onb, [slice(e - n, e) for e, n in zip(ends, dims)],
-                         ends[-1])
+    return TruncatedFock(
+        eta, depth, tuple(dims), tuple(raw_dims),
+        tuple(cut.gap for cut in cuts),
+        [cut.factor.conj().T for cut in cuts],
+        [cut.factor / cut.w for cut in cuts],
+        [slice(e - n, e) for e, n in zip(ends, dims)], ends[-1])
 
 
 @dataclass
 class SemicircularFamily:
-    """X_i = T_i + T_i† as level blocks of T_i; dense views on request."""
+    """X_i = T_i + T_i† as level blocks of T_i; dense views on request.
+
+    ``state`` caches the half-word vacuum states X_{i₁}···X_{i_k}·P₀*, at
+    most Σ_{k≤depth} |I|^k of them, so the moments of many words share
+    their halves.
+    """
 
     fock: TruncatedFock
     blocks: dict    # i -> [T_i: level m → m+1 for m < depth]
     _windows: dict = field(default_factory=dict, init=False, repr=False)
+    _states: dict = field(default_factory=dict, init=False, repr=False)
 
     @property
     def creations(self) -> dict:
@@ -405,38 +453,82 @@ class SemicircularFamily:
     def X(self, i) -> np.ndarray:
         return self.ops[i]
 
+    def state(self, word: tuple) -> np.ndarray:
+        """X_{i₁}···X_{i_k}·P₀* for word = (i₁, …, i_k), k ≤ depth, read-only.
+
+        One column per level-0 ONB vector, rows on the levels 0…k: a path
+        of k letters from level 0 never uses T out of level k, so the
+        product is exact in `window(k)`.  Built as window(k)[i₁] applied to
+        the state of (i₂, …, i_k), and cached per word.
+        """
+        S = self._states.get(word)
+        if S is None:
+            if len(word) > self.fock.depth:
+                raise WordTooLong(f"{len(word)} letters exceed the depth "
+                                  f"{self.fock.depth}")
+            if word:
+                rest = self.state(word[1:])
+                S = self.window(len(word))[word[0]][:, :len(rest)] @ rest
+            else:
+                S = np.eye(self.fock.level_dims[0], dtype=complex)
+            S.flags.writeable = False
+            self._states[word] = S
+        return S
+
 
 def semicircular_ops(fock: TruncatedFock) -> SemicircularFamily:
     return SemicircularFamily(
         fock, {i: fock.creation_blocks(i) for i in fock.eta.index})
 
 
+def _half_state(fam: SemicircularFamily, letters, isx, adjoint: bool):
+    """letters·P₀* on the levels 0…k, k the X letters among them (``isx``
+    flags them), with each A letter acting by the adjoint of its block when
+    ``adjoint``.  The pure-X end, which acts first, is the cached
+    `fam.state`."""
+    fock = fam.fock
+    j = len(letters)
+    while j and isx[j - 1]:
+        j -= 1
+    S = fam.state(tuple([w[1] for w in letters[j:]]))
+    k = len(letters) - j
+    for t in reversed(range(j)):
+        if isx[t]:
+            k += 1
+            S = fam.window(k)[letters[t][1]][:, :len(S)] @ S
+            continue
+        L = fock.eta.algebra.left_matrix(np.asarray(letters[t], dtype=complex))
+        blocks = [fock.left_block(m, L) for m in range(k + 1)]
+        S = np.concatenate([(B.conj().T if adjoint else B) @ S[fock.offsets[m]]
+                            for m, B in enumerate(blocks)])
+    return S
+
+
 def vacuum_expectation(fam: SemicircularFamily, word) -> np.ndarray:
     """E(w) = ⟨wΩ, Ω⟩ ∈ A for a word in the X_i and left factors from A.
 
     Word letters: ("X", i) or a d×d matrix of A.  Exact when the number nx
-    of X letters is at most 2·depth; longer words are refused.  A path above
-    level ⌊nx/2⌋ has too few X letters left to return to the vacuum, so one
-    dense vector on the levels 0…⌊nx/2⌋ carries the word: an X letter is one
-    matvec with `fam.window`, a letter of A acts per level by `left_block`.
+    of X letters is at most 2·depth; longer words are refused.  The word
+    is split after its ⌊nx/2⌋-th X letter into w = l·r, and
+
+        E(w) = P₀·l·r·P₀*·ω₀ = (l*·P₀*)*·(r·P₀*)·ω₀,
+
+    two half states on at most ⌈nx/2⌉ levels: r·P₀* is `_half_state` of r,
+    l*·P₀* that of l reversed with its A letters adjointed.  Their pure-X
+    parts come from the family's state cache, so a sweep over the words of
+    length ≤ 2n builds each of the Σ_{k≤n} |I|^k half states once.
     """
     fock = fam.fock
-    nx = sum(1 for w in word if isinstance(w, tuple) and w[0] == "X")
-    if nx > 2 * fock.depth:
+    isx = [isinstance(w, tuple) and w[0] == "X" for w in word]
+    xs = [t for t, x in enumerate(isx) if x]
+    if len(xs) > 2 * fock.depth:
         raise WordTooLong(
-            f"{nx} semicircular letters exceed 2·depth = {2 * fock.depth}")
-    h = nx // 2
-    X = fam.window(h)
-    v = np.zeros(fock.offsets[h].stop, dtype=complex)
-    v[fock.offsets[0]] = fock.to_onb[0] @ fock.eta.algebra.unit_coords
-    for w in reversed(word):
-        if isinstance(w, tuple) and w[0] == "X":
-            v = X[w[1]] @ v
-        else:
-            L = fock.eta.algebra.left_matrix(np.asarray(w, dtype=complex))
-            for m in range(h + 1):
-                v[fock.offsets[m]] = fock.left_block(m, L) @ v[fock.offsets[m]]
-    return fock.eta.algebra.element(fock.from_onb[0] @ v[fock.offsets[0]])
+            f"{len(xs)} semicircular letters exceed 2·depth = {2 * fock.depth}")
+    cut = xs[len(xs) // 2 - 1] + 1 if len(xs) > 1 else 0
+    left = _half_state(fam, word[:cut][::-1], isx[:cut][::-1], True)
+    right = _half_state(fam, word[cut:], isx[cut:], False)
+    ground = left.conj().T @ (right[:len(left)] @ fock.omega)
+    return fock.eta.algebra.element(fock.from_onb[0] @ ground)
 
 
 def catalan(m: int) -> int:

@@ -161,6 +161,40 @@ def test_aobj_verify_annulus_round_trip(capsys, tmp_path):
     assert max(v for v in rep["residuals"].values() if v > 0) < 1e-9
 
 
+def test_aobj_verify_reports_every_residual_of_a_degenerate_ground_form(capsys, tmp_path):
+    # a random object over Vec(ℤ/3) whose 𝒟(1) trace form is degenerate: an
+    # assertion failure with all five residuals, not an error exit
+    from test_layout import CASES
+
+    D = CASES["vec_z3_random"]()
+    p = tmp_path / "aobj.json"
+    p.write_text(json.dumps(io.aobj_to_json(D)))
+    code, rep = run(capsys, "aobj-verify", "vec_z3", str(p))
+    assert code == cli.EXIT_ASSERT and not rep["ok"]
+    want = validate_algebra_object(D, rng=np.random.default_rng(0))
+    assert set(rep["residuals"]) == set(want)
+    assert rep["residuals"]["positivity_floor"] < 0
+    key, worst = cli._worst_residual(rep["residuals"])
+    want_key, want_worst = cli._worst_residual(want)
+    assert key == want_key and worst == pytest.approx(want_worst, rel=1e-12)
+    assert worst > 1.0
+
+
+def test_fock_reports_the_level_cut_gaps(capsys, tmp_path):
+    # η_ij(1) = diag(1, 1e-6): the level-2 product 1e-12 is cut next to the
+    # kept 1e-6
+    cov = tmp_path / "eta.json"
+    cov.write_text(json.dumps({
+        "index": [0, 1],
+        "entries": {"0,0": [[[1, 0]]], "1,1": [[[1e-6, 0]]]}}))
+    code, rep = run(capsys, "fock", "--cov", str(cov), "--depth", "3",
+                    "--moments", "4")
+    assert code == 0 and rep["ok"]
+    assert rep["level_dims"] == [1, 2, 3, 4]
+    assert rep["level_cut_gaps"][:2] == [None, None]
+    assert rep["level_cut_gaps"][2:] == [pytest.approx([1e-6, 1e-12])] * 2
+
+
 def test_annulus_support_restriction(capsys, tmp_path):
     code, rep = run(capsys, "annulus", "--cat", "vec_z4",
                     "--support", "gen=g2,depth=1")

@@ -20,8 +20,9 @@ from utcat.algebra_object import (AlgebraObject, FiberElement, _associativity, o
                                   pp_check, validate_algebra_object)
 from utcat.annulus import _assemble, build_annulus
 from utcat.basis_change import relabel_category
-from utcat.errors import UnknownLabel
+from utcat.errors import SolveFailed, UnknownLabel
 from utcat.fixtures import FIXTURE_BUILDERS, fibonacci, mult2_ring, random_blocks, su2k
+from utcat.gns import FAITHFUL_FLOOR, form
 
 TOL = 1e-12
 
@@ -80,6 +81,22 @@ def _gap(a, b) -> float:
 def test_associativity_equals_the_per_tree_reference(obj):
     got = _associativity(obj, np.random.default_rng(0))
     assert abs(got - ref.associativity(obj)) <= TOL
+
+
+@pytest.mark.parametrize("name", ["mult2_random", "vec_z3_random"])
+def test_validation_reports_a_degenerate_ground_trace_form(name):
+    # 𝒟(1) of these objects has no GNS space; validation still reports all
+    # five residuals, with the trace form's margin to the faithful floor as
+    # the positivity floor
+    D = CASES[name]()
+    g = D.ground()
+    with pytest.raises(SolveFailed):
+        g.gns
+    res = validate_algebra_object(D, rng=np.random.default_rng(0))
+    lam = np.linalg.eigvalsh(form(g.P, g.star_mat, g.weights))
+    assert res["positivity_floor"] == lam[0] - FAITHFUL_FLOOR * max(lam[-1], 1.0) < 0
+    assert res["associativity"] == _associativity(D, np.random.default_rng(0)) > 1e-3
+    assert min(res["unitality"], res["star_involution"], res["star_monoidality"]) > 1e-3
 
 
 @pytest.mark.parametrize("name", ["fib", "su2_3"])

@@ -3,6 +3,7 @@ import itertools
 import numpy as np
 import pytest
 
+from fock_reference import level_grams, right_mult
 from utcat.errors import (
     CPFailure,
     DimensionCap,
@@ -20,7 +21,6 @@ from utcat.semicircular import (
     covariance_from_vectors,
     ind_faithfulness_probe,
     level_cuts,
-    level_grams,
     semicircular_ops,
     vacuum_expectation,
 )
@@ -296,6 +296,17 @@ def test_rank_deficient_gram_is_quotiented():
     assert fock.raw_dims == (1, 2, 4)
 
 
+@pytest.mark.parametrize("blocks", [(1,), (2,)])
+def test_zero_covariance_keeps_only_the_vacuum_level(blocks):
+    # every level above 0 has rank 0, so the next one is built on nothing
+    alg = BaseAlgebra(blocks)
+    eta = covariance_from_vectors([np.zeros((1, alg.d, alg.d))], alg)
+    fock = build_fock(eta, 3)
+    assert fock.level_dims == (alg.dim, 0, 0, 0)
+    fam = semicircular_ops(fock)
+    assert not vacuum_expectation(fam, [("X", 0)] * 6).any()
+
+
 def test_depth_and_dimension_caps():
     eta = covariance_from_vectors([np.array([1.0, 0.0]),
                                    np.array([0.0, 1.0])])
@@ -436,10 +447,48 @@ def test_level_cuts_factor_the_scalar_grams(case):
     eta = make()
     cuts = list(level_cuts(eta, depth))
     assert len(cuts) == depth + 1
-    for (F, w), G in zip(cuts, level_grams(eta, depth)):
+    for (F, w, _), G in zip(cuts, level_grams(eta, depth)):
         Q = np.einsum("stii->st", G) / eta.algebra.d
         assert np.max(np.abs(F @ F.conj().T - Q)) <= 1e-12 * np.max(np.abs(Q))
         assert len(w) == rank_cut(Q).rank
+
+
+RAW_CUT_CASES = {
+    **SCALAR_CUT_CASES,
+    # two indices over M₂: 256 raw vectors at level 2
+    "m2_pair": (_m2_vectors_eta, 2),
+}
+
+
+@pytest.mark.parametrize("case", sorted(RAW_CUT_CASES))
+def test_level_cuts_equal_the_raw_cuts(case):
+    # level m is cut on (A⊗ℂ^I) ⊗ (range of level m−1), or as a Kronecker
+    # power over A = ℂ: the rank, the kept eigenvalues and the gap are those
+    # of the cut of the raw level-m Gram
+    make, depth = RAW_CUT_CASES[case]
+    eta = make()
+    cuts = list(level_cuts(eta, depth))
+    assert len(cuts) == depth + 1
+    for cut, G in zip(cuts, level_grams(eta, depth)):
+        raw = rank_cut(np.einsum("stii->st", G) / eta.algebra.d)
+        scale = raw.w[-1]
+        assert cut.rank == raw.rank
+        assert np.max(np.abs(np.sort(cut.w) - raw.w)) <= 1e-12 * scale
+        assert (cut.gap is None) == (raw.gap is None)
+        if raw.gap is not None:
+            assert abs(cut.gap[0] - raw.gap[0]) <= 1e-12 * scale
+            assert abs(cut.gap[1] - raw.gap[1]) <= 1e-12 * scale
+
+
+def test_kronecker_cut_gaps_on_a_graded_spectrum():
+    # C = diag(1, 1e-6): nothing is dropped up to level 1; from level 2 on
+    # the products 1e-12 fall below the cut, next to the kept 1e-6
+    make, depth = SCALAR_CUT_CASES["graded"]
+    fock = build_fock(make(), depth)
+    assert fock.level_dims == (1, 2, 3, 4, 5)
+    assert fock.cut_gaps[:2] == (None, None)
+    for kept, dropped in fock.cut_gaps[2:]:
+        assert abs(kept - 1e-6) <= 1e-18 and abs(dropped - 1e-12) <= 1e-24
 
 
 @pytest.mark.parametrize("case", ["pair", "m2_rotation", "blocks_1_2"])
@@ -530,6 +579,82 @@ def test_window_matches_the_level_walk(case):
         assert fam.window(depth) is fam.ops
 
 
+def _x_words(eta, depth):
+    """Every X-word of length 1…2·depth."""
+    return [[("X", i) for i in w] for n in range(1, 2 * depth + 1)
+            for w in itertools.product(eta.index, repeat=n)]
+
+
+def _assert_walk(fam, word):
+    want = _reference_walk(fam, word)
+    got = vacuum_expectation(fam, word)
+    assert np.max(np.abs(got - want)) <= 1e-12 * max(1.0, np.max(np.abs(want)))
+
+
+@pytest.mark.parametrize("case", ["pair", "m2_rotation", "blocks_1_2"])
+def test_state_cache_does_not_depend_on_the_query_order(case):
+    # the sweep asked in a shuffled and in the reversed order, each on a
+    # fresh family, so different halves are cached first
+    make, top = GRAM_CASES[case][:2]
+    eta = make()
+    fock = build_fock(eta, min(top, 3))
+    words = _x_words(eta, fock.depth)
+    rng = np.random.default_rng(23)
+    for order in (rng.permutation(len(words)), range(len(words) - 1, -1, -1)):
+        fam = semicircular_ops(fock)
+        for t in order:
+            _assert_walk(fam, words[t])
+
+
+@pytest.mark.parametrize("case", ["pair", "m2_rotation", "blocks_1_2"])
+def test_a_letters_on_both_sides_of_the_split(case):
+    # the split falls after the ⌊nx/2⌋-th X letter: A letters at both ends,
+    # inside each half and right at the split
+    make, top = GRAM_CASES[case][:2]
+    eta = make()
+    fam = semicircular_ops(build_fock(eta, min(top, 3)))
+    alg, rng = eta.algebra, np.random.default_rng(29)
+    for _ in range(8):
+        nx = int(rng.integers(2, 2 * fam.fock.depth + 1))
+        xs = [("X", eta.index[rng.integers(len(eta.index))]) for _ in range(nx)]
+        h = nx // 2
+        a = [alg.random(rng) for _ in range(5)]
+        word = ([a[0]] + xs[:1] + [a[1]] + xs[1:h] + [a[2]] + xs[h:h + 1]
+                + [a[3]] + xs[h + 1:] + [a[4]])
+        _assert_walk(fam, word)
+    # only pure-X halves are cached
+    assert all(isinstance(k, tuple) for k in fam._states)
+
+
+@pytest.mark.parametrize("case", ["pair", "m2_rotation", "blocks_1_2"])
+def test_state_cache_holds_at_most_one_state_per_x_word(case):
+    make, top = GRAM_CASES[case][:2]
+    eta = make()
+    fam = semicircular_ops(build_fock(eta, min(top, 3)))
+    n = fam.fock.depth
+    for word in _x_words(eta, n):
+        vacuum_expectation(fam, word)
+    bound = sum(len(eta.index) ** k for k in range(n + 1))
+    assert len(eta.index) ** n <= len(fam._states) <= bound
+    # words with A letters add no state
+    a = eta.algebra.random(np.random.default_rng(31))
+    for word in _x_words(eta, n):
+        vacuum_expectation(fam, [a] + word + [a])
+    assert len(fam._states) <= bound
+
+
+def test_moments_and_states_do_not_alias_the_cache():
+    eta = GRAM_CASES["m2_rotation"][0]()
+    fam = semicircular_ops(build_fock(eta, 2))
+    word = [("X", 0)] * 4
+    got = vacuum_expectation(fam, word)
+    want = got.copy()
+    got[...] = 7.0
+    assert np.array_equal(vacuum_expectation(fam, word), want)
+    with pytest.raises(ValueError):
+        fam.state((0, 0))[0, 0] = 1.0
+
+
 @pytest.mark.parametrize("case", ["pair", "m2_rotation", "blocks_1_2"])
 def test_moments_with_a_letters_are_noncrossing_pairings(case):
     # E(X_i a X_j) = η_ij(a) and
@@ -559,9 +684,9 @@ def test_right_action_commutes_with_the_left_and_the_semicirculars(case):
     fam = semicircular_ops(fock)
     rng = np.random.default_rng(2)
     a, b = eta.algebra.random(rng), eta.algebra.random(rng)
-    Rb = fock.right_mult(b)
+    Rb = right_mult(fock, b)
     # (x·b)·a = x·(ba)
-    assert np.max(np.abs(fock.right_mult(a) @ Rb - fock.right_mult(b @ a))) \
+    assert np.max(np.abs(right_mult(fock, a) @ Rb - right_mult(fock, b @ a))) \
         < 1e-10 * np.max(np.abs(Rb)) ** 2
     for M in [fock.left_mult(a)] + [fam.X(i) for i in eta.index]:
         assert np.max(np.abs(M @ Rb - Rb @ M)) < 1e-10 * np.max(np.abs(Rb))
