@@ -36,14 +36,14 @@ import numpy as np
 
 from .errors import (
     CounterexampleFound,
+    DegenerateForm,
     LabelMismatch,
     NotAState,
     PositivityFailure,
-    SolveFailed,
     SupportTooSmall,
     UnknownLabel,
 )
-from .gns import FAITHFUL_FLOOR, GramRoot, form, min_eig
+from .gns import GramRoot, form, min_eig
 from .skeletal import SkeletalUTC
 
 __all__ = [
@@ -54,6 +54,7 @@ __all__ = [
     "SquareAlgebra",
     "StarAlgebra",
     "validate_algebra_object",
+    "worst_residual",
     "group_algebra_object",
     "trivial_action_object",
     "opposite_object",
@@ -509,15 +510,13 @@ def validate_algebra_object(D: AlgebraObject, rng=None, tol: float = 1e-9) -> di
 
     # positivity of the 𝒟(1)-valued Gram on each fiber: the block matrix
     # [L(⟨eᵢ, eₖ⟩)] on the GNS space of 𝒟(1).  A degenerate trace form of
-    # 𝒟(1) has no GNS space; its margin to the faithful floor, which is
-    # then ≤ 0, is the residual.
+    # 𝒟(1) leaves no GNS space, so positivity fails outright: the floor
+    # reads at most −1, or the form's margin to faithfulness if lower.
     g = D.ground()
     try:
         g.gns
-    except SolveFailed:
-        lam = np.linalg.eigvalsh(form(g.P, g.star_mat, g.weights))
-        res["positivity_floor"] = float(
-            lam[0] - FAITHFUL_FLOOR * max(float(lam[-1]), 1.0))
+    except DegenerateForm as err:
+        res["positivity_floor"] = min(err.margin, -1.0)
         return res
     floor = 0.0
     for X in sup:
@@ -527,6 +526,14 @@ def validate_algebra_object(D: AlgebraObject, rng=None, tol: float = 1e-9) -> di
                                    .reshape(len(G) * g.dim, -1)))
     res["positivity_floor"] = floor
     return res
+
+
+def worst_residual(res: dict) -> tuple:
+    """(name, value) of the largest `validate_algebra_object` residual; the
+    positivity floor counts by how far it lies below 0."""
+    bad = {k: -v if k == "positivity_floor" else v for k, v in res.items()}
+    key = max(bad, key=bad.get)
+    return key, max(bad[key], 0.0)
 
 
 # ---------------------------------------------------------------------------

@@ -29,6 +29,7 @@ from .algebra_object import (
     opposite_object,
     trivial_action_object,
     validate_algebra_object,
+    worst_residual,
 )
 from .annulus import build_annulus, z_state
 from .coend import (
@@ -95,14 +96,6 @@ def _load_cat(path: str):
     return io.cat_from_json(_load_raw(path))
 
 
-def _worst_residual(res: dict) -> tuple:
-    """(name, value) of the largest `validate_algebra_object` residual; the
-    positivity floor counts by how far it lies below 0."""
-    bad = {k: -v if k == "positivity_floor" else v for k, v in res.items()}
-    key = max(bad, key=bad.get)
-    return key, max(bad[key], 0.0)
-
-
 def _load_aobj(cat, path: str, args=None):
     """A bundled algebra object by name, or one read from JSON.
 
@@ -123,7 +116,7 @@ def _load_aobj(cat, path: str, args=None):
     if args is not None:
         res = validate_algebra_object(D, rng=np.random.default_rng(args.seed),
                                       tol=args.tol)
-        key, worst = _worst_residual(res)
+        key, worst = worst_residual(res)
         if worst > args.tol:
             raise CounterexampleFound(
                 f"algebra object {path} is not valid: worst residual "
@@ -239,7 +232,7 @@ def _cmd_aobj_verify(args) -> tuple:
     D = _load_aobj(cat, args.aobj)
     rng = np.random.default_rng(args.seed)
     res = validate_algebra_object(D, rng=rng, tol=args.tol)
-    ok = _worst_residual(res)[1] <= args.tol
+    ok = worst_residual(res)[1] <= args.tol
     return (EXIT_OK if ok else EXIT_ASSERT), {
         "command": "aobj-verify", "cat": args.cat, "aobj": args.aobj,
         "residuals": res, "ok": ok}

@@ -58,6 +58,15 @@ class SolveFailed(UtcatError):
     pass
 
 
+class DegenerateForm(SolveFailed):
+    """A GNS form that is not faithful; ``margin`` ≤ 0 is its smallest
+    eigenvalue less the faithful floor (see :mod:`utcat.gns`)."""
+
+    def __init__(self, what: str, margin: float):
+        super().__init__(f"{what} is degenerate")
+        self.margin = margin
+
+
 class SupportTooSmall(UtcatError):
     def __init__(self, missing: list[str]):
         super().__init__(f"support is missing channels {sorted(missing)}")

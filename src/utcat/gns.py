@@ -19,7 +19,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import SolveFailed
+from .errors import DegenerateForm
 
 __all__ = ["FAITHFUL_FLOOR", "RANK_CUT", "Cut", "GramRoot", "form", "min_eig",
            "rank_cut"]
@@ -46,14 +46,15 @@ def min_eig(M: np.ndarray) -> float:
 class GramRoot:
     """G^{1/2} and G^{-1/2} of a faithful GNS form, from one `eigh`.
 
-    Raises :class:`SolveFailed` when λ_min ≤ FAITHFUL_FLOOR·max(λ_max, 1);
-    ``cond`` is λ_max/λ_min.
+    Raises :class:`DegenerateForm` when the margin
+    λ_min − FAITHFUL_FLOOR·max(λ_max, 1) is ≤ 0; ``cond`` is λ_max/λ_min.
     """
 
     def __init__(self, G: np.ndarray, what: str = "GNS form"):
         w, U = np.linalg.eigh(G)
-        if w[0] <= FAITHFUL_FLOOR * max(float(w[-1]), 1.0):
-            raise SolveFailed(f"{what} is degenerate")
+        margin = float(w[0] - FAITHFUL_FLOOR * max(float(w[-1]), 1.0))
+        if margin <= 0:
+            raise DegenerateForm(what, margin)
         r = np.sqrt(w)
         self.half = (U * r) @ U.conj().T
         self.inv_half = (U / r) @ U.conj().T

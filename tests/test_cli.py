@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from utcat import io_schemas as io
-from utcat.algebra_object import group_algebra_object, validate_algebra_object
+from utcat.algebra_object import (group_algebra_object, validate_algebra_object,
+                                  worst_residual)
 from utcat.annulus import build_annulus
 from utcat import cli
 from utcat.cli import main
@@ -174,10 +175,29 @@ def test_aobj_verify_reports_every_residual_of_a_degenerate_ground_form(capsys, 
     want = validate_algebra_object(D, rng=np.random.default_rng(0))
     assert set(rep["residuals"]) == set(want)
     assert rep["residuals"]["positivity_floor"] < 0
-    key, worst = cli._worst_residual(rep["residuals"])
-    want_key, want_worst = cli._worst_residual(want)
+    key, worst = worst_residual(rep["residuals"])
+    want_key, want_worst = worst_residual(want)
     assert key == want_key and worst == pytest.approx(want_worst, rel=1e-12)
     assert worst > 1.0
+
+
+def test_a_singular_positive_ground_trace_form_is_refused(capsys, tmp_path):
+    # ℂ[x]/(x²) with x* = x satisfies every algebraic axiom, but its trace
+    # form diag(1, 0) is singular: aobj-verify fails it even at tol 0.5,
+    # and coend and analyze refuse to load it
+    from test_layout import dual_numbers
+
+    p = tmp_path / "dual.json"
+    p.write_text(json.dumps(io.aobj_to_json(dual_numbers(vec_zn(3)))))
+    code, rep = run(capsys, "aobj-verify", "z3", str(p), "--tol", "0.5")
+    assert code == cli.EXIT_ASSERT and not rep["ok"]
+    assert rep["residuals"]["positivity_floor"] == -1.0
+    assert worst_residual(rep["residuals"]) == ("positivity_floor", 1.0)
+    for argv in (["coend", "--cat", "z3", "--left", "fiber", "--right", str(p)],
+                 ["analyze", "--cat", "z3", "--aobj", str(p)]):
+        code, rep = run(capsys, *argv)
+        assert code == cli.EXIT_ASSERT
+        assert "worst residual 1.000e+00 (positivity_floor)" in rep["error"]
 
 
 def test_fock_reports_the_level_cut_gaps(capsys, tmp_path):

@@ -17,10 +17,10 @@ import pytest
 import algebra_reference as ref
 from test_annulus import _gauged, _mirror
 from utcat.algebra_object import (AlgebraObject, FiberElement, _associativity, opposite_object,
-                                  pp_check, validate_algebra_object)
+                                  pp_check, validate_algebra_object, worst_residual)
 from utcat.annulus import _assemble, build_annulus
 from utcat.basis_change import relabel_category
-from utcat.errors import SolveFailed, UnknownLabel
+from utcat.errors import DegenerateForm, UnknownLabel
 from utcat.fixtures import FIXTURE_BUILDERS, fibonacci, mult2_ring, random_blocks, su2k
 from utcat.gns import FAITHFUL_FLOOR, form
 
@@ -47,6 +47,16 @@ def _random_object(cat, seed):
             for Z, nv in ring.channels(X, Y) for v in range(nv)}
     star = {X: rand(n[ring.dual[X]], n[X]) for X in ring.labels}
     return AlgebraObject(cat, n, mult, star, rand(n[ring.unit]))
+
+
+def dual_numbers(cat):
+    """ℂ[x]/(x²) on the unit fiber of ``cat``, x* = x: unital, associative
+    and *-closed, but its trace form diag(1, 0) is singular."""
+    u = cat.ring.unit
+    P = np.zeros((2, 2, 2), dtype=complex)
+    P[0, 0, 0] = P[1, 0, 1] = P[1, 1, 0] = 1.0
+    return AlgebraObject(cat, {u: 2}, {(u, u, u, 0): P}, {u: np.eye(2, dtype=complex)},
+                         np.array([1.0, 0.0], dtype=complex))
 
 
 CASES = {
@@ -86,17 +96,34 @@ def test_associativity_equals_the_per_tree_reference(obj):
 @pytest.mark.parametrize("name", ["mult2_random", "vec_z3_random"])
 def test_validation_reports_a_degenerate_ground_trace_form(name):
     # 𝒟(1) of these objects has no GNS space; validation still reports all
-    # five residuals, with the trace form's margin to the faithful floor as
-    # the positivity floor
+    # five residuals, with the positivity floor at most −1, or the trace
+    # form's margin to the faithful floor if lower
     D = CASES[name]()
     g = D.ground()
-    with pytest.raises(SolveFailed):
+    with pytest.raises(DegenerateForm) as err:
         g.gns
-    res = validate_algebra_object(D, rng=np.random.default_rng(0))
     lam = np.linalg.eigvalsh(form(g.P, g.star_mat, g.weights))
-    assert res["positivity_floor"] == lam[0] - FAITHFUL_FLOOR * max(lam[-1], 1.0) < 0
+    assert err.value.margin == pytest.approx(
+        lam[0] - FAITHFUL_FLOOR * max(lam[-1], 1.0), rel=1e-12, abs=1e-12)
+    res = validate_algebra_object(D, rng=np.random.default_rng(0))
+    assert res["positivity_floor"] == min(err.value.margin, -1.0)
     assert res["associativity"] == _associativity(D, np.random.default_rng(0)) > 1e-3
     assert min(res["unitality"], res["star_involution"], res["star_monoidality"]) > 1e-3
+
+
+def test_a_singular_positive_ground_trace_form_fails_validation():
+    # ℂ[x]/(x²) passes the four algebraic checks, and its trace form is
+    # positive semidefinite: its margin to the faithful floor is only
+    # −1e-12, yet positivity must fail at any tolerance
+    D = dual_numbers(FIXTURE_BUILDERS["vec_z3"]())
+    with pytest.raises(DegenerateForm) as err:
+        D.ground().gns
+    assert -1e-11 < err.value.margin <= 0
+    res = validate_algebra_object(D, rng=np.random.default_rng(0))
+    assert max(res["associativity"], res["unitality"], res["star_involution"],
+               res["star_monoidality"]) < TOL
+    assert res["positivity_floor"] == -1.0
+    assert worst_residual(res) == ("positivity_floor", 1.0)
 
 
 @pytest.mark.parametrize("name", ["fib", "su2_3"])
