@@ -16,8 +16,8 @@ identifies ⊕_{Z,v} 𝒟(Z) with 𝒟(A⊗B), and :meth:`AlgebraObject.layout`
 places the summand of each tree v ∈ O(Z, A⊗B) with n_Z > 0 at a slice of
 that vector: Z in sorted-label order, v ascending within Z.  The lax product
 𝒟²(ξ ⊙ η), the conjugation 𝒟(A⊗B) → 𝒟(B̄⊗Ā) (one matrix,
-:meth:`AlgebraObject.conj_matrix`), the expectation E_X and the right action
-on 𝒟(X) all read and write such vectors.  The ground algebra 𝒟(1) and the
+:meth:`AlgebraObject.conj_matrix`) and the expectation E_X all read and
+write such vectors.  The ground algebra 𝒟(1) and the
 square algebras 𝒟(X̄⊗X) are both a :class:`StarAlgebra`, the triple of
 :mod:`gns` (structure tensor, star matrix, faithful functional) from which
 product, star, GNS form and norms follow.
@@ -223,25 +223,6 @@ class AlgebraObject:
         return np.einsum("ikz,i,k->z", self.fiber_gram(xi.label),
                          np.conj(xi.vec), eta.vec)
 
-    def fiber_action(self, xi: FiberElement, T) -> FiberElement:
-        """Right action ξ ◁ T = 𝒟(R̄_X ⊗ id_X)(𝒟²(ξ ⊙ T)) on 𝒟(X).
-
-        The adjoint of R̄_X ⊗ id_X caps ξ's strand with the left X̄ of the
-        square algebra; by the conjugate equations the zig-zag against the
-        unit ι(1) = 𝒟(R_X*)(1) is exactly 1, so no dimension factor is
-        needed for the unit to act as the identity and ξ ◁ ι(x) = ξ·x.
-        """
-        X, cat = xi.label, self.cat
-        Xb = self.dual(X)
-        rbar = cat.conjugate_solution(X).rbar
-        out = np.zeros(self.n(X), dtype=complex)
-        for (Z, v), sl in self.layout(Xb, X).slices.items():
-            # the cap on (Z, v, s ∈ O(X, X⊗Z)): r̄ conj F[X,X̄,X;X][(1,0,0), (Z,v,s)]
-            cap = rbar * cat.fblock(X, Xb, X, X, cat.ring.unit, Z)[0, 0, v].conj()
-            for s, coeff in enumerate(cap):
-                out += self.scalar(coeff) * self.mu_apply(X, Z, X, s, xi.vec, T[sl])
-        return FiberElement(X, out)
-
     # -- derived algebras ---------------------------------------------------
 
     # The derived algebras hold a weak proxy of the object that keeps them,
@@ -254,15 +235,6 @@ class AlgebraObject:
     def square_algebra(self, X: str) -> "SquareAlgebra":
         """𝒟(X̄⊗X), built on the first call for X; valid while this object lives."""
         return self._cached(("square", X), lambda: SquareAlgebra(weakref.proxy(self), X))
-
-    def fiber_norms(self, xi: FiberElement) -> tuple:
-        """(module norm ‖ξ‖_{𝒟(1)}, operator norm ‖ξ‖)."""
-        g = self.ground()
-        module = np.sqrt(max(g.op_norm(self.fiber_inner_product(xi, xi)), 0.0))
-        sq = self.square_algebra(xi.label)
-        t = self.lax_product(sq.Xb, xi.label, self.j(xi.label, xi.vec), xi.vec)
-        operator = np.sqrt(max(sq.op_norm(t), 0.0))
-        return module, operator
 
 
 # ---------------------------------------------------------------------------

@@ -9,29 +9,42 @@ the truncated ℓ²-module ℰ_S = ⊕_{X∈S} 𝔸(X)⊗𝔹(X) through the tri
 the canonical expectation is the vacuum matrix coefficient 𝔼(T) = ⟨TΩ, Ω⟩,
 and crossed products A ⋊ 𝒟 are the same construction with 𝔸 an action on A.
 
-On each fusion channel X₀⊗X₁ → X₂ the action is one fixed bilinear map, held
-as a channel tensor C = Σ_v μ_𝔸(X₀,X₁,X₂,v) ⊗ μ_𝔹(X₀,X₁,X₂,v) of shape
-(dim X₂, dim X₀, dim X₁), built once per grade pair and kept for the life of
-the instance.  A product is two matrix–vector products per channel, an
-acting matrix one contraction per channel, and the acting matrices of the
-whole basis one stacked array.  The GNS form of w∘𝔼, for a functional w on
-𝔸(1)⊗𝔹(1), is block diagonal with the block at X the :func:`gns.form` of
-the unit channel C[X̄,X→1] under the star matrix J_X = 𝔸.star[X] ⊗ 𝔹.star[X].
-With w = w_𝔸 ⊗ w_𝔹 the canonical ground traces it is the module Gram, whose
-:class:`gns.GramRoot` gives the operator norms; with w = w_𝔸 ⊗ ω it is the
+Operators and module vectors are flat coefficient vectors.  Module vectors
+run over the grades of S, in label order.  Operators run over every grade
+where both objects have a fiber: the grades of S first, in the same order
+as the module, then the others, which a star or a left factor can reach
+outside a truncated S.  On first use the instance builds, and keeps:
+
+- the action tensor M of shape (N, n, n), n = dim ℰ_S: M[i] is the matrix
+  on ℰ_S of basis element i, the channel tensors
+  Σ_v μ_𝔸(X₀,X₁,X₂,v) ⊗ μ_𝔹(X₀,X₁,X₂,v) of every X₀⊗X₁ → X₂ with X₁, X₂
+  in S placed in one array;
+- the flat star matrix J (eᵢ* = Σ_a J[a,i] e_a, blocks 𝔸.star[X] ⊗
+  𝔹.star[X]), the vacuum columns M·Ω and, in strict mode, the pairs
+  (X₀, X₁) with a product channel outside S;
+- on the first norm, the GNS conjugate Q = S·M·S⁻¹ with S = G^{1/2},
+  computed per grade block since the Gram G is block diagonal by grade.
+
+A product, an acting matrix, a star and the canonical expectation are one
+or two contractions with these arrays, and an operator norm is the largest
+singular value of one contraction with Q.  The GNS form of w∘𝔼, for a
+functional w on 𝔸(1)⊗𝔹(1), is the :func:`gns.form` of the unit channel of M
+under J: with w = w_𝔸 ⊗ w_𝔹 the canonical ground traces it is the module
+Gram, whose :class:`gns.GramRoot` gives S; with w = w_𝔸 ⊗ ω it is the
 faithfulness kernel of the descended expectation E_ω.
 
 Support truncation has two modes: "strict" raises :class:`SupportOverflow`
-when a product has a channel outside S (each time that grade pair is used),
-"project" silently cuts it; the GNS forms read only the unit channel and
-never overflow.  All norm statements are computed in strict mode on
-fusion-closed supports.
+each time a product uses a pair of grades with a channel outside S,
+"project" silently cuts that channel; the GNS forms read only the unit
+channel and never overflow.  All norm statements are computed in strict
+mode on fusion-closed supports.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 
@@ -42,8 +55,9 @@ from .errors import (
     LabelMismatch,
     SupportOverflow,
     SupportTooSmall,
+    UnknownLabel,
 )
-from .gns import GramRoot, form, min_eig, rank_cut
+from .gns import GramRoot, form, min_eig, rank_cut, spectral_norm
 
 __all__ = [
     "CoendAlgebra",
@@ -64,8 +78,8 @@ class ModuleVector:
     comps: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        self.comps = {k: np.asarray(v, dtype=complex)
-                      for k, v in self.comps.items() if np.any(np.asarray(v))}
+        comps = ((k, np.asarray(v, dtype=complex)) for k, v in self.comps.items())
+        self.comps = {k: v for k, v in comps if v.any()}
 
     def __add__(self, other):
         out = dict(self.comps)
@@ -79,6 +93,21 @@ class ModuleVector:
 
 class GradedElement(ModuleVector):
     """Same storage as a ModuleVector, regarded as an operator on ℰ."""
+
+
+class _Action(NamedTuple):
+    """The arrays every product, star and expectation contracts with."""
+
+    M: np.ndarray       # (N, n, n): M[i] is the matrix on ℰ_S of eᵢ
+    J: np.ndarray       # (N, N): eᵢ* = Σ_a J[a,i] e_a
+    vac: np.ndarray     # (N, n): row i is eᵢΩ
+    overflow: dict      # strict mode: (X₀, X₁) -> a channel of X₀⊗X₁ outside S
+    blocks: list        # (operator, row, column) slices of each channel block
+
+
+# operators per matrix product when Q and the Hilbert–Schmidt Gram are built,
+# which bounds their temporaries
+_ROW_BLOCK = 8
 
 
 class CoendAlgebra:
@@ -98,25 +127,36 @@ class CoendAlgebra:
         ring = self.cat.ring
         labels = tuple(S) if S is not None else ring.labels
         # grading only sees labels where both objects have a fiber
-        self.support = tuple(X for X in ring.labels
-                             if X in labels and A.n(X) > 0 and B.n(X) > 0)
+        grades = tuple(X for X in ring.labels if A.n(X) > 0 and B.n(X) > 0)
+        self.support = tuple(X for X in grades if X in labels)
         if ring.unit not in self.support:
             raise SupportTooSmall([ring.unit])
-        self.dims = {X: A.n(X) * B.n(X) for X in self.support}
-        self.offsets = {}
+        # operator slices: the support in module order, then the other grades
+        self.dims, self.offsets, self._op_slices = {}, {}, {}
         off = 0
-        for X in self.support:
-            self.offsets[X] = slice(off, off + self.dims[X])
-            off += self.dims[X]
-        self.total_dim = off
+        for X in self.support + tuple(X for X in grades if X not in self.support):
+            d = A.n(X) * B.n(X)
+            self._op_slices[X] = slice(off, off + d)
+            if X in self.support:
+                self.dims[X], self.offsets[X] = d, self._op_slices[X]
+                self.total_dim = off + d
+            off += d
+        self._op_dim = off
         self._gram = None
-        self._chan = {}
 
     # -- distinguished elements ---------------------------------------------
 
+    @cached_property
+    def _omega(self) -> np.ndarray:
+        """The vacuum Ω = 1_𝔸 ⊗ 1_𝔹 on the module basis."""
+        out = np.zeros(self.total_dim, dtype=complex)
+        out[self.offsets[self.cat.ring.unit]] = np.outer(self.A.unit, self.B.unit).ravel()
+        out.flags.writeable = False
+        return out
+
     def vacuum(self) -> ModuleVector:
-        return ModuleVector({self.cat.ring.unit:
-                             np.kron(self.A.unit, self.B.unit)})
+        unit = self.cat.ring.unit
+        return ModuleVector({unit: self._omega[self.offsets[unit]].copy()})
 
     def unit(self) -> GradedElement:
         return GradedElement(self.vacuum().comps)
@@ -134,73 +174,106 @@ class CoendAlgebra:
             X: rng.normal(size=self.dims[X]) + 1j * rng.normal(size=self.dims[X])
             for X in self.support})
 
-    # -- channel tensors and the triangle action ------------------------------
+    # -- the action tensor --------------------------------------------------
 
-    def _tensor(self, X0, X1, X2) -> np.ndarray:
-        """Σ_v μ_𝔸(X0,X1,X2,v) ⊗ μ_𝔹(X0,X1,X2,v), shape (dim X2, dim X0, dim X1)."""
-        A, B = self.A, self.B
-        C = np.einsum("vaij,vbkl->abikjl", A.mu_stack(X0, X1, X2), B.mu_stack(X0, X1, X2))
-        return C.reshape(A.n(X2) * B.n(X2), A.n(X0) * B.n(X0), -1)
+    @cached_property
+    def _action(self) -> _Action:
+        """Every channel block of M, read-only; strict mode records the
+        overflowing pairs here and raises only when one is used."""
+        A, B, ring = self.A, self.B, self.cat.ring
+        N, n = self._op_dim, self.total_dim
+        M = np.zeros((N, n, n), dtype=complex)
+        J = np.zeros((N, N), dtype=complex)
+        overflow, blocks = {}, []
+        for X0, sl0 in self._op_slices.items():
+            J[self._op_slices[ring.dual[X0]], sl0] = np.einsum(
+                "ij,kl->ikjl", A.star[X0], B.star[X0]).reshape(sl0.stop - sl0.start, -1)
+            for X1, sl1 in self.offsets.items():
+                for X2, _ in ring.channels(X0, X1):
+                    if A.n(X2) == 0 or B.n(X2) == 0:
+                        continue
+                    if X2 not in self.offsets:
+                        if self.mode == "strict":
+                            overflow.setdefault((X0, X1), X2)
+                        continue
+                    blocks.append((sl0, self.offsets[X2], sl1))
+                    muA, muB = A.mu_stack(X0, X1, X2), B.mu_stack(X0, X1, X2)
+                    # splitting the axes of a block gives a view, so the
+                    # channel tensor is written into M without a temporary
+                    np.einsum("vaij,vbkl->ikabjl", muA, muB, out=M[blocks[-1]].reshape(
+                        muA.shape[2], muB.shape[2], muA.shape[1], muB.shape[1],
+                        muA.shape[3], muB.shape[3]))
+        vac = M @ self._omega
+        for a in (M, J, vac):
+            a.flags.writeable = False
+        return _Action(M, J, vac, overflow, blocks)
 
-    def _channels(self, X0, X1) -> list:
-        """[(X2, C)] over the channels of X0⊗X1 in S, built once per pair.
-
-        Strict mode raises on a channel outside S each time the pair is
-        used; project mode drops it.
-        """
-        out = self._chan.get((X0, X1))
-        if out is None:
-            out = []
-            for X2, _ in self.cat.ring.channels(X0, X1):
-                if self.A.n(X2) == 0 or self.B.n(X2) == 0:
-                    continue
-                if X2 not in self.offsets:
-                    if self.mode == "strict":
+    def _guard(self, left, right) -> None:
+        """Strict mode: raise when some X₀ ∈ left, X₁ ∈ right has a product
+        channel outside S; checked on every use of the pair."""
+        overflow = self._action.overflow
+        if overflow:
+            for X0 in left:
+                for X1 in right:
+                    X2 = overflow.get((X0, X1))
+                    if X2 is not None:
                         raise SupportOverflow(
                             f"product channel {X2} of {X0}⊠{X1} is outside the support")
-                    continue
-                out.append((X2, self._tensor(X0, X1, X2)))
-            self._chan[(X0, X1)] = out
-        return out
+
+    def _outside(self, X: str, where: str) -> Exception:
+        """The error for a component at a label X that ``where`` lacks."""
+        if X not in self.cat.ring.index:
+            return UnknownLabel(X)
+        return SupportOverflow(f"component {X} outside the {where}")
+
+    def _op_slice(self, X: str) -> slice:
+        sl = self._op_slices.get(X)
+        if sl is None:
+            raise self._outside(X, "grading")
+        return sl
+
+    def _split(self, v: np.ndarray, slices: dict, cls=ModuleVector):
+        """The graded element with coefficients v on ``slices``."""
+        starts = [sl.start for sl in slices.values()]
+        nonzero = np.logical_or.reduceat(v != 0, starts)
+        return cls({X: v[sl] for (X, sl), keep in zip(slices.items(), nonzero)
+                    if keep})
+
+    def _combine(self, T: GradedElement, stack: np.ndarray) -> np.ndarray:
+        """Σᵢ Tᵢ·stack[i], read only on the grades of T."""
+        out = np.zeros(stack[0].size, dtype=complex)
+        for X, v in T.comps.items():
+            out += v @ stack[self._op_slice(X)].reshape(len(v), -1)
+        return out.reshape(stack.shape[1:])
+
+    # -- products, star, acting matrices --------------------------------------
 
     def triangle_act(self, T: GradedElement, xi: ModuleVector) -> ModuleVector:
-        out = {}
-        for X0, t in T.comps.items():
-            for X1, x in xi.comps.items():
-                for X2, C in self._channels(X0, X1):
-                    out[X2] = out.get(X2, 0.0) + (C @ x) @ t
-        return ModuleVector(out)
+        self._guard(T.comps, xi.comps)
+        return self._split(self._combine(T, self._action.M) @ self.flatten(xi),
+                           self.offsets)
 
     def mul(self, T: GradedElement, U: GradedElement) -> GradedElement:
-        return GradedElement(self.triangle_act(T, ModuleVector(U.comps)).comps)
+        self._guard(T.comps, U.comps)
+        return self._split(self._combine(T, self._action.M) @ self.flatten(U),
+                           self.offsets, GradedElement)
 
     def star(self, T: GradedElement) -> GradedElement:
-        ring = self.cat.ring
-        out = {}
-        for X, t in T.comps.items():
-            m = np.asarray(t, dtype=complex).reshape(self.A.n(X), self.B.n(X))
-            jm = self.A.star[X] @ np.conj(m) @ self.B.star[X].T
-            Xb = ring.dual[X]
-            out[Xb] = out.get(Xb, 0.0) + jm.reshape(-1)
-        return GradedElement(out)
+        J = self._action.J
+        out = np.zeros(self._op_dim, dtype=complex)
+        for X, v in T.comps.items():
+            out += J[:, self._op_slice(X)] @ np.conj(v)
+        return self._split(out, self._op_slices, GradedElement)
 
     def act_matrix(self, T: GradedElement) -> np.ndarray:
-        M = np.zeros((self.total_dim, self.total_dim), dtype=complex)
-        for X0, t in T.comps.items():
-            for X1, sl in self.offsets.items():
-                for X2, C in self._channels(X0, X1):
-                    M[self.offsets[X2], sl] += t @ C
-        return M
+        self._guard(T.comps, self.support)
+        return self._combine(T, self._action.M)
 
     def basis_operators(self) -> np.ndarray:
-        """The acting matrices of the graded basis, stacked in basis order."""
-        n = self.total_dim
-        M = np.zeros((n, n, n), dtype=complex)
-        for X0, sl0 in self.offsets.items():
-            for X1, sl1 in self.offsets.items():
-                for X2, C in self._channels(X0, X1):
-                    M[sl0, self.offsets[X2], sl1] = C.transpose(1, 0, 2)
-        return M
+        """The acting matrices of the graded basis, stacked in basis order
+        (a read-only view of the action tensor)."""
+        self._guard(self.support, self.support)
+        return self._action.M[:self.total_dim]
 
     # -- inner product on ℰ_S -------------------------------------------------
 
@@ -209,7 +282,7 @@ class CoendAlgebra:
         """(w_𝔸, w_𝔹, w = w_𝔸 ⊗ w_𝔹): the canonical ground traces on the
         basis, so that φ(T) = w·𝔼(T)."""
         wA, wB = self.A.ground().weights, self.B.ground().weights
-        return wA, wB, np.kron(wA, wB)
+        return wA, wB, np.outer(wA, wB).ravel()
 
     @cached_property
     def _ground_regular(self) -> tuple:
@@ -221,16 +294,12 @@ class CoendAlgebra:
     def _form(self, w) -> np.ndarray:
         """GNS form of w∘𝔼 on the graded basis, for w on 𝔸(1)⊗𝔹(1).
 
-        Star maps grade X to X̄ and X̄⊗Y hits 1 only for Y = X, so the form
-        is block diagonal in the grading, with the block at X built from the
-        unit channel C[X̄,X→1] and the star matrix J_X = 𝔸.star[X] ⊗ 𝔹.star[X].
+        w(eᵢ*eₖ) reads only the unit channel of M under the star matrix J;
+        star maps grade X to X̄ and X̄⊗Y hits 1 only for Y = X, so the form
+        is block diagonal in the grading.
         """
-        ring = self.cat.ring
-        G = np.zeros((self.total_dim, self.total_dim), dtype=complex)
-        for X, sl in self.offsets.items():
-            G[sl, sl] = form(self._tensor(ring.dual[X], X, ring.unit),
-                             np.kron(self.A.star[X], self.B.star[X]), w)
-        return G
+        a, u = self._action, self.offsets[self.cat.ring.unit]
+        return form(a.M[:, u].transpose(1, 0, 2), a.J[:, :self.total_dim], w)
 
     def gram(self) -> np.ndarray:
         """GNS form of φ = (tr⊗tr)∘𝔼 on the graded basis: G[i,j] = φ(eᵢ*eⱼ);
@@ -245,28 +314,48 @@ class CoendAlgebra:
         """The factored Gram of the module inner product."""
         return GramRoot(self.gram(), "module inner product on ℰ_S")
 
+    @cached_property
+    def _conj(self) -> np.ndarray:
+        """Q = S·M·S⁻¹ with S = G^{1/2}.  G is block diagonal by grade, so
+        each channel block of M is conjugated by two diagonal blocks of S,
+        _ROW_BLOCK operators at a time."""
+        M, S, Si = self._action.M, self.gns.half, self.gns.inv_half
+        Q = np.zeros_like(M)
+        for o, r, c in self._action.blocks:
+            for k in range(o.start, o.stop, _ROW_BLOCK):
+                ok = slice(k, min(k + _ROW_BLOCK, o.stop))
+                np.matmul(S[r, r], np.tensordot(M[ok, r, c], Si[c, c], 1),
+                          out=Q[ok, r, c])
+        Q.flags.writeable = False
+        return Q
+
     def flatten(self, xi: ModuleVector) -> np.ndarray:
         out = np.zeros(self.total_dim, dtype=complex)
         for X, v in xi.comps.items():
             if X not in self.offsets:
-                raise SupportOverflow(f"component {X} outside the support")
+                raise self._outside(X, "support")
             out[self.offsets[X]] = v
         return out
 
-    def module_norm(self, xi: ModuleVector) -> float:
-        v = self.flatten(xi)
-        return float(np.sqrt(max((v.conj() @ self.gram() @ v).real, 0.0)))
-
     def op_norm(self, T: GradedElement) -> float:
-        return self.gns.op_norm(self.act_matrix(T))
+        self._guard(T.comps, self.support)
+        return spectral_norm(self._combine(T, self._conj))
 
     # -- canonical expectation --------------------------------------------------
 
     def canonical_expectation(self, T: GradedElement) -> np.ndarray:
         """𝔼(T) = ⟨TΩ, Ω⟩: the vacuum-graded component of TΩ ∈ 𝔸(1)⊗𝔹(1)."""
         unit = self.cat.ring.unit
-        comp = self.triangle_act(T, self.vacuum()).comps.get(unit)
-        return np.zeros(self.dims[unit], dtype=complex) if comp is None else comp
+        self._guard(T.comps, (unit,))
+        return self._combine(T, self._action.vac[:, self.offsets[unit]])
+
+    def _expect_product(self, s: np.ndarray, t: np.ndarray, rows=slice(None),
+                        cols=slice(None)) -> np.ndarray:
+        """𝔼(S·T) for S with coefficients s on the operator rows ``rows`` and
+        T with coefficients t on the module columns ``cols``: only the unit
+        grade of S·T reaches the vacuum."""
+        a, u = self._action, self.offsets[self.cat.ring.unit]
+        return (s @ (a.M[rows, u, cols] @ t)) @ a.vac[u, u]
 
 
 # ---------------------------------------------------------------------------
@@ -281,7 +370,7 @@ def ground_op_norm(co: CoendAlgebra, m: np.ndarray) -> float:
     # Σᵢₖ m[i,k]·L_𝔸(eᵢ) ⊗ L_𝔹(eₖ) as two products, then the Kronecker layout
     acc = LA.reshape(a, a * a).T @ (m @ LB.reshape(b, b * b))
     acc = acc.reshape(a, a, b, b).transpose(0, 2, 1, 3).reshape(a * b, a * b)
-    return float(np.linalg.norm(acc, 2))
+    return spectral_norm(acc)
 
 
 def norm_sandwich_check(co: CoendAlgebra, T: GradedElement,
@@ -300,10 +389,15 @@ def norm_sandwich_check(co: CoendAlgebra, T: GradedElement,
     if len(grades) != 1:
         raise LabelMismatch(f"T must be homogeneous, has grades {grades}")
     X = grades[0]
-    d = co.cat.d(X)
-    ete = co.canonical_expectation(co.mul(co.star(T), T))
+    Xb, d = co.cat.ring.dual[X], co.cat.d(X)
+    t = co.flatten(T)[co.offsets[X]]
+    co._guard((Xb,), (X,))
+    a, rows, cols = co._action, co._op_slices[Xb], co.offsets[X]
+    # T* has the coefficients J·conj(t) on the operator rows of X̄
+    ete = co._expect_product(a.J[rows, cols] @ np.conj(t), t, rows, cols)
     vac_norm = float(np.sqrt(max(ground_op_norm(co, ete), 0.0)))
-    scalar_norm = co.module_norm(co.triangle_act(T, co.vacuum()))
+    v = t @ a.vac[cols]  # TΩ
+    scalar_norm = float(np.sqrt(max((v.conj() @ co.gram() @ v).real, 0.0)))
     op_norm = co.op_norm(T)
     ok_left = vac_norm <= op_norm + slack * max(1.0, op_norm)
     ok_right = op_norm <= d * d * vac_norm + slack * max(1.0, op_norm)
@@ -337,16 +431,19 @@ def positivity_check(co: CoendAlgebra, X: str, terms: list,
 
 def _probe_grams(co: CoendAlgebra) -> tuple:
     """Vacuum columns V (column i is eᵢΩ), the vacuum Gram V*GV and the
-    normalized Hilbert–Schmidt Gram Tr(Mᵢ*Mₖ)/dim of the GNS-conjugated
-    acting matrices Mᵢ = S·act(eᵢ)·S⁻¹ of the graded basis."""
-    ops = co.basis_operators()
-    V = (ops @ co.flatten(co.vacuum())).T
-    # co.gns.conj by hand: Mᵢ overwrites ops and conj(Mᵢ) the temporary, so
-    # at most two stacks of N³ entries are alive at once
-    tmp = co.gns.half @ ops
-    P = np.matmul(tmp, co.gns.inv_half, out=ops).reshape(len(ops), -1)
-    gram_op = np.conj(P, out=tmp.reshape(P.shape)) @ P.T / co.total_dim
-    return V, V.conj().T @ co.gram() @ V, gram_op
+    normalized Hilbert–Schmidt Gram Tr(Qᵢ*Qₖ)/dim of the GNS-conjugated
+    acting matrices Qᵢ = S·act(eᵢ)·S⁻¹ of the graded basis."""
+    co._guard(co.support, co.support)
+    n = co.total_dim
+    V = co._action.vac[:n].T
+    Q = co._conj[:n].reshape(n, -1)
+    # a block of rows at a time, on and right of the diagonal, mirrored below
+    gram_op = np.empty((n, n), dtype=complex)
+    for r in range(0, n, _ROW_BLOCK):
+        rows, below = slice(r, r + _ROW_BLOCK), r + _ROW_BLOCK
+        gram_op[rows, r:] = np.conj(Q[rows]) @ Q[r:].T
+        gram_op[below:, rows] = gram_op[rows, below:].conj().T
+    return V, V.conj().T @ co.gram() @ V, gram_op / n
 
 
 def faithfulness_probe(co: CoendAlgebra, trials: int, seed: int = 0) -> dict:
@@ -361,9 +458,12 @@ def faithfulness_probe(co: CoendAlgebra, trials: int, seed: int = 0) -> dict:
     rng = np.random.default_rng(seed)
     failures = 0
     min_expect = np.inf
+    # every sample spans S, so T*T multiplies the grades X̄ by the grades X
+    co._guard(tuple(co.cat.ring.dual[X] for X in co.support), co.support)
+    J = co._action.J[:, :co.total_dim]
     for _ in range(trials):
-        T = co.random_element(rng)
-        E = co.canonical_expectation(co.mul(co.star(T), T))
+        t = co.flatten(co.random_element(rng))
+        E = co._expect_product(J @ np.conj(t), t)
         val = float(np.sum(np.abs(E)))
         min_expect = min(min_expect, val)
         if val < 1e-12:

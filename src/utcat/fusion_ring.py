@@ -285,9 +285,6 @@ class FusionRing:
             lam = new_lam
         return lam - 1.0
 
-    def global_dim_sq(self) -> float:
-        return sum(self.fp_dimension(x) ** 2 for x in self.labels)
-
     def fusion_closure(self, generators, depth: int) -> SupportSet:
         gens = tuple(sorted(set(generators)))
         for g in gens:

@@ -22,7 +22,7 @@ import numpy as np
 from .errors import DegenerateForm
 
 __all__ = ["FAITHFUL_FLOOR", "RANK_CUT", "Cut", "GramRoot", "form", "min_eig",
-           "rank_cut"]
+           "rank_cut", "spectral_norm"]
 
 FAITHFUL_FLOOR = 1e-12   # λ_min/max(λ_max, 1) at or below this: degenerate
 RANK_CUT = 1e-10         # eigenvalues above RANK_CUT·max|λ| span the range
@@ -32,10 +32,16 @@ def form(P: np.ndarray, J: np.ndarray, w: np.ndarray) -> np.ndarray:
     """Hermitian GNS form G[i,k] = w(eᵢ*eₖ) = (Jᵀ·(w·P))[i,k].
 
     ``P`` may also be one channel of a graded product: its first axis is
-    the grade ``w`` reads, its last two the grades of eᵢ* and eₖ.
+    the grade ``w`` reads, its last two the grades of eᵢ* and eₖ.  It may be
+    a strided view; w is contracted without copying it.
     """
-    G = J.T @ np.tensordot(w, P, 1)
+    G = J.T @ (w @ P.swapaxes(0, 1))
     return (G + G.conj().T) / 2.0
+
+
+def spectral_norm(A: np.ndarray) -> float:
+    """Largest singular value of A: its operator norm on ℓ²."""
+    return float(np.linalg.svd(A, compute_uv=False)[0])
 
 
 def min_eig(M: np.ndarray) -> float:
@@ -66,7 +72,7 @@ class GramRoot:
 
     def op_norm(self, L: np.ndarray) -> float:
         """Operator norm on the GNS space of the operator with matrix L."""
-        return float(np.linalg.norm(self.conj(L), 2))
+        return spectral_norm(self.conj(L))
 
 
 class Cut(NamedTuple):

@@ -305,16 +305,25 @@ class SkeletalUTC:
             raise SolveFailed(f"zig-zag system singular for {x}")
         r = np.sqrt(dx)  # phase pin: positive real
         rbar = 1.0 / (r * np.conj(f11))
-        # the zig-zags (R̄* ⊗ id_x)(id_x ⊗ R_x) and (R* ⊗ id_x̄)(id_x̄ ⊗ R̄_x) are
-        # r·r̄ times the unit-channel entry of F[x,x̄,x;x] and of F[x̄,x,x̄;x̄]
-        res = max(
-            abs(r * rbar * f11 - 1.0),
-            abs(r * rbar * self._unit_entry(xb) - 1.0),
-            abs(abs(rbar) ** 2 - dx) / max(dx, 1.0),
-        )
-        sol = ConjugateSolution(x, xb, complex(r), complex(rbar), float(res))
+        sol = ConjugateSolution(x, xb, complex(r), complex(rbar),
+                                self._zigzag_residual(x, r, rbar))
         self._conj_cache[x] = sol
         return sol
+
+    def _zigzag_residual(self, x: str, r: complex, rbar: complex) -> float:
+        """Largest residual of the conjugate equations for R_x = r·O(1, x̄⊗x)
+        and R̄_x = r̄·O(1, x⊗x̄), and of |r̄|² = d_x.
+
+        The zig-zags (R̄* ⊗ id_x)(id_x ⊗ R_x) and (R* ⊗ id_x̄)(id_x̄ ⊗ R̄_x) are
+        r·conj(r̄) and conj(r)·r̄ times the unit-channel entry of F[x,x̄,x;x]
+        and of F[x̄,x,x̄;x̄]: the adjoint carries the conjugate coefficient.
+        """
+        dx = self.d(x)
+        return float(max(
+            abs(r * np.conj(rbar) * self._unit_entry(x) - 1.0),
+            abs(np.conj(r) * rbar * self._unit_entry(self.dual(x)) - 1.0),
+            abs(abs(rbar) ** 2 - dx) / max(dx, 1.0),
+        ))
 
     def _unit_entry(self, x: str) -> complex:
         """F[x,x̄,x;x][(1,0,0), (1,0,0)]: both trees through the unit channel."""

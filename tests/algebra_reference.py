@@ -6,6 +6,9 @@ v ∈ O(Z, A⊗B) with a nonzero component.  The kernels below are the lax
 product, the conjugation of trees, the expectation E_X and the per-entry
 fiber Gram as :mod:`utcat` once computed them on such dicts; :func:`flatten`
 and :func:`split` move between a dict and the vector on a layout.
+:func:`fiber_action` and :func:`fiber_norms` are the right action of the
+square algebra on 𝒟(X) and the two norms of a fiber vector, computed from
+the library's F blocks, layouts and derived algebras.
 :func:`associativity` is the residual of the associativity check computed
 one basis tree at a time over the per-key F index, as
 :func:`utcat.algebra_object.validate_algebra_object` once did.
@@ -18,6 +21,7 @@ import itertools
 import numpy as np
 
 from index_reference import f_index
+from utcat.algebra_object import FiberElement
 from utcat.errors import SupportTooSmall
 
 
@@ -134,3 +138,33 @@ def associativity(D, rng=None) -> float:
             scale = max(1.0, float(np.max(np.abs(thL))), float(np.max(np.abs(thR))))
             worst = max(worst, float(np.max(np.abs(pred - thR))) / scale)
     return worst
+
+
+def fiber_action(D, xi: FiberElement, T) -> FiberElement:
+    """Right action ξ ◁ T = 𝒟(R̄_X ⊗ id_X)(𝒟²(ξ ⊙ T)) on 𝒟(X).
+
+    The adjoint of R̄_X ⊗ id_X caps ξ's strand with the left X̄ of the
+    square algebra; by the conjugate equations the zig-zag against the
+    unit ι(1) = 𝒟(R_X*)(1) is exactly 1, so no dimension factor is
+    needed for the unit to act as the identity and ξ ◁ ι(x) = ξ·x.
+    """
+    X, cat = xi.label, D.cat
+    Xb = D.dual(X)
+    rbar = cat.conjugate_solution(X).rbar
+    out = np.zeros(D.n(X), dtype=complex)
+    for (Z, v), sl in D.layout(Xb, X).slices.items():
+        # the cap on (Z, v, s ∈ O(X, X⊗Z)): r̄ conj F[X,X̄,X;X][(1,0,0), (Z,v,s)]
+        cap = rbar * cat.fblock(X, Xb, X, X, cat.ring.unit, Z)[0, 0, v].conj()
+        for s, coeff in enumerate(cap):
+            out += D.scalar(coeff) * D.mu_apply(X, Z, X, s, xi.vec, T[sl])
+    return FiberElement(X, out)
+
+
+def fiber_norms(D, xi: FiberElement) -> tuple:
+    """(module norm ‖ξ‖_{𝒟(1)}, operator norm ‖ξ‖)."""
+    g = D.ground()
+    module = np.sqrt(max(g.op_norm(D.fiber_inner_product(xi, xi)), 0.0))
+    sq = D.square_algebra(xi.label)
+    t = D.lax_product(sq.Xb, xi.label, D.j(xi.label, xi.vec), xi.vec)
+    operator = np.sqrt(max(sq.op_norm(t), 0.0))
+    return module, operator

@@ -30,6 +30,7 @@ from utcat.errors import (
     LabelMismatch,
     NotAState,
     SupportOverflow,
+    UnknownLabel,
 )
 from utcat.fixtures import fibonacci, ising, vec_zn
 
@@ -624,3 +625,130 @@ def test_ising_probe_still_fails_the_bound():
     # a known defect of the quantitative bound on the Ising annulus
     with pytest.raises(CounterexampleFound, match="^vacuum Gram floor"):
         faithfulness_probe(_annulus_coend("ising"), 6, seed=3)
+
+
+# -- report fields against the einsum reference -------------------------------
+
+def _ref_star(co, T):
+    ring = co.cat.ring
+    out = {}
+    for X, t in T.comps.items():
+        m = _ref_shape(co, X, t)
+        out[ring.dual[X]] = (co.A.star[X] @ np.conj(m) @ co.B.star[X].T).reshape(-1)
+    return GradedElement(out)
+
+
+def _ref_expect_square(co, T):
+    """𝔼(T*T) through the reference product and the reference vacuum action."""
+    unit = co.cat.ring.unit
+    tt = _ref_triangle_act(co, _ref_star(co, T), ModuleVector(T.comps))
+    return _ref_triangle_act(co, GradedElement(tt.comps), co.vacuum()).comps.get(
+        unit, np.zeros(co.dims[unit], dtype=complex))
+
+
+def _ref_gram_root(co):
+    w, U = np.linalg.eigh(_ref_gram(co))
+    return (U * np.sqrt(w)) @ U.conj().T, (U / np.sqrt(w)) @ U.conj().T
+
+
+def _ref_norm_sandwich(co, T, slack=1e-8):
+    (X,) = T.comps
+    d = co.cat.d(X)
+    vac_norm = float(np.sqrt(max(_ref_ground_op_norm(co, _ref_expect_square(co, T)), 0.0)))
+    v = co.flatten(_ref_triangle_act(co, T, co.vacuum()))
+    scalar = float(np.sqrt(max((v.conj() @ _ref_gram(co) @ v).real, 0.0)))
+    S, Sinv = _ref_gram_root(co)
+    op = float(np.linalg.norm(S @ _ref_act_matrix(co, T) @ Sinv, 2))
+    return {"grade": X, "vacuum_norm": vac_norm, "scalar_vacuum_norm": scalar,
+            "op_norm": op, "bound": d * d,
+            "left_ok": vac_norm <= op + slack * max(1.0, op),
+            "right_ok": op <= d * d * vac_norm + slack * max(1.0, op),
+            "left_margin": op - vac_norm, "right_margin": d * d * vac_norm - op}
+
+
+def _ref_faithfulness_probe(co, trials, seed):
+    rng = np.random.default_rng(seed)
+    masses = [float(np.sum(np.abs(_ref_expect_square(co, co.random_element(rng)))))
+              for _ in range(trials)]
+    V, gram_vac, gram_op = _ref_probe_grams(co)
+    lo_vac = float(np.linalg.eigvalsh((gram_vac + gram_vac.conj().T) / 2)[0])
+    lo_op = float(np.linalg.eigvalsh((gram_op + gram_op.conj().T) / 2)[0])
+    dmax = max(co.cat.d(X) for X in co.support)
+    if lo_vac < lo_op / dmax**4 - 1e-10:
+        return f"vacuum Gram floor {lo_vac:.3e} below sandwich bound {lo_op / dmax**4:.3e}"
+    return {"trials": trials, "seed": seed,
+            "failures": sum(m < 1e-12 for m in masses),
+            "min_expectation_mass": min(masses),
+            "vacuum_gram_floor": lo_vac, "operator_gram_floor": lo_op,
+            "bound_constant": dmax**-4, "bound_margin": lo_vac - lo_op * dmax**-4,
+            "cyclic_rank": int(np.linalg.matrix_rank(V, tol=1e-10)),
+            "expected_rank": co.total_dim}
+
+
+def _assert_same_report(got, want):
+    assert set(got) == set(want)
+    for key, ref in want.items():
+        if isinstance(ref, float):
+            assert abs(got[key] - ref) <= 1e-12 * max(1.0, abs(ref)), key
+        else:
+            assert got[key] == ref, key
+
+
+def test_sandwich_reports_match_the_einsum_reference(reference_case):
+    co = reference_case
+    rng = np.random.default_rng(29)
+    for X in co.support:
+        T = GradedElement({X: rng.normal(size=co.dims[X])
+                           + 1j * rng.normal(size=co.dims[X])})
+        if co.mode != "strict":
+            with pytest.raises(SupportOverflow):
+                norm_sandwich_check(co, T)
+            continue
+        _assert_same_report(norm_sandwich_check(co, T), _ref_norm_sandwich(co, T))
+
+
+def test_probe_reports_match_the_einsum_reference(reference_case):
+    co = reference_case
+    want = _ref_faithfulness_probe(co, 3, seed=8)
+    if isinstance(want, str):  # the probe bound's known defect
+        with pytest.raises(CounterexampleFound) as exc:
+            faithfulness_probe(co, 3, seed=8)
+        assert str(exc.value) == want
+        return
+    _assert_same_report(faithfulness_probe(co, 3, seed=8), want)
+
+
+def test_strict_overflow_raises_through_every_entry_point():
+    co = _crossed(4, ("g0", "g1"))
+    d0, d1 = _delta(co, "g0"), _delta(co, "g1")
+    for _ in range(2):
+        for use in (lambda: co.act_matrix(d1), lambda: co.op_norm(d1)):
+            with pytest.raises(SupportOverflow, match="g2 of g1⊠g1"):
+                use()
+        # the probe's first product is δ_g3·δ_g0 (star of g1 times g0)
+        with pytest.raises(SupportOverflow, match="g3 of g3⊠g0"):
+            faithfulness_probe(co, 2, seed=0)
+        # pairs inside the support still work between the failures
+        assert co.op_norm(d0) == pytest.approx(1.0, abs=1e-12)
+
+
+def test_project_mode_star_and_left_factors_leave_a_truncated_support():
+    # on Z4 with S = (g0, g1) the star of δ_g1 is δ_g3, outside S, and it
+    # still acts on ℰ_S: δ_g3·δ_g1 = δ_g0
+    co = _crossed(4, ("g0", "g1"), "project")
+    st = co.star(_delta(co, "g1"))
+    assert list(st.comps) == ["g3"] and abs(st.comps["g3"][0] - 1.0) < 1e-12
+    prod = co.mul(st, _delta(co, "g1"))
+    assert list(prod.comps) == ["g0"] and abs(prod.comps["g0"][0] - 1.0) < 1e-12
+    assert _rel(co.act_matrix(st), _ref_act_matrix(co, st)) < 1e-12
+    assert abs(co.canonical_expectation(prod)[0] - 1.0) < 1e-12
+
+
+def test_unknown_grades_are_refused():
+    co = _crossed(3)
+    bad, good = GradedElement({"nope": np.ones(1)}), _delta(co, "g1")
+    for use in (lambda: co.star(bad), lambda: co.mul(bad, good),
+                lambda: co.mul(good, bad), lambda: co.act_matrix(bad),
+                lambda: co.op_norm(bad), lambda: co.canonical_expectation(bad)):
+        with pytest.raises(UnknownLabel):
+            use()

@@ -15,18 +15,22 @@ PHI = (1.0 + np.sqrt(5.0)) / 2.0
 SILVER = 1.0 + np.sqrt(2.0)  # positive root of x^2 = 1 + 2x
 
 
+def _global_dim_sq(ring) -> float:
+    return sum(ring.fp_dimension(x) ** 2 for x in ring.labels)
+
+
 def test_fib_dimensions_match_golden_ratio():
     ring = fibonacci().ring
     assert ring.fp_dimension("1") == pytest.approx(1.0, abs=1e-9)
     assert ring.fp_dimension("tau") == pytest.approx(PHI, abs=1e-9)
-    assert ring.global_dim_sq() == pytest.approx(1.0 + PHI**2, abs=1e-9)
+    assert _global_dim_sq(ring) == pytest.approx(1.0 + PHI**2, abs=1e-9)
 
 
 def test_ising_dimensions():
     ring = ising().ring
     assert ring.fp_dimension("sigma") == pytest.approx(np.sqrt(2.0), abs=1e-9)
     assert ring.fp_dimension("psi") == pytest.approx(1.0, abs=1e-9)
-    assert ring.global_dim_sq() == pytest.approx(4.0, abs=1e-9)
+    assert _global_dim_sq(ring) == pytest.approx(4.0, abs=1e-9)
 
 
 def test_mult2_dimension_is_silver_ratio():

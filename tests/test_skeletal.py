@@ -6,9 +6,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import index_reference
+from test_annulus import _gauged
 from tree_reference import EmptyHomSpace, InapplicableMove, TreeCalculus, TreeVector
 from utcat.errors import MissingBraiding
-from utcat.fixtures import fibonacci, ising, mult2_ring, su2k, vec_zn
+from utcat.fixtures import FIXTURE_BUILDERS, fibonacci, ising, mult2_ring, su2k, vec_zn
 from utcat.skeletal import SkeletalUTC
 
 TOL = 1e-10
@@ -122,6 +123,25 @@ def test_zigzag_solutions_standard(cat):
         sol = cat.conjugate_solution(x)
         assert sol.r.real > 0 and abs(sol.r.imag) < TOL
         assert abs(abs(sol.rbar) ** 2 - cat.d(x)) < 1e-9
+
+
+@pytest.mark.parametrize("seed", range(3))
+@pytest.mark.parametrize("name", ["vec_z3", "vec_z4", "vec_z6", "fib", "ising", "su2_3"])
+def test_zigzag_holds_in_a_random_vertex_gauge(name, seed):
+    # R̄ enters the first zig-zag as an adjoint, so its coefficient is conj(r̄);
+    # with r̄ instead, a phase on the non-self-dual unit vertices of the
+    # gauged vec_zn read 0.2-2.0 here
+    assert _gauged(FIXTURE_BUILDERS[name](), seed).verify_zigzag() <= 1e-15
+
+
+@pytest.mark.parametrize("theta", [0.3, 1.0, np.pi])
+@pytest.mark.parametrize("name", ["vec_z3", "fib", "ising"])
+def test_zigzag_residual_sees_a_phase_on_rbar(name, theta):
+    cat = _gauged(FIXTURE_BUILDERS[name](), 0)
+    for x in cat.ring.labels:
+        sol = cat.conjugate_solution(x)
+        res = cat._zigzag_residual(x, sol.r, sol.rbar * np.exp(1j * theta))
+        assert res == pytest.approx(abs(np.exp(1j * theta) - 1.0), abs=1e-12)
 
 
 def _mirror(cat):

@@ -391,8 +391,8 @@ class TreeCalculus:
         xb = self.dual(x)
         tv = TreeVector((x,), x, {(): 1.0 + 0.0j})
         tv = self.insert_pair(tv, 1, xb, x, [r])
-        tv = self.contract_pair(tv, 0, self.ring.unit, [np.conj(rbar)])
-        # note contract_pair conjugates: pass conj so the effective coefficient is rbar*
+        # contract_pair composes with the adjoint, so R̄* enters as conj(r̄)
+        tv = self.contract_pair(tv, 0, self.ring.unit, [rbar])
         return tv.coeffs.get((), 0.0)
 
     def _zigzag_scalar_dual(self, x: str, r: complex, rbar: complex) -> complex:
@@ -400,7 +400,7 @@ class TreeCalculus:
         xb = self.dual(x)
         tv = TreeVector((xb,), xb, {(): 1.0 + 0.0j})
         tv = self.insert_pair(tv, 1, x, xb, [rbar])
-        tv = self.contract_pair(tv, 0, self.ring.unit, [np.conj(r)])
+        tv = self.contract_pair(tv, 0, self.ring.unit, [r])
         return tv.coeffs.get((), 0.0)
 
     # Frobenius bends.  All four are antilinear in the input coefficients.
