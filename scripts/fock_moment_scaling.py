@@ -4,12 +4,16 @@ At depth n every X-word of length ≤ 2n has an exact vacuum moment, the
 sum over its non-crossing pairings of the covariance η(1) per pair.  For
 each depth the scan builds two families, a 2-index one over A = ℂ from two
 orthonormal vectors of a seeded Haar unitary, and η = Ad(u) + Ad(u)⁻¹ on
-M₂ (η(1) = 2·1).  It prints the seconds of `build_fock`, the raw and the
-quotient dimension of every level, and the seconds of `vacuum_expectation`
-over every such word.  A depth whose raw dimensions exceed the `build_fock`
-cap is reported as such (M₂ from depth 5 on).  A deviation above 1e-9
-(relative to max(1, |moment|)) makes the exit code 1.  Seconds are wall
-clock, the build and the sweep timed apart.  Run:
+M₂ (η(1) = 2·1).  Words X^k·a·X^k, k ≤ n, with a seeded a ∈ A (not a
+scalar on M₂) put an A letter on every level; their moments are checked
+against the A-valued non-crossing recursion, e.g. E(X·a·X) = η(a) and
+E(X²·a·X²) = η(1)·a·η(1) + η(η(a)).  It prints the seconds of
+`build_fock`, the raw and the quotient dimension of every level, and the
+seconds of `vacuum_expectation` over the X-words and over the A-letter
+words.  A depth whose raw dimensions exceed the `build_fock` cap is
+reported as such (M₂ from depth 5 on).  A deviation above 1e-9 (relative
+to max(1, |moment|)) makes the exit code 1.  Seconds are wall clock, the
+build and the sweeps timed apart.  Run:
 
     PYTHONPATH=src python3 scripts/fock_moment_scaling.py --max-depth 6
 """
@@ -50,6 +54,19 @@ def nc_moment(word, cov) -> complex:
     return m(0, len(word)) if len(word) % 2 == 0 else 0.0
 
 
+def nc_a_moment(eta, As, xs) -> np.ndarray:
+    """E(a₀·X_{x₁}·a₁···X_{x_n}·a_n), As = [a₀, …, a_n]: X_{x₁} pairs with
+    each X_{x_k}, k even, giving a₀·η_{x₁x_k}(E(inner))·E(outer)."""
+    if len(xs) % 2:
+        return np.zeros_like(As[0])
+    if not xs:
+        return As[0]
+    return sum(As[0] @ eta.apply(xs[0], xs[k],
+                                 nc_a_moment(eta, As[1:k + 1], xs[1:k]))
+               @ nc_a_moment(eta, As[k + 1:], xs[k + 1:])
+               for k in range(1, len(xs), 2))
+
+
 def pair_family(rng):
     q, _ = np.linalg.qr(rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2)))
     cov = np.array([[np.vdot(u, v) for v in q] for u in q])
@@ -81,6 +98,29 @@ def sweep(fam, cov) -> tuple:
     return len(words), seconds, worst
 
 
+def a_sweep(fam, rng, per_k: int = 3) -> tuple:
+    """(words, seconds, worst relative deviation) over `per_k` words
+    X^k·a·X^k with seeded X indices for each k ≤ depth, a seeded a ∈ A."""
+    eta, depth = fam.fock.eta, fam.fock.depth
+    one, a = np.eye(eta.algebra.d), eta.algebra.random(rng)
+    cases = []
+    for k in range(depth + 1):
+        for _ in range(per_k):
+            xs = [eta.index[t]
+                  for t in rng.integers(len(eta.index), size=2 * k)]
+            X = [("X", i) for i in xs]
+            word = X[:k] + [a] + X[k:]
+            want = nc_a_moment(eta, [one] * k + [a] + [one] * k, xs)
+            cases.append((word, want))
+    t0 = time.perf_counter()
+    gots = [vacuum_expectation(fam, word) for word, _ in cases]
+    seconds = time.perf_counter() - t0
+    worst = max(float(np.max(np.abs(got - want)))
+                / max(1.0, float(np.max(np.abs(want))))
+                for got, (_, want) in zip(gots, cases))
+    return len(cases), seconds, worst
+
+
 def dims(values) -> str:
     return "/".join(map(str, values))
 
@@ -94,8 +134,8 @@ def main(argv=None) -> int:
     rng = np.random.default_rng(args.seed)
     families = {"pair": pair_family(rng), "m2": m2_family(rng)}
     print(f"{'family':>6} {'depth':>5} {'build s':>8} {'fock dim':>8} "
-          f"{'words':>6} {'sweep s':>8} {'us/word':>8} {'max dev':>9}  "
-          f"raw dims; level dims")
+          f"{'words':>6} {'sweep s':>8} {'us/word':>8} {'max dev':>9} "
+          f"{'a-words':>7} {'a s':>8} {'a dev':>9}  raw dims; level dims")
     failed = []
     for depth in range(1, args.max_depth + 1):
         for name, (eta, cov) in families.items():
@@ -106,13 +146,16 @@ def main(argv=None) -> int:
                 print(f"{name:>6} {depth:>5}  not built: {exc}")
                 continue
             build = time.perf_counter() - t0
-            n, seconds, worst = sweep(semicircular_ops(fock), cov)
+            fam = semicircular_ops(fock)
+            n, seconds, worst = sweep(fam, cov)
+            na, a_seconds, a_worst = a_sweep(fam, rng)
             print(f"{name:>6} {depth:>5} {build:>8.4f} {fock.total_dim:>8} "
                   f"{n:>6} {seconds:>8.4f} {1e6 * seconds / n:>8.1f} "
-                  f"{worst:>9.1e}  {dims(fock.raw_dims)}; "
-                  f"{dims(fock.level_dims)}")
-            if not worst <= TOL:
-                failed.append(f"{name} at depth {depth}: {worst:.2e}")
+                  f"{worst:>9.1e} {na:>7} {a_seconds:>8.4f} {a_worst:>9.1e}  "
+                  f"{dims(fock.raw_dims)}; {dims(fock.level_dims)}")
+            for what, dev in (("X-word", worst), ("A-letter", a_worst)):
+                if not dev <= TOL:
+                    failed.append(f"{name} {what} at depth {depth}: {dev:.2e}")
     for line in failed:
         print(f"moment deviation above {TOL:g}: {line}", file=sys.stderr)
     return 1 if failed else 0

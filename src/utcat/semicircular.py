@@ -3,23 +3,19 @@
 The base algebra A is a concrete multi-matrix algebra ⊕_b M_{k_b} embedded
 block-diagonally in M_d.  A covariance matrix is a completely positive
 η: A → A⊗ℒ(ℓ²(I)) stored entrywise as linear maps η_ij in A-coordinates.
-The Fock space ⨁_{m≤n} 𝒳^{⊠m} is assembled level by level: a raw level-m
-basis vector ((a₁,i₁),…,(a_m,i_m); β) has the mixed-radix index over
-(a₁,i₁,…,a_m,i_m,β), and the A-valued inner product follows the recursion
+The Fock space ⨁_{m≤n} 𝒳^{⊠m} is assembled level by level.  A raw
+level-m vector ((a₁,i₁),…,(a_m,i_m); β) has the A-valued inner product
 
     ⟨(a,i)::u, (c,j)::v⟩ = ⟨u, η_ij(a*c) ▹ v⟩,      ⟨b, b′⟩₀ = b*b′,
 
 where ▹ acts on the first slot of v.  Degenerate directions are quotiented
 per level through the normalized trace, and the quotient is what the next
-level is built on: the null space of level m−1 is a left submodule that
-the A-valued inner product does not see, so level m is the Gram on
-(A⊗ℂ^I) ⊗ (range of level m−1), of size P·r_{m−1} for P = nA·nI and
-r_m = level_dims[m], not on the nA·P^m raw vectors.  A level costs
-O(d²·(P·r_{m−1})³) for its Gram, its `eigh` and the compression carried to
-the next level; its factor is carried back to the raw index by one product
-with the previous one.  Over A = ℂ the level-m Gram is C^{⊗m}, cut from the
-cut of C.  On the raw index left multiplication is L(a) ⊗ I and creation
-(unit ⊗ e_i) ⊗ I; operators are kept as blocks between quotient levels, and
+level is built on: level m is the Gram on (A⊗ℂ^I) ⊗ (range of level
+m−1), of size P·r_{m−1} for P = nA·nI and r_m = level_dims[m], not on the
+nA·P^m raw vectors.  Each level is kept as its `Cut` in the coordinates it
+was built in, and every operator is read there: left multiplication acts
+on the first slot, creation puts 1 ⊗ e_i in front of the range of the
+level below.  Operators are kept as blocks between quotient levels, and
 dense matrices are assembled from them.  X_i = T_i + T_i† is self-adjoint
 by construction.
 
@@ -43,8 +39,10 @@ import numpy as np
 from .errors import (
     CPFailure,
     DimensionCap,
+    LabelMismatch,
     NotAnAutomorphism,
     RowBoundFailure,
+    UnknownLabel,
     WordTooLong,
 )
 from .gns import RANK_CUT, Cut, min_eig, rank_cut
@@ -111,7 +109,7 @@ class CovarianceMatrix:
     index: tuple
     entries: dict
     bound: float = None
-    cp_floor: float = field(default=None)
+    cp_floor: float = field(init=False)
 
     def __post_init__(self):
         zero = np.zeros((self.algebra.dim,) * 2)
@@ -256,31 +254,68 @@ def covariance_from_automorphisms(alphas, algebra: BaseAlgebra = None,
 # truncated Fock space
 # ---------------------------------------------------------------------------
 
+MAX_DEPTH = 12    # deepest truncation `build_fock` builds
+DIM_CAP = 4096    # largest total raw dimension Σ_m nA·(nA·nI)^m it builds
+
+
+def _index_of(eta: CovarianceMatrix, i) -> int:
+    if i not in eta.index:
+        raise UnknownLabel(f"X index {i!r} is not in {eta.index}")
+    return eta.index.index(i)
+
+
 @dataclass
 class TruncatedFock:
+    """The levels 0…depth as the cuts of `level_cuts`, each in the
+    coordinates it was built in: there to_onb = factor* reads ONB
+    coordinates off, and from_onb = factor/w are the ONB vectors."""
+
     eta: CovarianceMatrix
-    depth: int
-    level_dims: tuple      # quotient dimensions
-    raw_dims: tuple
-    cut_gaps: tuple        # per level: (smallest kept, largest dropped) or None
-    to_onb: list           # per level: raw → ONB matrix
-    from_onb: list         # per level: ONB → raw representative
-    offsets: list
-    total_dim: int
+    raw_dims: tuple    # nA·(nA·nI)^m raw vectors on level m
+    cuts: tuple
+
+    @cached_property
+    def depth(self) -> int:
+        return len(self.cuts) - 1
+
+    @cached_property
+    def level_dims(self) -> tuple:
+        return tuple(cut.rank for cut in self.cuts)
+
+    @cached_property
+    def cut_gaps(self) -> tuple:
+        return tuple(cut.gap for cut in self.cuts)
+
+    @cached_property
+    def offsets(self) -> list:
+        ends = itertools.accumulate(self.level_dims, initial=0)
+        return list(itertools.starmap(slice, itertools.pairwise(ends)))
+
+    @property
+    def total_dim(self) -> int:
+        return self.offsets[-1].stop
+
+    @cached_property
+    def to_onb(self) -> list:
+        return [cut.factor.conj().T for cut in self.cuts]
+
+    @cached_property
+    def from_onb(self) -> list:
+        return [cut.factor / cut.w for cut in self.cuts]
 
     def left_block(self, m, L) -> np.ndarray:
-        """x ↦ a·x on level m for L = left_matrix(a): L ⊗ I on the first slot."""
-        raw = np.kron(L, np.eye(self.raw_dims[m] // len(L)))
-        return self.to_onb[m] @ raw @ self.from_onb[m]
+        """x ↦ a·x on level m for L = left_matrix(a): L on the first slot."""
+        R = self.from_onb[m]
+        return self.to_onb[m] @ (L @ R.reshape(len(L), -1)).reshape(R.shape)
 
     def creation_blocks(self, i) -> list:
-        """T_i from level m to m+1, m < depth: (unit ⊗ e_i) ⊗ I."""
-        e_i = np.eye(len(self.eta.index))[self.eta.index.index(i)]
+        """T_i from level m to m+1, m < depth: ξ ↦ (1 ⊗ e_i) ⊗ ξ, where the
+        ONB vectors of level m are e_s/√w_s in its built coordinates."""
+        e_i = np.eye(len(self.eta.index))[_index_of(self.eta, i)]
         slot = np.kron(self.eta.algebra.unit_coords, e_i)
-        # to_onb·(slot ⊗ I) contracts the first raw slot of level m+1
-        return [np.tensordot(slot, self.to_onb[m + 1].reshape(-1, len(slot), s),
-                             (0, 1)) @ self.from_onb[m]
-                for m, s in enumerate(self.raw_dims[:-1])]
+        return [np.tensordot(slot, self.to_onb[m + 1].reshape(
+                    up.rank, len(slot), cut.rank), (0, 1)) / np.sqrt(cut.w)
+                for m, (cut, up) in enumerate(zip(self.cuts, self.cuts[1:]))]
 
     def assemble(self, blocks: dict, top: int = None) -> np.ndarray:
         """Dense operator from {(m, n): block} on the levels 0…top, by
@@ -319,21 +354,21 @@ def _scalar_cut(G: np.ndarray, d: int) -> Cut:
 
 
 def level_cuts(eta: CovarianceMatrix, depth: int):
-    """Yield the `Cut` of the scalar Gram τ⟨·,·⟩ of each level m ≤ depth,
-    its factor F on the raw basis (F·F* is the Gram, F*·F = diag(w)).
+    """Yield the `Cut` of the scalar Gram τ⟨·,·⟩ of each level m ≤ depth on
+    A for m = 0 and on (A⊗ℂ^I) ⊗ V for m > 0, V = factor/√w the kept
+    eigenvectors of level m−1 (F·F* is the Gram, F*·F = diag(w)).
 
-    Level m is built on (A⊗ℂ^I) ⊗ U, U the kept eigenvectors of level m−1,
-    which carries H = U*GU and the left action M_h = U*(L(e_h) ⊗ I)U of
-    each basis element: the null space of level m−1 is a left submodule
-    and orthogonal to the A-valued Gram, so
+    V carries H = V*GV and the left action M_h = V*(L(e_h) ⊗ I)V of each
+    basis element: the null space of level m−1 is a left submodule and
+    orthogonal to the A-valued Gram, so
 
         G_m[(a,i,s), (c,j,t)] = Σ_h K[a,i,c,j,h]·(H·M_h)[s, t],
 
     K[a,i,c,j,·] the coordinates of η_ij(e_a* e_c), is the isometric
-    compression of the raw level-m Gram by I ⊗ U, with the same kept
-    eigenvalues; directions dropped at a lower level are not seen again, so
-    the largest dropped value is that of this level's own cut.  A level
-    costs O(d²·(nA·nI·r)³) for r = level_dims[m−1] instead of the raw
+    compression of the raw level-m Gram, with the same kept eigenvalues;
+    directions dropped at a lower level are not seen again, so the largest
+    dropped value is that of this level's own cut.  A level costs
+    O(d²·(nA·nI·r)³) for r = level_dims[m−1] instead of the raw
     O(d²·(nA·(nA·nI)^m)³).  Over A = ℂ the level-m Gram is C^{⊗m},
     C = [η_ij(1)], so its cut is the Kronecker power of the cut of C; its
     gap is read off the products of all eigenvalues of C.
@@ -349,12 +384,10 @@ def level_cuts(eta: CovarianceMatrix, depth: int):
     L = np.stack([alg.left_matrix(e) for e in alg.basis])  # L[h] = L(e_h)
     G = np.moveaxis(alg.element(alg.star_prods), (2, 3), (0, 1))  # e_b* e_c
     cut = _scalar_cut(G, d)
-    F = cut.factor
     yield cut
     for _ in range(depth):
         r = cut.rank
         V = cut.factor / np.sqrt(cut.w)  # Euclidean-orthonormal eigenvectors
-        U = F / np.sqrt(cut.w)
         H = V.conj().T @ G @ V
         LV = np.tensordot(L, V.reshape(nA, len(V) // nA, r), (2, 0))
         M = V.conj().T @ LV.reshape(nA, len(V), r)
@@ -362,24 +395,23 @@ def level_cuts(eta: CovarianceMatrix, depth: int):
         G = np.tensordot(K, H @ M[:, None, None], (2, 0))
         G = G.transpose(2, 3, 0, 4, 1, 5).reshape(d, d, P * r, P * r)
         cut = _scalar_cut(G, d)
-        # back to the raw basis: (I ⊗ U_{m−1})·F̃
-        F = (U @ cut.factor.reshape(P, r, cut.rank)).reshape(
-            P * len(U), cut.rank)
-        yield Cut(F, cut.w, cut.gap)
+        yield cut
 
 
 def _kronecker_cuts(C: np.ndarray, depth: int):
-    """Cuts of C^{⊗m}, m ≤ depth, from the cut of C.  A product of
-    eigenvalues with a dropped factor lies below the level's threshold, so
-    the kept ones are products of kept eigenvalues; the largest dropped one
-    is read from the products of all of them."""
+    """Cuts of C^{⊗m}, m ≤ depth, from the cut c of C: the Gram on
+    ℂ^I ⊗ V_{m−1} is C ⊗ diag(w_{m−1}), with factor kron(c, diag(√w_{m−1})).
+    A product of eigenvalues with a dropped factor lies below the level's
+    threshold, so the kept ones are products of kept eigenvalues; the
+    largest dropped one is read from the products of all of them."""
     c = rank_cut(C)
     every = np.linalg.eigvalsh((C + C.conj().T) / 2)
-    F, w, lam = np.ones((1, 1)), np.ones(1), np.ones(1)
-    yield Cut(F, w, None)
+    w, lam = np.ones(1), np.ones(1)
+    yield Cut(np.ones((1, 1)), w, None)
     for _ in range(depth):
-        F = (c.factor[:, None, :, None] * F[None, :, None, :]).reshape(
-            len(c.factor) * len(F), -1)
+        root = np.diag(np.sqrt(w))  # kron(c, root) by broadcasting
+        F = (c.factor[:, None, :, None] * root[:, None]).reshape(
+            len(c.factor) * len(w), c.rank * len(w))
         w = np.outer(c.w, w).ravel()
         thr = RANK_CUT * np.max(w, initial=1e-300)
         keep = w > thr
@@ -392,28 +424,17 @@ def _kronecker_cuts(C: np.ndarray, depth: int):
         yield Cut(F, w, gap)
 
 
-def build_fock(eta: CovarianceMatrix, depth: int, max_depth: int = 12,
-               dim_cap: int = 4096) -> TruncatedFock:
+def build_fock(eta: CovarianceMatrix, depth: int) -> TruncatedFock:
     """Assemble the inner products of 𝒳^{⊠m} for m ≤ depth and quotient."""
-    if depth > max_depth:
-        raise DimensionCap(f"depth {depth} exceeds the maximum {max_depth}")
-    alg = eta.algebra
-    nA, nI = alg.dim, len(eta.index)
-    raw_dims = [nA * (nA * nI) ** m for m in range(depth + 1)]
+    if depth > MAX_DEPTH:
+        raise DimensionCap(f"depth {depth} exceeds the maximum {MAX_DEPTH}")
+    nA, nI = eta.algebra.dim, len(eta.index)
+    raw_dims = tuple(nA * (nA * nI) ** m for m in range(depth + 1))
     for m, total in enumerate(itertools.accumulate(raw_dims)):
-        if total > dim_cap:
+        if total > DIM_CAP:
             raise DimensionCap(
-                f"raw dimension exceeds the cap {dim_cap} at level {m}")
-
-    cuts = list(level_cuts(eta, depth))
-    dims = [cut.rank for cut in cuts]
-    ends = list(itertools.accumulate(dims))
-    return TruncatedFock(
-        eta, depth, tuple(dims), tuple(raw_dims),
-        tuple(cut.gap for cut in cuts),
-        [cut.factor.conj().T for cut in cuts],
-        [cut.factor / cut.w for cut in cuts],
-        [slice(e - n, e) for e, n in zip(ends, dims)], ends[-1])
+                f"raw dimension exceeds the cap {DIM_CAP} at level {m}")
+    return TruncatedFock(eta, raw_dims, tuple(level_cuts(eta, depth)))
 
 
 @dataclass
@@ -461,12 +482,16 @@ class SemicircularFamily:
         product is exact in `window(k)`.  Built as window(k)[i₁] applied to
         the state of (i₂, …, i_k), and cached per word.
         """
-        S = self._states.get(word)
+        try:
+            S = self._states.get(word)
+        except TypeError:  # an unhashable index, refused below
+            S = None
         if S is None:
             if len(word) > self.fock.depth:
                 raise WordTooLong(f"{len(word)} letters exceed the depth "
                                   f"{self.fock.depth}")
             if word:
+                _index_of(self.fock.eta, word[0])
                 rest = self.state(word[1:])
                 S = self.window(len(word))[word[0]][:, :len(rest)] @ rest
             else:
@@ -479,6 +504,18 @@ class SemicircularFamily:
 def semicircular_ops(fock: TruncatedFock) -> SemicircularFamily:
     return SemicircularFamily(
         fock, {i: fock.creation_blocks(i) for i in fock.eta.index})
+
+
+def _left_matrix(alg: BaseAlgebra, letter) -> np.ndarray:
+    """`left_matrix` of a word letter that is not ("X", i)."""
+    try:
+        a = np.asarray(letter, dtype=complex)
+    except (TypeError, ValueError):
+        a = None
+    if a is None or a.shape != (alg.d, alg.d):
+        raise LabelMismatch(f"a word letter is ('X', i) or a {alg.d}×{alg.d} "
+                            f"matrix of A, not {letter!r:.60}")
+    return alg.left_matrix(a)
 
 
 def _half_state(fam: SemicircularFamily, letters, isx, adjoint: bool):
@@ -495,9 +532,10 @@ def _half_state(fam: SemicircularFamily, letters, isx, adjoint: bool):
     for t in reversed(range(j)):
         if isx[t]:
             k += 1
+            _index_of(fock.eta, letters[t][1])
             S = fam.window(k)[letters[t][1]][:, :len(S)] @ S
             continue
-        L = fock.eta.algebra.left_matrix(np.asarray(letters[t], dtype=complex))
+        L = _left_matrix(fock.eta.algebra, letters[t])
         blocks = [fock.left_block(m, L) for m in range(k + 1)]
         S = np.concatenate([(B.conj().T if adjoint else B) @ S[fock.offsets[m]]
                             for m, B in enumerate(blocks)])
@@ -507,9 +545,11 @@ def _half_state(fam: SemicircularFamily, letters, isx, adjoint: bool):
 def vacuum_expectation(fam: SemicircularFamily, word) -> np.ndarray:
     """E(w) = ⟨wΩ, Ω⟩ ∈ A for a word in the X_i and left factors from A.
 
-    Word letters: ("X", i) or a d×d matrix of A.  Exact when the number nx
-    of X letters is at most 2·depth; longer words are refused.  The word
-    is split after its ⌊nx/2⌋-th X letter into w = l·r, and
+    Word letters: ("X", i) or a d×d matrix of A; an i outside η's index
+    set raises `UnknownLabel`, any other letter `LabelMismatch`.  Exact
+    when the number nx of X letters is at most 2·depth; longer words are
+    refused.  The word is split after its ⌊nx/2⌋-th X letter into w = l·r,
+    and
 
         E(w) = P₀·l·r·P₀*·ω₀ = (l*·P₀*)*·(r·P₀*)·ω₀,
 
@@ -519,7 +559,9 @@ def vacuum_expectation(fam: SemicircularFamily, word) -> np.ndarray:
     length ≤ 2n builds each of the Σ_{k≤n} |I|^k half states once.
     """
     fock = fam.fock
-    isx = [isinstance(w, tuple) and w[0] == "X" for w in word]
+    # a tuple of matrix rows is an A letter, not ("X", i)
+    isx = [isinstance(w, tuple) and len(w) == 2 and isinstance(w[0], str)
+           and w[0] == "X" for w in word]
     xs = [t for t, x in enumerate(isx) if x]
     if len(xs) > 2 * fock.depth:
         raise WordTooLong(

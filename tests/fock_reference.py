@@ -2,9 +2,11 @@
 
 :func:`level_grams` builds the A-valued Gram of every level on the raw basis
 of nA·(nA·nI)^m vectors, one contraction per level, as `build_fock` once
-cut it; :func:`right_mult` is right multiplication by a ∈ A on the whole
-truncated Fock space, I ⊗ R(a) on the raw index.  The library now builds
-level m on (A⊗ℂ^I) ⊗ (range of level m−1) and never needs the right action.
+cut it.  :func:`raw_factors` carries the level cuts, each on (A⊗ℂ^I) ⊗
+(range of the level below), back to that raw basis, and :class:`RawFock`
+reads the operators there: left multiplication L(a) ⊗ I, creation
+(1 ⊗ e_i) ⊗ I and right multiplication I ⊗ R(a), which the library never
+needs.
 """
 
 from __future__ import annotations
@@ -34,9 +36,63 @@ def level_grams(eta, depth: int):
         yield G
 
 
-def right_mult(fock, a) -> np.ndarray:
-    """Dense x ↦ x·a on the truncated Fock space: I ⊗ R(a) on each level."""
-    R = fock.eta.algebra.right_matrix(a)
-    return fock.assemble({
-        (m, m): fock.to_onb[m] @ np.kron(np.eye(s // len(R)), R)
-        @ fock.from_onb[m] for m, s in enumerate(fock.raw_dims)})
+def raw_factors(eta, cuts) -> list:
+    """Each level's factor on the raw basis: (I ⊗ U_{m−1})·F̃_m, F̃_m the
+    factor of cuts[m] and U_{m−1} = F_{m−1}/√w_{m−1} the kept eigenvectors
+    of level m−1 on the raw basis (F·F* is the raw scalar Gram)."""
+    P = eta.algebra.dim * len(eta.index)
+    Fs = [cuts[0].factor]
+    for prev, cut in zip(cuts, cuts[1:]):
+        U = Fs[-1] / np.sqrt(prev.w)
+        Fs.append((U @ cut.factor.reshape(P, prev.rank, cut.rank)).reshape(
+            P * len(U), cut.rank))
+    return Fs
+
+
+class RawFock:
+    """The operators of a `TruncatedFock` read on the raw basis, as dense
+    matrices in the same ONB coordinates."""
+
+    def __init__(self, fock):
+        self.fock = fock
+        Fs = raw_factors(fock.eta, fock.cuts)
+        self.to_onb = [F.conj().T for F in Fs]
+        self.from_onb = [F / cut.w for F, cut in zip(Fs, fock.cuts)]
+
+    def _diagonal(self, blocks) -> np.ndarray:
+        """Dense ⊕_m to_onb[m]·B_m·from_onb[m], B_m = blocks(raw_m)."""
+        return self.fock.assemble({
+            (m, m): to @ blocks(len(frm)) @ frm
+            for m, (to, frm) in enumerate(zip(self.to_onb, self.from_onb))})
+
+    def left_mult(self, a) -> np.ndarray:
+        """x ↦ a·x: L(a) ⊗ I on each raw level."""
+        L = self.fock.eta.algebra.left_matrix(a)
+        return self._diagonal(lambda s: np.kron(L, np.eye(s // len(L))))
+
+    def right_mult(self, a) -> np.ndarray:
+        """x ↦ x·a: I ⊗ R(a) on each raw level."""
+        R = self.fock.eta.algebra.right_matrix(a)
+        return self._diagonal(lambda s: np.kron(np.eye(s // len(R)), R))
+
+    def creation_blocks(self, i) -> list:
+        """T_i from level m to m+1: (1 ⊗ e_i) ⊗ I on the raw index."""
+        eta = self.fock.eta
+        e_i = np.eye(len(eta.index))[eta.index.index(i)]
+        slot = np.kron(eta.algebra.unit_coords, e_i)
+        return [np.tensordot(slot, up.reshape(len(up), len(slot), len(frm)),
+                             (0, 1)) @ frm
+                for up, frm in zip(self.to_onb[1:], self.from_onb)]
+
+    def X(self, i) -> np.ndarray:
+        T = self.fock.assemble({(m + 1, m): B for m, B in
+                                enumerate(self.creation_blocks(i))})
+        return T + T.conj().T
+
+    def expectation(self, word) -> np.ndarray:
+        """⟨wΩ, Ω⟩ ∈ A from the dense operators, letters ("X", i) or a ∈ A."""
+        v = self.fock.vacuum()
+        for w in reversed(word):
+            v = (self.X(w[1]) if isinstance(w, tuple)
+                 else self.left_mult(w)) @ v
+        return self.fock.ground_component(v)

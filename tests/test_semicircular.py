@@ -3,12 +3,14 @@ import itertools
 import numpy as np
 import pytest
 
-from fock_reference import level_grams, right_mult
+from fock_reference import RawFock, level_grams, raw_factors
 from utcat.errors import (
     CPFailure,
     DimensionCap,
+    LabelMismatch,
     NotAnAutomorphism,
     RowBoundFailure,
+    UnknownLabel,
     WordTooLong,
 )
 from utcat.gns import rank_cut
@@ -79,6 +81,13 @@ def test_cp_failure():
         CovarianceMatrix(alg, (0, 1), {
             (0, 0): [[1.0]], (1, 1): [[1.0]],
             (0, 1): [[2.0]], (1, 0): [[2.0]]})
+
+
+def test_cp_floor_is_not_a_constructor_argument():
+    # the floor is always computed, so a value passed in would be ignored
+    with pytest.raises(TypeError):
+        CovarianceMatrix(BaseAlgebra((1,)), (0,), {(0, 0): [[1.0]]},
+                         cp_floor=-1.0)
 
 
 def test_row_bound_failure():
@@ -442,15 +451,17 @@ SCALAR_CUT_CASES = {
 @pytest.mark.parametrize("case", sorted(SCALAR_CUT_CASES))
 def test_level_cuts_factor_the_scalar_grams(case):
     # over A = ℂ the cut is a Kronecker power, elsewhere a real or complex
-    # eigh: either way F·F* is the scalar Gram and the rank is rank_cut's
+    # eigh: either way the factor carried back to the raw basis, F, has
+    # F·F* the scalar Gram, and the rank is rank_cut's
     make, depth = SCALAR_CUT_CASES[case]
     eta = make()
     cuts = list(level_cuts(eta, depth))
     assert len(cuts) == depth + 1
-    for (F, w, _), G in zip(cuts, level_grams(eta, depth)):
+    grams = level_grams(eta, depth)
+    for F, cut, G in zip(raw_factors(eta, cuts), cuts, grams):
         Q = np.einsum("stii->st", G) / eta.algebra.d
         assert np.max(np.abs(F @ F.conj().T - Q)) <= 1e-12 * np.max(np.abs(Q))
-        assert len(w) == rank_cut(Q).rank
+        assert cut.rank == rank_cut(Q).rank
 
 
 RAW_CUT_CASES = {
@@ -684,12 +695,49 @@ def test_right_action_commutes_with_the_left_and_the_semicirculars(case):
     fam = semicircular_ops(fock)
     rng = np.random.default_rng(2)
     a, b = eta.algebra.random(rng), eta.algebra.random(rng)
-    Rb = right_mult(fock, b)
+    raw = RawFock(fock)
+    Rb = raw.right_mult(b)
     # (x·b)·a = x·(ba)
-    assert np.max(np.abs(right_mult(fock, a) @ Rb - right_mult(fock, b @ a))) \
+    assert np.max(np.abs(raw.right_mult(a) @ Rb - raw.right_mult(b @ a))) \
         < 1e-10 * np.max(np.abs(Rb)) ** 2
     for M in [fock.left_mult(a)] + [fam.X(i) for i in eta.index]:
         assert np.max(np.abs(M @ Rb - Rb @ M)) < 1e-10 * np.max(np.abs(Rb))
+
+
+# (covariance, depth); the zero covariances have rank 0 above level 0
+RAW_WORD_CASES = {
+    "m2_rotation": (_rotation_eta, 4),
+    "blocks_1_2": (_block_vector_eta, 2),
+    "zero_1": (lambda: covariance_from_vectors([np.zeros(1)]), 3),
+    "zero_2": (lambda: covariance_from_vectors([np.zeros((1, 2, 2))],
+                                               BaseAlgebra((2,))), 3),
+}
+
+
+def _close(got, want) -> bool:
+    scale = max(1.0, np.max(np.abs(want), initial=0.0))
+    return np.max(np.abs(got - want), initial=0.0) <= 1e-12 * scale
+
+
+@pytest.mark.parametrize("case", sorted(RAW_WORD_CASES))
+def test_a_letters_on_every_level_match_the_raw_reference(case):
+    # X^k·a·X^k and a·X^k·b·X^k put a non-scalar A letter on level k for
+    # every k ≤ depth; left_mult and T_i are read on the raw basis too
+    make, depth = RAW_WORD_CASES[case]
+    eta = make()
+    fock = build_fock(eta, depth)
+    fam, raw = semicircular_ops(fock), RawFock(fock)
+    rng = np.random.default_rng(37)
+    a, b = eta.algebra.random(rng), eta.algebra.random(rng)
+    assert _close(fock.left_mult(a), raw.left_mult(a))
+    for i in eta.index:
+        for got, want in zip(fam.blocks[i], raw.creation_blocks(i)):
+            assert _close(got, want)
+    for k in range(depth + 1):
+        xs = [("X", eta.index[t])
+              for t in rng.integers(len(eta.index), size=2 * k)]
+        for word in (xs[:k] + [a] + xs[k:], [a] + xs[:k] + [b] + xs[k:]):
+            assert _close(vacuum_expectation(fam, word), raw.expectation(word))
 
 
 # -- moments ------------------------------------------------------------------
@@ -729,6 +777,33 @@ def test_only_nested_pairing_survives(id2_family):
 def test_word_length_contract(id2_family):
     with pytest.raises(WordTooLong):
         vacuum_expectation(id2_family, [("X", 0)] * 9)
+
+
+def test_unknown_x_index_is_refused(id2_family):
+    # on a state-cache miss, and for an X letter next to an A letter
+    a = np.eye(1)
+    for word in ([("X", 7)], [("X", 0), ("X", 7)], [a, ("X", 7)],
+                 [("X", 0), ("X", 7), a], [("X", [0])]):
+        with pytest.raises(UnknownLabel):
+            vacuum_expectation(id2_family, word)
+    with pytest.raises(UnknownLabel):
+        id2_family.fock.creation_blocks(9)
+
+
+def test_mistyped_letter_tag_is_refused(id2_family):
+    for word in ([("Y", 0)], [("X", 0), ("Y", 0), ("X", 1)], [("X",)], [()]):
+        with pytest.raises(LabelMismatch):
+            vacuum_expectation(id2_family, word)
+
+
+def test_letter_of_the_wrong_size_is_refused():
+    fam = semicircular_ops(build_fock(_rotation_eta(), 2))
+    for word in ([np.eye(3)], [("X", 0), np.eye(3), ("X", 0)]):
+        with pytest.raises(LabelMismatch):
+            vacuum_expectation(fam, word)
+    # a tuple of rows is a matrix, not an X letter
+    rows = vacuum_expectation(fam, [tuple(2 * np.eye(2))])
+    assert np.max(np.abs(rows - 2 * np.eye(2))) < 1e-12
 
 
 def test_expectation_is_bimodular():
