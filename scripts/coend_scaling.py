@@ -21,6 +21,8 @@ the annulus build excluded.  Run:
     PYTHONPATH=src python3 scripts/coend_scaling.py --max-k 6
 """
 
+import one_blas_thread  # noqa: F401  (before numpy)
+
 import argparse
 import sys
 import time

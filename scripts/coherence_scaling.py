@@ -13,6 +13,8 @@ Seconds are wall clock of one fresh call, the entry table included.  Run:
     PYTHONPATH=src python3 scripts/coherence_scaling.py --max-n 12
 """
 
+import one_blas_thread  # noqa: F401  (before numpy)
+
 import argparse
 import sys
 import time

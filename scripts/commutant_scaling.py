@@ -12,6 +12,8 @@ Seconds are wall clock of one call, the input build excluded.  Run:
     PYTHONPATH=src python3 scripts/commutant_scaling.py --max-n 128
 """
 
+import one_blas_thread  # noqa: F401  (before numpy)
+
 import argparse
 import sys
 import time

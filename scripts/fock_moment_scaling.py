@@ -18,6 +18,8 @@ build and the sweeps timed apart.  Run:
     PYTHONPATH=src python3 scripts/fock_moment_scaling.py --max-depth 6
 """
 
+import one_blas_thread  # noqa: F401  (before numpy)
+
 import argparse
 import itertools
 import sys

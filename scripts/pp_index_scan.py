@@ -9,6 +9,8 @@ found none.  Run:
     python3 scripts/pp_index_scan.py --samples 500 --seed 1
 """
 
+import one_blas_thread  # noqa: F401  (before numpy)
+
 import argparse
 import time
 

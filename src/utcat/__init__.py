@@ -3,7 +3,7 @@
 from .algebra_object import AlgebraObject, validate_algebra_object
 from .annulus import annulus_basis, build_annulus, z_state
 from .basis_change import relabel_category
-from .coend import CoendAlgebra, crossed_product
+from .coend import CoendAlgebra
 from .fusion_ring import FusionRing, SupportSet, validate_ring
 from .inclusion import HilbertSpaceObject, commutant_blocks, discreteness_report
 from .semicircular import build_fock, semicircular_ops
@@ -12,7 +12,7 @@ from .skeletal import SkeletalUTC
 __all__ = [
     "AlgebraObject", "CoendAlgebra", "FusionRing", "HilbertSpaceObject",
     "SkeletalUTC", "SupportSet", "annulus_basis",
-    "build_annulus", "build_fock", "commutant_blocks", "crossed_product",
+    "build_annulus", "build_fock", "commutant_blocks",
     "discreteness_report", "relabel_category", "semicircular_ops",
     "validate_algebra_object", "validate_ring", "z_state",
 ]

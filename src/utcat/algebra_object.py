@@ -37,7 +37,6 @@ import numpy as np
 from .errors import (
     CounterexampleFound,
     DegenerateForm,
-    LabelMismatch,
     NotAState,
     PositivityFailure,
     SupportTooSmall,
@@ -48,7 +47,6 @@ from .skeletal import SkeletalUTC
 
 __all__ = [
     "AlgebraObject",
-    "FiberElement",
     "GroundAlgebra",
     "Layout",
     "SquareAlgebra",
@@ -60,15 +58,6 @@ __all__ = [
     "opposite_object",
     "pp_check",
 ]
-
-
-@dataclass(frozen=True)
-class FiberElement:
-    label: str
-    vec: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "vec", np.asarray(self.vec, dtype=complex))
 
 
 class Layout(NamedTuple):
@@ -216,12 +205,10 @@ class AlgebraObject:
         mu = self.mu(self.dual(X), X, self.cat.ring.unit, 0)
         return self.expect_weight(X) * np.einsum("zxk,xi->ikz", mu, self.star[X])
 
-    def fiber_inner_product(self, xi: FiberElement, eta: FiberElement) -> np.ndarray:
-        """⟨ξ,η⟩_{𝒟(1)} = E_X(𝒟²(j(ξ) ⊙ η)); conjugate-linear in ξ."""
-        if xi.label != eta.label:
-            raise LabelMismatch(f"{xi.label} != {eta.label}")
-        return np.einsum("ikz,i,k->z", self.fiber_gram(xi.label),
-                         np.conj(xi.vec), eta.vec)
+    def fiber_inner_product(self, X: str, xi, eta) -> np.ndarray:
+        """⟨ξ,η⟩_{𝒟(1)} = E_X(𝒟²(j(ξ) ⊙ η)) for ξ, η in 𝒟(X);
+        conjugate-linear in ξ."""
+        return np.einsum("ikz,i,k->z", self.fiber_gram(X), np.conj(xi), eta)
 
     # -- derived algebras ---------------------------------------------------
 

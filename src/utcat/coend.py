@@ -7,13 +7,15 @@ the truncated ℓ²-module ℰ_S = ⊕_{X∈S} 𝔸(X)⊗𝔹(X) through the tri
     ξ₀ ▹ ξ₁ = Σ_v 𝒟(v)(𝒟²(ξ₀ ⊙ ξ₁)),
 
 the canonical expectation is the vacuum matrix coefficient 𝔼(T) = ⟨TΩ, Ω⟩,
-and crossed products A ⋊ 𝒟 are the same construction with 𝔸 an action on A.
+and a crossed product A ⋊ 𝒟 is a :class:`CoendAlgebra` with 𝔸 an action on A.
 
-Operators and module vectors are flat coefficient vectors.  Module vectors
-run over the grades of S, in label order.  Operators run over every grade
-where both objects have a fiber: the grades of S first, in the same order
-as the module, then the others, which a star or a left factor can reach
-outside a truncated S.  On first use the instance builds, and keeps:
+Operators and module vectors are one class, :class:`GradedElement`, with
+one coefficient vector per grade; a module vector is an element on the
+grades of S, and the triangle action is the product.  Flattened, module
+vectors run over the grades of S, in label order.  Operators run over
+every grade where both objects have a fiber: the grades of S first, in the
+same order as the module, then the others, which a star or a left factor
+can reach outside a truncated S.  On first use the instance builds, and keeps:
 
 - the action tensor M of shape (N, n, n), n = dim ℰ_S: M[i] is the matrix
   on ℰ_S of basis element i, the channel tensors
@@ -62,8 +64,6 @@ from .gns import GramRoot, form, min_eig, rank_cut, spectral_norm
 __all__ = [
     "CoendAlgebra",
     "GradedElement",
-    "ModuleVector",
-    "crossed_product",
     "descend_expectation",
     "faithfulness_probe",
     "norm_sandwich_check",
@@ -72,27 +72,15 @@ __all__ = [
 
 
 @dataclass
-class ModuleVector:
-    """Finitely supported map label → vector in 𝔸(X)⊗𝔹(X)."""
+class GradedElement:
+    """Finitely supported map label → vector in 𝔸(X)⊗𝔹(X): an operator on
+    ℰ, or, on the grades of S, a module vector."""
 
     comps: dict = field(default_factory=dict)
 
     def __post_init__(self):
         comps = ((k, np.asarray(v, dtype=complex)) for k, v in self.comps.items())
         self.comps = {k: v for k, v in comps if v.any()}
-
-    def __add__(self, other):
-        out = dict(self.comps)
-        for k, v in other.comps.items():
-            out[k] = out.get(k, 0.0) + v
-        return type(self)(out)
-
-    def scaled(self, c):
-        return type(self)({k: c * v for k, v in self.comps.items()})
-
-
-class GradedElement(ModuleVector):
-    """Same storage as a ModuleVector, regarded as an operator on ℰ."""
 
 
 class _Action(NamedTuple):
@@ -154,12 +142,10 @@ class CoendAlgebra:
         out.flags.writeable = False
         return out
 
-    def vacuum(self) -> ModuleVector:
+    def vacuum(self) -> GradedElement:
+        """Ω, which as an operator is the unit."""
         unit = self.cat.ring.unit
-        return ModuleVector({unit: self._omega[self.offsets[unit]].copy()})
-
-    def unit(self) -> GradedElement:
-        return GradedElement(self.vacuum().comps)
+        return GradedElement({unit: self._omega[self.offsets[unit]].copy()})
 
     def basis(self):
         """Graded basis elements (X, index) in flattening order."""
@@ -232,12 +218,12 @@ class CoendAlgebra:
             raise self._outside(X, "grading")
         return sl
 
-    def _split(self, v: np.ndarray, slices: dict, cls=ModuleVector):
+    def _split(self, v: np.ndarray, slices: dict) -> GradedElement:
         """The graded element with coefficients v on ``slices``."""
         starts = [sl.start for sl in slices.values()]
         nonzero = np.logical_or.reduceat(v != 0, starts)
-        return cls({X: v[sl] for (X, sl), keep in zip(slices.items(), nonzero)
-                    if keep})
+        return GradedElement({X: v[sl] for (X, sl), keep
+                              in zip(slices.items(), nonzero) if keep})
 
     def _combine(self, T: GradedElement, stack: np.ndarray) -> np.ndarray:
         """Σᵢ Tᵢ·stack[i], read only on the grades of T."""
@@ -248,22 +234,19 @@ class CoendAlgebra:
 
     # -- products, star, acting matrices --------------------------------------
 
-    def triangle_act(self, T: GradedElement, xi: ModuleVector) -> ModuleVector:
-        self._guard(T.comps, xi.comps)
-        return self._split(self._combine(T, self._action.M) @ self.flatten(xi),
-                           self.offsets)
-
     def mul(self, T: GradedElement, U: GradedElement) -> GradedElement:
+        """T·U, which is also the triangle action T ▹ U of T on the module
+        vector U."""
         self._guard(T.comps, U.comps)
         return self._split(self._combine(T, self._action.M) @ self.flatten(U),
-                           self.offsets, GradedElement)
+                           self.offsets)
 
     def star(self, T: GradedElement) -> GradedElement:
         J = self._action.J
         out = np.zeros(self._op_dim, dtype=complex)
         for X, v in T.comps.items():
             out += J[:, self._op_slice(X)] @ np.conj(v)
-        return self._split(out, self._op_slices, GradedElement)
+        return self._split(out, self._op_slices)
 
     def act_matrix(self, T: GradedElement) -> np.ndarray:
         self._guard(T.comps, self.support)
@@ -329,7 +312,7 @@ class CoendAlgebra:
         Q.flags.writeable = False
         return Q
 
-    def flatten(self, xi: ModuleVector) -> np.ndarray:
+    def flatten(self, xi: GradedElement) -> np.ndarray:
         out = np.zeros(self.total_dim, dtype=complex)
         for X, v in xi.comps.items():
             if X not in self.offsets:
@@ -491,14 +474,8 @@ def faithfulness_probe(co: CoendAlgebra, trials: int, seed: int = 0) -> dict:
 
 
 # ---------------------------------------------------------------------------
-# crossed products and expectation descent
+# expectation descent
 # ---------------------------------------------------------------------------
-
-def crossed_product(A: AlgebraObject, D: AlgebraObject, S=None,
-                    mode: str = "strict") -> CoendAlgebra:
-    """A ⋊ 𝒟: the coend realization of an action 𝔸 against the object 𝒟."""
-    return CoendAlgebra(A, D, S=S, mode=mode)
-
 
 def descend_expectation(co: CoendAlgebra, omega: np.ndarray):
     """E_ω = (id ⊗ ω) ∘ 𝔼 : A ⋊ 𝒟 → A for a state ω on 𝒟(1).

@@ -503,37 +503,31 @@ def ind_check(corr: RealizedCorrespondence) -> dict:
 # GNS objects and the discreteness report
 # ---------------------------------------------------------------------------
 
-def _gns_cuts(D: AlgebraObject, omega) -> tuple:
-    """(HilbertSpaceObject of the ranks, label K → rank cut of the form
-    ω(⟨eᵢ, eₖ⟩) on the fiber 𝒟(K))."""
+def gns_object(D: AlgebraObject, omega) -> tuple:
+    """L²_ω𝒟: fibers of 𝒟 modulo the null space of ξ ↦ ω(⟨ξ,ξ⟩).
+
+    Returns (HilbertSpaceObject of the ranks, label K → the `gns.Cut` of
+    the form ω(⟨eᵢ, eₖ⟩) on the fiber 𝒟(K)); the rows of factor* of a cut
+    are the surviving directions.  Rank threshold `gns.RANK_CUT` relative
+    to the largest eigenvalue per fiber.
+    """
     omega, _ = D.ground().check_state(omega)
     cuts = {K: rank_cut(D.fiber_gram(K) @ omega) for K in D.support}
     return HilbertSpaceObject({K: c.rank for K, c in cuts.items()}), cuts
 
 
-def gns_object(D: AlgebraObject, omega) -> tuple:
-    """L²_ω𝒟: fibers of 𝒟 modulo the null space of ξ ↦ ω(⟨ξ,ξ⟩).
-
-    Returns (HilbertSpaceObject, quotient maps label → matrix whose rows
-    are the surviving directions).  Rank threshold 1e-10·σ_max per fiber.
-    """
-    hobj, cuts = _gns_cuts(D, omega)
-    return hobj, {K: c.factor.conj().T for K, c in cuts.items() if c.rank}
-
-
-def discreteness_report(D: AlgebraObject, omega, corrupt: bool = False) -> dict:
+def discreteness_report(D: AlgebraObject, omega) -> dict:
     """{discrete, pqr, ind} flags for (𝒟, ω) at the given truncation.
 
     Finitely supported data is C*-discrete by construction, so `discrete`
     records that the GNS object exists and is nonzero; `pqr` that the
     realization of L²_ω𝒟 carries every GNS fiber with the projections
-    resolving the identity; `ind` the commutant block verdict.  The
-    `corrupt` switch adjoins the block-mixing generator before the verdict
-    to model data outside the ind class.  `gns_cut_gap` is (smallest kept,
-    largest dropped) eigenvalue over the fiber rank cuts behind `gns_dims`,
-    or None when no direction was dropped.
+    resolving the identity; `ind` the commutant block verdict.
+    `gns_cut_gap` is (smallest kept, largest dropped) eigenvalue over the
+    fiber rank cuts of :func:`gns_object` behind `gns_dims`, or None when
+    no direction was dropped.
     """
-    hobj, cuts = _gns_cuts(D, omega)
+    hobj, cuts = gns_object(D, omega)
     discrete = hobj.total() > 0
     dropped = [c.gap[1] for c in cuts.values() if c.gap]
     cut_gap = None
@@ -545,8 +539,6 @@ def discreteness_report(D: AlgebraObject, omega, corrupt: bool = False) -> dict:
     total_p = sum(corr.projections.values())
     pqr = bool(discrete and graded == hobj.dims
                and np.max(np.abs(total_p - np.eye(corr.total_dim))) < 1e-9)
-    if corrupt:
-        corr = corrupt_correspondence(corr)
     verdict = ind_check(corr)
     ind = verdict["verdict"] == "IND"
     chain_ok = (not discrete or pqr) and (not pqr or ind)

@@ -220,29 +220,31 @@ def covariance_from_automorphisms(alphas, algebra: BaseAlgebra = None,
                                   tol: float = 1e-10) -> CovarianceMatrix:
     """Diagonal covariance η_i = α_i + α_i⁻¹ from verified automorphisms.
 
-    Each α is a matrix on A-coordinates; multiplicativity, star-compatibility
-    and unitality are checked before inverting.
+    Each α is a matrix on A-coordinates; unitality, multiplicativity and
+    star-compatibility are checked on all basis elements and pairs at once,
+    in that order, before inverting.
     """
     if algebra is None:
         algebra = BaseAlgebra((1,))
     alg = algebra
+    B = alg.basis
+    prods = alg.coords(B[:, None] @ B[None])          # e_x e_y
+    stars = alg.coords(B.conj().transpose(0, 2, 1))   # e_x*
     maps = []
     for t, al in enumerate(alphas):
         al = np.asarray(al, dtype=complex)
         if al.shape != (alg.dim, alg.dim):
             raise NotAnAutomorphism(f"α_{t} has shape {al.shape}")
-
-        def act(a, al=al):
-            return alg.element(al @ alg.coords(a))
-
-        if np.linalg.norm(act(np.eye(alg.d)) - np.eye(alg.d)) > tol:
+        img = alg.element(al.T)  # img[x] = α(e_x)
+        one = alg.element(al @ alg.unit_coords)
+        if np.linalg.norm(one - np.eye(alg.d)) > tol:
             raise NotAnAutomorphism(f"α_{t} is not unital")
-        for x in alg.basis:
-            for y in alg.basis:
-                if np.linalg.norm(act(x @ y) - act(x) @ act(y)) > tol:
-                    raise NotAnAutomorphism(f"α_{t} is not multiplicative")
-            if np.linalg.norm(act(x.conj().T) - act(x).conj().T) > tol:
-                raise NotAnAutomorphism(f"α_{t} does not commute with *")
+        mult = alg.element(prods @ al.T) - img[:, None] @ img[None]
+        if np.max(np.linalg.norm(mult, axis=(2, 3))) > tol:
+            raise NotAnAutomorphism(f"α_{t} is not multiplicative")
+        star = alg.element(stars @ al.T) - img.conj().transpose(0, 2, 1)
+        if np.max(np.linalg.norm(star, axis=(1, 2))) > tol:
+            raise NotAnAutomorphism(f"α_{t} does not commute with *")
         if abs(np.linalg.det(al)) < 1e-12:
             raise NotAnAutomorphism(f"α_{t} is not invertible")
         maps.append(al + np.linalg.inv(al))
@@ -326,24 +328,10 @@ class TruncatedFock:
             M[self.offsets[m], self.offsets[n]] = B
         return M
 
-    def left_mult(self, a) -> np.ndarray:
-        L = self.eta.algebra.left_matrix(a)
-        return self.assemble({(m, m): self.left_block(m, L)
-                              for m in range(self.depth + 1)})
-
     @cached_property
     def omega(self) -> np.ndarray:
         """ONB coordinates of the vacuum 1 ∈ A on level 0."""
         return self.to_onb[0] @ self.eta.algebra.unit_coords
-
-    def vacuum(self) -> np.ndarray:
-        v = np.zeros(self.total_dim, dtype=complex)
-        v[self.offsets[0]] = self.omega
-        return v
-
-    def ground_component(self, vec) -> np.ndarray:
-        """A-element carried by the level-0 part of an ONB vector."""
-        return self.eta.algebra.element(self.from_onb[0] @ vec[self.offsets[0]])
 
 
 def _scalar_cut(G: np.ndarray, d: int) -> Cut:
@@ -451,11 +439,6 @@ class SemicircularFamily:
     _windows: dict = field(default_factory=dict, init=False, repr=False)
     _states: dict = field(default_factory=dict, init=False, repr=False)
 
-    @property
-    def creations(self) -> dict:
-        """Dense T_i: the part of X_i strictly below the diagonal."""
-        return {i: np.tril(X, -1) for i, X in self.ops.items()}
-
     def window(self, h: int) -> dict:
         """X_i compressed to the levels 0…h (T_i out of level h dropped),
         dense and cached per h."""
@@ -470,9 +453,6 @@ class SemicircularFamily:
     @property
     def ops(self) -> dict:
         return self.window(self.fock.depth)
-
-    def X(self, i) -> np.ndarray:
-        return self.ops[i]
 
     def state(self, word: tuple) -> np.ndarray:
         """X_{i₁}···X_{i_k}·P₀* for word = (i₁, …, i_k), k ≤ depth, read-only.
@@ -612,39 +592,16 @@ def _kraus_vectors(eta: CovarianceMatrix) -> list:
     return [v[:, :, i, :].conj() for i in range(nI)]
 
 
-def ind_faithfulness_probe(eta: CovarianceMatrix, depth: int = 4,
-                           samples: int = 20, seed: int = 0) -> dict:
+def ind_faithfulness_probe(eta: CovarianceMatrix) -> dict:
     """Checkable ingredients of the ind-inclusion criterion for finite A.
 
-    (a) trace symmetry of η against the canonical trace; (b) kernel probe:
-    sampled polynomials with E(p*p) ≈ 0 must satisfy pΩ ≈ 0 at truncation;
-    (c) block decomposition of the corner correspondences A⊗_{η_ii}A and,
-    for single-block A, the Corollary's vector presentation round-trip.
+    (a) trace symmetry of η against the canonical trace; (b) the ranks
+    `corner_dims` of the scalar Grams of the corner correspondences
+    A⊗_{η_ii}A; (c) for single-block A, the residual of the Corollary's
+    vector presentation round-trip.  The verdict passes only if η is
+    trace-symmetric and that residual, where it applies, is at most 1e-9.
     """
-    from .inclusion import HilbertSpaceObject, commutant_blocks, realize
-
     alg = eta.algebra
-    sym = eta.trace_symmetry_residual()
-    fock = build_fock(eta, depth)
-    fam = semicircular_ops(fock)
-    rng = np.random.default_rng(seed)
-
-    kernel_failures = 0
-    for _ in range(samples):
-        # random polynomial of X-degree ≤ depth acting on the vacuum
-        p = np.zeros((fock.total_dim, fock.total_dim), dtype=complex)
-        for _ in range(3):
-            term = np.eye(fock.total_dim, dtype=complex)
-            for _ in range(int(rng.integers(0, depth + 1))):
-                i = eta.index[rng.integers(len(eta.index))]
-                term = fam.ops[i] @ term
-            term = fock.left_mult(alg.random(rng)) @ term
-            p = p + (rng.normal() + 1j * rng.normal()) * term
-        v = p @ fock.vacuum()
-        ee = fock.ground_component(p.conj().T @ p @ fock.vacuum())
-        if abs(alg.trace(ee)) < 1e-12 and np.linalg.norm(v) > 1e-8:
-            kernel_failures += 1
-
     # scalar Gram of A⊗_{η_ii}A: ⟨a⊗b, c⊗d⟩ = τ(b* η_ii(a*c) d), where
     # tau3[b, q, d] = τ(e_b* e_q e_d)
     B, n = alg.basis, alg.dim
@@ -653,8 +610,6 @@ def ind_faithfulness_probe(eta: CovarianceMatrix, depth: int = 4,
         i: rank_cut(np.einsum("acp,qp,bqd->abcd", alg.star_prods,
                               eta.stacked[x, x], tau3).reshape(n * n, n * n)).rank
         for x, i in enumerate(eta.index)}
-    hobj = HilbertSpaceObject({f"i{i}": h for i, h in corner_dims.items()})
-    blocks = commutant_blocks(realize(hobj)) if hobj.dims else None
 
     vecs = _kraus_vectors(eta)
     roundtrip = None
@@ -664,14 +619,17 @@ def ind_faithfulness_probe(eta: CovarianceMatrix, depth: int = 4,
             float(np.max(np.abs(eta2.entries[k] - eta.entries[k])))
             for k in eta.entries)
 
+    symmetric = eta.is_trace_symmetric()
+    if not symmetric:
+        verdict = "η is not trace-symmetric"
+    elif roundtrip is not None and roundtrip > 1e-9:
+        verdict = "vector presentation residual above 1e-9"
+    else:
+        verdict = "criterion ingredients verified (finite A)"
     return {
-        "trace_symmetry_residual": sym,
-        "trace_symmetric": eta.is_trace_symmetric(),
-        "kernel_failures": kernel_failures,
-        "samples": samples,
+        "trace_symmetry_residual": eta.trace_symmetry_residual(),
+        "trace_symmetric": symmetric,
         "corner_dims": corner_dims,
-        "blocks": blocks.blocks if blocks else None,
         "vector_presentation_residual": roundtrip,
-        "verdict": "criterion ingredients verified (finite A)"
-        if kernel_failures == 0 else "kernel probe failed",
+        "verdict": verdict,
     }

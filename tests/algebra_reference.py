@@ -21,7 +21,6 @@ import itertools
 import numpy as np
 
 from index_reference import f_index
-from utcat.algebra_object import FiberElement
 from utcat.errors import SupportTooSmall
 
 
@@ -140,7 +139,7 @@ def associativity(D, rng=None) -> float:
     return worst
 
 
-def fiber_action(D, xi: FiberElement, T) -> FiberElement:
+def fiber_action(D, X: str, xi, T) -> np.ndarray:
     """Right action ξ ◁ T = 𝒟(R̄_X ⊗ id_X)(𝒟²(ξ ⊙ T)) on 𝒟(X).
 
     The adjoint of R̄_X ⊗ id_X caps ξ's strand with the left X̄ of the
@@ -148,7 +147,7 @@ def fiber_action(D, xi: FiberElement, T) -> FiberElement:
     unit ι(1) = 𝒟(R_X*)(1) is exactly 1, so no dimension factor is
     needed for the unit to act as the identity and ξ ◁ ι(x) = ξ·x.
     """
-    X, cat = xi.label, D.cat
+    cat = D.cat
     Xb = D.dual(X)
     rbar = cat.conjugate_solution(X).rbar
     out = np.zeros(D.n(X), dtype=complex)
@@ -156,15 +155,15 @@ def fiber_action(D, xi: FiberElement, T) -> FiberElement:
         # the cap on (Z, v, s ∈ O(X, X⊗Z)): r̄ conj F[X,X̄,X;X][(1,0,0), (Z,v,s)]
         cap = rbar * cat.fblock(X, Xb, X, X, cat.ring.unit, Z)[0, 0, v].conj()
         for s, coeff in enumerate(cap):
-            out += D.scalar(coeff) * D.mu_apply(X, Z, X, s, xi.vec, T[sl])
-    return FiberElement(X, out)
+            out += D.scalar(coeff) * D.mu_apply(X, Z, X, s, xi, T[sl])
+    return out
 
 
-def fiber_norms(D, xi: FiberElement) -> tuple:
-    """(module norm ‖ξ‖_{𝒟(1)}, operator norm ‖ξ‖)."""
+def fiber_norms(D, X: str, xi) -> tuple:
+    """(module norm ‖ξ‖_{𝒟(1)}, operator norm ‖ξ‖) of ξ in 𝒟(X)."""
     g = D.ground()
-    module = np.sqrt(max(g.op_norm(D.fiber_inner_product(xi, xi)), 0.0))
-    sq = D.square_algebra(xi.label)
-    t = D.lax_product(sq.Xb, xi.label, D.j(xi.label, xi.vec), xi.vec)
+    module = np.sqrt(max(g.op_norm(D.fiber_inner_product(X, xi, xi)), 0.0))
+    sq = D.square_algebra(X)
+    t = D.lax_product(sq.Xb, X, D.j(X, xi), xi)
     operator = np.sqrt(max(sq.op_norm(t), 0.0))
     return module, operator

@@ -6,7 +6,10 @@ cut it.  :func:`raw_factors` carries the level cuts, each on (A⊗ℂ^I) ⊗
 (range of the level below), back to that raw basis, and :class:`RawFock`
 reads the operators there: left multiplication L(a) ⊗ I, creation
 (1 ⊗ e_i) ⊗ I and right multiplication I ⊗ R(a), which the library never
-needs.
+needs.  :func:`left_mult`, :func:`vacuum` and :func:`ground_component` are
+the dense left action, the vacuum vector and the level-0 read-out of a
+`TruncatedFock` in its own ONB coordinates, which the library reads only
+through half-word states.
 """
 
 from __future__ import annotations
@@ -34,6 +37,25 @@ def level_grams(eta, depth: int):
                       G.reshape(s, nA, s // nA, d, d),
                       optimize=True).reshape(t, t, d, d)
         yield G
+
+
+def left_mult(fock, a) -> np.ndarray:
+    """Dense x ↦ a·x on the whole truncated Fock space, from `left_block`."""
+    L = fock.eta.algebra.left_matrix(a)
+    return fock.assemble({(m, m): fock.left_block(m, L)
+                          for m in range(fock.depth + 1)})
+
+
+def vacuum(fock) -> np.ndarray:
+    """ONB coordinates of Ω on the whole truncated Fock space."""
+    v = np.zeros(fock.total_dim, dtype=complex)
+    v[fock.offsets[0]] = fock.omega
+    return v
+
+
+def ground_component(fock, vec) -> np.ndarray:
+    """A-element carried by the level-0 part of an ONB vector."""
+    return fock.eta.algebra.element(fock.from_onb[0] @ vec[fock.offsets[0]])
 
 
 def raw_factors(eta, cuts) -> list:
@@ -91,8 +113,8 @@ class RawFock:
 
     def expectation(self, word) -> np.ndarray:
         """⟨wΩ, Ω⟩ ∈ A from the dense operators, letters ("X", i) or a ∈ A."""
-        v = self.fock.vacuum()
+        v = vacuum(self.fock)
         for w in reversed(word):
             v = (self.X(w[1]) if isinstance(w, tuple)
                  else self.left_mult(w)) @ v
-        return self.fock.ground_component(v)
+        return ground_component(self.fock, v)

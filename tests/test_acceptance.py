@@ -21,7 +21,6 @@ from utcat.basis_change import relabel_category
 from utcat.coend import (
     CoendAlgebra,
     GradedElement,
-    crossed_product,
     faithfulness_probe,
     norm_sandwich_check,
 )
@@ -100,8 +99,8 @@ def _coend_fixtures():
     fib = fibonacci()
     ann = build_annulus(fib)
     return {
-        "z3": crossed_product(trivial_action_object(z3),
-                              group_algebra_object(z3)),
+        "z3": CoendAlgebra(trivial_action_object(z3),
+                           group_algebra_object(z3)),
         "fib": CoendAlgebra(opposite_object(ann), ann),
     }
 
@@ -130,7 +129,7 @@ def test_criterion_3_coend_sandwich_and_faithfulness():
 
 def _group_table_residual(cat) -> float:
     """Crossed-product structure constants vs. direct group multiplication."""
-    co = crossed_product(trivial_action_object(cat), group_algebra_object(cat))
+    co = CoendAlgebra(trivial_action_object(cat), group_algebra_object(cat))
     ring = cat.ring
     worst = 0.0
     for g in ring.labels:

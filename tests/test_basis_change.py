@@ -11,7 +11,6 @@ from utcat.basis_change import relabel_category
 from utcat.coend import (
     CoendAlgebra,
     GradedElement,
-    crossed_product,
     norm_sandwich_check,
 )
 from utcat.errors import LabelMismatch
@@ -80,7 +79,7 @@ def test_group_structure_constants_transport():
     cat = vec_zn(3)
     cat2 = relabel_category(cat, {"g1": "h2", "g2": "h1"})
     for c in (cat, cat2):
-        co = crossed_product(trivial_action_object(c), group_algebra_object(c))
+        co = CoendAlgebra(trivial_action_object(c), group_algebra_object(c))
         # δ_g δ_h = δ_{gh} exactly, whatever the labels are called
         labels = list(co.support)
         for g in labels:

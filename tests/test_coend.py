@@ -15,9 +15,7 @@ from utcat.annulus import build_annulus
 from utcat.coend import (
     CoendAlgebra,
     GradedElement,
-    ModuleVector,
     _probe_grams,
-    crossed_product,
     descend_expectation,
     faithfulness_probe,
     ground_op_norm,
@@ -40,8 +38,8 @@ PHI = (1.0 + np.sqrt(5.0)) / 2.0
 @pytest.fixture(scope="module", params=[2, 3, 5])
 def zn_cross(request):
     cat = vec_zn(request.param)
-    return crossed_product(trivial_action_object(cat),
-                           group_algebra_object(cat))
+    return CoendAlgebra(trivial_action_object(cat),
+                        group_algebra_object(cat))
 
 
 @pytest.fixture(scope="module")
@@ -100,8 +98,8 @@ def test_expectation_is_the_identity_coefficient(zn_cross):
 
 def test_group_difference_has_nonzero_mass():
     cat = vec_zn(3)
-    co = crossed_product(trivial_action_object(cat), group_algebra_object(cat))
-    T = _delta(co, "g1") + _delta(co, "g2").scaled(-1.0)
+    co = CoendAlgebra(trivial_action_object(cat), group_algebra_object(cat))
+    T = GradedElement({"g1": [1.0], "g2": [-1.0]})
     e = co.canonical_expectation(co.mul(co.star(T), T))
     # 𝔼((δ_g − δ_h)*(δ_g − δ_h)) = 2·1 for g ≠ h
     assert abs(e[0] - 2.0) < 1e-12
@@ -137,7 +135,7 @@ def _assert_bimodular(co):
 
 
 def _assert_cyclic_vacuum(co):
-    cols = [co.flatten(co.triangle_act(T, co.vacuum()))
+    cols = [co.flatten(co.mul(T, co.vacuum()))
             for _, _, T in co.basis()]
     V = np.stack(cols, axis=1)
     assert np.linalg.matrix_rank(V, tol=1e-10) == co.total_dim
@@ -231,7 +229,7 @@ def test_sandwich_fibonacci_tau_ratio(fib_coend):
 
 
 def test_sandwich_rejects_inhomogeneous(fib_coend):
-    T = _delta(fib_coend, "1") + _delta(fib_coend, "tau")
+    T = GradedElement({X: _delta(fib_coend, X).comps[X] for X in ("1", "tau")})
     with pytest.raises(LabelMismatch):
         norm_sandwich_check(fib_coend, T)
 
@@ -248,7 +246,7 @@ def test_unit_term_is_positive(zn_cross):
 
 def test_two_term_positivity_z2():
     cat = vec_zn(2)
-    co = crossed_product(trivial_action_object(cat), group_algebra_object(cat))
+    co = CoendAlgebra(trivial_action_object(cat), group_algebra_object(cat))
     rng = np.random.default_rng(31)
     for _ in range(5):
         terms = [(rng.normal(size=1) + 1j * rng.normal(size=1),
@@ -286,8 +284,8 @@ def test_faithfulness_probe_fibonacci(fib_coend):
 
 def test_strict_mode_overflows():
     cat = vec_zn(4)
-    co = crossed_product(trivial_action_object(cat), group_algebra_object(cat),
-                         S=("g0", "g1"), mode="strict")
+    co = CoendAlgebra(trivial_action_object(cat), group_algebra_object(cat),
+                      S=("g0", "g1"), mode="strict")
     d1 = _delta(co, "g1")
     with pytest.raises(SupportOverflow):
         co.mul(d1, d1)
@@ -295,8 +293,8 @@ def test_strict_mode_overflows():
 
 def test_project_mode_truncates():
     cat = vec_zn(4)
-    co = crossed_product(trivial_action_object(cat), group_algebra_object(cat),
-                         S=("g0", "g1"), mode="project")
+    co = CoendAlgebra(trivial_action_object(cat), group_algebra_object(cat),
+                      S=("g0", "g1"), mode="project")
     d1 = _delta(co, "g1")
     assert co.mul(d1, d1).comps == {}
     # products that stay inside the support are untouched
@@ -309,7 +307,7 @@ def test_project_mode_truncates():
 @pytest.fixture(scope="module")
 def z2_ann_cross():
     cat = vec_zn(2)
-    return crossed_product(trivial_action_object(cat), build_annulus(cat))
+    return CoendAlgebra(trivial_action_object(cat), build_annulus(cat))
 
 
 def test_descend_trivial_ground_recovers_expectation(zn_cross):
@@ -325,7 +323,7 @@ def test_descend_trace_state_is_faithful(z2_ann_cross):
     E, rep = descend_expectation(z2_ann_cross, np.array([1.0, 0.0]))
     assert rep == {"omega_faithful": True, "E_omega_faithful": True,
                    "gns_rank": 2, "gns_cut_gap": None}
-    assert abs(E(z2_ann_cross.unit()) - 1.0) < 1e-12
+    assert abs(E(z2_ann_cross.vacuum()) - 1.0) < 1e-12
 
 
 def test_descend_character_state_is_not_faithful(z2_ann_cross):
@@ -345,8 +343,8 @@ def test_descend_on_a_support_that_is_not_fusion_closed():
     # overflow where products leave the support
     cat = vec_zn(4)
     reports = [descend_expectation(
-        crossed_product(trivial_action_object(cat), group_algebra_object(cat),
-                        S=("g0", "g1"), mode=mode), np.array([1.0]))[1]
+        CoendAlgebra(trivial_action_object(cat), group_algebra_object(cat),
+                     S=("g0", "g1"), mode=mode), np.array([1.0]))[1]
         for mode in ("strict", "project")]
     assert reports[0] == reports[1] == {
         "omega_faithful": True, "E_omega_faithful": True, "gns_rank": 1,
@@ -418,7 +416,7 @@ def _ref_triangle_act(co, T, xi):
             for X2, acc in _ref_component_product(
                     co, X0, X1, _ref_shape(co, X0, t), _ref_shape(co, X1, x)).items():
                 out[X2] = out.get(X2, 0.0) + acc.reshape(-1)
-    return ModuleVector(out)
+    return GradedElement(out)
 
 
 def _ref_act_matrix(co, T):
@@ -427,7 +425,7 @@ def _ref_act_matrix(co, T):
         for i in range(co.dims[X]):
             e = np.zeros(co.dims[X])
             e[i] = 1.0
-            col = co.flatten(_ref_triangle_act(co, T, ModuleVector({X: e})))
+            col = co.flatten(_ref_triangle_act(co, T, GradedElement({X: e})))
             M[:, co.offsets[X].start + i] = col
     return M
 
@@ -492,8 +490,8 @@ def _rel(new, ref):
 
 def _crossed(n, S=None, mode="strict"):
     cat = vec_zn(n)
-    return crossed_product(trivial_action_object(cat),
-                           group_algebra_object(cat), S=S, mode=mode)
+    return CoendAlgebra(trivial_action_object(cat),
+                        group_algebra_object(cat), S=S, mode=mode)
 
 
 def _rotated(D, seed):
@@ -641,7 +639,7 @@ def _ref_star(co, T):
 def _ref_expect_square(co, T):
     """𝔼(T*T) through the reference product and the reference vacuum action."""
     unit = co.cat.ring.unit
-    tt = _ref_triangle_act(co, _ref_star(co, T), ModuleVector(T.comps))
+    tt = _ref_triangle_act(co, _ref_star(co, T), GradedElement(T.comps))
     return _ref_triangle_act(co, GradedElement(tt.comps), co.vacuum()).comps.get(
         unit, np.zeros(co.dims[unit], dtype=complex))
 

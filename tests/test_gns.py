@@ -15,7 +15,7 @@ from utcat.algebra_object import (
     validate_algebra_object,
 )
 from utcat.annulus import build_annulus, z_state
-from utcat.coend import CoendAlgebra, crossed_product
+from utcat.coend import CoendAlgebra
 from utcat.errors import SolveFailed
 from utcat.fixtures import FIXTURE_BUILDERS, vec_zn
 from utcat.gns import GramRoot, form, rank_cut
@@ -138,8 +138,8 @@ def _annulus_case(name, rotate=False):
 
 def _crossed_case(n):
     cat = vec_zn(n)
-    return crossed_product(trivial_action_object(cat),
-                           group_algebra_object(cat))
+    return CoendAlgebra(trivial_action_object(cat),
+                        group_algebra_object(cat))
 
 
 CASES = {
@@ -223,12 +223,14 @@ def test_module_gram_and_descend_kernel_match_the_reference(case):
 def test_gns_object_matches_the_reference(case):
     name, co = case
     for omega in _states(name, co.B.ground()):
-        hobj, quotients = gns_object(co.B, omega)
+        hobj, cuts = gns_object(co.B, omega)
         dims, forms = _ref_gns_object(co.B, omega)
         assert hobj.dims == dims
-        for K, q in quotients.items():
-            # the quotient map factors the form: q*q = Q up to the cut
-            assert _rel(q.conj().T @ q, forms[K]) < 1e-10
+        assert {K for K, c in cuts.items() if c.rank} == set(forms)
+        for K, form_K in forms.items():
+            # the cut factors the form: F·F* = Q up to the cut
+            F = cuts[K].factor
+            assert _rel(F @ F.conj().T, form_K) < 1e-10
 
 
 # -- the factorization and the cut -------------------------------------------

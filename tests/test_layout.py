@@ -16,7 +16,7 @@ import pytest
 
 import algebra_reference as ref
 from test_annulus import _gauged, _mirror
-from utcat.algebra_object import (AlgebraObject, FiberElement, _associativity, opposite_object,
+from utcat.algebra_object import (AlgebraObject, _associativity, opposite_object,
                                   pp_check, validate_algebra_object, worst_residual)
 from utcat.annulus import _assemble, build_annulus
 from utcat.basis_change import relabel_category
@@ -189,11 +189,12 @@ ENTRY_POINTS = {
     "square_algebra": lambda D: D.square_algebra("nope"),
     "fiber_gram": lambda D: D.fiber_gram("nope"),
     "fiber_inner_product": lambda D: D.fiber_inner_product(
-        FiberElement("nope", np.ones(1)), FiberElement("nope", np.ones(1))),
+        "nope", np.ones(1), np.ones(1)),
     # the right action and the fiber norms live in the test reference now,
     # which reads these through the entry points above
-    "fiber_action": lambda D: ref.fiber_action(D, FiberElement("nope", np.ones(1)), np.ones(1)),
-    "fiber_norms": lambda D: ref.fiber_norms(D, FiberElement("nope", np.ones(1))),
+    "fiber_action": lambda D: ref.fiber_action(D, "nope", np.ones(1),
+                                               np.ones(1)),
+    "fiber_norms": lambda D: ref.fiber_norms(D, "nope", np.ones(1)),
     "layout_left": lambda D: D.layout("nope", "tau"),
     "layout_right": lambda D: D.layout("tau", "nope"),
     "lax_product": lambda D: D.lax_product("tau", "nope", np.ones(1), np.ones(1)),

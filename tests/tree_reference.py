@@ -610,9 +610,9 @@ def square_star_mat(sq) -> np.ndarray:
     return S * (phase / abs(phase))
 
 
-def fiber_action(D, xi, T) -> np.ndarray:
+def fiber_action(D, X, xi, T) -> np.ndarray:
     """ξ ◁ T = 𝒟(R̄_X ⊗ id_X)(𝒟²(ξ ⊙ T)), capping ξ's strand through the moves."""
-    X, tc = xi.label, TreeCalculus(D.cat)
+    tc = TreeCalculus(D.cat)
     ring = tc.ring
     sol = tc.conjugate_solution(X)
     q = tc.insert_pair(TreeVector((X,), X, {(): 1.0 + 0j}), 0,
@@ -626,5 +626,5 @@ def fiber_action(D, xi, T) -> np.ndarray:
             coeff = M.inner(q)
             if abs(coeff) == 0.0:
                 continue
-            out += D.scalar(coeff) * D.mu_apply(X, Z, X, s, xi.vec, T[sl])
+            out += D.scalar(coeff) * D.mu_apply(X, Z, X, s, xi, T[sl])
     return out
