@@ -2,9 +2,12 @@
 
 An :class:`AlgebraObject` stores a functor value ``fibers[X] = dim 𝒟(X)`` on
 each irreducible label, the lax multiplication through its irreducible
-components ``mult[(X, Y, Z, v)]`` (one bilinear map per tree basis vector
-v ∈ O(Z, X⊗Y)), an antilinear star ``j_X : 𝒟(X) → 𝒟(X̄)`` given by
-``star[X] @ conj(ξ)``, and the algebra unit in 𝒟(1).
+components, an antilinear star ``j_X : 𝒟(X) → 𝒟(X̄)`` given by
+``star[X] @ conj(ξ)``, and the algebra unit in 𝒟(1).  The product is one
+bilinear map 𝒟(X)×𝒟(Y) → 𝒟(Z) per tree v ∈ O(Z, X⊗Y), stored per channel
+as one stack ``mult[(X, Y, Z)]`` of shape (N_XY^Z, n_Z, n_X, n_Y), v along
+the first axis, and read through :meth:`AlgebraObject.mu`; a channel
+without a stack has the zero product.
 
 ``side`` records whether the object lives over the category itself ("cat") or
 its opposite ("op"); the opposite category has conjugated structure scalars,
@@ -74,13 +77,13 @@ class Layout(NamedTuple):
 class AlgebraObject:
     cat: SkeletalUTC
     fibers: dict                    # label -> dimension (0 entries allowed)
-    mult: dict                      # (X, Y, Z, v) -> ndarray (n_Z, n_X, n_Y)
+    mult: dict                      # (X, Y, Z) -> ndarray (N_XY^Z, n_Z, n_X, n_Y)
     star: dict                      # label -> ndarray (n_Xbar, n_X)
     unit: np.ndarray                # vector in 𝒟(1)
     side: str = "cat"
     meta: dict = field(default_factory=dict)
-    # layouts, stacked products, conjugation matrices and the ground and
-    # square algebras, each built once per object under a tuple key
+    # layouts, conjugation matrices and the ground and square algebras,
+    # each built once per object under a tuple key
     _derived: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -108,25 +111,14 @@ class AlgebraObject:
         """Category structure scalar, conjugated on the opposite side."""
         return np.conj(z) if self.side == "op" else z
 
-    def mu(self, X, Y, Z, v) -> np.ndarray:
-        arr = self.mult.get((X, Y, Z, v))
+    def mu(self, X, Y, Z) -> np.ndarray:
+        """The products of the trees v ∈ O(Z, X⊗Y) stacked over v, shape
+        (N_XY^Z, n_Z, n_X, n_Y); zeros where the object has no product."""
+        arr = self.mult.get((X, Y, Z))
         if arr is None:
-            return np.zeros((self.n(Z), self.n(X), self.n(Y)), dtype=complex)
+            return np.zeros((self.cat.ring.N(X, Y, Z), self.n(Z), self.n(X), self.n(Y)),
+                            dtype=complex)
         return arr
-
-    def mu_stack(self, X, Y, Z) -> np.ndarray:
-        """μ(X, Y, Z, v) stacked over v ∈ O(Z, X⊗Y), shape
-        (N_XY^Z, n_Z, n_X, n_Y); built on the first call for the triple."""
-        def build():
-            nv = self.cat.ring.N(X, Y, Z)
-            if nv == 1:  # a view of the one product, not a copy
-                return self.mu(X, Y, Z, 0)[None]
-            return np.array([self.mu(X, Y, Z, v) for v in range(nv)]).reshape(
-                nv, self.n(Z), self.n(X), self.n(Y))
-        return self._cached(("mu", X, Y, Z), build)
-
-    def mu_apply(self, X, Y, Z, v, xi, eta) -> np.ndarray:
-        return np.einsum("zxy,x,y->z", self.mu(X, Y, Z, v), xi, eta)
 
     def j(self, X: str, xi) -> np.ndarray:
         return self.star[X] @ np.conj(np.asarray(xi, dtype=complex))
@@ -164,8 +156,8 @@ class AlgebraObject:
         """𝒟²_{X,Y}(ξ ⊙ η) on the layout of 𝒟(X⊗Y)."""
         L = self.layout(X, Y)
         out = np.zeros(L.dim, dtype=complex)
-        for (Z, v), sl in L.slices.items():
-            out[sl] = self.mu_apply(X, Y, Z, v, xi, eta)
+        for Z, sl in L.spans.items():
+            out[sl] = np.einsum("vzxy,x,y->vz", self.mu(X, Y, Z), xi, eta).reshape(-1)
         return out
 
     def conj_matrix(self, A: str, B: str) -> np.ndarray:
@@ -202,13 +194,8 @@ class AlgebraObject:
         """The 𝒟(1)-valued Gram ⟨eᵢ, eₖ⟩ = E_X(𝒟²(j(eᵢ) ⊙ eₖ)) of the
         standard basis of 𝒟(X), shape (n_X, n_X, n_1): μ(X̄, X → 1)
         contracted with star[X]."""
-        mu = self.mu(self.dual(X), X, self.cat.ring.unit, 0)
+        mu = self.mu(self.dual(X), X, self.cat.ring.unit)[0]
         return self.expect_weight(X) * np.einsum("zxk,xi->ikz", mu, self.star[X])
-
-    def fiber_inner_product(self, X: str, xi, eta) -> np.ndarray:
-        """⟨ξ,η⟩_{𝒟(1)} = E_X(𝒟²(j(ξ) ⊙ η)) for ξ, η in 𝒟(X);
-        conjugate-linear in ξ."""
-        return np.einsum("ikz,i,k->z", self.fiber_gram(X), np.conj(xi), eta)
 
     # -- derived algebras ---------------------------------------------------
 
@@ -255,12 +242,6 @@ class StarAlgebra:
     def op_norm(self, x) -> float:
         return self.gns.op_norm(self.left_mult(x))
 
-    def is_positive(self, x, floor=1e-10) -> bool:
-        # positive iff x = x* and spectrum of L_x on the GNS space ≥ -floor
-        if np.max(np.abs(self.star(x) - x)) > 1e-8 * max(1.0, np.max(np.abs(x))):
-            return False
-        return min_eig(self.gns.conj(self.left_mult(x))) >= -floor
-
 
 class GroundAlgebra(StarAlgebra):
     """𝒟(1) with its canonical trace."""
@@ -271,7 +252,7 @@ class GroundAlgebra(StarAlgebra):
         self.dim = D.n(unit_lbl)
         if self.dim == 0:
             raise SupportTooSmall([unit_lbl])
-        self.P = D.mu(unit_lbl, unit_lbl, unit_lbl, 0)  # (z, x, y)
+        self.P = D.mu(unit_lbl, unit_lbl, unit_lbl)[0]  # (z, x, y)
         self.star_mat = D.star[unit_lbl]
         self.unit = D.unit
         self.what = "ground algebra trace form"
@@ -350,7 +331,7 @@ class SquareAlgebra(StarAlgebra):
                         continue
                     gamma = D.scalar(np.einsum("vb,buws->uvws", cup,
                                                cat.fblock(Z, Xb, X, U, Xb, W).conj()))
-                    block = np.einsum("uvws,skij->ukviwj", gamma, D.mu_stack(Z, W, U))
+                    block = np.einsum("uvws,skij->ukviwj", gamma, D.mu(Z, W, U))
                     at = (span[U], span[Z], span[W])
                     P[at] += block.reshape(P[at].shape)
         return P
@@ -402,16 +383,16 @@ def _associativity(D: AlgebraObject, rng) -> float:
     for X, Y, Z in itertools.product(sup, repeat=3):
         xi, eta, zeta = _rand(rng, D.n(X)), _rand(rng, D.n(Y)), _rand(rng, D.n(Z))
         # μ(X, Y, E)(ξ, η) stacked over α, per E; μ(Y, Z, F)(η, ζ) over μ, per F
-        xy = [(E, D.mu_stack(X, Y, E) @ eta @ xi) for E, _ in ring.channels(X, Y)]
-        yz = [(Fc, D.mu_stack(Y, Z, Fc) @ zeta @ eta) for Fc, _ in ring.channels(Y, Z)]
+        xy = [(E, D.mu(X, Y, E) @ eta @ xi) for E, _ in ring.channels(X, Y)]
+        yz = [(Fc, D.mu(Y, Z, Fc) @ zeta @ eta) for Fc, _ in ring.channels(Y, Z)]
         for W in sup:
             F, nw = cat.fmat(X, Y, Z, W), D.n(W)
             if not F.size:
                 continue
             # rows (α, β) of channel E and (μ, ν) of channel F; a channel
             # without a tree to W has no rows
-            left = [(D.mu_stack(E, Z, W) @ zeta, t) for E, t in xy]
-            right = [(xi @ D.mu_stack(X, Fc, W), t) for Fc, t in yz]
+            left = [(D.mu(E, Z, W) @ zeta, t) for E, t in xy]
+            right = [(xi @ D.mu(X, Fc, W), t) for Fc, t in yz]
             thL, thR = (np.concatenate([(M @ t.T).transpose(2, 0, 1).reshape(-1, nw)
                                         for M, t in side if len(M)])
                         for side in (left, right))
@@ -437,8 +418,8 @@ def validate_algebra_object(D: AlgebraObject, rng=None, tol: float = 1e-9) -> di
     # unitality
     for X in sup:
         nx = D.n(X)
-        lm = D.mu(unit, X, X, 0)
-        rm = D.mu(X, unit, X, 0)
+        lm = D.mu(unit, X, X)[0]
+        rm = D.mu(X, unit, X)[0]
         L = np.einsum("zxy,x->zy", lm, D.unit)
         R = np.einsum("zxy,y->zx", rm, D.unit)
         res["unitality"] = max(res["unitality"],
@@ -499,10 +480,14 @@ def worst_residual(res: dict) -> tuple:
 # Pimsner–Popa verification
 # ---------------------------------------------------------------------------
 
-def pp_check(D: AlgebraObject, X: str, samples: int, seed: int = 0,
-             slack: float = 1e-8) -> dict:
+# relative slack of a norm sandwich ‖E(T)‖ ≤ ‖T‖ ≤ d²·‖E(T)‖ on either side
+SANDWICH_SLACK = 1e-8
+
+
+def pp_check(D: AlgebraObject, X: str, samples: int, seed: int = 0) -> dict:
     """Sample positive T = S*S in 𝒟(X̄⊗X) and verify
-    ‖E_X(T)‖ ≤ ‖T‖ ≤ d_X²·‖E_X(T)‖ for each sample."""
+    ‖E_X(T)‖ ≤ ‖T‖ ≤ d_X²·‖E_X(T)‖ for each sample, up to
+    ``SANDWICH_SLACK``·max(1, ‖T‖)."""
     sq = D.square_algebra(X)
     g = D.ground()
     dsq = D.cat.d(X) ** 2
@@ -515,9 +500,10 @@ def pp_check(D: AlgebraObject, X: str, samples: int, seed: int = 0,
         T = sq.mul(sq.star(s), s)
         nT = sq.op_norm(T)
         nE = g.op_norm(sq.expect(T))
-        if nE > nT + slack * max(1.0, nT):
+        slack = SANDWICH_SLACK * max(1.0, nT)
+        if nE > nT + slack:
             violations += 1
-        if nT > dsq * nE + slack * max(1.0, nT):
+        if nT > dsq * nE + slack:
             violations += 1
         if nE > 0:
             worst_ratio = max(worst_ratio, nT / nE)
@@ -550,7 +536,7 @@ def group_algebra_object(cat: SkeletalUTC, side: str = "cat") -> AlgebraObject:
     for g in ring.labels:
         for h in ring.labels:
             gh = next(iter(cat.ring.fuse(g, h)))
-            mult[(g, h, gh, 0)] = np.ones((1, 1, 1), dtype=complex)
+            mult[(g, h, gh)] = np.ones((1, 1, 1, 1), dtype=complex)
     star = {g: np.ones((1, 1), dtype=complex) for g in ring.labels}
     return AlgebraObject(cat=cat, fibers=fibers, mult=mult, star=star,
                          unit=np.ones(1, dtype=complex), side=side,

@@ -34,7 +34,6 @@ import numpy as np
 from .algebra_object import AlgebraObject, validate_algebra_object, worst_residual
 from .errors import MissingBraiding, PositivityFailure, SupportTooSmall
 from .fusion_ring import SupportSet
-from .gns import form, min_eig
 from .skeletal import SkeletalUTC
 
 __all__ = ["build_annulus", "annulus_basis", "z_state"]
@@ -87,13 +86,14 @@ def _assemble(cat: SkeletalUTC, S) -> AlgebraObject:
 
 
 def _product(cat: SkeletalUTC, S, bases: dict) -> dict:
-    """mult[(Y, Z, W, u)] of the annulus over S with fiber ``bases``."""
+    """mult[(Y, Z, W)] of the annulus over S with fiber ``bases``."""
     ring, dual, N = cat.ring, cat.ring.dual, cat.ring.N
     start = {Y: {X: i for i, (X, t) in enumerate(basis) if t == 0}
              for Y, basis in bases.items()}
-    mult = {(Y, Z, W, u): np.zeros((len(bases[W]), len(bases[Y]), len(bases[Z])), dtype=complex)
+    mult = {(Y, Z, W): np.zeros((n, len(bases[W]), len(bases[Y]), len(bases[Z])),
+                                dtype=complex)
             for Y, Z in itertools.product(ring.labels, repeat=2)
-            for W, n in ring.channels(Y, Z) for u in range(n)}
+            for W, n in ring.channels(Y, Z)}
     for X, Xp in itertools.product(sorted(S), repeat=2):
         Xb, Xpb = dual[X], dual[Xp]
         # per V: the unit-norm conjugates of an onb of O(V, X⊗X'), conjugated
@@ -125,11 +125,12 @@ def _product(cat: SkeletalUTC, S, bases: dict) -> dict:
                             proj[h:h + F3.shape[3]] = np.einsum("qx,abqh,xatc->hbtc",
                                                                 C, F3, braid[V])
                     for Z, _ in ring.channels(Xpb, Xp):
+                        if not N(Y, Z, W):
+                            continue
                         # the merge along u: one column of F[Y,X̄',X';W]
                         F1 = cat.fblock(Y, Xpb, Xp, W, p, Z)
                         z = slice(start[Z][Xp], start[Z][Xp] + F1.shape[2])
-                        for u, blk in enumerate(np.einsum("hbtc,cbsu->uhts", proj, F1)):
-                            mult[(Y, Z, W, u)][:, y, z] += blk
+                        mult[(Y, Z, W)][:, :, y, z] += np.einsum("hbtc,cbsu->uhts", proj, F1)
     return {key: m for key, m in mult.items() if np.any(m)}
 
 
@@ -150,24 +151,16 @@ def _star(cat: SkeletalUTC, bases: dict, twist: dict) -> dict:
     return star
 
 
-def z_state(ann: AlgebraObject, floor: float = 1e-10) -> dict:
+def z_state(ann: AlgebraObject) -> dict:
     """The state on 𝒟_Ann(1) given by the coefficient of the 1-summand.
 
     Returns the functional as a coefficient vector plus its positivity floor
-    over the cone {a*a}.
+    over the cone {a*a}; raises :class:`NotAState` unless it is unital and
+    positive.
     """
-    cat = ann.cat
-    ring = cat.ring
-    bases = annulus_basis(cat, ann.meta.get("support", ring.labels), ring.unit)
-    idx = bases.index((ring.unit, 0))
-    n1 = ann.n(ring.unit)
-    omega = np.zeros(n1, dtype=complex)
-    omega[idx] = 1.0
-    # positivity: omega(a* a) ≥ 0 for all a, from the GNS form of omega
-    lo = min_eig(form(ann.mu(ring.unit, ring.unit, ring.unit, 0),
-                      ann.star[ring.unit], omega))
-    if lo < -floor:
-        raise PositivityFailure(f"annulus Z-state not positive: min eig {lo}")
-    if abs(omega @ ann.unit - 1.0) > 1e-10:
-        raise PositivityFailure("annulus Z-state not unital")
-    return {"omega": omega, "positivity_floor": lo, "unital": True}
+    ring = ann.cat.ring
+    bases = annulus_basis(ann.cat, ann.meta.get("support", ring.labels), ring.unit)
+    omega = np.zeros(ann.n(ring.unit), dtype=complex)
+    omega[bases.index((ring.unit, 0))] = 1.0
+    omega, ev = ann.ground().check_state(omega)
+    return {"omega": omega, "positivity_floor": float(ev[0]), "unital": True}

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import itertools
 import json
 import os
 import sys
@@ -241,7 +242,9 @@ def _cmd_aobj_verify(args) -> tuple:
 def _group_oracle(co: CoendAlgebra):
     """Structure constants vs. the group table on pointed, line-fibered data.
 
-    Returns the worst coefficient deviation, or None when inapplicable.
+    With one line per grade, column h of the acting matrix of e_g holds
+    e_g·e_h, which the group table says is e_{gh}.  Returns the worst
+    coefficient deviation, or None when inapplicable.
     """
     ring = co.cat.ring
     pointed = all(sum(ring.fuse(x, y).values()) == 1
@@ -250,17 +253,11 @@ def _group_oracle(co: CoendAlgebra):
         return None
     if set(co.support) != set(ring.labels):
         return None
-    worst = 0.0
-    for g in ring.labels:
-        for h in ring.labels:
-            gh = next(iter(ring.fuse(g, h)))
-            prod = co.mul(GradedElement({g: np.ones(1)}),
-                          GradedElement({h: np.ones(1)}))
-            for X in co.support:
-                want = 1.0 if X == gh else 0.0
-                got = prod.comps.get(X, np.zeros(1))[0]
-                worst = max(worst, abs(got - want))
-    return worst
+    at = {X: i for i, X in enumerate(co.support)}
+    table = np.zeros((len(at),) * 3)
+    for g, h in itertools.product(co.support, repeat=2):
+        table[at[g], at[next(iter(ring.fuse(g, h)))], at[h]] = 1.0
+    return float(np.max(np.abs(co.basis_operators() - table)))
 
 
 def _cmd_coend(args) -> tuple:
@@ -382,8 +379,6 @@ def _build_parser() -> argparse.ArgumentParser:
                         help="rng seed recorded in the report")
     common.add_argument("--report", default=None,
                         help="also write the JSON report to this path")
-    common.add_argument("--mode", choices=("strict", "project"),
-                        default="strict", help="support truncation semantics")
 
     p = argparse.ArgumentParser(prog="utcat", description=__doc__,
                                 formatter_class=argparse.RawDescriptionHelpFormatter)
@@ -413,6 +408,8 @@ def _build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--support", default=None,
                     help="gen=<x+y>,depth=<n> (default: all labels)")
     sp.add_argument("--samples", type=int, default=25)
+    sp.add_argument("--mode", choices=("strict", "project"),
+                    default="strict", help="support truncation semantics")
     sp.set_defaults(func=_cmd_coend)
 
     sp = sub.add_parser("analyze", parents=[common],

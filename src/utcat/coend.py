@@ -50,7 +50,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .algebra_object import AlgebraObject
+from .algebra_object import SANDWICH_SLACK, AlgebraObject
 from .errors import (
     CenterNotTrivial,
     CounterexampleFound,
@@ -142,11 +142,6 @@ class CoendAlgebra:
         out.flags.writeable = False
         return out
 
-    def vacuum(self) -> GradedElement:
-        """Ω, which as an operator is the unit."""
-        unit = self.cat.ring.unit
-        return GradedElement({unit: self._omega[self.offsets[unit]].copy()})
-
     def basis(self):
         """Graded basis elements (X, index) in flattening order."""
         for X in self.support:
@@ -183,7 +178,7 @@ class CoendAlgebra:
                             overflow.setdefault((X0, X1), X2)
                         continue
                     blocks.append((sl0, self.offsets[X2], sl1))
-                    muA, muB = A.mu_stack(X0, X1, X2), B.mu_stack(X0, X1, X2)
+                    muA, muB = A.mu(X0, X1, X2), B.mu(X0, X1, X2)
                     # splitting the axes of a block gives a view, so the
                     # channel tensor is written into M without a temporary
                     np.einsum("vaij,vbkl->ikabjl", muA, muB, out=M[blocks[-1]].reshape(
@@ -356,9 +351,9 @@ def ground_op_norm(co: CoendAlgebra, m: np.ndarray) -> float:
     return spectral_norm(acc)
 
 
-def norm_sandwich_check(co: CoendAlgebra, T: GradedElement,
-                        slack: float = 1e-8) -> dict:
-    """‖TΩ‖ ≤ ‖T‖ ≤ d_X²‖TΩ‖ for homogeneous T of grade X.
+def norm_sandwich_check(co: CoendAlgebra, T: GradedElement) -> dict:
+    """‖TΩ‖ ≤ ‖T‖ ≤ d_X²‖TΩ‖ for homogeneous T of grade X, up to
+    ``SANDWICH_SLACK``·max(1, ‖T‖).
 
     ‖TΩ‖ is the Hilbert-module norm ‖𝔼(T*T)‖^{1/2}, with the C*-norm of the
     ground algebra 𝔸(1)⊗𝔹(1) on the inside, and ‖T‖ the operator norm in
@@ -382,8 +377,9 @@ def norm_sandwich_check(co: CoendAlgebra, T: GradedElement,
     v = t @ a.vac[cols]  # TΩ
     scalar_norm = float(np.sqrt(max((v.conj() @ co.gram() @ v).real, 0.0)))
     op_norm = co.op_norm(T)
-    ok_left = vac_norm <= op_norm + slack * max(1.0, op_norm)
-    ok_right = op_norm <= d * d * vac_norm + slack * max(1.0, op_norm)
+    slack = SANDWICH_SLACK * max(1.0, op_norm)
+    ok_left = vac_norm <= op_norm + slack
+    ok_right = op_norm <= d * d * vac_norm + slack
     return {"grade": X, "vacuum_norm": vac_norm, "scalar_vacuum_norm":
             scalar_norm, "op_norm": op_norm, "bound": d * d,
             "left_ok": bool(ok_left), "right_ok": bool(ok_right),
@@ -391,12 +387,12 @@ def norm_sandwich_check(co: CoendAlgebra, T: GradedElement,
             "right_margin": d * d * vac_norm - op_norm}
 
 
-def positivity_check(co: CoendAlgebra, X: str, terms: list,
-                     floor: float = 1e-10) -> tuple:
+def positivity_check(co: CoendAlgebra, X: str, terms: list) -> tuple:
     """Σᵢⱼ 𝔸²(j(aᵢ)⊙aⱼ) ⊗ 𝔹²(j(bᵢ)⊙bⱼ) is positive in the square algebras.
 
     ``terms`` is a list of (a, b) vector pairs in 𝔸(X)×𝔹(X).  Returns
-    (is_positive, min_eigenvalue) from the GNS matrices of the squares.
+    (is_positive, min_eigenvalue) from the GNS matrices of the squares;
+    positive means a least eigenvalue ≥ −1e-10.
     """
     sqA = co.A.square_algebra(X)
     sqB = co.B.square_algebra(X)
@@ -409,7 +405,7 @@ def positivity_check(co: CoendAlgebra, X: str, terms: list,
             acc += np.kron(sqA.gns.conj(sqA.left_mult(ea)),
                            sqB.gns.conj(sqB.left_mult(eb)))
     ev = min_eig(acc)
-    return ev >= -floor, ev
+    return ev >= -1e-10, ev
 
 
 def _probe_grams(co: CoendAlgebra) -> tuple:

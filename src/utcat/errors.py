@@ -46,10 +46,6 @@ class UnknownLabel(UtcatError):
     pass
 
 
-class NonIrreducibleInput(UtcatError):
-    pass
-
-
 class MissingBraiding(UtcatError):
     pass
 

@@ -14,7 +14,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import AxiomViolation, NonIrreducibleInput, RingAxiomError, SchemaError, UnknownLabel
+from .errors import AxiomViolation, RingAxiomError, SchemaError, UnknownLabel
 
 __all__ = ["BlockTable", "FusionRing", "SupportSet", "validate_ring"]
 
@@ -264,8 +264,7 @@ class FusionRing:
         return blk
 
     def fp_dimension(self, x: str) -> float:
-        if x not in self.index:
-            raise NonIrreducibleInput(x)
+        self._i(x)
         if x not in self._fp_dim:
             self._fp_dim[x] = self._perron_eigenvalue(x)
         return self._fp_dim[x]

@@ -20,7 +20,7 @@ commutant is the star-closed ⊕_K M_{m_K}.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -94,7 +94,6 @@ class RealizedCorrespondence:
     generators: list
     projections: dict
     total_dim: int
-    meta: dict = field(default_factory=dict)
 
     def graded_dims(self) -> dict:
         k2 = self.base_dim ** 2
@@ -146,14 +145,12 @@ def realize(hobj: HilbertSpaceObject, base_dim: int = 1,
         projections[K] = P
         gens.append(P)
 
-    meta = {"scrambled": False}
     if rng is not None:
         Q, _ = np.linalg.qr(rng.normal(size=(total, total))
                             + 1j * rng.normal(size=(total, total)))
         gens = [Q @ g @ Q.conj().T for g in gens]
         projections = {K: Q @ P @ Q.conj().T for K, P in projections.items()}
-        meta = {"scrambled": True}
-    return RealizedCorrespondence(hobj, k, gens, projections, total, meta)
+    return RealizedCorrespondence(hobj, k, gens, projections, total)
 
 
 def corrupt_correspondence(corr: RealizedCorrespondence,
@@ -180,10 +177,8 @@ def corrupt_correspondence(corr: RealizedCorrespondence,
     k2 = corr.base_dim ** 2
     N = cols @ np.kron(np.eye(k2), jordan) @ cols.conj().T
     gens = corr.generators + [N]
-    meta = dict(corr.meta)
-    meta["corrupted"] = K
     return RealizedCorrespondence(corr.hobj, corr.base_dim, gens,
-                                  corr.projections, corr.total_dim, meta)
+                                  corr.projections, corr.total_dim)
 
 
 # ---------------------------------------------------------------------------
@@ -218,14 +213,13 @@ def _intertwiner_space(gens1, gens2, n1, n2) -> tuple:
 
 
 def hom_count(h1: HilbertSpaceObject, h2: HilbertSpaceObject,
-              base_dim: int = 1, cross_check: bool = False,
-              rng=None) -> int:
+              cross_check: bool = False, rng=None) -> int:
     """dim Hom(|ℋ₁|, |ℋ₂|) = Σ_K h₁(K)·h₂(K), by Schur orthogonality."""
     count = sum(h1.h(K) * h2.h(K) for K in set(h1.dims) | set(h2.dims))
     if cross_check:
         labels = sorted(set(h1.dims) | set(h2.dims))
-        c1 = realize(h1, base_dim, rng)
-        c2 = realize(h2, base_dim, rng)
+        c1 = realize(h1, rng=rng)
+        c2 = realize(h2, rng=rng)
         solved = _solve_hom(c1, c2, labels)
         if solved != count:
             raise NotSemisimpleInput(
@@ -263,7 +257,7 @@ class BlockDecomposition:
     - `link_gap`: Frobenius norms of the generators' inter-cluster blocks,
       treated as no link at or below 1e-6·max(1, max_g ‖g‖);
     - `form_residual`: max_g ‖g − ⊕_K s_K(g)⊗1‖ in the adapted basis over
-      max(1, max_g ‖g‖), gated against `tol` (a single number).
+      max(1, max_g ‖g‖), gated against `_FORM_TOL` (a single number).
     """
 
     blocks: tuple
@@ -282,10 +276,11 @@ class BlockDecomposition:
 
 # relative cut for eigenvalue clusters and for inter-cluster links
 _CUT = 1e-6
+# largest form residual of the generators on the isotypic components
+_FORM_TOL = 1e-9
 
 
-def commutant_blocks(corr: RealizedCorrespondence,
-                     tol: float = 1e-9) -> BlockDecomposition:
+def commutant_blocks(corr: RealizedCorrespondence) -> BlockDecomposition:
     """Decompose End_{A-A}(ℰ) = {X : [X, gens] = 0} into matrix blocks.
 
     The *-algebra 𝒜 generated by the generators S and S* is ⊕_K M_{d_K}
@@ -299,7 +294,7 @@ def commutant_blocks(corr: RealizedCorrespondence,
        generator block merge into the isotypic components K;
     3. each cluster's basis carried along the strongest links by the polar
        factor of the linking block, so that every block is a scalar times
-       1_{m_K}; `form_residual` gates that form against `tol`.
+       1_{m_K}; `form_residual` gates that form against `_FORM_TOL`.
 
     A non-generic H shows as unequal cluster dimensions inside a component
     or as a failed form; the word length then doubles, with fresh M_i,
@@ -336,7 +331,7 @@ def commutant_blocks(corr: RealizedCorrespondence,
     while True:
         try:
             comps, D, cluster_gap, link_gap, residual = _isotypic(
-                G, _generic_element(G, length, rng), scale, tol)
+                G, _generic_element(G, length, rng), scale)
             break
         except NotSemisimpleInput:
             if length >= n:
@@ -373,7 +368,7 @@ def _generic_element(G, length, rng) -> np.ndarray:
     return (T + T.conj().T) / 2
 
 
-def _isotypic(G, H, scale, tol) -> tuple:
+def _isotypic(G, H, scale) -> tuple:
     """Isotypic components of the *-algebra generated by G ∪ G*, read off
     the eigenspaces of H; raises NotSemisimpleInput when H is not generic.
 
@@ -460,7 +455,7 @@ def _isotypic(G, H, scale, tol) -> tuple:
         comps.append((U[:, idx.reshape(-1)], m, s))
     residual = float(np.max(np.linalg.norm(Gr, axis=(1, 2)),
                             initial=0.0)) / scale
-    if residual > tol:
+    if residual > _FORM_TOL:
         raise NotSemisimpleInput(
             f"generators not of the form s_K⊗1 on the isotypic components: "
             f"residual {residual:.3e}")

@@ -270,7 +270,7 @@ def aobj_from_json(cat: SkeletalUTC, raw: dict) -> AlgebraObject:
             raise SchemaError(f"fiber dimension must be a non-negative int",
                               f"/fibers/{X}")
         fibers[X] = n
-    if sorted(x for x in support) != sorted(X for X, n in fibers.items() if n):
+    if sorted(support) != sorted(X for X, n in fibers.items() if n):
         raise SchemaError("support does not match the nonzero fibers",
                           "/support")
 
@@ -288,18 +288,19 @@ def aobj_from_json(cat: SkeletalUTC, raw: dict) -> AlgebraObject:
         except ValueError:
             raise SchemaError(f"multiplicity index must be an int, got {v!r}",
                               ptr)
+        want = (dim(Z, ptr), dim(X, ptr), dim(Y, ptr))
         if not 0 <= v < ring.N(X, Y, Z):
             raise SchemaError(f"multiplicity index {v} out of range", ptr)
         if not isinstance(arr, list):
             raise SchemaError("expected a rank-3 coefficient array", ptr)
         planes = [matrix_in(mat, f"{ptr}/{i}") for i, mat in enumerate(arr)]
-        want = (dim(Z, ptr), dim(X, ptr), dim(Y, ptr))
         if len(planes) != want[0]:
             raise SchemaError(f"tensor has {len(planes)} planes, expected {want[0]}", ptr)
         for i, m in enumerate(planes):
             if m.shape != want[1:]:
                 raise SchemaError(f"tensor plane shape {m.shape} != {want[1:]}", f"{ptr}/{i}")
-        mult[(X, Y, Z, v)] = np.array(planes, dtype=complex).reshape(want)
+        stack = mult.setdefault((X, Y, Z), np.zeros((ring.N(X, Y, Z),) + want, complex))
+        stack[v] = np.reshape(planes, want)
 
     star = {}
     for X, rows in _object(raw, "star", "star must map labels to matrices").items():
@@ -328,10 +329,9 @@ def aobj_to_json(D: AlgebraObject) -> dict:
     out = {
         "support": list(D.support),
         "fibers": {X: int(n) for X, n in D.fibers.items() if n},
-        "mult": {f"{X},{Y};{Z};{v}":
-                 [matrix_out(plane) for plane in arr]
-                 for (X, Y, Z, v), arr in sorted(D.mult.items())
-                 if np.any(arr)},
+        "mult": {f"{X},{Y};{Z};{v}": [matrix_out(plane) for plane in planes]
+                 for (X, Y, Z), stack in sorted(D.mult.items())
+                 for v, planes in enumerate(stack) if np.any(planes)},
         "star": {X: matrix_out(m) for X, m in sorted(D.star.items())},
         "unit": [complex_out(z) for z in D.unit],
     }

@@ -89,10 +89,6 @@ class BaseAlgebra:
         """Coordinate matrix of x ↦ a·x."""
         return self.coords(a @ self.basis).T
 
-    def right_matrix(self, a) -> np.ndarray:
-        """Coordinate matrix of x ↦ x·a."""
-        return self.coords(self.basis @ a).T
-
     def trace(self, mat) -> complex:
         return complex(np.trace(mat)) / self.d
 
@@ -216,14 +212,15 @@ def covariance_from_vectors(vectors, algebra: BaseAlgebra = None,
                                 ent.shape[:2])}, bound=bound)
 
 
-def covariance_from_automorphisms(alphas, algebra: BaseAlgebra = None,
-                                  tol: float = 1e-10) -> CovarianceMatrix:
+def covariance_from_automorphisms(alphas,
+                                  algebra: BaseAlgebra = None) -> CovarianceMatrix:
     """Diagonal covariance η_i = α_i + α_i⁻¹ from verified automorphisms.
 
     Each α is a matrix on A-coordinates; unitality, multiplicativity and
     star-compatibility are checked on all basis elements and pairs at once,
-    in that order, before inverting.
+    in that order, each to a Frobenius norm of 1e-10, before inverting.
     """
+    tol = 1e-10
     if algebra is None:
         algebra = BaseAlgebra((1,))
     alg = algebra

@@ -8,7 +8,10 @@ fiber Gram as :mod:`utcat` once computed them on such dicts; :func:`flatten`
 and :func:`split` move between a dict and the vector on a layout.
 :func:`fiber_action` and :func:`fiber_norms` are the right action of the
 square algebra on 𝒟(X) and the two norms of a fiber vector, computed from
-the library's F blocks, layouts and derived algebras.
+the library's F blocks, layouts and derived algebras;
+:func:`fiber_inner_product` is the 𝒟(1)-valued inner product of two fiber
+vectors and :func:`is_positive` the positivity test of an element of a
+:class:`utcat.algebra_object.StarAlgebra`.
 :func:`associativity` is the residual of the associativity check computed
 one basis tree at a time over the per-key F index, as
 :func:`utcat.algebra_object.validate_algebra_object` once did.
@@ -22,6 +25,7 @@ import numpy as np
 
 from index_reference import f_index
 from utcat.errors import SupportTooSmall
+from utcat.gns import min_eig
 
 
 def flatten(layout, dist: dict) -> np.ndarray:
@@ -41,6 +45,11 @@ def split(layout, vec) -> dict:
     return {key: vec[sl] for key, sl in layout.slices.items() if np.any(vec[sl])}
 
 
+def apply_tree(D, X: str, Y: str, Z: str, v: int, xi, eta) -> np.ndarray:
+    """The product of the tree v ∈ O(Z, X⊗Y) applied to ξ ⊗ η."""
+    return np.einsum("zxy,x,y->z", D.mu(X, Y, Z)[v], xi, eta)
+
+
 def lax_product(D, X: str, Y: str, xi, eta) -> dict:
     """𝒟²_{X,Y}(ξ ⊙ η) distributed over the channels of X⊗Y."""
     out = {}
@@ -48,7 +57,7 @@ def lax_product(D, X: str, Y: str, xi, eta) -> dict:
         if D.n(Z) == 0:
             continue
         for v in range(D.cat.ring.N(X, Y, Z)):
-            val = D.mu_apply(X, Y, Z, v, xi, eta)
+            val = apply_tree(D, X, Y, Z, v, xi, eta)
             if np.any(val):
                 out[(Z, v)] = val
     return out
@@ -124,12 +133,12 @@ def associativity(D, rng=None) -> float:
             for i, (E, al, be) in enumerate(lidx):
                 if D.n(E) == 0:
                     continue
-                thL[i] = D.mu_apply(E, Z, W, be, D.mu_apply(X, Y, E, al, xi, eta), zeta)
+                thL[i] = apply_tree(D, E, Z, W, be, apply_tree(D, X, Y, E, al, xi, eta), zeta)
             thR = np.zeros((len(ridx), nw), dtype=complex)
             for i, (Fc, mu_i, nu) in enumerate(ridx):
                 if D.n(Fc) == 0:
                     continue
-                thR[i] = D.mu_apply(X, Fc, W, nu, xi, D.mu_apply(Y, Z, Fc, mu_i, eta, zeta))
+                thR[i] = apply_tree(D, X, Fc, W, nu, xi, apply_tree(D, Y, Z, Fc, mu_i, eta, zeta))
             F = cat.fmat(X, Y, Z, W)
             if D.side == "op":
                 F = F.conj()
@@ -155,15 +164,29 @@ def fiber_action(D, X: str, xi, T) -> np.ndarray:
         # the cap on (Z, v, s ∈ O(X, X⊗Z)): r̄ conj F[X,X̄,X;X][(1,0,0), (Z,v,s)]
         cap = rbar * cat.fblock(X, Xb, X, X, cat.ring.unit, Z)[0, 0, v].conj()
         for s, coeff in enumerate(cap):
-            out += D.scalar(coeff) * D.mu_apply(X, Z, X, s, xi, T[sl])
+            out += D.scalar(coeff) * apply_tree(D, X, Z, X, s, xi, T[sl])
     return out
 
 
 def fiber_norms(D, X: str, xi) -> tuple:
     """(module norm ‖ξ‖_{𝒟(1)}, operator norm ‖ξ‖) of ξ in 𝒟(X)."""
     g = D.ground()
-    module = np.sqrt(max(g.op_norm(D.fiber_inner_product(X, xi, xi)), 0.0))
+    module = np.sqrt(max(g.op_norm(fiber_inner_product(D, X, xi, xi)), 0.0))
     sq = D.square_algebra(X)
     t = D.lax_product(sq.Xb, X, D.j(X, xi), xi)
     operator = np.sqrt(max(sq.op_norm(t), 0.0))
     return module, operator
+
+
+def fiber_inner_product(D, X: str, xi, eta) -> np.ndarray:
+    """⟨ξ,η⟩_{𝒟(1)} = E_X(𝒟²(j(ξ) ⊙ η)) for ξ, η in 𝒟(X), read from the
+    library's fiber Gram; conjugate-linear in ξ."""
+    return np.einsum("ikz,i,k->z", D.fiber_gram(X), np.conj(xi), eta)
+
+
+def is_positive(alg, x, floor=1e-10) -> bool:
+    """x ≥ 0 in the *-algebra ``alg``: x = x* and the spectrum of L_x on the
+    GNS space is ≥ −floor."""
+    if np.max(np.abs(alg.star(x) - x)) > 1e-8 * max(1.0, np.max(np.abs(x))):
+        return False
+    return min_eig(alg.gns.conj(alg.left_mult(x))) >= -floor

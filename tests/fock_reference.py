@@ -94,7 +94,8 @@ class RawFock:
 
     def right_mult(self, a) -> np.ndarray:
         """x ↦ x·a: I ⊗ R(a) on each raw level."""
-        R = self.fock.eta.algebra.right_matrix(a)
+        alg = self.fock.eta.algebra
+        R = alg.coords(alg.basis @ a).T  # coordinate matrix of x ↦ x·a
         return self._diagonal(lambda s: np.kron(np.eye(s // len(R)), R))
 
     def creation_blocks(self, i) -> list:

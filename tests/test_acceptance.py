@@ -76,7 +76,7 @@ def test_criterion_2_pimsner_popa_sandwich():
         cat = build()
         ann = build_annulus(cat)
         for X in cat.ring.labels:
-            rep = pp_check(ann, X, 1000, seed=0, slack=1e-8)
+            rep = pp_check(ann, X, 1000, seed=0)
             ok &= (rep["violations"] == 0
                    and abs(rep["bound"] - cat.d(X) ** 2) < 1e-8
                    and rep["max_ratio"] <= rep["bound"] + 1e-8)
@@ -253,7 +253,7 @@ def test_criterion_9_basis_independence():
         g = ann.ground()
         s = np.ones(sq.dim)
         T = sq.mul(sq.star(s), s)
-        rep = pp_check(ann, X, 200, seed=0, slack=1e-8)
+        rep = pp_check(ann, X, 200, seed=0)
         norms.append((sq.op_norm(T), g.op_norm(sq.expect(T)), rep["bound"],
                       rep["violations"]))
     worst = max(worst, *(abs(a - b) for a, b in zip(norms[0], norms[1])))

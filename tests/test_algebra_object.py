@@ -80,7 +80,7 @@ def test_corrupting_mult_is_detected(fib_ann):
 
     D = copy.copy(fib_ann)
     D.mult = dict(D.mult)
-    key = ("tau", "tau", "1", 0)
+    key = ("tau", "tau", "1")
     D.mult[key] = D.mult[key] + 0.05
     res = validate_algebra_object(D, rng=np.random.default_rng(0))
     assert res["associativity"] > 1e-3 or res["star_monoidality"] > 1e-3
@@ -92,10 +92,10 @@ def test_copy_builds_its_own_derived_algebras(fib_ann):
     fib_ann.ground(), fib_ann.square_algebra("tau")
     D = copy.copy(fib_ann)
     D.mult = dict(D.mult)
-    key = ("1", "1", "1", 0)
+    key = ("1", "1", "1")
     D.mult[key] = 2.0 * D.mult[key]
     assert D.ground() is not fib_ann.ground()
-    assert np.array_equal(D.ground().P, D.mult[key])
+    assert np.array_equal(D.ground().P, D.mult[key][0])
     assert D.square_algebra("tau") is not fib_ann.square_algebra("tau")
 
 
@@ -151,7 +151,7 @@ def test_ground_positive_cone(ising_ann):
     rng = np.random.default_rng(3)
     for _ in range(5):
         x = _rand(rng, g.dim)
-        assert g.is_positive(g.mul(g.star(x), x))
+        assert aref.is_positive(g, g.mul(g.star(x), x))
     assert g.op_norm(ising_ann.unit) == pytest.approx(1.0, abs=1e-9)
 
 
@@ -219,7 +219,7 @@ def test_expectation_is_bimodular_and_positive(fib_ann):
         lhs = sq.expect(sq.mul(sq.mul(sq.include_ground(x), T), sq.include_ground(y)))
         rhs = g.mul(g.mul(x, sq.expect(T)), y)
         assert np.max(np.abs(lhs - rhs)) < 1e-9 * max(1.0, np.max(np.abs(rhs)))
-        assert g.is_positive(sq.expect(sq.mul(sq.star(T), T)), floor=1e-9)
+        assert aref.is_positive(g, sq.expect(sq.mul(sq.star(T), T)), floor=1e-9)
 
 
 def test_expectation_gns_oracle(fib_ann):
@@ -270,12 +270,12 @@ def test_fiber_inner_product_is_sesquilinear(fib_ann):
     n = fib_ann.n("1")
     a, b, c = (_rand(rng, n) for _ in range(3))
     lam = 0.3 - 1.2j
-    lhs = fib_ann.fiber_inner_product("1", a, lam * b + c)
-    rhs = lam * fib_ann.fiber_inner_product("1", a, b) \
-        + fib_ann.fiber_inner_product("1", a, c)
+    lhs = aref.fiber_inner_product(fib_ann, "1", a, lam * b + c)
+    rhs = lam * aref.fiber_inner_product(fib_ann, "1", a, b) \
+        + aref.fiber_inner_product(fib_ann, "1", a, c)
     assert np.max(np.abs(lhs - rhs)) < 1e-9
-    anti = fib_ann.fiber_inner_product("1", lam * a, b)
-    base = fib_ann.fiber_inner_product("1", a, b)
+    anti = aref.fiber_inner_product(fib_ann, "1", lam * a, b)
+    base = aref.fiber_inner_product(fib_ann, "1", a, b)
     assert np.max(np.abs(anti - np.conj(lam) * base)) < 1e-9
 
 
@@ -287,7 +287,7 @@ def test_fiber_gram_is_positive_definite(ising_ann):
         nx = ising_ann.n(X)
         for i in range(nx):
             val = G[i, i]
-            assert g.is_positive(val, floor=1e-9)
+            assert aref.is_positive(g, val, floor=1e-9)
             assert g.trace(val).real > 1e-9  # nondegenerate
 
 
@@ -309,14 +309,14 @@ def test_right_module_axioms(fib_ann):
         rhs = aref.fiber_action(D, X, xi, sq.mul(T, S))
         assert np.max(np.abs(lhs - rhs)) < 1e-9 * max(1.0, np.max(np.abs(rhs)))
         # ⟨ξ, η ◁ ι(x)⟩ = ⟨ξ, η⟩·x
-        lhs = D.fiber_inner_product(
-            X, xi, aref.fiber_action(D, X, eta, sq.include_ground(x)))
-        rhs = g.mul(D.fiber_inner_product(X, xi, eta), x)
+        lhs = aref.fiber_inner_product(
+            D, X, xi, aref.fiber_action(D, X, eta, sq.include_ground(x)))
+        rhs = g.mul(aref.fiber_inner_product(D, X, xi, eta), x)
         assert np.max(np.abs(lhs - rhs)) < 1e-9 * max(1.0, np.max(np.abs(rhs)))
         # ⟨ξ ◁ T*, η⟩ = ⟨ξ, η ◁ T⟩
-        lhs = D.fiber_inner_product(
-            X, aref.fiber_action(D, X, xi, sq.star(T)), eta)
-        rhs = D.fiber_inner_product(X, xi, aref.fiber_action(D, X, eta, T))
+        lhs = aref.fiber_inner_product(
+            D, X, aref.fiber_action(D, X, xi, sq.star(T)), eta)
+        rhs = aref.fiber_inner_product(D, X, xi, aref.fiber_action(D, X, eta, T))
         assert np.max(np.abs(lhs - rhs)) < 1e-9 * max(1.0, np.max(np.abs(rhs)))
 
 

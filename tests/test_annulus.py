@@ -93,7 +93,7 @@ def test_pointed_annulus_is_the_group_algebra():
     # e_g · e_h = e_{g+h} with no extra scalars
     n = 5
     ann = build_annulus(vec_zn(n))
-    P = ann.mu("g0", "g0", "g0", 0)
+    P = ann.mu("g0", "g0", "g0")[0]
     basis = annulus_basis(ann.cat, ann.meta["support"], "g0")
     idx = {X: i for i, (X, t) in enumerate(basis)}
     for i in range(n):

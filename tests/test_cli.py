@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from utcat import io_schemas as io
-from utcat.algebra_object import (group_algebra_object, validate_algebra_object,
-                                  worst_residual)
+from utcat.algebra_object import (AlgebraObject, group_algebra_object,
+                                  validate_algebra_object, worst_residual)
 from utcat.annulus import build_annulus
 from utcat import cli
 from utcat.cli import main
@@ -231,6 +231,35 @@ def test_coend_group_oracle(capsys):
     assert rep["faithfulness"]["failures"] == 0
 
 
+def test_group_oracle_refuses_the_group_algebra_in_a_phased_basis(capsys, tmp_path):
+    # ℂ[ℤ/3] in the basis e′_g = b(g)·e_g, b = (1, i, −i), is a valid
+    # algebra object, but e′_g·e′_h = b(g)b(h)/b(gh)·e′_{gh} is not the group
+    # table: e′_1·e′_1 = −i·e′_2
+    cat = vec_zn(3)
+    ring = cat.ring
+    b = dict(zip(ring.labels, (1, 1j, -1j)))
+    mult = {(g, h, gh): np.full((1, 1, 1, 1), b[g] * b[h] / b[gh])
+            for g in ring.labels for h in ring.labels for gh in ring.fuse(g, h)}
+    star = {g: np.full((1, 1), np.conj(b[g]) / b[ring.dual[g]]) for g in ring.labels}
+    D = AlgebraObject(cat, {g: 1 for g in ring.labels}, mult, star, np.ones(1))
+    assert worst_residual(validate_algebra_object(D))[1] < 1e-15  # 2.1e-16
+    p = tmp_path / "phased.json"
+    p.write_text(json.dumps(io.aobj_to_json(D)))
+    code, rep = run(capsys, "coend", "--cat", "z3", "--left", "fiber", "--right", str(p))
+    assert code == 2 and not rep["ok"]
+    assert rep["group_oracle_residual"] == pytest.approx(abs(-1j - 1), abs=1e-15)
+    assert rep["norm_sandwich"]["violations"] == 0
+    assert rep["faithfulness"]["failures"] == 0
+
+
+def test_only_coend_takes_a_truncation_mode(capsys):
+    code, rep = run(capsys, "coend", "--cat", "z4", "--left", "fiber", "--right",
+                    "groupalg", "--support", "gen=g2,depth=1", "--mode", "project")
+    assert code == 0 and rep["mode"] == "project"
+    with pytest.raises(SystemExit):
+        main(["verify", "fib", "--mode", "strict"])
+
+
 def _group_algebra_file(tmp_path, perturb):
     raw = io.aobj_to_json(group_algebra_object(vec_zn(3)))
     if perturb:
@@ -378,6 +407,8 @@ _MALFORMED_AOBJ = {
     "star_not_an_object": (lambda raw, key: raw.update(star=[]), "/star"),
     "mult_plane_not_a_matrix": (lambda raw, key: raw["mult"].update({key: [5]}), "/mult/{key}/0"),
     "mult_row_not_a_list": (lambda raw, key: raw["mult"].update({key: [[5]]}), "/mult/{key}/0"),
+    "mult_unknown_label": (lambda raw, key: raw["mult"].update({"nope,1;1;0": raw["mult"][key]}),
+                           "/mult/nope,1;1;0"),
 }
 
 

@@ -68,6 +68,9 @@ def test_unknown_label_raises():
             with pytest.raises(UnknownLabel) as exc:
                 query(x, y)
             assert exc.value.args[0] == "bogus"
+    with pytest.raises(UnknownLabel) as exc:
+        ring.fp_dimension("bogus")
+    assert exc.value.args[0] == "bogus"
 
 
 @pytest.mark.parametrize("name", [*FIXTURE_BUILDERS, "mult2"])

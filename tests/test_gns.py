@@ -6,6 +6,7 @@ Vec(ℤ/n) ⋊ ℂ[ℤ/n]."""
 import numpy as np
 import pytest
 
+import algebra_reference as aref
 from test_coend import _rotated
 from utcat.algebra_object import (
     group_algebra_object,
@@ -181,7 +182,7 @@ def test_ground_forms_and_norms_match_the_reference(case):
         for _ in range(3):
             x = rng.normal(size=g.dim) + 1j * rng.normal(size=g.dim)
             assert _rel(g.op_norm(x), _ref_norm(G, g.left_mult(x))) < TOL
-            assert g.is_positive(g.mul(g.star(x), x))
+            assert aref.is_positive(g, g.mul(g.star(x), x))
         for omega in _states(name, g):
             _, ev = g.check_state(omega)
             assert _rel(ev, np.linalg.eigvalsh(_ref_state_gram(g, omega))) < TOL

@@ -10,6 +10,7 @@ self-dual; each also over the opposite category."""
 
 import copy
 import itertools
+import json
 
 import numpy as np
 import pytest
@@ -18,6 +19,7 @@ import algebra_reference as ref
 from test_annulus import _gauged, _mirror
 from utcat.algebra_object import (AlgebraObject, _associativity, opposite_object,
                                   pp_check, validate_algebra_object, worst_residual)
+from utcat import io_schemas as io
 from utcat.annulus import _assemble, build_annulus
 from utcat.basis_change import relabel_category
 from utcat.errors import DegenerateForm, UnknownLabel
@@ -42,9 +44,9 @@ def _random_object(cat, seed):
         return rng.normal(size=shape) + 1j * rng.normal(size=shape)
 
     n = {X: int(rng.integers(1, 4)) for X in ring.labels}
-    mult = {(X, Y, Z, v): rand(n[Z], n[X], n[Y])
+    mult = {(X, Y, Z): np.array([rand(n[Z], n[X], n[Y]) for _ in range(nv)])
             for X, Y in itertools.product(ring.labels, repeat=2)
-            for Z, nv in ring.channels(X, Y) for v in range(nv)}
+            for Z, nv in ring.channels(X, Y)}
     star = {X: rand(n[ring.dual[X]], n[X]) for X in ring.labels}
     return AlgebraObject(cat, n, mult, star, rand(n[ring.unit]))
 
@@ -55,7 +57,7 @@ def dual_numbers(cat):
     u = cat.ring.unit
     P = np.zeros((2, 2, 2), dtype=complex)
     P[0, 0, 0] = P[1, 0, 1] = P[1, 1, 0] = 1.0
-    return AlgebraObject(cat, {u: 2}, {(u, u, u, 0): P}, {u: np.eye(2, dtype=complex)},
+    return AlgebraObject(cat, {u: 2}, {(u, u, u): P[None]}, {u: np.eye(2, dtype=complex)},
                          np.array([1.0, 0.0], dtype=complex))
 
 
@@ -126,6 +128,18 @@ def test_a_singular_positive_ground_trace_form_fails_validation():
     assert worst_residual(res) == ("positivity_floor", 1.0)
 
 
+def test_multiplicity_two_products_survive_a_json_round_trip_bit_for_bit():
+    # one plane per tree on the wire, scattered back into its slot of the
+    # channel's stack; N = 2 channels included
+    D = CASES["mult2_random"]()
+    assert any(len(m) == 2 for m in D.mult.values())
+    again = io.aobj_from_json(D.cat, json.loads(json.dumps(io.aobj_to_json(D))))
+    assert again.mult.keys() == D.mult.keys()
+    for key, m in D.mult.items():
+        got = again.mult[key]
+        assert got.shape == m.shape and got.tobytes() == m.tobytes(), key
+
+
 @pytest.mark.parametrize("name", ["fib", "su2_3"])
 def test_associativity_detects_one_scaled_product_entry(name):
     # the largest entry of the first product with no unit leg, times 1 + 1e-3
@@ -188,10 +202,10 @@ ENTRY_POINTS = {
     "pp_check": lambda D: pp_check(D, "nope", 2),
     "square_algebra": lambda D: D.square_algebra("nope"),
     "fiber_gram": lambda D: D.fiber_gram("nope"),
-    "fiber_inner_product": lambda D: D.fiber_inner_product(
-        "nope", np.ones(1), np.ones(1)),
-    # the right action and the fiber norms live in the test reference now,
-    # which reads these through the entry points above
+    # the inner product, the right action and the fiber norms live in the
+    # test reference now, which reads these through the entry points above
+    "fiber_inner_product": lambda D: ref.fiber_inner_product(
+        D, "nope", np.ones(1), np.ones(1)),
     "fiber_action": lambda D: ref.fiber_action(D, "nope", np.ones(1),
                                                np.ones(1)),
     "fiber_norms": lambda D: ref.fiber_norms(D, "nope", np.ones(1)),

@@ -1,11 +1,12 @@
 """The public surface of `utcat` is the library that its callers use.
 
-Every name a `utcat` module exports in `__all__` must be used by code in
-`src`, `scripts` or `perfbench` outside its own definition, or be listed in
-`TEST_ONLY` with the reason it stays.  A use is a name or an attribute that
-is read; imports, `__all__` strings, type annotations and the body of the
-definition itself do not count, so a re-export in `utcat/__init__.py` or a
-wrapper nobody calls fails here.
+Every public name of a `utcat` module, each name it exports in `__all__`
+and each function or method it defines whose name does not start with `_`,
+must be used by code in `src`, `scripts` or `perfbench` outside its own
+definition, or be listed in `TEST_ONLY` with the reason it stays.  A use is
+a name or an attribute that is read; imports, `__all__` strings, type
+annotations and the body of the definition itself do not count, so a
+re-export in `utcat/__init__.py` or a wrapper nobody calls fails here.
 """
 
 import ast
@@ -17,7 +18,7 @@ import pytest
 ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "utcat"
 
-# exported names that only the tests reach, each with the reason it stays
+# public names that only the tests reach, each with the reason it stays
 TEST_ONLY = {
     "descend_expectation": "the paper's descended expectation "
                            "E_ω = (id ⊗ ω)∘𝔼",
@@ -26,6 +27,8 @@ TEST_ONLY = {
     "boxtimes": "the paper's fusion of Hilbert space objects ℋ₁⊠ℋ₂",
     "ind_faithfulness_probe": "the checkable ingredients of the paper's "
                               "ind-inclusion criterion for finite A",
+    "act_matrix": "the matrix on ℰ_S of one coend operator, the paper's "
+                  "triangle action T ▹ ·",
 }
 
 
@@ -36,6 +39,16 @@ def _exports(tree: ast.Module) -> list:
                 for t in node.targets):
             return [ast.literal_eval(e) for e in node.value.elts]
     return []
+
+
+def _public(tree: ast.Module) -> list:
+    """The exports of a module, then the names of the functions and methods
+    it defines, nested ones included, that do not start with `_`."""
+    defs = sorted({node.name for node in ast.walk(tree)
+                   if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+                   and not node.name.startswith("_")})
+    exports = _exports(tree)
+    return exports + [n for n in defs if n not in exports]
 
 
 def _annotations(tree: ast.AST) -> set:
@@ -93,17 +106,17 @@ MODULES = sorted(p.stem for p in PACKAGE.glob("*.py"))
 @pytest.mark.parametrize("module", MODULES)
 def test_every_export_is_used_by_the_library(module):
     uses = _library_uses()
-    exports = _exports(ast.parse((PACKAGE / f"{module}.py").read_text()))
-    unused = [n for n in exports if n not in uses and n not in TEST_ONLY]
-    assert not unused, f"{module}.__all__ names only tests reach: {unused}"
+    public = _public(ast.parse((PACKAGE / f"{module}.py").read_text()))
+    unused = [n for n in public if n not in uses and n not in TEST_ONLY]
+    assert not unused, f"{module} public names only tests reach: {unused}"
 
 
 def test_test_only_names_are_exported_and_unused():
     # an entry that the library starts to use, or that is gone, is stale
     uses = _library_uses()
-    exported = {n for m in MODULES for n in _exports(
+    public = {n for m in MODULES for n in _public(
         ast.parse((PACKAGE / f"{m}.py").read_text()))}
-    assert set(TEST_ONLY) <= exported
+    assert set(TEST_ONLY) <= public
     assert not [n for n in TEST_ONLY if n in uses]
 
 
@@ -115,8 +128,12 @@ def test_a_wrapper_nobody_calls_is_caught():
         "def wrap(x: Thing) -> Thing:\n"
         "    return wrap(x)\n"
         "def make():\n"
-        "    return Thing()\n")
+        "    return Thing()\n"
+        "def _hidden():\n"
+        "    return make()\n")
     uses = _uses(tree)
+    # methods and functions are public names; a leading `_` is not
+    assert _public(tree) == ["again", "make", "wrap"]
     # recursion and annotations are not uses; a call from another
     # definition is
     assert "wrap" not in uses

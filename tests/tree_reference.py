@@ -485,7 +485,8 @@ def _vec_tree(root, word, coeffs):
 
 def annulus_mult(cat, S) -> dict:
     """The annulus product over the support S, tree by tree: merge two basis
-    trees, braid X̄⊗X past X̄', and project on the conjugate pair trees."""
+    trees, braid X̄⊗X past X̄', and project on the conjugate pair trees.
+    Each tree u ∈ O(W, Y⊗Z) fills plane u of the stack ``mult[(Y, Z, W)]``."""
     tc, ring = TreeCalculus(cat), cat.ring
     labels = ring.labels
     bases = {Y: annulus_basis(cat, S, Y) for Y in labels}
@@ -509,8 +510,8 @@ def annulus_mult(cat, S) -> dict:
                 nu = ring.N(Y, Z, W)
                 if nu == 0 or fibers[W] == 0 or fibers[Y] == 0 or fibers[Z] == 0:
                     continue
-                for u in range(nu):
-                    arr = np.zeros((fibers[W], fibers[Y], fibers[Z]), dtype=complex)
+                stack = np.zeros((nu, fibers[W], fibers[Y], fibers[Z]), dtype=complex)
+                for u, arr in enumerate(stack):
                     for iy, (X, t) in enumerate(bases[Y]):
                         Xb = ring.dual[X]
                         f = tc.basis_tree(Y, (Xb, X), ((Y, t),))
@@ -532,8 +533,8 @@ def annulus_mult(cat, S) -> dict:
                                     M = tc.merge(left, right, W, np.eye(nh)[h])
                                     total += M.inner(big)
                                 arr[iw, iy, iz] = total
-                    if np.any(arr):
-                        mult[(Y, Z, W, u)] = arr
+                if np.any(stack):
+                    mult[(Y, Z, W)] = stack
     return mult
 
 
@@ -582,7 +583,7 @@ def square_structure_tensor(sq) -> np.ndarray:
                 ns = ring.N(Z, W, U)
                 for s in range(ns):
                     M = tc.merge(tv, tw, U, np.eye(ns)[s])
-                    mu = D.mu(Z, W, U, s)
+                    mu = D.mu(Z, W, U)[s]
                     for u in range(ring.N(Xb, X, U)):
                         gamma = D.scalar(M.inner(targets[(U, u)]))
                         if abs(gamma) == 0.0:
@@ -626,5 +627,5 @@ def fiber_action(D, X, xi, T) -> np.ndarray:
             coeff = M.inner(q)
             if abs(coeff) == 0.0:
                 continue
-            out += D.scalar(coeff) * D.mu_apply(X, Z, X, s, xi, T[sl])
+            out += D.scalar(coeff) * np.einsum("zxy,x,y->z", D.mu(X, Z, X)[s], xi, T[sl])
     return out
