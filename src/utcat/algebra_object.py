@@ -7,7 +7,8 @@ components, an antilinear star ``j_X : 𝒟(X) → 𝒟(X̄)`` given by
 bilinear map 𝒟(X)×𝒟(Y) → 𝒟(Z) per tree v ∈ O(Z, X⊗Y), stored per channel
 as one stack ``mult[(X, Y, Z)]`` of shape (N_XY^Z, n_Z, n_X, n_Y), v along
 the first axis, and read through :meth:`AlgebraObject.mu`; a channel
-without a stack has the zero product.
+without a stack has the zero product.  The constructor refuses a key that
+is not a channel (N_XY^Z > 0) and a stack of any other shape.
 
 ``side`` records whether the object lives over the category itself ("cat") or
 its opposite ("op"); the opposite category has conjugated structure scalars,
@@ -40,6 +41,7 @@ import numpy as np
 from .errors import (
     CounterexampleFound,
     DegenerateForm,
+    LabelMismatch,
     NotAState,
     PositivityFailure,
     SupportTooSmall,
@@ -92,6 +94,18 @@ class AlgebraObject:
         self.star = {k: np.asarray(v, dtype=complex) for k, v in self.star.items()}
         if self.side not in ("cat", "op"):
             raise ValueError(f"side must be 'cat' or 'op', got {self.side!r}")
+        ring = self.cat.ring
+        for key, arr in self.mult.items():
+            N = (isinstance(key, tuple) and len(key) == 3
+                 and all(x in ring.index for x in key) and ring.N(*key))
+            if not N:
+                raise LabelMismatch(f"mult key {key!r} is not a channel "
+                                    f"(X, Y, Z) with N_XY^Z > 0")
+            X, Y, Z = key
+            want = (N, self.n(Z), self.n(X), self.n(Y))
+            if arr.shape != want:
+                raise ValueError(f"mult[{key!r}] has shape {arr.shape}, "
+                                 f"expected {want}")
 
     def __copy__(self):
         """A shallow copy with its own (empty) cache of derived data, so
@@ -451,12 +465,13 @@ def validate_algebra_object(D: AlgebraObject, rng=None, tol: float = 1e-9) -> di
     # positivity of the 𝒟(1)-valued Gram on each fiber: the block matrix
     # [L(⟨eᵢ, eₖ⟩)] on the GNS space of 𝒟(1).  A degenerate trace form of
     # 𝒟(1) leaves no GNS space, so positivity fails outright: the floor
-    # reads at most −1, or the form's margin to faithfulness if lower.
+    # reads at most −1, or the form's margin to faithfulness if lower (−1
+    # for a NaN margin).
     g = D.ground()
     try:
         g.gns
     except DegenerateForm as err:
-        res["positivity_floor"] = min(err.margin, -1.0)
+        res["positivity_floor"] = float(np.fmin(err.margin, -1.0))
         return res
     floor = 0.0
     for X in sup:

@@ -347,7 +347,7 @@ def _cmd_fock(args) -> tuple:
     if args.cov:
         eta = io.eta_from_json(_load_raw(args.cov), alg)
     else:
-        eta = CovarianceMatrix(alg, (0,), {(0, 0): np.eye(alg.dim)})
+        eta = CovarianceMatrix(alg, (0,), np.eye(alg.dim)[None, None])
     fam = semicircular_ops(build_fock(eta, args.depth))
     i0 = eta.index[0]
     moments, residual = [], 0.0

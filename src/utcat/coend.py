@@ -142,14 +142,6 @@ class CoendAlgebra:
         out.flags.writeable = False
         return out
 
-    def basis(self):
-        """Graded basis elements (X, index) in flattening order."""
-        for X in self.support:
-            for i in range(self.dims[X]):
-                e = np.zeros(self.dims[X])
-                e[i] = 1.0
-                yield X, i, GradedElement({X: e})
-
     def random_element(self, rng) -> GradedElement:
         return GradedElement({
             X: rng.normal(size=self.dims[X]) + 1j * rng.normal(size=self.dims[X])

@@ -52,14 +52,15 @@ def min_eig(M: np.ndarray) -> float:
 class GramRoot:
     """G^{1/2} and G^{-1/2} of a faithful GNS form, from one `eigh`.
 
-    Raises :class:`DegenerateForm` when the margin
-    λ_min − FAITHFUL_FLOOR·max(λ_max, 1) is ≤ 0; ``cond`` is λ_max/λ_min.
+    Raises :class:`DegenerateForm` unless the margin
+    λ_min − FAITHFUL_FLOOR·max(λ_max, 1) is > 0, so also on a form with a
+    NaN; ``cond`` is λ_max/λ_min.
     """
 
     def __init__(self, G: np.ndarray, what: str = "GNS form"):
         w, U = np.linalg.eigh(G)
         margin = float(w[0] - FAITHFUL_FLOOR * max(float(w[-1]), 1.0))
-        if margin <= 0:
+        if not margin > 0:
             raise DegenerateForm(what, margin)
         r = np.sqrt(w)
         self.half = (U * r) @ U.conj().T

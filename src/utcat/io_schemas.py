@@ -82,13 +82,8 @@ def ring_from_json(raw: dict) -> FusionRing:
 
 
 def ring_to_json(ring: FusionRing) -> dict:
-    fusion = {}
-    for x in ring.labels:
-        for y in ring.labels:
-            chan = {z: int(ring.N(x, y, z)) for z in ring.labels
-                    if ring.N(x, y, z)}
-            if chan:
-                fusion[f"{x},{y}"] = chan
+    fusion = {f"{x},{y}": ring.fuse(x, y) for x in ring.labels for y in ring.labels
+              if ring.channels(x, y)}
     return {"labels": list(ring.labels), "unit": ring.unit,
             "dual": dict(ring.dual), "fusion": fusion}
 
@@ -306,7 +301,8 @@ def aobj_from_json(cat: SkeletalUTC, raw: dict) -> AlgebraObject:
     for X, rows in _object(raw, "star", "star must map labels to matrices").items():
         ptr = f"/star/{X}"
         m = matrix_in(rows, ptr)
-        want = (dim(cat.dual(X), ptr), dim(X, ptr))
+        n = dim(X, ptr)
+        want = (fibers.get(cat.dual(X), 0), n)
         if m.shape != want:
             raise SchemaError(f"star matrix shape {m.shape} != {want}", ptr)
         star[X] = m
@@ -365,25 +361,25 @@ def base_from_json(raw: dict) -> BaseAlgebra:
 
 
 def eta_from_json(raw: dict, algebra: BaseAlgebra) -> CovarianceMatrix:
-    """{"index": [ids], "entries": {"i,j": [[complex]]}} → covariance."""
+    """{"index": [ids], "entries": {"i,j": [[complex]]}} → covariance, each
+    entry scattered into the stack at the positions of its ids."""
     index = _require(raw, "index")
     if not isinstance(index, list) or not index:
         raise SchemaError("index must be a nonempty list of ids", "/index")
-    ids = {str(i): i for i in index}
-    if len(ids) != len(index):
+    pos = {str(i): x for x, i in enumerate(index)}
+    if len(pos) != len(index):
         raise SchemaError("index ids must be distinct", "/index")
-    entries = {}
+    stack = np.zeros((len(index),) * 2 + (algebra.dim,) * 2, dtype=complex)
     for key, rows in _object(raw, "entries", "entries must be an object keyed by 'i,j'").items():
         ptr = f"/entries/{key}"
         i, j = split(key, (",",), 2, ptr)
-        if i not in ids or j not in ids:
+        if i not in pos or j not in pos:
             raise SchemaError(f"entry key {key!r} outside the index", ptr)
         m = matrix_in(rows, ptr)
-        if m.shape != (algebra.dim, algebra.dim):
-            raise SchemaError(f"entry shape {m.shape} != "
-                              f"{(algebra.dim, algebra.dim)}", ptr)
-        entries[(ids[i], ids[j])] = m
+        if m.shape != stack.shape[2:]:
+            raise SchemaError(f"entry shape {m.shape} != {stack.shape[2:]}", ptr)
+        stack[pos[i], pos[j]] = m
     bound = raw.get("bound")
     if bound is not None and not isinstance(bound, (int, float)):
         raise SchemaError("bound must be a real number", "/bound")
-    return CovarianceMatrix(algebra, tuple(index), entries, bound=bound)
+    return CovarianceMatrix(algebra, tuple(index), stack, bound=bound)

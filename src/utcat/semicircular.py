@@ -2,7 +2,9 @@
 
 The base algebra A is a concrete multi-matrix algebra ⊕_b M_{k_b} embedded
 block-diagonally in M_d.  A covariance matrix is a completely positive
-η: A → A⊗ℒ(ℓ²(I)) stored entrywise as linear maps η_ij in A-coordinates.
+η: A → A⊗ℒ(ℓ²(I)) stored as one stack of shape (|I|, |I|, nA, nA): the
+linear maps η_ij in A-coordinates, indexed by the positions of i and j in
+the index set.
 The Fock space ⨁_{m≤n} 𝒳^{⊠m} is assembled level by level.  A raw
 level-m vector ((a₁,i₁),…,(a_m,i_m); β) has the A-valued inner product
 
@@ -99,22 +101,26 @@ class BaseAlgebra:
 
 @dataclass
 class CovarianceMatrix:
-    """η: A → A⊗ℒ(ℓ²(I)); entries[(i,j)] maps A-coordinates to A-coordinates."""
+    """η: A → A⊗ℒ(ℓ²(I)) as one stack of shape (|I|, |I|, nA, nA):
+    stacked[x, y] maps A-coordinates to A-coordinates under
+    η_{index[x] index[y]}, and is read-only."""
 
     algebra: BaseAlgebra
     index: tuple
-    entries: dict
+    stacked: np.ndarray
     bound: float = None
     cp_floor: float = field(init=False)
 
     def __post_init__(self):
-        zero = np.zeros((self.algebra.dim,) * 2)
         self.index = tuple(self.index)
         if not self.index:
             raise ValueError("a covariance needs a nonempty index set I")
-        self.entries = {(i, j): np.asarray(self.entries.get((i, j), zero),
-                                           dtype=complex)
-                        for i in self.index for j in self.index}
+        self.stacked = np.array(self.stacked, dtype=complex, order="C")
+        want = (len(self.index),) * 2 + (self.algebra.dim,) * 2
+        if self.stacked.shape != want:
+            raise ValueError(f"η stack has shape {self.stacked.shape}, "
+                             f"expected {want}")
+        self.stacked.flags.writeable = False
         self.cp_floor = self._verify_cp()
         computed = self._row_bound()
         if self.bound is not None and computed > self.bound + 1e-9:
@@ -124,14 +130,8 @@ class CovarianceMatrix:
 
     def apply(self, i, j, a) -> np.ndarray:
         alg = self.algebra
-        return alg.element(self.entries[(i, j)] @ alg.coords(a))
-
-    @cached_property
-    def stacked(self) -> np.ndarray:
-        """The entries as one array E[x, y] = η_{index[x] index[y]}."""
-        n, dim = len(self.index), self.algebra.dim
-        return np.array([[self.entries[(i, j)] for j in self.index]
-                         for i in self.index]).reshape(n, n, dim, dim)
+        E = self.stacked[_index_of(self, i), _index_of(self, j)]
+        return alg.element(E @ alg.coords(a))
 
     def _verify_cp(self) -> float:
         """[η_ij(e_α* e_β)] over a basis of A must be PSD in M_n(A⊗M_I)."""
@@ -205,11 +205,10 @@ def covariance_from_vectors(vectors, algebra: BaseAlgebra = None,
     if any(v.shape[1:] != (alg.d, alg.d) for v in xs):
         raise ValueError(f"vector components must be {alg.d}×{alg.d}")
     X = np.array(xs).reshape(len(xs), -1, alg.d, alg.d)
-    # ent[i, j, e] = Σ_s ξ_is* e ξ_js, then A-coordinates in rows
+    # ent[i, j, e] = A-coordinates of Σ_s ξ_is* e ξ_js, columns of the stack
     ent = alg.coords(np.einsum("isrp,erc,jsck->ijepk", X.conj(), alg.basis, X))
-    return CovarianceMatrix(alg, tuple(range(len(xs))),
-                            {(i, j): ent[i, j].T for i, j in np.ndindex(
-                                ent.shape[:2])}, bound=bound)
+    return CovarianceMatrix(alg, tuple(range(len(xs))), ent.swapaxes(2, 3),
+                            bound=bound)
 
 
 def covariance_from_automorphisms(alphas,
@@ -245,8 +244,10 @@ def covariance_from_automorphisms(alphas,
         if abs(np.linalg.det(al)) < 1e-12:
             raise NotAnAutomorphism(f"α_{t} is not invertible")
         maps.append(al + np.linalg.inv(al))
-    entries = {(i, i): m for i, m in enumerate(maps)}
-    return CovarianceMatrix(alg, tuple(range(len(maps))), entries)
+    stack = np.zeros((len(maps),) * 2 + (alg.dim,) * 2, dtype=complex)
+    for i, m in enumerate(maps):
+        stack[i, i] = m
+    return CovarianceMatrix(alg, tuple(range(len(maps))), stack)
 
 
 # ---------------------------------------------------------------------------
@@ -612,9 +613,7 @@ def ind_faithfulness_probe(eta: CovarianceMatrix) -> dict:
     roundtrip = None
     if vecs is not None:
         eta2 = covariance_from_vectors(vecs, alg)
-        roundtrip = max(
-            float(np.max(np.abs(eta2.entries[k] - eta.entries[k])))
-            for k in eta.entries)
+        roundtrip = float(np.max(np.abs(eta2.stacked - eta.stacked)))
 
     symmetric = eta.is_trace_symmetric()
     if not symmetric:

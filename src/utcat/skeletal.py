@@ -243,11 +243,6 @@ class SkeletalUTC:
         blk = self.ring.f_block(a, b, c, d)
         return np.zeros((0, 0)) if blk is None else _view(self._F, blk)
 
-    def _finv(self, a, b, c, d) -> np.ndarray:
-        """F[a,b,c;d]⁻¹ (LinAlgError if any block is singular)."""
-        blk = self.ring.f_block(a, b, c, d)
-        return np.zeros((0, 0)) if blk is None else _view(self._inverses(), blk)
-
     def _inverses(self) -> np.ndarray:
         """The F⁻¹ buffer: one stacked inverse per block size, built once."""
         if self._Finv is None:

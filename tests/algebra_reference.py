@@ -15,6 +15,8 @@ vectors and :func:`is_positive` the positivity test of an element of a
 :func:`associativity` is the residual of the associativity check computed
 one basis tree at a time over the per-key F index, as
 :func:`utcat.algebra_object.validate_algebra_object` once did.
+:func:`coend_basis` lists the graded basis of a coend algebra one element
+at a time, as ``CoendAlgebra.basis`` once did.
 """
 
 from __future__ import annotations
@@ -24,6 +26,7 @@ import itertools
 import numpy as np
 
 from index_reference import f_index
+from utcat.coend import GradedElement
 from utcat.errors import SupportTooSmall
 from utcat.gns import min_eig
 
@@ -190,3 +193,12 @@ def is_positive(alg, x, floor=1e-10) -> bool:
     if np.max(np.abs(alg.star(x) - x)) > 1e-8 * max(1.0, np.max(np.abs(x))):
         return False
     return min_eig(alg.gns.conj(alg.left_mult(x))) >= -floor
+
+
+def coend_basis(co):
+    """Graded basis elements (X, i, e) of a coend algebra in flattening order."""
+    for X in co.support:
+        for i in range(co.dims[X]):
+            e = np.zeros(co.dims[X])
+            e[i] = 1.0
+            yield X, i, GradedElement({X: e})

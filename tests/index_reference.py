@@ -9,6 +9,8 @@ F or R block of a category by size one key at a time (as the coherence
 checks once did), :func:`check_ring_axioms` is the loop form of the ring
 axiom check, and :func:`su2k` builds SU(2)_k filling each F-block key by key
 through :func:`f_index`, as :func:`utcat.fixtures.su2k` once did.
+:func:`finv` reads one block of a category's F⁻¹ buffer, as
+``SkeletalUTC._finv`` once did.
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ import numpy as np
 
 from utcat.errors import AxiomViolation
 from utcat.fusion_ring import validate_ring
-from utcat.skeletal import SkeletalUTC
+from utcat.skeletal import SkeletalUTC, _view
 
 
 class FIndex(NamedTuple):
@@ -56,6 +58,13 @@ def index_groups(entries) -> dict:
         else:
             groups[e][1] = pos + 1
     return {e: slice(lo, hi) for e, (lo, hi) in groups.items()}
+
+
+def finv(cat, a, b, c, d) -> np.ndarray:
+    """F[a,b,c;d]⁻¹ as a view of the category's F⁻¹ buffer (LinAlgError if
+    any block is singular)."""
+    blk = cat.ring.f_block(a, b, c, d)
+    return np.zeros((0, 0)) if blk is None else _view(cat._inverses(), blk)
 
 
 def f_keys(ring) -> list:

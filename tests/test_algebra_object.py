@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 import algebra_reference as aref
 from utcat.algebra_object import (
+    AlgebraObject,
     GroundAlgebra,
     SquareAlgebra,
     group_algebra_object,
@@ -19,7 +20,7 @@ from utcat.algebra_object import (
 )
 from utcat.annulus import build_annulus
 from utcat.coend import CoendAlgebra, GradedElement, norm_sandwich_check
-from utcat.errors import PositivityFailure
+from utcat.errors import LabelMismatch, PositivityFailure
 from utcat.fixtures import fibonacci, ising, vec_zn
 
 TOL = 1e-10
@@ -73,6 +74,34 @@ def test_trivial_action_refuses_nonpointed():
 def test_group_algebra_refuses_nonpointed():
     with pytest.raises(PositivityFailure):
         group_algebra_object(fibonacci())
+
+
+# a per-tree key (X, Y, Z, v), as products were once keyed; a zero channel;
+# an unknown label; a pair
+@pytest.mark.parametrize("key", [("g0", "g0", "g0", 0), ("g0", "g1", "g0"),
+                                 ("g0", "nope", "g0"), ("g0", "g0")])
+def test_a_product_key_that_is_not_a_channel_is_refused(key):
+    D = group_algebra_object(vec_zn(3))
+    with pytest.raises(LabelMismatch, match="is not a channel"):
+        AlgebraObject(D.cat, D.fibers, {**D.mult, key: np.ones((1, 1, 1, 1))}, D.star, D.unit)
+
+
+def test_a_product_stack_of_the_wrong_shape_is_refused():
+    D = group_algebra_object(vec_zn(3))
+    key = ("g1", "g1", "g2")
+    with pytest.raises(ValueError, match=r"shape \(1, 1, 1\), expected \(1, 1, 1, 1\)"):
+        AlgebraObject(D.cat, D.fibers, {**D.mult, key: np.ones((1, 1, 1))}, D.star, D.unit)
+
+
+def test_the_zero_product_fails_positivity():
+    # Tr(L_1) = 0 makes the trace weights NaN: the degenerate ground form
+    # reads a positivity floor of −1, not a passing 0
+    D = group_algebra_object(vec_zn(3))
+    zero = AlgebraObject(D.cat, D.fibers, {}, D.star, D.unit)
+    with np.errstate(invalid="ignore"):
+        res = validate_algebra_object(zero)
+    assert res["positivity_floor"] == -1.0
+    assert res["unitality"] == 1.0
 
 
 def test_corrupting_mult_is_detected(fib_ann):

@@ -60,7 +60,7 @@ def test_eta_round_trip():
                        "1,1": [[[1, 0]] * 4] * 4}}
     eta = io.eta_from_json(raw, alg)
     assert eta.index == (0, 1)
-    assert np.allclose(eta.entries[(0, 1)], 0.0)
+    assert np.allclose(eta.stacked[0, 1], 0.0)
 
 
 def test_schema_errors_carry_pointers():
@@ -350,7 +350,7 @@ def test_fock_refuses_non_trace_symmetric_covariance(capsys, tmp_path):
     # η(a) = ξ* a ξ for a random ξ ∈ M₂: CP, but not symmetric for Tr/2
     rng = np.random.default_rng(0)
     xi = rng.normal(size=(1, 2, 2)) + 1j * rng.normal(size=(1, 2, 2))
-    eta = covariance_from_vectors([xi], BaseAlgebra((2,))).entries[(0, 0)]
+    eta = covariance_from_vectors([xi], BaseAlgebra((2,))).stacked[0, 0]
     base = tmp_path / "base.json"
     base.write_text(json.dumps({"blocks": [2]}))
     cov = tmp_path / "eta.json"
@@ -371,7 +371,7 @@ def test_fock_accepts_a_rescaled_trace_symmetric_covariance(capsys, tmp_path):
     th = 0.7
     u = np.array([[np.cos(th), -np.sin(th)], [np.sin(th), np.cos(th)]])
     ad = np.stack([alg.coords(u @ e @ u.T) for e in alg.basis], axis=1)
-    eta = 1e6 * covariance_from_automorphisms([ad], alg).entries[(0, 0)]
+    eta = 1e6 * covariance_from_automorphisms([ad], alg).stacked[0, 0]
     base = tmp_path / "base.json"
     base.write_text(json.dumps({"blocks": [2]}))
     cov = tmp_path / "eta.json"
@@ -409,6 +409,8 @@ _MALFORMED_AOBJ = {
     "mult_row_not_a_list": (lambda raw, key: raw["mult"].update({key: [[5]]}), "/mult/{key}/0"),
     "mult_unknown_label": (lambda raw, key: raw["mult"].update({"nope,1;1;0": raw["mult"][key]}),
                            "/mult/nope,1;1;0"),
+    "star_unknown_label": (lambda raw, key: raw["star"].update(nope=raw["star"]["1"]),
+                           "/star/nope"),
 }
 
 
@@ -430,6 +432,19 @@ def test_covariance_entries_not_an_object_exits_3(capsys, tmp_path):
     cov.write_text(json.dumps({"index": [0], "entries": []}))
     code, rep = run(capsys, "fock", "--cov", str(cov), "--depth", "2", "--moments", "2")
     assert code == 3 and rep["pointer"] == "/entries"
+
+
+@pytest.mark.parametrize("key, entry, message", [
+    ("0,9", [[1]], "outside the index"),
+    ("0,0", [[1, 0], [0, 1]], "entry shape (2, 2) != (1, 1)"),
+])
+def test_covariance_entry_faults_exit_3_with_their_pointer(capsys, tmp_path,
+                                                           key, entry, message):
+    cov = tmp_path / "eta.json"
+    cov.write_text(json.dumps({"index": [0], "entries": {key: entry}}))
+    code, rep = run(capsys, "fock", "--cov", str(cov), "--depth", "2", "--moments", "2")
+    assert code == 3 and rep["pointer"] == f"/entries/{key}"
+    assert message in rep["error"]
 
 
 def test_bad_support_spec_exits_3(capsys):

@@ -17,7 +17,7 @@ from utcat.algebra_object import (
 )
 from utcat.annulus import build_annulus, z_state
 from utcat.coend import CoendAlgebra
-from utcat.errors import SolveFailed
+from utcat.errors import DegenerateForm, SolveFailed
 from utcat.fixtures import FIXTURE_BUILDERS, vec_zn
 from utcat.gns import GramRoot, form, rank_cut
 from utcat.inclusion import discreteness_report, gns_object
@@ -64,7 +64,7 @@ def _ref_descend_kernel(co, omega):
     wA = np.array([_ref_trace(co.A.ground(), e)
                    for e in np.eye(co.A.ground().dim)])
     n1 = co.A.n(co.cat.ring.unit), co.B.n(co.cat.ring.unit)
-    els = [(T, co.star(T)) for _, _, T in co.basis()]
+    els = [(T, co.star(T)) for _, _, T in aref.coend_basis(co)]
     K = np.array([[wA @ (co.canonical_expectation(co.mul(si, tj))
                          .reshape(n1) @ omega)
                    for tj, _ in els] for _, si in els])
@@ -243,6 +243,16 @@ def test_rank_deficient_gram_is_refused():
         GramRoot(V @ V.conj().T, "planted form")
     root = GramRoot(V.conj().T @ V)
     assert root.cond >= 1.0
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_a_non_finite_form_is_refused(bad):
+    G = np.eye(2, dtype=complex)
+    G[1, 1] = bad
+    with pytest.raises(DegenerateForm):
+        GramRoot(G)
+    with pytest.raises(DegenerateForm):
+        GramRoot(np.full((2, 2), bad))
 
 
 def test_rank_cut_reports_its_gap():

@@ -1,4 +1,5 @@
 import itertools
+import re
 
 import numpy as np
 import pytest
@@ -49,7 +50,7 @@ def test_catalan_recursion_oracle():
 
 def test_single_vector_covariance():
     eta = covariance_from_vectors([np.array([1.0])])
-    assert np.allclose(eta.entries[(0, 0)], [[1.0]])
+    assert np.allclose(eta.stacked[0, 0], [[1.0]])
     assert abs(eta.bound - 1.0) < 1e-12
 
 
@@ -57,15 +58,15 @@ def test_empty_index_set_is_refused():
     with pytest.raises(ValueError, match="nonempty index set"):
         covariance_from_vectors([])
     with pytest.raises(ValueError, match="nonempty index set"):
-        CovarianceMatrix(BaseAlgebra((2,)), (), {})
+        CovarianceMatrix(BaseAlgebra((2,)), (), np.zeros((0, 0, 4, 4)))
 
 
 def test_orthonormal_pair_gives_identity_covariance():
     eta = covariance_from_vectors([np.array([1.0, 0.0]),
                                    np.array([0.0, 1.0])])
-    assert np.allclose(eta.entries[(0, 0)], [[1.0]])
-    assert np.allclose(eta.entries[(1, 1)], [[1.0]])
-    assert np.allclose(eta.entries[(0, 1)], [[0.0]])
+    assert np.allclose(eta.stacked[0, 0], [[1.0]])
+    assert np.allclose(eta.stacked[1, 1], [[1.0]])
+    assert np.allclose(eta.stacked[0, 1], [[0.0]])
 
 
 def test_m2_vectors_are_cp():
@@ -80,15 +81,48 @@ def test_m2_vectors_are_cp():
 def test_cp_failure():
     alg = BaseAlgebra((1,))
     with pytest.raises(CPFailure):
-        CovarianceMatrix(alg, (0, 1), {
-            (0, 0): [[1.0]], (1, 1): [[1.0]],
-            (0, 1): [[2.0]], (1, 0): [[2.0]]})
+        CovarianceMatrix(alg, (0, 1), [[[[1.0]], [[2.0]]],
+                                       [[[2.0]], [[1.0]]]])
+
+
+def test_a_stack_of_the_wrong_shape_is_refused():
+    # a 3×3 entry on M₂: the message names both shapes
+    with pytest.raises(ValueError, match=re.escape(
+            "η stack has shape (1, 1, 3, 3), expected (1, 1, 4, 4)")):
+        CovarianceMatrix(BaseAlgebra((2,)), (0,), np.eye(3)[None, None])
+
+
+def test_a_keyed_dict_is_refused():
+    # η is a stack; a dict keyed by ids, here with ids outside the index
+    # whose entries a zero-filling read would drop, is not one
+    with pytest.raises(TypeError):
+        CovarianceMatrix(BaseAlgebra((1,)), (0, 1), {
+            (0, 0): [[1]], (1, 1): [[1]], (0, 2): [[5]], ("1", "1"): [[7]]})
+
+
+def test_the_stack_is_a_read_only_copy():
+    given = np.ones((1, 1, 1, 1))
+    eta = CovarianceMatrix(BaseAlgebra((1,)), (0,), given)
+    given[0, 0] = 9.0
+    assert eta.stacked[0, 0, 0, 0] == 1.0
+    with pytest.raises(ValueError):
+        eta.stacked[0, 0, 0, 0] = 2.0
+
+
+def test_apply_with_an_unknown_id_raises_unknown_label():
+    eta = covariance_from_vectors([np.array([1.0, 0.0]),
+                                   np.array([0.0, 1.0])])
+    assert np.allclose(eta.apply(0, 0, np.eye(1)), [[1.0]])
+    with pytest.raises(UnknownLabel):
+        eta.apply(0, 5, np.eye(1))
+    with pytest.raises(UnknownLabel):
+        eta.apply("0", 0, np.eye(1))
 
 
 def test_cp_floor_is_not_a_constructor_argument():
     # the floor is always computed, so a value passed in would be ignored
     with pytest.raises(TypeError):
-        CovarianceMatrix(BaseAlgebra((1,)), (0,), {(0, 0): [[1.0]]},
+        CovarianceMatrix(BaseAlgebra((1,)), (0,), [[[[1.0]]]],
                          cp_floor=-1.0)
 
 
@@ -176,7 +210,7 @@ def _m2_vectors_eta():
 def _skew_eta():
     """A non-trace-symmetric covariance on ℂ ⊕ ℂ."""
     return CovarianceMatrix(BaseAlgebra((1, 1)), (0,),
-                            {(0, 0): np.array([[0.0, 2.0], [1.0, 0.0]])})
+                            np.array([[0.0, 2.0], [1.0, 0.0]])[None, None])
 
 
 # lambdas, since the rotation and block helpers are defined further down
@@ -230,7 +264,7 @@ def test_vector_covariance_matches_the_loop(case):
           for _ in range(2)]
     eta = covariance_from_vectors(vs, alg)
     for key, want in _reference_vector_entries(vs, alg).items():
-        assert np.max(np.abs(eta.entries[key] - want)) \
+        assert np.max(np.abs(eta.stacked[key] - want)) \
             <= 1e-12 * max(1.0, np.max(np.abs(want)))
 
 
@@ -256,7 +290,7 @@ def test_batched_covariance_checks_match_the_loops(case):
 
 def test_identity_automorphism_doubles():
     eta = covariance_from_automorphisms([np.eye(1)])
-    assert np.allclose(eta.entries[(0, 0)], [[2.0]])
+    assert np.allclose(eta.stacked[0, 0], [[2.0]])
 
 
 def test_swap_automorphism_is_trace_symmetric():
@@ -337,7 +371,7 @@ def test_automorphism_checks_match_the_loop(blocks):
         want = _reference_automorphism_failure(alg, al)
         if want is None:
             eta = covariance_from_automorphisms([al], alg)
-            assert np.allclose(eta.entries[(0, 0)], al + np.linalg.inv(al))
+            assert np.allclose(eta.stacked[0, 0], al + np.linalg.inv(al))
         else:
             with pytest.raises(NotAnAutomorphism, match=want):
                 covariance_from_automorphisms([al], alg)
@@ -903,10 +937,26 @@ def test_probe_automorphism_covariance():
     assert rep["verdict"] == "criterion ingredients verified (finite A)"
 
 
+def test_probe_reads_ids_that_are_not_positions():
+    # the vector presentation is indexed by 0, 1, …; this η by "p" and 7
+    stack = np.zeros((2, 2, 4, 4), dtype=complex)
+    stack[0, 0] = _rotation_eta(0.7).stacked[0, 0]
+    stack[1, 1] = _rotation_eta(1.3).stacked[0, 0]
+    alg = BaseAlgebra((2,))
+    rep = ind_faithfulness_probe(CovarianceMatrix(alg, ("p", 7), stack))
+    want = ind_faithfulness_probe(CovarianceMatrix(alg, (0, 1), stack))
+    assert rep["corner_dims"] == {"p": want["corner_dims"][0],
+                                  7: want["corner_dims"][1]}
+    assert rep["vector_presentation_residual"] \
+        == want["vector_presentation_residual"] < 1e-10
+    assert rep["verdict"] == want["verdict"] \
+        == "criterion ingredients verified (finite A)"
+
+
 def test_probe_flags_non_symmetric_covariance():
     alg = BaseAlgebra((1, 1))
-    eta = CovarianceMatrix(alg, (0,), {(0, 0): np.array([[0.0, 2.0],
-                                                         [1.0, 0.0]])})
+    eta = CovarianceMatrix(alg, (0,), np.array([[0.0, 2.0],
+                                                [1.0, 0.0]])[None, None])
     rep = ind_faithfulness_probe(eta)
     assert rep["trace_symmetry_residual"] > 0.1
     assert not rep["trace_symmetric"]
@@ -936,14 +986,13 @@ def test_probe_trace_symmetry_is_scale_invariant():
     u = np.array([[np.cos(th), -np.sin(th)], [np.sin(th), np.cos(th)]])
     ad = np.stack([alg.coords(u @ e @ u.T) for e in alg.basis], axis=1)
     eta = covariance_from_automorphisms([ad], alg)
-    big = CovarianceMatrix(alg, eta.index,
-                           {k: 1e6 * m for k, m in eta.entries.items()})
+    big = CovarianceMatrix(alg, eta.index, 1e6 * eta.stacked)
     assert big.trace_symmetry_residual() > 1e-12
     assert eta.is_trace_symmetric() and big.is_trace_symmetric()
     assert ind_faithfulness_probe(big)["trace_symmetric"]
     skew = CovarianceMatrix(BaseAlgebra((1, 1)), (0,),
-                            {(0, 0): 1e-6 * np.array([[0.0, 2.0],
-                                                      [1.0, 0.0]])})
+                            1e-6 * np.array([[0.0, 2.0],
+                                             [1.0, 0.0]])[None, None])
     assert skew.trace_symmetry_residual() < 1e-5
     assert not skew.is_trace_symmetric()
 

@@ -7,6 +7,12 @@ definition, or be listed in `TEST_ONLY` with the reason it stays.  A use is
 a name or an attribute that is read; imports, `__all__` strings, type
 annotations and the body of the definition itself do not count, so a
 re-export in `utcat/__init__.py` or a wrapper nobody calls fails here.
+
+Two blind spots: a private name (a leading `_`) is never checked, so a
+private method that only tests read passes (as `SkeletalUTC._finv` did);
+and a use is matched by name alone, so a method that only tests call passes
+while any library attribute of the same name is read (the `alg.basis` array
+of `semicircular` masked the test-only `CoendAlgebra.basis()`).
 """
 
 import ast

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from index_reference import f_index
+from index_reference import f_index, finv
 from utcat.annulus import annulus_basis
 from utcat.errors import SolveFailed, UnknownLabel
 from utcat.skeletal import ConjugateSolution
@@ -188,7 +188,7 @@ class TreeCalculus:
                     _add(out, ((m1, t1p),) + path[1:], R[t1p, t1] * coeff)
             return TreeVector(new_word, tv.root, out)
         for (prefix, a, dd, suffix), vec in self._local_groups(tv, k):
-            right = self._finv(a, b, c, dd) @ vec
+            right = finv(self.cat, a, b, c, dd) @ vec
             ridx = f_index(self.ring, a, b, c, dd).right
             rpos2 = f_index(self.ring, a, c, b, dd).rpos
             right2 = np.zeros(len(rpos2), dtype=complex)
@@ -246,7 +246,7 @@ class TreeCalculus:
         else:
             new_word = word[:k] + (Z,) + word[k + 2:]
         for (prefix, a, dd, suffix), vec in self._local_groups(tv, k):
-            right = self._finv(a, b, c, dd) @ vec
+            right = finv(self.cat, a, b, c, dd) @ vec
             ridx = f_index(self.ring, a, b, c, dd).right
             for i, (f, mu, nu) in enumerate(ridx):
                 if f != Z or abs(right[i]) == 0.0:
