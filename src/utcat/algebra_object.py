@@ -273,9 +273,13 @@ class GroundAlgebra(StarAlgebra):
 
     @cached_property
     def weights(self) -> np.ndarray:
-        """The canonical trace on the basis: Tr(L_{eₓ})/Tr(L_1)."""
+        """The canonical trace on the basis: Tr(L_{eₓ})/Tr(L_1); a zero or
+        non-finite Tr(L_1) leaves no trace and raises :class:`DegenerateForm`."""
         t = np.einsum("zxz->x", self.P)
-        return t / (t @ self.unit)
+        norm = t @ self.unit
+        if norm == 0 or not np.isfinite(norm):
+            raise DegenerateForm(self.what, float("nan"))
+        return t / norm
 
     def trace(self, x) -> complex:
         """The canonical faithful trace tr(x) = Tr(L_x)/Tr(L_1); tr(1) = 1."""

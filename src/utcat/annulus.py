@@ -33,7 +33,6 @@ import numpy as np
 
 from .algebra_object import AlgebraObject, validate_algebra_object, worst_residual
 from .errors import MissingBraiding, PositivityFailure, SupportTooSmall
-from .fusion_ring import SupportSet
 from .skeletal import SkeletalUTC
 
 __all__ = ["build_annulus", "annulus_basis", "z_state"]
@@ -54,12 +53,10 @@ def build_annulus(cat: SkeletalUTC, S=None, tol: float = 1e-9) -> AlgebraObject:
     if not cat.braided:
         raise MissingBraiding("annulus multiplication needs R-symbols")
     ring = cat.ring
-    if S is None:
-        S = SupportSet(labels=ring.labels, generators=ring.labels, depth=0)
-    missing = ({ring.dual[x] for x in S}
-               | {z for x in S for y in S for z in ring.fuse(x, y)}) - set(S)
+    S = ring.labels if S is None else tuple(S)
+    missing = ring.missing(S)
     if missing:
-        raise SupportTooSmall(sorted(missing))
+        raise SupportTooSmall(missing)
 
     ann = _assemble(cat, S)
     res = validate_algebra_object(ann, rng=np.random.default_rng(1), tol=tol)

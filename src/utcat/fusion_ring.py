@@ -8,7 +8,6 @@ strict and happens once, in :func:`validate_ring`.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
 from typing import NamedTuple
 
@@ -16,28 +15,10 @@ import numpy as np
 
 from .errors import AxiomViolation, RingAxiomError, SchemaError, UnknownLabel
 
-__all__ = ["BlockTable", "FusionRing", "SupportSet", "validate_ring"]
+__all__ = ["BlockTable", "FusionRing", "validate_ring"]
 
 _POWER_ITER_TOL = 1e-12
 _POWER_ITER_MAX = 10_000
-
-
-@dataclass(frozen=True)
-class SupportSet:
-    """Finite, dual-closed, unit-containing truncation of the label set."""
-
-    labels: tuple[str, ...]
-    generators: tuple[str, ...]
-    depth: int
-
-    def __contains__(self, label: str) -> bool:
-        return label in self.labels
-
-    def __iter__(self):
-        return iter(self.labels)
-
-    def __len__(self) -> int:
-        return len(self.labels)
 
 
 def _encode(cols: np.ndarray, radix: int) -> np.ndarray:
@@ -284,11 +265,13 @@ class FusionRing:
             lam = new_lam
         return lam - 1.0
 
-    def fusion_closure(self, generators, depth: int) -> SupportSet:
-        gens = tuple(sorted(set(generators)))
-        for g in gens:
+    def fusion_closure(self, generators, depth: int) -> tuple:
+        """The sorted labels reached from the generators, the unit and their
+        duals by at most ``depth`` rounds of fusion and duals."""
+        current = set(generators)
+        for g in current:
             self._i(g)
-        current = set(gens) | {self.unit}
+        current |= {self.unit}
         current |= {self.dual[x] for x in current}
         for _ in range(max(depth, 0)):
             new = set(current)
@@ -299,7 +282,21 @@ class FusionRing:
             if new == current:
                 break
             current = new
-        return SupportSet(labels=tuple(sorted(current)), generators=gens, depth=depth)
+        return tuple(sorted(current))
+
+    def missing(self, S, within=None) -> list:
+        """The sorted labels that the support S lacks to hold the unit, the
+        duals of its labels and every fusion channel of two of them; duals
+        and channels count only inside the grades ``within`` (default: all
+        labels); a label the ring lacks raises :class:`UnknownLabel`."""
+        S = set(S)
+        for x in S:
+            self._i(x)
+        need = {self.dual[x] for x in S} | {
+            z for x in S for y in S for z, _ in self.channels(x, y)}
+        if within is not None:
+            need &= set(within)
+        return sorted((need | {self.unit}) - S)
 
     # -- misc --------------------------------------------------------------
 

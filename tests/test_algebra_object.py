@@ -20,7 +20,7 @@ from utcat.algebra_object import (
 )
 from utcat.annulus import build_annulus
 from utcat.coend import CoendAlgebra, GradedElement, norm_sandwich_check
-from utcat.errors import LabelMismatch, PositivityFailure
+from utcat.errors import DegenerateForm, LabelMismatch, PositivityFailure
 from utcat.fixtures import fibonacci, ising, vec_zn
 
 TOL = 1e-10
@@ -93,13 +93,16 @@ def test_a_product_stack_of_the_wrong_shape_is_refused():
         AlgebraObject(D.cat, D.fibers, {**D.mult, key: np.ones((1, 1, 1))}, D.star, D.unit)
 
 
+@pytest.mark.filterwarnings("error")
 def test_the_zero_product_fails_positivity():
-    # Tr(L_1) = 0 makes the trace weights NaN: the degenerate ground form
-    # reads a positivity floor of −1, not a passing 0
+    # Tr(L_1) = 0 leaves no canonical trace: the weights refuse it, before
+    # any division, and the degenerate ground form reads a positivity floor
+    # of −1, not a passing 0
     D = group_algebra_object(vec_zn(3))
     zero = AlgebraObject(D.cat, D.fibers, {}, D.star, D.unit)
-    with np.errstate(invalid="ignore"):
-        res = validate_algebra_object(zero)
+    with pytest.raises(DegenerateForm):
+        zero.ground().weights
+    res = validate_algebra_object(zero)
     assert res["positivity_floor"] == -1.0
     assert res["unitality"] == 1.0
 

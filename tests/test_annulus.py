@@ -10,7 +10,6 @@ from utcat.algebra_object import pp_check
 from utcat.annulus import _assemble, annulus_basis, build_annulus, z_state
 from utcat.errors import MissingBraiding, PositivityFailure, SupportTooSmall
 from utcat.fixtures import FIXTURE_BUILDERS, fibonacci, ising, su2k, vec_zn
-from utcat.fusion_ring import SupportSet
 from utcat.skeletal import SkeletalUTC
 
 
@@ -105,8 +104,7 @@ def test_pointed_annulus_is_the_group_algebra():
 
 
 def test_restricted_support():
-    ann = build_annulus(ising(), S=SupportSet(labels=("1", "psi"),
-                                              generators=("psi",), depth=1))
+    ann = build_annulus(ising(), S=("1", "psi"))
     assert ann.n("1") == 2
     zs = z_state(ann)
     assert zs["positivity_floor"] >= -1e-10
@@ -114,8 +112,7 @@ def test_restricted_support():
 
 def test_unclosed_support_raises():
     with pytest.raises(SupportTooSmall) as exc:
-        build_annulus(ising(), S=SupportSet(labels=("1", "sigma"),
-                                            generators=("sigma",), depth=0))
+        build_annulus(ising(), S=("1", "sigma"))
     assert "psi" in exc.value.missing
 
 

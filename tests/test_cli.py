@@ -252,12 +252,27 @@ def test_group_oracle_refuses_the_group_algebra_in_a_phased_basis(capsys, tmp_pa
     assert rep["faithfulness"]["failures"] == 0
 
 
-def test_only_coend_takes_a_truncation_mode(capsys):
+def test_no_command_takes_a_truncation_mode(capsys):
     code, rep = run(capsys, "coend", "--cat", "z4", "--left", "fiber", "--right",
-                    "groupalg", "--support", "gen=g2,depth=1", "--mode", "project")
-    assert code == 0 and rep["mode"] == "project"
-    with pytest.raises(SystemExit):
-        main(["verify", "fib", "--mode", "strict"])
+                    "groupalg", "--support", "gen=g2,depth=1")
+    assert code == 0 and rep["support"] == ["g0", "g2"] and "mode" not in rep
+    for argv in (["coend", "--cat", "z4", "--left", "fiber", "--right",
+                  "groupalg", "--mode", "strict"], ["verify", "fib", "--mode", "strict"]):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2  # an argparse usage error
+    assert "--mode" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", [
+    ["annulus", "--cat", "z4"],
+    ["coend", "--cat", "z4", "--left", "fiber", "--right", "groupalg"]],
+    ids=["annulus", "coend"])
+def test_a_support_closure_that_is_not_fusion_closed_exits_2(capsys, command):
+    # gen=g1 at depth 0 closes under duals only: (g0, g1, g3) lacks g1⊗g1
+    code, rep = run(capsys, *command, "--support", "gen=g1,depth=0")
+    assert code == 2
+    assert rep == {"error": "SupportTooSmall: support is missing channels ['g2']"}
 
 
 def _group_algebra_file(tmp_path, perturb):

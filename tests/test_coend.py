@@ -29,6 +29,7 @@ from utcat.errors import (
     LabelMismatch,
     NotAState,
     SupportOverflow,
+    SupportTooSmall,
     UnknownLabel,
 )
 from utcat.fixtures import fibonacci, ising, vec_zn
@@ -286,26 +287,28 @@ def test_faithfulness_probe_fibonacci(fib_coend):
     assert rep["cyclic_rank"] == rep["expected_rank"] == fib_coend.total_dim
 
 
-# -- support modes ----------------------------------------------------------
+# -- supports ---------------------------------------------------------------
 
-def test_strict_mode_overflows():
-    cat = vec_zn(4)
-    co = CoendAlgebra(trivial_action_object(cat), group_algebra_object(cat),
-                      S=("g0", "g1"), mode="strict")
-    d1 = _delta(co, "g1")
-    with pytest.raises(SupportOverflow):
-        co.mul(d1, d1)
+@pytest.mark.parametrize("n, S, missing", [
+    (4, ("g0", "g1"), ["g2", "g3"]),   # g1⊗g1 = g2 and ḡ1 = g3 leave S
+    (4, ("g0", "g1", "g3"), ["g2"]),   # dual-closed, not fusion-closed
+    (3, ("g0", "g1"), ["g2"]),         # ḡ1 = g2 = g1⊗g1
+    (2, ("g1",), ["g0"]),              # no unit
+], ids=["z4-g1", "z4-g1-g3", "z3-g1", "z2-no-unit"])
+def test_a_support_that_is_not_closed_is_refused(n, S, missing):
+    with pytest.raises(SupportTooSmall) as exc:
+        _crossed(n, S)
+    assert exc.value.missing == missing
 
 
-def test_project_mode_truncates():
-    cat = vec_zn(4)
-    co = CoendAlgebra(trivial_action_object(cat), group_algebra_object(cat),
-                      S=("g0", "g1"), mode="project")
-    d1 = _delta(co, "g1")
-    assert co.mul(d1, d1).comps == {}
-    # products that stay inside the support are untouched
-    d0 = _delta(co, "g0")
-    assert list(co.mul(d0, d1).comps) == ["g1"]
+def test_the_support_counts_only_grades_with_a_fiber_on_both_sides():
+    # the annulus of Vec(Z4) has a fiber only at g0, so a support that names
+    # g1 is the whole grading, without the channels of g1
+    ann = build_annulus(vec_zn(4))
+    co = CoendAlgebra(opposite_object(ann), ann, S=("g0", "g1"))
+    full = CoendAlgebra(opposite_object(ann), ann)
+    assert co.support == full.support == ("g0",)
+    assert np.array_equal(co._action.M, full._action.M)
 
 
 # -- expectation descent ----------------------------------------------------
@@ -342,19 +345,6 @@ def test_descend_character_state_is_not_faithful(z2_ann_cross):
     p_minus = GradedElement({"g0": np.array([0.5, -0.5])})
     tt = z2_ann_cross.mul(z2_ann_cross.star(p_minus), p_minus)
     assert abs(E(tt)) < 1e-12
-
-
-def test_descend_on_a_support_that_is_not_fusion_closed():
-    # the kernel reads only the unit channel, so strict mode does not
-    # overflow where products leave the support
-    cat = vec_zn(4)
-    reports = [descend_expectation(
-        CoendAlgebra(trivial_action_object(cat), group_algebra_object(cat),
-                     S=("g0", "g1"), mode=mode), np.array([1.0]))[1]
-        for mode in ("strict", "project")]
-    assert reports[0] == reports[1] == {
-        "omega_faithful": True, "E_omega_faithful": True, "gns_rank": 1,
-        "gns_cut_gap": None}
 
 
 def test_descend_rejects_non_states(z2_ann_cross):
@@ -402,10 +392,7 @@ def _ref_component_product(co, X0, X1, m0, m1):
         nch = ring.N(X0, X1, X2)
         if nch == 0 or co.A.n(X2) == 0 or co.B.n(X2) == 0:
             continue
-        if X2 not in co.support:
-            if co.mode == "strict":
-                raise SupportOverflow(f"{X2} of {X0}⊠{X1} outside the support")
-            continue
+        assert X2 in co.support, f"{X2} of {X0}⊠{X1} outside the support"
         acc = np.zeros((co.A.n(X2), co.B.n(X2)), dtype=complex)
         for v in range(nch):
             acc += np.einsum("aij,bkl,ik,jl->ab", co.A.mu(X0, X1, X2)[v],
@@ -494,10 +481,10 @@ def _rel(new, ref):
                  / max(float(np.max(np.abs(ref), initial=0.0)), 1e-300))
 
 
-def _crossed(n, S=None, mode="strict"):
+def _crossed(n, S=None):
     cat = vec_zn(n)
     return CoendAlgebra(trivial_action_object(cat),
-                        group_algebra_object(cat), S=S, mode=mode)
+                        group_algebra_object(cat), S=S)
 
 
 def _rotated(D, seed):
@@ -535,12 +522,6 @@ def _matrix_ground(side):
                          {"g0": star}, np.eye(2).reshape(-1), side=side)
 
 
-def _truncated_annulus():
-    ann = build_annulus(vec_zn(4))
-    return CoendAlgebra(opposite_object(ann), ann, S=("g0", "g1"),
-                        mode="project")
-
-
 REFERENCE_CASES = {
     **{f"annulus-{name}": (lambda name=name: _annulus_coend(name))
        for name in BRAIDED},
@@ -549,8 +530,7 @@ REFERENCE_CASES = {
     "rotated-annulus-vec_z3": lambda: _rotated_annulus("vec_z3"),
     "matrix-ground": lambda: CoendAlgebra(_matrix_ground("op"),
                                           _matrix_ground("cat")),
-    "project-crossed-vec_z4": lambda: _crossed(4, ("g0", "g1"), "project"),
-    "project-annulus-vec_z4": _truncated_annulus,
+    "subgroup-crossed-vec_z4": lambda: _crossed(4, ("g0", "g2")),
 }
 
 
@@ -579,29 +559,14 @@ def test_channel_tensors_match_the_einsum_reference(reference_case):
         ref_M = S @ _ref_act_matrix(co, T) @ np.linalg.inv(S)
         assert _rel(co.op_norm(T), np.linalg.norm(ref_M, 2)) < 1e-12
         assert _rel(ground_op_norm(co, m), _ref_ground_op_norm(co, m)) < 1e-12
-    ops = co.basis_operators()
     for i, (_, _, T) in enumerate(coend_basis(co)):
-        assert _rel(ops[i], _ref_act_matrix(co, T)) < 1e-12
+        assert _rel(co.act_matrix(T), _ref_act_matrix(co, T)) < 1e-12
 
 
 def test_probe_grams_match_the_traced_reference(reference_case):
     co = reference_case
     for new, ref in zip(_probe_grams(co), _ref_probe_grams(co)):
         assert _rel(new, ref) < 1e-12
-
-
-def test_strict_mode_pairs_inside_the_support_do_not_raise():
-    # S = {g0, g1} in Z4 is not fusion closed: only g1⊗g1 leaves it
-    co = _crossed(4, ("g0", "g1"))
-    d0, d1 = _delta(co, "g0"), _delta(co, "g1")
-    assert list(co.mul(d0, d1).comps) == ["g1"]
-    assert list(co.mul(d1, d0).comps) == ["g1"]
-    assert _rel(co.act_matrix(d0), np.eye(2)) < 1e-12
-    assert np.allclose(co.gram(), np.eye(2))
-    # the overflowing pair raises each time it is used, not only the first
-    for _ in range(2):
-        with pytest.raises(SupportOverflow):
-            co.mul(d1, d1)
 
 
 def test_sandwich_reports_margins(fib_coend):
@@ -704,10 +669,6 @@ def test_sandwich_reports_match_the_einsum_reference(reference_case):
     for X in co.support:
         T = GradedElement({X: rng.normal(size=co.dims[X])
                            + 1j * rng.normal(size=co.dims[X])})
-        if co.mode != "strict":
-            with pytest.raises(SupportOverflow):
-                norm_sandwich_check(co, T)
-            continue
         _assert_same_report(norm_sandwich_check(co, T), _ref_norm_sandwich(co, T))
 
 
@@ -722,32 +683,6 @@ def test_probe_reports_match_the_einsum_reference(reference_case):
     _assert_same_report(faithfulness_probe(co, 3, seed=8), want)
 
 
-def test_strict_overflow_raises_through_every_entry_point():
-    co = _crossed(4, ("g0", "g1"))
-    d0, d1 = _delta(co, "g0"), _delta(co, "g1")
-    for _ in range(2):
-        for use in (lambda: co.act_matrix(d1), lambda: co.op_norm(d1)):
-            with pytest.raises(SupportOverflow, match="g2 of g1⊠g1"):
-                use()
-        # the probe's first product is δ_g3·δ_g0 (star of g1 times g0)
-        with pytest.raises(SupportOverflow, match="g3 of g3⊠g0"):
-            faithfulness_probe(co, 2, seed=0)
-        # pairs inside the support still work between the failures
-        assert co.op_norm(d0) == pytest.approx(1.0, abs=1e-12)
-
-
-def test_project_mode_star_and_left_factors_leave_a_truncated_support():
-    # on Z4 with S = (g0, g1) the star of δ_g1 is δ_g3, outside S, and it
-    # still acts on ℰ_S: δ_g3·δ_g1 = δ_g0
-    co = _crossed(4, ("g0", "g1"), "project")
-    st = co.star(_delta(co, "g1"))
-    assert list(st.comps) == ["g3"] and abs(st.comps["g3"][0] - 1.0) < 1e-12
-    prod = co.mul(st, _delta(co, "g1"))
-    assert list(prod.comps) == ["g0"] and abs(prod.comps["g0"][0] - 1.0) < 1e-12
-    assert _rel(co.act_matrix(st), _ref_act_matrix(co, st)) < 1e-12
-    assert abs(co.canonical_expectation(prod)[0] - 1.0) < 1e-12
-
-
 def test_unknown_grades_are_refused():
     co = _crossed(3)
     bad, good = GradedElement({"nope": np.ones(1)}), _delta(co, "g1")
@@ -755,4 +690,16 @@ def test_unknown_grades_are_refused():
                 lambda: co.mul(good, bad), lambda: co.act_matrix(bad),
                 lambda: co.op_norm(bad), lambda: co.canonical_expectation(bad)):
         with pytest.raises(UnknownLabel):
+            use()
+
+
+def test_operators_outside_the_support_are_refused():
+    # operators and module vectors share the grades of S: on the subgroup
+    # S = (g0, g2) of Z4 an operator at g1 is refused like a module vector
+    co = _crossed(4, ("g0", "g2"))
+    bad, good = GradedElement({"g1": np.ones(1)}), _delta(co, "g2")
+    for use in (lambda: co.star(bad), lambda: co.mul(bad, good),
+                lambda: co.mul(good, bad), lambda: co.act_matrix(bad),
+                lambda: co.op_norm(bad), lambda: co.canonical_expectation(bad)):
+        with pytest.raises(SupportOverflow, match="component g1 outside the support"):
             use()

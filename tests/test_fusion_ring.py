@@ -106,9 +106,22 @@ def test_fusion_closure_is_dual_closed_and_contains_unit():
     s = ring.fusion_closure(["sigma"], depth=0)
     assert "1" in s and "sigma" in s
     s2 = ring.fusion_closure(["sigma"], depth=2)
-    assert set(s2.labels) == {"1", "psi", "sigma"}
+    assert s2 == ("1", "psi", "sigma")
     for x in s2:
         assert ring.dual[x] in s2
+
+
+def test_missing_names_what_a_support_lacks():
+    ring = ising().ring
+    assert ring.missing(ring.labels) == []
+    assert ring.missing(("1", "psi")) == []
+    assert ring.missing(("1", "sigma")) == ["psi"]
+    assert ring.missing(()) == ["1"]
+    # channels and duals outside ``within`` do not count; the unit always does
+    assert ring.missing(("1", "sigma"), within=("1", "sigma")) == []
+    assert ring.missing(("sigma",), within=("sigma",)) == ["1"]
+    with pytest.raises(UnknownLabel):
+        ring.missing(("1", "nope"))
 
 
 def test_validate_rejects_broken_unit():

@@ -33,8 +33,6 @@ TEST_ONLY = {
     "boxtimes": "the paper's fusion of Hilbert space objects ℋ₁⊠ℋ₂",
     "ind_faithfulness_probe": "the checkable ingredients of the paper's "
                               "ind-inclusion criterion for finite A",
-    "act_matrix": "the matrix on ℰ_S of one coend operator, the paper's "
-                  "triangle action T ▹ ·",
 }
 
 
