@@ -2,12 +2,16 @@
 
 With η = 1 the 2m-th vacuum moment is the m-th Catalan number once the
 depth reaches m; the scan makes the exactness threshold visible and also
-tracks a 2×2 automorphism-induced covariance for comparison.  Run:
+tracks a 2×2 automorphism-induced covariance for comparison.  A printed
+moment more than 1e-9 (relative) away from `catalan_moments`, the value
+η alone determines, makes the exit code 1: for η = 1 that is C_m, for the
+M₂ rotation the trace of E(X⁴) is 8.  Run:
 
     python3 scripts/fock_depth_convergence.py --max-depth 8
 """
 
 import argparse
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -16,11 +20,16 @@ from utcat.semicircular import (
     BaseAlgebra,
     build_fock,
     catalan,
+    catalan_moments,
     covariance_from_automorphisms,
     covariance_from_vectors,
     semicircular_ops,
     vacuum_expectation,
 )
+
+
+# relative deviation from the Catalan recursion that fails the run
+TOL = 1e-9
 
 
 @dataclass
@@ -29,21 +38,32 @@ class DepthScanConfig:
     moment: int = 8          # even moment 2m with 2m = moment
 
 
-def scalar_scan(cfg: DepthScanConfig):
+def _deviation(val, want) -> float:
+    return abs(val - want) / max(1.0, abs(want))
+
+
+def scalar_scan(cfg: DepthScanConfig) -> int:
+    """Prints the scan; returns the number of moments off the recursion."""
     m = cfg.moment // 2
-    target = catalan(m)
-    print(f"η = 1, moment E(X^{cfg.moment}), exact value C_{m} = {target}")
+    eta = covariance_from_vectors([np.array([1.0])])
+    target = catalan_moments(eta, 0, cfg.moment)[cfg.moment][0, 0].real
+    print(f"η = 1, moment E(X^{cfg.moment}), exact value C_{m} = {catalan(m)}")
+    bad = 0
     for depth in range(1, cfg.max_depth + 1):
-        eta = covariance_from_vectors([np.array([1.0])])
         fam = semicircular_ops(build_fock(eta, depth))
         if 2 * depth < cfg.moment:
             print(f"  depth {depth:>2}: word too long for exactness, skipped")
             continue
         val = vacuum_expectation(fam, [("X", 0)] * cfg.moment)[0, 0].real
-        print(f"  depth {depth:>2}: {val:.12f}  (err {abs(val - target):.1e})")
+        err = _deviation(val, target)
+        bad += err > TOL
+        print(f"  depth {depth:>2}: {val:.12f}  (err {abs(val - target):.1e})"
+              + ("  FAILED" if err > TOL else ""))
+    return bad
 
 
-def automorphism_scan(cfg: DepthScanConfig):
+def automorphism_scan(cfg: DepthScanConfig) -> int:
+    """Prints the scan; returns the number of moments off the recursion."""
     alg = BaseAlgebra((2,))
     th = 0.5
     u = np.array([[np.cos(th), -np.sin(th)], [np.sin(th), np.cos(th)]],
@@ -52,14 +72,20 @@ def automorphism_scan(cfg: DepthScanConfig):
     for c, e in enumerate(alg.basis):
         ad[:, c] = alg.coords(u @ e @ u.conj().T)
     eta = covariance_from_automorphisms([ad], alg)
-    print("\nη = Ad(u) + Ad(u)⁻¹ on M₂, trace of E(X^4):")
+    target = alg.trace(catalan_moments(eta, 0, 4)[4]).real
+    print(f"\nη = Ad(u) + Ad(u)⁻¹ on M₂, trace of E(X^4), exact value {target:g}:")
+    bad = 0
     # 2×2 base with one index: raw level dims grow 16-fold per level, so the
     # default dimension cap is reached just past depth 4
     for depth in range(2, min(cfg.max_depth, 4) + 1):
         fam = semicircular_ops(build_fock(eta, depth))
         val = alg.trace(vacuum_expectation(fam, [("X", 0)] * 4)).real
+        err = _deviation(val, target)
+        bad += err > TOL
         print(f"  depth {depth:>2}: {val:.12f}  "
-              f"(level dims {fam.fock.level_dims})")
+              f"(level dims {fam.fock.level_dims})"
+              + ("  FAILED" if err > TOL else ""))
+    return bad
 
 
 if __name__ == "__main__":
@@ -68,5 +94,4 @@ if __name__ == "__main__":
     ap.add_argument("--moment", type=int, default=8)
     args = ap.parse_args()
     cfg = DepthScanConfig(max_depth=args.max_depth, moment=args.moment)
-    scalar_scan(cfg)
-    automorphism_scan(cfg)
+    sys.exit(1 if scalar_scan(cfg) + automorphism_scan(cfg) else 0)

@@ -281,10 +281,6 @@ class GroundAlgebra(StarAlgebra):
             raise DegenerateForm(self.what, float("nan"))
         return t / norm
 
-    def trace(self, x) -> complex:
-        """The canonical faithful trace tr(x) = Tr(L_x)/Tr(L_1); tr(1) = 1."""
-        return complex(self.weights @ x)
-
     def check_state(self, omega) -> tuple:
         """(ω, eigenvalues of its GNS form) for a state ω given on the basis;
         raises :class:`NotAState` unless ω is unital and positive."""
@@ -375,9 +371,6 @@ class SquareAlgebra(StarAlgebra):
     def expect(self, a) -> np.ndarray:
         """E_X(a) ∈ 𝒟(1)."""
         return self.D.expect_weight(self.X) * a[self._unit_slice]
-
-    def random_element(self, rng) -> np.ndarray:
-        return rng.normal(size=self.dim) + 1j * rng.normal(size=self.dim)
 
 
 # ---------------------------------------------------------------------------
@@ -515,7 +508,7 @@ def pp_check(D: AlgebraObject, X: str, samples: int, seed: int = 0) -> dict:
     worst_lower = 0.0
     violations = 0
     for _ in range(samples):
-        s = sq.random_element(rng)
+        s = _rand(rng, sq.dim)
         T = sq.mul(sq.star(s), s)
         nT = sq.op_norm(T)
         nE = g.op_norm(sq.expect(T))

@@ -16,7 +16,8 @@ S the coend stays a *-algebra only when S holds the unit and is closed under
 duals and under the fusion channels where both objects have a fiber, so the
 constructor checks that rule once
 (:meth:`FusionRing.missing`) and raises :class:`SupportTooSmall` naming the
-labels S lacks; products, stars and acting matrices then never leave S.
+labels S lacks, or :class:`UnknownLabel` on a label of S the ring lacks;
+products, stars and acting matrices then never leave S.
 On first use the instance builds, and keeps:
 
 - the action tensor M of shape (n, n, n), n = dim ℰ_S: M[i] is the matrix
@@ -26,11 +27,14 @@ On first use the instance builds, and keeps:
 - the star matrix J (eᵢ* = Σ_a J[a,i] e_a, blocks 𝔸.star[X] ⊗ 𝔹.star[X])
   and the vacuum columns M·Ω;
 - on the first norm, the GNS conjugate Q = S·M·S⁻¹ with S = G^{1/2},
-  computed per grade block since the Gram G is block diagonal by grade.
+  computed per grade block since the Gram G is block diagonal by grade;
+- on the first norm sandwich, a contiguous copy of Q's unit block: the
+  ground 𝔸(1)⊗𝔹(1) in its GNS representation, which is faithful.
 
 A product, an acting matrix, a star and the canonical expectation are one
 or two contractions with these arrays, and an operator norm is the largest
-singular value of one contraction with Q.  The GNS form of w∘𝔼, for a
+singular value of one contraction with Q; so is the C*-norm of a ground
+element, through the unit block.  The GNS form of w∘𝔼, for a
 functional w on 𝔸(1)⊗𝔹(1), is the :func:`gns.form` of the unit channel of M
 under J: with w = w_𝔸 ⊗ w_𝔹 the canonical ground traces it is the module
 Gram, whose :class:`gns.GramRoot` gives S; with w = w_𝔸 ⊗ ω it is the
@@ -109,6 +113,9 @@ class CoendAlgebra:
         # grading only sees labels where both objects have a fiber
         grades = tuple(X for X in ring.labels if A.n(X) > 0 and B.n(X) > 0)
         keep = set(ring.labels if S is None else S)
+        unknown = sorted(keep - ring.index.keys())
+        if unknown:
+            raise UnknownLabel(unknown[0])
         self.support = tuple(X for X in grades if X in keep)
         missing = ring.missing(self.support, within=grades)
         if missing:
@@ -208,20 +215,6 @@ class CoendAlgebra:
 
     # -- inner product on ℰ_S -------------------------------------------------
 
-    @cached_property
-    def _ground_traces(self) -> tuple:
-        """(w_𝔸, w_𝔹, w = w_𝔸 ⊗ w_𝔹): the canonical ground traces on the
-        basis, so that φ(T) = w·𝔼(T)."""
-        wA, wB = self.A.ground().weights, self.B.ground().weights
-        return wA, wB, np.outer(wA, wB).ravel()
-
-    @cached_property
-    def _ground_regular(self) -> tuple:
-        """Per side, the stack of GNS-conjugated left-regular matrices
-        L(eᵢ) of the ground algebra."""
-        return tuple(g.gns.conj(g.P.transpose(1, 0, 2))
-                     for g in (self.A.ground(), self.B.ground()))
-
     def _form(self, w) -> np.ndarray:
         """GNS form of w∘𝔼 on the graded basis, for w on 𝔸(1)⊗𝔹(1).
 
@@ -240,7 +233,9 @@ class CoendAlgebra:
 
     @cached_property
     def _gram(self) -> np.ndarray:
-        return self._form(self._ground_traces[2])
+        # φ(T) = (w_𝔸 ⊗ w_𝔹)·𝔼(T) with w the canonical ground traces
+        return self._form(np.kron(self.A.ground().weights,
+                                  self.B.ground().weights))
 
     @cached_property
     def gns(self) -> GramRoot:
@@ -261,6 +256,15 @@ class CoendAlgebra:
                           out=Q[ok, r, c])
         Q.flags.writeable = False
         return Q
+
+    @cached_property
+    def _conj_unit(self) -> np.ndarray:
+        """Q's unit block, shape (n₁, n₁·n₁) and contiguous: row i is
+        Q[i] on the unit grade, for i in the unit grade."""
+        u = self.offsets[self.cat.ring.unit]
+        Qu = np.ascontiguousarray(self._conj[u, u, u]).reshape(u.stop - u.start, -1)
+        Qu.flags.writeable = False
+        return Qu
 
     def flatten(self, xi: GradedElement) -> np.ndarray:
         out = np.zeros(self.total_dim, dtype=complex)
@@ -290,27 +294,18 @@ class CoendAlgebra:
 # theorem-level checks
 # ---------------------------------------------------------------------------
 
-def ground_op_norm(co: CoendAlgebra, m: np.ndarray) -> float:
-    """C*-norm of m ∈ 𝔸(1)⊗𝔹(1) through the tensor left-regular rep."""
-    LA, LB = co._ground_regular
-    a, b = LA.shape[1], LB.shape[1]
-    m = np.asarray(m, dtype=complex).reshape(a, b)
-    # Σᵢₖ m[i,k]·L_𝔸(eᵢ) ⊗ L_𝔹(eₖ) as two products, then the Kronecker layout
-    acc = LA.reshape(a, a * a).T @ (m @ LB.reshape(b, b * b))
-    acc = acc.reshape(a, a, b, b).transpose(0, 2, 1, 3).reshape(a * b, a * b)
-    return spectral_norm(acc)
-
-
 def norm_sandwich_check(co: CoendAlgebra, T: GradedElement) -> dict:
     """‖TΩ‖ ≤ ‖T‖ ≤ d_X²‖TΩ‖ for homogeneous T of grade X, up to
     ``SANDWICH_SLACK``·max(1, ‖T‖).
 
     ‖TΩ‖ is the Hilbert-module norm ‖𝔼(T*T)‖^{1/2}, with the C*-norm of the
     ground algebra 𝔸(1)⊗𝔹(1) on the inside, and ‖T‖ the operator norm in
-    the GNS representation of the canonical state.  The support is
-    fusion-closed, so the truncation is a genuine submodule and both
-    inequalities hold exactly; the scalar vacuum norm φ(T*T)^{1/2} is
-    reported alongside.
+    the GNS representation of the canonical state.  Both are read off the
+    one GNS conjugate Q: the ground acts on ℰ_S block diagonally by grade
+    and faithfully on its own block, so the C*-norm of 𝔼(T*T) is the norm
+    of its unit block in Q.  The support is fusion-closed, so the
+    truncation is a genuine submodule and both inequalities hold exactly;
+    the scalar vacuum norm φ(T*T)^{1/2} is reported alongside.
     """
     grades = list(T.comps)
     if len(grades) != 1:
@@ -321,7 +316,8 @@ def norm_sandwich_check(co: CoendAlgebra, T: GradedElement) -> dict:
     a, rows, cols = co._action, co.offsets[Xb], co.offsets[X]
     # T* has the coefficients J·conj(t) on the grade X̄
     ete = co._expect_product(a.J[rows, cols] @ np.conj(t), t, rows, cols)
-    vac_norm = float(np.sqrt(max(ground_op_norm(co, ete), 0.0)))
+    ground = (ete @ co._conj_unit).reshape(len(ete), len(ete))
+    vac_norm = float(np.sqrt(max(spectral_norm(ground), 0.0)))
     v = t @ a.vac[cols]  # TΩ
     scalar_norm = float(np.sqrt(max((v.conj() @ co.gram() @ v).real, 0.0)))
     op_norm = co.op_norm(T)
@@ -444,7 +440,7 @@ def descend_expectation(co: CoendAlgebra, omega: np.ndarray):
 
     # faithfulness of E_ω through the Gram kernel on the graded basis:
     # K[i,j] = tr_A(E_ω(eᵢ*eⱼ)) is PSD and degenerate iff E_ω has a kernel
-    kernel = rank_cut(co._form(np.kron(co._ground_traces[0], omega)))
+    kernel = rank_cut(co._form(np.kron(co.A.ground().weights, omega)))
     report = {"omega_faithful": cut.gap is None,
               "E_omega_faithful": kernel.gap is None,
               "gns_rank": cut.rank, "gns_cut_gap": cut.gap}

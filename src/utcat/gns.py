@@ -54,7 +54,7 @@ class GramRoot:
 
     Raises :class:`DegenerateForm` unless the margin
     λ_min − FAITHFUL_FLOOR·max(λ_max, 1) is > 0, so also on a form with a
-    NaN; ``cond`` is λ_max/λ_min.
+    NaN.
     """
 
     def __init__(self, G: np.ndarray, what: str = "GNS form"):
@@ -65,7 +65,6 @@ class GramRoot:
         r = np.sqrt(w)
         self.half = (U * r) @ U.conj().T
         self.inv_half = (U / r) @ U.conj().T
-        self.cond = float(w[-1] / w[0])
 
     def conj(self, L: np.ndarray) -> np.ndarray:
         """G^{1/2}·L·G^{-1/2}, batched over the leading axes of L."""

@@ -448,10 +448,6 @@ class SemicircularFamily:
                 self._windows[h][i] = T + T.conj().T
         return self._windows[h]
 
-    @property
-    def ops(self) -> dict:
-        return self.window(self.fock.depth)
-
     def state(self, word: tuple) -> np.ndarray:
         """X_{i₁}···X_{i_k}·P₀* for word = (i₁, …, i_k), k ≤ depth, read-only.
 

@@ -327,7 +327,6 @@ def test_analyze_chain(capsys):
     code, rep = run(capsys, "analyze", "--cat", "z2", "--aobj", "annulus")
     assert code == 0
     assert rep["discrete"] and rep["pqr"] and rep["ind"]
-    assert rep["verdict"]["verdict"] == "IND"
 
 
 def test_analyze_explicit_state(capsys, tmp_path):

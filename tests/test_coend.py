@@ -19,7 +19,6 @@ from utcat.coend import (
     _probe_grams,
     descend_expectation,
     faithfulness_probe,
-    ground_op_norm,
     norm_sandwich_check,
     positivity_check,
 )
@@ -33,6 +32,7 @@ from utcat.errors import (
     UnknownLabel,
 )
 from utcat.fixtures import fibonacci, ising, vec_zn
+from utcat.gns import GramRoot
 
 PHI = (1.0 + np.sqrt(5.0)) / 2.0
 
@@ -301,6 +301,12 @@ def test_a_support_that_is_not_closed_is_refused(n, S, missing):
     assert exc.value.missing == missing
 
 
+def test_an_unknown_support_label_is_refused():
+    # the label the ring lacks is named, not dropped from the support
+    with pytest.raises(UnknownLabel, match="g9"):
+        _crossed(4, ("g0", "g2", "g9"))
+
+
 def test_the_support_counts_only_grades_with_a_fiber_on_both_sides():
     # the annulus of Vec(Z4) has a fiber only at g0, so a support that names
     # g1 is the whole grading, without the channels of g1
@@ -426,7 +432,7 @@ def _ref_act_matrix(co, T):
 def _ref_gram(co):
     ring = co.cat.ring
     unit = ring.unit
-    wA, wB, _ = co._ground_traces
+    wA, wB = co.A.ground().weights, co.B.ground().weights
     G = np.zeros((co.total_dim, co.total_dim), dtype=complex)
     for X, sl in co.offsets.items():
         Xb = ring.dual[X]
@@ -558,7 +564,9 @@ def test_channel_tensors_match_the_einsum_reference(reference_case):
         T, m = co.random_element(rng), co.random_element(rng).comps[unit]
         ref_M = S @ _ref_act_matrix(co, T) @ np.linalg.inv(S)
         assert _rel(co.op_norm(T), np.linalg.norm(ref_M, 2)) < 1e-12
-        assert _rel(ground_op_norm(co, m), _ref_ground_op_norm(co, m)) < 1e-12
+        # the ground norm is read off Q's unit block
+        ground = (m @ co._conj_unit).reshape(len(m), len(m))
+        assert _rel(np.linalg.norm(ground, 2), _ref_ground_op_norm(co, m)) < 1e-12
     for i, (_, _, T) in enumerate(coend_basis(co)):
         assert _rel(co.act_matrix(T), _ref_act_matrix(co, T)) < 1e-12
 
@@ -567,6 +575,23 @@ def test_probe_grams_match_the_traced_reference(reference_case):
     co = reference_case
     for new, ref in zip(_probe_grams(co), _ref_probe_grams(co)):
         assert _rel(new, ref) < 1e-12
+
+
+def test_the_sandwich_factors_no_ground_form(monkeypatch):
+    # both norms of a sandwich come from Q: the only GNS form factored is
+    # the module's, none of either ground
+    ann = build_annulus(fibonacci())
+    co = CoendAlgebra(opposite_object(ann), ann)
+    built = []
+
+    def counted(self, G, what="GNS form", _init=GramRoot.__init__):
+        built.append(what)
+        _init(self, G, what)
+
+    monkeypatch.setattr(GramRoot, "__init__", counted)
+    for X in co.support:
+        norm_sandwich_check(co, GradedElement({X: np.ones(co.dims[X])}))
+    assert built == ["module inner product on ℰ_S"]
 
 
 def test_sandwich_reports_margins(fib_coend):

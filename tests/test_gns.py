@@ -9,6 +9,7 @@ import pytest
 import algebra_reference as aref
 from test_coend import _rotated
 from utcat.algebra_object import (
+    _rand,
     group_algebra_object,
     opposite_object,
     pp_check,
@@ -106,7 +107,7 @@ def _ref_pp_check(D, X, samples, seed):
     rng = np.random.default_rng(seed)
     worst_ratio = 0.0
     for _ in range(samples):
-        s = sq.random_element(rng)
+        s = _rand(rng, sq.dim)
         T = sq.mul(sq.star(s), s)
         nT = _ref_norm(Gs, sq.left_mult(T))
         nE = _ref_norm(Gg, g.left_mult(sq.expect(T)))
@@ -197,7 +198,7 @@ def test_square_forms_and_norms_match_the_reference(case):
         assert _rel(sq.gns.half @ sq.gns.half, G) < TOL
         assert _rel(sq.gns.half, _sqrt(G)) < TOL
         for _ in range(2):
-            a = sq.random_element(rng)
+            a = _rand(rng, sq.dim)
             assert _rel(sq.op_norm(a), _ref_norm(G, sq.left_mult(a))) < TOL
 
 
@@ -217,7 +218,7 @@ def test_module_gram_and_descend_kernel_match_the_reference(case):
     assert _rel(co.gram(), _ref_descend_kernel(co, co.B.ground().weights)) < TOL
     assert _rel(co.gns.half, _sqrt(co.gram())) < TOL
     for omega in _states(name, co.B.ground()):
-        K = co._form(np.kron(co._ground_traces[0], omega))
+        K = co._form(np.kron(co.A.ground().weights, omega))
         assert _rel(K, _ref_descend_kernel(co, omega)) < TOL
 
 
@@ -241,8 +242,7 @@ def test_rank_deficient_gram_is_refused():
     V = rng.normal(size=(4, 3)) + 1j * rng.normal(size=(4, 3))
     with pytest.raises(SolveFailed, match="planted form is degenerate"):
         GramRoot(V @ V.conj().T, "planted form")
-    root = GramRoot(V.conj().T @ V)
-    assert root.cond >= 1.0
+    GramRoot(V.conj().T @ V)  # the faithful form is accepted
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf])

@@ -571,6 +571,23 @@ def test_discreteness_chain_on_annulus_fixtures(name):
     assert rep["discrete"] and rep["pqr"] and rep["ind"]
 
 
+def test_discreteness_report_solves_no_planted_commutant(monkeypatch):
+    # the flags are stated at finite support: no correspondence is built
+    # and no commutant is solved
+    ann = build_annulus(fibonacci())
+    omegas = (z_state(ann)["omega"], ann.ground().weights)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("planted commutant solve")
+
+    for name in ("realize", "ind_check", "commutant_blocks"):
+        monkeypatch.setattr(inclusion, name, refuse)
+    for omega in omegas:
+        rep = discreteness_report(ann, omega)
+        assert rep["discrete"] and rep["pqr"] and rep["ind"] and rep["chain_ok"]
+        assert rep["gns_dims"] == gns_object(ann, omega)[0].dims
+
+
 def test_discreteness_chain_on_group_objects():
     for n in (2, 3, 5):
         ga = group_algebra_object(vec_zn(n))

@@ -8,7 +8,7 @@ mirror, SU(2)_6 and two random vertex gauges, and on random objects over the
 multiplicity-2 ring and over Vec(ℤ/3), whose labels g1, g2 are not
 self-dual; each also over the opposite category."""
 
-import copy
+import dataclasses
 import itertools
 import json
 
@@ -17,7 +17,7 @@ import pytest
 
 import algebra_reference as ref
 from test_annulus import _gauged, _mirror
-from utcat.algebra_object import (AlgebraObject, _associativity, opposite_object,
+from utcat.algebra_object import (AlgebraObject, _associativity, _rand, opposite_object,
                                   pp_check, validate_algebra_object, worst_residual)
 from utcat import io_schemas as io
 from utcat.annulus import _assemble, build_annulus
@@ -144,7 +144,7 @@ def test_multiplicity_two_products_survive_a_json_round_trip_bit_for_bit():
 def test_associativity_detects_one_scaled_product_entry(name):
     # the largest entry of the first product with no unit leg, times 1 + 1e-3
     tol = 1e-9
-    D = copy.copy(build_annulus(FIXTURE_BUILDERS[name]()))
+    D = dataclasses.replace(build_annulus(FIXTURE_BUILDERS[name]()))
     unit = D.cat.ring.unit
     key = min(k for k in D.mult if unit not in k[:2])
     M = D.mult[key].copy()
@@ -176,7 +176,7 @@ def test_lax_product_and_expectation_equal_the_reference(obj):
         assert _gap(got, ref.flatten(obj.layout(X, Y), ref.lax_product(obj, X, Y, xi, eta))) < TOL
     for X in obj.support:
         sq = obj.square_algebra(X)
-        T = sq.random_element(rng)
+        T = _rand(rng, sq.dim)
         want = ref.cond_expect_component(obj, X, ref.split(sq.layout, T))
         assert _gap(sq.expect(T), want) < TOL
 

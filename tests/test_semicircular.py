@@ -417,7 +417,7 @@ def test_depth_and_dimension_caps():
 
 def test_operators_are_self_adjoint(id2_family):
     for i in (0, 1):
-        X = id2_family.ops[i]
+        X = id2_family.window(id2_family.fock.depth)[i]
         assert np.max(np.abs(X - X.conj().T)) == 0.0
 
 
@@ -427,8 +427,8 @@ def test_annihilation_acts_by_inner_product(id2_family):
     om = vacuum(fock)
     for i in (0, 1):
         for j in (0, 1):
-            Ti = np.tril(id2_family.ops[i], -1)
-            Tj = np.tril(id2_family.ops[j], -1)
+            Ti = np.tril(id2_family.window(id2_family.fock.depth)[i], -1)
+            Tj = np.tril(id2_family.window(id2_family.fock.depth)[j], -1)
             out = ground_component(fock, Ti.conj().T @ Tj @ om)
             assert abs(out[0, 0] - (1.0 if i == j else 0.0)) < 1e-10
 
@@ -609,7 +609,7 @@ def test_level_walk_matches_dense_operators(case):
             word.insert(int(rng.integers(len(word) + 1)), alg.random(rng))
         v = vacuum(fock)
         for w in reversed(word):
-            v = (fam.ops[w[1]] if isinstance(w, tuple)
+            v = (fam.window(fam.fock.depth)[w[1]] if isinstance(w, tuple)
                  else left_mult(fock, w)) @ v
         want = ground_component(fock, v)
         got = vacuum_expectation(fam, word)
@@ -677,8 +677,8 @@ def test_window_matches_the_level_walk(case):
                 <= 1e-12 * max(1.0, np.max(np.abs(want)))
         with pytest.raises(WordTooLong):
             vacuum_expectation(fam, [("X", eta.index[0])] * (2 * depth + 1))
-        # the window of the full depth is the dense family
-        assert fam.window(depth) is fam.ops
+        # the window of the full depth is built once
+        assert fam.window(depth) is fam.window(fam.fock.depth)
 
 
 def _x_words(eta, depth):
@@ -791,7 +791,7 @@ def test_right_action_commutes_with_the_left_and_the_semicirculars(case):
     # (x·b)·a = x·(ba)
     assert np.max(np.abs(raw.right_mult(a) @ Rb - raw.right_mult(b @ a))) \
         < 1e-10 * np.max(np.abs(Rb)) ** 2
-    for M in [left_mult(fock, a)] + [fam.ops[i] for i in eta.index]:
+    for M in [left_mult(fock, a)] + [fam.window(fam.fock.depth)[i] for i in eta.index]:
         assert np.max(np.abs(M @ Rb - Rb @ M)) < 1e-10 * np.max(np.abs(Rb))
 
 
