@@ -579,5 +579,5 @@ def trivial_action_object(cat: SkeletalUTC) -> AlgebraObject:
     Requires every label invertible (d = 1); the lax structure is unitary.
     """
     obj = group_algebra_object(cat, side="op")
-    obj.meta = {"fixture": "trivial_action", "base": "C", "center_trivial": True}
+    obj.meta = {"fixture": "trivial_action"}
     return obj

@@ -57,6 +57,9 @@ from .semicircular import (
 
 EXIT_OK, EXIT_ASSERT, EXIT_INPUT = 0, 2, 3
 
+# the least value of each count flag; a smaller one is an input error
+_MINIMUM = {"samples": 1, "depth": 0, "moments": 0}
+
 # CLI aliases of registry names: `fibonacci` and `z<n>` for `vec_z<n>`
 _ALIASES = {"fibonacci": "fib",
             **{name[4:]: name for name in FIXTURE_BUILDERS
@@ -438,6 +441,10 @@ def main(argv=None) -> int:
     if args.tol <= 0:
         print(json.dumps({"error": "tolerance must be positive"}))
         return EXIT_INPUT
+    for flag, least in _MINIMUM.items():
+        if getattr(args, flag, least) < least:
+            print(json.dumps({"error": f"--{flag} must be at least {least}"}))
+            return EXIT_INPUT
     started = time.time()
     try:
         code, report = args.func(args)

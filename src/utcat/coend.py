@@ -422,15 +422,23 @@ def descend_expectation(co: CoendAlgebra, omega: np.ndarray):
     report dict with faithfulness of ω and of E_ω).  Both verdicts and
     `gns_rank` come from :func:`gns.rank_cut` (faithful: nothing dropped);
     `gns_cut_gap` is the (smallest kept, largest dropped) eigenvalue of ω's
-    GNS form, or None when nothing was dropped.
+    GNS form, or None when nothing was dropped.  The descent needs 𝔸(1) to
+    have trivial centre: the null space of z ↦ (z·eᵢ − eᵢ·z)ᵢ on its
+    structure tensor, cut by :func:`gns.rank_cut`, must be the line of the
+    unit, or :class:`CenterNotTrivial` is raised; `center_dim` and
+    `center_cut_gap` report that cut.
     """
     ground = co.B.ground()
     omega, _ = ground.check_state(omega)
     cut = rank_cut(form(ground.P, ground.star_mat, omega))
-    if not co.A.meta.get("center_trivial", False):
+    P = co.A.ground().P  # e_x·e_y = Σ_z P[z, x, y] e_z
+    C = (P.swapaxes(1, 2) - P).reshape(-1, P.shape[2])  # z ↦ (z·eᵢ − eᵢ·z)ᵢ
+    center = rank_cut(C.conj().T @ C)
+    center_dim = P.shape[2] - center.rank
+    if center_dim != 1:
         raise CenterNotTrivial(
-            "expectation descent needs 𝔸(1) with trivial center "
-            "(declared by fixture metadata)")
+            f"expectation descent needs 𝔸(1) with trivial center; its "
+            f"center has dimension {center_dim}")
 
     nA1, nB1 = co.A.n(co.cat.ring.unit), co.B.n(co.cat.ring.unit)
 
@@ -443,5 +451,6 @@ def descend_expectation(co: CoendAlgebra, omega: np.ndarray):
     kernel = rank_cut(co._form(np.kron(co.A.ground().weights, omega)))
     report = {"omega_faithful": cut.gap is None,
               "E_omega_faithful": kernel.gap is None,
-              "gns_rank": cut.rank, "gns_cut_gap": cut.gap}
+              "gns_rank": cut.rank, "gns_cut_gap": cut.gap,
+              "center_dim": center_dim, "center_cut_gap": center.gap}
     return E_omega, report

@@ -53,7 +53,7 @@ def fibonacci() -> SkeletalUTC:
         (t, t, "1"): np.array([[np.exp(-4j * np.pi / 5.0)]]),
         (t, t, t): np.array([[np.exp(3j * np.pi / 5.0)]]),
     }
-    return SkeletalUTC(ring, F, R, qdims={"1": 1.0, t: PHI})
+    return SkeletalUTC(ring, F, R)
 
 
 def ising() -> SkeletalUTC:
@@ -89,7 +89,7 @@ def ising() -> SkeletalUTC:
         (s, p, s): np.array([[-1j]]),
         (p, s, s): np.array([[-1j]]),
     }
-    return SkeletalUTC(ring, F, R, qdims={"1": 1.0, p: 1.0, s: np.sqrt(2.0)})
+    return SkeletalUTC(ring, F, R)
 
 
 def vec_zn(n: int) -> SkeletalUTC:
@@ -112,7 +112,7 @@ def vec_zn(n: int) -> SkeletalUTC:
     for i in range(n):
         for j in range(n):
             R[(labels[i], labels[j], labels[(i + j) % n])] = one.astype(complex)
-    return SkeletalUTC(ring, F, R, qdims={x: 1.0 for x in labels})
+    return SkeletalUTC(ring, F, R)
 
 
 def su2k(k: int) -> SkeletalUTC:
@@ -167,8 +167,7 @@ def su2k(k: int) -> SkeletalUTC:
             a, b, c = spin[x], spin[y], spin[z]
             R[(x, y, z)] = np.array([[(-1) ** ((c - a - b) // 2) * np.exp(
                 2j * s * (c * (c + 2) - a * (a + 2) - b * (b + 2)) / 8)]])
-    qdims = {x: qfact[spin[x] + 1] / qfact[spin[x]] for x in labels}
-    return SkeletalUTC(ring, F, R, qdims=qdims)
+    return SkeletalUTC(ring, F, R)
 
 
 def mult2_ring() -> FusionRing:

@@ -1,9 +1,11 @@
-"""Fusion rings: labels, unit, duals, multiplicity tensor, PF dimensions.
+"""Fusion rings: labels, unit, duals, multiplicity tensor, F- and R-tables.
 
 A :class:`FusionRing` is the combinatorial skeleton of a unitary tensor
 category.  Everything downstream (tree bases, F-moves, algebra objects) only
 ever talks to the ring through the small query surface here, so validation is
-strict and happens once, in :func:`validate_ring`.
+strict and happens once, in :func:`validate_ring`.  The ring holds no
+dimensions: a category reads d_x off its F-symbols
+(:meth:`~utcat.skeletal.SkeletalUTC.d`) and checks them against N.
 """
 
 from __future__ import annotations
@@ -16,9 +18,6 @@ import numpy as np
 from .errors import AxiomViolation, RingAxiomError, SchemaError, UnknownLabel
 
 __all__ = ["BlockTable", "FusionRing", "validate_ring"]
-
-_POWER_ITER_TOL = 1e-12
-_POWER_ITER_MAX = 10_000
 
 
 def _encode(cols: np.ndarray, radix: int) -> np.ndarray:
@@ -139,7 +138,6 @@ class FusionRing:
             (x, y): tuple((z, m) for z, m in zip(self.labels, self._mult[i][j]) if m)
             for i, x in enumerate(self.labels) for j, y in enumerate(self.labels)
         }
-        self._fp_dim: dict[str, float] = {}
 
     # -- queries ----------------------------------------------------------
 
@@ -166,10 +164,6 @@ class FusionRing:
 
     def fuse(self, x: str, y: str) -> dict[str, int]:
         return dict(self.channels(x, y))
-
-    def fusion_matrix(self, x: str) -> np.ndarray:
-        """The matrix (N_x)[y, z] = N(x, y, z)."""
-        return self._N[self._i(x)].astype(float)
 
     @cached_property
     def channel_rows(self) -> np.ndarray:
@@ -243,27 +237,6 @@ class FusionRing:
             for x in (a, b, c):
                 self._i(x)
         return blk
-
-    def fp_dimension(self, x: str) -> float:
-        self._i(x)
-        if x not in self._fp_dim:
-            self._fp_dim[x] = self._perron_eigenvalue(x)
-        return self._fp_dim[x]
-
-    def _perron_eigenvalue(self, x: str) -> float:
-        # Power iteration on N_x + I (the shift keeps the Perron pair but
-        # breaks the period-2 oscillation of bipartite fusion graphs).
-        M = self.fusion_matrix(x) + np.eye(len(self.labels))
-        v = np.ones(len(self.labels))
-        lam = 0.0
-        for _ in range(_POWER_ITER_MAX):
-            w = M @ v
-            new_lam = float(v @ w) / float(v @ v)
-            v = w / np.linalg.norm(w)
-            if abs(new_lam - lam) < _POWER_ITER_TOL:
-                return new_lam - 1.0
-            lam = new_lam
-        return lam - 1.0
 
     def fusion_closure(self, generators, depth: int) -> tuple:
         """The sorted labels reached from the generators, the unit and their

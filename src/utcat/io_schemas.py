@@ -11,7 +11,9 @@ sub-blocks, "e,f" → the rows (e, α, β) × columns (f, μ, ν) of F[a,b,c;d];
 sub-blocks left out are zero.  ``R`` maps "a,b;c" to the N_ab^c × N_ab^c
 R-matrix for every nonzero block with a, b ≠ 1.  Blocks with a unit leg are
 the identity (strict unitors): they may be left out, and one given must be
-the identity, or the payload is refused.
+the identity, or the payload is refused.  A category carries no dimensions:
+they are read off F (:meth:`SkeletalUTC.d`), and keys other than the ring's,
+F and R are ignored.
 """
 
 from __future__ import annotations
@@ -179,7 +181,7 @@ def _r_in(ring: FusionRing, rraw: dict) -> tuple:
 
 
 def cat_from_json(raw: dict) -> SkeletalUTC:
-    """Ring schema extended with F, R (optional), qdim (optional)."""
+    """Ring schema extended with F and R (optional); any other key is ignored."""
     ring = ring_from_json(raw)
     fraw = _require(raw, "F")
     if not isinstance(fraw, dict):
@@ -191,16 +193,7 @@ def cat_from_json(raw: dict) -> SkeletalUTC:
             raise SchemaError("R must be an object keyed by 'a,b;c'", "/R")
         R, rgiven = _r_in(ring, raw["R"])
 
-    qdims = None
-    if "qdim" in raw:
-        if not isinstance(raw["qdim"], dict):
-            raise SchemaError("qdim must map labels to reals", "/qdim")
-        qdims = {}
-        for x, v in raw["qdim"].items():
-            if x not in ring.labels or not isinstance(v, (int, float)):
-                raise SchemaError(f"bad qdim entry {x!r}: {v!r}", f"/qdim/{x}")
-            qdims[x] = float(v)
-    return SkeletalUTC.from_buffers(ring, F, R, qdims, (fgiven, rgiven))
+    return SkeletalUTC.from_buffers(ring, F, R, (fgiven, rgiven))
 
 
 def _blocks_out(ring: FusionRing, kind: str, buf: np.ndarray) -> dict:
@@ -244,7 +237,6 @@ def cat_to_json(cat: SkeletalUTC) -> dict:
     out["F"] = _blocks_out(cat.ring, "F", cat._F)
     if cat.braided:
         out["R"] = _blocks_out(cat.ring, "R", cat._R)
-    out["qdim"] = {x: float(cat.qdim[x]) for x in cat.ring.labels}
     return out
 
 

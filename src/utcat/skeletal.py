@@ -44,6 +44,12 @@ unit among a, b) lists the same trees on both sides and is the identity.  The
 buffers hold it as such; a supplied unit-leg block must be the identity, and
 every other nonzero block must be supplied.
 
+Dimensions.  For unitary data the unit-channel entry of F[x,x̄,x;x] has
+modulus 1/d_x (Kitaev, Ann. Phys. 2006, App. E): ``d(x)`` reads it off one
+array of these entries, taken once from the F buffer at ``ring.ftable``'s
+offsets.  No dimension is declared or iterated; :meth:`SkeletalUTC.verify_zigzag`
+checks d against the fusion rules (d_x = FPdim x, Longo–Roberts, K-Theory 1997).
+
 Inverses and read-only blocks.  F⁻¹ comes from one stacked ``np.linalg.inv``
 per block size (a singular block raises ``LinAlgError``), into a second
 buffer that :meth:`SkeletalUTC.fblock` and the coherence checks read.  It is
@@ -169,7 +175,7 @@ _HEXAGON = (
 
 
 class SkeletalUTC:
-    """Fusion ring plus F-symbols, optional R-symbols and quantum dimensions.
+    """Fusion ring plus F-symbols and optional R-symbols.
 
     ``f_symbols`` maps keys (a, b, c, d) to F-matrices and ``r_symbols`` keys
     (a, b, c) to R-matrices; every nonzero block without a unit leg must be
@@ -177,23 +183,22 @@ class SkeletalUTC:
     instead.
     """
 
-    def __init__(self, ring: FusionRing, f_symbols: dict, r_symbols: dict | None = None,
-                 qdims: dict | None = None):
+    def __init__(self, ring: FusionRing, f_symbols: dict, r_symbols: dict | None = None):
         F, fgiven = _gathered(ring, "F", f_symbols)
         R, rgiven = (None, None) if r_symbols is None else _gathered(ring, "R", r_symbols)
-        self._setup(ring, F, R, qdims, (fgiven, rgiven))
+        self._setup(ring, F, R, (fgiven, rgiven))
 
     @classmethod
     def from_buffers(cls, ring: FusionRing, F: np.ndarray, R: np.ndarray | None = None,
-                     qdims: dict | None = None, given: tuple = (None, None)) -> "SkeletalUTC":
+                     given: tuple = (None, None)) -> "SkeletalUTC":
         """The category whose blocks are the flat buffers ``F`` and ``R``, laid
         out as ``ring.ftable`` and ``ring.rtable``.  ``given`` holds the masks
         of the F and R blocks supplied (None: all of them)."""
         cat = cls.__new__(cls)
-        cat._setup(ring, F, R, qdims, given)
+        cat._setup(ring, F, R, given)
         return cat
 
-    def _setup(self, ring, F, R, qdims, given):
+    def _setup(self, ring, F, R, given):
         self.ring = ring
         self._F = _checked(ring, "F", F, given[0])
         self._R = None
@@ -203,7 +208,6 @@ class SkeletalUTC:
                 a, b, c = (ring.labels[x] for x in np.argwhere(N != N.transpose(1, 0, 2))[0])
                 raise SchemaError(f"non-commutative fusion under braiding at ({a},{b};{c})")
             self._R = _checked(ring, "R", R, given[1])
-        self.qdim = dict(qdims) if qdims else {x: ring.fp_dimension(x) for x in ring.labels}
         self._conj_cache: dict[str, ConjugateSolution] = {}
         self._Finv = None  # the F⁻¹ buffer; see _inverses
         self._tables: dict = {}  # the entry table, by move kind; see _table
@@ -235,8 +239,27 @@ class SkeletalUTC:
     def dual(self, x: str) -> str:
         return self.ring.dual[x]
 
+    @cached_property
+    def _unit_entries(self) -> np.ndarray:
+        """F[x,x̄,x;x] between its unit channels, by label position: the entry
+        at row ``chan[k, 0, unit]`` and column ``chan[k, 1, unit]`` of the
+        block k keyed (x, x̄, x, x)."""
+        ring, t = self.ring, self.ring.ftable
+        x, unit = np.arange(len(ring.labels)), ring.index[ring.unit]
+        xb = np.array([ring.index[ring.dual[y]] for y in ring.labels])
+        k = np.searchsorted(t.codes, _encode(np.column_stack([x, xb, x, x]), len(x)))
+        return self._F[t.offset[k] + t.chan[k, 0, unit] * t.size[k] + t.chan[k, 1, unit]]
+
+    @cached_property
+    def _dims(self) -> dict:
+        return dict(zip(self.ring.labels, (1.0 / np.abs(self._unit_entries)).tolist()))
+
     def d(self, x: str) -> float:
-        return float(self.qdim[x])
+        """d_x = 1/|F[x,x̄,x;x]| on the unit channels."""
+        try:
+            return self._dims[x]
+        except KeyError:
+            raise UnknownLabel(x) from None
 
     def fmat(self, a, b, c, d) -> np.ndarray:
         """F-matrix mapping right-tree to left-tree coordinates."""
@@ -291,39 +314,27 @@ class SkeletalUTC:
     def conjugate_solution(self, x: str) -> ConjugateSolution:
         if x in self._conj_cache:
             return self._conj_cache[x]
-        if x not in self.ring.index:
-            raise UnknownLabel(x)
-        xb = self.dual(x)
-        dx = self.d(x)
-        f11 = self._unit_entry(x)
+        f11 = self._unit_entries[self.ring._i(x)]
         if abs(f11) < 1e-14:
             raise SolveFailed(f"zig-zag system singular for {x}")
-        r = np.sqrt(dx)  # phase pin: positive real
+        r = np.sqrt(self.d(x))  # phase pin: positive real
         rbar = 1.0 / (r * np.conj(f11))
-        sol = ConjugateSolution(x, xb, complex(r), complex(rbar),
+        sol = ConjugateSolution(x, self.dual(x), complex(r), complex(rbar),
                                 self._zigzag_residual(x, r, rbar))
         self._conj_cache[x] = sol
         return sol
 
     def _zigzag_residual(self, x: str, r: complex, rbar: complex) -> float:
         """Largest residual of the conjugate equations for R_x = r·O(1, x̄⊗x)
-        and R̄_x = r̄·O(1, x⊗x̄), and of |r̄|² = d_x.
+        and R̄_x = r̄·O(1, x⊗x̄).
 
         The zig-zags (R̄* ⊗ id_x)(id_x ⊗ R_x) and (R* ⊗ id_x̄)(id_x̄ ⊗ R̄_x) are
         r·conj(r̄) and conj(r)·r̄ times the unit-channel entry of F[x,x̄,x;x]
         and of F[x̄,x,x̄;x̄]: the adjoint carries the conjugate coefficient.
         """
-        dx = self.d(x)
-        return float(max(
-            abs(r * np.conj(rbar) * self._unit_entry(x) - 1.0),
-            abs(np.conj(r) * rbar * self._unit_entry(self.dual(x)) - 1.0),
-            abs(abs(rbar) ** 2 - dx) / max(dx, 1.0),
-        ))
-
-    def _unit_entry(self, x: str) -> complex:
-        """F[x,x̄,x;x][(1,0,0), (1,0,0)]: both trees through the unit channel."""
-        unit = self.ring.unit
-        return complex(self.fblock(x, self.dual(x), x, x, unit, unit)[0, 0, 0, 0])
+        f, i = self._unit_entries, self.ring.index
+        return float(max(abs(r * np.conj(rbar) * f[i[x]] - 1.0),
+                         abs(np.conj(r) * rbar * f[i[self.dual(x)]] - 1.0)))
 
     # Frobenius bends.  Both are antilinear in the input coefficients.
 
@@ -461,4 +472,10 @@ class SkeletalUTC:
         return self.coherence("hexagon")[0]
 
     def verify_zigzag(self) -> float:
-        return max(self.conjugate_solution(x).residual for x in self.ring.labels)
+        """Largest residual of the conjugate equations over the labels, and
+        ρ = max_{x,y} |Σ_z N_xy^z·d_z − d_x·d_y| / (d_x·max d), which is zero
+        iff d is the Perron–Frobenius vector of the fusion rules."""
+        zigzag = max(self.conjugate_solution(x).residual for x in self.ring.labels)
+        d = 1.0 / np.abs(self._unit_entries)
+        rho = np.abs((self.ring._N * d).sum(axis=2) - np.outer(d, d)) / (d[:, None] * d.max())
+        return max(zigzag, float(rho.max()))

@@ -199,5 +199,4 @@ def su2k(k: int) -> SkeletalUTC:
             a, b, c = spin[x], spin[y], spin[z]
             R[(x, y, z)] = np.array([[(-1) ** ((c - a - b) // 2) * np.exp(
                 2j * s * (c * (c + 2) - a * (a + 2) - b * (b + 2)) / 8)]])
-    qdims = {x: qfact[spin[x] + 1] / qfact[spin[x]] for x in labels}
-    return SkeletalUTC(ring, F, R, qdims=qdims)
+    return SkeletalUTC(ring, F, R)

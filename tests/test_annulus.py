@@ -15,8 +15,7 @@ from utcat.skeletal import SkeletalUTC
 
 def _mirror(cat):
     """The mirror category: the same F blocks, the conjugate R blocks."""
-    return SkeletalUTC(cat.ring, cat.f_symbols, {k: v.conj() for k, v in cat.r_symbols.items()},
-                       cat.qdim)
+    return SkeletalUTC(cat.ring, cat.f_symbols, {k: v.conj() for k, v in cat.r_symbols.items()})
 
 
 def _gauged(cat, seed):
@@ -32,7 +31,7 @@ def _gauged(cat, seed):
         right = np.array([u[(b, c, f)] * u[(a, f, d)] for f, _, _ in idx.right])
         F[(a, b, c, d)] = M * right / left[:, None]
     R = {(a, b, c): M * u[(a, b, c)] / u[(b, a, c)] for (a, b, c), M in cat.r_symbols.items()}
-    return SkeletalUTC(ring, F, R, cat.qdim)
+    return SkeletalUTC(ring, F, R)
 
 
 def _worst(res):
@@ -118,7 +117,7 @@ def test_unclosed_support_raises():
 
 def test_unbraided_category_raises():
     fib = fibonacci()
-    bare = SkeletalUTC(fib.ring, fib.f_symbols, None, fib.qdim)
+    bare = SkeletalUTC(fib.ring, fib.f_symbols, None)
     with pytest.raises(MissingBraiding):
         build_annulus(bare)
 
@@ -202,6 +201,9 @@ def test_contractions_equal_the_tree_reference(name):
         got, want = cat.conjugate_solution(x), trees.conjugate_solution(x)
         assert abs(got.r - want.r) < 1e-12 and abs(got.rbar - want.rbar) < 1e-12
         assert abs(got.residual - want.residual) < 1e-12
+        assert abs(cat.d(x) - trees.dim(x)) < 1e-15
+    assert abs(cat.verify_zigzag() - max(trees.conjugate_solution(x).residual
+                                         for x in ring.labels)) < 1e-15
     for a, b, c in itertools.product(ring.labels, repeat=3):
         for v in np.eye(ring.N(a, b, c)):
             for move in ("bend_left", "bend_right", "conj_pair_basis"):

@@ -41,7 +41,8 @@ def test_cat_round_trip_preserves_f_and_r():
             assert np.allclose(again.fmat(*key), M)
         for key, M in cat.r_symbols.items():
             assert np.allclose(again.rmat(*key), M)
-        assert again.qdim == pytest.approx(cat.qdim)
+        for x in cat.ring.labels:
+            assert again.d(x) == cat.d(x)
 
 
 def test_aobj_round_trip():
@@ -136,13 +137,26 @@ def test_verify_reports_three_residuals(capsys, tmp_path):
     assert rep["worst"]["hexagon"] is None and len(rep["worst"]["pentagon"]) == 5
 
 
+def test_a_declared_dimension_is_ignored(capsys, tmp_path):
+    # a payload declaring d_tau = 2 read zigzag 0.345 when the declared value
+    # was used; d is read off F, so the key changes nothing
+    raw = io.cat_to_json(fibonacci())
+    assert "qdim" not in raw
+    raw["qdim"] = {"tau": 2.0}
+    p = tmp_path / "fib_qdim.json"
+    p.write_text(json.dumps(raw))
+    code, rep = run(capsys, "verify", str(p))
+    assert code == 0 and rep["zigzag"] <= 1e-15
+    assert io.cat_from_json(raw).d("tau") == pytest.approx((1.0 + np.sqrt(5.0)) / 2.0, abs=1e-15)
+
+
 def test_worst_location_is_reported_outside_the_residuals(capsys, tmp_path):
     # F[tau,tau,tau;tau] × e^{0.3i}: the worst pentagon reads that block
     cat = fibonacci()
     F = dict(cat.f_symbols)
     F[("tau",) * 4] = F[("tau",) * 4] * np.exp(0.3j)
     p = tmp_path / "bad_fib.json"
-    p.write_text(json.dumps(io.cat_to_json(SkeletalUTC(cat.ring, F, cat.r_symbols, cat.qdim))))
+    p.write_text(json.dumps(io.cat_to_json(SkeletalUTC(cat.ring, F, cat.r_symbols))))
     for cmd in ("validate", "verify"):
         code, rep = run(capsys, cmd, str(p))
         res = rep["residuals"] if cmd == "validate" else rep
@@ -470,3 +484,23 @@ def test_bad_support_spec_exits_3(capsys):
 
 def test_nonpositive_tolerance_exits_3(capsys):
     assert run(capsys, "validate", "fib", "--tol", "0")[0] == 3
+
+
+@pytest.mark.parametrize("argv, flag", [
+    (["coend", "--cat", "z3", "--left", "fiber", "--right", "groupalg", "--samples", "0"],
+     "--samples"),
+    (["fock", "--depth", "-1"], "--depth"),
+    (["fock", "--moments", "-2"], "--moments"),
+])
+def test_a_count_below_its_minimum_exits_3_naming_the_flag(capsys, argv, flag):
+    # coend --samples 0 used to report ok from no sample, with an Infinity
+    # that is not JSON; fock --depth -1 exited 2, --moments -2 reported ok
+    code, rep = run(capsys, *argv)
+    assert code == 3 and flag in rep["error"]
+
+
+def test_counts_at_their_minimum_run(capsys):
+    assert run(capsys, "coend", "--cat", "z3", "--left", "fiber", "--right", "groupalg",
+               "--samples", "1")[0] == 0
+    code, rep = run(capsys, "fock", "--depth", "0", "--moments", "0")
+    assert code == 0 and rep["moments"] == [1.0]

@@ -12,6 +12,7 @@ from utcat.algebra_object import (
     trivial_action_object,
     validate_algebra_object,
 )
+from utcat import io_schemas as io
 from utcat.annulus import build_annulus
 from utcat.coend import (
     CoendAlgebra,
@@ -337,7 +338,8 @@ def test_descend_trivial_ground_recovers_expectation(zn_cross):
 def test_descend_trace_state_is_faithful(z2_ann_cross):
     E, rep = descend_expectation(z2_ann_cross, np.array([1.0, 0.0]))
     assert rep == {"omega_faithful": True, "E_omega_faithful": True,
-                   "gns_rank": 2, "gns_cut_gap": None}
+                   "gns_rank": 2, "gns_cut_gap": None,
+                   "center_dim": 1, "center_cut_gap": (None, 0.0)}
     assert abs(E(_vacuum(z2_ann_cross)) - 1.0) < 1e-12
 
 
@@ -365,8 +367,22 @@ def test_descend_rejects_non_states(z2_ann_cross):
 def test_descend_requires_trivial_center():
     ann = build_annulus(vec_zn(2))
     co = CoendAlgebra(opposite_object(ann), ann)
-    with pytest.raises(CenterNotTrivial):
+    with pytest.raises(CenterNotTrivial, match="dimension 2"):
         descend_expectation(co, np.array([1.0, 0.0]))
+
+
+def test_descend_reads_the_center_off_the_structure_tensor():
+    # the fiber action through a JSON round trip has no fixture metadata;
+    # it was refused with CenterNotTrivial although 𝔸(1) = ℂ
+    cat = vec_zn(3)
+    A = io.aobj_from_json(cat, io.aobj_to_json(trivial_action_object(cat)))
+    assert A.side == "op" and not A.meta
+    E, rep = descend_expectation(CoendAlgebra(A, group_algebra_object(cat)), np.array([1.0]))
+    assert rep["center_dim"] == 1 and rep["omega_faithful"] and rep["E_omega_faithful"]
+    ann = build_annulus(cat)
+    ann = io.aobj_from_json(cat, io.aobj_to_json(opposite_object(ann)))
+    with pytest.raises(CenterNotTrivial, match="dimension 3"):
+        descend_expectation(CoendAlgebra(ann, build_annulus(cat)), np.array([1.0, 0.0, 0.0]))
 
 
 def test_descent_is_order_preserving(z2_ann_cross):

@@ -171,7 +171,7 @@ def reference_hexagon(cat):
 # -- tests -------------------------------------------------------------------
 
 def _rebuilt(cat, F=None, R=None):
-    return SkeletalUTC(cat.ring, F or cat.f_symbols, R or cat.r_symbols, qdims=cat.qdim)
+    return SkeletalUTC(cat.ring, F or cat.f_symbols, R or cat.r_symbols)
 
 
 def _corrupted(cat):

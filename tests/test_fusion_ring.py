@@ -1,48 +1,41 @@
-import gc
-import weakref
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from utcat.basis_change import relabel_category
 from utcat.errors import RingAxiomError, UnknownLabel
 from utcat.fixtures import FIXTURE_BUILDERS, fibonacci, ising, mult2_ring, vec_zn
 from utcat.fusion_ring import check_ring_axioms, validate_ring
 
-# closed-form Perron dimensions, computed independently of the power iteration
+# closed-form dimensions; the categories read theirs off F
 PHI = (1.0 + np.sqrt(5.0)) / 2.0
-SILVER = 1.0 + np.sqrt(2.0)  # positive root of x^2 = 1 + 2x
 
 
-def _global_dim_sq(ring) -> float:
-    return sum(ring.fp_dimension(x) ** 2 for x in ring.labels)
+def _global_dim_sq(cat) -> float:
+    return sum(cat.d(x) ** 2 for x in cat.ring.labels)
 
 
 def test_fib_dimensions_match_golden_ratio():
-    ring = fibonacci().ring
-    assert ring.fp_dimension("1") == pytest.approx(1.0, abs=1e-9)
-    assert ring.fp_dimension("tau") == pytest.approx(PHI, abs=1e-9)
-    assert _global_dim_sq(ring) == pytest.approx(1.0 + PHI**2, abs=1e-9)
+    cat = fibonacci()
+    assert cat.d("1") == pytest.approx(1.0, abs=1e-15)
+    assert cat.d("tau") == pytest.approx(PHI, abs=1e-15)
+    assert _global_dim_sq(cat) == pytest.approx(1.0 + PHI**2, abs=1e-14)
 
 
 def test_ising_dimensions():
-    ring = ising().ring
-    assert ring.fp_dimension("sigma") == pytest.approx(np.sqrt(2.0), abs=1e-9)
-    assert ring.fp_dimension("psi") == pytest.approx(1.0, abs=1e-9)
-    assert _global_dim_sq(ring) == pytest.approx(4.0, abs=1e-9)
-
-
-def test_mult2_dimension_is_silver_ratio():
-    ring = mult2_ring()
-    assert ring.fp_dimension("x") == pytest.approx(SILVER, abs=1e-9)
+    cat = ising()
+    assert cat.d("sigma") == pytest.approx(np.sqrt(2.0), abs=1e-15)
+    assert cat.d("psi") == pytest.approx(1.0, abs=1e-15)
+    assert _global_dim_sq(cat) == pytest.approx(4.0, abs=1e-14)
 
 
 @pytest.mark.parametrize("n", range(1, 7))
 def test_pointed_rings_are_group_tables(n):
-    ring = vec_zn(n).ring
+    cat = vec_zn(n)
+    ring = cat.ring
     for x in ring.labels:
-        assert ring.fp_dimension(x) == pytest.approx(1.0, abs=1e-9)
+        assert cat.d(x) == pytest.approx(1.0, abs=1e-15)
     # fusion is exactly the group multiplication table
     for i in range(n):
         for j in range(n):
@@ -69,7 +62,7 @@ def test_unknown_label_raises():
                 query(x, y)
             assert exc.value.args[0] == "bogus"
     with pytest.raises(UnknownLabel) as exc:
-        ring.fp_dimension("bogus")
+        fibonacci().d("bogus")
     assert exc.value.args[0] == "bogus"
 
 
@@ -83,22 +76,6 @@ def test_channel_table_agrees_with_N_and_fuse(name):
             assert chans == tuple((z, ring.N(x, y, z)) for z in ring.labels
                                   if ring.N(x, y, z))
             assert dict(chans) == ring.fuse(x, y)
-
-
-def test_fp_dimension_cache_does_not_keep_the_ring_alive():
-    # labels no other test uses, so no cache can hold an equal ring already
-    names = ["w0", "w1", "w2"]
-    ring = validate_ring({
-        "labels": names, "unit": "w0",
-        "dual": {"w0": "w0", "w1": "w2", "w2": "w1"},
-        "mult": {(names[i], names[j], names[(i + j) % 3]): 1
-                 for i in range(3) for j in range(3)},
-    })
-    assert ring.fp_dimension("w1") == pytest.approx(1.0, abs=1e-9)
-    ref = weakref.ref(ring)
-    del ring
-    gc.collect()
-    assert ref() is None
 
 
 def test_fusion_closure_is_dual_closed_and_contains_unit():
@@ -184,7 +161,9 @@ def test_random_cyclic_group_rings_validate(n, seed):
         "dual": {names[k]: names[(-k) % n] for k in range(n)},
         "mult": mult,
     })
-    assert ring.fp_dimension(names[1 % n]) == pytest.approx(1.0, abs=1e-9)
+    cat = relabel_category(vec_zn(n), {f"g{k}": names[k] for k in range(n)})
+    assert cat.ring == ring
+    assert cat.d(names[1 % n]) == pytest.approx(1.0, abs=1e-15)
 
 
 @settings(max_examples=20, deadline=None)

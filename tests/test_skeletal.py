@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 import index_reference
 from test_annulus import _gauged
 from tree_reference import EmptyHomSpace, InapplicableMove, TreeCalculus, TreeVector
+from utcat import io_schemas as io
 from utcat.errors import MissingBraiding
 from utcat.fixtures import FIXTURE_BUILDERS, fibonacci, ising, mult2_ring, su2k, vec_zn
 from utcat.skeletal import SkeletalUTC
@@ -144,10 +145,49 @@ def test_zigzag_residual_sees_a_phase_on_rbar(name, theta):
         assert res == pytest.approx(abs(np.exp(1j * theta) - 1.0), abs=1e-12)
 
 
+def _closed_form_dims(name, cat):
+    """d by label from the fusion rules' closed forms: φ, √2, 1 for pointed
+    categories, [n+1]_q = sin((n+1)π/(k+2))/sin(π/(k+2)) for SU(2)_k."""
+    if name.startswith("su2_"):
+        s = np.pi / (int(name[4:]) + 2)
+        return {x: np.sin((int(x[1:]) + 1) * s) / np.sin(s) for x in cat.ring.labels}
+    return {x: {"tau": PHI, "sigma": np.sqrt(2.0)}.get(x, 1.0) for x in cat.ring.labels}
+
+
+@pytest.mark.parametrize("name", [*FIXTURE_BUILDERS, "su2_6", "su2_7", "su2_8"])
+def test_dimensions_read_off_f_equal_the_closed_forms(name):
+    cat = FIXTURE_BUILDERS[name]() if name in FIXTURE_BUILDERS else su2k(int(name[4:]))
+    want = _closed_form_dims(name, cat)
+    assert max(abs(cat.d(x) - want[x]) for x in cat.ring.labels) <= 1e-14
+    assert cat.verify_zigzag() <= 1e-15
+
+
+@pytest.mark.parametrize("scale", [0.5, 2.0])
+@pytest.mark.parametrize("name", ["fib", "ising", "vec_z3", "su2_3"])
+def test_a_scaled_unit_entry_fails_the_zigzag(name, scale):
+    # d_x read off a scaled unit entry of F[x,x̄,x;x] no longer solves the
+    # fusion rules, and for x ≠ x̄ no longer matches d_x̄
+    cat = FIXTURE_BUILDERS[name]()
+    ring, t = cat.ring, cat.ring.ftable
+    x = ring.labels[1]
+    key = (x, ring.dual[x], x, x)
+    k, u = ring.f_block(*key)[0], ring.index[ring.unit]
+    F = dict(cat.f_symbols)
+    F[key] = np.array(F[key])
+    F[key][t.chan[k, 0, u], t.chan[k, 1, u]] *= scale
+    assert SkeletalUTC(ring, F, cat.r_symbols).verify_zigzag() >= 0.1
+
+
+def test_verify_zigzag_builds_no_label_key_lookup():
+    # the unit entries are read at the ftable's offsets, not by label key
+    cat = io.cat_from_json(io.cat_to_json(su2k(3)))
+    cat.verify_zigzag()
+    assert "_block_lookup" not in vars(cat.ring)
+
+
 def _mirror(cat):
     """The mirror category: the same F blocks, the conjugate R blocks."""
-    return SkeletalUTC(cat.ring, cat.f_symbols, {k: v.conj() for k, v in cat.r_symbols.items()},
-                       cat.qdim)
+    return SkeletalUTC(cat.ring, cat.f_symbols, {k: v.conj() for k, v in cat.r_symbols.items()})
 
 
 @pytest.mark.parametrize("mirror", [False, True])
@@ -195,7 +235,7 @@ def test_blocks_are_read_only():
     cat = fibonacci()
     block = np.array(cat.f_symbols[("tau", "tau", "tau", "tau")])
     F = {**cat.f_symbols, ("tau", "tau", "tau", "tau"): block}
-    own = SkeletalUTC(cat.ring, F, cat.r_symbols, qdims=cat.qdim)
+    own = SkeletalUTC(cat.ring, F, cat.r_symbols)
     with pytest.raises(ValueError):
         own.fmat("tau", "tau", "tau", "tau")[0, 0] = 0.0
     with pytest.raises(ValueError):
@@ -209,7 +249,7 @@ def test_blocks_are_read_only():
 
 def test_missing_braiding_raises():
     cat = fibonacci()
-    stripped = SkeletalUTC(cat.ring, cat.f_symbols, None, qdims=cat.qdim)
+    stripped = SkeletalUTC(cat.ring, cat.f_symbols, None)
     with pytest.raises(MissingBraiding):
         stripped.rmat("tau", "tau", "1")
     with pytest.raises(MissingBraiding):

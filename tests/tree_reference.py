@@ -360,29 +360,40 @@ class TreeCalculus:
     # conjugate equations and bending
     # ------------------------------------------------------------------
 
+    def _unit_entry(self, x: str) -> complex:
+        """F[x,x̄,x;x] between its unit channels, found through the per-key index."""
+        idx, unit = f_index(self.ring, x, self.dual(x), x, x), self.ring.unit
+        return self.fmat(x, self.dual(x), x, x)[idx.lpos[(unit, 0, 0)], idx.rpos[(unit, 0, 0)]]
+
+    def dim(self, x: str) -> float:
+        return 1.0 / abs(self._unit_entry(x))
+
+    def dimension_residual(self) -> float:
+        """ρ = max_{x,y} |Σ_z N_xy^z·d_z − d_x·d_y| / (d_x·max d), pair by pair."""
+        labels = self.ring.labels
+        dmax = max(self.dim(z) for z in labels)
+        return max(abs(sum(m * self.dim(z) for z, m in self.ring.channels(x, y))
+                       - self.dim(x) * self.dim(y)) / (self.dim(x) * dmax)
+                   for x in labels for y in labels)
+
     def conjugate_solution(self, x: str) -> ConjugateSolution:
         if x in self._conj_cache:
             return self._conj_cache[x]
-        ring = self.ring
-        if x not in ring.index:
+        if x not in self.ring.index:
             raise UnknownLabel(x)
-        xb = self.dual(x)
-        dx = self.d(x)
-        idx = f_index(ring, x, xb, x, x)
-        unit = ring.unit
-        F = self.fmat(x, xb, x, x)
-        f11 = F[idx.lpos[(unit, 0, 0)], idx.rpos[(unit, 0, 0)]]
+        f11 = self._unit_entry(x)
         if abs(f11) < 1e-14:
             raise SolveFailed(f"zig-zag system singular for {x}")
-        r = np.sqrt(dx)  # phase pin: positive real
+        r = np.sqrt(self.dim(x))  # phase pin: positive real
         rbar = 1.0 / (r * np.conj(f11))
-        # residuals of both zig-zag identities computed through the move engine
+        # residuals of both zig-zag identities computed through the move
+        # engine, and of the dimensions against the fusion rules
         res = max(
             abs(self._zigzag_scalar(x, r, rbar) - 1.0),
             abs(self._zigzag_scalar_dual(x, r, rbar) - 1.0),
-            abs(abs(rbar) ** 2 - dx) / max(dx, 1.0),
+            self.dimension_residual(),
         )
-        sol = ConjugateSolution(x, xb, complex(r), complex(rbar), float(res))
+        sol = ConjugateSolution(x, self.dual(x), complex(r), complex(rbar), float(res))
         self._conj_cache[x] = sol
         return sol
 
