@@ -5,18 +5,20 @@ For the coend |𝔸×𝔹| of the annulus 𝔸 of each category with its opposit
 module dimension n and the wall clock of each stage, as `utcat coend` and
 the benchmark run them:
 
+- annulus: `build_annulus` of the category (product, star and their
+  validation);
 - build: the action tensor M (all products, stars and expectations) and its
   GNS conjugate Q = G^{1/2}·M·G^{-1/2} (all operator norms), G factored;
 - gram: the module Gram G;
 - sandwich: 6 `norm_sandwich_check` samples, grades in turn;
 - probe: `faithfulness_probe` with 6 trials;
 
-and the tracemalloc peak (MB) from construction to the end of the probe.
-A sandwich violation, or a probe whose cyclic rank is below n, makes the
-exit code 1.  The probe bound's known defect (`CounterexampleFound`,
-"vacuum Gram floor … below sandwich bound …", seen on the `ising` and
-`su2_2` coends) is printed, not gated.  Seconds are wall clock of one run,
-the annulus build excluded.  Run:
+and the tracemalloc peak (MB) from the coend's construction to the end of
+the probe.  A sandwich violation, or a probe whose cyclic rank is below n,
+makes the exit code 1.  The probe bound's known defect
+(`CounterexampleFound`, "vacuum Gram floor … below sandwich bound …", seen
+on the `ising` and `su2_2` coends) is printed, not gated.  Seconds are wall
+clock of one run; the first row also pays the first calls' imports.  Run:
 
     PYTHONPATH=src python3 scripts/coend_scaling.py --max-k 6
 """
@@ -94,12 +96,16 @@ def main(argv=None) -> int:
     ap.add_argument("--seed", type=int, default=0)
     args = ap.parse_args(argv)
 
-    print(f"{'input':>7} {'n':>4} {'build':>8} {'gram':>8} {'sandwich':>8}"
+    print(f"{'input':>7} {'n':>4} {'annulus':>8} {'build':>8} {'gram':>8} {'sandwich':>8}"
           f" {'probe':>8} {'peak MB':>8}  probe")
     failed = []
     for name, build in builders(args.max_k).items():
-        n, s, peak, faults, note = run(build_annulus(build()), args.seed)
-        print(f"{name:>7} {n:>4} {s['build']:>8.4f} {s['gram']:>8.4f}"
+        cat = build()
+        t0 = time.perf_counter()
+        ann = build_annulus(cat)
+        seconds = time.perf_counter() - t0
+        n, s, peak, faults, note = run(ann, args.seed)
+        print(f"{name:>7} {n:>4} {seconds:>8.4f} {s['build']:>8.4f} {s['gram']:>8.4f}"
               f" {s['sandwich']:>8.4f} {s['probe']:>8.4f} {peak:>8.2f}  {note}")
         failed += [f"{name}: {f}" for f in faults]
     for line in failed:

@@ -176,21 +176,18 @@ class AlgebraObject:
 
     def conj_matrix(self, A: str, B: str) -> np.ndarray:
         """C with j(t) = C·conj(t) for t ∈ 𝒟(A⊗B), landing in 𝒟(B̄⊗Ā): the
-        star of each summand 𝒟(Z) times the coefficients of the conjugate
-        trees Z̄ → B̄⊗Ā of v ∈ O(Z, A⊗B)."""
+        star of each summand 𝒟(Z) times the conjugate-pair matrix K(A, B, Z)
+        of the trees v ∈ O(Z, A⊗B), one Kronecker block per channel."""
         def build():
             cat = self.cat
             src = self.layout(A, B)
             dst = self.layout(self.dual(B), self.dual(A))
             C = np.zeros((dst.dim, src.dim), dtype=complex)
-            for (Z, v), sl in src.slices.items():
-                e = np.zeros(cat.ring.N(A, B, Z))
-                e[v] = 1.0
+            for Z, sl in src.spans.items():
                 Zb = cat.ring.dual[Z]
-                for s, K in enumerate(cat.conj_pair_basis(A, B, Z, e)):
-                    K = self.scalar(K)
-                    if abs(K) != 0.0 and (Zb, s) in dst.slices:
-                        C[dst.slices[(Zb, s)], sl] += K * self.star[Z]
+                if Zb in dst.spans:
+                    K = self.scalar(cat.conj_pair_matrix(A, B, Z))
+                    C[dst.spans[Zb], sl] = np.kron(K.T, self.star[Z])
             return C
         return self._cached(("conj", A, B), build)
 

@@ -23,11 +23,20 @@ times the twist θ_X = d_X⁻¹ Σ_c d_c Tr R^{X,X}_c of the loop label.  The
 metadata records these phases as ``star_phases[(X, Y)] = θ_X``.  The
 assembled object is validated once; a residual above ``tol`` raises
 :class:`PositivityFailure`.
+
+Both are batched gathers, with no Python loop over labels or basis vectors.
+Every term of the contraction, its labels and all its multiplicity slots,
+is one column of an integer table (:class:`_Terms`), enumerated from the
+fusion rules: a label joins where N is nonzero, and each slot runs below its
+N.  Each factor of a term is gathered from the flat F, F⁻¹, R and
+conjugate-pair (K) buffers of the category at the address of its slots, the
+factors are multiplied, and ``np.bincount`` sums the terms into one flat
+buffer that holds every stack, sliced into ``mult`` and ``star`` at the end.
+The tree walks ``annulus_mult`` and ``annulus_star`` of the test suite's
+``tree_reference`` are the references they are checked against.
 """
 
 from __future__ import annotations
-
-import itertools
 
 import numpy as np
 
@@ -41,11 +50,10 @@ __all__ = ["build_annulus", "annulus_basis", "z_state"]
 def annulus_basis(cat: SkeletalUTC, S, Y: str) -> list:
     """Basis (X, t) of ⊕_{X∈S} Hom(Y, X̄⊗X), lexicographic in X."""
     ring = cat.ring
-    out = []
-    for X in sorted(S):
-        for t in range(ring.N(ring.dual[X], X, Y)):
-            out.append((X, t))
-    return out
+    X = np.flatnonzero(_support(ring, S))
+    n = ring._N[ring.duals[X], X, ring._i(Y)]
+    t = np.arange(n.sum()) - np.repeat(np.cumsum(n) - n, n)
+    return list(zip(np.repeat(np.array(ring.labels)[X], n).tolist(), t.tolist()))
 
 
 def build_annulus(cat: SkeletalUTC, S=None, tol: float = 1e-9) -> AlgebraObject:
@@ -67,85 +75,154 @@ def build_annulus(cat: SkeletalUTC, S=None, tol: float = 1e-9) -> AlgebraObject:
     return ann
 
 
+def _support(ring, S) -> np.ndarray:
+    """The mask of the labels in S, by label position."""
+    return np.fromiter(map(set(S).__contains__, ring.labels), dtype=bool, count=len(ring.labels))
+
+
+def _loops(ring, S) -> tuple:
+    """The basis vectors of every fiber as channel rows (X̄, X, Y, t), X ∈ S,
+    and start[X, Y], the position of (X, 0) in the basis of 𝒟(Y)."""
+    ch, dual, inS = ring.channel_rows, ring.duals, _support(ring, S)
+    count = ring._N[dual, np.arange(len(dual))] * inS[:, None]  # count[X, Y] = N_X̄X^Y
+    return ch[(ch[:, 0] == dual[ch[:, 1]]) & inS[ch[:, 1]]], np.cumsum(count, axis=0) - count
+
+
+class _Terms:
+    """Terms as integer columns of label positions and multiplicity slots,
+    one row of ``cols`` per name."""
+
+    def __init__(self, N: np.ndarray, names: str, cols: np.ndarray):
+        self.N, self.names, self.cols = N, names.split(), cols
+        self.last = [N.transpose(1, 2, 0), N.transpose(0, 2, 1), N]  # axis i of N moved last
+
+    def __getitem__(self, name: str) -> np.ndarray:
+        return self.cols[self.names.index(name)]
+
+    def add(self, names: str, cols: np.ndarray, i=slice(None)):
+        """Only the terms i, with ``cols`` appended as the columns ``names``."""
+        self.cols, self.names = np.vstack([self.cols[:, i], cols]), self.names + names.split()
+
+    def fuse(self, z: str, *triples: str):
+        """Each term once per label ``z`` with N_xy^z > 0 at every triple
+        "x,y,z" of ``triples`` (each names z once, the others are columns)."""
+        ok = True
+        for triple in triples:
+            names = triple.split(",")
+            at = tuple(self[c] for c in names if c != z)
+            ok = ok & (self.last[names.index(z)][at] > 0)
+        i, new = np.nonzero(ok)
+        self.add(z, new, i)
+
+    def slots(self, spec: str):
+        """Each term once per choice of one slot below N_xy^z for every
+        "name=x,y,z" of ``spec``, the slots appended as the columns ``name``."""
+        names, triples = zip(*(t.split("=") for t in spec.split()))
+        x, y, z = (np.array([self.names.index(c) for c in col])
+                   for col in zip(*(t.split(",") for t in triples)))
+        L = len(self.N)  # one flat gather: faster than three index arrays
+        count = self.N.ravel()[(self.cols[x] * L + self.cols[y]) * L + self.cols[z]]
+        total = count.prod(axis=0)
+        i = np.repeat(np.arange(len(total)), total)
+        local = np.arange(len(i)) - np.repeat(np.cumsum(total) - total, total)
+        later = np.ones_like(count)  # the number of choices of the later slots
+        later[:-1] = np.cumprod(count[:0:-1], axis=0)[::-1]
+        slot = np.zeros((len(count), len(i)), dtype=count.dtype)
+        many = count.max(axis=1, initial=0) > 1  # the other slots are all 0
+        slot[many] = local // later[many][:, i] % count[many][:, i]
+        self.add(" ".join(names), slot, i)
+
+
+def _scatter(shapes: np.ndarray, blk: np.ndarray, local: np.ndarray, v: np.ndarray,
+             every: bool = False) -> tuple:
+    """The terms v summed into consecutive arrays of ``shapes``, term i at
+    flat position ``local[i]`` of array ``blk[i]``: (the numbers of the
+    arrays where a term lands on a nonzero sum, or of all with ``every``;
+    those arrays)."""
+    size = shapes.prod(axis=1)
+    first = np.cumsum(size) - size
+    addr, total = first[blk] + local, int(size.sum())
+    out = np.bincount(addr, v.real, total) + 1j * np.bincount(addr, v.imag, total)
+    hit = np.full(len(size), every)
+    hit[blk[out[addr] != 0]] = True
+    hit = np.flatnonzero(hit)
+    return hit, [out[lo:lo + n].reshape(shape) for lo, n, shape in
+                 zip(first[hit].tolist(), size[hit].tolist(), shapes[hit].tolist())]
+
+
 def _assemble(cat: SkeletalUTC, S) -> AlgebraObject:
     """The annulus object over a fusion-closed support S, not yet validated."""
-    ring = cat.ring
-    bases = {Y: annulus_basis(cat, S, Y) for Y in ring.labels}
-    twist = {X: cat.twist(X) for X in S}
-    unit = np.zeros(len(bases[ring.unit]), dtype=complex)
-    unit[bases[ring.unit].index((ring.unit, 0))] = 1.0
+    ring, lab = cat.ring, np.array(cat.ring.labels)
+    u = ring.index[ring.unit]
+    loops, start = _loops(ring, S)
+    dim = np.bincount(loops[:, 2], minlength=len(lab))
+    unit = np.zeros(dim[u], dtype=complex)
+    unit[start[u, u]] = 1.0
+    X, Y = loops[:, 1], loops[:, 2]
     meta = {"fixture": "annulus", "support": tuple(sorted(S)),
             "conjugate_normalization": "unit-norm",
-            "star_phases": {(X, Y): twist[X] for Y, basis in bases.items() for X, _ in basis}}
-    return AlgebraObject(cat=cat, fibers={Y: len(basis) for Y, basis in bases.items()},
-                         mult=_product(cat, S, bases), star=_star(cat, bases, twist),
+            "star_phases": dict(zip(zip(lab[X].tolist(), lab[Y].tolist()),
+                                    cat._twists[X].tolist()))}
+    return AlgebraObject(cat=cat, fibers=dict(zip(ring.labels, dim.tolist())),
+                         mult=_product(cat, loops, start, dim),
+                         star=_star(cat, loops, start, dim),
                          unit=unit, side="cat", meta=meta)
 
 
-def _product(cat: SkeletalUTC, S, bases: dict) -> dict:
-    """mult[(Y, Z, W)] of the annulus over S with fiber ``bases``."""
-    ring, dual, N = cat.ring, cat.ring.dual, cat.ring.N
-    start = {Y: {X: i for i, (X, t) in enumerate(basis) if t == 0}
-             for Y, basis in bases.items()}
-    mult = {(Y, Z, W): np.zeros((n, len(bases[W]), len(bases[Y]), len(bases[Z])),
-                                dtype=complex)
-            for Y, Z in itertools.product(ring.labels, repeat=2)
-            for W, n in ring.channels(Y, Z)}
-    for X, Xp in itertools.product(sorted(S), repeat=2):
-        Xb, Xpb = dual[X], dual[Xp]
-        # per V: the unit-norm conjugates of an onb of O(V, X⊗X'), conjugated
-        # and pulled back through R^{X̄,X̄'}, as C[q, α'] with α' ∈ O(V̄, X̄⊗X̄')
-        pairs = {}
-        for V, n in ring.channels(X, Xp):
-            cb = np.array([cat.conj_pair_basis(X, Xp, V, e) for e in np.eye(n)])
-            cb /= np.linalg.norm(cb, axis=1, keepdims=True)
-            pairs[V] = cb.conj() @ cat.rmat(Xb, Xpb, dual[V])
-        for Y, _ in ring.channels(Xb, X):
-            y = slice(start[Y][X], start[Y][X] + N(Xb, X, Y))
-            for p, _ in ring.channels(Y, Xpb):
-                # id_X̄ ⊗ τ_{X,X̄'} as F⁻¹, R, F: from the trees (X̄X)X̄' → p
-                # through Y to the trees (X̄X̄')X → p through V̄
-                braid = {V: sum(np.einsum("xamn,mk,tckn->xatc",
-                                          cat.fblock(Xb, Xpb, X, p, dual[V], f),
-                                          cat.rmat(X, Xpb, f),
-                                          cat.fblock(Xb, X, Xpb, p, Y, f, inverse=True))
-                                for f, _ in ring.channels(X, Xpb))
-                         for V in pairs}
-                for W, _ in ring.channels(p, Xp):
-                    # the pairs through F[V̄,X,X';W], rows (V, h) of 𝒟(W)
-                    proj = np.zeros((len(bases[W]), N(p, Xp, W), N(Xb, X, Y), N(Y, Xpb, p)),
-                                    dtype=complex)
-                    for V, C in pairs.items():
-                        if N(dual[V], V, W):
-                            h = start[W][V]
-                            F3 = cat.fblock(dual[V], X, Xp, W, p, V).conj()
-                            proj[h:h + F3.shape[3]] = np.einsum("qx,abqh,xatc->hbtc",
-                                                                C, F3, braid[V])
-                    for Z, _ in ring.channels(Xpb, Xp):
-                        if not N(Y, Z, W):
-                            continue
-                        # the merge along u: one column of F[Y,X̄',X';W]
-                        F1 = cat.fblock(Y, Xpb, Xp, W, p, Z)
-                        z = slice(start[Z][Xp], start[Z][Xp] + F1.shape[2])
-                        mult[(Y, Z, W)][:, :, y, z] += np.einsum("hbtc,cbsu->uhts", proj, F1)
-    return {key: m for key, m in mult.items() if np.any(m)}
+def _product(cat: SkeletalUTC, loops, start, dim) -> dict:
+    """mult[(Y, Z, W)] of the annulus whose basis trees are ``loops``.
+
+    Entry [u, (V, h), (X, t), (X', s)] sums, over p, f, V and the slots
+    c, b, q, g, x, a, m, n, k, the terms
+
+        conj(K̂(X,X',V)[q,g])·R(X̄,X̄';V̄)[g,x]·conj(F[V̄,X,X';W]_{(p,a,b),(V,q,h)})
+        ·F[X̄,X̄',X;p]_{(V̄,x,a),(f,m,n)}·R(X,X̄';f)[m,k]
+        ·F⁻¹[X̄,X,X̄';p]_{(f,k,n),(Y,t,c)}·F[Y,X̄',X';W]_{(p,c,b),(Z,s,u)}
+
+    (K̂ is K with unit rows), one term per column of a :class:`_Terms` table.
+    """
+    ring, dual, rt = cat.ring, cat.ring.duals, cat.ring.rtable
+    i, j = np.divmod(np.arange(len(loops) ** 2), len(loops))
+    T = _Terms(ring._N, "Xb X Y t Xpb Xp Z s", np.vstack([loops[i].T, loops[j].T]))
+    T.fuse("W", "Y,Z,W")
+    T.fuse("p", "Y,Xpb,p", "p,Xp,W")
+    T.fuse("Vb", "Xb,Xpb,Vb", "Vb,X,p")
+    T.add("V", dual[T["Vb"]])
+    T.fuse("f", "Xpb,X,f", "Xb,f,p", "X,Xpb,f")
+    T.slots("u=Y,Z,W c=Y,Xpb,p b=p,Xp,W q=X,Xp,V h=Vb,V,W g=Xpb,Xb,Vb x=Xb,Xpb,Vb "
+            "a=Vb,X,p m=Xpb,X,f n=Xb,f,p k=X,Xpb,f")
+    Xb, X, Y, t, Xpb, Xp, Z, s, W, p, Vb, V, f, u, c, b, q, h, g, x, a, m, n, k = T.cols
+
+    F, R, fa, ra = cat._F, cat._R, cat._faddr, cat._raddr
+    e, row, _ = rt.entry_index()
+    row = rt.start[e] + row  # the channel row of each entry of K
+    K = cat._conj_pairs / np.sqrt(np.bincount(row, np.abs(cat._conj_pairs) ** 2))[row]
+    v = (np.conj(K[ra((X, Xp, V), q, g)]) * R[ra((Xb, Xpb, Vb), g, x)]
+         * np.conj(F[fa((Vb, X, Xp, W), (p, a, b), (V, q, h))])
+         * F[fa((Xb, Xpb, X, p), (Vb, x, a), (f, m, n))] * R[ra((X, Xpb, f), m, k)]
+         * cat._inverses()[fa((Xb, X, Xpb, p), (Y, t, c), (f, k, n), inverse=True)]
+         * F[fa((Y, Xpb, Xp, W), (p, c, b), (Z, s, u))])
+    # one stack (N_YZ^W, n_W, n_Y, n_Z) per R-table channel (Y, Z, W)
+    shapes = np.column_stack([rt.size, dim[rt.keys[:, [2, 0, 1]]]])
+    local = ((u * dim[W] + start[V, W] + h) * dim[Y] + start[X, Y] + t) * dim[Z] + start[Xp, Z] + s
+    hit, parts = _scatter(shapes, rt.number[Y, Z, W], local, v)
+    return dict(zip(map(tuple, np.array(ring.labels, dtype=object)[rt.keys[hit]].tolist()), parts))
 
 
-def _star(cat: SkeletalUTC, bases: dict, twist: dict) -> dict:
-    """star[Y] of the annulus: the conjugate of t: Y → X̄⊗X in Hom(Ȳ, X̄⊗X),
-    braided by R^{X̄,X} into the X̄ summand of 𝒟(Ȳ), times θ_X̄."""
-    ring = cat.ring
-    star = {}
-    for Y, basis in bases.items():
-        Yb = ring.dual[Y]
-        S = np.zeros((len(bases[Yb]), len(basis)), dtype=complex)
-        for iy, (X, t) in enumerate(basis):
-            Xb = ring.dual[X]
-            cb = cat.conj_pair_basis(Xb, X, Y, np.eye(ring.N(Xb, X, Y))[t])
-            j = bases[Yb].index((Xb, 0))
-            S[j:j + len(cb), iy] = twist[Xb] * (cat.rmat(Xb, X, Yb) @ cb)
-        star[Y] = S
-    return star
+def _star(cat: SkeletalUTC, loops, start, dim) -> dict:
+    """star[Y] of the annulus: the conjugate K(X̄,X,Y)[t] ∈ Hom(Ȳ, X̄⊗X) of
+    t: Y → X̄⊗X, braided by R^{X̄,X} into the X̄ summand of 𝒟(Ȳ), times θ_X̄:
+    star[Y][(X̄, s), (X, t)] = θ_X̄·Σ_q R(X̄,X;Ȳ)[s,q]·K(X̄,X,Y)[t,q]."""
+    ring, dual = cat.ring, cat.ring.duals
+    T = _Terms(ring._N, "Xb X Y t", loops.T)
+    T.add("Yb", dual[T["Y"]])
+    T.slots("q=Xb,X,Yb s=X,Xb,Yb")
+    Xb, X, Y, t, Yb, q, s = T.cols
+    v = (cat._twists[Xb] * cat._R[cat._raddr((Xb, X, Yb), s, q)]
+         * cat._conj_pairs[cat._raddr((Xb, X, Y), t, q)])
+    local = (start[Xb, Yb] + s) * dim[Y] + start[X, Y] + t
+    _, parts = _scatter(np.column_stack([dim[dual], dim]), Y, local, v, every=True)
+    return dict(zip(ring.labels, parts))
 
 
 def z_state(ann: AlgebraObject) -> dict:
@@ -156,8 +233,8 @@ def z_state(ann: AlgebraObject) -> dict:
     positive.
     """
     ring = ann.cat.ring
-    bases = annulus_basis(ann.cat, ann.meta.get("support", ring.labels), ring.unit)
     omega = np.zeros(ann.n(ring.unit), dtype=complex)
-    omega[bases.index((ring.unit, 0))] = 1.0
+    # 𝒟(1) has one basis vector (X, 0) per label X of the support, in order
+    omega[sorted(ann.meta.get("support", ring.labels)).index(ring.unit)] = 1.0
     omega, ev = ann.ground().check_state(omega)
     return {"omega": omega, "positivity_floor": float(ev[0]), "unital": True}

@@ -13,7 +13,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import LabelMismatch
-from .fusion_ring import BlockTable, FusionRing, _encode
+from .fusion_ring import BlockTable, FusionRing
 from .skeletal import SkeletalUTC
 
 __all__ = ["relabel_category"]
@@ -23,8 +23,8 @@ def _moved(old: BlockTable, new: BlockTable, P: np.ndarray, buf: np.ndarray) -> 
     """The flat buffer ``buf`` of table ``old`` in the layout of ``new``, the
     table after label position x became P[x]: each block's rows and columns
     re-sorted by the renamed channel labels."""
-    K, L = len(old.size), len(P)
-    k = np.searchsorted(new.codes, _encode(P[old.keys], L))  # old block -> new block
+    K = len(old.size)
+    k = new.number[tuple(P[old.keys].T)]  # old block -> new block
     blk = np.repeat(np.arange(K), old.size)
     pos = np.arange(len(blk)) - old.start[blk]
 

@@ -120,7 +120,7 @@ def _load_aobj(cat, path: str, args=None):
         res = validate_algebra_object(D, rng=np.random.default_rng(args.seed),
                                       tol=args.tol)
         key, worst = worst_residual(res)
-        if worst > args.tol:
+        if not worst <= args.tol:
             raise CounterexampleFound(
                 f"algebra object {path} is not valid: worst residual "
                 f"{worst:.3e} ({key}) exceeds tol {args.tol:g}")
@@ -200,7 +200,7 @@ def _cmd_validate(args) -> tuple:
         return EXIT_ASSERT, {"command": "validate", "input": args.input,
                              "ok": False,
                              "violations": [v.as_dict() for v in exc.violations]}
-    bad = [k for k, r in residuals.items() if r is not None and r > args.tol]
+    bad = [k for k, r in residuals.items() if r is not None and not r <= args.tol]
     report = {"command": "validate", "input": args.input, "ok": not bad,
               "violations": [], "residuals": residuals}
     if worst is not None:
@@ -223,7 +223,7 @@ def _cmd_verify(args) -> tuple:
     cat = _load_cat(args.input)
     residuals, worst = _coherence(cat)
     residuals["zigzag"] = cat.verify_zigzag()
-    bad = [k for k, r in residuals.items() if r is not None and r > args.tol]
+    bad = [k for k, r in residuals.items() if r is not None and not r <= args.tol]
     report = {"command": "verify", "input": args.input, **residuals,
               "ok": not bad, "worst": worst}
     return (EXIT_ASSERT if bad else EXIT_OK), report
@@ -445,6 +445,11 @@ def main(argv=None) -> int:
         if getattr(args, flag, least) < least:
             print(json.dumps({"error": f"--{flag} must be at least {least}"}))
             return EXIT_INPUT
+    # the truncated Fock space serves words of at most 2·depth letters
+    if args.command == "fock" and args.moments > 2 * args.depth:
+        print(json.dumps({"error": f"--moments {args.moments} exceeds 2·--depth "
+                                   f"= {2 * args.depth}"}))
+        return EXIT_INPUT
     started = time.time()
     try:
         code, report = args.func(args)

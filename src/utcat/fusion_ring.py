@@ -37,8 +37,8 @@ class BlockTable(NamedTuple):
     """Every nonzero F-block (or R-block) of a ring as integer arrays.
 
     Block k has label positions ``keys[k]`` ((a, b, c, d) for F, (a, b, c)
-    for R), ascending in ``codes[k]`` (the key as one mixed-radix integer over
-    label positions), and size ``size[k]``.  Its left and right slots are the
+    for R), in ascending order, and size ``size[k]``; ``number[a, b, …]`` is
+    the k of a key, −1 for a zero block.  Its left and right slots are the
     rows ``start[k]`` … ``start[k] + size[k]`` of ``left`` and ``right``:
     (e, α, β) and (f, μ, ν) for F, (μ,) for R.  Blocks live in one flat
     buffer, grouped by size: block k starts at ``offset[k]``, and ``groups``
@@ -50,7 +50,6 @@ class BlockTable(NamedTuple):
     """
 
     keys: np.ndarray
-    codes: np.ndarray
     size: np.ndarray
     start: np.ndarray
     left: np.ndarray
@@ -58,6 +57,7 @@ class BlockTable(NamedTuple):
     offset: np.ndarray
     groups: tuple
     unit_leg: np.ndarray
+    number: np.ndarray
     chan: np.ndarray | None
 
     @property
@@ -83,7 +83,8 @@ class BlockTable(NamedTuple):
         return blk, local // n, local % n
 
 
-def _block_table(codes: np.ndarray, rows: np.ndarray, width: int, unit: int) -> BlockTable:
+def _block_table(codes: np.ndarray, rows: np.ndarray, width: int, unit: int,
+                 n_labels: int) -> BlockTable:
     """The table of slot ``rows`` (key columns, then slot columns) with key
     ``codes``, one row per slot, each block's rows contiguous and in slot
     order."""
@@ -97,8 +98,10 @@ def _block_table(codes: np.ndarray, rows: np.ndarray, width: int, unit: int) -> 
     groups = tuple((int(size[order[lo]]), order[lo:hi])
                    for lo, hi in zip(cut, cut[1:] + [len(order)]))
     keys = rows[start, :width]
-    return BlockTable(keys, codes[start], size, start, rows[:, width:], rows[:, width:], offset,
-                      groups, (keys[:, :-1] == unit).any(axis=1), None)
+    number = np.full((n_labels,) * width, -1)
+    number[tuple(keys.T)] = np.arange(len(keys))
+    return BlockTable(keys, size, start, rows[:, width:], rows[:, width:], offset,
+                      groups, (keys[:, :-1] == unit).any(axis=1), number, None)
 
 
 class FusionRing:
@@ -113,8 +116,9 @@ class FusionRing:
     joining the channel rows (x, y, z, t) twice, ((ab)e, (ec)d) for the left
     basis and ((bc)f, (af)d) for the right.  ``rtable`` lists the R-blocks
     (a, b; c).  Every F and R reader goes through them: the category stores
-    its blocks in their flat buffers, the JSON schema scatters into them, and
-    the coherence checks join against their slots.  The basis of block k is
+    its blocks in their flat buffers, the JSON schema scatters into them, the
+    coherence checks join against their slots, and arrays of label positions
+    find their blocks in the dense ``number`` arrays.  The basis of block k is
     its slot rows, ``start[k]`` … ``start[k] + size[k]`` of ``left`` and
     ``right``: channel first, then multiplicities, the row and column order
     of the block.
@@ -166,6 +170,11 @@ class FusionRing:
         return dict(self.channels(x, y))
 
     @cached_property
+    def duals(self) -> np.ndarray:
+        """The position of x̄, by label position x."""
+        return np.array([self.index[self.dual[x]] for x in self.labels])
+
+    @cached_property
     def channel_rows(self) -> np.ndarray:
         """One row (x, y, z, t) per basis vector t of O(z, x⊗y), sorted."""
         N = self._N
@@ -191,7 +200,7 @@ class FusionRing:
         (codes, left), (rcodes, right) = by_key
         if not np.array_equal(codes, rcodes):
             self._inconsistent(codes, rcodes)
-        t = _block_table(codes, left, 4, self.index[self.unit])
+        t = _block_table(codes, left, 4, self.index[self.unit], L)
         # slots per channel: N_ab^e·N_ec^d on the left, N_bc^f·N_af^d on the right
         N, (a, b, c, d) = self._N, t.keys.T
         count = np.stack([N[a, b] * N[:, c, d].T, N[b, c] * N[a, :, d]], axis=1)
@@ -210,7 +219,8 @@ class FusionRing:
     def rtable(self) -> BlockTable:
         """The table of every nonzero R-block (a, b; c), slots (μ,)."""
         ch = self.channel_rows
-        return _block_table(_encode(ch[:, :3], len(self.labels)), ch, 3, self.index[self.unit])
+        L = len(self.labels)
+        return _block_table(_encode(ch[:, :3], L), ch, 3, self.index[self.unit], L)
 
     @cached_property
     def _block_lookup(self) -> tuple[dict, dict]:

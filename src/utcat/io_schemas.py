@@ -25,7 +25,7 @@ import numpy as np
 
 from .algebra_object import AlgebraObject
 from .errors import SchemaError
-from .fusion_ring import FusionRing, _encode, _join, validate_ring
+from .fusion_ring import FusionRing, _join, validate_ring
 from .semicircular import BaseAlgebra, CovarianceMatrix
 from .skeletal import SkeletalUTC
 from .wire import (check_key, complex_array, complex_in, complex_out, first_failure,
@@ -100,12 +100,11 @@ def _scatter(t, k: np.ndarray, shape: np.ndarray, corner: np.ndarray, vals: np.n
     return buf
 
 
-def _given(t, keys: np.ndarray, radix: int) -> np.ndarray:
+def _given(t, keys: np.ndarray) -> np.ndarray:
     """The mask of the blocks of ``t`` whose key (label positions) is among ``keys``."""
-    codes = _encode(keys, radix)
-    k = np.minimum(np.searchsorted(t.codes, codes), len(t.codes) - 1)
+    k = t.number[tuple(keys.T)]
     given = np.zeros(len(t.size), dtype=bool)
-    given[k[t.codes[k] == codes]] = True
+    given[k[k >= 0]] = True
     return given
 
 
@@ -116,7 +115,7 @@ def _f_in(ring: FusionRing, fraw: dict) -> tuple:
     gathers the sub-blocks and every number; keys, channel pairs, shapes and
     numbers are then checked as arrays.  The first failure in payload order
     is raised, else the sub-blocks are scattered into the buffer."""
-    index, L, N, t = ring.index, len(ring.labels), ring._N, ring.ftable
+    index, N, t = ring.index, ring._N, ring.ftable
     keys, blocks = list(fraw), list(fraw.values())
     pos, k = key_positions(keys, 4, index)
     many = itertools.repeat
@@ -153,15 +152,15 @@ def _f_in(ring: FusionRing, fraw: dict) -> tuple:
     if k < len(keys):
         check_key(index, keys[k], 4, f"/F/{keys[k]}")
         raise SchemaError("F block must be an object keyed by 'e,f'", f"/F/{keys[k]}")
-    blk = np.searchsorted(t.codes, _encode(pos[owner], L))
+    blk = t.number[tuple(pos[owner].T)]
     corner = np.column_stack([t.chan[blk, 0, e], t.chan[blk, 1, f]])
-    return _scatter(t, blk, shape, corner, vals), _given(t, pos, L)
+    return _scatter(t, blk, shape, corner, vals), _given(t, pos)
 
 
 def _r_in(ring: FusionRing, rraw: dict) -> tuple:
     """The flat R buffer of ``ring.rtable`` and the mask of the blocks given,
     parsed as :func:`_f_in` does."""
-    L, t = len(ring.labels), ring.rtable
+    t = ring.rtable
     keys = list(rraw)
     pos, k = key_positions(keys, 3, ring.index)
     shape, s, flat = matrices(list(rraw.values())[:k])
@@ -175,9 +174,9 @@ def _r_in(ring: FusionRing, rraw: dict) -> tuple:
         rows_in(rraw[keys[s]], f"/R/{keys[s]}", [])
     if k < len(keys):
         check_key(ring.index, keys[k], 3, f"/R/{keys[k]}")
-    blk = np.searchsorted(t.codes, _encode(pos[n > 0], L))
+    blk = t.number[tuple(pos[n > 0].T)]
     return (_scatter(t, blk, shape[n > 0], np.zeros((len(blk), 2), dtype=int), vals),
-            _given(t, pos, L))
+            _given(t, pos))
 
 
 def cat_from_json(raw: dict) -> SkeletalUTC:

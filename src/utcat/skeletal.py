@@ -5,8 +5,9 @@ between tensor words is a linear combination of fusion trees built from these
 vertices, and every map the package needs between such trees is a fixed
 contraction of F, F⁻¹ and R blocks.  :meth:`SkeletalUTC.fblock` reads the part
 of one F-block between a left and a right channel as a tensor over its four
-multiplicity indices; the bends, conjugates and zig-zags below, the annulus
-product and the square-algebra products are written with it.
+multiplicity indices; the bends and the square-algebra products are written
+with it.  The conjugates and the annulus product and star instead gather
+their entries in bulk, at the flat-buffer addresses of arrays of slots.
 
 F-symbol convention used throughout: F[(e,α,β), (f,μ,ν)] is the coefficient of
 the left tree (v^e_α ⊗ id_c)∘u_β in the expansion of the right tree
@@ -27,9 +28,11 @@ the blocks are grouped by size; ``ring.rtable`` does the same for the
 R-blocks.  The slot rows of a block, in order, are its rows and columns:
 channel first, multiplicities after.  A
 category stores its F and R blocks in those flat buffers, so the blocks of
-one size are one (K, n, n) stack.  :meth:`SkeletalUTC.fmat`,
-:meth:`SkeletalUTC.fblock` and :meth:`SkeletalUTC.rmat` slice the buffers at
-the offsets of the table; the JSON schema scatters a payload into them.  The
+one size are one (K, n, n) stack.  :meth:`SkeletalUTC.fmat` and
+:meth:`SkeletalUTC.rmat` slice the buffers at the offsets of the table, and
+``_faddr``/``_raddr`` compute the flat address of any array of (key, left
+slot, right slot) entries, a block key being one lookup in the table's dense
+``number``; the JSON schema scatters a payload into them.  The
 coherence checks read one entry table per category, built on the first
 check from the stacks and the slot rows: each entry of F⁻¹, F, R and R(b,a)†
 is a row (source address, target slot, value), the address being block key
@@ -49,6 +52,18 @@ modulus 1/d_x (Kitaev, Ann. Phys. 2006, App. E): ``d(x)`` reads it off one
 array of these entries, taken once from the F buffer at ``ring.ftable``'s
 offsets.  No dimension is declared or iterated; :meth:`SkeletalUTC.verify_zigzag`
 checks d against the fusion rules (d_x = FPdim x, Longo–Roberts, K-Theory 1997).
+The conjugate solutions r, r̄ and their zig-zag residuals are arrays over the
+labels read off the same entries, so a NaN entry reaches every residual.
+
+Frobenius bends and the conjugate-pair table K.  Each bend of v ∈ Hom(c, a⊗b)
+is antilinear: conj(v) times the unit-channel column of one F or F⁻¹ block,
+times one conjugate-solution coefficient.  The conjugate of v in
+Hom(c̄, b̄⊗ā) is three bends, so it is conj(v)·K(a, b, c) for one
+N_ab^c × N_ab^c matrix K per channel.  A category builds K for every channel
+once, one stacked product per block size, into a read-only buffer laid out
+as ``ring.rtable``; :meth:`SkeletalUTC.conj_pair_basis`,
+:meth:`~utcat.algebra_object.AlgebraObject.conj_matrix` and the annulus
+product and star read it, and no conjugate is bent vector by vector.
 
 Inverses and read-only blocks.  F⁻¹ comes from one stacked ``np.linalg.inv``
 per block size (a singular block raises ``LinAlgError``), into a second
@@ -64,6 +79,7 @@ from __future__ import annotations
 
 import itertools
 from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 
@@ -73,22 +89,18 @@ from .fusion_ring import BlockTable, FusionRing, _encode, _join
 __all__ = ["SkeletalUTC", "ConjugateSolution"]
 
 
-class ConjugateSolution:
+class ConjugateSolution(NamedTuple):
     """Standard solution (R_X, R̄_X) of the conjugate equations for one label.
 
     ``r`` is the coefficient of R_X on the single basis vector of
     O(1, X̄ ⊗ X); ``rbar`` the one of R̄_X on O(1, X ⊗ X̄).
     """
 
-    def __init__(self, label: str, dual: str, r: complex, rbar: complex, residual: float):
-        self.label = label
-        self.dual = dual
-        self.r = r
-        self.rbar = rbar
-        self.residual = residual
-
-    def __repr__(self):
-        return f"ConjugateSolution({self.label}, r={self.r:.6g}, rbar={self.rbar:.6g})"
+    label: str
+    dual: str
+    r: complex
+    rbar: complex
+    residual: float
 
 
 _CHUNK = 2048  # trees moved at once: bounds the memory of a check
@@ -208,7 +220,6 @@ class SkeletalUTC:
                 a, b, c = (ring.labels[x] for x in np.argwhere(N != N.transpose(1, 0, 2))[0])
                 raise SchemaError(f"non-commutative fusion under braiding at ({a},{b};{c})")
             self._R = _checked(ring, "R", R, given[1])
-        self._conj_cache: dict[str, ConjugateSolution] = {}
         self._Finv = None  # the F⁻¹ buffer; see _inverses
         self._tables: dict = {}  # the entry table, by move kind; see _table
 
@@ -246,9 +257,28 @@ class SkeletalUTC:
         block k keyed (x, x̄, x, x)."""
         ring, t = self.ring, self.ring.ftable
         x, unit = np.arange(len(ring.labels)), ring.index[ring.unit]
-        xb = np.array([ring.index[ring.dual[y]] for y in ring.labels])
-        k = np.searchsorted(t.codes, _encode(np.column_stack([x, xb, x, x]), len(x)))
+        k = t.number[x, ring.duals, x, x]
         return self._F[t.offset[k] + t.chan[k, 0, unit] * t.size[k] + t.chan[k, 1, unit]]
+
+    def _faddr(self, key: tuple, left: tuple, right: tuple, inverse: bool = False) -> np.ndarray:
+        """The flat positions in the F buffer (the F⁻¹ buffer with
+        ``inverse``) of the entries of the blocks F[a,b,c;d] between the left
+        slots (e, α, β) and the right slots (f, μ, ν); ``key``, ``left`` and
+        ``right`` are triples or quadruples of broadcastable integer arrays."""
+        t, N = self.ring.ftable, self.ring._N
+        (a, b, c, d), (e, al, be), (f, mu, nu) = key, left, right
+        k = t.number[a, b, c, d]
+        row = t.chan[k, 0, e] + al * N[e, c, d] + be
+        col = t.chan[k, 1, f] + mu * N[a, f, d] + nu
+        return t.offset[k] + (col * t.size[k] + row if inverse else row * t.size[k] + col)
+
+    def _raddr(self, key: tuple, mu, nu) -> np.ndarray:
+        """The flat positions of the entries [μ, ν] of the blocks ``key`` =
+        (a, b, c) in a buffer laid out as ``ring.rtable`` (R, and K of
+        :meth:`conj_pair_matrix`)."""
+        t = self.ring.rtable
+        k = t.number[key]
+        return t.offset[k] + mu * t.size[k] + nu
 
     @cached_property
     def _dims(self) -> dict:
@@ -304,39 +334,68 @@ class SkeletalUTC:
 
     def twist(self, x: str) -> complex:
         """θ_x = d_x⁻¹ Σ_c d_c Tr R^{x,x}_c, the ribbon twist of x."""
-        return complex(sum(self.d(c) * np.trace(self.rmat(x, x, c))
-                           for c, _ in self.ring.channels(x, x)) / self.d(x))
+        return complex(self._twists[self.ring._i(x)])
+
+    @cached_property
+    def _twists(self) -> np.ndarray:
+        """θ by label position, summed over the diagonals of the R buffer."""
+        if self._R is None:
+            raise MissingBraiding("category has no R-symbols")
+        ch, d = self.ring.channel_rows, 1.0 / np.abs(self._unit_entries)
+        x, _, c, m = ch[ch[:, 0] == ch[:, 1]].T
+        theta = d[c] * self._R[self._raddr((x, x, c), m, m)]
+        return (np.bincount(x, theta.real, len(d)) + 1j * np.bincount(x, theta.imag, len(d))) / d
 
     # ------------------------------------------------------------------
     # conjugate equations and bending: single F and F⁻¹ entries
     # ------------------------------------------------------------------
 
     def conjugate_solution(self, x: str) -> ConjugateSolution:
-        if x in self._conj_cache:
-            return self._conj_cache[x]
-        f11 = self._unit_entries[self.ring._i(x)]
-        if abs(f11) < 1e-14:
+        sol = self._solutions[self.ring._i(x)]
+        if sol is None:
             raise SolveFailed(f"zig-zag system singular for {x}")
-        r = np.sqrt(self.d(x))  # phase pin: positive real
-        rbar = 1.0 / (r * np.conj(f11))
-        sol = ConjugateSolution(x, self.dual(x), complex(r), complex(rbar),
-                                self._zigzag_residual(x, r, rbar))
-        self._conj_cache[x] = sol
         return sol
 
-    def _zigzag_residual(self, x: str, r: complex, rbar: complex) -> float:
-        """Largest residual of the conjugate equations for R_x = r·O(1, x̄⊗x)
-        and R̄_x = r̄·O(1, x⊗x̄).
+    def _refuse_singular(self):
+        """Raise :class:`SolveFailed` at the first label whose unit entry vanishes."""
+        small = np.abs(self._unit_entries) < 1e-14
+        if small.any():
+            self.conjugate_solution(self.ring.labels[int(np.argmax(small))])
+
+    @cached_property
+    def _solutions(self) -> list:
+        """The solution of each label position, None where its unit entry vanishes."""
+        r, rbar, residual = (a.tolist() for a in self._conjugates)
+        return [None if abs(f) < 1e-14 else
+                ConjugateSolution(x, self.dual(x), complex(r[i]), complex(rbar[i]), residual[i])
+                for i, (x, f) in enumerate(zip(self.ring.labels, self._unit_entries))]
+
+    @cached_property
+    def _conjugates(self) -> tuple:
+        """(r, r̄, zig-zag residual) by label position: r = √d_x (the phase
+        pin: positive real) and r̄ = 1/(r·conj f_x), f the unit entries; NaN
+        where f_x = 0."""
+        f = self._unit_entries
+        with np.errstate(divide="ignore", invalid="ignore"):
+            r = np.sqrt(1.0 / np.abs(f))
+            rbar = 1.0 / (r * np.conj(f))
+        return r, rbar, self._zigzag_residuals(r, rbar)
+
+    def _zigzag_residuals(self, r: np.ndarray, rbar: np.ndarray) -> np.ndarray:
+        """Residual of the conjugate equations for R_x = r·O(1, x̄⊗x) and
+        R̄_x = r̄·O(1, x⊗x̄), by label position.
 
         The zig-zags (R̄* ⊗ id_x)(id_x ⊗ R_x) and (R* ⊗ id_x̄)(id_x̄ ⊗ R̄_x) are
         r·conj(r̄) and conj(r)·r̄ times the unit-channel entry of F[x,x̄,x;x]
         and of F[x̄,x,x̄;x̄]: the adjoint carries the conjugate coefficient.
+        The residual is the larger distance of the two from 1.
         """
-        f, i = self._unit_entries, self.ring.index
-        return float(max(abs(r * np.conj(rbar) * f[i[x]] - 1.0),
-                         abs(np.conj(r) * rbar * f[i[self.dual(x)]] - 1.0)))
+        f = self._unit_entries
+        return np.maximum(np.abs(r * np.conj(rbar) * f - 1.0),
+                          np.abs(np.conj(r) * rbar * f[self.ring.duals] - 1.0))
 
-    # Frobenius bends.  Both are antilinear in the input coefficients.
+    # Frobenius bends.  Both are antilinear in the input coefficients, and so
+    # is the conjugate, read off the table K (see the module docstring).
 
     def bend_left(self, a: str, b: str, c: str, v: np.ndarray) -> np.ndarray:
         """Hom(c, a⊗b) -> Hom(b, ā⊗c): v ↦ (id_ā ⊗ v*)(R_a ⊗ id_b), read off
@@ -351,14 +410,37 @@ class SkeletalUTC:
         return self.conjugate_solution(b).rbar * (np.conj(v) @ T)
 
     def conj_pair_basis(self, a: str, b: str, c: str, v: np.ndarray) -> np.ndarray:
-        """The conjugate morphism of v: c -> a⊗b, as a vector in Hom(c̄, b̄⊗ā).
+        """The conjugate morphism of v: c -> a⊗b, as a vector in Hom(c̄, b̄⊗ā):
+        bend_right ∘ bend_left ∘ bend_right, which is conj(v)·K(a, b, c)."""
+        return np.conj(v) @ self.conj_pair_matrix(a, b, c)
 
-        Antilinear; computed as bend_right ∘ bend_left ∘ bend_right.
-        """
-        u1 = self.bend_right(a, b, c, v)                       # Hom(a, c⊗b̄)
-        u2 = self.bend_left(c, self.dual(b), a, u1)            # Hom(b̄, c̄⊗a)
-        u3 = self.bend_right(self.dual(c), a, self.dual(b), u2)  # Hom(c̄, b̄⊗ā)
-        return u3
+    def conj_pair_matrix(self, a: str, b: str, c: str) -> np.ndarray:
+        """K(a, b, c), the N_ab^c × N_ab^c matrix of :meth:`conj_pair_basis`."""
+        blk = self.ring.r_block(a, b, c)
+        return np.zeros((0, 0), dtype=complex) if blk is None else _view(self._conj_pairs, blk)
+
+    @cached_property
+    def _conj_pairs(self) -> np.ndarray:
+        """K of every channel (a, b, c), in a read-only buffer laid out as
+        ``ring.rtable``.  The three bends of v are r̄_b·conj(v)·T₁, then
+        r_c·conj(·)·T₂ and r̄_a·conj(·)·T₃, with T₁ the unit-channel column of
+        F[a,b,b̄;a] through c, T₂ that of F⁻¹[c̄,c,b̄;b̄] through a and T₃ that
+        of F[c̄,a,ā;c̄] through b̄; so K = r̄_a·r_c·r̄_b·T₁·conj(T₂)·T₃, one
+        stacked product per block size."""
+        self._refuse_singular()
+        (r, rbar, _), dual, t = self._conjugates, self.ring.duals, self.ring.rtable
+        F, Finv, unit = self._F, self._inverses(), (self.ring.index[self.ring.unit], 0, 0)
+        K = np.empty(t.buffer_length, dtype=complex)
+        for ids, out in _stacks(K, t):
+            n, (a, b, c) = out.shape[1], t.keys[ids].T[:, None]  # rows of shape (1, K)
+            slot = np.divmod(np.arange(n * n)[:, None], n)  # the n² multiplicity pairs
+            T1 = F[self._faddr((a, b, dual[b], a), (c, *slot), unit)]
+            T2 = Finv[self._faddr((dual[c], c, dual[b], dual[b]), unit, (a, *slot), True)]
+            T3 = F[self._faddr((dual[c], a, dual[a], dual[c]), (dual[b], *slot), unit)]
+            T1, T2, T3 = (T.T.reshape(-1, n, n) for T in (T1, T2, T3))
+            out[...] = (rbar[a] * r[c] * rbar[b]).reshape(-1, 1, 1) * T1 @ T2.conj() @ T3
+        K.setflags(write=False)
+        return K
 
     # ------------------------------------------------------------------
     # verification: pentagon / hexagon / zig-zag / unitarity
@@ -450,8 +532,8 @@ class SkeletalUTC:
             codes, v = codes[order], v[order]
             starts = np.flatnonzero(np.diff(codes, prepend=-1))  # one per (tree, slot)
             diff = np.abs(np.add.reduceat(v, starts))
-            k = int(np.argmax(diff))
-            if diff[k] > worst:
+            k = int(np.argmax(diff))  # the first NaN, if any
+            if diff[k] > worst or np.isnan(diff[k]) > np.isnan(worst):  # a NaN is kept
                 worst, tree = float(diff[k]), int(codes[starts[k]]) // B ** len(target)
         return worst, tuple(self.ring.labels[x] for x in T[tree, where])
 
@@ -475,7 +557,7 @@ class SkeletalUTC:
         """Largest residual of the conjugate equations over the labels, and
         ρ = max_{x,y} |Σ_z N_xy^z·d_z − d_x·d_y| / (d_x·max d), which is zero
         iff d is the Perron–Frobenius vector of the fusion rules."""
-        zigzag = max(self.conjugate_solution(x).residual for x in self.ring.labels)
+        self._refuse_singular()
         d = 1.0 / np.abs(self._unit_entries)
         rho = np.abs((self.ring._N * d).sum(axis=2) - np.outer(d, d)) / (d[:, None] * d.max())
-        return max(zigzag, float(rho.max()))
+        return float(np.maximum(self._conjugates[2].max(), rho.max()))  # NaN propagates

@@ -1,7 +1,8 @@
 """The JSON wire format of :mod:`utcat.io_schemas`: complex numbers,
 matrices and block keys, read one at a time or in bulk.
 
-A complex number is ``[re, im]`` or a bare real; a matrix is a list of
+A complex number is ``[re, im]`` or a bare real, both finite (the JSON
+tokens NaN and Infinity are refused); a matrix is a list of
 equally long row lists; a block key is a comma/semicolon joined label string
 ("a,b,c;d", "a,b;c").  The bulk readers check a whole payload's numbers,
 matrices or keys with one pass of C-level iteration and numpy, and report
@@ -19,12 +20,9 @@ from .errors import SchemaError
 
 
 def complex_in(v, ptr: str) -> complex:
-    if isinstance(v, (int, float)):
-        return complex(v)
-    if (isinstance(v, (list, tuple)) and len(v) == 2
-            and all(isinstance(t, (int, float)) for t in v)):
-        return complex(v[0], v[1])
-    raise SchemaError(f"expected a complex number as [re, im], got {v!r}", ptr)
+    if _is_complex(v if v.__class__ in _PAIR else (v, 0)):
+        return complex(*v) if v.__class__ in _PAIR else complex(v)
+    raise _entry_error(v, ptr)
 
 
 def complex_out(z) -> list:
@@ -52,17 +50,17 @@ def _is_complex(pair) -> bool:
         v = np.array(pair)
     except (ValueError, TypeError, OverflowError):
         return False
-    return v.shape == (2,) and v.dtype.kind in "biuf"
+    return v.shape == (2,) and v.dtype.kind in "biuf" and bool(np.isfinite(v).all())
 
 
 def complex_array(values: list) -> tuple:
     """(``values`` as one complex array, None), or (None, the position of
-    the first value that is not a real or an [re, im] pair of reals)."""
+    the first value that is not a finite real or an [re, im] pair of them)."""
     pairs = [v if v.__class__ in _PAIR else (v, 0) for v in values]
     try:
         arr = np.array(list(itertools.chain.from_iterable(pairs)))
         ok = (arr.dtype.kind in "biuf" and arr.shape == (2 * len(pairs),)
-              and set(map(len, pairs)) <= {2})
+              and set(map(len, pairs)) <= {2} and bool(np.isfinite(arr).all()))
     except (ValueError, TypeError, OverflowError):
         ok = False
     if ok:  # a view keeps the signs of zeros
@@ -72,7 +70,7 @@ def complex_array(values: list) -> tuple:
 
 
 def _entry_error(v, ptr: str) -> SchemaError:
-    return SchemaError(f"expected a complex number as [re, im], got {v!r}", ptr)
+    return SchemaError(f"expected a finite complex number as [re, im], got {v!r}", ptr)
 
 
 def matrix_in(rows, ptr: str) -> np.ndarray:

@@ -9,7 +9,8 @@ from index_reference import f_index
 from utcat.algebra_object import _rand, pp_check
 from utcat.annulus import _assemble, annulus_basis, build_annulus, z_state
 from utcat.errors import MissingBraiding, PositivityFailure, SupportTooSmall
-from utcat.fixtures import FIXTURE_BUILDERS, fibonacci, ising, su2k, vec_zn
+from utcat.fixtures import (FIXTURE_BUILDERS, fibonacci, ising, mult2_ring, random_blocks, su2k,
+                            vec_zn)
 from utcat.skeletal import SkeletalUTC
 
 
@@ -155,8 +156,10 @@ def test_star_phases_are_the_loop_twists():
     for label in FIXTURE_BUILDERS[name]().ring.labels if label not in ("1", "j0")])
 def test_negated_twist_is_refused(name, label):
     cat = FIXTURE_BUILDERS[name]()
-    twist = cat.twist
-    cat.twist = lambda x: -twist(x) if x == label else twist(x)
+    theta = cat._twists.copy()
+    theta[cat.ring.index[label]] *= -1
+    cat._twists = theta  # the one table of twists that the star reads
+    assert cat.twist(label) == theta[cat.ring.index[label]]
     with pytest.raises(PositivityFailure):
         build_annulus(cat)
 
@@ -222,3 +225,20 @@ def test_contractions_equal_the_tree_reference(name):
             T = _rand(rng, sq.dim)
             assert np.max(np.abs(aref.fiber_action(ann, X, xi, T)
                                  - ref.fiber_action(ann, X, xi, T))) < 1e-12
+
+
+def test_multiplicity_two_contractions_equal_the_tree_reference():
+    # N_xx^x = 2, so the product and the star sum over two-valued slots;
+    # random blocks are no category (their zig-zag residuals differ from the
+    # tree walk's), so only the bends, K and the contractions are compared
+    cat = random_blocks(mult2_ring(), 0)
+    ring, trees = cat.ring, ref.TreeCalculus(cat)
+    for a, b, c in itertools.product(ring.labels, repeat=3):
+        for v in np.eye(ring.N(a, b, c)):
+            for move in ("bend_left", "bend_right", "conj_pair_basis"):
+                got, want = getattr(cat, move)(a, b, c, v), getattr(trees, move)(a, b, c, v)
+                assert np.max(np.abs(got - want)) < 1e-12, (move, a, b, c)
+    ann = _assemble(cat, ring.labels)
+    assert ann.mult[("x", "x", "x")].shape == (2, 2, 2, 2)
+    assert _dict_gap(ann.mult, ref.annulus_mult(cat, ring.labels)) < 1e-12
+    assert _dict_gap(ann.star, ref.annulus_star(cat, ring.labels)) < 1e-12

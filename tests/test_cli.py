@@ -7,7 +7,7 @@ from utcat import io_schemas as io
 from utcat.algebra_object import (AlgebraObject, group_algebra_object,
                                   validate_algebra_object, worst_residual)
 from utcat.annulus import build_annulus
-from utcat import cli
+from utcat import cli, wire
 from utcat.cli import main
 from utcat.errors import SchemaError
 from utcat.fixtures import FIXTURE_BUILDERS, fibonacci, ising, vec_zn
@@ -148,6 +148,43 @@ def test_a_declared_dimension_is_ignored(capsys, tmp_path):
     code, rep = run(capsys, "verify", str(p))
     assert code == 0 and rep["zigzag"] <= 1e-15
     assert io.cat_from_json(raw).d("tau") == pytest.approx((1.0 + np.sqrt(5.0)) / 2.0, abs=1e-15)
+
+
+@pytest.mark.parametrize("token", [float("nan"), float("inf"), [0.0, float("-inf")]])
+def test_a_non_finite_f_entry_in_json_exits_3_at_its_pointer(capsys, tmp_path, token):
+    # a NaN at the unit entry of F[tau,tau,tau;tau] read pentagon -1.0,
+    # hexagon -1.0, zigzag 0.0, "ok": true and exit 0
+    raw = io.cat_to_json(fibonacci())
+    raw["F"]["tau,tau,tau;tau"]["1,1"][0][0] = token
+    p = tmp_path / "fib_nan.json"
+    p.write_text(json.dumps(raw))
+    for cmd in ("validate", "verify"):
+        code, rep = run(capsys, cmd, str(p))
+        assert code == 3 and rep["pointer"] == "/F/tau,tau,tau;tau/1,1/0/0"
+        assert "finite" in rep["error"]
+
+
+@pytest.mark.parametrize("v", [float("nan"), [1.0, float("inf")], (float("-inf"), 0)])
+def test_complex_readers_refuse_non_finite_numbers(v):
+    with pytest.raises(SchemaError) as exc:
+        wire.complex_in(v, "/unit/0")
+    assert exc.value.pointer == "/unit/0"
+    assert wire.complex_array([1.0, [2, 3], v, 4]) == (None, 2)
+
+
+def test_a_nan_f_entry_fails_verify(capsys, monkeypatch):
+    # the residuals propagate the NaN: coherence kept a running maximum that
+    # no NaN exceeds, the zig-zag took Python max, the CLI gated r > tol
+    cat = fibonacci()
+    F = np.array(cat._F)
+    F[cat.ring.f_block("tau", "tau", "tau", "tau")[1]] = np.nan
+    bad = SkeletalUTC.from_buffers(cat.ring, F, cat._R)
+    assert all(np.isnan(bad.coherence(c)[0]) for c in ("pentagon", "hexagon"))
+    assert np.isnan(bad.verify_zigzag())
+    monkeypatch.setattr(cli, "_load_cat", lambda path: bad)
+    code, rep = run(capsys, "verify", "fib")
+    assert code == 2 and rep["ok"] is False
+    assert all(np.isnan(rep[k]) for k in ("pentagon", "hexagon", "zigzag"))
 
 
 def test_worst_location_is_reported_outside_the_residuals(capsys, tmp_path):
@@ -497,6 +534,14 @@ def test_a_count_below_its_minimum_exits_3_naming_the_flag(capsys, argv, flag):
     # that is not JSON; fock --depth -1 exited 2, --moments -2 reported ok
     code, rep = run(capsys, *argv)
     assert code == 3 and flag in rep["error"]
+
+
+@pytest.mark.parametrize("depth, moments", [(0, 1), (0, 2), (1, 3), (2, 5)])
+def test_more_moments_than_twice_the_depth_exits_3_naming_both_flags(capsys, depth, moments):
+    # fock --depth 0 --moments 2 exited 2 with WordTooLong
+    code, rep = run(capsys, "fock", "--depth", str(depth), "--moments", str(moments))
+    assert code == 3 and "--moments" in rep["error"] and "--depth" in rep["error"]
+    assert run(capsys, "fock", "--depth", str(depth), "--moments", str(2 * depth))[0] == 0
 
 
 def test_counts_at_their_minimum_run(capsys):
