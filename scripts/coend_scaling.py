@@ -13,8 +13,9 @@ the benchmark run them:
 - sandwich: 6 `norm_sandwich_check` samples, grades in turn;
 - probe: `faithfulness_probe` with 6 trials;
 
-and the tracemalloc peak (MB) from the coend's construction to the end of
-the probe.  A sandwich violation, or a probe whose cyclic rank is below n,
+and two tracemalloc peaks (MB): of `build_annulus` (ann MB), and from the
+coend's construction to the end of the probe (peak MB); every stage runs
+traced.  A sandwich violation, or a probe whose cyclic rank is below n,
 makes the exit code 1.  The probe bound's known defect
 (`CounterexampleFound`, "vacuum Gram floor … below sandwich bound …", seen
 on the `ising` and `su2_2` coends) is printed, not gated.  Seconds are wall
@@ -96,17 +97,20 @@ def main(argv=None) -> int:
     ap.add_argument("--seed", type=int, default=0)
     args = ap.parse_args(argv)
 
-    print(f"{'input':>7} {'n':>4} {'annulus':>8} {'build':>8} {'gram':>8} {'sandwich':>8}"
-          f" {'probe':>8} {'peak MB':>8}  probe")
+    print(f"{'input':>7} {'n':>4} {'annulus':>8} {'ann MB':>7} {'build':>8} {'gram':>8}"
+          f" {'sandwich':>8} {'probe':>8} {'peak MB':>8}  probe")
     failed = []
     for name, build in builders(args.max_k).items():
         cat = build()
+        tracemalloc.start()
         t0 = time.perf_counter()
         ann = build_annulus(cat)
         seconds = time.perf_counter() - t0
+        ann_peak = tracemalloc.get_traced_memory()[1] / 2**20
+        tracemalloc.stop()
         n, s, peak, faults, note = run(ann, args.seed)
-        print(f"{name:>7} {n:>4} {seconds:>8.4f} {s['build']:>8.4f} {s['gram']:>8.4f}"
-              f" {s['sandwich']:>8.4f} {s['probe']:>8.4f} {peak:>8.2f}  {note}")
+        print(f"{name:>7} {n:>4} {seconds:>8.4f} {ann_peak:>7.2f} {s['build']:>8.4f}"
+              f" {s['gram']:>8.4f} {s['sandwich']:>8.4f} {s['probe']:>8.4f} {peak:>8.2f}  {note}")
         failed += [f"{name}: {f}" for f in faults]
     for line in failed:
         print(line, file=sys.stderr)

@@ -24,16 +24,13 @@ metadata records these phases as ``star_phases[(X, Y)] = θ_X``.  The
 assembled object is validated once; a residual above ``tol`` raises
 :class:`PositivityFailure`.
 
-Both are batched gathers, with no Python loop over labels or basis vectors.
-Every term of the contraction, its labels and all its multiplicity slots,
-is one column of an integer table (:class:`_Terms`), enumerated from the
-fusion rules: a label joins where N is nonzero, and each slot runs below its
-N.  Each factor of a term is gathered from the flat F, F⁻¹, R and
-conjugate-pair (K) buffers of the category at the address of its slots, the
-factors are multiplied, and ``np.bincount`` sums the terms into one flat
-buffer that holds every stack, sliced into ``mult`` and ``star`` at the end.
-The tree walks ``annulus_mult`` and ``annulus_star`` of the test suite's
-``tree_reference`` are the references they are checked against.
+Both are gathers, with no Python loop over labels or basis vectors: the
+terms, with their labels and multiplicity slots as integer columns, are
+enumerated from the fusion rules; each factor is read off the flat F, F⁻¹,
+R and conjugate-pair (K) buffers at the addresses of its slots, and
+``np.bincount`` sums the products into one buffer that holds every stack.
+The product's terms are built for a few basis-tree pairs at a time, which
+bounds the memory of their columns.
 """
 
 from __future__ import annotations
@@ -50,10 +47,11 @@ __all__ = ["build_annulus", "annulus_basis", "z_state"]
 def annulus_basis(cat: SkeletalUTC, S, Y: str) -> list:
     """Basis (X, t) of ⊕_{X∈S} Hom(Y, X̄⊗X), lexicographic in X."""
     ring = cat.ring
-    X = np.flatnonzero(_support(ring, S))
-    n = ring._N[ring.duals[X], X, ring._i(Y)]
-    t = np.arange(n.sum()) - np.repeat(np.cumsum(n) - n, n)
-    return list(zip(np.repeat(np.array(ring.labels)[X], n).tolist(), t.tolist()))
+    out = []
+    for X in sorted(S):
+        for t in range(ring.N(ring.dual[X], X, Y)):
+            out.append((X, t))
+    return out
 
 
 def build_annulus(cat: SkeletalUTC, S=None, tol: float = 1e-9) -> AlgebraObject:
@@ -75,79 +73,47 @@ def build_annulus(cat: SkeletalUTC, S=None, tol: float = 1e-9) -> AlgebraObject:
     return ann
 
 
-def _support(ring, S) -> np.ndarray:
-    """The mask of the labels in S, by label position."""
-    return np.fromiter(map(set(S).__contains__, ring.labels), dtype=bool, count=len(ring.labels))
+_CHUNK = 48  # pairs of basis trees whose product terms are built at once
 
 
 def _loops(ring, S) -> tuple:
     """The basis vectors of every fiber as channel rows (X̄, X, Y, t), X ∈ S,
     and start[X, Y], the position of (X, 0) in the basis of 𝒟(Y)."""
-    ch, dual, inS = ring.channel_rows, ring.duals, _support(ring, S)
+    ch, dual, inS = ring.channel_rows, ring.duals, np.isin(ring.labels, list(S))
     count = ring._N[dual, np.arange(len(dual))] * inS[:, None]  # count[X, Y] = N_X̄X^Y
     return ch[(ch[:, 0] == dual[ch[:, 1]]) & inS[ch[:, 1]]], np.cumsum(count, axis=0) - count
 
 
-class _Terms:
-    """Terms as integer columns of label positions and multiplicity slots,
-    one row of ``cols`` per name."""
-
-    def __init__(self, N: np.ndarray, names: str, cols: np.ndarray):
-        self.N, self.names, self.cols = N, names.split(), cols
-        self.last = [N.transpose(1, 2, 0), N.transpose(0, 2, 1), N]  # axis i of N moved last
-
-    def __getitem__(self, name: str) -> np.ndarray:
-        return self.cols[self.names.index(name)]
-
-    def add(self, names: str, cols: np.ndarray, i=slice(None)):
-        """Only the terms i, with ``cols`` appended as the columns ``names``."""
-        self.cols, self.names = np.vstack([self.cols[:, i], cols]), self.names + names.split()
-
-    def fuse(self, z: str, *triples: str):
-        """Each term once per label ``z`` with N_xy^z > 0 at every triple
-        "x,y,z" of ``triples`` (each names z once, the others are columns)."""
-        ok = True
-        for triple in triples:
-            names = triple.split(",")
-            at = tuple(self[c] for c in names if c != z)
-            ok = ok & (self.last[names.index(z)][at] > 0)
-        i, new = np.nonzero(ok)
-        self.add(z, new, i)
-
-    def slots(self, spec: str):
-        """Each term once per choice of one slot below N_xy^z for every
-        "name=x,y,z" of ``spec``, the slots appended as the columns ``name``."""
-        names, triples = zip(*(t.split("=") for t in spec.split()))
-        x, y, z = (np.array([self.names.index(c) for c in col])
-                   for col in zip(*(t.split(",") for t in triples)))
-        L = len(self.N)  # one flat gather: faster than three index arrays
-        count = self.N.ravel()[(self.cols[x] * L + self.cols[y]) * L + self.cols[z]]
-        total = count.prod(axis=0)
-        i = np.repeat(np.arange(len(total)), total)
-        local = np.arange(len(i)) - np.repeat(np.cumsum(total) - total, total)
-        later = np.ones_like(count)  # the number of choices of the later slots
-        later[:-1] = np.cumprod(count[:0:-1], axis=0)[::-1]
-        slot = np.zeros((len(count), len(i)), dtype=count.dtype)
-        many = count.max(axis=1, initial=0) > 1  # the other slots are all 0
-        slot[many] = local // later[many][:, i] % count[many][:, i]
-        self.add(" ".join(names), slot, i)
+def _fuse(T: dict, name: str, ok: np.ndarray) -> dict:
+    """Each term i of the columns T once per label z with ok[i, z] > 0,
+    z as the column ``name``."""
+    i, z = np.nonzero(ok)
+    return {**{c: col[i] for c, col in T.items()}, name: z}
 
 
-def _scatter(shapes: np.ndarray, blk: np.ndarray, local: np.ndarray, v: np.ndarray,
-             every: bool = False) -> tuple:
-    """The terms v summed into consecutive arrays of ``shapes``, term i at
-    flat position ``local[i]`` of array ``blk[i]``: (the numbers of the
-    arrays where a term lands on a nonzero sum, or of all with ``every``;
-    those arrays)."""
-    size = shapes.prod(axis=1)
-    first = np.cumsum(size) - size
-    addr, total = first[blk] + local, int(size.sum())
-    out = np.bincount(addr, v.real, total) + 1j * np.bincount(addr, v.imag, total)
-    hit = np.full(len(size), every)
-    hit[blk[out[addr] != 0]] = True
-    hit = np.flatnonzero(hit)
-    return hit, [out[lo:lo + n].reshape(shape) for lo, n, shape in
-                 zip(first[hit].tolist(), size[hit].tolist(), shapes[hit].tolist())]
+def _slots(T: dict, N: np.ndarray, **triples) -> dict:
+    """Each term of the columns T once per choice of a slot below N_xy^z for
+    every ``name=(x, y, z)`` of ``triples`` (column names), the slot as the
+    column ``name``."""
+    count = [N[T[x], T[y], T[z]] for x, y, z in triples.values()]
+    total = np.prod(count, axis=0)
+    i = np.repeat(np.arange(len(total)), total)
+    local = np.arange(len(i)) - np.repeat(np.cumsum(total) - total, total)
+    T = {c: col[i] for c, col in T.items()}
+    for name, n in zip(triples, count):  # the first slot runs fastest
+        local, T[name] = np.divmod(local, n[i])
+    return T
+
+
+def _sum_into(shapes: np.ndarray, terms) -> list:
+    """The ``terms`` (array, flat position in it, value) summed into
+    consecutive arrays of ``shapes``."""
+    first = np.concatenate([[0], np.cumsum(shapes.prod(axis=1))])
+    out = np.zeros(first[-1], dtype=complex)
+    for k, at, v in terms:
+        at = first[k] + at
+        out += np.bincount(at, v.real, len(out)) + 1j * np.bincount(at, v.imag, len(out))
+    return [a.reshape(shape) for a, shape in zip(np.split(out, first[1:-1]), shapes.tolist())]
 
 
 def _assemble(cat: SkeletalUTC, S) -> AlgebraObject:
@@ -179,50 +145,60 @@ def _product(cat: SkeletalUTC, loops, start, dim) -> dict:
         ·F[X̄,X̄',X;p]_{(V̄,x,a),(f,m,n)}·R(X,X̄';f)[m,k]
         ·F⁻¹[X̄,X,X̄';p]_{(f,k,n),(Y,t,c)}·F[Y,X̄',X';W]_{(p,c,b),(Z,s,u)}
 
-    (K̂ is K with unit rows), one term per column of a :class:`_Terms` table.
+    (K̂ is K with unit rows), one stack per R-table channel (Y, Z, W).  The
+    terms of a chunk of left factors (X, t) are built at once, which bounds
+    the memory of their columns.
     """
-    ring, dual, rt = cat.ring, cat.ring.duals, cat.ring.rtable
-    i, j = np.divmod(np.arange(len(loops) ** 2), len(loops))
-    T = _Terms(ring._N, "Xb X Y t Xpb Xp Z s", np.vstack([loops[i].T, loops[j].T]))
-    T.fuse("W", "Y,Z,W")
-    T.fuse("p", "Y,Xpb,p", "p,Xp,W")
-    T.fuse("Vb", "Xb,Xpb,Vb", "Vb,X,p")
-    T.add("V", dual[T["Vb"]])
-    T.fuse("f", "Xpb,X,f", "Xb,f,p", "X,Xpb,f")
-    T.slots("u=Y,Z,W c=Y,Xpb,p b=p,Xp,W q=X,Xp,V h=Vb,V,W g=Xpb,Xb,Vb x=Xb,Xpb,Vb "
-            "a=Vb,X,p m=Xpb,X,f n=Xb,f,p k=X,Xpb,f")
-    Xb, X, Y, t, Xpb, Xp, Z, s, W, p, Vb, V, f, u, c, b, q, h, g, x, a, m, n, k = T.cols
-
-    F, R, fa, ra = cat._F, cat._R, cat._faddr, cat._raddr
+    rt = cat.ring.rtable
     e, row, _ = rt.entry_index()
     row = rt.start[e] + row  # the channel row of each entry of K
     K = cat._conj_pairs / np.sqrt(np.bincount(row, np.abs(cat._conj_pairs) ** 2))[row]
+    step = max(1, _CHUNK // max(1, len(loops)))
+    stacks = _sum_into(np.column_stack([rt.size, dim[rt.keys[:, [2, 0, 1]]]]),  # (u, h, t, s)
+                       (_product_terms(cat, K, loops[lo:lo + step], loops, start, dim)
+                        for lo in range(0, len(loops), step)))
+    keys = map(tuple, np.array(cat.ring.labels, dtype=object)[rt.keys].tolist())
+    return {key: m for key, m in zip(keys, stacks) if m.any()}
+
+
+def _product_terms(cat: SkeletalUTC, K, left, right, start, dim) -> tuple:
+    """The terms of the products of the basis trees ``left`` by ``right``:
+    (their stack, their flat position in it, their values)."""
+    N, dual, F, R, fa, ra = cat.ring._N, cat.ring.duals, cat._F, cat._R, cat._faddr, cat._raddr
+    i, j = np.divmod(np.arange(len(left) * len(right)), len(right))
+    T = dict(zip(["Xb", "X", "Y", "t", "Xpb", "Xp", "Z", "s"], [*left[i].T, *right[j].T]))
+    T = _fuse(T, "W", N[T["Y"], T["Z"]])
+    T = _fuse(T, "p", N[T["Y"], T["Xpb"]] * N[:, T["Xp"], T["W"]].T)
+    T = _fuse(T, "Vb", N[T["Xb"], T["Xpb"]] * N[:, T["X"], T["p"]].T)
+    T = _fuse(T, "f", N[T["Xpb"], T["X"]] * N[T["Xb"], :, T["p"]] * N[T["X"], T["Xpb"]])
+    T["V"] = dual[T["Vb"]]
+    T = _slots(T, N, u=("Y", "Z", "W"), c=("Y", "Xpb", "p"), b=("p", "Xp", "W"),
+               q=("X", "Xp", "V"), h=("Vb", "V", "W"), g=("Xpb", "Xb", "Vb"),
+               x=("Xb", "Xpb", "Vb"), a=("Vb", "X", "p"), m=("Xpb", "X", "f"),
+               n=("Xb", "f", "p"), k=("X", "Xpb", "f"))
+    Xb, X, Y, t, Xpb, Xp, Z, s, W, p, Vb, f, V, u, c, b, q, h, g, x, a, m, n, k = T.values()
     v = (np.conj(K[ra((X, Xp, V), q, g)]) * R[ra((Xb, Xpb, Vb), g, x)]
          * np.conj(F[fa((Vb, X, Xp, W), (p, a, b), (V, q, h))])
          * F[fa((Xb, Xpb, X, p), (Vb, x, a), (f, m, n))] * R[ra((X, Xpb, f), m, k)]
          * cat._inverses()[fa((Xb, X, Xpb, p), (Y, t, c), (f, k, n), inverse=True)]
          * F[fa((Y, Xpb, Xp, W), (p, c, b), (Z, s, u))])
-    # one stack (N_YZ^W, n_W, n_Y, n_Z) per R-table channel (Y, Z, W)
-    shapes = np.column_stack([rt.size, dim[rt.keys[:, [2, 0, 1]]]])
-    local = ((u * dim[W] + start[V, W] + h) * dim[Y] + start[X, Y] + t) * dim[Z] + start[Xp, Z] + s
-    hit, parts = _scatter(shapes, rt.number[Y, Z, W], local, v)
-    return dict(zip(map(tuple, np.array(ring.labels, dtype=object)[rt.keys[hit]].tolist()), parts))
+    at = ((u * dim[W] + start[V, W] + h) * dim[Y] + start[X, Y] + t) * dim[Z] + start[Xp, Z] + s
+    return cat.ring.rtable.number[Y, Z, W], at, v
 
 
 def _star(cat: SkeletalUTC, loops, start, dim) -> dict:
     """star[Y] of the annulus: the conjugate K(X̄,X,Y)[t] ∈ Hom(Ȳ, X̄⊗X) of
     t: Y → X̄⊗X, braided by R^{X̄,X} into the X̄ summand of 𝒟(Ȳ), times θ_X̄:
     star[Y][(X̄, s), (X, t)] = θ_X̄·Σ_q R(X̄,X;Ȳ)[s,q]·K(X̄,X,Y)[t,q]."""
-    ring, dual = cat.ring, cat.ring.duals
-    T = _Terms(ring._N, "Xb X Y t", loops.T)
-    T.add("Yb", dual[T["Y"]])
-    T.slots("q=Xb,X,Yb s=X,Xb,Yb")
-    Xb, X, Y, t, Yb, q, s = T.cols
+    dual = cat.ring.duals
+    T = dict(zip(["Xb", "X", "Y", "t"], loops.T))
+    T["Yb"] = dual[T["Y"]]
+    T = _slots(T, cat.ring._N, q=("Xb", "X", "Yb"), s=("X", "Xb", "Yb"))
+    Xb, X, Y, t, Yb, q, s = T.values()
     v = (cat._twists[Xb] * cat._R[cat._raddr((Xb, X, Yb), s, q)]
          * cat._conj_pairs[cat._raddr((Xb, X, Y), t, q)])
-    local = (start[Xb, Yb] + s) * dim[Y] + start[X, Y] + t
-    _, parts = _scatter(np.column_stack([dim[dual], dim]), Y, local, v, every=True)
-    return dict(zip(ring.labels, parts))
+    at = (start[Xb, Yb] + s) * dim[Y] + start[X, Y] + t
+    return dict(zip(cat.ring.labels, _sum_into(np.column_stack([dim[dual], dim]), [(Y, at, v)])))
 
 
 def z_state(ann: AlgebraObject) -> dict:
@@ -233,8 +209,8 @@ def z_state(ann: AlgebraObject) -> dict:
     positive.
     """
     ring = ann.cat.ring
+    bases = annulus_basis(ann.cat, ann.meta.get("support", ring.labels), ring.unit)
     omega = np.zeros(ann.n(ring.unit), dtype=complex)
-    # 𝒟(1) has one basis vector (X, 0) per label X of the support, in order
-    omega[sorted(ann.meta.get("support", ring.labels)).index(ring.unit)] = 1.0
+    omega[bases.index((ring.unit, 0))] = 1.0
     omega, ev = ann.ground().check_state(omega)
     return {"omega": omega, "positivity_floor": float(ev[0]), "unital": True}

@@ -5,9 +5,9 @@ between tensor words is a linear combination of fusion trees built from these
 vertices, and every map the package needs between such trees is a fixed
 contraction of F, F⁻¹ and R blocks.  :meth:`SkeletalUTC.fblock` reads the part
 of one F-block between a left and a right channel as a tensor over its four
-multiplicity indices; the bends and the square-algebra products are written
-with it.  The conjugates and the annulus product and star instead gather
-their entries in bulk, at the flat-buffer addresses of arrays of slots.
+multiplicity indices; the square-algebra products are written with it.  The
+conjugates and the annulus product and star instead gather their entries in
+bulk, at the flat-buffer addresses of arrays of slots.
 
 F-symbol convention used throughout: F[(e,α,β), (f,μ,ν)] is the coefficient of
 the left tree (v^e_α ⊗ id_c)∘u_β in the expansion of the right tree
@@ -52,22 +52,17 @@ modulus 1/d_x (Kitaev, Ann. Phys. 2006, App. E): ``d(x)`` reads it off one
 array of these entries, taken once from the F buffer at ``ring.ftable``'s
 offsets.  No dimension is declared or iterated; :meth:`SkeletalUTC.verify_zigzag`
 checks d against the fusion rules (d_x = FPdim x, Longo–Roberts, K-Theory 1997).
-The conjugate solutions r, r̄ and their zig-zag residuals are arrays over the
-labels read off the same entries, so a NaN entry reaches every residual.
 
-Frobenius bends and the conjugate-pair table K.  Each bend of v ∈ Hom(c, a⊗b)
-is antilinear: conj(v) times the unit-channel column of one F or F⁻¹ block,
-times one conjugate-solution coefficient.  The conjugate of v in
-Hom(c̄, b̄⊗ā) is three bends, so it is conj(v)·K(a, b, c) for one
-N_ab^c × N_ab^c matrix K per channel.  A category builds K for every channel
-once, one stacked product per block size, into a read-only buffer laid out
-as ``ring.rtable``; :meth:`SkeletalUTC.conj_pair_basis`,
-:meth:`~utcat.algebra_object.AlgebraObject.conj_matrix` and the annulus
-product and star read it, and no conjugate is bent vector by vector.
+Frobenius bends and the conjugate-pair table K.  A bend of v ∈ Hom(c, a⊗b)
+is conj(v) times the unit-channel column of one F or F⁻¹ block and one
+conjugate-solution coefficient, so the conjugate of v in Hom(c̄, b̄⊗ā), three
+bends, is conj(v)·K(a, b, c) for one N_ab^c × N_ab^c matrix K per channel.
+Each category builds K once for every channel, one stacked product per block
+size, in a buffer laid out as ``ring.rtable``; no bend is taken per vector.
 
 Inverses and read-only blocks.  F⁻¹ comes from one stacked ``np.linalg.inv``
 per block size (a singular block raises ``LinAlgError``), into a second
-buffer that :meth:`SkeletalUTC.fblock` and the coherence checks read.  It is
+buffer that the coherence checks, K and the annulus product read.  It is
 the inverse, never F†: pentagon and hexagon must report the same residuals
 on non-unitary data, whose unitarity defect
 :meth:`SkeletalUTC.verify_unitarity` reports separately.  Both buffers are
@@ -83,7 +78,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import MissingBraiding, SchemaError, SolveFailed, UnknownLabel
+from .errors import MissingBraiding, SchemaError, SolveFailed
 from .fusion_ring import BlockTable, FusionRing, _encode, _join
 
 __all__ = ["SkeletalUTC", "ConjugateSolution"]
@@ -252,19 +247,14 @@ class SkeletalUTC:
 
     @cached_property
     def _unit_entries(self) -> np.ndarray:
-        """F[x,x̄,x;x] between its unit channels, by label position: the entry
-        at row ``chan[k, 0, unit]`` and column ``chan[k, 1, unit]`` of the
-        block k keyed (x, x̄, x, x)."""
-        ring, t = self.ring, self.ring.ftable
-        x, unit = np.arange(len(ring.labels)), ring.index[ring.unit]
-        k = t.number[x, ring.duals, x, x]
-        return self._F[t.offset[k] + t.chan[k, 0, unit] * t.size[k] + t.chan[k, 1, unit]]
+        """F[x,x̄,x;x] between its unit channels, by label position."""
+        x, unit = np.arange(len(self.ring.labels)), (self.ring.index[self.ring.unit], 0, 0)
+        return self._F[self._faddr((x, self.ring.duals, x, x), unit, unit)]
 
     def _faddr(self, key: tuple, left: tuple, right: tuple, inverse: bool = False) -> np.ndarray:
-        """The flat positions in the F buffer (the F⁻¹ buffer with
-        ``inverse``) of the entries of the blocks F[a,b,c;d] between the left
-        slots (e, α, β) and the right slots (f, μ, ν); ``key``, ``left`` and
-        ``right`` are triples or quadruples of broadcastable integer arrays."""
+        """The flat positions in the F (``inverse``: F⁻¹) buffer of the entries
+        of F[a,b,c;d] between the left slots (e, α, β) and the right slots
+        (f, μ, ν), each given as broadcastable arrays of label positions."""
         t, N = self.ring.ftable, self.ring._N
         (a, b, c, d), (e, al, be), (f, mu, nu) = key, left, right
         k = t.number[a, b, c, d]
@@ -274,22 +264,19 @@ class SkeletalUTC:
 
     def _raddr(self, key: tuple, mu, nu) -> np.ndarray:
         """The flat positions of the entries [μ, ν] of the blocks ``key`` =
-        (a, b, c) in a buffer laid out as ``ring.rtable`` (R, and K of
-        :meth:`conj_pair_matrix`)."""
+        (a, b, c) in a buffer laid out as ``ring.rtable``: R and K."""
         t = self.ring.rtable
         k = t.number[key]
         return t.offset[k] + mu * t.size[k] + nu
 
     @cached_property
-    def _dims(self) -> dict:
-        return dict(zip(self.ring.labels, (1.0 / np.abs(self._unit_entries)).tolist()))
+    def _d(self) -> np.ndarray:
+        """d by label position."""
+        return 1.0 / np.abs(self._unit_entries)
 
     def d(self, x: str) -> float:
         """d_x = 1/|F[x,x̄,x;x]| on the unit channels."""
-        try:
-            return self._dims[x]
-        except KeyError:
-            raise UnknownLabel(x) from None
+        return float(self._d[self.ring._i(x)])
 
     def fmat(self, a, b, c, d) -> np.ndarray:
         """F-matrix mapping right-tree to left-tree coordinates."""
@@ -306,11 +293,10 @@ class SkeletalUTC:
             self._Finv = inv
         return self._Finv
 
-    def fblock(self, a, b, c, d, e, f, inverse: bool = False) -> np.ndarray:
+    def fblock(self, a, b, c, d, e, f) -> np.ndarray:
         """F[a,b,c;d] between the left trees through e and the right trees
         through f, as T[α, β, μ, ν] with α ∈ O(e, a⊗b), β ∈ O(d, e⊗c),
-        μ ∈ O(f, b⊗c), ν ∈ O(d, a⊗f); with ``inverse`` the same slots of F⁻¹,
-        T[α, β, μ, ν] = F⁻¹[(f, μ, ν), (e, α, β)]."""
+        μ ∈ O(f, b⊗c), ν ∈ O(d, a⊗f)."""
         ring = self.ring
         N = ring.N
         shape = (N(a, b, e), N(e, c, d), N(b, c, f), N(a, f, d))
@@ -321,8 +307,6 @@ class SkeletalUTC:
         i, j = int(chan[0, ring.index[e]]), int(chan[1, ring.index[f]])
         rows = slice(i, i + shape[0] * shape[1])
         cols = slice(j, j + shape[2] * shape[3])
-        if inverse:
-            return _view(self._inverses(), blk)[cols, rows].T.reshape(shape)
         return _view(self._F, blk)[rows, cols].reshape(shape)
 
     def rmat(self, a, b, c) -> np.ndarray:
@@ -341,43 +325,32 @@ class SkeletalUTC:
         """θ by label position, summed over the diagonals of the R buffer."""
         if self._R is None:
             raise MissingBraiding("category has no R-symbols")
-        ch, d = self.ring.channel_rows, 1.0 / np.abs(self._unit_entries)
+        ch, d = self.ring.channel_rows, self._d
         x, _, c, m = ch[ch[:, 0] == ch[:, 1]].T
         theta = d[c] * self._R[self._raddr((x, x, c), m, m)]
         return (np.bincount(x, theta.real, len(d)) + 1j * np.bincount(x, theta.imag, len(d))) / d
 
     # ------------------------------------------------------------------
-    # conjugate equations and bending: single F and F⁻¹ entries
+    # conjugate equations and the conjugate-pair table K
     # ------------------------------------------------------------------
 
     def conjugate_solution(self, x: str) -> ConjugateSolution:
-        sol = self._solutions[self.ring._i(x)]
-        if sol is None:
+        i = self.ring._i(x)
+        if abs(self._unit_entries[i]) < 1e-14:
             raise SolveFailed(f"zig-zag system singular for {x}")
-        return sol
-
-    def _refuse_singular(self):
-        """Raise :class:`SolveFailed` at the first label whose unit entry vanishes."""
-        small = np.abs(self._unit_entries) < 1e-14
-        if small.any():
-            self.conjugate_solution(self.ring.labels[int(np.argmax(small))])
-
-    @cached_property
-    def _solutions(self) -> list:
-        """The solution of each label position, None where its unit entry vanishes."""
-        r, rbar, residual = (a.tolist() for a in self._conjugates)
-        return [None if abs(f) < 1e-14 else
-                ConjugateSolution(x, self.dual(x), complex(r[i]), complex(rbar[i]), residual[i])
-                for i, (x, f) in enumerate(zip(self.ring.labels, self._unit_entries))]
+        r, rbar, residual = (a[i] for a in self._conjugates)
+        return ConjugateSolution(x, self.dual(x), complex(r), complex(rbar), float(residual))
 
     @cached_property
     def _conjugates(self) -> tuple:
         """(r, r̄, zig-zag residual) by label position: r = √d_x (the phase
-        pin: positive real) and r̄ = 1/(r·conj f_x), f the unit entries; NaN
-        where f_x = 0."""
+        pin: positive real) and r̄ = 1/(r·conj f_x), f the unit entries.
+        Raises :class:`SolveFailed` if some f vanishes."""
         f = self._unit_entries
-        with np.errstate(divide="ignore", invalid="ignore"):
-            r = np.sqrt(1.0 / np.abs(f))
+        if np.abs(f).min() < 1e-14:
+            self.conjugate_solution(self.ring.labels[np.abs(f).argmin()])  # raises
+        r = np.sqrt(self._d)
+        with np.errstate(invalid="ignore"):  # NaN where f is
             rbar = 1.0 / (r * np.conj(f))
         return r, rbar, self._zigzag_residuals(r, rbar)
 
@@ -388,34 +361,13 @@ class SkeletalUTC:
         The zig-zags (R̄* ⊗ id_x)(id_x ⊗ R_x) and (R* ⊗ id_x̄)(id_x̄ ⊗ R̄_x) are
         r·conj(r̄) and conj(r)·r̄ times the unit-channel entry of F[x,x̄,x;x]
         and of F[x̄,x,x̄;x̄]: the adjoint carries the conjugate coefficient.
-        The residual is the larger distance of the two from 1.
         """
         f = self._unit_entries
         return np.maximum(np.abs(r * np.conj(rbar) * f - 1.0),
                           np.abs(np.conj(r) * rbar * f[self.ring.duals] - 1.0))
 
-    # Frobenius bends.  Both are antilinear in the input coefficients, and so
-    # is the conjugate, read off the table K (see the module docstring).
-
-    def bend_left(self, a: str, b: str, c: str, v: np.ndarray) -> np.ndarray:
-        """Hom(c, a⊗b) -> Hom(b, ā⊗c): v ↦ (id_ā ⊗ v*)(R_a ⊗ id_b), read off
-        the unit-channel column of F⁻¹[ā,a,b;b]."""
-        T = self.fblock(self.dual(a), a, b, b, self.ring.unit, c, inverse=True)[0, 0]
-        return self.conjugate_solution(a).r * (np.conj(v) @ T)
-
-    def bend_right(self, a: str, b: str, c: str, v: np.ndarray) -> np.ndarray:
-        """Hom(c, a⊗b) -> Hom(a, c⊗b̄): v ↦ (v* ⊗ id_b̄)(id_a ⊗ R̄_b), read off
-        the unit-channel column of F[a,b,b̄;a]."""
-        T = self.fblock(a, b, self.dual(b), a, c, self.ring.unit)[:, :, 0, 0]
-        return self.conjugate_solution(b).rbar * (np.conj(v) @ T)
-
-    def conj_pair_basis(self, a: str, b: str, c: str, v: np.ndarray) -> np.ndarray:
-        """The conjugate morphism of v: c -> a⊗b, as a vector in Hom(c̄, b̄⊗ā):
-        bend_right ∘ bend_left ∘ bend_right, which is conj(v)·K(a, b, c)."""
-        return np.conj(v) @ self.conj_pair_matrix(a, b, c)
-
     def conj_pair_matrix(self, a: str, b: str, c: str) -> np.ndarray:
-        """K(a, b, c), the N_ab^c × N_ab^c matrix of :meth:`conj_pair_basis`."""
+        """K(a, b, c): the conjugate of v ∈ O(c, a⊗b) in O(c̄, b̄⊗ā) is conj(v)·K."""
         blk = self.ring.r_block(a, b, c)
         return np.zeros((0, 0), dtype=complex) if blk is None else _view(self._conj_pairs, blk)
 
@@ -427,7 +379,6 @@ class SkeletalUTC:
         F[a,b,b̄;a] through c, T₂ that of F⁻¹[c̄,c,b̄;b̄] through a and T₃ that
         of F[c̄,a,ā;c̄] through b̄; so K = r̄_a·r_c·r̄_b·T₁·conj(T₂)·T₃, one
         stacked product per block size."""
-        self._refuse_singular()
         (r, rbar, _), dual, t = self._conjugates, self.ring.duals, self.ring.rtable
         F, Finv, unit = self._F, self._inverses(), (self.ring.index[self.ring.unit], 0, 0)
         K = np.empty(t.buffer_length, dtype=complex)
@@ -557,7 +508,6 @@ class SkeletalUTC:
         """Largest residual of the conjugate equations over the labels, and
         ρ = max_{x,y} |Σ_z N_xy^z·d_z − d_x·d_y| / (d_x·max d), which is zero
         iff d is the Perron–Frobenius vector of the fusion rules."""
-        self._refuse_singular()
-        d = 1.0 / np.abs(self._unit_entries)
+        zigzag, d = self._conjugates[2], self._d
         rho = np.abs((self.ring._N * d).sum(axis=2) - np.outer(d, d)) / (d[:, None] * d.max())
-        return float(np.maximum(self._conjugates[2].max(), rho.max()))  # NaN propagates
+        return float(np.maximum(zigzag.max(), rho.max()))  # NaN propagates

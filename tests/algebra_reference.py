@@ -26,6 +26,7 @@ import itertools
 import numpy as np
 
 from index_reference import f_index
+from tree_reference import TreeCalculus
 from utcat.coend import GradedElement
 from utcat.errors import SupportTooSmall
 from utcat.gns import min_eig
@@ -74,7 +75,7 @@ def conjugate_distributed(D, dist: dict, pair: tuple) -> dict:
     for (Z, v), vec in dist.items():
         e = np.zeros(ring.N(A, B, Z))
         e[v] = 1.0
-        conj_coeffs = D.cat.conj_pair_basis(A, B, Z, e)
+        conj_coeffs = TreeCalculus(D.cat).conj_pair_basis(A, B, Z, e)
         jvec = D.j(Z, vec)
         Zb = ring.dual[Z]
         for s, K in enumerate(conj_coeffs):

@@ -192,6 +192,16 @@ def _dict_gap(got: dict, want: dict) -> float:
     return gap
 
 
+def _assert_conj_pairs_match(cat, trees):
+    """Row t of K(a, b, c) is the tree walk's conjugate of basis vector t."""
+    for a, b, c in itertools.product(cat.ring.labels, repeat=3):
+        n = cat.ring.N(a, b, c)
+        want = np.array([trees.conj_pair_basis(a, b, c, v) for v in np.eye(n)]).reshape(n, n)
+        got = cat.conj_pair_matrix(a, b, c)
+        assert got.shape == want.shape
+        assert np.max(np.abs(got - want), initial=0.0) < 1e-12, (a, b, c)
+
+
 @pytest.mark.parametrize("name", sorted(REFERENCE_CASES))
 def test_contractions_equal_the_tree_reference(name):
     # every closed-form F/R contraction against the tree walk it replaced,
@@ -207,12 +217,7 @@ def test_contractions_equal_the_tree_reference(name):
         assert abs(cat.d(x) - trees.dim(x)) < 1e-15
     assert abs(cat.verify_zigzag() - max(trees.conjugate_solution(x).residual
                                          for x in ring.labels)) < 1e-15
-    for a, b, c in itertools.product(ring.labels, repeat=3):
-        for v in np.eye(ring.N(a, b, c)):
-            for move in ("bend_left", "bend_right", "conj_pair_basis"):
-                got, want = getattr(cat, move)(a, b, c, v), getattr(trees, move)(a, b, c, v)
-                assert got.shape == want.shape
-                assert np.max(np.abs(got - want), initial=0.0) < 1e-12, (move, a, b, c)
+    _assert_conj_pairs_match(cat, trees)
     ann = _assemble(cat, tuple(ring.labels))
     assert _dict_gap(ann.mult, ref.annulus_mult(cat, ring.labels)) < 1e-12
     assert _dict_gap(ann.star, ref.annulus_star(cat, ring.labels)) < 1e-12
@@ -230,14 +235,10 @@ def test_contractions_equal_the_tree_reference(name):
 def test_multiplicity_two_contractions_equal_the_tree_reference():
     # N_xx^x = 2, so the product and the star sum over two-valued slots;
     # random blocks are no category (their zig-zag residuals differ from the
-    # tree walk's), so only the bends, K and the contractions are compared
+    # tree walk's), so only K and the contractions are compared
     cat = random_blocks(mult2_ring(), 0)
     ring, trees = cat.ring, ref.TreeCalculus(cat)
-    for a, b, c in itertools.product(ring.labels, repeat=3):
-        for v in np.eye(ring.N(a, b, c)):
-            for move in ("bend_left", "bend_right", "conj_pair_basis"):
-                got, want = getattr(cat, move)(a, b, c, v), getattr(trees, move)(a, b, c, v)
-                assert np.max(np.abs(got - want)) < 1e-12, (move, a, b, c)
+    _assert_conj_pairs_match(cat, trees)
     ann = _assemble(cat, ring.labels)
     assert ann.mult[("x", "x", "x")].shape == (2, 2, 2, 2)
     assert _dict_gap(ann.mult, ref.annulus_mult(cat, ring.labels)) < 1e-12

@@ -33,14 +33,9 @@ TEST_ONLY = {
     "boxtimes": "the paper's fusion of Hilbert space objects ℋ₁⊠ℋ₂",
     "ind_faithfulness_probe": "the checkable ingredients of the paper's "
                               "ind-inclusion criterion for finite A",
-    # the library gathers these from the F, R and K buffers in bulk; the
-    # per-channel forms are what the tree walk of the tests computes
-    "bend_left": "the Frobenius bend Hom(c, a⊗b) → Hom(b, ā⊗c)",
-    "bend_right": "the Frobenius bend Hom(c, a⊗b) → Hom(a, c⊗b̄)",
-    "conj_pair_basis": "the conjugate morphism of one vector, conj(v)·K",
+    # the library gathers R and θ from their buffers in bulk
     "rmat": "the R-matrix of one channel",
     "twist": "the ribbon twist θ_x of one label",
-    "annulus_basis": "the basis (X, t) of one fiber of the annulus",
 }
 
 
