@@ -276,7 +276,7 @@ class SkeletalUTC:
 
     def d(self, x: str) -> float:
         """d_x = 1/|F[x,x̄,x;x]| on the unit channels."""
-        return float(self._d[self.ring._i(x)])
+        return self._d.item(self.ring._i(x))
 
     def fmat(self, a, b, c, d) -> np.ndarray:
         """F-matrix mapping right-tree to left-tree coordinates."""
@@ -338,8 +338,9 @@ class SkeletalUTC:
         i = self.ring._i(x)
         if abs(self._unit_entries[i]) < 1e-14:
             raise SolveFailed(f"zig-zag system singular for {x}")
-        r, rbar, residual = (a[i] for a in self._conjugates)
-        return ConjugateSolution(x, self.dual(x), complex(r), complex(rbar), float(residual))
+        r, rbar, residual = self._conjugates
+        return ConjugateSolution(x, self.dual(x), complex(r.item(i)), rbar.item(i),
+                                 residual.item(i))
 
     @cached_property
     def _conjugates(self) -> tuple:
