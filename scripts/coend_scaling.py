@@ -13,10 +13,11 @@ the benchmark run them:
 - sandwich: 6 `norm_sandwich_check` samples, grades in turn;
 - probe: `faithfulness_probe` with 6 trials;
 
-and two tracemalloc peaks (MB): of `build_annulus` (ann MB), and from the
-coend's construction to the end of the probe (peak MB); every stage runs
-traced.  A sandwich violation, or a probe whose cyclic rank is below n,
-makes the exit code 1.  The probe bound's known defect
+and two tracemalloc peaks (MB): of a second, traced `build_annulus` of a
+fresh copy of the category (ann MB), and from the coend's construction to
+the end of the probe (peak MB).  The annulus seconds are untraced; the
+coend stages run traced.  A sandwich violation, or a probe whose cyclic
+rank is below n, makes the exit code 1.  The probe bound's known defect
 (`CounterexampleFound`, "vacuum Gram floor … below sandwich bound …", seen
 on the `ising` and `su2_2` coends) is printed, not gated.  Seconds are wall
 clock of one run; the first row also pays the first calls' imports.  Run:
@@ -102,10 +103,12 @@ def main(argv=None) -> int:
     failed = []
     for name, build in builders(args.max_k).items():
         cat = build()
-        tracemalloc.start()
         t0 = time.perf_counter()
         ann = build_annulus(cat)
         seconds = time.perf_counter() - t0
+        cat = build()
+        tracemalloc.start()
+        build_annulus(cat)
         ann_peak = tracemalloc.get_traced_memory()[1] / 2**20
         tracemalloc.stop()
         n, s, peak, faults, note = run(ann, args.seed)

@@ -47,11 +47,10 @@ __all__ = ["build_annulus", "annulus_basis", "z_state"]
 def annulus_basis(cat: SkeletalUTC, S, Y: str) -> list:
     """Basis (X, t) of ⊕_{X∈S} Hom(Y, X̄⊗X), lexicographic in X."""
     ring = cat.ring
-    out = []
-    for X in sorted(S):
-        for t in range(ring.N(ring.dual[X], X, Y)):
-            out.append((X, t))
-    return out
+    X = np.flatnonzero(np.isin(ring.labels, list(S)))  # label positions, sorted as labels
+    n = ring._N[ring.duals[X], X, ring._i(Y)]
+    t = np.arange(n.sum()) - np.repeat(np.cumsum(n) - n, n)
+    return list(zip(np.repeat(np.array(ring.labels)[X], n).tolist(), t.tolist()))
 
 
 def build_annulus(cat: SkeletalUTC, S=None, tol: float = 1e-9) -> AlgebraObject:
