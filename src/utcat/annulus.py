@@ -47,10 +47,11 @@ __all__ = ["build_annulus", "annulus_basis", "z_state"]
 def annulus_basis(cat: SkeletalUTC, S, Y: str) -> list:
     """Basis (X, t) of ⊕_{X∈S} Hom(Y, X̄⊗X), lexicographic in X."""
     ring = cat.ring
-    X = np.flatnonzero(np.isin(ring.labels, list(S)))  # label positions, sorted as labels
-    n = ring._N[ring.duals[X], X, ring._i(Y)]
-    t = np.arange(n.sum()) - np.repeat(np.cumsum(n) - n, n)
-    return list(zip(np.repeat(np.array(ring.labels)[X], n).tolist(), t.tolist()))
+    out = []
+    for X in sorted(S):
+        for t in range(ring.N(ring.dual[X], X, Y)):
+            out.append((X, t))
+    return out
 
 
 def build_annulus(cat: SkeletalUTC, S=None, tol: float = 1e-9) -> AlgebraObject:
@@ -78,7 +79,8 @@ _CHUNK = 48  # pairs of basis trees whose product terms are built at once
 def _loops(ring, S) -> tuple:
     """The basis vectors of every fiber as channel rows (X̄, X, Y, t), X ∈ S,
     and start[X, Y], the position of (X, 0) in the basis of 𝒟(Y)."""
-    ch, dual, inS = ring.channel_rows, ring.duals, np.isin(ring.labels, list(S))
+    inS = np.fromiter(map(set(S).__contains__, ring.labels), dtype=bool, count=len(ring.labels))
+    ch, dual = ring.channel_rows, ring.duals
     count = ring._N[dual, np.arange(len(dual))] * inS[:, None]  # count[X, Y] = N_X̄X^Y
     return ch[(ch[:, 0] == dual[ch[:, 1]]) & inS[ch[:, 1]]], np.cumsum(count, axis=0) - count
 
