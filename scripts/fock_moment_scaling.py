@@ -4,9 +4,11 @@ At depth n every X-word of length ≤ 2n has an exact vacuum moment, the
 sum over its non-crossing pairings of the covariance η(1) per pair.  For
 each depth the scan builds two families, a 2-index one over A = ℂ from two
 orthonormal vectors of a seeded Haar unitary, and η = Ad(u) + Ad(u)⁻¹ on
-M₂ (η(1) = 2·1).  Words X^k·a·X^k, k ≤ n, with a seeded a ∈ A (not a
-scalar on M₂) put an A letter on every level; their moments are checked
-against the A-valued non-crossing recursion, e.g. E(X·a·X) = η(a) and
+M₂ (η(1) = 2·1).  Words X^k·a·X^k and a·X^k·b·X^k·c, k ≤ n, with seeded
+a, b, c ∈ A (not scalars on M₂) put an A letter on every level and on
+both halves of the moment's split after the k-th X letter (a on the bra,
+b and c on the ket); their moments are checked against the A-valued
+non-crossing recursion, e.g. E(X·a·X) = η(a) and
 E(X²·a·X²) = η(1)·a·η(1) + η(η(a)).  It prints the seconds of
 `build_fock`, the raw and the quotient dimension of every level, and the
 seconds of `vacuum_expectation` over the X-words and over the A-letter
@@ -100,27 +102,40 @@ def sweep(fam, cov) -> tuple:
     return len(words), seconds, worst
 
 
+def a_moment(eta, word) -> np.ndarray:
+    """`nc_a_moment` of a word of ("X", i) letters and elements of A: the
+    A letters next to each other multiply to one."""
+    one = np.eye(eta.algebra.d)
+    As, xs = [one], []
+    for w in word:
+        if isinstance(w, tuple):
+            xs.append(w[1])
+            As.append(one)
+        else:
+            As[-1] = As[-1] @ w
+    return nc_a_moment(eta, As, xs)
+
+
 def a_sweep(fam, rng, per_k: int = 3) -> tuple:
-    """(words, seconds, worst relative deviation) over `per_k` words
-    X^k·a·X^k with seeded X indices for each k ≤ depth, a seeded a ∈ A."""
+    """(words, seconds, worst relative deviation) over `per_k` pairs of
+    words X^k·a·X^k and a·X^k·b·X^k·c with seeded X indices for each
+    k ≤ depth, seeded a, b, c ∈ A."""
     eta, depth = fam.fock.eta, fam.fock.depth
-    one, a = np.eye(eta.algebra.d), eta.algebra.random(rng)
-    cases = []
+    a, b, c = (eta.algebra.random(rng) for _ in range(3))
+    words = []
     for k in range(depth + 1):
         for _ in range(per_k):
-            xs = [eta.index[t]
-                  for t in rng.integers(len(eta.index), size=2 * k)]
-            X = [("X", i) for i in xs]
-            word = X[:k] + [a] + X[k:]
-            want = nc_a_moment(eta, [one] * k + [a] + [one] * k, xs)
-            cases.append((word, want))
+            X = [("X", eta.index[t])
+                 for t in rng.integers(len(eta.index), size=2 * k)]
+            words += [X[:k] + [a] + X[k:], [a] + X[:k] + [b] + X[k:] + [c]]
+    wants = [a_moment(eta, word) for word in words]
     t0 = time.perf_counter()
-    gots = [vacuum_expectation(fam, word) for word, _ in cases]
+    gots = [vacuum_expectation(fam, word) for word in words]
     seconds = time.perf_counter() - t0
     worst = max(float(np.max(np.abs(got - want)))
                 / max(1.0, float(np.max(np.abs(want))))
-                for got, (_, want) in zip(gots, cases))
-    return len(cases), seconds, worst
+                for got, want in zip(gots, wants))
+    return len(words), seconds, worst
 
 
 def dims(values) -> str:

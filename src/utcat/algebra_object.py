@@ -31,6 +31,7 @@ from __future__ import annotations
 
 import dataclasses
 import itertools
+import math
 import weakref
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -378,6 +379,18 @@ def _rand(rng, n: int) -> np.ndarray:
     return rng.normal(size=n) + 1j * rng.normal(size=n)
 
 
+def _fold_max(*vals) -> float:
+    """The largest of vals, or NaN if one of them is NaN.  Python's max and
+    min keep a NaN only as their first argument, so a residual folded with
+    them would drop it and read as passing."""
+    return math.nan if any(v != v for v in vals) else max(vals)
+
+
+def _fold_min(*vals) -> float:
+    """The smallest of vals, or NaN if one of them is NaN (see `_fold_max`)."""
+    return math.nan if any(v != v for v in vals) else min(vals)
+
+
 def _associativity(D: AlgebraObject, rng) -> float:
     """The associativity residual: F-recoupling on random fiber vectors
     ξ, η, ζ drawn from ``rng`` for each (X, Y, Z) of the support.
@@ -405,7 +418,7 @@ def _associativity(D: AlgebraObject, rng) -> float:
                                         for M, t in side if len(M)])
                         for side in (left, right))
             scale = max(1.0, abs(thL).max(), abs(thR).max())
-            worst = max(worst, abs(D.scalar(F).T @ thL - thR).max() / scale)
+            worst = _fold_max(worst, abs(D.scalar(F).T @ thL - thR).max() / scale)
     return float(worst)
 
 
@@ -430,9 +443,9 @@ def validate_algebra_object(D: AlgebraObject, rng=None, tol: float = 1e-9) -> di
         rm = D.mu(X, unit, X)[0]
         L = np.einsum("zxy,x->zy", lm, D.unit)
         R = np.einsum("zxy,y->zx", rm, D.unit)
-        res["unitality"] = max(res["unitality"],
-                               float(np.max(np.abs(L - np.eye(nx)))),
-                               float(np.max(np.abs(R - np.eye(nx)))))
+        res["unitality"] = _fold_max(res["unitality"],
+                                     float(np.max(np.abs(L - np.eye(nx)))),
+                                     float(np.max(np.abs(R - np.eye(nx)))))
 
     res["associativity"] = _associativity(D, rng)
 
@@ -440,10 +453,10 @@ def validate_algebra_object(D: AlgebraObject, rng=None, tol: float = 1e-9) -> di
     for X in sup:
         Xb = ring.dual[X]
         M = D.star[Xb] @ np.conj(D.star[X])
-        res["star_involution"] = max(res["star_involution"],
-                                     float(np.max(np.abs(M - np.eye(D.n(X))))))
-    res["star_involution"] = max(res["star_involution"],
-                                 float(np.max(np.abs(D.j(unit, D.unit) - D.unit))))
+        res["star_involution"] = _fold_max(
+            res["star_involution"], float(np.max(np.abs(M - np.eye(D.n(X))))))
+    res["star_involution"] = _fold_max(
+        res["star_involution"], float(np.max(np.abs(D.j(unit, D.unit) - D.unit))))
 
     # star monoidality: j(𝒟²(ξ⊙η)) = 𝒟²(j(η)⊙j(ξ)), summand by summand
     for X, Y in itertools.product(sup, repeat=2):
@@ -453,8 +466,8 @@ def validate_algebra_object(D: AlgebraObject, rng=None, tol: float = 1e-9) -> di
         for sl in D.layout(ring.dual[Y], ring.dual[X]).slices.values():
             a, b = lhs[sl], rhs[sl]
             scale = max(1.0, float(np.max(np.abs(a))), float(np.max(np.abs(b))))
-            res["star_monoidality"] = max(res["star_monoidality"],
-                                          float(np.max(np.abs(a - b))) / scale)
+            res["star_monoidality"] = _fold_max(
+                res["star_monoidality"], float(np.max(np.abs(a - b))) / scale)
 
     # positivity of the 𝒟(1)-valued Gram on each fiber: the block matrix
     # [L(⟨eᵢ, eₖ⟩)] on the GNS space of 𝒟(1).  A degenerate trace form of
@@ -471,8 +484,8 @@ def validate_algebra_object(D: AlgebraObject, rng=None, tol: float = 1e-9) -> di
     for X in sup:
         G = D.fiber_gram(X)  # (nx, nx, n1)
         M = g.gns.conj(np.einsum("zxy,ikx->ikzy", g.P, G))
-        floor = min(floor, min_eig(M.transpose(0, 2, 1, 3)
-                                   .reshape(len(G) * g.dim, -1)))
+        floor = _fold_min(floor, min_eig(M.transpose(0, 2, 1, 3)
+                                         .reshape(len(G) * g.dim, -1)))
     res["positivity_floor"] = floor
     return res
 
@@ -481,8 +494,9 @@ def worst_residual(res: dict) -> tuple:
     """(name, value) of the largest `validate_algebra_object` residual; the
     positivity floor counts by how far it lies below 0."""
     bad = {k: -v if k == "positivity_floor" else v for k, v in res.items()}
-    key = max(bad, key=bad.get)
-    return key, max(bad[key], 0.0)
+    # a NaN residual is the worst of all
+    key = max(bad, key=lambda k: math.inf if bad[k] != bad[k] else bad[k])
+    return key, _fold_max(bad[key], 0.0)
 
 
 # ---------------------------------------------------------------------------

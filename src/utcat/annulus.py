@@ -21,8 +21,8 @@ for f ∈ Hom(Y, X̄⊗X), j(f) is the conjugate morphism in Hom(Ȳ, X̄⊗X),
 braided by one R block to X⊗X̄ so that it lies in the X̄ summand of 𝒟(Ȳ),
 times the twist θ_X = d_X⁻¹ Σ_c d_c Tr R^{X,X}_c of the loop label.  The
 metadata records these phases as ``star_phases[(X, Y)] = θ_X``.  The
-assembled object is validated once; a residual above ``tol`` raises
-:class:`PositivityFailure`.
+assembled object is validated once; a residual above ``tol``, or a NaN
+one, raises :class:`PositivityFailure`.
 
 Both are gathers, with no Python loop over labels or basis vectors: the
 terms, with their labels and multiplicity slots as integer columns, are
@@ -66,7 +66,7 @@ def build_annulus(cat: SkeletalUTC, S=None, tol: float = 1e-9) -> AlgebraObject:
 
     ann = _assemble(cat, S)
     res = validate_algebra_object(ann, rng=np.random.default_rng(1), tol=tol)
-    if worst_residual(res)[1] > tol:
+    if not worst_residual(res)[1] <= tol:  # a NaN residual fails
         raise PositivityFailure(
             f"assembled annulus object fails its own axioms: {res}")
     ann.meta["residuals"] = res

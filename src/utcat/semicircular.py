@@ -23,9 +23,12 @@ by construction.
 
 A vacuum moment of a word with nx X letters is the inner product of two
 half-word states X_{i₁}···X_{i_k}·P₀* with k ≤ ⌈nx/2⌉, each on the levels
-0…k that a path of k letters from the vacuum can reach.  The pure-X
-halves are cached per family, at most Σ_{k≤depth} |I|^k of them, so once
-they are built a moment costs one product of r₀ columns; it is exact for
+0…k that a path of k letters from the vacuum can reach.  Each half is kept
+with its seed applied: the ket is the state on the vacuum ω₀, one column,
+and the bra the conjugated state with the read-out of level 0 into A
+folded in, d² columns.  The pure-X halves of both kinds are cached per
+family, at most Σ_{k≤depth} |I|^k of each, so once they are built a
+moment costs one product braᵀ·ket of d² entries; it is exact for
 nx ≤ 2·depth.
 """
 
@@ -99,11 +102,12 @@ class BaseAlgebra:
                             + 1j * rng.normal(size=self.dim))
 
 
-@dataclass
+@dataclass(frozen=True)
 class CovarianceMatrix:
     """η: A → A⊗ℒ(ℓ²(I)) as one stack of shape (|I|, |I|, nA, nA):
     stacked[x, y] maps A-coordinates to A-coordinates under
-    η_{index[x] index[y]}, and is read-only."""
+    η_{index[x] index[y]}.  The stack and every field are read-only, so
+    the checks made when it is built hold for its whole life."""
 
     algebra: BaseAlgebra
     index: tuple
@@ -112,21 +116,23 @@ class CovarianceMatrix:
     cp_floor: float = field(init=False)
 
     def __post_init__(self):
-        self.index = tuple(self.index)
+        # a frozen dataclass sets its fields through object.__setattr__
+        object.__setattr__(self, "index", tuple(self.index))
         if not self.index:
             raise ValueError("a covariance needs a nonempty index set I")
-        self.stacked = np.array(self.stacked, dtype=complex, order="C")
+        object.__setattr__(self, "stacked",
+                           np.array(self.stacked, dtype=complex, order="C"))
         want = (len(self.index),) * 2 + (self.algebra.dim,) * 2
         if self.stacked.shape != want:
             raise ValueError(f"η stack has shape {self.stacked.shape}, "
                              f"expected {want}")
         self.stacked.flags.writeable = False
-        self.cp_floor = self._verify_cp()
+        object.__setattr__(self, "cp_floor", self._verify_cp())
         computed = self._row_bound()
         if self.bound is not None and computed > self.bound + 1e-9:
             raise RowBoundFailure(
                 f"row bound {computed:.6f} exceeds declared C = {self.bound}")
-        self.bound = computed
+        object.__setattr__(self, "bound", computed)
 
     def apply(self, i, j, a) -> np.ndarray:
         alg = self.algebra
@@ -152,10 +158,11 @@ class CovarianceMatrix:
         for a single index; for rows of several indices it is a lower
         estimate of the supremum over A.
         """
-        rng = np.random.default_rng(seed)
         alg = self.algebra
-        tests = np.concatenate([alg.basis, np.eye(alg.d)[None]]
-                               + [alg.random(rng)[None] for _ in range(samples)])
+        # one draw in the order of `samples` calls of alg.random
+        z = np.random.default_rng(seed).normal(size=(samples, 2, alg.dim))
+        tests = np.concatenate([alg.basis, np.eye(alg.d)[None],
+                                alg.element(z[:, 0] + 1j * z[:, 1])])
         outs = alg.element(np.einsum("xyqp,tp->xytq", self.stacked,
                                      alg.coords(tests)))
         norms = np.linalg.svd(np.concatenate([outs.reshape(-1, alg.d, alg.d),
@@ -427,15 +434,16 @@ def build_fock(eta: CovarianceMatrix, depth: int) -> TruncatedFock:
 class SemicircularFamily:
     """X_i = T_i + T_i† as level blocks of T_i; dense views on request.
 
-    ``state`` caches the half-word vacuum states X_{i₁}···X_{i_k}·P₀*, at
-    most Σ_{k≤depth} |I|^k of them, so the moments of many words share
+    ``ket`` and ``bra`` cache the two seeded halves of every pure-X word,
+    at most Σ_{k≤depth} |I|^k of each, so the moments of many words share
     their halves.
     """
 
     fock: TruncatedFock
     blocks: dict    # i -> [T_i: level m → m+1 for m < depth]
     _windows: dict = field(default_factory=dict, init=False, repr=False)
-    _states: dict = field(default_factory=dict, init=False, repr=False)
+    _kets: dict = field(default_factory=dict, init=False, repr=False)
+    _bras: dict = field(default_factory=dict, init=False, repr=False)
 
     def window(self, h: int) -> dict:
         """X_i compressed to the levels 0…h (T_i out of level h dropped),
@@ -448,30 +456,46 @@ class SemicircularFamily:
                 self._windows[h][i] = T + T.conj().T
         return self._windows[h]
 
-    def state(self, word: tuple) -> np.ndarray:
-        """X_{i₁}···X_{i_k}·P₀* for word = (i₁, …, i_k), k ≤ depth, read-only.
+    def ket(self, word: tuple) -> np.ndarray:
+        """S·ω₀ for S = X_{i₁}···X_{i_k}·P₀* and word = (i₁, …, i_k),
+        k ≤ depth: one read-only vector on the levels 0…k.  A path of k
+        letters from level 0 never uses T out of level k, so the product
+        is exact in `window(k)`."""
+        return self._half(word, self._kets, False)
 
-        One column per level-0 ONB vector, rows on the levels 0…k: a path
-        of k letters from level 0 never uses T out of level k, so the
-        product is exact in `window(k)`.  Built as window(k)[i₁] applied to
-        the state of (i₂, …, i_k), and cached per word.
-        """
+    def bra(self, word: tuple) -> np.ndarray:
+        """conj(S·from_onb[0]*·B) for the S of `ket` and the matrix units B
+        of A flattened to d² columns, read-only: the read-out of level 0
+        into A is folded in, so that E(l·r) = bra(l̄)ᵀ·ket(r) reshaped to
+        d×d, l̄ the X indices of l reversed."""
+        return self._half(word, self._bras, True)
+
+    def _half(self, word: tuple, cache: dict, conj: bool) -> np.ndarray:
+        """The seeded half of `ket` or `bra` (``conj``), built from that of
+        the word's tail as window(k)[i₁] applied to it, or window(k)[i₁]ᵀ
+        = conj(window(k)[i₁]) on the conjugated bra, and cached per word."""
         try:
-            S = self._states.get(word)
+            S = cache.get(word)
         except TypeError:  # an unhashable index, refused below
             S = None
         if S is None:
-            if len(word) > self.fock.depth:
+            fock = self.fock
+            if len(word) > fock.depth:
                 raise WordTooLong(f"{len(word)} letters exceed the depth "
-                                  f"{self.fock.depth}")
+                                  f"{fock.depth}")
             if word:
-                _index_of(self.fock.eta, word[0])
-                rest = self.state(word[1:])
-                S = self.window(len(word))[word[0]][:, :len(rest)] @ rest
+                _index_of(fock.eta, word[0])
+                rest = self._half(word[1:], cache, conj)
+                W = self.window(len(word))[word[0]]
+                S = (W.T if conj else W)[:, :len(rest)] @ rest
+            elif conj:
+                alg = fock.eta.algebra
+                S = (fock.from_onb[0].conj().T @ alg.basis.reshape(
+                    alg.dim, -1)).conj()
             else:
-                S = np.eye(self.fock.level_dims[0], dtype=complex)
+                S = fock.omega.copy()
             S.flags.writeable = False
-            self._states[word] = S
+            cache[word] = S
         return S
 
 
@@ -492,26 +516,28 @@ def _left_matrix(alg: BaseAlgebra, letter) -> np.ndarray:
     return alg.left_matrix(a)
 
 
-def _half_state(fam: SemicircularFamily, letters, isx, adjoint: bool):
-    """letters·P₀* on the levels 0…k, k the X letters among them (``isx``
-    flags them), with each A letter acting by the adjoint of its block when
-    ``adjoint``.  The pure-X end, which acts first, is the cached
-    `fam.state`."""
+def _seeded_half(fam: SemicircularFamily, letters, isx, conj: bool):
+    """The seeded half of letters·P₀*, on the levels 0…k for k the X
+    letters among them (``isx`` flags them): `fam.bra` when ``conj``, with
+    each A letter acting by the transpose of its block, else `fam.ket`.
+    The pure-X end, which acts first, is read from the family's cache."""
     fock = fam.fock
     j = len(letters)
     while j and isx[j - 1]:
         j -= 1
-    S = fam.state(tuple([w[1] for w in letters[j:]]))
-    k = len(letters) - j
+    word = tuple([w[1] for w in letters[j:]])
+    S = fam.bra(word) if conj else fam.ket(word)
+    k = len(word)
     for t in reversed(range(j)):
         if isx[t]:
             k += 1
             _index_of(fock.eta, letters[t][1])
-            S = fam.window(k)[letters[t][1]][:, :len(S)] @ S
+            W = fam.window(k)[letters[t][1]]
+            S = (W.T if conj else W)[:, :len(S)] @ S
             continue
         L = _left_matrix(fock.eta.algebra, letters[t])
         blocks = [fock.left_block(m, L) for m in range(k + 1)]
-        S = np.concatenate([(B.conj().T if adjoint else B) @ S[fock.offsets[m]]
+        S = np.concatenate([(B.T if conj else B) @ S[fock.offsets[m]]
                             for m, B in enumerate(blocks)])
     return S
 
@@ -527,24 +553,28 @@ def vacuum_expectation(fam: SemicircularFamily, word) -> np.ndarray:
 
         E(w) = P₀·l·r·P₀*·ω₀ = (l*·P₀*)*·(r·P₀*)·ω₀,
 
-    two half states on at most ⌈nx/2⌉ levels: r·P₀* is `_half_state` of r,
-    l*·P₀* that of l reversed with its A letters adjointed.  Their pure-X
-    parts come from the family's state cache, so a sweep over the words of
-    length ≤ 2n builds each of the Σ_{k≤n} |I|^k half states once.
+    read into A through from_onb[0] and the matrix units.  The ket
+    r·P₀*·ω₀ is one column, and the bra conj(l*·P₀*·from_onb[0]*·B) holds
+    that read-out in d² columns, so E(w) is one product braᵀ·ket reshaped
+    to d×d.  The pure-X end of each half comes from the family's caches, so
+    a sweep over the words of length ≤ 2n builds each of the Σ_{k≤n} |I|^k
+    halves of each kind once.  The letters left over act on the seeded
+    half: an A letter by its level blocks on the ket and by their
+    transposes on the bra.
     """
     fock = fam.fock
     # a tuple of matrix rows is an A letter, not ("X", i)
     isx = [isinstance(w, tuple) and len(w) == 2 and isinstance(w[0], str)
            and w[0] == "X" for w in word]
-    xs = [t for t, x in enumerate(isx) if x]
+    xs = list(itertools.compress(range(len(isx)), isx))
     if len(xs) > 2 * fock.depth:
         raise WordTooLong(
             f"{len(xs)} semicircular letters exceed 2·depth = {2 * fock.depth}")
     cut = xs[len(xs) // 2 - 1] + 1 if len(xs) > 1 else 0
-    left = _half_state(fam, word[:cut][::-1], isx[:cut][::-1], True)
-    right = _half_state(fam, word[cut:], isx[cut:], False)
-    ground = left.conj().T @ (right[:len(left)] @ fock.omega)
-    return fock.eta.algebra.element(fock.from_onb[0] @ ground)
+    bra = _seeded_half(fam, word[:cut][::-1], isx[:cut][::-1], True)
+    ket = _seeded_half(fam, word[cut:], isx[cut:], False)
+    d = fock.eta.algebra.d
+    return (bra.T @ ket[:len(bra)]).reshape(d, d)
 
 
 def catalan(m: int) -> int:

@@ -17,6 +17,7 @@ from utcat.algebra_object import (
     pp_check,
     trivial_action_object,
     validate_algebra_object,
+    worst_residual,
 )
 from utcat.annulus import build_annulus
 from utcat.coend import CoendAlgebra, GradedElement, norm_sandwich_check
@@ -105,6 +106,18 @@ def test_the_zero_product_fails_positivity():
     res = validate_algebra_object(zero)
     assert res["positivity_floor"] == -1.0
     assert res["unitality"] == 1.0
+
+
+@pytest.mark.parametrize("key", ["associativity", "unitality", "star_involution",
+                                 "star_monoidality", "positivity_floor"])
+def test_worst_residual_reports_a_nan(key):
+    # max(bad, key=bad.get) keeps a NaN only in the first key: with any
+    # other residual NaN this read ("positivity_floor", 0.5)
+    res = {"associativity": 0.1, "unitality": 0.0, "star_involution": 0.0,
+           "star_monoidality": 0.0, "positivity_floor": -0.5}
+    res[key] = float("nan")
+    got, worst = worst_residual(res)
+    assert got == key and np.isnan(worst)
 
 
 def test_corrupting_mult_is_detected(fib_ann):

@@ -6,10 +6,10 @@ import pytest
 from utcat import io_schemas as io
 from utcat.algebra_object import (AlgebraObject, group_algebra_object,
                                   validate_algebra_object, worst_residual)
-from utcat.annulus import build_annulus
+from utcat.annulus import _assemble, build_annulus
 from utcat import cli, wire
 from utcat.cli import main
-from utcat.errors import SchemaError
+from utcat.errors import PositivityFailure, SchemaError
 from utcat.fixtures import FIXTURE_BUILDERS, fibonacci, ising, vec_zn
 from utcat.skeletal import SkeletalUTC
 from utcat.semicircular import (
@@ -185,6 +185,29 @@ def test_a_nan_f_entry_fails_verify(capsys, monkeypatch):
     code, rep = run(capsys, "verify", "fib")
     assert code == 2 and rep["ok"] is False
     assert all(np.isnan(rep[k]) for k in ("pentagon", "hexagon", "zigzag"))
+
+
+@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+def test_a_nan_f_entry_fails_the_annulus_checks(capsys, monkeypatch):
+    # F[tau,tau,tau;tau][1,1] = NaN read associativity 0.0, unitality 0.0,
+    # star_involution 6.7e-16 and star_monoidality 0.0: each fold took
+    # Python max, which drops a NaN, and only the positivity floor refused it
+    cat = fibonacci()
+    F = np.array(cat._F)
+    _, off, n = cat.ring.f_block("tau", "tau", "tau", "tau")
+    F[off + n + 1] = np.nan
+    bad = SkeletalUTC.from_buffers(cat.ring, F, cat._R)
+    with pytest.raises(PositivityFailure, match="'associativity': nan"):
+        build_annulus(bad)
+    ann = _assemble(bad, bad.ring.labels)
+    monkeypatch.setattr(cli, "_load_cat", lambda path: bad)
+    monkeypatch.setattr(cli, "_load_aobj", lambda cat, path, args=None: ann)
+    code, rep = run(capsys, "aobj-verify", "fib", "annulus")
+    assert code == cli.EXIT_ASSERT and rep["ok"] is False
+    res = rep["residuals"]
+    assert all(np.isnan(res[k]) for k in ("associativity", "unitality",
+                                          "star_involution", "star_monoidality"))
+    assert worst_residual(res)[0] == "associativity"
 
 
 def test_worst_location_is_reported_outside_the_residuals(capsys, tmp_path):

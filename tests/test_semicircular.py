@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import re
 
@@ -213,6 +214,17 @@ def _skew_eta():
                             np.array([[0.0, 2.0], [1.0, 0.0]])[None, None])
 
 
+def _sampled_row_eta():
+    """Two vectors over ℂ ⊕ M₂ with their last column zero: a random sample
+    sets the row bound (20.15), above the basis and the unit (19.28)."""
+    alg = BaseAlgebra((1, 2))
+    rng = np.random.default_rng(49)
+    mask = alg.element(np.ones(alg.dim)).real
+    vs = [(rng.normal(size=(1, 3, 3)) + 1j * rng.normal(size=(1, 3, 3)))
+          * mask @ np.diag([1, 1, 0]) for _ in range(2)]
+    return covariance_from_vectors(vs, alg)
+
+
 # lambdas, since the rotation and block helpers are defined further down
 COVARIANCE_CASES = {
     "eta1": lambda: covariance_from_vectors([np.array([1.0])]),
@@ -224,6 +236,7 @@ COVARIANCE_CASES = {
     "m2_rotation": lambda: _rotation_eta(),
     "blocks_1_2": lambda: _block_vector_eta(),
     "skew_1_1": _skew_eta,
+    "sampled_row": _sampled_row_eta,
 }
 
 
@@ -274,6 +287,49 @@ def test_probe_corner_ranks_match_the_loop(case):
     eta = COVARIANCE_CASES[case]()
     rep = ind_faithfulness_probe(eta)
     assert rep["corner_dims"] == _reference_corner_ranks(eta)
+
+
+def _sequential_row_bound(eta, samples=20, seed=0):
+    """`CovarianceMatrix._row_bound` as it was when it drew its samples
+    with one `alg.random` call each."""
+    rng = np.random.default_rng(seed)
+    alg = eta.algebra
+    tests = np.concatenate([alg.basis, np.eye(alg.d)[None]]
+                           + [alg.random(rng)[None] for _ in range(samples)])
+    outs = alg.element(np.einsum("xyqp,tp->xytq", eta.stacked,
+                                 alg.coords(tests)))
+    norms = np.linalg.svd(np.concatenate([outs.reshape(-1, alg.d, alg.d),
+                                          tests]), compute_uv=False)[:, 0]
+    na = norms[-len(tests):]
+    rows = (norms[:-len(tests)] ** 2).reshape(outs.shape[:3]).sum(axis=1)
+    keep = na >= 1e-14
+    return float(np.max(rows[:, keep] / na[keep] ** 2, initial=0.0))
+
+
+@pytest.mark.parametrize("case", sorted(COVARIANCE_CASES))
+def test_row_bound_samples_are_the_sequential_draws(case):
+    # the 20 samples come from one normal draw, in the stream order of
+    # 20 alg.random calls, so the bound is bit for bit the same
+    eta = COVARIANCE_CASES[case]()
+    assert eta.bound == _sequential_row_bound(eta)
+    if case == "sampled_row":
+        assert eta._row_bound(samples=0) < 0.96 * eta.bound
+
+
+def test_covariance_fields_are_read_only():
+    # cp_floor and the row bound were computed from index and stacked,
+    # which every Fock space and its cached halves are built from
+    eta = COVARIANCE_CASES["pair"]()
+    fields = {"algebra": BaseAlgebra((2,)), "index": (0, 2),
+              "stacked": np.zeros_like(eta.stacked), "bound": 0.0,
+              "cp_floor": 1.0}
+    before = {name: getattr(eta, name) for name in fields}
+    for name, value in fields.items():
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(eta, name, value)
+        assert getattr(eta, name) is before[name]
+    with pytest.raises(ValueError):
+        eta.stacked[0, 0, 0, 0] = 2.0
 
 
 @pytest.mark.parametrize("case", sorted(COVARIANCE_CASES))
@@ -725,10 +781,11 @@ def test_a_letters_on_both_sides_of_the_split(case):
                 + [a[3]] + xs[h + 1:] + [a[4]])
         _assert_walk(fam, word)
     # only pure-X halves are cached
-    assert all(isinstance(k, tuple) for k in fam._states)
+    assert all(isinstance(k, tuple) for k in fam._kets)
+    assert all(isinstance(k, tuple) for k in fam._bras)
 
 
-@pytest.mark.parametrize("case", ["pair", "m2_rotation", "blocks_1_2"])
+@pytest.mark.parametrize("case", ["eta1", "pair", "m2_rotation", "blocks_1_2"])
 def test_state_cache_holds_at_most_one_state_per_x_word(case):
     make, top = GRAM_CASES[case][:2]
     eta = make()
@@ -736,13 +793,21 @@ def test_state_cache_holds_at_most_one_state_per_x_word(case):
     n = fam.fock.depth
     for word in _x_words(eta, n):
         vacuum_expectation(fam, word)
+    # every X-word of length ≤ depth is a half of some word of the sweep
     bound = sum(len(eta.index) ** k for k in range(n + 1))
-    assert len(eta.index) ** n <= len(fam._states) <= bound
-    # words with A letters add no state
-    a = eta.algebra.random(np.random.default_rng(31))
-    for word in _x_words(eta, n):
-        vacuum_expectation(fam, [a] + word + [a])
-    assert len(fam._states) <= bound
+    assert len(fam._kets) == len(fam._bras) == bound
+    # words with A letters add no half, on either side of the split
+    for word in _split_words(eta, n, np.random.default_rng(31)):
+        vacuum_expectation(fam, word)
+    assert len(fam._kets) == len(fam._bras) == bound
+    # a ket is one column, a bra d² columns, and both are read-only
+    d2 = eta.algebra.d ** 2
+    for cache, cols in ((fam._kets, ()), (fam._bras, (d2,))):
+        for key, S in cache.items():
+            assert S.shape == (fam.fock.offsets[len(key)].stop,) + cols
+            assert not S.flags.writeable
+            with pytest.raises(ValueError):
+                S[0] = 1.0
 
 
 def test_moments_and_states_do_not_alias_the_cache():
@@ -754,7 +819,79 @@ def test_moments_and_states_do_not_alias_the_cache():
     got[...] = 7.0
     assert np.array_equal(vacuum_expectation(fam, word), want)
     with pytest.raises(ValueError):
-        fam.state((0, 0))[0, 0] = 1.0
+        fam.ket((0, 0))[0] = 1.0
+    with pytest.raises(ValueError):
+        fam.bra((0, 0))[0, 0] = 1.0
+
+
+# (covariance, depth) of the families whose moments are read on the raw basis
+HALF_CASES = {
+    "eta1": (GRAM_CASES["eta1"][0], 4),
+    "pair": (GRAM_CASES["pair"][0], 3),
+    "m2_rotation": (_rotation_eta, 3),
+    "blocks_1_2": (_block_vector_eta, 2),
+}
+
+
+def _split_words(eta, depth, rng):
+    """Words with A letters on both halves: at both ends, right at the
+    split after the ⌊nx/2⌋-th X letter, and inside each half."""
+    alg, index = eta.algebra, eta.index
+    words = []
+    for nx in range(2 * depth + 1):
+        xs = [("X", index[t]) for t in rng.integers(len(index), size=nx)]
+        h = nx // 2
+        a = [alg.random(rng) for _ in range(5)]
+        words.append([a[0]] + xs[:h] + [a[1]] + xs[h:] + [a[2]])
+        words.append(xs[:h] + [a[3]] + xs[h:])
+        if h:
+            words.append([a[0]] + xs[:1] + [a[1]] + xs[1:h] + [a[2]]
+                         + xs[h:h + 1] + [a[3]] + xs[h + 1:] + [a[4]])
+    return words
+
+
+@pytest.mark.parametrize("case", sorted(HALF_CASES))
+def test_a_letters_on_both_halves_match_the_raw_reference(case):
+    # the bra carries conj(l*·P₀*): an A letter on it acts by the
+    # transpose of its block, on the ket by the block itself
+    make, depth = HALF_CASES[case]
+    eta = make()
+    fock = build_fock(eta, depth)
+    fam, raw = semicircular_ops(fock), RawFock(fock)
+    for word in _split_words(eta, depth, np.random.default_rng(41)):
+        assert _close(vacuum_expectation(fam, word), raw.expectation(word))
+
+
+def _bad_words(fam):
+    """(error, word) pairs: letters the moment refuses, next to X letters
+    whose halves a sweep has cached."""
+    x, n = ("X", 0), fam.fock.depth
+    a = np.eye(fam.fock.eta.algebra.d)
+    return [(UnknownLabel, [x, ("X", 7)]), (UnknownLabel, [x, x, x, ("X", 7)]),
+            (UnknownLabel, [("X", 7), x, x, x]), (UnknownLabel, [x, a, ("X", 7)]),
+            (UnknownLabel, [("X", 7), a, x, x]), (UnknownLabel, [("X", [0]), x]),
+            (LabelMismatch, [x, ("Y", 0), x]), (LabelMismatch, [x, x, ("Y", 0)]),
+            (LabelMismatch, [("Y", 0), x, x]), (LabelMismatch, [x, np.eye(3), x]),
+            (WordTooLong, [x] * (2 * n + 1)), (WordTooLong, [a] + [x] * (2 * n + 1))]
+
+
+def test_bad_words_are_refused_on_a_cache_hit_and_a_miss(id2_family):
+    fresh = semicircular_ops(id2_family.fock)
+    swept = semicircular_ops(id2_family.fock)
+    for word in _x_words(id2_family.fock.eta, id2_family.fock.depth):
+        vacuum_expectation(swept, word)
+    for fam in (fresh, swept):
+        for err, word in _bad_words(fam):
+            with pytest.raises(err) as miss:
+                vacuum_expectation(semicircular_ops(fam.fock), word)
+            with pytest.raises(err) as hit:
+                vacuum_expectation(fam, word)
+            assert str(hit.value) == str(miss.value)
+    for half in (swept.ket, swept.bra):
+        with pytest.raises(WordTooLong, match="5 letters exceed the depth 4"):
+            half((0,) * 5)
+        with pytest.raises(UnknownLabel):
+            half((0, 7))
 
 
 @pytest.mark.parametrize("case", ["pair", "m2_rotation", "blocks_1_2"])
