@@ -1,7 +1,7 @@
 """utcat: numerics for C*-algebra objects internal to unitary tensor categories."""
 
 from .algebra_object import AlgebraObject, validate_algebra_object
-from .annulus import annulus_basis, build_annulus, z_state
+from .annulus import build_annulus, z_state
 from .basis_change import relabel_category
 from .coend import CoendAlgebra
 from .fusion_ring import FusionRing, validate_ring
@@ -11,8 +11,7 @@ from .skeletal import SkeletalUTC
 
 __all__ = [
     "AlgebraObject", "CoendAlgebra", "FusionRing", "HilbertSpaceObject",
-    "SkeletalUTC", "annulus_basis",
-    "build_annulus", "build_fock", "commutant_blocks",
+    "SkeletalUTC", "build_annulus", "build_fock", "commutant_blocks",
     "discreteness_report", "relabel_category", "semicircular_ops",
     "validate_algebra_object", "validate_ring", "z_state",
 ]

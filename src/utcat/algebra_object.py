@@ -8,7 +8,9 @@ bilinear map 𝒟(X)×𝒟(Y) → 𝒟(Z) per tree v ∈ O(Z, X⊗Y), stored per
 as one stack ``mult[(X, Y, Z)]`` of shape (N_XY^Z, n_Z, n_X, n_Y), v along
 the first axis, and read through :meth:`AlgebraObject.mu`; a channel
 without a stack has the zero product.  The constructor refuses a key that
-is not a channel (N_XY^Z > 0) and a stack of any other shape.
+is not a channel (N_XY^Z > 0) and a stack of any other shape, and keeps
+read-only copies: the object is frozen, so its checks hold for its whole
+life, and a changed object is a new one (``dataclasses.replace``).
 
 ``side`` records whether the object lives over the category itself ("cat") or
 its opposite ("op"); the opposite category has conjugated structure scalars,
@@ -35,7 +37,8 @@ import math
 import weakref
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import NamedTuple
+from types import MappingProxyType
+from typing import Mapping, NamedTuple
 
 import numpy as np
 
@@ -76,12 +79,12 @@ class Layout(NamedTuple):
     dim: int
 
 
-@dataclass
+@dataclass(frozen=True)
 class AlgebraObject:
     cat: SkeletalUTC
-    fibers: dict                    # label -> dimension (0 entries allowed)
-    mult: dict                      # (X, Y, Z) -> ndarray (N_XY^Z, n_Z, n_X, n_Y)
-    star: dict                      # label -> ndarray (n_Xbar, n_X)
+    fibers: Mapping                 # label -> dimension (0 entries allowed)
+    mult: Mapping                   # (X, Y, Z) -> ndarray (N_XY^Z, n_Z, n_X, n_Y)
+    star: Mapping                   # label -> ndarray (n_Xbar, n_X)
     unit: np.ndarray                # vector in 𝒟(1)
     side: str = "cat"
     meta: dict = field(default_factory=dict)
@@ -90,9 +93,14 @@ class AlgebraObject:
     _derived: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        self.unit = np.asarray(self.unit, dtype=complex)
-        self.mult = {k: np.asarray(v, dtype=complex) for k, v in self.mult.items()}
-        self.star = {k: np.asarray(v, dtype=complex) for k, v in self.star.items()}
+        # a frozen dataclass sets its fields through object.__setattr__
+        object.__setattr__(self, "unit", np.array(self.unit, dtype=complex))
+        object.__setattr__(self, "fibers", MappingProxyType(dict(self.fibers)))
+        for name in ("mult", "star"):
+            object.__setattr__(self, name, MappingProxyType(
+                {k: np.array(v, dtype=complex) for k, v in getattr(self, name).items()}))
+        for arr in (self.unit, *self.mult.values(), *self.star.values()):
+            arr.flags.writeable = False
         if self.side not in ("cat", "op"):
             raise ValueError(f"side must be 'cat' or 'op', got {self.side!r}")
         ring = self.cat.ring
@@ -107,11 +115,6 @@ class AlgebraObject:
             if arr.shape != want:
                 raise ValueError(f"mult[{key!r}] has shape {arr.shape}, "
                                  f"expected {want}")
-
-    def __copy__(self):
-        """A shallow copy with its own (empty) cache of derived data, so
-        that replacing its ``mult`` or ``star`` is seen by them."""
-        return dataclasses.replace(self)
 
     # -- basic queries -----------------------------------------------------
 
@@ -308,16 +311,6 @@ class SquareAlgebra(StarAlgebra):
         self.layout = D.layout(self.Xb, X)
         self.dim = self.layout.dim
         self.what = f"tr∘E_{X} on 𝒟({self.Xb}⊗{X})"
-
-    def unit(self) -> np.ndarray:
-        return self.include_ground(self.D.unit)
-
-    def include_ground(self, x) -> np.ndarray:
-        """ι : 𝒟(1) → 𝒟(X̄⊗X), ι = 𝒟(R_X*)."""
-        out = np.zeros(self.dim, dtype=complex)
-        r = self.D.scalar(self.D.cat.conjugate_solution(self.X).r)
-        out[self._unit_slice] = r * np.asarray(x)
-        return out
 
     @property
     def _unit_slice(self) -> slice:
@@ -589,6 +582,5 @@ def trivial_action_object(cat: SkeletalUTC) -> AlgebraObject:
 
     Requires every label invertible (d = 1); the lax structure is unitary.
     """
-    obj = group_algebra_object(cat, side="op")
-    obj.meta = {"fixture": "trivial_action"}
-    return obj
+    return dataclasses.replace(group_algebra_object(cat, side="op"),
+                               meta={"fixture": "trivial_action"})

@@ -41,17 +41,7 @@ from .algebra_object import AlgebraObject, validate_algebra_object, worst_residu
 from .errors import MissingBraiding, PositivityFailure, SupportTooSmall
 from .skeletal import SkeletalUTC
 
-__all__ = ["build_annulus", "annulus_basis", "z_state"]
-
-
-def annulus_basis(cat: SkeletalUTC, S, Y: str) -> list:
-    """Basis (X, t) of ⊕_{X∈S} Hom(Y, X̄⊗X), lexicographic in X."""
-    ring = cat.ring
-    out = []
-    for X in sorted(S):
-        for t in range(ring.N(ring.dual[X], X, Y)):
-            out.append((X, t))
-    return out
+__all__ = ["build_annulus", "z_state"]
 
 
 def build_annulus(cat: SkeletalUTC, S=None, tol: float = 1e-9) -> AlgebraObject:
@@ -210,8 +200,9 @@ def z_state(ann: AlgebraObject) -> dict:
     positive.
     """
     ring = ann.cat.ring
-    bases = annulus_basis(ann.cat, ann.meta.get("support", ring.labels), ring.unit)
+    u = ring.index[ring.unit]
+    _, start = _loops(ring, ann.meta.get("support", ring.labels))
     omega = np.zeros(ann.n(ring.unit), dtype=complex)
-    omega[bases.index((ring.unit, 0))] = 1.0
+    omega[start[u, u]] = 1.0
     omega, ev = ann.ground().check_state(omega)
     return {"omega": omega, "positivity_floor": float(ev[0]), "unital": True}

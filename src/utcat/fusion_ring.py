@@ -117,8 +117,9 @@ class FusionRing:
     basis and ((bc)f, (af)d) for the right.  ``rtable`` lists the R-blocks
     (a, b; c).  Every F and R reader goes through them: the category stores
     its blocks in their flat buffers, the JSON schema scatters into them, the
-    coherence checks join against their slots, and arrays of label positions
-    find their blocks in the dense ``number`` arrays.  The basis of block k is
+    coherence checks join against their slots, and label positions (``_i``
+    of a label) find their blocks in the dense ``number`` arrays, the one
+    block lookup: no index is keyed by label strings.  The basis of block k is
     its slot rows, ``start[k]`` … ``start[k] + size[k]`` of ``left`` and
     ``right``: channel first, then multiplicities, the row and column order
     of the block.
@@ -221,32 +222,6 @@ class FusionRing:
         ch = self.channel_rows
         L = len(self.labels)
         return _block_table(_encode(ch[:, :3], L), ch, 3, self.index[self.unit], L)
-
-    @cached_property
-    def _block_lookup(self) -> tuple[dict, dict]:
-        """(block number, buffer offset, size) of every F and R block by label key."""
-        lab = np.array(self.labels, dtype=object)
-        return tuple(dict(zip(map(tuple, lab[t.keys].tolist()),
-                              zip(range(len(t.size)), t.offset.tolist(), t.size.tolist())))
-                     for t in (self.ftable, self.rtable))
-
-    def f_block(self, a: str, b: str, c: str, d: str) -> tuple | None:
-        """(number in ``ftable``, buffer offset, size) of F[a,b,c;d]; None
-        when the block is zero."""
-        blk = self._block_lookup[0].get((a, b, c, d))
-        if blk is None:
-            for x in (a, b, c, d):
-                self._i(x)
-        return blk
-
-    def r_block(self, a: str, b: str, c: str) -> tuple | None:
-        """(number in ``rtable``, buffer offset, size) of R^{a,b}_c; None when
-        N_ab^c = 0."""
-        blk = self._block_lookup[1].get((a, b, c))
-        if blk is None:
-            for x in (a, b, c):
-                self._i(x)
-        return blk
 
     def fusion_closure(self, generators, depth: int) -> tuple:
         """The sorted labels reached from the generators, the unit and their

@@ -147,8 +147,9 @@ class CovarianceMatrix:
                                     alg.star_prods))
         n = alg.dim * len(self.index) * alg.d
         big = big.transpose(0, 1, 4, 2, 3, 5).reshape(n, n)
-        floor = min_eig(big)
-        if floor < -1e-10 * max(1.0, float(np.max(np.abs(big)))):
+        # eigvalsh raises on a non-finite matrix; a NaN floor fails the gate
+        floor = min_eig(big) if np.isfinite(big).all() else math.nan
+        if not floor >= -1e-10 * max(1.0, float(np.max(np.abs(big)))):
             raise CPFailure(f"Choi-type matrix has eigenvalue {floor:.3e}")
         return floor
 
@@ -224,7 +225,8 @@ def covariance_from_automorphisms(alphas,
 
     Each α is a matrix on A-coordinates; unitality, multiplicativity and
     star-compatibility are checked on all basis elements and pairs at once,
-    in that order, each to a Frobenius norm of 1e-10, before inverting.
+    in that order, each to a Frobenius norm of 1e-10, before inverting; a
+    NaN residual fails.
     """
     tol = 1e-10
     if algebra is None:
@@ -240,15 +242,15 @@ def covariance_from_automorphisms(alphas,
             raise NotAnAutomorphism(f"α_{t} has shape {al.shape}")
         img = alg.element(al.T)  # img[x] = α(e_x)
         one = alg.element(al @ alg.unit_coords)
-        if np.linalg.norm(one - np.eye(alg.d)) > tol:
+        if not np.linalg.norm(one - np.eye(alg.d)) <= tol:
             raise NotAnAutomorphism(f"α_{t} is not unital")
         mult = alg.element(prods @ al.T) - img[:, None] @ img[None]
-        if np.max(np.linalg.norm(mult, axis=(2, 3))) > tol:
+        if not np.max(np.linalg.norm(mult, axis=(2, 3))) <= tol:
             raise NotAnAutomorphism(f"α_{t} is not multiplicative")
         star = alg.element(stars @ al.T) - img.conj().transpose(0, 2, 1)
-        if np.max(np.linalg.norm(star, axis=(1, 2))) > tol:
+        if not np.max(np.linalg.norm(star, axis=(1, 2))) <= tol:
             raise NotAnAutomorphism(f"α_{t} does not commute with *")
-        if abs(np.linalg.det(al)) < 1e-12:
+        if not abs(np.linalg.det(al)) >= 1e-12:
             raise NotAnAutomorphism(f"α_{t} is not invertible")
         maps.append(al + np.linalg.inv(al))
     stack = np.zeros((len(maps),) * 2 + (alg.dim,) * 2, dtype=complex)

@@ -28,11 +28,12 @@ the blocks are grouped by size; ``ring.rtable`` does the same for the
 R-blocks.  The slot rows of a block, in order, are its rows and columns:
 channel first, multiplicities after.  A
 category stores its F and R blocks in those flat buffers, so the blocks of
-one size are one (K, n, n) stack.  :meth:`SkeletalUTC.fmat` and
-:meth:`SkeletalUTC.rmat` slice the buffers at the offsets of the table, and
-``_faddr``/``_raddr`` compute the flat address of any array of (key, left
-slot, right slot) entries, a block key being one lookup in the table's dense
-``number``; the JSON schema scatters a payload into them.  The
+one size are one (K, n, n) stack.  Labels become positions at the API
+boundary, and a block key is one lookup in the table's dense ``number``:
+:meth:`SkeletalUTC.fmat`, :meth:`SkeletalUTC.rmat` and the other label-keyed
+reads view a buffer at that block's offset, and ``_faddr``/``_raddr``
+compute the flat address of any array of (key, left slot, right slot)
+entries; the JSON schema scatters a payload into them.  The
 coherence checks read one entry table per category, built on the first
 check from the stacks and the slot rows: each entry of F⁻¹, F, R and R(b,a)†
 is a row (source address, target slot, value), the address being block key
@@ -107,9 +108,15 @@ def _stacks(buf: np.ndarray, t: BlockTable) -> list:
             for n, ids in t.groups]
 
 
-def _view(buf: np.ndarray, blk: tuple) -> np.ndarray:
-    """The block (number, offset, size) ``blk`` of the flat ``buf``."""
-    _, o, n = blk
+def _block(ring: FusionRing, t: BlockTable, buf: np.ndarray, key: tuple) -> np.ndarray:
+    """The block of the labels ``key`` in the flat ``buf`` laid out as ``t``
+    (``ring.ftable``: F or F⁻¹ at (a, b, c, d); ``ring.rtable``: R or K at
+    (a, b, c)), as a view; a (0, 0) array for a zero block.  An unknown label
+    raises :class:`UnknownLabel`."""
+    k = t.number.item(tuple(map(ring._i, key)))
+    if k < 0:
+        return np.zeros((0, 0), dtype=buf.dtype)
+    o, n = t.offset.item(k), t.size.item(k)
     return buf[o:o + n * n].reshape(n, n)
 
 
@@ -144,17 +151,14 @@ def _gathered(ring: FusionRing, kind: str, symbols: dict) -> tuple:
     """The flat ``kind`` buffer and given-block mask of a dict of blocks keyed
     by label tuples."""
     t = ring.ftable if kind == "F" else ring.rtable
-    block = ring.f_block if kind == "F" else ring.r_block
-    buf, given = np.zeros(t.buffer_length, dtype=complex), np.zeros(len(t.size), dtype=bool)
+    buf, given = np.zeros(t.buffer_length, dtype=complex), np.zeros(t.buffer_length, dtype=bool)
     for key, M in symbols.items():
-        blk = block(*key)
-        M, n = np.asarray(M), 0 if blk is None else blk[2]
-        if M.shape != (n, n):
-            raise SchemaError(f"{kind} block {key} has shape {M.shape}, expected {(n, n)}")
-        if blk is not None:
-            buf[blk[1]:blk[1] + n * n] = M.ravel()
-            given[blk[0]] = True
-    return buf, given
+        block, M = _block(ring, t, buf, key), np.asarray(M)
+        if M.shape != block.shape:
+            raise SchemaError(f"{kind} block {key} has shape {M.shape}, expected {block.shape}")
+        block[...] = M
+        _block(ring, t, given, key)[...] = True
+    return buf, given[t.offset]  # a block is given where its first entry is
 
 
 # Both routes of a check, as moves (table, address columns of the tree rows
@@ -238,9 +242,9 @@ class SkeletalUTC:
 
     def _symbols(self, kind: str) -> dict:
         t = self.ring.ftable if kind == "F" else self.ring.rtable
-        buf, lab = self._F if kind == "F" else self._R, self.ring.labels
-        return {tuple(lab[x] for x in t.keys[k]): _view(buf, (k, t.offset[k], t.size[k]))
-                for k in np.flatnonzero(~t.unit_leg)}
+        buf, lab = self._F if kind == "F" else self._R, np.array(self.ring.labels, dtype=object)
+        return {key: _block(self.ring, t, buf, key)
+                for key in map(tuple, lab[t.keys[~t.unit_leg]].tolist())}
 
     def dual(self, x: str) -> str:
         return self.ring.dual[x]
@@ -280,8 +284,7 @@ class SkeletalUTC:
 
     def fmat(self, a, b, c, d) -> np.ndarray:
         """F-matrix mapping right-tree to left-tree coordinates."""
-        blk = self.ring.f_block(a, b, c, d)
-        return np.zeros((0, 0)) if blk is None else _view(self._F, blk)
+        return _block(self.ring, self.ring.ftable, self._F, (a, b, c, d))
 
     def _inverses(self) -> np.ndarray:
         """The F⁻¹ buffer: one stacked inverse per block size, built once."""
@@ -297,24 +300,22 @@ class SkeletalUTC:
         """F[a,b,c;d] between the left trees through e and the right trees
         through f, as T[α, β, μ, ν] with α ∈ O(e, a⊗b), β ∈ O(d, e⊗c),
         μ ∈ O(f, b⊗c), ν ∈ O(d, a⊗f)."""
-        ring = self.ring
-        N = ring.N
-        shape = (N(a, b, e), N(e, c, d), N(b, c, f), N(a, f, d))
+        ring, t = self.ring, self.ring.ftable
+        a, b, c, d, e, f = map(ring._i, (a, b, c, d, e, f))
+        N = ring._mult
+        shape = (N[a][b][e], N[e][c][d], N[b][c][f], N[a][f][d])
         if 0 in shape:
             return np.zeros(shape, dtype=complex)
-        blk = ring.f_block(a, b, c, d)
-        chan = ring.ftable.chan[blk[0]]
-        i, j = int(chan[0, ring.index[e]]), int(chan[1, ring.index[f]])
-        rows = slice(i, i + shape[0] * shape[1])
-        cols = slice(j, j + shape[2] * shape[3])
-        return _view(self._F, blk)[rows, cols].reshape(shape)
+        k = t.number.item(a, b, c, d)
+        i, j, o, n = t.chan.item(k, 0, e), t.chan.item(k, 1, f), t.offset.item(k), t.size.item(k)
+        M = self._F[o:o + n * n].reshape(n, n)
+        return M[i:i + shape[0] * shape[1], j:j + shape[2] * shape[3]].reshape(shape)
 
     def rmat(self, a, b, c) -> np.ndarray:
         """R-matrix O(c, a⊗b) -> O(c, b⊗a) for τ_{a,b}."""
         if self._R is None:
             raise MissingBraiding("category has no R-symbols")
-        blk = self.ring.r_block(a, b, c)
-        return np.zeros((0, 0)) if blk is None else _view(self._R, blk)
+        return _block(self.ring, self.ring.rtable, self._R, (a, b, c))
 
     def twist(self, x: str) -> complex:
         """θ_x = d_x⁻¹ Σ_c d_c Tr R^{x,x}_c, the ribbon twist of x."""
@@ -369,8 +370,7 @@ class SkeletalUTC:
 
     def conj_pair_matrix(self, a: str, b: str, c: str) -> np.ndarray:
         """K(a, b, c): the conjugate of v ∈ O(c, a⊗b) in O(c̄, b̄⊗ā) is conj(v)·K."""
-        blk = self.ring.r_block(a, b, c)
-        return np.zeros((0, 0), dtype=complex) if blk is None else _view(self._conj_pairs, blk)
+        return _block(self.ring, self.ring.rtable, self._conj_pairs, (a, b, c))
 
     @cached_property
     def _conj_pairs(self) -> np.ndarray:

@@ -16,7 +16,8 @@ vectors and :func:`is_positive` the positivity test of an element of a
 one basis tree at a time over the per-key F index, as
 :func:`utcat.algebra_object.validate_algebra_object` once did.
 :func:`coend_basis` lists the graded basis of a coend algebra one element
-at a time, as ``CoendAlgebra.basis`` once did.
+at a time, as ``CoendAlgebra.basis`` once did.  :func:`include_ground` is the
+inclusion 𝒟(1) → 𝒟(X̄⊗X), as ``SquareAlgebra.include_ground`` once read it.
 """
 
 from __future__ import annotations
@@ -203,3 +204,11 @@ def coend_basis(co):
             e = np.zeros(co.dims[X])
             e[i] = 1.0
             yield X, i, GradedElement({X: e})
+
+
+def include_ground(sq, x) -> np.ndarray:
+    """ι(x) ∈ 𝒟(X̄⊗X) for x ∈ 𝒟(1), ι = 𝒟(R_X*): x times r at the unit
+    summand of the square algebra ``sq``; ι(1) is its unit."""
+    out = np.zeros(sq.dim, dtype=complex)
+    out[sq._unit_slice] = sq.D.scalar(sq.D.cat.conjugate_solution(sq.X).r) * np.asarray(x)
+    return out

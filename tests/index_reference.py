@@ -22,7 +22,7 @@ import numpy as np
 
 from utcat.errors import AxiomViolation
 from utcat.fusion_ring import validate_ring
-from utcat.skeletal import SkeletalUTC, _view
+from utcat.skeletal import SkeletalUTC, _block
 
 
 class FIndex(NamedTuple):
@@ -63,8 +63,7 @@ def index_groups(entries) -> dict:
 def finv(cat, a, b, c, d) -> np.ndarray:
     """F[a,b,c;d]⁻¹ as a view of the category's F⁻¹ buffer (LinAlgError if
     any block is singular)."""
-    blk = cat.ring.f_block(a, b, c, d)
-    return np.zeros((0, 0)) if blk is None else _view(cat._inverses(), blk)
+    return _block(cat.ring, cat.ring.ftable, cat._inverses(), (a, b, c, d))
 
 
 def f_keys(ring) -> list:

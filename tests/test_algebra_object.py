@@ -1,4 +1,4 @@
-import copy
+import dataclasses
 import gc
 import weakref
 
@@ -121,25 +121,44 @@ def test_worst_residual_reports_a_nan(key):
 
 
 def test_corrupting_mult_is_detected(fib_ann):
-    D = copy.copy(fib_ann)
-    D.mult = dict(D.mult)
     key = ("tau", "tau", "1")
-    D.mult[key] = D.mult[key] + 0.05
+    D = dataclasses.replace(fib_ann, mult={**fib_ann.mult, key: fib_ann.mult[key] + 0.05})
     res = validate_algebra_object(D, rng=np.random.default_rng(0))
     assert res["associativity"] > 1e-3 or res["star_monoidality"] > 1e-3
 
 
 def test_copy_builds_its_own_derived_algebras(fib_ann):
-    # the original has cached both; a copy whose mult is replaced must not
-    # answer from that cache
+    # the original has cached both; an object built from it with another
+    # mult must not answer from that cache
     fib_ann.ground(), fib_ann.square_algebra("tau")
-    D = copy.copy(fib_ann)
-    D.mult = dict(D.mult)
     key = ("1", "1", "1")
-    D.mult[key] = 2.0 * D.mult[key]
+    D = dataclasses.replace(fib_ann, mult={**fib_ann.mult, key: 2.0 * fib_ann.mult[key]})
     assert D.ground() is not fib_ann.ground()
     assert np.array_equal(D.ground().P, D.mult[key][0])
     assert D.square_algebra("tau") is not fib_ann.square_algebra("tau")
+
+
+def test_an_algebra_object_is_read_only(fib_ann):
+    # the checks of the constructor hold for the object's whole life
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        fib_ann.mult = {}
+    with pytest.raises(TypeError):
+        fib_ann.mult[("1", "1", "1")] = fib_ann.mult[("1", "1", "1")]
+    with pytest.raises(TypeError):
+        fib_ann.star["tau"] = fib_ann.star["tau"]
+    with pytest.raises(TypeError):
+        fib_ann.fibers["tau"] = 5
+    for arr in (fib_ann.mult[("tau", "tau", "1")], fib_ann.star["tau"], fib_ann.unit):
+        with pytest.raises(ValueError, match="read-only"):
+            arr[(0,) * arr.ndim] = 1.0
+
+
+def test_the_stacks_are_copies_of_the_arguments(fib_ann):
+    mult = {k: np.array(v) for k, v in fib_ann.mult.items()}
+    D = dataclasses.replace(fib_ann, mult=mult)
+    mult[("1", "1", "1")][0, 0, 0, 0] = 7.0
+    assert np.array_equal(D.mult[("1", "1", "1")], fib_ann.mult[("1", "1", "1")])
+    assert mult[("1", "1", "1")].flags.writeable
 
 
 def test_derived_algebras_leave_no_reference_cycle():
@@ -164,7 +183,7 @@ def test_ground_and_square_algebras_are_built_once(fib_ann, monkeypatch):
             built.append(type(self).__name__)
             _init(self, *args)
         monkeypatch.setattr(cls, "__init__", counted)
-    D = copy.copy(fib_ann)
+    D = dataclasses.replace(fib_ann)
     for seed in range(2):
         pp_check(D, "tau", 2, seed=seed)
         aref.fiber_norms(D, "tau", np.ones(D.n("tau")))
@@ -218,7 +237,7 @@ def test_square_algebra_star_and_unit(fib_ann):
     sq = fib_ann.square_algebra("tau")
     rng = np.random.default_rng(4)
     a, b = _rand(rng, sq.dim), _rand(rng, sq.dim)
-    one = sq.unit()
+    one = aref.include_ground(sq, fib_ann.unit)
     assert np.max(np.abs(sq.mul(one, a) - a)) < TOL
     assert np.max(np.abs(sq.mul(a, one) - a)) < TOL
     assert np.max(np.abs(sq.star(sq.star(a)) - a)) < TOL
@@ -232,12 +251,12 @@ def test_include_ground_is_unital_star_homomorphism(ising_ann):
     g = ising_ann.ground()
     rng = np.random.default_rng(5)
     x, y = _rand(rng, g.dim), _rand(rng, g.dim)
-    prod = sq.mul(sq.include_ground(x), sq.include_ground(y))
-    assert np.max(np.abs(prod - sq.include_ground(g.mul(x, y)))) < 1e-9
-    st_ = sq.star(sq.include_ground(x))
-    assert np.max(np.abs(st_ - sq.include_ground(g.star(x)))) < 1e-9
-    assert np.max(np.abs(sq.unit()
-                         - sq.include_ground(ising_ann.unit))) < TOL
+    prod = sq.mul(aref.include_ground(sq, x), aref.include_ground(sq, y))
+    assert np.max(np.abs(prod - aref.include_ground(sq, g.mul(x, y)))) < 1e-9
+    st_ = sq.star(aref.include_ground(sq, x))
+    assert np.max(np.abs(st_ - aref.include_ground(sq, g.star(x)))) < 1e-9
+    a = _rand(rng, sq.dim)  # ι(1) is the unit of 𝒟(X̄⊗X)
+    assert np.max(np.abs(sq.mul(aref.include_ground(sq, ising_ann.unit), a) - a)) < TOL
 
 
 # --------------------------------------------------------------------------
@@ -248,8 +267,8 @@ def test_expectation_splits_the_inclusion(fib_ann):
     sq = fib_ann.square_algebra("tau")
     rng = np.random.default_rng(6)
     x = _rand(rng, fib_ann.n("1"))
-    assert np.max(np.abs(sq.expect(sq.include_ground(x)) - x)) < TOL
-    assert np.max(np.abs(sq.expect(sq.unit()) - fib_ann.unit)) < TOL
+    assert np.max(np.abs(sq.expect(aref.include_ground(sq, x)) - x)) < TOL
+    assert np.max(np.abs(sq.expect(aref.include_ground(sq, fib_ann.unit)) - fib_ann.unit)) < TOL
 
 
 def test_expectation_is_bimodular_and_positive(fib_ann):
@@ -259,7 +278,7 @@ def test_expectation_is_bimodular_and_positive(fib_ann):
     for _ in range(5):
         T = _rand(rng, sq.dim)
         x, y = _rand(rng, g.dim), _rand(rng, g.dim)
-        lhs = sq.expect(sq.mul(sq.mul(sq.include_ground(x), T), sq.include_ground(y)))
+        lhs = sq.expect(sq.mul(sq.mul(aref.include_ground(sq, x), T), aref.include_ground(sq, y)))
         rhs = g.mul(g.mul(x, sq.expect(T)), y)
         assert np.max(np.abs(lhs - rhs)) < 1e-9 * max(1.0, np.max(np.abs(rhs)))
         assert aref.is_positive(g, sq.expect(sq.mul(sq.star(T), T)), floor=1e-9)
@@ -272,7 +291,7 @@ def test_expectation_gns_oracle(fib_ann):
     g = fib_ann.ground()
     rng = np.random.default_rng(8)
     n1 = g.dim
-    corner = np.stack([sq.include_ground(np.eye(n1)[i])
+    corner = np.stack([aref.include_ground(sq, np.eye(n1)[i])
                        for i in range(n1)], axis=1)          # dim × n1
     phi_gram = np.zeros((n1, n1), dtype=complex)
     for i in range(n1):
@@ -345,7 +364,7 @@ def test_right_module_axioms(fib_ann):
         T, S = _rand(rng, sq.dim), _rand(rng, sq.dim)
         x = _rand(rng, g.dim)
         # unit acts as identity
-        one = aref.fiber_action(D, X, xi, sq.unit())
+        one = aref.fiber_action(D, X, xi, aref.include_ground(sq, D.unit))
         assert np.max(np.abs(one - xi)) < TOL
         # associativity over the square algebra product
         lhs = aref.fiber_action(D, X, aref.fiber_action(D, X, xi, T), S)
@@ -353,7 +372,7 @@ def test_right_module_axioms(fib_ann):
         assert np.max(np.abs(lhs - rhs)) < 1e-9 * max(1.0, np.max(np.abs(rhs)))
         # ⟨ξ, η ◁ ι(x)⟩ = ⟨ξ, η⟩·x
         lhs = aref.fiber_inner_product(
-            D, X, xi, aref.fiber_action(D, X, eta, sq.include_ground(x)))
+            D, X, xi, aref.fiber_action(D, X, eta, aref.include_ground(sq, x)))
         rhs = g.mul(aref.fiber_inner_product(D, X, xi, eta), x)
         assert np.max(np.abs(lhs - rhs)) < 1e-9 * max(1.0, np.max(np.abs(rhs)))
         # ⟨ξ ◁ T*, η⟩ = ⟨ξ, η ◁ T⟩

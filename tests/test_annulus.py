@@ -7,7 +7,7 @@ import algebra_reference as aref
 import tree_reference as ref
 from index_reference import f_index
 from utcat.algebra_object import _rand, pp_check
-from utcat.annulus import _assemble, annulus_basis, build_annulus, z_state
+from utcat.annulus import _assemble, build_annulus, z_state
 from utcat.errors import MissingBraiding, PositivityFailure, SupportTooSmall
 from utcat.fixtures import (FIXTURE_BUILDERS, fibonacci, ising, mult2_ring, random_blocks, su2k,
                             vec_zn)
@@ -93,7 +93,7 @@ def test_pointed_annulus_is_the_group_algebra():
     n = 5
     ann = build_annulus(vec_zn(n))
     P = ann.mu("g0", "g0", "g0")[0]
-    basis = annulus_basis(ann.cat, ann.meta["support"], "g0")
+    basis = ref.annulus_basis(ann.cat, ann.meta["support"], "g0")
     idx = {X: i for i, (X, t) in enumerate(basis)}
     for i in range(n):
         for j in range(n):
@@ -126,9 +126,22 @@ def test_unbraided_category_raises():
 def test_annulus_basis_enumeration():
     cat = ising()
     S = ("1", "psi", "sigma")
-    assert annulus_basis(cat, S, "1") == [("1", 0), ("psi", 0), ("sigma", 0)]
-    assert annulus_basis(cat, S, "psi") == [("sigma", 0)]
-    assert annulus_basis(cat, S, "sigma") == []
+    assert ref.annulus_basis(cat, S, "1") == [("1", 0), ("psi", 0), ("sigma", 0)]
+    assert ref.annulus_basis(cat, S, "psi") == [("sigma", 0)]
+    assert ref.annulus_basis(cat, S, "sigma") == []
+
+
+@pytest.mark.parametrize("name", sorted(FIXTURE_BUILDERS))
+def test_z_state_reads_the_unit_loop_of_the_listed_basis(name):
+    # ω is the coefficient of the unit loop (1, 0), at its place in the
+    # label-ordered basis of 𝒟(1)
+    cat = FIXTURE_BUILDERS[name]()
+    ann = build_annulus(cat)
+    unit = cat.ring.unit
+    basis = ref.annulus_basis(cat, ann.meta["support"], unit)
+    want = np.zeros(len(basis))
+    want[basis.index((unit, 0))] = 1.0
+    assert np.array_equal(z_state(ann)["omega"], want)
 
 
 @pytest.mark.parametrize("mirror", [False, True])

@@ -80,8 +80,9 @@ def test_tables_and_stacks_equal_the_per_key_reference(name):
     have = set(keys)
     zero = [k for k in itertools.product(lab, repeat=4) if k not in have][:1]
     for key in keys + [(lab[-1], lab[-1], lab[-1], lab[0])] + zero:
-        blk, t = ring.f_block(*key), ring.ftable
-        rows = slice(0, 0) if blk is None else slice(t.start[blk[0]], t.start[blk[0]] + blk[2])
+        t = ring.ftable
+        k = t.number[tuple(ring.index[x] for x in key)]
+        rows = slice(0, 0) if k < 0 else slice(t.start[k], t.start[k] + t.size[k])
         idx = ref.f_index(ring, *key)
         for side, want in ((t.left, idx.left), (t.right, idx.right)):
             assert [(lab[x], i, j) for x, i, j in side[rows].tolist()] == list(want)

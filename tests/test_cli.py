@@ -177,7 +177,8 @@ def test_a_nan_f_entry_fails_verify(capsys, monkeypatch):
     # no NaN exceeds, the zig-zag took Python max, the CLI gated r > tol
     cat = fibonacci()
     F = np.array(cat._F)
-    F[cat.ring.f_block("tau", "tau", "tau", "tau")[1]] = np.nan
+    t, tau = cat.ring.ftable, cat.ring.index["tau"]
+    F[t.offset[t.number[tau, tau, tau, tau]]] = np.nan
     bad = SkeletalUTC.from_buffers(cat.ring, F, cat._R)
     assert all(np.isnan(bad.coherence(c)[0]) for c in ("pentagon", "hexagon"))
     assert np.isnan(bad.verify_zigzag())
@@ -194,8 +195,9 @@ def test_a_nan_f_entry_fails_the_annulus_checks(capsys, monkeypatch):
     # Python max, which drops a NaN, and only the positivity floor refused it
     cat = fibonacci()
     F = np.array(cat._F)
-    _, off, n = cat.ring.f_block("tau", "tau", "tau", "tau")
-    F[off + n + 1] = np.nan
+    t, tau = cat.ring.ftable, cat.ring.index["tau"]
+    k = t.number[tau, tau, tau, tau]
+    F[t.offset[k] + t.size[k] + 1] = np.nan
     bad = SkeletalUTC.from_buffers(cat.ring, F, cat._R)
     with pytest.raises(PositivityFailure, match="'associativity': nan"):
         build_annulus(bad)

@@ -86,6 +86,15 @@ def test_cp_failure():
                                        [[[2.0]], [[1.0]]]])
 
 
+def test_a_nan_stack_is_a_cp_failure():
+    # NaN compared false with the old gate, and the row bound's SVD stopped
+    # it with numpy's LinAlgError
+    with pytest.raises(CPFailure, match="nan"):
+        CovarianceMatrix(BaseAlgebra((1,)), (0,), np.array([[[[np.nan]]]]))
+    with pytest.raises(CPFailure, match="nan"):
+        CovarianceMatrix(BaseAlgebra((2,)), (0,), np.full((1, 1, 4, 4), np.inf))
+
+
 def test_a_stack_of_the_wrong_shape_is_refused():
     # a 3×3 entry on M₂: the message names both shapes
     with pytest.raises(ValueError, match=re.escape(
@@ -379,6 +388,16 @@ def test_rejects_non_automorphisms():
                                       alg)
 
 
+def test_a_nan_automorphism_is_refused():
+    # every gate compared a NaN false; the row bound's SVD stopped it
+    with pytest.raises(NotAnAutomorphism, match="not unital"):
+        covariance_from_automorphisms([np.array([[np.nan]])])
+    alg, al = BaseAlgebra((1, 1)), np.eye(2)
+    al[1, 0] = np.nan  # unital in the first coordinate only
+    with pytest.raises(NotAnAutomorphism):
+        covariance_from_automorphisms([al], alg)
+
+
 def _reference_automorphism_failure(alg, al, tol=1e-10):
     """The first check a loop over basis elements and pairs fails, in the
     order unital, multiplicative, *, invertible; None for an automorphism."""
@@ -554,6 +573,14 @@ def _block_vector_eta(seed=4):
     return covariance_from_vectors(vs, alg)
 
 
+def _haar_pair_eta(seed=5):
+    """Two orthonormal vectors of ℂ² over A = ℂ, the rows of a Haar unitary
+    (as the benchmark's vector families): η = 1, but complex windows."""
+    rng = np.random.default_rng(seed)
+    Q, _ = np.linalg.qr(rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2)))
+    return covariance_from_vectors([Q[0], Q[1]])
+
+
 # (covariance, depth, raw_dims, level_dims)
 GRAM_CASES = {
     "eta1": (lambda: covariance_from_vectors([np.array([1.0])]), 10,
@@ -563,6 +590,7 @@ GRAM_CASES = {
              (1, 2, 4, 8, 16, 32, 64), (1, 2, 4, 8, 16, 32, 64)),
     "m2_rotation": (_rotation_eta, 3, (4, 16, 64, 256), (4, 8, 16, 32)),
     "blocks_1_2": (_block_vector_eta, 2, (5, 50, 500), (5, 10, 20)),
+    "haar_pair": (_haar_pair_eta, 3, (1, 2, 4, 8), (1, 2, 4, 8)),
 }
 
 
@@ -894,7 +922,7 @@ def test_bad_words_are_refused_on_a_cache_hit_and_a_miss(id2_family):
             half((0, 7))
 
 
-@pytest.mark.parametrize("case", ["pair", "m2_rotation", "blocks_1_2"])
+@pytest.mark.parametrize("case", ["pair", "m2_rotation", "blocks_1_2", "haar_pair"])
 def test_moments_with_a_letters_are_noncrossing_pairings(case):
     # E(X_i a X_j) = η_ij(a) and
     # E(X_i a X_j b X_k c X_l) = η_ij(a) b η_kl(c) + η_il(a η_jk(b) c)

@@ -170,18 +170,24 @@ def test_a_scaled_unit_entry_fails_the_zigzag(name, scale):
     ring, t = cat.ring, cat.ring.ftable
     x = ring.labels[1]
     key = (x, ring.dual[x], x, x)
-    k, u = ring.f_block(*key)[0], ring.index[ring.unit]
+    k, u = t.number[tuple(ring.index[y] for y in key)], ring.index[ring.unit]
     F = dict(cat.f_symbols)
     F[key] = np.array(F[key])
     F[key][t.chan[k, 0, u], t.chan[k, 1, u]] *= scale
     assert SkeletalUTC(ring, F, cat.r_symbols).verify_zigzag() >= 0.1
 
 
-def test_verify_zigzag_builds_no_label_key_lookup():
-    # the unit entries are read at the ftable's offsets, not by label key
+def test_block_readers_build_no_label_keyed_block_mapping():
+    # every label-keyed read finds its block through ftable.number or
+    # rtable.number: the ring holds no mapping from (a, b, c) or (a, b, c, d)
     cat = io.cat_from_json(io.cat_to_json(su2k(3)))
     cat.verify_zigzag()
-    assert "_block_lookup" not in vars(cat.ring)
+    j = cat.ring.labels[1:3]
+    cat.fmat(*j, *j), cat.rmat(*j, j[1]), cat.conj_pair_matrix(*j, j[1])
+    cat.fblock(*j, *j, j[0], j[1]), cat.f_symbols, cat.r_symbols
+    held = [x for v in vars(cat.ring).values() for x in (v if isinstance(v, tuple) else (v,))]
+    keys = [k for m in held if isinstance(m, dict) for k in m]
+    assert keys and not any(isinstance(k, tuple) and len(k) in (3, 4) for k in keys)
 
 
 def _mirror(cat):

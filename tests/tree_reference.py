@@ -9,7 +9,8 @@ a time (braid, insert or contract a pair, merge two trees), reading F, F⁻¹ an
 R from the category it wraps; every other attribute reads through to that
 category.  The reference builders at the end assemble the annulus product and
 star, the square-algebra structure tensor and star, and the fiber action by
-walking trees through these moves, as :mod:`utcat` once did.
+walking trees through these moves, as :mod:`utcat` once did, over the basis
+of :func:`annulus_basis`.
 """
 
 from __future__ import annotations
@@ -19,7 +20,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from index_reference import f_index, finv
-from utcat.annulus import annulus_basis
 from utcat.errors import SolveFailed, UnknownLabel
 from utcat.skeletal import ConjugateSolution
 
@@ -488,6 +488,13 @@ class TreeCalculus:
 # ---------------------------------------------------------------------------
 # reference builders: annulus, square algebra, fiber action
 # ---------------------------------------------------------------------------
+
+def annulus_basis(cat, S, Y: str) -> list:
+    """Basis (X, t) of ⊕_{X∈S} Hom(Y, X̄⊗X), lexicographic in X, as
+    ``utcat.annulus.annulus_basis`` once listed it."""
+    ring = cat.ring
+    return [(X, t) for X in sorted(S) for t in range(ring.N(ring.dual[X], X, Y))]
+
 
 def _vec_tree(root, word, coeffs):
     return TreeVector(tuple(word), root,
