@@ -11,11 +11,13 @@ b and c on the ket); their moments are checked against the A-valued
 non-crossing recursion, e.g. E(X·a·X) = η(a) and
 E(X²·a·X²) = η(1)·a·η(1) + η(η(a)).  It prints the seconds of
 `build_fock`, the raw and the quotient dimension of every level, and the
-seconds of `vacuum_expectation` over the X-words and over the A-letter
-words.  A depth whose raw dimensions exceed the `build_fock` cap is
-reported as such (M₂ from depth 5 on).  A deviation above 1e-9 (relative
-to max(1, |moment|)) makes the exit code 1.  Seconds are wall clock, the
-build and the sweeps timed apart.  Run:
+seconds and µs per word of `vacuum_expectation` over the X-words and over
+the A-letter words.  A depth whose level Grams exceed the `build_fock` cap
+is reported as such (M₂ from depth 9 on, the 2-index family from depth 12
+on).  The exit code is 1 on a deviation above 1e-9 (relative to
+max(1, |moment|)), and when, after both sweeps, the family caches more
+than Σ_{k≤depth} |I|^k kets or bras, the bound its docstring states.
+Seconds are wall clock, the build and the sweeps timed apart.  Run:
 
     PYTHONPATH=src python3 scripts/fock_moment_scaling.py --max-depth 6
 """
@@ -152,7 +154,8 @@ def main(argv=None) -> int:
     families = {"pair": pair_family(rng), "m2": m2_family(rng)}
     print(f"{'family':>6} {'depth':>5} {'build s':>8} {'fock dim':>8} "
           f"{'words':>6} {'sweep s':>8} {'us/word':>8} {'max dev':>9} "
-          f"{'a-words':>7} {'a s':>8} {'a dev':>9}  raw dims; level dims")
+          f"{'a-words':>7} {'a s':>8} {'a us/w':>8} {'a dev':>9}  "
+          "raw dims; level dims")
     failed = []
     for depth in range(1, args.max_depth + 1):
         for name, (eta, cov) in families.items():
@@ -168,13 +171,20 @@ def main(argv=None) -> int:
             na, a_seconds, a_worst = a_sweep(fam, rng)
             print(f"{name:>6} {depth:>5} {build:>8.4f} {fock.total_dim:>8} "
                   f"{n:>6} {seconds:>8.4f} {1e6 * seconds / n:>8.1f} "
-                  f"{worst:>9.1e} {na:>7} {a_seconds:>8.4f} {a_worst:>9.1e}  "
+                  f"{worst:>9.1e} {na:>7} {a_seconds:>8.4f} "
+                  f"{1e6 * a_seconds / na:>8.1f} {a_worst:>9.1e}  "
                   f"{dims(fock.raw_dims)}; {dims(fock.level_dims)}")
             for what, dev in (("X-word", worst), ("A-letter", a_worst)):
                 if not dev <= TOL:
-                    failed.append(f"{name} {what} at depth {depth}: {dev:.2e}")
+                    failed.append(f"moment deviation above {TOL:g}: {name} "
+                                  f"{what} at depth {depth}: {dev:.2e}")
+            bound = sum(len(eta.index) ** k for k in range(depth + 1))
+            for what, cache in (("kets", fam._kets), ("bras", fam._bras)):
+                if len(cache) > bound:
+                    failed.append(f"{name} at depth {depth} caches "
+                                  f"{len(cache)} {what}, above {bound}")
     for line in failed:
-        print(f"moment deviation above {TOL:g}: {line}", file=sys.stderr)
+        print(line, file=sys.stderr)
     return 1 if failed else 0
 
 

@@ -116,6 +116,11 @@ class AlgebraObject:
                 raise ValueError(f"mult[{key!r}] has shape {arr.shape}, "
                                  f"expected {want}")
 
+    def __copy__(self) -> "AlgebraObject":
+        # a copy builds its own derived algebras: the cached ones hold a
+        # weak proxy of the object that built them
+        return dataclasses.replace(self)
+
     # -- basic queries -----------------------------------------------------
 
     @property
@@ -392,17 +397,23 @@ def _associativity(D: AlgebraObject, rng) -> float:
     channel (E of X⊗Y on the left, F of Y⊗Z on the right) in the order of
     the table's slot rows, channel first and multiplicities after: the row
     and column order of the block.  The residual is the largest
-    |Fᵀθ_L − θ_R| over W, relative to the larger of 1 and both sides."""
-    cat, ring, sup, worst = D.cat, D.cat.ring, D.support, 0.0
+    |Fᵀθ_L − θ_R| over W, relative to the larger of 1 and both sides.
+    The blocks are read from the F buffer by their numbers in
+    ``ring.ftable``, at the label positions of the support."""
+    ring, sup, worst = D.cat.ring, D.support, 0.0
+    t, buf = ring.ftable, D.cat._F
+    at = {X: ring.index[X] for X in sup}
     for X, Y, Z in itertools.product(sup, repeat=3):
         xi, eta, zeta = _rand(rng, D.n(X)), _rand(rng, D.n(Y)), _rand(rng, D.n(Z))
         # μ(X, Y, E)(ξ, η) stacked over α, per E; μ(Y, Z, F)(η, ζ) over μ, per F
         xy = [(E, D.mu(X, Y, E) @ eta @ xi) for E, _ in ring.channels(X, Y)]
         yz = [(Fc, D.mu(Y, Z, Fc) @ zeta @ eta) for Fc, _ in ring.channels(Y, Z)]
         for W in sup:
-            F, nw = cat.fmat(X, Y, Z, W), D.n(W)
-            if not F.size:
+            k = t.number.item(at[X], at[Y], at[Z], at[W])
+            if k < 0:  # a zero block
                 continue
+            o, n, nw = t.offset.item(k), t.size.item(k), D.n(W)
+            F = buf[o:o + n * n].reshape(n, n)
             # rows (α, β) of channel E and (μ, ν) of channel F; a channel
             # without a tree to W has no rows
             left = [(D.mu(E, Z, W) @ zeta, t) for E, t in xy]

@@ -27,9 +27,12 @@ half-word states X_{i₁}···X_{i_k}·P₀* with k ≤ ⌈nx/2⌉, each on the
 with its seed applied: the ket is the state on the vacuum ω₀, one column,
 and the bra the conjugated state with the read-out of level 0 into A
 folded in, d² columns.  The pure-X halves of both kinds are cached per
-family, at most Σ_{k≤depth} |I|^k of each, so once they are built a
-moment costs one product braᵀ·ket of d² entries; it is exact for
-nx ≤ 2·depth.
+family, at most Σ_{k≤depth} |I|^k of each, and each family resolves the
+letters ("X", i) through one table built once, so once the halves are
+built a pure-X word costs one table read per letter, two cache reads and
+one product braᵀ·ket of d² entries; it is exact for nx ≤ 2·depth.
+`build_fock` caps the rows of the Grams it cuts, nA + Σ_m P·r_{m−1},
+not the raw dimension.
 """
 
 from __future__ import annotations
@@ -264,7 +267,7 @@ def covariance_from_automorphisms(alphas,
 # ---------------------------------------------------------------------------
 
 MAX_DEPTH = 12    # deepest truncation `build_fock` builds
-DIM_CAP = 4096    # largest total raw dimension Σ_m nA·(nA·nI)^m it builds
+DIM_CAP = 4096    # most rows of the level Grams it cuts, nA + Σ_m P·r_{m−1}
 
 
 def _index_of(eta: CovarianceMatrix, i) -> int:
@@ -420,22 +423,33 @@ def _kronecker_cuts(C: np.ndarray, depth: int):
 
 
 def build_fock(eta: CovarianceMatrix, depth: int) -> TruncatedFock:
-    """Assemble the inner products of 𝒳^{⊠m} for m ≤ depth and quotient."""
+    """Assemble the inner products of 𝒳^{⊠m} for m ≤ depth and quotient.
+
+    The cap is on the Grams that are cut: nA rows on level 0 and P·r_{m−1}
+    on level m, P = nA·nI.  Their running sum is checked against `DIM_CAP`
+    before each level's Gram is formed, so a quotient that stays small is
+    built to the depth asked, whatever its raw dimension."""
     if depth > MAX_DEPTH:
         raise DimensionCap(f"depth {depth} exceeds the maximum {MAX_DEPTH}")
     nA, nI = eta.algebra.dim, len(eta.index)
-    raw_dims = tuple(nA * (nA * nI) ** m for m in range(depth + 1))
-    for m, total in enumerate(itertools.accumulate(raw_dims)):
+    levels = level_cuts(eta, depth)
+    cuts, total = [], 0
+    for m in range(depth + 1):
+        total += nA * nI * cuts[-1].rank if cuts else nA
         if total > DIM_CAP:
-            raise DimensionCap(
-                f"raw dimension exceeds the cap {DIM_CAP} at level {m}")
-    return TruncatedFock(eta, raw_dims, tuple(level_cuts(eta, depth)))
+            raise DimensionCap(f"the level Grams up to level {m} have {total} "
+                               f"rows in all, above the cap {DIM_CAP}")
+        cuts.append(next(levels))
+    raw_dims = tuple(nA * (nA * nI) ** m for m in range(depth + 1))
+    return TruncatedFock(eta, raw_dims, tuple(cuts))
 
 
 @dataclass
 class SemicircularFamily:
     """X_i = T_i + T_i† as level blocks of T_i; dense views on request.
 
+    ``letters`` maps each word letter ("X", i) to the id i of η's index
+    set, built once, so a word is resolved by one table read per letter.
     ``ket`` and ``bra`` cache the two seeded halves of every pure-X word,
     at most Σ_{k≤depth} |I|^k of each, so the moments of many words share
     their halves.
@@ -443,9 +457,13 @@ class SemicircularFamily:
 
     fock: TruncatedFock
     blocks: dict    # i -> [T_i: level m → m+1 for m < depth]
+    letters: dict = field(init=False, repr=False)
     _windows: dict = field(default_factory=dict, init=False, repr=False)
     _kets: dict = field(default_factory=dict, init=False, repr=False)
     _bras: dict = field(default_factory=dict, init=False, repr=False)
+
+    def __post_init__(self):
+        self.letters = {("X", i): i for i in self.fock.eta.index}
 
     def window(self, h: int) -> dict:
         """X_i compressed to the levels 0…h (T_i out of level h dropped),
@@ -506,8 +524,15 @@ def semicircular_ops(fock: TruncatedFock) -> SemicircularFamily:
         fock, {i: fock.creation_blocks(i) for i in fock.eta.index})
 
 
-def _left_matrix(alg: BaseAlgebra, letter) -> np.ndarray:
-    """`left_matrix` of a word letter that is not ("X", i)."""
+def _left_matrix(eta: CovarianceMatrix, letter) -> np.ndarray:
+    """`left_matrix` of a word letter outside the family's letter table:
+    a d×d matrix of A.  An ("X", i) letter with i outside η's index set
+    raises `UnknownLabel`, any other letter `LabelMismatch`."""
+    # a tuple of matrix rows falls through to the A letters
+    if (isinstance(letter, tuple) and len(letter) == 2
+            and isinstance(letter[0], str) and letter[0] == "X"):
+        _index_of(eta, letter[1])
+    alg = eta.algebra
     try:
         a = np.asarray(letter, dtype=complex)
     except (TypeError, ValueError):
@@ -518,26 +543,25 @@ def _left_matrix(alg: BaseAlgebra, letter) -> np.ndarray:
     return alg.left_matrix(a)
 
 
-def _seeded_half(fam: SemicircularFamily, letters, isx, conj: bool):
-    """The seeded half of letters·P₀*, on the levels 0…k for k the X
-    letters among them (``isx`` flags them): `fam.bra` when ``conj``, with
-    each A letter acting by the transpose of its block, else `fam.ket`.
-    The pure-X end, which acts first, is read from the family's cache."""
+# the resolved id of a word letter outside a family's letter table
+_OTHER = object()
+
+
+def _seeded_half(fam: SemicircularFamily, S: np.ndarray, letters, ids: tuple,
+                 k: int, conj: bool) -> np.ndarray:
+    """letters·S for a seeded half S of `fam.bra` (``conj``) or `fam.ket` on
+    the levels 0…k, the last letter acting first; ``ids`` holds the id of
+    each X letter, `_OTHER` for the other letters.  An X letter acts by
+    window(k+1)[i], or its transpose on the bra, an A letter by its level
+    blocks on the ket and by their transposes on the bra."""
     fock = fam.fock
-    j = len(letters)
-    while j and isx[j - 1]:
-        j -= 1
-    word = tuple([w[1] for w in letters[j:]])
-    S = fam.bra(word) if conj else fam.ket(word)
-    k = len(word)
-    for t in reversed(range(j)):
-        if isx[t]:
+    for t in reversed(range(len(ids))):
+        if ids[t] is not _OTHER:
             k += 1
-            _index_of(fock.eta, letters[t][1])
-            W = fam.window(k)[letters[t][1]]
+            W = fam.window(k)[ids[t]]
             S = (W.T if conj else W)[:, :len(S)] @ S
             continue
-        L = _left_matrix(fock.eta.algebra, letters[t])
+        L = _left_matrix(fock.eta, letters[t])
         blocks = [fock.left_block(m, L) for m in range(k + 1)]
         S = np.concatenate([(B.T if conj else B) @ S[fock.offsets[m]]
                             for m, B in enumerate(blocks)])
@@ -563,19 +587,48 @@ def vacuum_expectation(fam: SemicircularFamily, word) -> np.ndarray:
     halves of each kind once.  The letters left over act on the seeded
     half: an A letter by its level blocks on the ket and by their
     transposes on the bra.
+
+    Each letter is resolved by one read of ``fam.letters``, and the split
+    and the two cache keys come from the resolved ids, so a pure-X word
+    costs one table read per letter, two cache reads and one product.
     """
-    fock = fam.fock
-    # a tuple of matrix rows is an A letter, not ("X", i)
-    isx = [isinstance(w, tuple) and len(w) == 2 and isinstance(w[0], str)
-           and w[0] == "X" for w in word]
-    xs = list(itertools.compress(range(len(isx)), isx))
-    if len(xs) > 2 * fock.depth:
+    get, ids = fam.letters.get, []
+    for w in word:
+        try:
+            # the table holds tuples only, so an A matrix is never hashed
+            ids.append(get(w, _OTHER) if type(w) is tuple else _OTHER)
+        except TypeError:  # a tuple of matrix rows, or an unhashable index
+            ids.append(_OTHER)
+    ids = tuple(ids)
+    nx = len(ids) - ids.count(_OTHER)
+    depth = fam.fock.depth
+    if nx > 2 * depth:
         raise WordTooLong(
-            f"{len(xs)} semicircular letters exceed 2·depth = {2 * fock.depth}")
-    cut = xs[len(xs) // 2 - 1] + 1 if len(xs) > 1 else 0
-    bra = _seeded_half(fam, word[:cut][::-1], isx[:cut][::-1], True)
-    ket = _seeded_half(fam, word[cut:], isx[cut:], False)
-    d = fock.eta.algebra.d
+            f"{nx} semicircular letters exceed 2·depth = {2 * depth}")
+    # the positions of the X letters; the split falls after the ⌊nx/2⌋-th
+    xs = (range(nx) if nx == len(ids)
+          else [t for t, i in enumerate(ids) if i is not _OTHER])
+    cut = xs[nx // 2 - 1] + 1 if nx > 1 else 0
+    # the pure-X ends: the letters before the first letter outside the
+    # table (the bra's, read backwards) and after the last one (the ket's)
+    lo = hi = cut
+    if nx < len(ids):
+        lo = min(lo, ids.index(_OTHER))
+        hi = max(hi, len(ids) - ids[::-1].index(_OTHER))
+    bkey, kkey = ids[:lo][::-1], ids[hi:]
+    bra = fam._bras.get(bkey)
+    if bra is None:
+        bra = fam.bra(bkey)
+    ket = fam._kets.get(kkey)
+    if ket is None:
+        ket = fam.ket(kkey)
+    if lo < cut:
+        bra = _seeded_half(fam, bra, word[lo:cut][::-1], ids[lo:cut][::-1],
+                           lo, True)
+    if hi > cut:
+        ket = _seeded_half(fam, ket, word[cut:hi], ids[cut:hi], len(kkey),
+                           False)
+    d = fam.fock.eta.algebra.d
     return (bra.T @ ket[:len(bra)]).reshape(d, d)
 
 

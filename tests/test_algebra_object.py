@@ -1,3 +1,4 @@
+import copy
 import dataclasses
 import gc
 import weakref
@@ -136,6 +137,19 @@ def test_copy_builds_its_own_derived_algebras(fib_ann):
     assert D.ground() is not fib_ann.ground()
     assert np.array_equal(D.ground().P, D.mult[key][0])
     assert D.square_algebra("tau") is not fib_ann.square_algebra("tau")
+
+
+def test_a_shallow_copy_outlives_the_original():
+    # the cached ground and square algebras hold a weak proxy of the object
+    # that built them, so a copy must not share them
+    D = build_annulus(fibonacci())
+    D.ground()
+    D.square_algebra("tau")
+    D2 = copy.copy(D)
+    del D
+    fresh = build_annulus(fibonacci())
+    assert np.array_equal(D2.square_algebra("tau").P,
+                          fresh.square_algebra("tau").P)
 
 
 def test_an_algebra_object_is_read_only(fib_ann):

@@ -23,6 +23,7 @@ from utcat.semicircular import (
     _kraus_vectors,
     build_fock,
     catalan,
+    catalan_moments,
     covariance_from_automorphisms,
     covariance_from_vectors,
     ind_faithfulness_probe,
@@ -486,8 +487,41 @@ def test_depth_and_dimension_caps():
                                    np.array([0.0, 1.0])])
     with pytest.raises(DimensionCap):
         build_fock(eta, 13)
-    with pytest.raises(DimensionCap):
-        build_fock(eta, 12)  # 2^12 raw vectors exceed the default cap
+    # the level Grams have 1 + Σ_{m≤12} 2·2^{m−1} = 8191 rows in all,
+    # above the default cap of 4096
+    with pytest.raises(DimensionCap, match="8191 rows"):
+        build_fock(eta, 12)
+
+
+def _a_moment(eta, As, xs):
+    """E(a₀·X_{x₁}·a₁···X_{x_n}·a_n) for As = [a₀, …, a_n] by the A-valued
+    non-crossing recursion: X_{x₁} pairs with each X_{x_k}, k even."""
+    if len(xs) % 2:
+        return np.zeros_like(As[0])
+    if not xs:
+        return As[0]
+    return sum(As[0] @ eta.apply(xs[0], xs[k], _a_moment(eta, As[1:k + 1], xs[1:k]))
+               @ _a_moment(eta, As[k + 1:], xs[k + 1:])
+               for k in range(1, len(xs), 2))
+
+
+def test_m2_rotation_builds_at_depth_five():
+    # raw level 5 alone has 4·4^5 = 4096 vectors, but the Grams cut have
+    # 4 + 4·(4 + 8 + 16 + 32 + 64) = 500 rows in all
+    eta = _rotation_eta()
+    fock = build_fock(eta, 5)
+    assert fock.level_dims == (4, 8, 16, 32, 64, 128)
+    fam = semicircular_ops(fock)
+    for k, want in enumerate(catalan_moments(eta, 0, 10)):
+        assert _close(vacuum_expectation(fam, [("X", 0)] * k), want)
+    rng = np.random.default_rng(43)
+    one, x = np.eye(2), ("X", 0)
+    for k in range(1, 6):
+        a, b = eta.algebra.random(rng), eta.algebra.random(rng)
+        want = _a_moment(eta, [a] + [one] * (k - 1) + [b] + [one] * k,
+                         [0] * 2 * k)
+        assert _close(vacuum_expectation(fam, [a] + [x] * k + [b] + [x] * k),
+                      want)
 
 
 def test_operators_are_self_adjoint(id2_family):
@@ -900,6 +934,7 @@ def _bad_words(fam):
             (UnknownLabel, [("X", 7), a, x, x]), (UnknownLabel, [("X", [0]), x]),
             (LabelMismatch, [x, ("Y", 0), x]), (LabelMismatch, [x, x, ("Y", 0)]),
             (LabelMismatch, [("Y", 0), x, x]), (LabelMismatch, [x, np.eye(3), x]),
+            (LabelMismatch, [x, ["X", 0], x]),
             (WordTooLong, [x] * (2 * n + 1)), (WordTooLong, [a] + [x] * (2 * n + 1))]
 
 
@@ -920,6 +955,36 @@ def test_bad_words_are_refused_on_a_cache_hit_and_a_miss(id2_family):
             half((0,) * 5)
         with pytest.raises(UnknownLabel):
             half((0, 7))
+
+
+def test_numpy_integer_indices_resolve_like_their_canonical_form(id2_family):
+    # ("X", np.int64(i)) is the letter ("X", i): same moment, same halves
+    fam = semicircular_ops(id2_family.fock)
+    words = _x_words(fam.fock.eta, fam.fock.depth)
+    wants = [vacuum_expectation(fam, word) for word in words]
+    keys = set(fam._kets), set(fam._bras)
+    for word, want in zip(words, wants):
+        spelled = [("X", np.int64(i)) for _, i in word]
+        assert np.array_equal(vacuum_expectation(fam, spelled), want)
+    assert (set(fam._kets), set(fam._bras)) == keys
+    # asked first, the spelled letters key the halves by the ids themselves
+    fresh = semicircular_ops(id2_family.fock)
+    for word, want in zip(words, wants):
+        spelled = [("X", np.int64(i)) for _, i in word]
+        assert np.array_equal(vacuum_expectation(fresh, spelled), want)
+    for cache in (fresh._kets, fresh._bras):
+        assert all(type(i) is int for key in cache for i in key)
+
+
+def test_any_hashable_id_is_a_letter():
+    # ids that are not positions, None among them, resolve like 0 and 1
+    eta = covariance_from_vectors([np.array([1.0, 0.0]), np.array([0.7, 0.3])])
+    renamed = CovarianceMatrix(eta.algebra, (None, "b"), eta.stacked)
+    fam, ref = (semicircular_ops(build_fock(e, 3)) for e in (renamed, eta))
+    for word in _x_words(eta, 3):
+        spelled = [("X", renamed.index[i]) for _, i in word]
+        assert np.array_equal(vacuum_expectation(fam, spelled),
+                              vacuum_expectation(ref, word))
 
 
 @pytest.mark.parametrize("case", ["pair", "m2_rotation", "blocks_1_2", "haar_pair"])

@@ -33,7 +33,9 @@ TEST_ONLY = {
     "boxtimes": "the paper's fusion of Hilbert space objects ℋ₁⊠ℋ₂",
     "ind_faithfulness_probe": "the checkable ingredients of the paper's "
                               "ind-inclusion criterion for finite A",
-    # the library gathers R and θ from their buffers in bulk
+    # the library gathers F, R and θ from their buffers in bulk or by
+    # block number
+    "fmat": "the F-matrix of one block",
     "rmat": "the R-matrix of one channel",
     "twist": "the ribbon twist θ_x of one label",
 }
