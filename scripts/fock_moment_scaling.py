@@ -7,16 +7,18 @@ orthonormal vectors of a seeded Haar unitary, and η = Ad(u) + Ad(u)⁻¹ on
 M₂ (η(1) = 2·1).  Words X^k·a·X^k and a·X^k·b·X^k·c, k ≤ n, with seeded
 a, b, c ∈ A (not scalars on M₂) put an A letter on every level and on
 both halves of the moment's split after the k-th X letter (a on the bra,
-b and c on the ket); their moments are checked against the A-valued
-non-crossing recursion, e.g. E(X·a·X) = η(a) and
-E(X²·a·X²) = η(1)·a·η(1) + η(η(a)).  It prints the seconds of
-`build_fock`, the raw and the quotient dimension of every level, and the
-seconds and µs per word of `vacuum_expectation` over the X-words and over
-the A-letter words.  A depth whose level Grams exceed the `build_fock` cap
-is reported as such (M₂ from depth 9 on, the 2-index family from depth 12
-on).  The exit code is 1 on a deviation above 1e-9 (relative to
-max(1, |moment|)), and when, after both sweeps, the family caches more
-than Σ_{k≤depth} |I|^k kets or bras, the bound its docstring states.
+b and c on the ket), and X·a·X^{k−1}·X^{k−1}·b·c·X puts one inside each
+half, b and c next to each other (a·b·c alone at k = 0); their moments
+are checked against the A-valued non-crossing recursion, e.g.
+E(X·a·X) = η(a) and E(X²·a·X²) = η(1)·a·η(1) + η(η(a)).  It prints the
+seconds of `build_fock`, the raw and the quotient dimension of every
+level, and the seconds and µs per word of `vacuum_expectation` over the
+X-words and over the A-letter words.  A depth whose level Grams exceed
+the `build_fock` cap is reported as such (M₂ from depth 9 on, the 2-index
+family from depth 12 on).  The exit code is 1 on a deviation above 1e-9
+(relative to max(1, |moment|)), and when, after both sweeps, the family
+caches more than Σ_{k≤depth} |I|^k kets or bras, the bound its docstring
+states.
 Seconds are wall clock, the build and the sweeps timed apart.  Run:
 
     PYTHONPATH=src python3 scripts/fock_moment_scaling.py --max-depth 6
@@ -119,9 +121,9 @@ def a_moment(eta, word) -> np.ndarray:
 
 
 def a_sweep(fam, rng, per_k: int = 3) -> tuple:
-    """(words, seconds, worst relative deviation) over `per_k` pairs of
-    words X^k·a·X^k and a·X^k·b·X^k·c with seeded X indices for each
-    k ≤ depth, seeded a, b, c ∈ A."""
+    """(words, seconds, worst relative deviation) over `per_k` triples of
+    words X^k·a·X^k, a·X^k·b·X^k·c and X·a·X^{k−1}·X^{k−1}·b·c·X with
+    seeded X indices for each k ≤ depth, seeded a, b, c ∈ A."""
     eta, depth = fam.fock.eta, fam.fock.depth
     a, b, c = (eta.algebra.random(rng) for _ in range(3))
     words = []
@@ -129,7 +131,8 @@ def a_sweep(fam, rng, per_k: int = 3) -> tuple:
         for _ in range(per_k):
             X = [("X", eta.index[t])
                  for t in rng.integers(len(eta.index), size=2 * k)]
-            words += [X[:k] + [a] + X[k:], [a] + X[:k] + [b] + X[k:] + [c]]
+            words += [X[:k] + [a] + X[k:], [a] + X[:k] + [b] + X[k:] + [c],
+                      X[:1] + [a] + X[1:2 * k - 1] + [b, c] + X[2 * k - 1:]]
     wants = [a_moment(eta, word) for word in words]
     t0 = time.perf_counter()
     gots = [vacuum_expectation(fam, word) for word in words]

@@ -527,7 +527,7 @@ def discreteness_report(D: AlgebraObject, omega) -> dict:
     - `chain_ok`: discrete ⇒ pqr ⇒ ind, which therefore holds.
 
     None of them can be false until `ind` is read off the coend's own
-    bimodule (ROADMAP item 3); :func:`realize` and :func:`ind_check` stay
+    bimodule (ROADMAP item 1); :func:`realize` and :func:`ind_check` stay
     for planted inputs.  `gns_cut_gap` is (smallest kept, largest dropped)
     eigenvalue over the fiber rank cuts of :func:`gns_object` behind
     `gns_dims`, or None when no direction was dropped.

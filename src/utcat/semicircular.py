@@ -22,15 +22,16 @@ dense matrices are assembled from them.  X_i = T_i + T_i† is self-adjoint
 by construction.
 
 A vacuum moment of a word with nx X letters is the inner product of two
-half-word states X_{i₁}···X_{i_k}·P₀* with k ≤ ⌈nx/2⌉, each on the levels
-0…k that a path of k letters from the vacuum can reach.  Each half is kept
-with its seed applied: the ket is the state on the vacuum ω₀, one column,
-and the bra the conjugated state with the read-out of level 0 into A
-folded in, d² columns.  The pure-X halves of both kinds are cached per
-family, at most Σ_{k≤depth} |I|^k of each, and each family resolves the
-letters ("X", i) through one table built once, so once the halves are
-built a pure-X word costs one table read per letter, two cache reads and
-one product braᵀ·ket of d² entries; it is exact for nx ≤ 2·depth.
+half-word states on the levels 0…k, k ≤ ⌈nx/2⌉, built by one recursion:
+the empty word is the seed, ω₀ on the ket and, on the conjugated bra, the
+read-out of level 0 into A (d² columns), and any other word applies its
+first letter to the half of the rest, an X letter by X_i on the levels
+the rest reaches and an A letter by its level blocks, both transposed on
+the bra.  The halves without A letters are cached per family, at most
+Σ_{k≤depth} |I|^k of each kind, and each family resolves the letters
+("X", i) through one table built once, so a pure-X word costs one table
+read per letter, two cache reads and one product braᵀ·ket of d²
+entries; it is exact for nx ≤ 2·depth.
 `build_fock` caps the rows of the Grams it cuts, nA + Σ_m P·r_{m−1},
 not the raw dimension.
 """
@@ -123,6 +124,9 @@ class CovarianceMatrix:
         object.__setattr__(self, "index", tuple(self.index))
         if not self.index:
             raise ValueError("a covariance needs a nonempty index set I")
+        # an id equal to an earlier one would resolve to that one's position
+        if any(self.index.index(i) != x for x, i in enumerate(self.index)):
+            raise ValueError("index ids must be distinct")
         object.__setattr__(self, "stacked",
                            np.array(self.stacked, dtype=complex, order="C"))
         want = (len(self.index),) * 2 + (self.algebra.dim,) * 2
@@ -429,6 +433,8 @@ def build_fock(eta: CovarianceMatrix, depth: int) -> TruncatedFock:
     on level m, P = nA·nI.  Their running sum is checked against `DIM_CAP`
     before each level's Gram is formed, so a quotient that stays small is
     built to the depth asked, whatever its raw dimension."""
+    if depth < 0:
+        raise ValueError(f"depth {depth} is negative")
     if depth > MAX_DEPTH:
         raise DimensionCap(f"depth {depth} exceeds the maximum {MAX_DEPTH}")
     nA, nI = eta.algebra.dim, len(eta.index)
@@ -450,9 +456,9 @@ class SemicircularFamily:
 
     ``letters`` maps each word letter ("X", i) to the id i of η's index
     set, built once, so a word is resolved by one table read per letter.
-    ``ket`` and ``bra`` cache the two seeded halves of every pure-X word,
-    at most Σ_{k≤depth} |I|^k of each, so the moments of many words share
-    their halves.
+    `_half` builds the seeded halves of `ket`, `bra` and every moment and
+    caches those of pure-X words, at most Σ_{k≤depth} |I|^k of each kind,
+    so the moments of many words share their halves.
     """
 
     fock: TruncatedFock
@@ -478,44 +484,62 @@ class SemicircularFamily:
 
     def ket(self, word: tuple) -> np.ndarray:
         """S·ω₀ for S = X_{i₁}···X_{i_k}·P₀* and word = (i₁, …, i_k),
-        k ≤ depth: one read-only vector on the levels 0…k.  A path of k
-        letters from level 0 never uses T out of level k, so the product
-        is exact in `window(k)`."""
-        return self._half(word, self._kets, False)
+        k ≤ depth: one read-only vector on the levels 0…k, from `_half`."""
+        return self._half(self._x_word(word), (), False)
 
     def bra(self, word: tuple) -> np.ndarray:
         """conj(S·from_onb[0]*·B) for the S of `ket` and the matrix units B
-        of A flattened to d² columns, read-only: the read-out of level 0
-        into A is folded in, so that E(l·r) = bra(l̄)ᵀ·ket(r) reshaped to
-        d×d, l̄ the X indices of l reversed."""
-        return self._half(word, self._bras, True)
+        of A flattened to d² columns, read-only, from `_half`: the read-out
+        of level 0 into A is folded in, so that E(l·r) = bra(l̄)ᵀ·ket(r)
+        reshaped to d×d, l̄ the X indices of l reversed."""
+        return self._half(self._x_word(word), (), True)
 
-    def _half(self, word: tuple, cache: dict, conj: bool) -> np.ndarray:
-        """The seeded half of `ket` or `bra` (``conj``), built from that of
-        the word's tail as window(k)[i₁] applied to it, or window(k)[i₁]ᵀ
-        = conj(window(k)[i₁]) on the conjugated bra, and cached per word."""
-        try:
-            S = cache.get(word)
-        except TypeError:  # an unhashable index, refused below
-            S = None
+    def _x_word(self, word) -> tuple:
+        """``word`` as a tuple of ids of η's index set, at most depth long."""
+        if len(word) > self.fock.depth:
+            raise WordTooLong(f"{len(word)} letters exceed the depth "
+                              f"{self.fock.depth}")
+        for i in word:
+            _index_of(self.fock.eta, i)
+        return tuple(word)
+
+    def _half(self, ids: tuple, letters, conj: bool) -> np.ndarray:
+        """The seeded half of ``ids`` on the levels 0…k, k its X letters:
+        the ket, or the conjugated bra if ``conj``, read-only.  ``ids`` holds
+        each X letter's id and `_OTHER` at each A letter, read in ``letters``.
+
+        The recursion of the module docstring, run from the word's end so
+        that a long run of A letters needs no call stack: the half of the
+        longest cached tail, or the empty word's seed, and each letter
+        before it applied to the half of the rest on its levels 0…k: an X
+        letter by window(k+1)[i], exact as k+1 letters from level 0 never
+        use T out of level k+1, an A letter by its level blocks, both
+        transposed on the bra.  Only halves without an A letter are cached.
+        """
+        cache = self._bras if conj else self._kets
+        fock, n = self.fock, len(ids)
+        t = next((t for t in range(n) if ids[t:] in cache), n)
+        S = cache.get(ids[t:])
         if S is None:
-            fock = self.fock
-            if len(word) > fock.depth:
-                raise WordTooLong(f"{len(word)} letters exceed the depth "
-                                  f"{fock.depth}")
-            if word:
-                _index_of(fock.eta, word[0])
-                rest = self._half(word[1:], cache, conj)
-                W = self.window(len(word))[word[0]]
-                S = (W.T if conj else W)[:, :len(rest)] @ rest
-            elif conj:
-                alg = fock.eta.algebra
-                S = (fock.from_onb[0].conj().T @ alg.basis.reshape(
-                    alg.dim, -1)).conj()
-            else:
-                S = fock.omega.copy()
+            alg = fock.eta.algebra
+            S = ((fock.from_onb[0].conj().T @ alg.basis.reshape(alg.dim, -1))
+                 .conj() if conj else fock.omega.copy())
             S.flags.writeable = False
-            cache[word] = S
+            cache[()] = S
+        k = n - t  # a cached tail has no A letter
+        for s in reversed(range(t)):
+            if ids[s] is _OTHER:
+                L = _left_matrix(fock.eta, letters[s])
+                blocks = (fock.left_block(m, L) for m in range(k + 1))
+                S = np.concatenate([(B.T if conj else B) @ S[fock.offsets[m]]
+                                    for m, B in enumerate(blocks)])
+            else:
+                k += 1
+                W = self.window(k)[ids[s]]
+                S = (W.T if conj else W)[:, :len(S)] @ S
+            S.flags.writeable = False
+            if k == n - s:  # no A letter in ids[s:]
+                cache[ids[s:]] = S
         return S
 
 
@@ -547,50 +571,23 @@ def _left_matrix(eta: CovarianceMatrix, letter) -> np.ndarray:
 _OTHER = object()
 
 
-def _seeded_half(fam: SemicircularFamily, S: np.ndarray, letters, ids: tuple,
-                 k: int, conj: bool) -> np.ndarray:
-    """letters·S for a seeded half S of `fam.bra` (``conj``) or `fam.ket` on
-    the levels 0…k, the last letter acting first; ``ids`` holds the id of
-    each X letter, `_OTHER` for the other letters.  An X letter acts by
-    window(k+1)[i], or its transpose on the bra, an A letter by its level
-    blocks on the ket and by their transposes on the bra."""
-    fock = fam.fock
-    for t in reversed(range(len(ids))):
-        if ids[t] is not _OTHER:
-            k += 1
-            W = fam.window(k)[ids[t]]
-            S = (W.T if conj else W)[:, :len(S)] @ S
-            continue
-        L = _left_matrix(fock.eta, letters[t])
-        blocks = [fock.left_block(m, L) for m in range(k + 1)]
-        S = np.concatenate([(B.T if conj else B) @ S[fock.offsets[m]]
-                            for m, B in enumerate(blocks)])
-    return S
-
-
 def vacuum_expectation(fam: SemicircularFamily, word) -> np.ndarray:
-    """E(w) = ⟨wΩ, Ω⟩ ∈ A for a word in the X_i and left factors from A.
+    """E(w) = ⟨wΩ, Ω⟩ ∈ A for a sequence w of letters, the X_i and A.
 
     Word letters: ("X", i) or a d×d matrix of A; an i outside η's index
     set raises `UnknownLabel`, any other letter `LabelMismatch`.  Exact
     when the number nx of X letters is at most 2·depth; longer words are
-    refused.  The word is split after its ⌊nx/2⌋-th X letter into w = l·r,
-    and
+    refused.  Each letter is resolved by one read of ``fam.letters``, and
+    the word is split after its ⌊nx/2⌋-th X letter into w = l·r:
 
         E(w) = P₀·l·r·P₀*·ω₀ = (l*·P₀*)*·(r·P₀*)·ω₀,
 
-    read into A through from_onb[0] and the matrix units.  The ket
-    r·P₀*·ω₀ is one column, and the bra conj(l*·P₀*·from_onb[0]*·B) holds
-    that read-out in d² columns, so E(w) is one product braᵀ·ket reshaped
-    to d×d.  The pure-X end of each half comes from the family's caches, so
-    a sweep over the words of length ≤ 2n builds each of the Σ_{k≤n} |I|^k
-    halves of each kind once.  The letters left over act on the seeded
-    half: an A letter by its level blocks on the ket and by their
-    transposes on the bra.
-
-    Each letter is resolved by one read of ``fam.letters``, and the split
-    and the two cache keys come from the resolved ids, so a pure-X word
-    costs one table read per letter, two cache reads and one product.
+    one product braᵀ·ket, reshaped to d×d, of the halves that
+    `SemicircularFamily._half` builds for l reversed and for r.  Both are
+    read from the family's caches first, so a pure-X word costs one table
+    read per letter, two cache reads and one product, and a sweep over the
+    words of length ≤ 2n builds each of the Σ_{k≤n} |I|^k halves of each
+    kind once.
     """
     get, ids = fam.letters.get, []
     for w in word:
@@ -609,25 +606,13 @@ def vacuum_expectation(fam: SemicircularFamily, word) -> np.ndarray:
     xs = (range(nx) if nx == len(ids)
           else [t for t, i in enumerate(ids) if i is not _OTHER])
     cut = xs[nx // 2 - 1] + 1 if nx > 1 else 0
-    # the pure-X ends: the letters before the first letter outside the
-    # table (the bra's, read backwards) and after the last one (the ket's)
-    lo = hi = cut
-    if nx < len(ids):
-        lo = min(lo, ids.index(_OTHER))
-        hi = max(hi, len(ids) - ids[::-1].index(_OTHER))
-    bkey, kkey = ids[:lo][::-1], ids[hi:]
+    bkey, kkey = ids[:cut][::-1], ids[cut:]
     bra = fam._bras.get(bkey)
     if bra is None:
-        bra = fam.bra(bkey)
+        bra = fam._half(bkey, word[:cut][::-1], True)
     ket = fam._kets.get(kkey)
     if ket is None:
-        ket = fam.ket(kkey)
-    if lo < cut:
-        bra = _seeded_half(fam, bra, word[lo:cut][::-1], ids[lo:cut][::-1],
-                           lo, True)
-    if hi > cut:
-        ket = _seeded_half(fam, ket, word[cut:hi], ids[cut:hi], len(kkey),
-                           False)
+        ket = fam._half(kkey, word[cut:], False)
     d = fam.fock.eta.algebra.d
     return (bra.T @ ket[:len(bra)]).reshape(d, d)
 

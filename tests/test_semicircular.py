@@ -63,6 +63,15 @@ def test_empty_index_set_is_refused():
         CovarianceMatrix(BaseAlgebra((2,)), (), np.zeros((0, 0, 4, 4)))
 
 
+def test_repeated_index_ids_are_refused():
+    # the second copy of an id could never be read: every lookup resolves
+    # the id to its first position
+    for index in ((0, 0), (1, 1.0)):
+        with pytest.raises(ValueError, match="index ids must be distinct"):
+            CovarianceMatrix(BaseAlgebra((1,)), index,
+                             np.eye(2)[:, :, None, None])
+
+
 def test_orthonormal_pair_gives_identity_covariance():
     eta = covariance_from_vectors([np.array([1.0, 0.0]),
                                    np.array([0.0, 1.0])])
@@ -493,6 +502,13 @@ def test_depth_and_dimension_caps():
         build_fock(eta, 12)
 
 
+def test_a_negative_depth_is_refused():
+    eta = covariance_from_vectors([np.array([1.0])])
+    with pytest.raises(ValueError, match="depth -1 is negative"):
+        build_fock(eta, -1)
+    assert build_fock(eta, 0).level_dims == (1,)
+
+
 def _a_moment(eta, As, xs):
     """E(a₀·X_{x₁}·a₁···X_{x_n}·a_n) for As = [a₀, …, a_n] by the A-valued
     non-crossing recursion: X_{x₁} pairs with each X_{x_k}, k even."""
@@ -921,6 +937,30 @@ def test_a_letters_on_both_halves_match_the_raw_reference(case):
     fock = build_fock(eta, depth)
     fam, raw = semicircular_ops(fock), RawFock(fock)
     for word in _split_words(eta, depth, np.random.default_rng(41)):
+        assert _close(vacuum_expectation(fam, word), raw.expectation(word))
+
+
+@pytest.mark.parametrize("case", sorted(HALF_CASES) + ["haar_pair"])
+def test_a_letters_at_random_positions_match_the_raw_reference(case):
+    # 0–4 A letters anywhere in a word of at most 2·depth X letters, two of
+    # them side by side in every other word, and words of A letters only
+    make, depth = HALF_CASES.get(case) or GRAM_CASES[case][:2]
+    eta = make()
+    fock = build_fock(eta, depth)
+    fam, raw = semicircular_ops(fock), RawFock(fock)
+    alg, rng = eta.algebra, np.random.default_rng(43)
+    words = [[alg.random(rng) for _ in range(na)] for na in range(1, 5)]
+    for t in range(24):
+        word = [("X", eta.index[s]) for s in rng.integers(
+            len(eta.index), size=int(rng.integers(2 * depth + 1)))]
+        na = int(rng.integers(5))
+        if t % 2 and na >= 2:
+            p, na = int(rng.integers(len(word) + 1)), na - 2
+            word[p:p] = [alg.random(rng), alg.random(rng)]
+        for _ in range(na):
+            word.insert(int(rng.integers(len(word) + 1)), alg.random(rng))
+        words.append(word)
+    for word in words:
         assert _close(vacuum_expectation(fam, word), raw.expectation(word))
 
 
