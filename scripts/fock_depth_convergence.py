@@ -3,9 +3,9 @@
 With η = 1 the 2m-th vacuum moment is the m-th Catalan number once the
 depth reaches m; the scan makes the exactness threshold visible and also
 tracks a 2×2 automorphism-induced covariance for comparison.  A printed
-moment more than 1e-9 (relative) away from `catalan_moments`, the value
-η alone determines, makes the exit code 1: for η = 1 that is C_m, for the
-M₂ rotation the trace of E(X⁴) is 8.  Run:
+moment more than 1e-9 (relative) away from `nc_moment`, the value η
+alone determines by the non-crossing recursion, makes the exit code 1: for
+η = 1 that is C_m, for the M₂ rotation the trace of E(X⁴) is 8.  Run:
 
     python3 scripts/fock_depth_convergence.py --max-depth 8
 """
@@ -20,15 +20,15 @@ from utcat.semicircular import (
     BaseAlgebra,
     build_fock,
     catalan,
-    catalan_moments,
     covariance_from_automorphisms,
     covariance_from_vectors,
+    nc_moment,
     semicircular_ops,
     vacuum_expectation,
 )
 
 
-# relative deviation from the Catalan recursion that fails the run
+# relative deviation from the non-crossing recursion that fails the run
 TOL = 1e-9
 
 
@@ -46,7 +46,7 @@ def scalar_scan(cfg: DepthScanConfig) -> int:
     """Prints the scan; returns the number of moments off the recursion."""
     m = cfg.moment // 2
     eta = covariance_from_vectors([np.array([1.0])])
-    target = catalan_moments(eta, 0, cfg.moment)[cfg.moment][0, 0].real
+    target = nc_moment(eta, [("X", 0)] * cfg.moment)[0, 0].real
     print(f"η = 1, moment E(X^{cfg.moment}), exact value C_{m} = {catalan(m)}")
     bad = 0
     for depth in range(1, cfg.max_depth + 1):
@@ -72,7 +72,7 @@ def automorphism_scan(cfg: DepthScanConfig) -> int:
     for c, e in enumerate(alg.basis):
         ad[:, c] = alg.coords(u @ e @ u.conj().T)
     eta = covariance_from_automorphisms([ad], alg)
-    target = alg.trace(catalan_moments(eta, 0, 4)[4]).real
+    target = alg.trace(nc_moment(eta, [("X", 0)] * 4)).real
     print(f"\nη = Ad(u) + Ad(u)⁻¹ on M₂, trace of E(X^4), exact value {target:g}:")
     bad = 0
     # 2×2 base with one index: raw level dims grow 16-fold per level, so the

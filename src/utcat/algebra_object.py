@@ -116,10 +116,12 @@ class AlgebraObject:
                 raise ValueError(f"mult[{key!r}] has shape {arr.shape}, "
                                  f"expected {want}")
 
-    def __copy__(self) -> "AlgebraObject":
+    def __reduce__(self):
+        # copy, deepcopy and pickle rebuild it through the constructor, so
         # a copy builds its own derived algebras: the cached ones hold a
         # weak proxy of the object that built them
-        return dataclasses.replace(self)
+        return (type(self), (self.cat, dict(self.fibers), dict(self.mult),
+                             dict(self.star), self.unit, self.side, self.meta))
 
     # -- basic queries -----------------------------------------------------
 

@@ -205,4 +205,4 @@ def z_state(ann: AlgebraObject) -> dict:
     omega = np.zeros(ann.n(ring.unit), dtype=complex)
     omega[start[u, u]] = 1.0
     omega, ev = ann.ground().check_state(omega)
-    return {"omega": omega, "positivity_floor": float(ev[0]), "unital": True}
+    return {"omega": omega, "positivity_floor": float(ev[0])}

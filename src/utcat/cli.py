@@ -50,7 +50,7 @@ from .semicircular import (
     BaseAlgebra,
     CovarianceMatrix,
     build_fock,
-    catalan_moments,
+    nc_moment,
     semicircular_ops,
     vacuum_expectation,
 )
@@ -332,8 +332,7 @@ def _cmd_annulus(args) -> tuple:
               "fibers": {X: n for X, n in ann.fibers.items() if n},
               "unit_fiber_dim": ann.n(cat.ring.unit),
               "z_state": {"omega": list(map(complex, zrep["omega"])),
-                          "positivity_floor": zrep["positivity_floor"],
-                          "unital": zrep["unital"]},
+                          "positivity_floor": zrep["positivity_floor"]},
               "out": args.out, "ok": ok}
     return (EXIT_OK if ok else EXIT_ASSERT), report
 
@@ -348,11 +347,16 @@ def _cmd_fock(args) -> tuple:
     else:
         eta = CovarianceMatrix(alg, (0,), np.eye(alg.dim)[None, None])
     fam = semicircular_ops(build_fock(eta, args.depth))
-    i0 = eta.index[0]
+    # X_i^m for every index i, then one seeded word X·a·X·a′··· per length
+    rng, ms = np.random.default_rng(args.seed), range(args.moments + 1)
+    words = [[("X", i)] * m for i in eta.index for m in ms]
+    words += [[w for x in rng.integers(len(eta.index), size=m)
+               for w in (("X", eta.index[x]), alg.random(rng))] for m in ms[1:]]
     moments, residual = [], 0.0
-    for m, want in enumerate(catalan_moments(eta, i0, args.moments)):
-        got = vacuum_expectation(fam, [("X", i0)] * m)
-        moments.append(float(alg.trace(got).real))
+    for t, word in enumerate(words):
+        got, want = vacuum_expectation(fam, word), nc_moment(eta, word)
+        if t <= args.moments:  # X_{i₀}^m, the moments printed
+            moments.append(float(alg.trace(got).real))
         residual = max(residual, float(np.max(np.abs(got - want)))
                        / max(1.0, float(np.max(np.abs(want)))))
     sym = eta.trace_symmetry_residual()

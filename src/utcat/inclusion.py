@@ -32,7 +32,6 @@ __all__ = [
     "BlockDecomposition",
     "HilbertSpaceObject",
     "RealizedCorrespondence",
-    "boxtimes",
     "commutant_blocks",
     "corrupt_correspondence",
     "discreteness_report",
@@ -68,20 +67,6 @@ class HilbertSpaceObject:
 
     def total(self) -> int:
         return sum(self.dims.values())
-
-
-def boxtimes(h1: HilbertSpaceObject, h2: HilbertSpaceObject,
-             ring) -> HilbertSpaceObject:
-    """(ℋ₁⊠ℋ₂)(K) = Σ N(K₁,K₂;K)·h₁(K₁)·h₂(K₂) — fusion arithmetic."""
-    dims = {}
-    for K in ring.labels:
-        acc = 0
-        for K1, a in h1.dims.items():
-            for K2, b in h2.dims.items():
-                acc += ring.N(K1, K2, K) * a * b
-        if acc:
-            dims[K] = acc
-    return HilbertSpaceObject(dims)
 
 
 @dataclass

@@ -34,6 +34,9 @@ read per letter, two cache reads and one product braᵀ·ket of d²
 entries; it is exact for nx ≤ 2·depth.
 `build_fock` caps the rows of the Grams it cuts, nA + Σ_m P·r_{m−1},
 not the raw dimension.
+`nc_moment` computes the same E(w) from η alone by the operator-valued
+non-crossing recursion, with no Fock space, depth or cap: it is the oracle
+that the Fock moments are checked against.
 """
 
 from __future__ import annotations
@@ -58,8 +61,8 @@ from .gns import RANK_CUT, Cut, min_eig, rank_cut
 
 __all__ = ["BaseAlgebra", "CovarianceMatrix", "SemicircularFamily",
            "TruncatedFock", "build_fock", "covariance_from_automorphisms",
-           "covariance_from_vectors", "ind_faithfulness_probe",
-           "semicircular_ops", "vacuum_expectation"]
+           "covariance_from_vectors", "nc_moment", "semicircular_ops",
+           "vacuum_expectation"]
 
 
 class BaseAlgebra:
@@ -529,7 +532,7 @@ class SemicircularFamily:
         k = n - t  # a cached tail has no A letter
         for s in reversed(range(t)):
             if ids[s] is _OTHER:
-                L = _left_matrix(fock.eta, letters[s])
+                L = fock.eta.algebra.left_matrix(_a_letter(fock.eta, letters[s]))
                 blocks = (fock.left_block(m, L) for m in range(k + 1))
                 S = np.concatenate([(B.T if conj else B) @ S[fock.offsets[m]]
                                     for m, B in enumerate(blocks)])
@@ -548,10 +551,10 @@ def semicircular_ops(fock: TruncatedFock) -> SemicircularFamily:
         fock, {i: fock.creation_blocks(i) for i in fock.eta.index})
 
 
-def _left_matrix(eta: CovarianceMatrix, letter) -> np.ndarray:
-    """`left_matrix` of a word letter outside the family's letter table:
-    a d×d matrix of A.  An ("X", i) letter with i outside η's index set
-    raises `UnknownLabel`, any other letter `LabelMismatch`."""
+def _a_letter(eta: CovarianceMatrix, letter) -> np.ndarray:
+    """A word letter outside the letter table of η's X letters as the d×d
+    matrix of A it must be.  An ("X", i) letter with i outside η's index
+    set raises `UnknownLabel`, any other letter `LabelMismatch`."""
     # a tuple of matrix rows falls through to the A letters
     if (isinstance(letter, tuple) and len(letter) == 2
             and isinstance(letter[0], str) and letter[0] == "X"):
@@ -564,11 +567,24 @@ def _left_matrix(eta: CovarianceMatrix, letter) -> np.ndarray:
     if a is None or a.shape != (alg.d, alg.d):
         raise LabelMismatch(f"a word letter is ('X', i) or a {alg.d}×{alg.d} "
                             f"matrix of A, not {letter!r:.60}")
-    return alg.left_matrix(a)
+    return a
 
 
 # the resolved id of a word letter outside a family's letter table
 _OTHER = object()
+
+
+def _letter_ids(letters: dict, word) -> tuple:
+    """The id of each letter of ``word`` in the table ``letters`` of η's X
+    letters, `_OTHER` for any other letter, by one table read per letter."""
+    get, ids = letters.get, []
+    for w in word:
+        try:
+            # the table holds tuples only, so an A matrix is never hashed
+            ids.append(get(w, _OTHER) if type(w) is tuple else _OTHER)
+        except TypeError:  # a tuple of matrix rows, or an unhashable index
+            ids.append(_OTHER)
+    return tuple(ids)
 
 
 def vacuum_expectation(fam: SemicircularFamily, word) -> np.ndarray:
@@ -589,14 +605,7 @@ def vacuum_expectation(fam: SemicircularFamily, word) -> np.ndarray:
     words of length ≤ 2n builds each of the Σ_{k≤n} |I|^k halves of each
     kind once.
     """
-    get, ids = fam.letters.get, []
-    for w in word:
-        try:
-            # the table holds tuples only, so an A matrix is never hashed
-            ids.append(get(w, _OTHER) if type(w) is tuple else _OTHER)
-        except TypeError:  # a tuple of matrix rows, or an unhashable index
-            ids.append(_OTHER)
-    ids = tuple(ids)
+    ids = _letter_ids(fam.letters, word)
     nx = len(ids) - ids.count(_OTHER)
     depth = fam.fock.depth
     if nx > 2 * depth:
@@ -617,81 +626,39 @@ def vacuum_expectation(fam: SemicircularFamily, word) -> np.ndarray:
     return (bra.T @ ket[:len(bra)]).reshape(d, d)
 
 
+def nc_moment(eta: CovarianceMatrix, word) -> np.ndarray:
+    """E(w) ∈ A from η alone, by the operator-valued non-crossing recursion
+
+        E(a·w) = a·E(w),      E(X_i·u·X_j·v) = Σ η_ij(E(u))·E(v),
+
+    the sum over the X letters X_j that X_i can pair with (Speicher, Mem.
+    AMS 1998).  It takes the letters of `vacuum_expectation` and refuses
+    the same bad ones; it needs no Fock space, so it has no depth and no cap.
+    The A letters between two X letters are multiplied together once, and
+    the moments of the intervals of X letters are memoised, shortest first:
+    O(n³) products of d×d matrices for n X letters.  An odd n gives 0.
+    """
+    alg = eta.algebra
+    ids = _letter_ids({("X", i): i for i in eta.index}, word)
+    xs, gaps = [], [np.eye(alg.d, dtype=complex)]
+    for w, i in zip(word, ids):
+        if i is _OTHER:
+            gaps[-1] = gaps[-1] @ _a_letter(eta, w)
+        else:
+            xs.append(i)
+            gaps.append(np.eye(alg.d, dtype=complex))
+    n = len(xs)
+    if n % 2:
+        return np.zeros((alg.d, alg.d), dtype=complex)
+    # E[lo, hi] = E(gaps[lo]·X_{xs[lo]}·gaps[lo+1]···X_{xs[hi−1]}·gaps[hi])
+    E = {(lo, lo): g for lo, g in enumerate(gaps)}
+    for span in range(2, n + 1, 2):
+        for lo in range(n - span + 1):
+            hi = lo + span
+            E[lo, hi] = gaps[lo] @ sum(eta.apply(xs[lo], xs[k], E[lo + 1, k])
+                                       @ E[k + 1, hi] for k in range(lo + 1, hi, 2))
+    return E[0, n]
+
+
 def catalan(m: int) -> int:
     return math.comb(2 * m, m) // (m + 1)
-
-
-def catalan_moments(eta: CovarianceMatrix, i, n: int) -> list:
-    """E(X_i^k) for k ≤ n from η alone, by the operator-valued Catalan
-    recursion m₀ = 1, m_k = Σ_{j≤k−2} η_ii(m_j)·m_{k−2−j}."""
-    ms = [np.eye(eta.algebra.d, dtype=complex)]
-    for k in range(1, n + 1):
-        ms.append(sum((eta.apply(i, i, ms[j]) @ ms[k - 2 - j]
-                       for j in range(k - 1)), np.zeros_like(ms[0])))
-    return ms
-
-
-# ---------------------------------------------------------------------------
-# faithfulness / ind-criterion ingredients
-# ---------------------------------------------------------------------------
-
-def _kraus_vectors(eta: CovarianceMatrix) -> list:
-    """Vectors ξ_i in a free module with η_ij(a) = Σ_s ξ_{i,s}* a ξ_{j,s}.
-
-    Only available for single-block A (ℂ or M_k), via the eigenvectors of
-    the Choi matrix of η viewed as a map M_k → M_k⊗M_I.
-    """
-    alg = eta.algebra
-    if len(alg.blocks) != 1:
-        return None
-    k, nI = alg.d, len(eta.index)
-    # Choi of Φ: M_k → M_{kI}, C = Σ_pq E_pq ⊗ Φ(E_pq), rows (p, x, r);
-    # E_pq is basis element p·k + q of the single block
-    phi = alg.element(np.moveaxis(eta.stacked, 3, 0)).reshape(
-        k, k, nI, nI, k, k)
-    choi = phi.transpose(0, 2, 4, 1, 3, 5).reshape(k * nI * k, k * nI * k)
-    # column s of the factor, reshaped to v[p,i,o], gives W_s^{(i)}[o,p] =
-    # v[p,i,o] with η_ij(a) = Σ_s W^{(i)} a W^{(j)†}, so ξ_{i,s} = W_s^{(i)†}
-    v = rank_cut(choi).factor.T.reshape(-1, k, nI, k)
-    return [v[:, :, i, :].conj() for i in range(nI)]
-
-
-def ind_faithfulness_probe(eta: CovarianceMatrix) -> dict:
-    """Checkable ingredients of the ind-inclusion criterion for finite A.
-
-    (a) trace symmetry of η against the canonical trace; (b) the ranks
-    `corner_dims` of the scalar Grams of the corner correspondences
-    A⊗_{η_ii}A; (c) for single-block A, the residual of the Corollary's
-    vector presentation round-trip.  The verdict passes only if η is
-    trace-symmetric and that residual, where it applies, is at most 1e-9.
-    """
-    alg = eta.algebra
-    # scalar Gram of A⊗_{η_ii}A: ⟨a⊗b, c⊗d⟩ = τ(b* η_ii(a*c) d), where
-    # tau3[b, q, d] = τ(e_b* e_q e_d)
-    B, n = alg.basis, alg.dim
-    tau3 = np.einsum("bsr,qst,dtr->bqd", B.conj(), B, B) / alg.d
-    corner_dims = {
-        i: rank_cut(np.einsum("acp,qp,bqd->abcd", alg.star_prods,
-                              eta.stacked[x, x], tau3).reshape(n * n, n * n)).rank
-        for x, i in enumerate(eta.index)}
-
-    vecs = _kraus_vectors(eta)
-    roundtrip = None
-    if vecs is not None:
-        eta2 = covariance_from_vectors(vecs, alg)
-        roundtrip = float(np.max(np.abs(eta2.stacked - eta.stacked)))
-
-    symmetric = eta.is_trace_symmetric()
-    if not symmetric:
-        verdict = "η is not trace-symmetric"
-    elif roundtrip is not None and roundtrip > 1e-9:
-        verdict = "vector presentation residual above 1e-9"
-    else:
-        verdict = "criterion ingredients verified (finite A)"
-    return {
-        "trace_symmetry_residual": eta.trace_symmetry_residual(),
-        "trace_symmetric": symmetric,
-        "corner_dims": corner_dims,
-        "vector_presentation_residual": roundtrip,
-        "verdict": verdict,
-    }

@@ -1,6 +1,7 @@
 import copy
 import dataclasses
 import gc
+import pickle
 import weakref
 
 import numpy as np
@@ -150,6 +151,23 @@ def test_a_shallow_copy_outlives_the_original():
     fresh = build_annulus(fibonacci())
     assert np.array_equal(D2.square_algebra("tau").P,
                           fresh.square_algebra("tau").P)
+
+
+@pytest.mark.parametrize("how", ["deepcopy", "pickle"])
+def test_deep_copies_rebuild_through_the_constructor(how):
+    # both raised TypeError on the read-only mappings; a copy validates as
+    # the original does and builds its own ground and square algebras
+    D = build_annulus(fibonacci())
+    G, S = D.ground(), D.square_algebra("tau")
+    want = validate_algebra_object(D, rng=np.random.default_rng(0))
+    D2 = copy.deepcopy(D) if how == "deepcopy" else pickle.loads(pickle.dumps(D))
+    assert not D2._derived
+    assert validate_algebra_object(D2, rng=np.random.default_rng(0)) == want
+    assert D2.ground() is not G and D2.square_algebra("tau") is not S
+    del D, G, S
+    gc.collect()
+    assert np.array_equal(D2.square_algebra("tau").P,
+                          build_annulus(fibonacci()).square_algebra("tau").P)
 
 
 def test_an_algebra_object_is_read_only(fib_ann):

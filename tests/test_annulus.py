@@ -8,7 +8,8 @@ import tree_reference as ref
 from index_reference import f_index
 from utcat.algebra_object import _rand, pp_check
 from utcat.annulus import _assemble, build_annulus, z_state
-from utcat.errors import MissingBraiding, PositivityFailure, SupportTooSmall
+from utcat.errors import (MissingBraiding, NotAState, PositivityFailure,
+                          SupportTooSmall)
 from utcat.fixtures import (FIXTURE_BUILDERS, fibonacci, ising, mult2_ring, random_blocks, su2k,
                             vec_zn)
 from utcat.skeletal import SkeletalUTC
@@ -72,9 +73,14 @@ def test_pp_check_on_every_label(ann):
 
 
 def test_z_state_is_positive_and_unital(ann):
-    zs = z_state(ann)
-    assert zs["unital"]
-    assert zs["positivity_floor"] >= -1e-10
+    # unitality is not reported: `check_state` raises on a non-unital ω
+    assert z_state(ann)["positivity_floor"] >= -1e-10
+
+
+def test_a_non_unital_z_state_is_refused():
+    ann = build_annulus(fibonacci())
+    with pytest.raises(NotAState, match="not unital"):
+        ann.ground().check_state(2 * z_state(ann)["omega"])
 
 
 def test_fiber_dimension_oracles():

@@ -7,7 +7,7 @@ from utcat import io_schemas as io
 from utcat.algebra_object import (AlgebraObject, group_algebra_object,
                                   validate_algebra_object, worst_residual)
 from utcat.annulus import _assemble, build_annulus
-from utcat import cli, wire
+from utcat import cli, semicircular, wire
 from utcat.cli import main
 from utcat.errors import PositivityFailure, SchemaError
 from utcat.fixtures import FIXTURE_BUILDERS, fibonacci, ising, vec_zn
@@ -473,6 +473,63 @@ def test_fock_accepts_a_rescaled_trace_symmetric_covariance(capsys, tmp_path):
     assert rep["trace_symmetry_residual"] > 1e-12
     assert code == 0 and rep["ok"]
     assert rep["moment_residual"] <= 1e-12
+
+
+def _self_adjoint_pair_files(tmp_path):
+    """--base and --cov files of η_ij(a) = ξ_i·a·ξ_j for two self-adjoint
+    ξ ∈ M₂: trace-symmetric, with η_01 ≠ η_10."""
+    xi = [np.array([[1, 2], [2, -1]]), np.array([[0, 1j], [-1j, 2]])]
+    eta = covariance_from_vectors([x[None] for x in xi], BaseAlgebra((2,)))
+    base, cov = tmp_path / "base.json", tmp_path / "eta.json"
+    base.write_text(json.dumps({"blocks": [2]}))
+    cov.write_text(json.dumps({"index": [0, 1], "entries": {
+        f"{i},{j}": [[[z.real, z.imag] for z in row] for row in eta.stacked[i, j]]
+        for i in range(2) for j in range(2)}}))
+    return ["--base", str(base), "--cov", str(cov)]
+
+
+def test_fock_gates_a_fock_build_that_swaps_eta_ij_for_eta_ji(capsys, tmp_path,
+                                                              monkeypatch):
+    files = _self_adjoint_pair_files(tmp_path)
+    code, rep = run(capsys, "fock", *files, "--depth", "3", "--moments", "6")
+    assert code == 0 and rep["ok"] and rep["moment_residual"] <= 1e-12
+    level_cuts = semicircular.level_cuts
+
+    def swapped(eta, depth):
+        # the Grams of η_ji; CovarianceMatrix would refuse it as not CP
+        mutant = type("Swapped", (), {"algebra": eta.algebra, "index": eta.index,
+                                      "stacked": eta.stacked.swapaxes(0, 1)})
+        return level_cuts(mutant, depth)
+
+    monkeypatch.setattr(semicircular, "level_cuts", swapped)
+    code, rep = run(capsys, "fock", *files, "--depth", "3", "--moments", "6")
+    assert code == 2 and not rep["ok"] and rep["moment_residual"] > 1e-9
+
+
+@pytest.mark.parametrize("mutant", ["first_index_only", "reversed_words"])
+def test_fock_gates_every_index_and_mixed_words(capsys, tmp_path, monkeypatch,
+                                                mutant):
+    # both keep E(X₀^m), all that the gate once compared: a family that
+    # reads every X letter as X₀ changes X₁^m and the mixed words, and
+    # moments of reversed words read η_ji for η_ij on the mixed words
+    files = _self_adjoint_pair_files(tmp_path)
+    if mutant == "first_index_only":
+        post_init = semicircular.SemicircularFamily.__post_init__
+
+        def first_index_only(fam):
+            post_init(fam)
+            fam.letters = dict.fromkeys(fam.letters, fam.fock.eta.index[0])
+
+        monkeypatch.setattr(semicircular.SemicircularFamily, "__post_init__",
+                            first_index_only)
+    else:
+        moment = cli.vacuum_expectation
+        monkeypatch.setattr(cli, "vacuum_expectation",
+                            lambda fam, word: moment(fam, word[::-1]))
+    code, rep = run(capsys, "fock", *files, "--depth", "3", "--moments", "6")
+    assert code == 2 and rep["moment_residual"] > 1e-9
+    assert rep["moments"] == [1.0000000000000002, 0.0, 5.0, 0.0,
+                              49.99999999999999, 0.0, 624.9999999999998]
 
 
 def test_reports_are_deterministic(capsys, tmp_path):

@@ -14,7 +14,6 @@ from utcat.inclusion import (
     RealizedCorrespondence,
     _intertwiner_space,
     _match_label,
-    boxtimes,
     commutant_blocks,
     corrupt_correspondence,
     discreteness_report,
@@ -331,18 +330,6 @@ def test_hom_count_matches_solve(a1, b1, a2, b2):
     assert hom_count(h1, h2, cross_check=True) == a1 * a2 + b1 * b2
 
 
-def test_boxtimes_fusion_arithmetic():
-    fib = fibonacci()
-    ha = HilbertSpaceObject({"1": 1, "tau": 2})
-    hb = HilbertSpaceObject({"tau": 3})
-    # (1 + 2τ)·3τ = 3τ + 6τ² = 6·1 + 9τ
-    assert boxtimes(ha, hb, fib.ring).dims == {"1": 6, "tau": 9}
-    isg = ising()
-    hs = HilbertSpaceObject({"sigma": 2})
-    # 2σ · 2σ = 4(1 + ψ)
-    assert boxtimes(hs, hs, isg.ring).dims == {"1": 4, "psi": 4}
-
-
 def test_realize_is_tensor_compatible():
     rng = np.random.default_rng(11)
     fib = fibonacci()
@@ -353,7 +340,11 @@ def test_realize_is_tensor_compatible():
                                  for X in fib.ring.labels})
         if not h1.dims or not h2.dims:
             continue
-        prod = boxtimes(h1, h2, fib.ring)
+        # (ℋ₁⊠ℋ₂)(K) = Σ N(K₁,K₂;K)·h₁(K₁)·h₂(K₂), the fusion product
+        prod = HilbertSpaceObject({K: sum(fib.ring.N(K1, K2, K) * a * b
+                                          for K1, a in h1.dims.items()
+                                          for K2, b in h2.dims.items())
+                                   for K in fib.ring.labels})
         assert realize(prod).graded_dims() == prod.dims
 
 

@@ -20,14 +20,12 @@ from utcat.gns import rank_cut
 from utcat.semicircular import (
     BaseAlgebra,
     CovarianceMatrix,
-    _kraus_vectors,
     build_fock,
     catalan,
-    catalan_moments,
     covariance_from_automorphisms,
     covariance_from_vectors,
-    ind_faithfulness_probe,
     level_cuts,
+    nc_moment,
     semicircular_ops,
     vacuum_expectation,
 )
@@ -269,22 +267,6 @@ def _reference_vector_entries(vectors, alg):
             for i in range(len(xs)) for j in range(len(xs))}
 
 
-def _reference_corner_ranks(eta):
-    """Ranks of the scalar Grams τ(b* η_ii(a*c) d) of A⊗_{η_ii}A."""
-    alg, n = eta.algebra, eta.algebra.dim
-    ranks = {}
-    for i in eta.index:
-        Q = np.zeros((n * n, n * n), dtype=complex)
-        for (ai, a), (bi, b) in itertools.product(enumerate(alg.basis),
-                                                  repeat=2):
-            for (ci, c), (di, dd) in itertools.product(enumerate(alg.basis),
-                                                       repeat=2):
-                Q[ai * n + bi, ci * n + di] = alg.trace(
-                    b.conj().T @ eta.apply(i, i, a.conj().T @ c) @ dd)
-        ranks[i] = rank_cut(Q).rank
-    return ranks
-
-
 @pytest.mark.parametrize("case", ["pair", "m2_vectors", "blocks_1_2"])
 def test_vector_covariance_matches_the_loop(case):
     alg = {"pair": BaseAlgebra((1,)), "m2_vectors": BaseAlgebra((2,)),
@@ -298,14 +280,6 @@ def test_vector_covariance_matches_the_loop(case):
     for key, want in _reference_vector_entries(vs, alg).items():
         assert np.max(np.abs(eta.stacked[key] - want)) \
             <= 1e-12 * max(1.0, np.max(np.abs(want)))
-
-
-@pytest.mark.parametrize("case", ["m2_rotation", "m2_vectors", "blocks_1_2",
-                                  "skew_1_1"])
-def test_probe_corner_ranks_match_the_loop(case):
-    eta = COVARIANCE_CASES[case]()
-    rep = ind_faithfulness_probe(eta)
-    assert rep["corner_dims"] == _reference_corner_ranks(eta)
 
 
 def _sequential_row_bound(eta, samples=20, seed=0):
@@ -509,18 +483,6 @@ def test_a_negative_depth_is_refused():
     assert build_fock(eta, 0).level_dims == (1,)
 
 
-def _a_moment(eta, As, xs):
-    """E(a₀·X_{x₁}·a₁···X_{x_n}·a_n) for As = [a₀, …, a_n] by the A-valued
-    non-crossing recursion: X_{x₁} pairs with each X_{x_k}, k even."""
-    if len(xs) % 2:
-        return np.zeros_like(As[0])
-    if not xs:
-        return As[0]
-    return sum(As[0] @ eta.apply(xs[0], xs[k], _a_moment(eta, As[1:k + 1], xs[1:k]))
-               @ _a_moment(eta, As[k + 1:], xs[k + 1:])
-               for k in range(1, len(xs), 2))
-
-
 def test_m2_rotation_builds_at_depth_five():
     # raw level 5 alone has 4·4^5 = 4096 vectors, but the Grams cut have
     # 4 + 4·(4 + 8 + 16 + 32 + 64) = 500 rows in all
@@ -528,16 +490,13 @@ def test_m2_rotation_builds_at_depth_five():
     fock = build_fock(eta, 5)
     assert fock.level_dims == (4, 8, 16, 32, 64, 128)
     fam = semicircular_ops(fock)
-    for k, want in enumerate(catalan_moments(eta, 0, 10)):
-        assert _close(vacuum_expectation(fam, [("X", 0)] * k), want)
+    x = ("X", 0)
+    for k in range(11):
+        assert _close(vacuum_expectation(fam, [x] * k), nc_moment(eta, [x] * k))
     rng = np.random.default_rng(43)
-    one, x = np.eye(2), ("X", 0)
     for k in range(1, 6):
-        a, b = eta.algebra.random(rng), eta.algebra.random(rng)
-        want = _a_moment(eta, [a] + [one] * (k - 1) + [b] + [one] * k,
-                         [0] * 2 * k)
-        assert _close(vacuum_expectation(fam, [a] + [x] * k + [b] + [x] * k),
-                      want)
+        word = [eta.algebra.random(rng)] + [x] * k + [eta.algebra.random(rng)] + [x] * k
+        assert _close(vacuum_expectation(fam, word), nc_moment(eta, word))
 
 
 def test_operators_are_self_adjoint(id2_family):
@@ -629,6 +588,13 @@ def _haar_pair_eta(seed=5):
     rng = np.random.default_rng(seed)
     Q, _ = np.linalg.qr(rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2)))
     return covariance_from_vectors([Q[0], Q[1]])
+
+
+def _self_adjoint_pair_eta():
+    """η_ij(a) = ξ_i·a·ξ_j for two self-adjoint ξ ∈ M₂: trace-symmetric,
+    with η_01 ≠ η_10, so a swap of the indices changes the mixed moments."""
+    xi = [np.array([[1, 2], [2, -1]]), np.array([[0, 1j], [-1j, 2]])]
+    return covariance_from_vectors([x[None] for x in xi], BaseAlgebra((2,)))
 
 
 # (covariance, depth, raw_dims, level_dims)
@@ -964,6 +930,52 @@ def test_a_letters_at_random_positions_match_the_raw_reference(case):
         assert _close(vacuum_expectation(fam, word), raw.expectation(word))
 
 
+# (covariance, depth): deeper than the raw reference reaches, and every
+# `GRAM_CASES` family at its listed depth
+NC_CASES = {
+    "m2_rotation_d6": (_rotation_eta, 6),
+    "pair_d8": (GRAM_CASES["pair"][0], 8),
+    "self_adjoint_m2_d8": (_self_adjoint_pair_eta, 8),
+    **{k: v[:2] for k, v in GRAM_CASES.items()},
+}
+
+
+@pytest.mark.parametrize("case", sorted(NC_CASES))
+def test_vacuum_moments_match_the_noncrossing_recursion(case):
+    # 0–4 A letters at random positions in words of up to 2·depth X letters
+    make, depth = NC_CASES[case]
+    eta = make()
+    fam = semicircular_ops(build_fock(eta, depth))
+    alg, rng = eta.algebra, np.random.default_rng(47)
+    for t in range(24):
+        nx = 2 * depth - t % 2 if t < 4 else int(rng.integers(2 * depth + 1))
+        word = [("X", eta.index[s]) for s in rng.integers(len(eta.index), size=nx)]
+        for _ in range(int(rng.integers(5))):
+            word.insert(int(rng.integers(len(word) + 1)), alg.random(rng))
+        assert _close(vacuum_expectation(fam, word), nc_moment(eta, word))
+
+
+def test_the_noncrossing_recursion_gives_the_catalan_numbers():
+    # without a Fock space, so beyond the depth `build_fock` caps
+    x = ("X", 0)
+    eta = covariance_from_vectors([np.array([1.0])])
+    for m in range(13):
+        assert nc_moment(eta, [x] * (2 * m)) == catalan(m)
+        assert nc_moment(eta, [x] * (2 * m + 1)) == 0
+    eta = _rotation_eta()
+    for m in range(17):
+        assert _close(nc_moment(eta, [x] * (2 * m)), 2 ** m * catalan(m) * np.eye(2))
+
+
+def test_the_noncrossing_recursion_reads_eta_ij_in_order():
+    # E(X₀·a·X₁) = η₀₁(a) = ξ₀·a·ξ₁, not η₁₀(a)
+    eta = _self_adjoint_pair_eta()
+    a = eta.algebra.random(np.random.default_rng(3))
+    got = nc_moment(eta, [("X", 0), a, ("X", 1)])
+    assert _close(got, eta.apply(0, 1, a))
+    assert not _close(got, eta.apply(1, 0, a))
+
+
 def _bad_words(fam):
     """(error, word) pairs: letters the moment refuses, next to X letters
     whose halves a sweep has cached."""
@@ -995,6 +1007,23 @@ def test_bad_words_are_refused_on_a_cache_hit_and_a_miss(id2_family):
             half((0,) * 5)
         with pytest.raises(UnknownLabel):
             half((0, 7))
+
+
+def test_bad_words_are_refused_alike_by_the_recursion(id2_family):
+    # the letters are resolved by the same helpers, so the same error and
+    # message; the recursion has no depth, so none is too long
+    fam = id2_family
+    x, m2 = ("X", 0), semicircular_ops(build_fock(_rotation_eta(), 2))
+    table = [(fam, err, word) for err, word in _bad_words(fam)
+             if err is not WordTooLong]
+    table += [(fam, LabelMismatch, [x, None, x]), (fam, LabelMismatch, ["X", x]),
+              (m2, LabelMismatch, [x, np.eye(3), x]), (m2, UnknownLabel, [("X", 1)])]
+    for f, err, word in table:
+        with pytest.raises(err) as fock:
+            vacuum_expectation(f, word)
+        with pytest.raises(err) as oracle:
+            nc_moment(f.fock.eta, word)
+        assert str(oracle.value) == str(fock.value)
 
 
 def test_numpy_integer_indices_resolve_like_their_canonical_form(id2_family):
@@ -1181,76 +1210,7 @@ def test_expectation_is_bimodular():
         assert np.max(np.abs(framed - a @ mid @ b)) < 1e-10
 
 
-# -- ind criterion ingredients -------------------------------------------------
-
-def test_probe_trivial_covariance():
-    eta = covariance_from_vectors([np.array([1.0])])
-    rep = ind_faithfulness_probe(eta)
-    assert rep["trace_symmetric"]
-    assert rep["corner_dims"] == {0: 1}
-    assert rep["vector_presentation_residual"] < 1e-12
-    assert rep["verdict"] == "criterion ingredients verified (finite A)"
-
-
-def test_probe_automorphism_covariance():
-    alg = BaseAlgebra((2,))
-    th = 0.3
-    u = np.array([[np.cos(th), -np.sin(th)],
-                  [np.sin(th), np.cos(th)]], dtype=complex)
-    ad = np.zeros((4, 4), dtype=complex)
-    for c, e in enumerate(alg.basis):
-        ad[:, c] = alg.coords(u @ e @ u.conj().T)
-    eta = covariance_from_automorphisms([ad], alg)
-    rep = ind_faithfulness_probe(eta)
-    assert rep["trace_symmetry_residual"] < 1e-12
-    assert rep["vector_presentation_residual"] < 1e-10
-    assert rep["verdict"] == "criterion ingredients verified (finite A)"
-
-
-def test_probe_reads_ids_that_are_not_positions():
-    # the vector presentation is indexed by 0, 1, …; this η by "p" and 7
-    stack = np.zeros((2, 2, 4, 4), dtype=complex)
-    stack[0, 0] = _rotation_eta(0.7).stacked[0, 0]
-    stack[1, 1] = _rotation_eta(1.3).stacked[0, 0]
-    alg = BaseAlgebra((2,))
-    rep = ind_faithfulness_probe(CovarianceMatrix(alg, ("p", 7), stack))
-    want = ind_faithfulness_probe(CovarianceMatrix(alg, (0, 1), stack))
-    assert rep["corner_dims"] == {"p": want["corner_dims"][0],
-                                  7: want["corner_dims"][1]}
-    assert rep["vector_presentation_residual"] \
-        == want["vector_presentation_residual"] < 1e-10
-    assert rep["verdict"] == want["verdict"] \
-        == "criterion ingredients verified (finite A)"
-
-
-def test_probe_flags_non_symmetric_covariance():
-    alg = BaseAlgebra((1, 1))
-    eta = CovarianceMatrix(alg, (0,), np.array([[0.0, 2.0],
-                                                [1.0, 0.0]])[None, None])
-    rep = ind_faithfulness_probe(eta)
-    assert rep["trace_symmetry_residual"] > 0.1
-    assert not rep["trace_symmetric"]
-    # the verdict reads trace symmetry, so it fails here
-    assert rep["verdict"] == "η is not trace-symmetric"
-
-
-def test_probe_verdict_reads_the_vector_presentation(monkeypatch):
-    # a presentation that misses η by 2% must fail the verdict
-    alg = BaseAlgebra((2,))
-    h = alg.random(np.random.default_rng(5))
-    # a self-adjoint ξ makes η(a) = ξaξ trace-symmetric
-    eta = covariance_from_vectors([(h + h.conj().T)[None]], alg)
-    assert ind_faithfulness_probe(eta)["verdict"] \
-        == "criterion ingredients verified (finite A)"
-    monkeypatch.setattr("utcat.semicircular._kraus_vectors",
-                        lambda eta: [1.01 * v for v in _kraus_vectors(eta)])
-    rep = ind_faithfulness_probe(eta)
-    assert rep["trace_symmetric"]
-    assert rep["vector_presentation_residual"] > 1e-9
-    assert rep["verdict"] == "vector presentation residual above 1e-9"
-
-
-def test_probe_trace_symmetry_is_scale_invariant():
+def test_trace_symmetry_is_scale_invariant():
     alg = BaseAlgebra((2,))
     th = 0.7
     u = np.array([[np.cos(th), -np.sin(th)], [np.sin(th), np.cos(th)]])
@@ -1259,19 +1219,9 @@ def test_probe_trace_symmetry_is_scale_invariant():
     big = CovarianceMatrix(alg, eta.index, 1e6 * eta.stacked)
     assert big.trace_symmetry_residual() > 1e-12
     assert eta.is_trace_symmetric() and big.is_trace_symmetric()
-    assert ind_faithfulness_probe(big)["trace_symmetric"]
-    skew = CovarianceMatrix(BaseAlgebra((1, 1)), (0,),
-                            1e-6 * np.array([[0.0, 2.0],
-                                             [1.0, 0.0]])[None, None])
-    assert skew.trace_symmetry_residual() < 1e-5
+    skew = _skew_eta()
+    assert skew.trace_symmetry_residual() > 0.1
     assert not skew.is_trace_symmetric()
-
-
-def test_kraus_round_trip_m2():
-    alg = BaseAlgebra((2,))
-    rng = np.random.default_rng(5)
-    vs = [rng.normal(size=(2, 2, 2)) + 1j * rng.normal(size=(2, 2, 2))
-          for _ in range(2)]
-    eta = covariance_from_vectors(vs, alg)
-    rep = ind_faithfulness_probe(eta)
-    assert rep["vector_presentation_residual"] < 1e-10
+    tiny = CovarianceMatrix(skew.algebra, skew.index, 1e-6 * skew.stacked)
+    assert tiny.trace_symmetry_residual() < 1e-5
+    assert not tiny.is_trace_symmetric()

@@ -30,9 +30,6 @@ TEST_ONLY = {
                            "E_ω = (id ⊗ ω)∘𝔼",
     "positivity_check": "the paper's positivity of "
                         "Σ 𝔸²(j(aᵢ)⊙aⱼ) ⊗ 𝔹²(j(bᵢ)⊙bⱼ)",
-    "boxtimes": "the paper's fusion of Hilbert space objects ℋ₁⊠ℋ₂",
-    "ind_faithfulness_probe": "the checkable ingredients of the paper's "
-                              "ind-inclusion criterion for finite A",
     # the library gathers F, R and θ from their buffers in bulk or by
     # block number
     "fmat": "the F-matrix of one block",
