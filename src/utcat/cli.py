@@ -1,6 +1,10 @@
 """`utcat` command line: ingest JSON data, run the pipelines, emit reports.
 
-Exit codes: 0 all assertions pass, 2 axiom/assertion failure, 3 input error.
+Every report lists its verdicts in `checks`, entries {name, value, bound,
+margin, passed} built by `_check`; a NaN value fails.  Its `ok` is
+all(passed), and `main` alone sets `ok` and the exit code from them.
+`analyze` lists its four flags as checks that no input can fail yet.
+Exit codes: 0 `ok`, 2 a failed check or axiom/assertion error, 3 input error.
 Reports are deterministic for a fixed config and seed (modulo the wall-clock
 field) and always embed the seed and tolerance actually used.
 
@@ -141,6 +145,8 @@ def _parse_support(cat, spec: str | None):
                 depth = int(token[6:])
             except ValueError:
                 raise SchemaError(f"bad depth in support spec {spec!r}", "/support")
+            if depth < 0:
+                raise SchemaError(f"negative depth in support spec {spec!r}", "/support")
         elif token:
             raise SchemaError(f"bad support token {token!r}", "/support")
     if not gens:
@@ -185,59 +191,70 @@ def _emit(report: dict, args, started: float) -> None:
 
 # -- command handlers -------------------------------------------------------
 
-def _cmd_validate(args) -> tuple:
-    raw = _load_raw(args.input)
-    try:
-        if isinstance(raw, dict) and "F" in raw:
-            cat = io.cat_from_json(raw)
-            residuals, worst = _coherence(cat)
-            residuals.update(zigzag=cat.verify_zigzag(),
-                             unitarity=cat.verify_unitarity())
-        else:
-            io.ring_from_json(raw)
-            residuals, worst = {}, None
-    except RingAxiomError as exc:
-        return EXIT_ASSERT, {"command": "validate", "input": args.input,
-                             "ok": False,
-                             "violations": [v.as_dict() for v in exc.violations]}
-    bad = [k for k, r in residuals.items() if r is not None and not r <= args.tol]
-    report = {"command": "validate", "input": args.input, "ok": not bad,
-              "violations": [], "residuals": residuals}
-    if worst is not None:
-        report["worst"] = worst
-    return (EXIT_ASSERT if bad else EXIT_OK), report
+def _check(bound, least: bool = False, **values) -> list:
+    """One check {name, value, bound, margin, passed} per named value:
+    value ≤ bound, or value ≥ bound when ``least``.  The margin is the
+    distance to the bound, positive on the passing side; a NaN fails, and a
+    value of None (a check that does not apply) adds no entry."""
+    out = []
+    for name, value in values.items():
+        if value is None:
+            continue
+        margin = float(value) - float(bound) if least else float(bound) - float(value)
+        out.append({"name": name, "value": value, "bound": bound,
+                    "margin": margin, "passed": bool(margin >= 0)})
+    return out
 
 
-def _coherence(cat) -> tuple:
-    """Pentagon and hexagon residuals, and the labels where each is largest:
-    [a, b, c, d, e] for the pentagon, [a, b, c, d] for the hexagon (None
-    without a braiding)."""
+def _coherence(cat, tol: float, unitarity: bool = False) -> tuple:
+    """Pentagon, hexagon (None without a braiding) and zig-zag residuals,
+    with unitarity if asked; the labels where each coherence residual is
+    largest, [a, b, c, d, e] for the pentagon and [a, b, c, d] for the
+    hexagon; and the checks of the residuals against ``tol``."""
     p, where_p = cat.coherence("pentagon")
     h, where_h = cat.coherence("hexagon") if cat.braided else (None, None)
-    return ({"pentagon": p, "hexagon": h},
-            {"pentagon": list(where_p),
-             "hexagon": None if where_h is None else list(where_h)})
+    residuals = {"pentagon": p, "hexagon": h, "zigzag": cat.verify_zigzag()}
+    if unitarity:
+        residuals["unitarity"] = cat.verify_unitarity()
+    worst = {"pentagon": list(where_p),
+             "hexagon": None if where_h is None else list(where_h)}
+    return residuals, worst, _check(tol, **residuals)
 
 
-def _cmd_verify(args) -> tuple:
-    cat = _load_cat(args.input)
-    residuals, worst = _coherence(cat)
-    residuals["zigzag"] = cat.verify_zigzag()
-    bad = [k for k, r in residuals.items() if r is not None and not r <= args.tol]
-    report = {"command": "verify", "input": args.input, **residuals,
-              "ok": not bad, "worst": worst}
-    return (EXIT_ASSERT if bad else EXIT_OK), report
+def _cmd_validate(args) -> dict:
+    raw = _load_raw(args.input)
+    report = {"command": "validate", "input": args.input, "violations": []}
+    checks = []
+    try:
+        if isinstance(raw, dict) and "F" in raw:
+            report["residuals"], report["worst"], checks = _coherence(
+                io.cat_from_json(raw), args.tol, unitarity=True)
+        else:
+            io.ring_from_json(raw)
+            report["residuals"] = {}
+    except RingAxiomError as exc:
+        report["violations"] = [v.as_dict() for v in exc.violations]
+    report["checks"] = _check(0, ring_axioms=len(report["violations"])) + checks
+    return report
 
 
-def _cmd_aobj_verify(args) -> tuple:
+def _cmd_verify(args) -> dict:
+    residuals, worst, checks = _coherence(_load_cat(args.input), args.tol)
+    return {"command": "verify", "input": args.input, **residuals,
+            "worst": worst, "checks": checks}
+
+
+def _cmd_aobj_verify(args) -> dict:
     cat = _load_cat(args.cat)
     D = _load_aobj(cat, args.aobj)
     rng = np.random.default_rng(args.seed)
     res = validate_algebra_object(D, rng=rng, tol=args.tol)
-    ok = worst_residual(res)[1] <= args.tol
-    return (EXIT_OK if ok else EXIT_ASSERT), {
-        "command": "aobj-verify", "cat": args.cat, "aobj": args.aobj,
-        "residuals": res, "ok": ok}
+    floor = {"positivity_floor": res["positivity_floor"]}
+    residuals = {k: v for k, v in res.items() if k not in floor}
+    return {"command": "aobj-verify", "cat": args.cat, "aobj": args.aobj,
+            "residuals": res,
+            "checks": _check(args.tol, **residuals)
+            + _check(-args.tol, least=True, **floor)}
 
 
 def _group_oracle(co: CoendAlgebra):
@@ -262,7 +279,7 @@ def _group_oracle(co: CoendAlgebra):
     return float(np.max(np.abs(np.array(ops) - table)))
 
 
-def _cmd_coend(args) -> tuple:
+def _cmd_coend(args) -> dict:
     cat = _load_cat(args.cat)
     A = _load_aobj(cat, args.left, args)
     if A.side == "cat":
@@ -274,11 +291,14 @@ def _cmd_coend(args) -> tuple:
 
     sandwich = {"samples": 0, "violations": 0, "max_ratio": 0.0,
                 "max_bound": 0.0}
+    margins = []  # (left, right) margin plus slack of each sample
     for k in range(args.samples):
         X = co.support[k % len(co.support)]
         T = GradedElement({X: rng.normal(size=co.dims[X])
                            + 1j * rng.normal(size=co.dims[X])})
         rep = norm_sandwich_check(co, T)
+        margins.append((rep["left_margin"] + rep["slack"],
+                        rep["right_margin"] + rep["slack"]))
         sandwich["samples"] += 1
         if not (rep["left_ok"] and rep["right_ok"]):
             sandwich["violations"] += 1
@@ -286,22 +306,22 @@ def _cmd_coend(args) -> tuple:
             sandwich["max_ratio"] = max(
                 sandwich["max_ratio"], rep["op_norm"] / rep["vacuum_norm"])
         sandwich["max_bound"] = max(sandwich["max_bound"], rep["bound"])
+    left, right = np.min(margins, axis=0)  # a NaN margin propagates
 
-    probe = faithfulness_probe(co, trials=args.samples, seed=args.seed)
     oracle = _group_oracle(co)
-    ok = sandwich["violations"] == 0 and probe["failures"] == 0 \
-        and (oracle is None or oracle < 1e-12)
-    report = {"command": "coend", "cat": args.cat, "left": args.left,
-              "right": args.right, "support": list(co.support),
-              "dims": dict(co.dims),
-              "norm_sandwich": sandwich,
-              "faithfulness": probe,
-              "group_oracle_residual": oracle,
-              "ok": ok}
-    return (EXIT_OK if ok else EXIT_ASSERT), report
+    return {"command": "coend", "cat": args.cat, "left": args.left,
+            "right": args.right, "support": list(co.support),
+            "dims": dict(co.dims),
+            "norm_sandwich": sandwich,
+            "faithfulness": faithfulness_probe(co, trials=args.samples,
+                                               seed=args.seed),
+            "group_oracle_residual": oracle,
+            "checks": _check(0.0, least=True, sandwich_left=left,
+                             sandwich_right=right)
+            + _check(1e-12, group_oracle=oracle)}
 
 
-def _cmd_analyze(args) -> tuple:
+def _cmd_analyze(args) -> dict:
     cat = _load_cat(args.cat)
     D = _load_aobj(cat, args.aobj, args)
     n1 = D.n(cat.ring.unit)
@@ -311,13 +331,14 @@ def _cmd_analyze(args) -> tuple:
         omega = np.array([1.0 + 0.0j])
     else:
         omega = np.asarray(z_state(D)["omega"], dtype=complex)
-    report = {"command": "analyze", "cat": args.cat, "aobj": args.aobj,
-              "state": list(map(complex, omega)),
-              **discreteness_report(D, omega), "ok": True}
-    return EXIT_OK, report
+    rep = discreteness_report(D, omega)
+    flags = {k: rep[k] for k in ("discrete", "pqr", "ind", "chain_ok")}
+    return {"command": "analyze", "cat": args.cat, "aobj": args.aobj,
+            "state": list(map(complex, omega)), **rep,
+            "checks": _check(True, least=True, **flags)}
 
 
-def _cmd_annulus(args) -> tuple:
+def _cmd_annulus(args) -> dict:
     cat = _load_cat(args.cat)
     S = _parse_support(cat, args.support)
     ann = build_annulus(cat, S, tol=args.tol)
@@ -326,18 +347,18 @@ def _cmd_annulus(args) -> tuple:
         with open(args.out, "w") as fh:
             json.dump(io.aobj_to_json(ann), fh, indent=2)
             fh.write("\n")
-    ok = zrep["positivity_floor"] >= -args.tol
-    report = {"command": "annulus", "cat": args.cat,
-              "support": list(ann.meta["support"]),
-              "fibers": {X: n for X, n in ann.fibers.items() if n},
-              "unit_fiber_dim": ann.n(cat.ring.unit),
-              "z_state": {"omega": list(map(complex, zrep["omega"])),
-                          "positivity_floor": zrep["positivity_floor"]},
-              "out": args.out, "ok": ok}
-    return (EXIT_OK if ok else EXIT_ASSERT), report
+    floor = zrep["positivity_floor"]
+    return {"command": "annulus", "cat": args.cat,
+            "support": list(ann.meta["support"]),
+            "fibers": {X: n for X, n in ann.fibers.items() if n},
+            "unit_fiber_dim": ann.n(cat.ring.unit),
+            "z_state": {"omega": list(map(complex, zrep["omega"])),
+                        "positivity_floor": floor},
+            "out": args.out,
+            "checks": _check(-args.tol, least=True, positivity_floor=floor)}
 
 
-def _cmd_fock(args) -> tuple:
+def _cmd_fock(args) -> dict:
     if args.base:
         alg = io.base_from_json(_load_raw(args.base))
     else:
@@ -357,19 +378,18 @@ def _cmd_fock(args) -> tuple:
         got, want = vacuum_expectation(fam, word), nc_moment(eta, word)
         if t <= args.moments:  # X_{i₀}^m, the moments printed
             moments.append(float(alg.trace(got).real))
-        residual = max(residual, float(np.max(np.abs(got - want)))
-                       / max(1.0, float(np.max(np.abs(want)))))
-    sym = eta.trace_symmetry_residual()
-    ok = residual <= args.tol and eta.is_trace_symmetric()
-    report = {"command": "fock", "base": list(alg.blocks),
-              "index": list(eta.index), "depth": args.depth,
-              "level_dims": list(fam.fock.level_dims),
-              "level_cut_gaps": list(fam.fock.cut_gaps),
-              "moments": moments,
-              "moment_residual": residual,
-              "trace_symmetry_residual": sym,
-              "ok": ok}
-    return (EXIT_OK if ok else EXIT_ASSERT), report
+        # np.maximum, unlike max, keeps a NaN deviation
+        residual = float(np.maximum(residual, np.max(np.abs(got - want))
+                                    / max(1.0, float(np.max(np.abs(want))))))
+    return {"command": "fock", "base": list(alg.blocks),
+            "index": list(eta.index), "depth": args.depth,
+            "level_dims": list(fam.fock.level_dims),
+            "level_cut_gaps": list(fam.fock.cut_gaps),
+            "moments": moments,
+            "moment_residual": residual,
+            "trace_symmetry_residual": eta.trace_symmetry_residual(),
+            "checks": _check(args.tol, moment_residual=residual)
+            + _check(True, least=True, trace_symmetric=eta.is_trace_symmetric())}
 
 
 # -- argument parsing --------------------------------------------------------
@@ -456,7 +476,7 @@ def main(argv=None) -> int:
         return EXIT_INPUT
     started = time.time()
     try:
-        code, report = args.func(args)
+        report = args.func(args)
     except SchemaError as exc:
         print(json.dumps({"error": str(exc), "pointer": exc.pointer}))
         return EXIT_INPUT
@@ -474,8 +494,9 @@ def main(argv=None) -> int:
     except UtcatError as exc:
         print(json.dumps({"error": f"{type(exc).__name__}: {exc}"}))
         return EXIT_ASSERT
+    report["ok"] = all(c["passed"] for c in report["checks"])
     _emit(report, args, started)
-    return code
+    return EXIT_OK if report["ok"] else EXIT_ASSERT
 
 
 if __name__ == "__main__":

@@ -34,13 +34,11 @@ On first use the instance builds, and keeps:
 A product, an acting matrix, a star and the canonical expectation are one
 or two contractions with these arrays, and an operator norm is the largest
 singular value of one contraction with Q; so is the C*-norm of a ground
-element, through the unit block.  The GNS form of w∘𝔼, for a
-functional w on 𝔸(1)⊗𝔹(1), is the :func:`gns.form` of the unit channel of M
-under J: with w = w_𝔸 ⊗ w_𝔹 the canonical ground traces it is the module
-Gram, whose :class:`gns.GramRoot` gives S; with w = w_𝔸 ⊗ ω it is the
-faithfulness kernel of the descended expectation E_ω.  A component at a
-label outside S raises :class:`SupportOverflow`, at a label the ring lacks
-:class:`UnknownLabel`.
+element, through the unit block.  The module Gram, the GNS form of
+(w_𝔸 ⊗ w_𝔹)∘𝔼 with w the canonical ground traces, is the :func:`gns.form`
+of the unit channel of M under J, and its :class:`gns.GramRoot` gives S.
+A component at a label outside S raises :class:`SupportOverflow`, at a
+label the ring lacks :class:`UnknownLabel`.
 """
 
 from __future__ import annotations
@@ -53,22 +51,19 @@ import numpy as np
 
 from .algebra_object import SANDWICH_SLACK, AlgebraObject
 from .errors import (
-    CenterNotTrivial,
     CounterexampleFound,
     LabelMismatch,
     SupportOverflow,
     SupportTooSmall,
     UnknownLabel,
 )
-from .gns import GramRoot, form, min_eig, rank_cut, spectral_norm
+from .gns import GramRoot, form, min_eig, spectral_norm
 
 __all__ = [
     "CoendAlgebra",
     "GradedElement",
-    "descend_expectation",
     "faithfulness_probe",
     "norm_sandwich_check",
-    "positivity_check",
 ]
 
 
@@ -215,16 +210,6 @@ class CoendAlgebra:
 
     # -- inner product on ℰ_S -------------------------------------------------
 
-    def _form(self, w) -> np.ndarray:
-        """GNS form of w∘𝔼 on the graded basis, for w on 𝔸(1)⊗𝔹(1).
-
-        w(eᵢ*eₖ) reads only the unit channel of M under the star matrix J;
-        star maps grade X to X̄ and X̄⊗Y hits 1 only for Y = X, so the form
-        is block diagonal in the grading.
-        """
-        a, u = self._action, self.offsets[self.cat.ring.unit]
-        return form(a.M[:, u].transpose(1, 0, 2), a.J, w)
-
     def gram(self) -> np.ndarray:
         """GNS form of φ = (tr⊗tr)∘𝔼 on the graded basis: G[i,j] = φ(eᵢ*eⱼ);
         adjointness of the action under the GNS conjugation is automatic for
@@ -233,9 +218,13 @@ class CoendAlgebra:
 
     @cached_property
     def _gram(self) -> np.ndarray:
-        # φ(T) = (w_𝔸 ⊗ w_𝔹)·𝔼(T) with w the canonical ground traces
-        return self._form(np.kron(self.A.ground().weights,
-                                  self.B.ground().weights))
+        # φ(T) = (w_𝔸 ⊗ w_𝔹)·𝔼(T) with w the canonical ground traces.
+        # φ(eᵢ*eₖ) reads only the unit channel of M under the star matrix J;
+        # star maps grade X to X̄ and X̄⊗Y hits 1 only for Y = X, so the form
+        # is block diagonal in the grading
+        a, u = self._action, self.offsets[self.cat.ring.unit]
+        return form(a.M[:, u].transpose(1, 0, 2), a.J,
+                    np.kron(self.A.ground().weights, self.B.ground().weights))
 
     @cached_property
     def gns(self) -> GramRoot:
@@ -326,30 +315,9 @@ def norm_sandwich_check(co: CoendAlgebra, T: GradedElement) -> dict:
     ok_right = op_norm <= d * d * vac_norm + slack
     return {"grade": X, "vacuum_norm": vac_norm, "scalar_vacuum_norm":
             scalar_norm, "op_norm": op_norm, "bound": d * d,
-            "left_ok": bool(ok_left), "right_ok": bool(ok_right),
+            "left_ok": bool(ok_left), "right_ok": bool(ok_right), "slack": slack,
             "left_margin": op_norm - vac_norm,
             "right_margin": d * d * vac_norm - op_norm}
-
-
-def positivity_check(co: CoendAlgebra, X: str, terms: list) -> tuple:
-    """Σᵢⱼ 𝔸²(j(aᵢ)⊙aⱼ) ⊗ 𝔹²(j(bᵢ)⊙bⱼ) is positive in the square algebras.
-
-    ``terms`` is a list of (a, b) vector pairs in 𝔸(X)×𝔹(X).  Returns
-    (is_positive, min_eigenvalue) from the GNS matrices of the squares;
-    positive means a least eigenvalue ≥ −1e-10.
-    """
-    sqA = co.A.square_algebra(X)
-    sqB = co.B.square_algebra(X)
-    Xb = co.cat.ring.dual[X]
-    acc = np.zeros((sqA.dim * sqB.dim, sqA.dim * sqB.dim), dtype=complex)
-    for a_i, b_i in terms:
-        for a_j, b_j in terms:
-            ea = co.A.lax_product(Xb, X, co.A.j(X, a_i), a_j)
-            eb = co.B.lax_product(Xb, X, co.B.j(X, b_i), b_j)
-            acc += np.kron(sqA.gns.conj(sqA.left_mult(ea)),
-                           sqB.gns.conj(sqB.left_mult(eb)))
-    ev = min_eig(acc)
-    return ev >= -1e-10, ev
 
 
 def _probe_grams(co: CoendAlgebra) -> tuple:
@@ -408,49 +376,3 @@ def faithfulness_probe(co: CoendAlgebra, trials: int, seed: int = 0) -> dict:
             "bound_margin": lo_vac - lo_op * dmax**-4,
             "cyclic_rank": int(np.linalg.matrix_rank(V, tol=1e-10)),
             "expected_rank": co.total_dim}
-
-
-# ---------------------------------------------------------------------------
-# expectation descent
-# ---------------------------------------------------------------------------
-
-def descend_expectation(co: CoendAlgebra, omega: np.ndarray):
-    """E_ω = (id ⊗ ω) ∘ 𝔼 : A ⋊ 𝒟 → A for a state ω on 𝒟(1).
-
-    ``omega`` is the coefficient vector of the functional on the basis of
-    𝒟(1).  Returns (E_ω as a callable GradedElement → vector in 𝔸(1),
-    report dict with faithfulness of ω and of E_ω).  Both verdicts and
-    `gns_rank` come from :func:`gns.rank_cut` (faithful: nothing dropped);
-    `gns_cut_gap` is the (smallest kept, largest dropped) eigenvalue of ω's
-    GNS form, or None when nothing was dropped.  The descent needs 𝔸(1) to
-    have trivial centre: the null space of z ↦ (z·eᵢ − eᵢ·z)ᵢ on its
-    structure tensor, cut by :func:`gns.rank_cut`, must be the line of the
-    unit, or :class:`CenterNotTrivial` is raised; `center_dim` and
-    `center_cut_gap` report that cut.
-    """
-    ground = co.B.ground()
-    omega, _ = ground.check_state(omega)
-    cut = rank_cut(form(ground.P, ground.star_mat, omega))
-    P = co.A.ground().P  # e_x·e_y = Σ_z P[z, x, y] e_z
-    C = (P.swapaxes(1, 2) - P).reshape(-1, P.shape[2])  # z ↦ (z·eᵢ − eᵢ·z)ᵢ
-    center = rank_cut(C.conj().T @ C)
-    center_dim = P.shape[2] - center.rank
-    if center_dim != 1:
-        raise CenterNotTrivial(
-            f"expectation descent needs 𝔸(1) with trivial center; its "
-            f"center has dimension {center_dim}")
-
-    nA1, nB1 = co.A.n(co.cat.ring.unit), co.B.n(co.cat.ring.unit)
-
-    def E_omega(T: GradedElement) -> np.ndarray:
-        m = co.canonical_expectation(T).reshape(nA1, nB1)
-        return m @ omega
-
-    # faithfulness of E_ω through the Gram kernel on the graded basis:
-    # K[i,j] = tr_A(E_ω(eᵢ*eⱼ)) is PSD and degenerate iff E_ω has a kernel
-    kernel = rank_cut(co._form(np.kron(co.A.ground().weights, omega)))
-    report = {"omega_faithful": cut.gap is None,
-              "E_omega_faithful": kernel.gap is None,
-              "gns_rank": cut.rank, "gns_cut_gap": cut.gap,
-              "center_dim": center_dim, "center_cut_gap": center.gap}
-    return E_omega, report

@@ -85,10 +85,6 @@ class NotAState(UtcatError):
     pass
 
 
-class CenterNotTrivial(UtcatError):
-    pass
-
-
 class NotSemisimpleInput(UtcatError):
     pass
 

@@ -9,7 +9,7 @@ from utcat.algebra_object import (AlgebraObject, group_algebra_object,
 from utcat.annulus import _assemble, build_annulus
 from utcat import cli, semicircular, wire
 from utcat.cli import main
-from utcat.errors import PositivityFailure, SchemaError
+from utcat.errors import AxiomViolation, PositivityFailure, RingAxiomError, SchemaError
 from utcat.fixtures import FIXTURE_BUILDERS, fibonacci, ising, vec_zn
 from utcat.skeletal import SkeletalUTC
 from utcat.semicircular import (
@@ -422,6 +422,19 @@ def test_fock_catalan_moments(capsys):
     assert rep["moment_residual"] <= 1e-12
 
 
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_fock_fails_a_nan_moment_deviation(capsys, tmp_path):
+    # η = 1e200: the Fock moment of X⁴ overflows to inf and nc_moment gives
+    # nan; the residual took Python max, which dropped the NaN, and exited 0
+    cov = tmp_path / "eta.json"
+    cov.write_text(json.dumps({"index": [0], "entries": {"0,0": [[1e200]]}}))
+    code, rep = run(capsys, "fock", "--cov", str(cov), "--depth", "4",
+                    "--moments", "4")
+    assert code == 2 and rep["ok"] is False
+    assert np.isnan(rep["moment_residual"])
+    assert [c["passed"] for c in rep["checks"]] == [False, True]
+
+
 def test_fock_custom_base_and_cov(capsys, tmp_path):
     base = tmp_path / "base.json"
     base.write_text(json.dumps({"blocks": [1, 1]}))
@@ -599,6 +612,11 @@ def test_bad_support_spec_exits_3(capsys):
                "--support", "gen=omega,depth=1")[0] == 3
     assert run(capsys, "annulus", "--cat", "fib",
                "--support", "depth=2")[0] == 3
+    # a negative depth ran as depth 0 and exited 0
+    for command in ("annulus", "coend --left fiber --right groupalg"):
+        code, rep = run(capsys, *command.split(), "--cat", "z4",
+                        "--support", "gen=g2,depth=-5")
+        assert code == 3 and rep["pointer"] == "/support"
 
 
 def test_nonpositive_tolerance_exits_3(capsys):
@@ -631,3 +649,93 @@ def test_counts_at_their_minimum_run(capsys):
                "--samples", "1")[0] == 0
     code, rep = run(capsys, "fock", "--depth", "0", "--moments", "0")
     assert code == 0 and rep["moments"] == [1.0]
+
+
+# -- the checks that decide `ok` ---------------------------------------------
+
+def _wrap(mp, owner, name, edit):
+    """Pass every result of ``owner.name`` through ``edit(result, *args)``."""
+    f = getattr(owner, name)
+    mp.setattr(owner, name, lambda *a, **k: edit(f(*a, **k), *a))
+
+
+def _raise_ring_axioms(raw):
+    raise RingAxiomError([AxiomViolation("duality", ("x",))])
+
+
+def _coherence_off(check):
+    return lambda mp: _wrap(mp, SkeletalUTC, "coherence", lambda out, self, c:
+                            (1.0, out[1]) if c == check else out)
+
+
+_AOBJ = ["aobj-verify", "z3", "annulus"]
+_COEND = ["coend", "--cat", "z3", "--left", "fiber", "--right", "groupalg",
+          "--samples", "3"]
+
+# (argv, check, a mutation that puts the value the check reads past its bound)
+_MUTATIONS = [
+    (["validate", "mult2"], "ring_axioms",
+     lambda mp: mp.setattr(cli.io, "ring_from_json", _raise_ring_axioms)),
+    *[(argv, check, _coherence_off(check))
+      for argv in (["validate", "ising"], ["verify", "ising"])
+      for check in ("pentagon", "hexagon")],
+    *[(argv, "zigzag", lambda mp: _wrap(mp, SkeletalUTC, "verify_zigzag",
+                                        lambda out, self: 1.0))
+      for argv in (["validate", "ising"], ["verify", "ising"])],
+    (["validate", "ising"], "unitarity",
+     lambda mp: _wrap(mp, SkeletalUTC, "verify_unitarity", lambda out, self: 1.0)),
+    *[(_AOBJ, key, lambda mp, key=key: _wrap(mp, cli, "validate_algebra_object",
+                                             lambda res, D: {**res, key: np.nan}))
+      for key in ("associativity", "unitality", "star_involution",
+                  "star_monoidality", "positivity_floor")],
+    *[(_COEND, f"sandwich_{side}",
+       lambda mp, side=side: _wrap(mp, cli, "norm_sandwich_check", lambda rep, co, T:
+                                   {**rep, f"{side}_margin": -1.0}))
+      for side in ("left", "right")],
+    (_COEND, "group_oracle", lambda mp: mp.setattr(cli, "_group_oracle", lambda co: 1.0)),
+    (["annulus", "--cat", "fib"], "positivity_floor",
+     lambda mp: _wrap(mp, cli, "z_state", lambda rep, ann: {**rep, "positivity_floor": -1.0})),
+    (["fock", "--depth", "3", "--moments", "4"], "moment_residual",
+     lambda mp: _wrap(mp, cli, "nc_moment", lambda m, eta, word: m + 1)),
+    (["fock", "--depth", "3", "--moments", "4"], "trace_symmetric",
+     lambda mp: mp.setattr(semicircular.CovarianceMatrix, "_trace_pairs",
+                           lambda self: (1.0, 1.0))),
+]
+
+# checks that no input can fail yet (ROADMAP item 1)
+_CONSTANT = {("analyze", name) for name in ("discrete", "pqr", "ind", "chain_ok")}
+
+
+@pytest.mark.parametrize("argv, check, mutate", _MUTATIONS,
+                         ids=[f"{a[0]}-{c}" for a, c, _ in _MUTATIONS])
+def test_a_mutation_flips_exactly_its_check_and_ok(capsys, monkeypatch, argv, check,
+                                                   mutate):
+    code, rep = run(capsys, *argv)
+    before = {c["name"]: c["passed"] for c in rep["checks"]}
+    assert code == 0 and rep["ok"] is True and all(before.values())
+    mutate(monkeypatch)
+    code, rep = run(capsys, *argv)
+    after = {c["name"]: c["passed"] for c in rep["checks"]}
+    assert after.keys() == before.keys()
+    assert [k for k in after if after[k] != before[k]] == [check]
+    assert code == 2 and rep["ok"] is False
+
+
+def test_every_check_has_a_mutation_or_is_listed_as_constant(capsys):
+    argvs = {tuple(a) for a, _, _ in _MUTATIONS} | {("analyze", "--cat", "z2",
+                                                   "--aobj", "annulus")}
+    seen = set()
+    for argv in argvs:
+        code, rep = run(capsys, *argv)
+        assert code == 0 and rep["ok"] is True and rep["checks"]
+        assert rep["ok"] == all(c["passed"] for c in rep["checks"])
+        seen |= {(argv[0], c["name"]) for c in rep["checks"]}
+    assert seen == {(a[0], c) for a, c, _ in _MUTATIONS} | _CONSTANT
+
+
+def test_a_check_fails_on_nan_and_skips_none():
+    assert cli._check(0.5, r=0.25, skip=None) == [
+        {"name": "r", "value": 0.25, "bound": 0.5, "margin": 0.25, "passed": True}]
+    assert cli._check(-1.0, least=True, floor=-2.0)[0]["passed"] is False
+    assert [c["passed"] for c in cli._check(1.0, a=np.nan)
+            + cli._check(1.0, least=True, b=np.nan)] == [False, False]

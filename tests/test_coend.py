@@ -12,22 +12,17 @@ from utcat.algebra_object import (
     trivial_action_object,
     validate_algebra_object,
 )
-from utcat import io_schemas as io
 from utcat.annulus import build_annulus
 from utcat.coend import (
     CoendAlgebra,
     GradedElement,
     _probe_grams,
-    descend_expectation,
     faithfulness_probe,
     norm_sandwich_check,
-    positivity_check,
 )
 from utcat.errors import (
-    CenterNotTrivial,
     CounterexampleFound,
     LabelMismatch,
-    NotAState,
     SupportOverflow,
     SupportTooSmall,
     UnknownLabel,
@@ -242,37 +237,6 @@ def test_sandwich_rejects_inhomogeneous(fib_coend):
         norm_sandwich_check(fib_coend, T)
 
 
-# -- positivity -------------------------------------------------------------
-
-def test_unit_term_is_positive(zn_cross):
-    co = zn_cross
-    a = co.A.unit
-    b = co.B.unit
-    ok, ev = positivity_check(co, co.cat.ring.unit, [(a, b)])
-    assert ok and ev > -1e-12
-
-
-def test_two_term_positivity_z2():
-    cat = vec_zn(2)
-    co = CoendAlgebra(trivial_action_object(cat), group_algebra_object(cat))
-    rng = np.random.default_rng(31)
-    for _ in range(5):
-        terms = [(rng.normal(size=1) + 1j * rng.normal(size=1),
-                  rng.normal(size=1) + 1j * rng.normal(size=1))
-                 for _ in range(2)]
-        ok, ev = positivity_check(co, "g1", terms)
-        assert ok and ev >= -1e-12
-
-
-def test_three_term_positivity_fib_tau(fib_coend):
-    rng = np.random.default_rng(32)
-    terms = [(rng.normal(size=1) + 1j * rng.normal(size=1),
-              rng.normal(size=1) + 1j * rng.normal(size=1))
-             for _ in range(3)]
-    ok, ev = positivity_check(fib_coend, "tau", terms)
-    assert ok and ev >= -1e-10
-
-
 # -- faithfulness -----------------------------------------------------------
 
 def test_faithfulness_probe(zn_cross):
@@ -316,85 +280,6 @@ def test_the_support_counts_only_grades_with_a_fiber_on_both_sides():
     full = CoendAlgebra(opposite_object(ann), ann)
     assert co.support == full.support == ("g0",)
     assert np.array_equal(co._action.M, full._action.M)
-
-
-# -- expectation descent ----------------------------------------------------
-
-@pytest.fixture(scope="module")
-def z2_ann_cross():
-    cat = vec_zn(2)
-    return CoendAlgebra(trivial_action_object(cat), build_annulus(cat))
-
-
-def test_descend_trivial_ground_recovers_expectation(zn_cross):
-    # 𝒟(1) = ℂ: the only state is the identity and E_ω = 𝔼
-    E, rep = descend_expectation(zn_cross, np.array([1.0]))
-    assert rep["omega_faithful"] and rep["E_omega_faithful"]
-    rng = np.random.default_rng(41)
-    T = zn_cross.random_element(rng)
-    assert np.allclose(E(T), zn_cross.canonical_expectation(T))
-
-
-def test_descend_trace_state_is_faithful(z2_ann_cross):
-    E, rep = descend_expectation(z2_ann_cross, np.array([1.0, 0.0]))
-    assert rep == {"omega_faithful": True, "E_omega_faithful": True,
-                   "gns_rank": 2, "gns_cut_gap": None,
-                   "center_dim": 1, "center_cut_gap": (None, 0.0)}
-    assert abs(E(_vacuum(z2_ann_cross)) - 1.0) < 1e-12
-
-
-def test_descend_character_state_is_not_faithful(z2_ann_cross):
-    # ω = χ₊ kills the projection (e₀ − e₁)/2 — rank test reports it
-    E, rep = descend_expectation(z2_ann_cross, np.array([1.0, 1.0]))
-    assert rep["gns_rank"] == 1
-    assert not rep["omega_faithful"] and not rep["E_omega_faithful"]
-    kept, dropped = rep["gns_cut_gap"]
-    assert kept == pytest.approx(2.0) and abs(dropped) < 1e-12
-    p_minus = GradedElement({"g0": np.array([0.5, -0.5])})
-    tt = z2_ann_cross.mul(z2_ann_cross.star(p_minus), p_minus)
-    assert abs(E(tt)) < 1e-12
-
-
-def test_descend_rejects_non_states(z2_ann_cross):
-    with pytest.raises(NotAState):
-        descend_expectation(z2_ann_cross, np.array([2.0, 0.0]))  # not unital
-    with pytest.raises(NotAState):
-        descend_expectation(z2_ann_cross, np.array([1.0, 3.0]))  # not positive
-    with pytest.raises(NotAState):
-        descend_expectation(z2_ann_cross, np.array([1.0]))  # wrong dimension
-
-
-def test_descend_requires_trivial_center():
-    ann = build_annulus(vec_zn(2))
-    co = CoendAlgebra(opposite_object(ann), ann)
-    with pytest.raises(CenterNotTrivial, match="dimension 2"):
-        descend_expectation(co, np.array([1.0, 0.0]))
-
-
-def test_descend_reads_the_center_off_the_structure_tensor():
-    # the fiber action through a JSON round trip has no fixture metadata;
-    # it was refused with CenterNotTrivial although 𝔸(1) = ℂ
-    cat = vec_zn(3)
-    A = io.aobj_from_json(cat, io.aobj_to_json(trivial_action_object(cat)))
-    assert A.side == "op" and not A.meta
-    E, rep = descend_expectation(CoendAlgebra(A, group_algebra_object(cat)), np.array([1.0]))
-    assert rep["center_dim"] == 1 and rep["omega_faithful"] and rep["E_omega_faithful"]
-    ann = build_annulus(cat)
-    ann = io.aobj_from_json(cat, io.aobj_to_json(opposite_object(ann)))
-    with pytest.raises(CenterNotTrivial, match="dimension 3"):
-        descend_expectation(CoendAlgebra(ann, build_annulus(cat)), np.array([1.0, 0.0, 0.0]))
-
-
-def test_descent_is_order_preserving(z2_ann_cross):
-    co = z2_ann_cross
-    # ω₁ = ½χ₊ ≤ ω₂ = trace as positive functionals on the group algebra
-    E2, _ = descend_expectation(co, np.array([1.0, 0.0]))
-    Echar, _ = descend_expectation(co, np.array([1.0, 1.0]))
-    rng = np.random.default_rng(51)
-    for _ in range(20):
-        T = co.random_element(rng)
-        tt = co.mul(co.star(T), T)
-        assert 0.5 * Echar(tt).real <= E2(tt).real + 1e-10
 
 
 # -- channel tensors against the per-channel einsum reference ----------------
@@ -673,6 +558,7 @@ def _ref_norm_sandwich(co, T, slack=1e-8):
             "op_norm": op, "bound": d * d,
             "left_ok": vac_norm <= op + slack * max(1.0, op),
             "right_ok": op <= d * d * vac_norm + slack * max(1.0, op),
+            "slack": slack * max(1.0, op),
             "left_margin": op - vac_norm, "right_margin": d * d * vac_norm - op}
 
 

@@ -218,7 +218,9 @@ def test_module_gram_and_descend_kernel_match_the_reference(case):
     assert _rel(co.gram(), _ref_descend_kernel(co, co.B.ground().weights)) < TOL
     assert _rel(co.gns.half, _sqrt(co.gram())) < TOL
     for omega in _states(name, co.B.ground()):
-        K = co._form(np.kron(co.A.ground().weights, omega))
+        a, u = co._action, co.offsets[co.cat.ring.unit]
+        K = form(a.M[:, u].transpose(1, 0, 2), a.J,
+                 np.kron(co.A.ground().weights, omega))
         assert _rel(K, _ref_descend_kernel(co, omega)) < TOL
 
 

@@ -26,10 +26,10 @@ PACKAGE = ROOT / "src" / "utcat"
 
 # public names that only the tests reach, each with the reason it stays
 TEST_ONLY = {
-    "descend_expectation": "the paper's descended expectation "
-                           "E_ω = (id ⊗ ω)∘𝔼",
-    "positivity_check": "the paper's positivity of "
-                        "Σ 𝔸²(j(aᵢ)⊙aⱼ) ⊗ 𝔹²(j(bᵢ)⊙bⱼ)",
+    # its last library caller was the descended expectation E_ω, deleted
+    # with no report that printed it
+    "canonical_expectation": "the paper's canonical expectation "
+                             "𝔼(T) = ⟨TΩ, Ω⟩",
     # the library gathers F, R and θ from their buffers in bulk or by
     # block number
     "fmat": "the F-matrix of one block",
