@@ -52,9 +52,8 @@ def parsed(cat) -> tuple:
 
 
 def _bytes(cat) -> list:
-    """Every F and R block of ``cat`` as raw bytes."""
-    return [{key: M.tobytes() for key, M in blocks.items()} if blocks is not None else None
-            for blocks in (cat.f_symbols, cat.r_symbols)]
+    """The F and R buffers of ``cat`` as raw bytes."""
+    return [None if buf is None else buf.tobytes() for buf in (cat._F, cat._R)]
 
 
 def main(argv=None) -> int:

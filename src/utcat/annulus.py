@@ -38,7 +38,7 @@ from __future__ import annotations
 import numpy as np
 
 from .algebra_object import AlgebraObject, validate_algebra_object, worst_residual
-from .errors import MissingBraiding, PositivityFailure, SupportTooSmall
+from .errors import MissingBraiding, NotAState, PositivityFailure, SupportTooSmall
 from .skeletal import SkeletalUTC
 
 __all__ = ["build_annulus", "z_state"]
@@ -195,14 +195,14 @@ def _star(cat: SkeletalUTC, loops, start, dim) -> dict:
 def z_state(ann: AlgebraObject) -> dict:
     """The state on 𝒟_Ann(1) given by the coefficient of the 1-summand.
 
-    Returns the functional as a coefficient vector plus its positivity floor
-    over the cone {a*a}; raises :class:`NotAState` unless it is unital and
-    positive.
+    The unit loop is the algebra's unit, so ω is read off it: the unit must
+    be one basis vector with coefficient 1, and ω is that vector's
+    coefficient.  Returns the functional as a coefficient vector plus its
+    positivity floor over the cone {a*a}; raises :class:`NotAState` unless
+    the unit is such a vector and ω is unital and positive.
     """
-    ring = ann.cat.ring
-    u = ring.index[ring.unit]
-    _, start = _loops(ring, ann.meta.get("support", ring.labels))
-    omega = np.zeros(ann.n(ring.unit), dtype=complex)
-    omega[start[u, u]] = 1.0
-    omega, ev = ann.ground().check_state(omega)
+    G, unit = ann.ground(), ann.unit
+    if np.count_nonzero(unit) != 1 or unit.sum() != 1:
+        raise NotAState("the unit is not one basis vector with coefficient 1")
+    omega, ev = G.check_state(unit.copy())
     return {"omega": omega, "positivity_floor": float(ev[0])}

@@ -61,4 +61,4 @@ def relabel_category(cat: SkeletalUTC, rename: dict) -> SkeletalUTC:
     F = _moved(ring.ftable, new_ring.ftable, P, cat._F)
     # R blocks are indexed by multiplicity only: moved, not reordered
     R = _moved(ring.rtable, new_ring.rtable, P, cat._R) if cat.braided else None
-    return SkeletalUTC.from_buffers(new_ring, F, R)
+    return SkeletalUTC(new_ring, F, R)

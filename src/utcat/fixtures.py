@@ -13,7 +13,7 @@ import itertools
 import numpy as np
 
 from .fusion_ring import FusionRing, validate_ring
-from .skeletal import SkeletalUTC
+from .skeletal import SkeletalUTC, _block
 
 __all__ = [
     "fibonacci",
@@ -30,6 +30,21 @@ PHI = (1.0 + np.sqrt(5.0)) / 2.0
 
 def _ring(labels, unit, dual, mult) -> FusionRing:
     return validate_ring({"labels": labels, "unit": unit, "dual": dual, "mult": mult})
+
+
+def _written(ring: FusionRing, F: dict, R: dict) -> SkeletalUTC:
+    """The category of the hand-written blocks ``F`` and ``R``, keyed by
+    labels; the unit-leg blocks not written are the identity."""
+    bufs = []
+    for t, blocks in ((ring.ftable, F), (ring.rtable, R)):
+        buf = np.zeros(t.buffer_length, dtype=complex)
+        written = np.zeros(t.buffer_length, dtype=bool)
+        for key, M in blocks.items():
+            _block(ring, t, buf, key)[...] = M
+            _block(ring, t, written, key)[...] = True
+        bufs += [buf, written[t.offset]]  # a block is written where its first entry is
+    F, fgiven, R, rgiven = bufs
+    return SkeletalUTC(ring, F, R, (fgiven, rgiven))
 
 
 def fibonacci() -> SkeletalUTC:
@@ -53,7 +68,7 @@ def fibonacci() -> SkeletalUTC:
         (t, t, "1"): np.array([[np.exp(-4j * np.pi / 5.0)]]),
         (t, t, t): np.array([[np.exp(3j * np.pi / 5.0)]]),
     }
-    return SkeletalUTC(ring, F, R)
+    return _written(ring, F, R)
 
 
 def ising() -> SkeletalUTC:
@@ -89,7 +104,7 @@ def ising() -> SkeletalUTC:
         (s, p, s): np.array([[-1j]]),
         (p, s, s): np.array([[-1j]]),
     }
-    return SkeletalUTC(ring, F, R)
+    return _written(ring, F, R)
 
 
 def vec_zn(n: int) -> SkeletalUTC:
@@ -103,15 +118,9 @@ def vec_zn(n: int) -> SkeletalUTC:
             mult[(labels[i], labels[j], labels[(i + j) % n])] = 1
     dual = {labels[k]: labels[(-k) % n] for k in range(n)}
     ring = _ring(labels, "g0", dual, mult)
-    one = np.array([[1.0]])
-    F, R = {}, {}
-    for i in range(1, n):
-        for j in range(1, n):
-            for k in range(1, n):
-                F[(labels[i], labels[j], labels[k], labels[(i + j + k) % n])] = one
-    for i in range(n):
-        for j in range(n):
-            R[(labels[i], labels[j], labels[(i + j) % n])] = one.astype(complex)
+    # every associator and braiding is trivial, and each unit-leg block is
+    # the identity: every block is [[1]]
+    F, R = (np.ones(t.buffer_length, dtype=complex) for t in (ring.ftable, ring.rtable))
     return SkeletalUTC(ring, F, R)
 
 
@@ -152,22 +161,21 @@ def su2k(k: int) -> SkeletalUTC:
     ring = _ring(labels, "j0", {x: x for x in labels}, mult)
     spin = {x: int(x[1:]) for x in labels}  # doubled spin
     pos_spin = [spin[x] for x in ring.labels]  # by label position
-    t, F = ring.ftable, {}
+    t, rt = ring.ftable, ring.rtable
+    F, R = np.zeros(t.buffer_length, dtype=complex), np.zeros(rt.buffer_length, dtype=complex)
     for blk in np.flatnonzero(~t.unit_leg).tolist():
         rows, key = slice(t.start[blk], t.start[blk] + t.size[blk]), t.keys[blk].tolist()
         a, b, c, d = (pos_spin[x] for x in key)
         es, fs = ([pos_spin[x] for x in side[rows, 0].tolist()] for side in (t.left, t.right))
-        F[tuple(ring.labels[x] for x in key)] = np.array(
+        F[t.offset[blk]:t.offset[blk] + t.size[blk] ** 2] = np.ravel(
             [[(-1) ** ((a + b + c + d) // 2)
               * np.sqrt(qfact[e + 1] / qfact[e] * qfact[f + 1] / qfact[f])
               * sixj(a, b, e, c, d, f) for f in fs] for e in es])
-    R = {}
-    for x, y in itertools.product(labels[1:], repeat=2):
-        for z, _ in ring.channels(x, y):
-            a, b, c = spin[x], spin[y], spin[z]
-            R[(x, y, z)] = np.array([[(-1) ** ((c - a - b) // 2) * np.exp(
-                2j * s * (c * (c + 2) - a * (a + 2) - b * (b + 2)) / 8)]])
-    return SkeletalUTC(ring, F, R)
+    for blk in np.flatnonzero(~rt.unit_leg).tolist():  # multiplicity free: one entry
+        a, b, c = (pos_spin[x] for x in rt.keys[blk].tolist())
+        R[rt.offset[blk]] = (-1) ** ((c - a - b) // 2) * np.exp(
+            2j * s * (c * (c + 2) - a * (a + 2) - b * (b + 2)) / 8)
+    return SkeletalUTC(ring, F, R, (~t.unit_leg, ~rt.unit_leg))
 
 
 def mult2_ring() -> FusionRing:
@@ -193,13 +201,15 @@ def random_blocks(ring: FusionRing, seed: int) -> SkeletalUTC:
     with a reference on rings such as :func:`mult2_ring`.
     """
     rng = np.random.default_rng(seed)
-
-    def block(n):
-        return rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
-
-    F, R = ({tuple(ring.labels[x] for x in t.keys[k]): block(t.size[k])
-             for k in np.flatnonzero(~t.unit_leg)} for t in (ring.ftable, ring.rtable))
-    return SkeletalUTC(ring, F, R)
+    bufs = []
+    for t in (ring.ftable, ring.rtable):
+        buf = np.zeros(t.buffer_length, dtype=complex)
+        for k in np.flatnonzero(~t.unit_leg).tolist():
+            n = t.size[k]
+            buf[t.offset[k]:t.offset[k] + n * n] = (rng.normal(size=(n, n))
+                                                     + 1j * rng.normal(size=(n, n))).ravel()
+        bufs.append(buf)
+    return SkeletalUTC(ring, *bufs, (~ring.ftable.unit_leg, ~ring.rtable.unit_leg))
 
 
 FIXTURE_BUILDERS = {

@@ -192,7 +192,7 @@ def cat_from_json(raw: dict) -> SkeletalUTC:
             raise SchemaError("R must be an object keyed by 'a,b;c'", "/R")
         R, rgiven = _r_in(ring, raw["R"])
 
-    return SkeletalUTC.from_buffers(ring, F, R, (fgiven, rgiven))
+    return SkeletalUTC(ring, F, R, (fgiven, rgiven))
 
 
 def _blocks_out(ring: FusionRing, kind: str, buf: np.ndarray) -> dict:

@@ -459,7 +459,7 @@ class SemicircularFamily:
 
     ``letters`` maps each word letter ("X", i) to the id i of η's index
     set, built once, so a word is resolved by one table read per letter.
-    `_half` builds the seeded halves of `ket`, `bra` and every moment and
+    `_half` builds the seeded ket and bra halves of every moment and
     caches those of pure-X words, at most Σ_{k≤depth} |I|^k of each kind,
     so the moments of many words share their halves.
     """
@@ -484,27 +484,6 @@ class SemicircularFamily:
                     {(m + 1, m): T for m, T in enumerate(Ts[:h])}, h)
                 self._windows[h][i] = T + T.conj().T
         return self._windows[h]
-
-    def ket(self, word: tuple) -> np.ndarray:
-        """S·ω₀ for S = X_{i₁}···X_{i_k}·P₀* and word = (i₁, …, i_k),
-        k ≤ depth: one read-only vector on the levels 0…k, from `_half`."""
-        return self._half(self._x_word(word), (), False)
-
-    def bra(self, word: tuple) -> np.ndarray:
-        """conj(S·from_onb[0]*·B) for the S of `ket` and the matrix units B
-        of A flattened to d² columns, read-only, from `_half`: the read-out
-        of level 0 into A is folded in, so that E(l·r) = bra(l̄)ᵀ·ket(r)
-        reshaped to d×d, l̄ the X indices of l reversed."""
-        return self._half(self._x_word(word), (), True)
-
-    def _x_word(self, word) -> tuple:
-        """``word`` as a tuple of ids of η's index set, at most depth long."""
-        if len(word) > self.fock.depth:
-            raise WordTooLong(f"{len(word)} letters exceed the depth "
-                              f"{self.fock.depth}")
-        for i in word:
-            _index_of(self.fock.eta, i)
-        return tuple(word)
 
     def _half(self, ids: tuple, letters, conj: bool) -> np.ndarray:
         """The seeded half of ``ids`` on the levels 0…k, k its X letters:

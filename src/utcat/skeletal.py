@@ -26,19 +26,18 @@ size, its left slots (e, α, β) and right slots (f, μ, ν) as integer rows, th
 first row and column of each channel, and its place in one flat buffer where
 the blocks are grouped by size; ``ring.rtable`` does the same for the
 R-blocks.  The slot rows of a block, in order, are its rows and columns:
-channel first, multiplicities after.  A
-category stores its F and R blocks in those flat buffers, so the blocks of
-one size are one (K, n, n) stack.  Labels become positions at the API
-boundary, and a block key is one lookup in the table's dense ``number``:
-:meth:`SkeletalUTC.fmat`, :meth:`SkeletalUTC.rmat` and the other label-keyed
-reads view a buffer at that block's offset, and ``_faddr``/``_raddr``
-compute the flat address of any array of (key, left slot, right slot)
-entries; the JSON schema scatters a payload into them.  The
-coherence checks read one entry table per category, built on the first
-check from the stacks and the slot rows: each entry of F⁻¹, F, R and R(b,a)†
-is a row (source address, target slot, value), the address being block key
-and source slot as one mixed-radix integer over label positions and
-multiplicity indices.  Basis trees are integer rows joined from the channel
+channel first, multiplicities after.  A category is built from, and stores,
+its F and R blocks in those flat buffers, so the blocks of one size are one
+(K, n, n) stack; its one constructor takes them as they are.  Labels become
+positions at the API boundary, and a block key is one lookup in the table's
+dense ``number``: ``_block`` views a buffer at a label-keyed block's offset,
+and ``_faddr``/``_raddr`` compute the flat address of any array of (key,
+left slot, right slot) entries; the JSON schema scatters a payload into
+them.  The coherence checks read one entry table per category, built on the
+first check from the stacks and the slot rows: each entry of F⁻¹, F, R and
+R(b,a)† is a row (source address, target slot, value), the address being
+block key and source slot as one mixed-radix integer over label positions
+and multiplicity indices.  Basis trees are integer rows joined from the channel
 table, so moving all trees is one sorted join of their addresses to the
 table; the residual is the largest per-(tree, slot) sum of both routes'
 coefficients, one negated.
@@ -128,10 +127,13 @@ def _pointer(kind: str, labels: tuple) -> str:
 def _checked(ring: FusionRing, kind: str, buf, given) -> np.ndarray:
     """A read-only copy of the flat ``kind`` ("F" or "R") buffer with every
     unit-leg block the identity.  ``given`` marks the blocks supplied (None:
-    all); a missing block other than a unit-leg one, or a supplied unit-leg
-    block that is not the identity, raises :class:`SchemaError`."""
+    all); a buffer of another shape than the table's, a missing block other
+    than a unit-leg one, or a supplied unit-leg block that is not the
+    identity, raises :class:`SchemaError`."""
     t = ring.ftable if kind == "F" else ring.rtable
     buf = np.array(buf, dtype=complex)
+    if buf.shape != (t.buffer_length,):
+        raise SchemaError(f"{kind} buffer has shape {buf.shape}, expected ({t.buffer_length},)")
     given = np.ones(len(t.size), dtype=bool) if given is None else given
     blk, p, q = t.entry_index()
     leg = t.unit_leg[blk]
@@ -145,20 +147,6 @@ def _checked(ring: FusionRing, kind: str, buf, given) -> np.ndarray:
     buf[leg] = p[leg] == q[leg]
     buf.setflags(write=False)
     return buf
-
-
-def _gathered(ring: FusionRing, kind: str, symbols: dict) -> tuple:
-    """The flat ``kind`` buffer and given-block mask of a dict of blocks keyed
-    by label tuples."""
-    t = ring.ftable if kind == "F" else ring.rtable
-    buf, given = np.zeros(t.buffer_length, dtype=complex), np.zeros(t.buffer_length, dtype=bool)
-    for key, M in symbols.items():
-        block, M = _block(ring, t, buf, key), np.asarray(M)
-        if M.shape != block.shape:
-            raise SchemaError(f"{kind} block {key} has shape {M.shape}, expected {block.shape}")
-        block[...] = M
-        _block(ring, t, given, key)[...] = True
-    return buf, given[t.offset]  # a block is given where its first entry is
 
 
 # Both routes of a check, as moves (table, address columns of the tree rows
@@ -188,28 +176,14 @@ _HEXAGON = (
 class SkeletalUTC:
     """Fusion ring plus F-symbols and optional R-symbols.
 
-    ``f_symbols`` maps keys (a, b, c, d) to F-matrices and ``r_symbols`` keys
-    (a, b, c) to R-matrices; every nonzero block without a unit leg must be
-    given.  :meth:`from_buffers` takes the flat buffers of the ring's tables
-    instead.
+    ``F`` and ``R`` are the flat buffers of the blocks, laid out as
+    ``ring.ftable`` and ``ring.rtable``; ``given`` holds the masks of the F
+    and R blocks supplied (None: all of them).  Every nonzero block without
+    a unit leg must be supplied.
     """
 
-    def __init__(self, ring: FusionRing, f_symbols: dict, r_symbols: dict | None = None):
-        F, fgiven = _gathered(ring, "F", f_symbols)
-        R, rgiven = (None, None) if r_symbols is None else _gathered(ring, "R", r_symbols)
-        self._setup(ring, F, R, (fgiven, rgiven))
-
-    @classmethod
-    def from_buffers(cls, ring: FusionRing, F: np.ndarray, R: np.ndarray | None = None,
-                     given: tuple = (None, None)) -> "SkeletalUTC":
-        """The category whose blocks are the flat buffers ``F`` and ``R``, laid
-        out as ``ring.ftable`` and ``ring.rtable``.  ``given`` holds the masks
-        of the F and R blocks supplied (None: all of them)."""
-        cat = cls.__new__(cls)
-        cat._setup(ring, F, R, given)
-        return cat
-
-    def _setup(self, ring, F, R, given):
+    def __init__(self, ring: FusionRing, F: np.ndarray, R: np.ndarray | None = None,
+                 given: tuple = (None, None)):
         self.ring = ring
         self._F = _checked(ring, "F", F, given[0])
         self._R = None
@@ -229,22 +203,6 @@ class SkeletalUTC:
     @property
     def braided(self) -> bool:
         return self._R is not None
-
-    @property
-    def f_symbols(self) -> dict:
-        """The F-blocks without a unit leg, keyed (a, b, c, d)."""
-        return self._symbols("F")
-
-    @property
-    def r_symbols(self) -> dict | None:
-        """The R-blocks without a unit leg, keyed (a, b, c); None if unbraided."""
-        return self._symbols("R") if self.braided else None
-
-    def _symbols(self, kind: str) -> dict:
-        t = self.ring.ftable if kind == "F" else self.ring.rtable
-        buf, lab = self._F if kind == "F" else self._R, np.array(self.ring.labels, dtype=object)
-        return {key: _block(self.ring, t, buf, key)
-                for key in map(tuple, lab[t.keys[~t.unit_leg]].tolist())}
 
     def dual(self, x: str) -> str:
         return self.ring.dual[x]
@@ -282,10 +240,6 @@ class SkeletalUTC:
         """d_x = 1/|F[x,x̄,x;x]| on the unit channels."""
         return self._d.item(self.ring._i(x))
 
-    def fmat(self, a, b, c, d) -> np.ndarray:
-        """F-matrix mapping right-tree to left-tree coordinates."""
-        return _block(self.ring, self.ring.ftable, self._F, (a, b, c, d))
-
     def _inverses(self) -> np.ndarray:
         """The F⁻¹ buffer: one stacked inverse per block size, built once."""
         if self._Finv is None:
@@ -311,19 +265,10 @@ class SkeletalUTC:
         M = self._F[o:o + n * n].reshape(n, n)
         return M[i:i + shape[0] * shape[1], j:j + shape[2] * shape[3]].reshape(shape)
 
-    def rmat(self, a, b, c) -> np.ndarray:
-        """R-matrix O(c, a⊗b) -> O(c, b⊗a) for τ_{a,b}."""
-        if self._R is None:
-            raise MissingBraiding("category has no R-symbols")
-        return _block(self.ring, self.ring.rtable, self._R, (a, b, c))
-
-    def twist(self, x: str) -> complex:
-        """θ_x = d_x⁻¹ Σ_c d_c Tr R^{x,x}_c, the ribbon twist of x."""
-        return complex(self._twists[self.ring._i(x)])
-
     @cached_property
     def _twists(self) -> np.ndarray:
-        """θ by label position, summed over the diagonals of the R buffer."""
+        """θ_x = d_x⁻¹ Σ_c d_c Tr R^{x,x}_c, the ribbon twist, by label
+        position, summed over the diagonals of the R buffer."""
         if self._R is None:
             raise MissingBraiding("category has no R-symbols")
         ch, d = self.ring.channel_rows, self._d

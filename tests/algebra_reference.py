@@ -26,7 +26,7 @@ import itertools
 
 import numpy as np
 
-from index_reference import f_index
+from index_reference import f_index, fmat
 from tree_reference import TreeCalculus
 from utcat.coend import GradedElement
 from utcat.errors import SupportTooSmall
@@ -144,7 +144,7 @@ def associativity(D, rng=None) -> float:
                 if D.n(Fc) == 0:
                     continue
                 thR[i] = apply_tree(D, X, Fc, W, nu, xi, apply_tree(D, Y, Z, Fc, mu_i, eta, zeta))
-            F = cat.fmat(X, Y, Z, W)
+            F = fmat(cat, X, Y, Z, W)
             if D.side == "op":
                 F = F.conj()
             pred = F.T @ thL

@@ -9,8 +9,12 @@ F or R block of a category by size one key at a time (as the coherence
 checks once did), :func:`check_ring_axioms` is the loop form of the ring
 axiom check, and :func:`su2k` builds SU(2)_k filling each F-block key by key
 through :func:`f_index`, as :func:`utcat.fixtures.su2k` once did.
-:func:`finv` reads one block of a category's F⁻¹ buffer, as
-``SkeletalUTC._finv`` once did.
+:func:`fmat`, :func:`rmat` and :func:`finv` read one block of a category's
+F, R and F⁻¹ buffers through ``skeletal._block``, as ``SkeletalUTC.fmat``,
+``SkeletalUTC.rmat`` and ``SkeletalUTC._finv`` once did, and
+:func:`block_keys` lists the label keys of the blocks without a unit leg, as
+``SkeletalUTC.f_symbols`` and ``r_symbols`` once did; :func:`edited` sets one
+block of a copy of a category's buffers.
 """
 
 from __future__ import annotations
@@ -60,6 +64,31 @@ def index_groups(entries) -> dict:
     return {e: slice(lo, hi) for e, (lo, hi) in groups.items()}
 
 
+def block_keys(ring, t) -> list:
+    """The label keys of the blocks of the table ``t`` (``ring.ftable`` or
+    ``ring.rtable``) without a unit leg, in table order."""
+    lab = np.array(ring.labels, dtype=object)
+    return list(map(tuple, lab[t.keys[~t.unit_leg]].tolist()))
+
+
+def fmat(cat, a, b, c, d) -> np.ndarray:
+    """F[a,b,c;d] as a view of the category's F buffer."""
+    return _block(cat.ring, cat.ring.ftable, cat._F, (a, b, c, d))
+
+
+def rmat(cat, a, b, c) -> np.ndarray:
+    """R^{a,b;c} as a view of the category's R buffer."""
+    return _block(cat.ring, cat.ring.rtable, cat._R, (a, b, c))
+
+
+def edited(cat, kind: str, key: tuple, M) -> SkeletalUTC:
+    """``cat`` with its ``kind`` ("F" or "R") block at the labels ``key`` set
+    to ``M``, in a copy of its buffer written through ``skeletal._block``."""
+    bufs = {"F": np.array(cat._F), "R": np.array(cat._R)}
+    _block(cat.ring, cat.ring.ftable if kind == "F" else cat.ring.rtable, bufs[kind], key)[...] = M
+    return SkeletalUTC(cat.ring, bufs["F"], bufs["R"])
+
+
 def finv(cat, a, b, c, d) -> np.ndarray:
     """F[a,b,c;d]⁻¹ as a view of the category's F⁻¹ buffer (LinAlgError if
     any block is singular)."""
@@ -85,7 +114,7 @@ def blocks(cat, kind: str) -> list:
     slot one multiplicity."""
     F, pos, groups = kind == "F", cat.ring.index, {}
     for key in f_keys(cat.ring) if F else r_keys(cat.ring):
-        M = cat.fmat(*key) if F else cat.rmat(*key)
+        M = fmat(cat, *key) if F else rmat(cat, *key)
         slots = ([[(pos[x], i, j) for x, i, j in side] for side in f_index(cat.ring, *key)[:2]]
                  if F else [[(i,) for i in range(len(M))]] * 2)
         groups.setdefault(len(M), []).append((key, M, slots))
@@ -181,21 +210,23 @@ def su2k(k: int) -> SkeletalUTC:
     ring = validate_ring({"labels": labels, "unit": "j0", "dual": {x: x for x in labels},
                           "mult": mult})
     spin = {x: int(x[1:]) for x in labels}  # doubled spin
-    F = {}
+    ft, rt = ring.ftable, ring.rtable
+    F, R = np.zeros(ft.buffer_length, dtype=complex), np.zeros(rt.buffer_length, dtype=complex)
     for key in itertools.product(labels[1:], labels[1:], labels[1:], labels):
         idx = f_index(ring, *key)
         if not idx.left:
             continue
         a, b, c, d = (spin[x] for x in key)
-        F[key] = np.array([[(-1) ** ((a + b + c + d) // 2)
-                            * np.sqrt(qfact[spin[e] + 1] / qfact[spin[e]]
-                                      * qfact[spin[f] + 1] / qfact[spin[f]])
-                            * sixj(a, b, spin[e], c, d, spin[f])
-                            for f, _, _ in idx.right] for e, _, _ in idx.left])
-    R = {}
+        _block(ring, ft, F, key)[...] = np.array(
+            [[(-1) ** ((a + b + c + d) // 2)
+              * np.sqrt(qfact[spin[e] + 1] / qfact[spin[e]]
+                        * qfact[spin[f] + 1] / qfact[spin[f]])
+              * sixj(a, b, spin[e], c, d, spin[f])
+              for f, _, _ in idx.right] for e, _, _ in idx.left])
     for x, y in itertools.product(labels[1:], repeat=2):
         for z, _ in ring.channels(x, y):
             a, b, c = spin[x], spin[y], spin[z]
-            R[(x, y, z)] = np.array([[(-1) ** ((c - a - b) // 2) * np.exp(
-                2j * s * (c * (c + 2) - a * (a + 2) - b * (b + 2)) / 8)]])
-    return SkeletalUTC(ring, F, R)
+            _block(ring, rt, R, (x, y, z))[...] = (-1) ** ((c - a - b) // 2) * np.exp(
+                2j * s * (c * (c + 2) - a * (a + 2) - b * (b + 2)) / 8)
+    # every block without a unit leg is written; the others are the identity
+    return SkeletalUTC(ring, F, R, (~ft.unit_leg, ~rt.unit_leg))

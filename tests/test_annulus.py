@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 
 import numpy as np
@@ -5,19 +6,19 @@ import pytest
 
 import algebra_reference as aref
 import tree_reference as ref
-from index_reference import f_index
+from index_reference import block_keys, f_index
 from utcat.algebra_object import _rand, pp_check
 from utcat.annulus import _assemble, build_annulus, z_state
 from utcat.errors import (MissingBraiding, NotAState, PositivityFailure,
                           SupportTooSmall)
 from utcat.fixtures import (FIXTURE_BUILDERS, fibonacci, ising, mult2_ring, random_blocks, su2k,
                             vec_zn)
-from utcat.skeletal import SkeletalUTC
+from utcat.skeletal import SkeletalUTC, _block
 
 
 def _mirror(cat):
     """The mirror category: the same F blocks, the conjugate R blocks."""
-    return SkeletalUTC(cat.ring, cat.f_symbols, {k: v.conj() for k, v in cat.r_symbols.items()})
+    return SkeletalUTC(cat.ring, cat._F, np.conj(cat._R))
 
 
 def _gauged(cat, seed):
@@ -26,13 +27,16 @@ def _gauged(cat, seed):
     ring, rng = cat.ring, np.random.default_rng(seed)
     u = {(a, b, c): 1.0 if ring.unit in (a, b) else np.exp(2j * np.pi * rng.random())
          for a in ring.labels for b in ring.labels for c, _ in ring.channels(a, b)}
-    F = {}
-    for (a, b, c, d), M in cat.f_symbols.items():
+    F, R = np.array(cat._F), np.array(cat._R)
+    for a, b, c, d in block_keys(ring, ring.ftable):
         idx = f_index(ring, a, b, c, d)
         left = np.array([u[(a, b, e)] * u[(e, c, d)] for e, _, _ in idx.left])
         right = np.array([u[(b, c, f)] * u[(a, f, d)] for f, _, _ in idx.right])
-        F[(a, b, c, d)] = M * right / left[:, None]
-    R = {(a, b, c): M * u[(a, b, c)] / u[(b, a, c)] for (a, b, c), M in cat.r_symbols.items()}
+        M = _block(ring, ring.ftable, F, (a, b, c, d))
+        M[...] = M * right / left[:, None]
+    for a, b, c in block_keys(ring, ring.rtable):
+        M = _block(ring, ring.rtable, R, (a, b, c))
+        M[...] = M * u[(a, b, c)] / u[(b, a, c)]
     return SkeletalUTC(ring, F, R)
 
 
@@ -124,7 +128,7 @@ def test_unclosed_support_raises():
 
 def test_unbraided_category_raises():
     fib = fibonacci()
-    bare = SkeletalUTC(fib.ring, fib.f_symbols, None)
+    bare = SkeletalUTC(fib.ring, fib._F)
     with pytest.raises(MissingBraiding):
         build_annulus(bare)
 
@@ -148,6 +152,13 @@ def test_z_state_reads_the_unit_loop_of_the_listed_basis(name):
     want = np.zeros(len(basis))
     want[basis.index((unit, 0))] = 1.0
     assert np.array_equal(z_state(ann)["omega"], want)
+
+
+def test_z_state_refuses_a_unit_that_is_not_one_basis_vector():
+    ann = build_annulus(fibonacci())
+    for unit in (2 * ann.unit, ann.unit + np.roll(ann.unit, 1)):
+        with pytest.raises(NotAState, match="one basis vector"):
+            z_state(dataclasses.replace(ann, unit=unit))
 
 
 @pytest.mark.parametrize("mirror", [False, True])
@@ -178,7 +189,6 @@ def test_negated_twist_is_refused(name, label):
     theta = cat._twists.copy()
     theta[cat.ring.index[label]] *= -1
     cat._twists = theta  # the one table of twists that the star reads
-    assert cat.twist(label) == theta[cat.ring.index[label]]
     with pytest.raises(PositivityFailure):
         build_annulus(cat)
 

@@ -1,6 +1,7 @@
-"""The label-keyed block readers of a category (``fmat``, ``rmat``,
-``conj_pair_matrix``, ``fblock`` and the reference ``finv``) against the
-flat buffers they read: every entry of every block in its place, the
+"""The label-keyed block readers of a category (``skeletal._block`` on the F,
+F⁻¹ and R buffers, through the reference ``fmat``, ``finv`` and ``rmat``,
+and ``conj_pair_matrix`` and ``fblock``) against the flat buffers they read:
+every entry of every block in its place, the
 channel sub-blocks of ``fblock`` tiling ``fmat``, zero blocks and zero
 channel pairs, unknown labels, and Σ_{f,μ,ν} F·F* = 1 read through
 ``fblock`` on unitary data."""
@@ -30,9 +31,9 @@ def cat(request):
 def _readers(cat):
     """(reader, table, buffer) of every label-keyed block reader."""
     ring = cat.ring
-    return [(cat.fmat, ring.ftable, cat._F),
+    return [(lambda *key: ref.fmat(cat, *key), ring.ftable, cat._F),
             (lambda *key: ref.finv(cat, *key), ring.ftable, cat._inverses()),
-            (cat.rmat, ring.rtable, cat._R),
+            (lambda *key: ref.rmat(cat, *key), ring.rtable, cat._R),
             (cat.conj_pair_matrix, ring.rtable, cat._conj_pairs)]
 
 
@@ -65,7 +66,7 @@ def test_fblock_channel_pairs_tile_fmat(cat):
                     assert T.dtype == complex and not T.any()
                 row.append(T.reshape(shape[0] * shape[1], shape[2] * shape[3]))
             rows.append(np.concatenate(row, axis=1))
-        assert np.array_equal(np.concatenate(rows), cat.fmat(a, b, c, d))
+        assert np.array_equal(np.concatenate(rows), ref.fmat(cat, a, b, c, d))
 
 
 @pytest.mark.parametrize("name", UNITARY)
@@ -88,8 +89,8 @@ def test_fblocks_resolve_the_identity_on_unitary_data(name):
 
 def test_every_reader_refuses_an_unknown_label():
     cat = fibonacci()
-    readers = [(cat.fmat, 4), (cat.rmat, 3), (cat.conj_pair_matrix, 3), (cat.fblock, 6),
-               (lambda *key: ref.finv(cat, *key), 4)]
+    readers = [(lambda *key: ref.fmat(cat, *key), 4), (lambda *key: ref.rmat(cat, *key), 3),
+               (cat.conj_pair_matrix, 3), (cat.fblock, 6), (lambda *key: ref.finv(cat, *key), 4)]
     for read, width in readers:
         for i in range(width):
             key = ["tau"] * width

@@ -43,7 +43,7 @@ def _reference_f_payload(cat) -> dict:
     for key in ref.f_keys(cat.ring):
         if unit in key[:3]:
             continue
-        idx, M, sub = ref.f_index(cat.ring, *key), cat.fmat(*key), {}
+        idx, M, sub = ref.f_index(cat.ring, *key), ref.fmat(cat, *key), {}
         for e, rows in ref.index_groups(idx.left).items():
             for f, cols in ref.index_groups(idx.right).items():
                 if np.any(M[rows, cols]):
@@ -112,10 +112,10 @@ def test_json_round_trip_is_exact(name):
     if cat.braided:
         assert again._R.tobytes() == cat._R.tobytes()
         assert payload["R"] == {"{},{};{}".format(*key): [[[z.real, z.imag] for z in row]
-                                                         for row in M]
-                                for key, M in cat.r_symbols.items()}
+                                                         for row in ref.rmat(cat, *key)]
+                                for key in ref.block_keys(cat.ring, cat.ring.rtable)}
     for key, M in _reference_f_blocks(cat.ring, payload["F"]).items():
-        assert np.array_equal(again.fmat(*key), M)
+        assert np.array_equal(ref.fmat(again, *key), M)
     assert np.array_equal(relabel_category(again, {})._F, again._F)
 
 

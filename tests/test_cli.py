@@ -8,10 +8,11 @@ from utcat.algebra_object import (AlgebraObject, group_algebra_object,
                                   validate_algebra_object, worst_residual)
 from utcat.annulus import _assemble, build_annulus
 from utcat import cli, semicircular, wire
+from utcat.basis_change import relabel_category
 from utcat.cli import main
 from utcat.errors import AxiomViolation, PositivityFailure, RingAxiomError, SchemaError
 from utcat.fixtures import FIXTURE_BUILDERS, fibonacci, ising, vec_zn
-from utcat.skeletal import SkeletalUTC
+from utcat.skeletal import SkeletalUTC, _block
 from utcat.semicircular import (
     BaseAlgebra,
     covariance_from_automorphisms,
@@ -37,10 +38,7 @@ def test_cat_round_trip_preserves_f_and_r():
     for cat in (fibonacci(), ising(), vec_zn(4)):
         again = io.cat_from_json(io.cat_to_json(cat))
         assert again.verify_pentagon() < 1e-10
-        for key, M in cat.f_symbols.items():
-            assert np.allclose(again.fmat(*key), M)
-        for key, M in cat.r_symbols.items():
-            assert np.allclose(again.rmat(*key), M)
+        assert np.allclose(again._F, cat._F) and np.allclose(again._R, cat._R)
         for x in cat.ring.labels:
             assert again.d(x) == cat.d(x)
 
@@ -179,7 +177,7 @@ def test_a_nan_f_entry_fails_verify(capsys, monkeypatch):
     F = np.array(cat._F)
     t, tau = cat.ring.ftable, cat.ring.index["tau"]
     F[t.offset[t.number[tau, tau, tau, tau]]] = np.nan
-    bad = SkeletalUTC.from_buffers(cat.ring, F, cat._R)
+    bad = SkeletalUTC(cat.ring, F, cat._R)
     assert all(np.isnan(bad.coherence(c)[0]) for c in ("pentagon", "hexagon"))
     assert np.isnan(bad.verify_zigzag())
     monkeypatch.setattr(cli, "_load_cat", lambda path: bad)
@@ -198,7 +196,7 @@ def test_a_nan_f_entry_fails_the_annulus_checks(capsys, monkeypatch):
     t, tau = cat.ring.ftable, cat.ring.index["tau"]
     k = t.number[tau, tau, tau, tau]
     F[t.offset[k] + t.size[k] + 1] = np.nan
-    bad = SkeletalUTC.from_buffers(cat.ring, F, cat._R)
+    bad = SkeletalUTC(cat.ring, F, cat._R)
     with pytest.raises(PositivityFailure, match="'associativity': nan"):
         build_annulus(bad)
     ann = _assemble(bad, bad.ring.labels)
@@ -215,10 +213,10 @@ def test_a_nan_f_entry_fails_the_annulus_checks(capsys, monkeypatch):
 def test_worst_location_is_reported_outside_the_residuals(capsys, tmp_path):
     # F[tau,tau,tau;tau] × e^{0.3i}: the worst pentagon reads that block
     cat = fibonacci()
-    F = dict(cat.f_symbols)
-    F[("tau",) * 4] = F[("tau",) * 4] * np.exp(0.3j)
+    F = np.array(cat._F)
+    _block(cat.ring, cat.ring.ftable, F, ("tau",) * 4)[...] *= np.exp(0.3j)
     p = tmp_path / "bad_fib.json"
-    p.write_text(json.dumps(io.cat_to_json(SkeletalUTC(cat.ring, F, cat.r_symbols))))
+    p.write_text(json.dumps(io.cat_to_json(SkeletalUTC(cat.ring, F, cat._R))))
     for cmd in ("validate", "verify"):
         code, rep = run(capsys, cmd, str(p))
         res = rep["residuals"] if cmd == "validate" else rep
@@ -412,6 +410,20 @@ def test_analyze_explicit_state(capsys, tmp_path):
                     "--state", str(p))
     assert code == 0 and rep["gns_dims"] == {"g0": 2}
     assert rep["gns_cut_gap"] is None
+
+
+def test_analyze_reads_the_state_of_a_json_annulus_on_a_partial_support(capsys, tmp_path):
+    # an object read from JSON has no meta: ω was put on the loop basis of
+    # every label, at position 3 of the 2-dim 𝒟(1) of the support {b2, z0},
+    # and analyze raised IndexError; it is read off the object's unit
+    cat = relabel_category(vec_zn(4), {"g0": "z0", "g1": "a1", "g2": "b2", "g3": "c3"})
+    cat_path, ann_path = tmp_path / "z4r.json", tmp_path / "ann.json"
+    cat_path.write_text(json.dumps(io.cat_to_json(cat)))
+    code, _ = run(capsys, "annulus", "--cat", str(cat_path), "--support", "gen=b2,depth=1",
+                  "--out", str(ann_path))
+    assert code == 0
+    code, rep = run(capsys, "analyze", "--cat", str(cat_path), "--aobj", str(ann_path))
+    assert code == 0 and rep["ok"] and rep["state"] == [0.0, 1.0]
 
 
 def test_fock_catalan_moments(capsys):

@@ -51,7 +51,7 @@ def _move(cat, a, b, c, d, left, coeff):
     lidx = _left_index(cat.ring, a, b, c, d)
     lvec = np.zeros(len(lidx), dtype=complex)
     lvec[lidx.index(left)] = coeff
-    rvec = np.linalg.solve(cat.fmat(a, b, c, d), lvec)
+    rvec = np.linalg.solve(index_reference.fmat(cat, a, b, c, d), lvec)
     return [(t, rvec[i]) for i, t in enumerate(_right_index(cat.ring, a, b, c, d))
             if abs(rvec[i])]
 
@@ -104,7 +104,8 @@ def reference_pentagon(cat):
 
 def _r(cat, a, b, c, inverse):
     # inverse braiding a⊗b -> b⊗a is (τ_{b,a})^{-1} = R(b,a)†
-    return cat.rmat(b, a, c).conj().T if inverse else cat.rmat(a, b, c)
+    R = index_reference.rmat
+    return R(cat, b, a, c).conj().T if inverse else R(cat, a, b, c)
 
 
 def _braid_first(cat, word, coeffs, inverse):
@@ -126,7 +127,7 @@ def _braid_second(cat, word, root, coeffs, inverse):
     vec = np.zeros(len(lidx), dtype=complex)
     for ((e, al), (_, be)), x in coeffs.items():
         vec[lidx.index((e, al, be))] += x
-    right = np.linalg.solve(cat.fmat(a, b, c, root), vec)
+    right = np.linalg.solve(index_reference.fmat(cat, a, b, c, root), vec)
     ridx2 = _right_index(ring, a, c, b, root)
     right2 = np.zeros(len(ridx2), dtype=complex)
     for i, (f, mu, nu) in enumerate(_right_index(ring, a, b, c, root)):
@@ -135,7 +136,7 @@ def _braid_second(cat, word, root, coeffs, inverse):
         R = _r(cat, b, c, f, inverse)
         for mup in range(R.shape[0]):
             right2[ridx2.index((f, mup, nu))] += R[mup, mu] * right[i]
-    left2 = cat.fmat(a, c, b, root) @ right2
+    left2 = index_reference.fmat(cat, a, c, b, root) @ right2
     out = {}
     for i, (e, al, be) in enumerate(_left_index(ring, a, c, b, root)):
         if abs(left2[i]):
@@ -170,16 +171,16 @@ def reference_hexagon(cat):
 
 # -- tests -------------------------------------------------------------------
 
-def _rebuilt(cat, F=None, R=None):
-    return SkeletalUTC(cat.ring, F or cat.f_symbols, R or cat.r_symbols)
+def _last_key(cat, kind):
+    """The last label key, sorted, of a ``kind`` block without a unit leg."""
+    return sorted(index_reference.block_keys(
+        cat.ring, cat.ring.ftable if kind == "F" else cat.ring.rtable))[-1]
 
 
 def _corrupted(cat):
-    F, R = dict(cat.f_symbols), dict(cat.r_symbols)
-    kf, kr = sorted(F)[-1], sorted(R)[-1]
-    F[kf] = F[kf] * np.exp(0.3j)
-    R[kr] = R[kr] * np.exp(0.2j)
-    return _rebuilt(cat, F, R)
+    kf, kr = _last_key(cat, "F"), _last_key(cat, "R")
+    cat = index_reference.edited(cat, "F", kf, index_reference.fmat(cat, *kf) * np.exp(0.3j))
+    return index_reference.edited(cat, "R", kr, index_reference.rmat(cat, *kr) * np.exp(0.2j))
 
 
 @pytest.mark.parametrize("name", sorted(CASES))
@@ -202,11 +203,9 @@ def test_corrupted_blocks_are_detected(name):
 def test_non_unitary_block_uses_the_inverse():
     # a unitary-only shortcut F⁻¹ = F† would change both residuals here
     cat = fibonacci()
-    F = dict(cat.f_symbols)
-    M = np.array(F[("tau", "tau", "tau", "tau")])
+    M = np.array(index_reference.fmat(cat, "tau", "tau", "tau", "tau"))
     M[0, 0] *= 1.5
-    F[("tau", "tau", "tau", "tau")] = M
-    bad = _rebuilt(cat, F)
+    bad = index_reference.edited(cat, "F", ("tau", "tau", "tau", "tau"), M)
     assert bad.verify_unitarity() >= 0.1
     pentagon, hexagon = bad.verify_pentagon(), bad.verify_hexagon()
     assert pentagon >= 0.1 and hexagon >= 0.1
@@ -215,16 +214,15 @@ def test_non_unitary_block_uses_the_inverse():
 
 
 def test_singular_block_raises():
-    cat = fibonacci()
-    F = dict(cat.f_symbols)
-    F[("tau", "tau", "tau", "tau")] = np.zeros((2, 2))
+    bad = index_reference.edited(fibonacci(), "F", ("tau", "tau", "tau", "tau"), 0.0)
     with pytest.raises(np.linalg.LinAlgError):
-        _rebuilt(cat, F).verify_pentagon()
+        bad.verify_pentagon()
 
 
 def test_multiplicity_indices_agree_with_the_reference():
     cat = random_blocks(mult2_ring(), 0)
-    assert {k: v.shape for k, v in cat.f_symbols.items()} == {
+    assert {key: index_reference.fmat(cat, *key).shape
+            for key in index_reference.block_keys(cat.ring, cat.ring.ftable)} == {
         ("x", "x", "x", "1"): (2, 2), ("x", "x", "x", "x"): (5, 5)}
     pentagon, hexagon = cat.verify_pentagon(), cat.verify_hexagon()
     assert pentagon == pytest.approx(reference_pentagon(cat), rel=1e-12)
@@ -263,12 +261,12 @@ def _hexagon_blocks(ring, a, b, c, d):
 @pytest.mark.parametrize("name", ["fib", "ising"])
 def test_worst_location_names_the_corrupted_block(name):
     cat = _corrupted(CASES[name]())
-    kf, kr = sorted(cat.f_symbols)[-1], sorted(cat.r_symbols)[-1]
+    kf, kr = _last_key(cat, "F"), _last_key(cat, "R")
     res, where = cat.coherence("pentagon")
     assert res == cat.verify_pentagon() and len(where) == 5
     assert kf in _pentagon_blocks(cat.ring, *where)
     # hexagons also read F, so only R is corrupted here
-    only_r = _rebuilt(cat, F=CASES[name]().f_symbols)
+    only_r = SkeletalUTC(cat.ring, CASES[name]()._F, cat._R)
     res, where = only_r.coherence("hexagon")
     assert res == only_r.verify_hexagon() >= 0.1 and len(where) == 4
     assert kr in _hexagon_blocks(cat.ring, *where)
@@ -278,14 +276,14 @@ def test_worst_location_names_the_corrupted_block(name):
 
 
 def test_table_inverses_are_the_cached_inverses():
-    cat = _rebuilt(fibonacci())
+    cat = fibonacci()
     cat.verify_pentagon()
     inv = cat._Finv  # built for the pentagon's F⁻¹ entry table
     assert inv is not None and not inv.flags.writeable
     for key in index_reference.f_keys(cat.ring):
         M = index_reference.finv(cat, *key)
         assert np.shares_memory(M, inv)
-        assert np.allclose(M @ cat.fmat(*key), np.eye(len(M)), atol=1e-12)
+        assert np.allclose(M @ index_reference.fmat(cat, *key), np.eye(len(M)), atol=1e-12)
     assert cat._inverses() is inv
     assert index_reference.finv(cat, "tau", "tau", "tau", "tau").shape == (2, 2)
 

@@ -862,10 +862,11 @@ def test_moments_and_states_do_not_alias_the_cache():
     want = got.copy()
     got[...] = 7.0
     assert np.array_equal(vacuum_expectation(fam, word), want)
+    # the moment cached the halves of X₀X₀ on both sides of its split
     with pytest.raises(ValueError):
-        fam.ket((0, 0))[0] = 1.0
+        fam._kets[(0, 0)][0] = 1.0
     with pytest.raises(ValueError):
-        fam.bra((0, 0))[0, 0] = 1.0
+        fam._bras[(0, 0)][0, 0] = 1.0
 
 
 # (covariance, depth) of the families whose moments are read on the raw basis
@@ -1002,11 +1003,6 @@ def test_bad_words_are_refused_on_a_cache_hit_and_a_miss(id2_family):
             with pytest.raises(err) as hit:
                 vacuum_expectation(fam, word)
             assert str(hit.value) == str(miss.value)
-    for half in (swept.ket, swept.bra):
-        with pytest.raises(WordTooLong, match="5 letters exceed the depth 4"):
-            half((0,) * 5)
-        with pytest.raises(UnknownLabel):
-            half((0, 7))
 
 
 def test_bad_words_are_refused_alike_by_the_recursion(id2_family):

@@ -6,12 +6,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import index_reference
-from test_annulus import _gauged
+from test_annulus import _gauged, _mirror
 from tree_reference import EmptyHomSpace, InapplicableMove, TreeCalculus, TreeVector
 from utcat import io_schemas as io
-from utcat.errors import MissingBraiding
+from utcat.errors import MissingBraiding, SchemaError
 from utcat.fixtures import FIXTURE_BUILDERS, fibonacci, ising, mult2_ring, su2k, vec_zn
-from utcat.skeletal import SkeletalUTC
+from utcat.skeletal import SkeletalUTC, _block
 
 TOL = 1e-10
 PHI = (1.0 + np.sqrt(5.0)) / 2.0
@@ -171,10 +171,9 @@ def test_a_scaled_unit_entry_fails_the_zigzag(name, scale):
     x = ring.labels[1]
     key = (x, ring.dual[x], x, x)
     k, u = t.number[tuple(ring.index[y] for y in key)], ring.index[ring.unit]
-    F = dict(cat.f_symbols)
-    F[key] = np.array(F[key])
-    F[key][t.chan[k, 0, u], t.chan[k, 1, u]] *= scale
-    assert SkeletalUTC(ring, F, cat.r_symbols).verify_zigzag() >= 0.1
+    F = np.array(cat._F)
+    _block(ring, t, F, key)[t.chan[k, 0, u], t.chan[k, 1, u]] *= scale
+    assert SkeletalUTC(ring, F, cat._R).verify_zigzag() >= 0.1
 
 
 def test_block_readers_build_no_label_keyed_block_mapping():
@@ -183,16 +182,11 @@ def test_block_readers_build_no_label_keyed_block_mapping():
     cat = io.cat_from_json(io.cat_to_json(su2k(3)))
     cat.verify_zigzag()
     j = cat.ring.labels[1:3]
-    cat.fmat(*j, *j), cat.rmat(*j, j[1]), cat.conj_pair_matrix(*j, j[1])
-    cat.fblock(*j, *j, j[0], j[1]), cat.f_symbols, cat.r_symbols
+    index_reference.fmat(cat, *j, *j), index_reference.rmat(cat, *j, j[1])
+    cat.conj_pair_matrix(*j, j[1]), cat.fblock(*j, *j, j[0], j[1]), cat._twists
     held = [x for v in vars(cat.ring).values() for x in (v if isinstance(v, tuple) else (v,))]
     keys = [k for m in held if isinstance(m, dict) for k in m]
     assert keys and not any(isinstance(k, tuple) and len(k) in (3, 4) for k in keys)
-
-
-def _mirror(cat):
-    """The mirror category: the same F blocks, the conjugate R blocks."""
-    return SkeletalUTC(cat.ring, cat.f_symbols, {k: v.conj() for k, v in cat.r_symbols.items()})
 
 
 @pytest.mark.parametrize("mirror", [False, True])
@@ -218,45 +212,62 @@ def test_su2k_pentagon_when_labels_sort_out_of_spin_order():
     assert su2k(10).verify_pentagon() <= 1e-12
 
 
+def _twist(cat, x):
+    """θ_x, read from the category's table of twists."""
+    return cat._twists[cat.ring.index[x]]
+
+
 @pytest.mark.parametrize("k", range(1, 9))
 def test_su2k_twists_and_dimensions(k):
     cat = su2k(k)
     q = np.exp(2j * np.pi / (k + 2))
     for n in range(k + 1):
         j = n / 2
-        assert abs(cat.twist(f"j{n}") - q ** (j * (j + 1))) < 1e-12
+        assert abs(_twist(cat, f"j{n}") - q ** (j * (j + 1))) < 1e-12
         assert abs(cat.d(f"j{n}") - np.sin((n + 1) * np.pi / (k + 2))
                    / np.sin(np.pi / (k + 2))) < 1e-12
 
 
 def test_twists_of_fib_and_ising():
-    assert abs(fibonacci().twist("tau") - np.exp(4j * np.pi / 5)) < 1e-12
+    assert abs(_twist(fibonacci(), "tau") - np.exp(4j * np.pi / 5)) < 1e-12
     isg = ising()
-    assert abs(isg.twist("psi") + 1.0) < 1e-12
-    assert abs(isg.twist("sigma") - np.exp(1j * np.pi / 8)) < 1e-12
+    assert abs(_twist(isg, "psi") + 1.0) < 1e-12
+    assert abs(_twist(isg, "sigma") - np.exp(1j * np.pi / 8)) < 1e-12
 
 
 def test_blocks_are_read_only():
     cat = fibonacci()
-    block = np.array(cat.f_symbols[("tau", "tau", "tau", "tau")])
-    F = {**cat.f_symbols, ("tau", "tau", "tau", "tau"): block}
-    own = SkeletalUTC(cat.ring, F, cat.r_symbols)
+    F = np.array(cat._F)
+    own = SkeletalUTC(cat.ring, F, cat._R)
     with pytest.raises(ValueError):
-        own.fmat("tau", "tau", "tau", "tau")[0, 0] = 0.0
+        index_reference.fmat(own, "tau", "tau", "tau", "tau")[0, 0] = 0.0
     with pytest.raises(ValueError):
-        own.rmat("tau", "tau", "1")[0, 0] = 0.0
-    # the category keeps its own copy: the caller's array stays writable and
+        index_reference.rmat(own, "tau", "tau", "1")[0, 0] = 0.0
+    # the category keeps its own copy: the caller's buffer stays writable and
     # writing to it changes nothing the category computes with
-    block[0, 0] = 7.0
-    assert own.fmat("tau", "tau", "tau", "tau")[0, 0] == pytest.approx(1.0 / PHI)
+    F[...] = 7.0
+    assert index_reference.fmat(own, "tau", "tau", "tau", "tau")[0, 0] == pytest.approx(1.0 / PHI)
     assert own.verify_pentagon() < TOL
+
+
+@pytest.mark.parametrize("kind", ["F", "R"])
+@pytest.mark.parametrize("change", ["short", "long", "2-d"])
+def test_a_buffer_of_the_wrong_shape_is_refused(kind, change):
+    # a short buffer failed on numpy broadcasting, a 2-d one on an index
+    cat = fibonacci()
+    bufs = {"F": cat._F, "R": cat._R}
+    n = len(bufs[kind])
+    bufs[kind] = {"short": bufs[kind][:-1], "long": np.append(bufs[kind], 0.0),
+                  "2-d": bufs[kind][None]}[change]
+    with pytest.raises(SchemaError, match=rf"{kind} buffer .* expected \({n},\)"):
+        SkeletalUTC(cat.ring, bufs["F"], bufs["R"])
 
 
 def test_missing_braiding_raises():
     cat = fibonacci()
-    stripped = SkeletalUTC(cat.ring, cat.f_symbols, None)
+    stripped = SkeletalUTC(cat.ring, cat._F)
     with pytest.raises(MissingBraiding):
-        stripped.rmat("tau", "tau", "1")
+        stripped._twists
     with pytest.raises(MissingBraiding):
         stripped.verify_hexagon()
 

@@ -6,13 +6,19 @@ must be used by code in `src`, `scripts` or `perfbench` outside its own
 definition, or be listed in `TEST_ONLY` with the reason it stays.  A use is
 a name or an attribute that is read; imports, `__all__` strings, type
 annotations and the body of the definition itself do not count, so a
-re-export in `utcat/__init__.py` or a wrapper nobody calls fails here.
+re-export in `utcat/__init__.py` or a wrapper nobody calls fails here.  A
+name defined only in class bodies, a method, is used only through an
+attribute read (`x.name`): a local variable of the same name does not count
+(the locals `ket` and `bra` of `vacuum_expectation` once masked the
+test-only `SemicircularFamily.ket` and `bra`).  A module function counts
+both kinds of read, since a module is read as `io.cat_from_json`.
 
 Two blind spots: a private name (a leading `_`) is never checked, so a
 private method that only tests read passes (as `SkeletalUTC._finv` did);
-and a use is matched by name alone, so a method that only tests call passes
-while any library attribute of the same name is read (the `alg.basis` array
-of `semicircular` masked the test-only `CoendAlgebra.basis()`).
+and an attribute read is matched by name alone, so a method that only tests
+call passes while any library attribute of the same name is read (the
+`alg.basis` array of `semicircular` masked the test-only
+`CoendAlgebra.basis()`).
 """
 
 import ast
@@ -30,11 +36,6 @@ TEST_ONLY = {
     # with no report that printed it
     "canonical_expectation": "the paper's canonical expectation "
                              "𝔼(T) = ⟨TΩ, Ω⟩",
-    # the library gathers F, R and θ from their buffers in bulk or by
-    # block number
-    "fmat": "the F-matrix of one block",
-    "rmat": "the R-matrix of one channel",
-    "twist": "the ribbon twist θ_x of one label",
 }
 
 
@@ -47,21 +48,32 @@ def _exports(tree: ast.Module) -> list:
     return []
 
 
+_DEFS = (ast.FunctionDef, ast.AsyncFunctionDef)
+
+
 def _public(tree: ast.Module) -> list:
     """The exports of a module, then the names of the functions and methods
     it defines, nested ones included, that do not start with `_`."""
     defs = sorted({node.name for node in ast.walk(tree)
-                   if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
-                   and not node.name.startswith("_")})
+                   if isinstance(node, _DEFS) and not node.name.startswith("_")})
     exports = _exports(tree)
     return exports + [n for n in defs if n not in exports]
+
+
+def _methods(tree: ast.Module) -> set:
+    """The names that the module defines only in class bodies."""
+    defs = [node for node in ast.walk(tree) if isinstance(node, _DEFS)]
+    in_class = {id(d) for node in ast.walk(tree) if isinstance(node, ast.ClassDef)
+                for d in node.body if isinstance(d, _DEFS)}
+    return ({d.name for d in defs if id(d) in in_class}
+            - {d.name for d in defs if id(d) not in in_class})
 
 
 def _annotations(tree: ast.AST) -> set:
     """ids of the nodes inside type annotations."""
     roots = []
     for node in ast.walk(tree):
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+        if isinstance(node, _DEFS):
             args = node.args
             roots += [a.annotation for a in (args.posonlyargs + args.args
                                              + args.kwonlyargs
@@ -74,21 +86,24 @@ def _annotations(tree: ast.AST) -> set:
 
 
 def _uses(tree: ast.AST) -> dict:
-    """name -> number of reads outside annotations and outside the body of
-    any definition of that name."""
+    """(name, kind) -> number of reads outside annotations and outside the
+    body of any definition of that name; the kind is `ast.Name` for a bare
+    name and `ast.Attribute` for an attribute (`x.name`).  A store or a
+    `del` is not a read."""
     skip = _annotations(tree)
     counts = {}
 
     def visit(node, inside):
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
-                             ast.ClassDef)):
+        if isinstance(node, (*_DEFS, ast.ClassDef)):
             inside = inside | {node.name}
         elif id(node) not in skip:
             name = (node.id if isinstance(node, ast.Name)
                     else node.attr if isinstance(node, ast.Attribute)
                     else None)
-            if name is not None and name not in inside:
-                counts[name] = counts.get(name, 0) + 1
+            if (name is not None and name not in inside
+                    and isinstance(node.ctx, ast.Load)):
+                key = (name, type(node))
+                counts[key] = counts.get(key, 0) + 1
         for child in ast.iter_child_nodes(node):
             visit(child, inside)
 
@@ -96,13 +111,22 @@ def _uses(tree: ast.AST) -> dict:
     return counts
 
 
+def _unused(tree: ast.Module, uses: dict) -> list:
+    """The public names of a module that ``uses`` never reads: a method
+    only through an attribute, any other name through either kind."""
+    methods = _methods(tree)
+    return [n for n in _public(tree)
+            if (n, ast.Attribute) not in uses
+            and (n in methods or (n, ast.Name) not in uses)]
+
+
 @cache
 def _library_uses() -> dict:
     total = {}
     for sub in ("src", "scripts", "perfbench"):
         for path in sorted((ROOT / sub).rglob("*.py")):
-            for name, n in _uses(ast.parse(path.read_text())).items():
-                total[name] = total.get(name, 0) + n
+            for key, n in _uses(ast.parse(path.read_text())).items():
+                total[key] = total.get(key, 0) + n
     return total
 
 
@@ -111,19 +135,17 @@ MODULES = sorted(p.stem for p in PACKAGE.glob("*.py"))
 
 @pytest.mark.parametrize("module", MODULES)
 def test_every_export_is_used_by_the_library(module):
-    uses = _library_uses()
-    public = _public(ast.parse((PACKAGE / f"{module}.py").read_text()))
-    unused = [n for n in public if n not in uses and n not in TEST_ONLY]
+    tree = ast.parse((PACKAGE / f"{module}.py").read_text())
+    unused = [n for n in _unused(tree, _library_uses()) if n not in TEST_ONLY]
     assert not unused, f"{module} public names only tests reach: {unused}"
 
 
 def test_test_only_names_are_exported_and_unused():
     # an entry that the library starts to use, or that is gone, is stale
-    uses = _library_uses()
-    public = {n for m in MODULES for n in _public(
-        ast.parse((PACKAGE / f"{m}.py").read_text()))}
-    assert set(TEST_ONLY) <= public
-    assert not [n for n in TEST_ONLY if n in uses]
+    trees = [ast.parse((PACKAGE / f"{m}.py").read_text()) for m in MODULES]
+    assert set(TEST_ONLY) <= {n for tree in trees for n in _public(tree)}
+    unused = {n for tree in trees for n in _unused(tree, _library_uses())}
+    assert set(TEST_ONLY) <= unused
 
 
 def test_a_wrapper_nobody_calls_is_caught():
@@ -131,16 +153,23 @@ def test_a_wrapper_nobody_calls_is_caught():
         "class Thing:\n"
         "    def again(self) -> 'Thing':\n"
         "        return Thing()\n"
+        "    def masked(self):\n"
+        "        return 1\n"
         "def wrap(x: Thing) -> Thing:\n"
         "    return wrap(x)\n"
         "def make():\n"
         "    return Thing()\n"
         "def _hidden():\n"
-        "    return make()\n")
+        "    masked = make()\n"
+        "    return masked.again\n")
     uses = _uses(tree)
     # methods and functions are public names; a leading `_` is not
-    assert _public(tree) == ["again", "make", "wrap"]
+    assert _public(tree) == ["again", "make", "masked", "wrap"]
     # recursion and annotations are not uses; a call from another
     # definition is
-    assert "wrap" not in uses
-    assert uses["Thing"] == 1
+    assert ("wrap", ast.Name) not in uses
+    assert uses[("Thing", ast.Name)] == 1
+    # a method is used only through an attribute: the local `masked` is a
+    # bare name (its store is not a read), and `masked.again` reads `again`
+    assert uses[("masked", ast.Name)] == 1
+    assert _unused(tree, uses) == ["masked", "wrap"]

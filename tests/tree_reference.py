@@ -6,7 +6,8 @@ left-associated fusion trees, a path being the tuple ((m_1, t_1), ...,
 (m_{n-1}, t_{n-1})) of intermediate channels and multiplicity indices with
 m_{n-1} the root.  :class:`TreeCalculus` moves such vectors one local step at
 a time (braid, insert or contract a pair, merge two trees), reading F, F⁻¹ and
-R from the category it wraps; every other attribute reads through to that
+R from the buffers of the category it wraps through ``skeletal._block``, and
+θ from its ``_twists``; every other attribute reads through to that
 category.  The reference builders at the end assemble the annulus product and
 star, the square-algebra structure tensor and star, and the fiber action by
 walking trees through these moves, as :mod:`utcat` once did, over the basis
@@ -19,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from index_reference import f_index, finv
+from index_reference import f_index, finv, fmat, rmat
 from utcat.errors import SolveFailed, UnknownLabel
 from utcat.skeletal import ConjugateSolution
 
@@ -183,7 +184,7 @@ class TreeCalculus:
             for path, coeff in tv.coeffs.items():
                 m1, t1 = path[0]
                 # inverse braiding b⊗c -> c⊗b is (τ_{c,b})^{-1} = R(c,b)†
-                R = self.rmat(c, b, m1).conj().T if inverse else self.rmat(b, c, m1)
+                R = rmat(self.cat, c, b, m1).conj().T if inverse else rmat(self.cat, b, c, m1)
                 for t1p in range(R.shape[0]):
                     _add(out, ((m1, t1p),) + path[1:], R[t1p, t1] * coeff)
             return TreeVector(new_word, tv.root, out)
@@ -195,10 +196,10 @@ class TreeCalculus:
             for i, (f, mu, nu) in enumerate(ridx):
                 if abs(right[i]) == 0.0:
                     continue
-                R = self.rmat(c, b, f).conj().T if inverse else self.rmat(b, c, f)
+                R = rmat(self.cat, c, b, f).conj().T if inverse else rmat(self.cat, b, c, f)
                 for mup in range(R.shape[0]):
                     right2[rpos2[(f, mup, nu)]] += R[mup, mu] * right[i]
-            left2 = self.fmat(a, c, b, dd) @ right2
+            left2 = fmat(self.cat, a, c, b, dd) @ right2
             lidx2 = f_index(self.ring, a, c, b, dd).left
             for i, (e, alpha, beta) in enumerate(lidx2):
                 if abs(left2[i]) == 0.0:
@@ -287,7 +288,7 @@ class TreeCalculus:
         # k >= 1: local expansion through F(a, y, z, a)
         for path, coeff in tv.coeffs.items():
             a = word[0] if k == 1 else path[k - 2][0]
-            F = self.fmat(a, y, z, a)
+            F = fmat(self.cat, a, y, z, a)
             idx = f_index(self.ring, a, y, z, a)
             lidx, rpos = idx.left, idx.rpos
             rvec = np.zeros(len(rpos), dtype=complex)
@@ -338,7 +339,7 @@ class TreeCalculus:
             t = path[-1][1]
             heads.setdefault((cprime, t), {})[path[:-1]] = coeff
         for (cprime, t), headcoeffs in heads.items():
-            F = self.fmat(tva.root, cprime, y, root)
+            F = fmat(self.cat, tva.root, cprime, y, root)
             idx = f_index(ring, tva.root, cprime, y, root)
             lidx, rpos = idx.left, idx.rpos
             rvec = np.zeros(len(rpos), dtype=complex)
@@ -363,7 +364,8 @@ class TreeCalculus:
     def _unit_entry(self, x: str) -> complex:
         """F[x,x̄,x;x] between its unit channels, found through the per-key index."""
         idx, unit = f_index(self.ring, x, self.dual(x), x, x), self.ring.unit
-        return self.fmat(x, self.dual(x), x, x)[idx.lpos[(unit, 0, 0)], idx.rpos[(unit, 0, 0)]]
+        F = fmat(self.cat, x, self.dual(x), x, x)
+        return F[idx.lpos[(unit, 0, 0)], idx.rpos[(unit, 0, 0)]]
 
     def dim(self, x: str) -> float:
         return 1.0 / abs(self._unit_entry(x))
@@ -575,7 +577,7 @@ def annulus_star(cat, S) -> dict:
             for path, coeff in tv.coeffs.items():
                 jidx = bases[Yb].index((Xb, path[0][1]))
                 Smat[jidx, iy] += coeff
-        star[Y] = np.array([cat.twist(X) for X, _ in bases[Yb]])[:, None] * Smat
+        star[Y] = cat._twists[[ring.index[X] for X, _ in bases[Yb]]][:, None] * Smat
     return star
 
 
