@@ -93,10 +93,6 @@ class PositivityFailure(UtcatError):
     pass
 
 
-class RowBoundFailure(UtcatError):
-    pass
-
-
 class CPFailure(UtcatError):
     pass
 

@@ -75,7 +75,7 @@ def ring_from_json(raw: dict) -> FusionRing:
             raise SchemaError("fusion entry must map channels to counts",
                               f"/fusion/{key}")
         for z, m in channels.items():
-            if not isinstance(m, int) or isinstance(m, bool):
+            if type(m) is not int:  # isinstance(True, int) holds
                 raise SchemaError(f"fusion count must be an integer, got {m!r}",
                                   f"/fusion/{key}/{z}")
             mult[(x, y, z)] = m
@@ -252,7 +252,7 @@ def aobj_from_json(cat: SkeletalUTC, raw: dict) -> AlgebraObject:
     for X, n in fibers_raw.items():
         if X not in ring.labels:
             raise SchemaError(f"unknown label {X!r}", f"/fibers/{X}")
-        if not isinstance(n, int) or n < 0:
+        if type(n) is not int or n < 0:
             raise SchemaError(f"fiber dimension must be a non-negative int",
                               f"/fibers/{X}")
         fibers[X] = n
@@ -345,7 +345,7 @@ def base_from_json(raw: dict) -> BaseAlgebra:
     """{"blocks": [int]} → ⊕_b M_{k_b}."""
     blocks = _require(raw, "blocks")
     if (not isinstance(blocks, list) or not blocks
-            or not all(isinstance(k, int) and k > 0 for k in blocks)):
+            or not all(type(k) is int and k > 0 for k in blocks)):
         raise SchemaError("blocks must be a nonempty list of positive ints",
                           "/blocks")
     return BaseAlgebra(tuple(blocks))
@@ -370,7 +370,4 @@ def eta_from_json(raw: dict, algebra: BaseAlgebra) -> CovarianceMatrix:
         if m.shape != stack.shape[2:]:
             raise SchemaError(f"entry shape {m.shape} != {stack.shape[2:]}", ptr)
         stack[pos[i], pos[j]] = m
-    bound = raw.get("bound")
-    if bound is not None and not isinstance(bound, (int, float)):
-        raise SchemaError("bound must be a real number", "/bound")
-    return CovarianceMatrix(algebra, tuple(index), stack, bound=bound)
+    return CovarianceMatrix(algebra, tuple(index), stack)

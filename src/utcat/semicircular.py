@@ -4,7 +4,10 @@ The base algebra A is a concrete multi-matrix algebra ⊕_b M_{k_b} embedded
 block-diagonally in M_d.  A covariance matrix is a completely positive
 η: A → A⊗ℒ(ℓ²(I)) stored as one stack of shape (|I|, |I|, nA, nA): the
 linear maps η_ij in A-coordinates, indexed by the positions of i and j in
-the index set.
+the index set.  Complete positivity, certified through the Choi-type
+matrix, is the one property it is checked for: on a finite index set a
+CP η is bounded, with ‖η‖ = ‖η(1)‖ (Russo–Dye), so no bound is declared
+or estimated.
 The Fock space ⨁_{m≤n} 𝒳^{⊠m} is assembled level by level.  A raw
 level-m vector ((a₁,i₁),…,(a_m,i_m); β) has the A-valued inner product
 
@@ -53,7 +56,6 @@ from .errors import (
     DimensionCap,
     LabelMismatch,
     NotAnAutomorphism,
-    RowBoundFailure,
     UnknownLabel,
     WordTooLong,
 )
@@ -113,13 +115,14 @@ class BaseAlgebra:
 class CovarianceMatrix:
     """η: A → A⊗ℒ(ℓ²(I)) as one stack of shape (|I|, |I|, nA, nA):
     stacked[x, y] maps A-coordinates to A-coordinates under
-    η_{index[x] index[y]}.  The stack and every field are read-only, so
-    the checks made when it is built hold for its whole life."""
+    η_{index[x] index[y]}.  It is built only if the stack has that shape,
+    the ids are distinct and η is completely positive; ``cp_floor`` is the
+    least eigenvalue of the Choi-type matrix.  The stack and every field
+    are read-only, so these checks hold for its whole life."""
 
     algebra: BaseAlgebra
     index: tuple
     stacked: np.ndarray
-    bound: float = None
     cp_floor: float = field(init=False)
 
     def __post_init__(self):
@@ -138,11 +141,6 @@ class CovarianceMatrix:
                              f"expected {want}")
         self.stacked.flags.writeable = False
         object.__setattr__(self, "cp_floor", self._verify_cp())
-        computed = self._row_bound()
-        if self.bound is not None and computed > self.bound + 1e-9:
-            raise RowBoundFailure(
-                f"row bound {computed:.6f} exceeds declared C = {self.bound}")
-        object.__setattr__(self, "bound", computed)
 
     def apply(self, i, j, a) -> np.ndarray:
         alg = self.algebra
@@ -162,26 +160,6 @@ class CovarianceMatrix:
         if not floor >= -1e-10 * max(1.0, float(np.max(np.abs(big)))):
             raise CPFailure(f"Choi-type matrix has eigenvalue {floor:.3e}")
         return floor
-
-    def _row_bound(self, samples: int = 20, seed: int = 0) -> float:
-        """max_i Σ_j ‖η_ij(a)‖² / ‖a‖² over the basis, the unit and seeded
-        random elements of A.  By Russo–Dye ‖η_ii‖ = ‖η_ii(1)‖, so the unit makes the bound exact
-        for a single index; for rows of several indices it is a lower
-        estimate of the supremum over A.
-        """
-        alg = self.algebra
-        # one draw in the order of `samples` calls of alg.random
-        z = np.random.default_rng(seed).normal(size=(samples, 2, alg.dim))
-        tests = np.concatenate([alg.basis, np.eye(alg.d)[None],
-                                alg.element(z[:, 0] + 1j * z[:, 1])])
-        outs = alg.element(np.einsum("xyqp,tp->xytq", self.stacked,
-                                     alg.coords(tests)))
-        norms = np.linalg.svd(np.concatenate([outs.reshape(-1, alg.d, alg.d),
-                                              tests]), compute_uv=False)[:, 0]
-        na = norms[-len(tests):]
-        rows = (norms[:-len(tests)] ** 2).reshape(outs.shape[:3]).sum(axis=1)
-        keep = na >= 1e-14
-        return float(np.max(rows[:, keep] / na[keep] ** 2, initial=0.0))
 
     def _trace_pairs(self) -> tuple:
         """(max |τ(η_ij(x)·y) − τ(x·η_ji(y))|, max |τ(η_ij(x)·y)|) over
@@ -206,8 +184,7 @@ class CovarianceMatrix:
         return worst <= 1e-12 * scale
 
 
-def covariance_from_vectors(vectors, algebra: BaseAlgebra = None,
-                            bound: float = None) -> CovarianceMatrix:
+def covariance_from_vectors(vectors, algebra: BaseAlgebra = None) -> CovarianceMatrix:
     """η_ij(a) = Σ_s ξ_{i,s}* a ξ_{j,s} for vectors ξ_i in the free module A^S.
 
     A vector is an array of shape (S, d, d) — its components in A — or a
@@ -225,8 +202,7 @@ def covariance_from_vectors(vectors, algebra: BaseAlgebra = None,
     X = np.array(xs).reshape(len(xs), -1, alg.d, alg.d)
     # ent[i, j, e] = A-coordinates of Σ_s ξ_is* e ξ_js, columns of the stack
     ent = alg.coords(np.einsum("isrp,erc,jsck->ijepk", X.conj(), alg.basis, X))
-    return CovarianceMatrix(alg, tuple(range(len(xs))), ent.swapaxes(2, 3),
-                            bound=bound)
+    return CovarianceMatrix(alg, tuple(range(len(xs))), ent.swapaxes(2, 3))
 
 
 def covariance_from_automorphisms(alphas,

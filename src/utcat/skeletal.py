@@ -129,12 +129,16 @@ def _checked(ring: FusionRing, kind: str, buf, given) -> np.ndarray:
     unit-leg block the identity.  ``given`` marks the blocks supplied (None:
     all); a buffer of another shape than the table's, a missing block other
     than a unit-leg one, or a supplied unit-leg block that is not the
-    identity, raises :class:`SchemaError`."""
+    identity, raises :class:`SchemaError`, as does a ``given`` that is not
+    one bool per block."""
     t = ring.ftable if kind == "F" else ring.rtable
     buf = np.array(buf, dtype=complex)
     if buf.shape != (t.buffer_length,):
         raise SchemaError(f"{kind} buffer has shape {buf.shape}, expected ({t.buffer_length},)")
-    given = np.ones(len(t.size), dtype=bool) if given is None else given
+    given = np.ones(len(t.size), dtype=bool) if given is None else np.asarray(given)
+    if given.shape != t.size.shape or given.dtype != bool:
+        raise SchemaError(f"{kind} mask has shape {given.shape} of {given.dtype}, "
+                          f"expected ({len(t.size)},) of bool")
     blk, p, q = t.entry_index()
     leg = t.unit_leg[blk]
     bad = leg & given[blk] & (buf != (p == q))

@@ -66,15 +66,23 @@ def test_schema_errors_carry_pointers():
     with pytest.raises(SchemaError) as exc:
         io.ring_from_json({"labels": ["1"], "unit": "1", "dual": {"1": "1"}})
     assert exc.value.pointer == "/fusion"
-    with pytest.raises(SchemaError) as exc:
-        io.base_from_json({"blocks": [0]})
-    assert exc.value.pointer == "/blocks"
+    # a JSON true is an int to isinstance, so [true, 1] must not pass as [1, 1]
+    for blocks in ([0], [True, 1], [True]):
+        with pytest.raises(SchemaError) as exc:
+            io.base_from_json({"blocks": blocks})
+        assert exc.value.pointer == "/blocks"
     cat = vec_zn(2)
     raw = io.aobj_to_json(build_annulus(cat))
     raw["unit"] = [[1, 0]] * 5
     with pytest.raises(SchemaError) as exc:
         io.aobj_from_json(cat, raw)
     assert exc.value.pointer == "/unit"
+    # a true fiber dimension must be refused before it reaches np.zeros
+    raw = io.aobj_to_json(group_algebra_object(cat))
+    raw["fibers"]["g1"] = True
+    with pytest.raises(SchemaError, match="non-negative int") as exc:
+        io.aobj_from_json(cat, raw)
+    assert exc.value.pointer == "/fibers/g1"
 
 
 def test_complex_wire_format():

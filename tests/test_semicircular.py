@@ -12,7 +12,6 @@ from utcat.errors import (
     DimensionCap,
     LabelMismatch,
     NotAnAutomorphism,
-    RowBoundFailure,
     UnknownLabel,
     WordTooLong,
 )
@@ -51,7 +50,6 @@ def test_catalan_recursion_oracle():
 def test_single_vector_covariance():
     eta = covariance_from_vectors([np.array([1.0])])
     assert np.allclose(eta.stacked[0, 0], [[1.0]])
-    assert abs(eta.bound - 1.0) < 1e-12
 
 
 def test_empty_index_set_is_refused():
@@ -95,8 +93,7 @@ def test_cp_failure():
 
 
 def test_a_nan_stack_is_a_cp_failure():
-    # NaN compared false with the old gate, and the row bound's SVD stopped
-    # it with numpy's LinAlgError
+    # a NaN compares false with every bound, so the gate must fail it
     with pytest.raises(CPFailure, match="nan"):
         CovarianceMatrix(BaseAlgebra((1,)), (0,), np.array([[[[np.nan]]]]))
     with pytest.raises(CPFailure, match="nan"):
@@ -144,28 +141,9 @@ def test_cp_floor_is_not_a_constructor_argument():
                          cp_floor=-1.0)
 
 
-def test_row_bound_failure():
-    with pytest.raises(RowBoundFailure):
-        covariance_from_vectors([np.array([2.0])], bound=1.0)
-
-
 def _seeded_m2_vector():
     rng = np.random.default_rng(0)
     return rng.normal(size=(1, 2, 2)) + 1j * rng.normal(size=(1, 2, 2))
-
-
-def test_row_bound_sees_the_unit():
-    # η(a) = ξ*aξ has ‖η‖ = ‖η(1)‖ = ‖ξ‖² (Russo–Dye); the basis and the
-    # seeded samples alone reach only 9.111 of ‖ξ‖⁴ = 9.579
-    alg = BaseAlgebra((2,))
-    xi = _seeded_m2_vector()
-    exact = np.linalg.norm(xi[0], 2) ** 4
-    eta = covariance_from_vectors([xi], alg)
-    assert abs(eta.bound - exact) <= 1e-12 * exact
-    assert 9.111 < 9.3 < exact
-    with pytest.raises(RowBoundFailure):
-        covariance_from_vectors([xi], alg, bound=9.3)
-    assert covariance_from_vectors([xi], alg, bound=9.58).bound == eta.bound
 
 
 # -- covariance checks against their per-entry loops ---------------------------
@@ -184,25 +162,6 @@ def _reference_cp_floor(eta):
                     c = (bi * nI + y) * d
                     big[r:r + d, c:c + d] = eta.apply(i, j, prod)
     return float(np.linalg.eigvalsh((big + big.conj().T) / 2)[0])
-
-
-def _reference_row_bound(eta, samples=20, seed=0):
-    """Row bound over the basis, the unit and the seeded samples, one
-    spectral norm at a time."""
-    rng = np.random.default_rng(seed)
-    alg = eta.algebra
-    tests = list(alg.basis) + [np.eye(alg.d)] + [alg.random(rng)
-                                                 for _ in range(samples)]
-    best = 0.0
-    for a in tests:
-        na = np.linalg.norm(a, 2)
-        if na < 1e-14:
-            continue
-        for i in eta.index:
-            s = sum(np.linalg.norm(eta.apply(i, j, a), 2) ** 2
-                    for j in eta.index)
-            best = max(best, s / na ** 2)
-    return best
 
 
 def _reference_trace_residual(eta):
@@ -232,8 +191,8 @@ def _skew_eta():
 
 
 def _sampled_row_eta():
-    """Two vectors over ℂ ⊕ M₂ with their last column zero: a random sample
-    sets the row bound (20.15), above the basis and the unit (19.28)."""
+    """Two vectors over ℂ ⊕ M₂ with their last column zero, so every
+    η_ij(a) vanishes in its last row and column."""
     alg = BaseAlgebra((1, 2))
     rng = np.random.default_rng(49)
     mask = alg.element(np.ones(alg.dim)).real
@@ -282,40 +241,12 @@ def test_vector_covariance_matches_the_loop(case):
             <= 1e-12 * max(1.0, np.max(np.abs(want)))
 
 
-def _sequential_row_bound(eta, samples=20, seed=0):
-    """`CovarianceMatrix._row_bound` as it was when it drew its samples
-    with one `alg.random` call each."""
-    rng = np.random.default_rng(seed)
-    alg = eta.algebra
-    tests = np.concatenate([alg.basis, np.eye(alg.d)[None]]
-                           + [alg.random(rng)[None] for _ in range(samples)])
-    outs = alg.element(np.einsum("xyqp,tp->xytq", eta.stacked,
-                                 alg.coords(tests)))
-    norms = np.linalg.svd(np.concatenate([outs.reshape(-1, alg.d, alg.d),
-                                          tests]), compute_uv=False)[:, 0]
-    na = norms[-len(tests):]
-    rows = (norms[:-len(tests)] ** 2).reshape(outs.shape[:3]).sum(axis=1)
-    keep = na >= 1e-14
-    return float(np.max(rows[:, keep] / na[keep] ** 2, initial=0.0))
-
-
-@pytest.mark.parametrize("case", sorted(COVARIANCE_CASES))
-def test_row_bound_samples_are_the_sequential_draws(case):
-    # the 20 samples come from one normal draw, in the stream order of
-    # 20 alg.random calls, so the bound is bit for bit the same
-    eta = COVARIANCE_CASES[case]()
-    assert eta.bound == _sequential_row_bound(eta)
-    if case == "sampled_row":
-        assert eta._row_bound(samples=0) < 0.96 * eta.bound
-
-
 def test_covariance_fields_are_read_only():
-    # cp_floor and the row bound were computed from index and stacked,
-    # which every Fock space and its cached halves are built from
+    # cp_floor was computed from index and stacked, which every Fock space
+    # and its cached halves are built from
     eta = COVARIANCE_CASES["pair"]()
     fields = {"algebra": BaseAlgebra((2,)), "index": (0, 2),
-              "stacked": np.zeros_like(eta.stacked), "bound": 0.0,
-              "cp_floor": 1.0}
+              "stacked": np.zeros_like(eta.stacked), "cp_floor": 1.0}
     before = {name: getattr(eta, name) for name in fields}
     for name, value in fields.items():
         with pytest.raises(dataclasses.FrozenInstanceError):
@@ -329,7 +260,6 @@ def test_covariance_fields_are_read_only():
 def test_batched_covariance_checks_match_the_loops(case):
     eta = COVARIANCE_CASES[case]()
     for got, want in ((eta.cp_floor, _reference_cp_floor(eta)),
-                      (eta.bound, _reference_row_bound(eta)),
                       (eta.trace_symmetry_residual(),
                        _reference_trace_residual(eta))):
         assert abs(got - want) <= 1e-12 * max(1.0, abs(want))
@@ -373,7 +303,7 @@ def test_rejects_non_automorphisms():
 
 
 def test_a_nan_automorphism_is_refused():
-    # every gate compared a NaN false; the row bound's SVD stopped it
+    # a NaN compares false with every tolerance, so each gate must fail it
     with pytest.raises(NotAnAutomorphism, match="not unital"):
         covariance_from_automorphisms([np.array([[np.nan]])])
     alg, al = BaseAlgebra((1, 1)), np.eye(2)

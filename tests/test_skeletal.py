@@ -251,16 +251,23 @@ def test_blocks_are_read_only():
 
 
 @pytest.mark.parametrize("kind", ["F", "R"])
-@pytest.mark.parametrize("change", ["short", "long", "2-d"])
+@pytest.mark.parametrize("change", ["short", "long", "2-d", "short_mask",
+                                    "long_mask", "2-d_mask", "int_mask"])
 def test_a_buffer_of_the_wrong_shape_is_refused(kind, change):
-    # a short buffer failed on numpy broadcasting, a 2-d one on an index
+    # each is refused before numpy broadcasts or indexes with it; an int
+    # mask would index blocks by number
     cat = fibonacci()
-    bufs = {"F": cat._F, "R": cat._R}
-    n = len(bufs[kind])
-    bufs[kind] = {"short": bufs[kind][:-1], "long": np.append(bufs[kind], 0.0),
-                  "2-d": bufs[kind][None]}[change]
-    with pytest.raises(SchemaError, match=rf"{kind} buffer .* expected \({n},\)"):
-        SkeletalUTC(cat.ring, bufs["F"], bufs["R"])
+    bufs, masks = {"F": cat._F, "R": cat._R}, {"F": None, "R": None}
+    how, _, what = change.partition("_")
+    if what == "mask":
+        table = cat.ring.ftable if kind == "F" else cat.ring.rtable
+        good, wrong = np.ones(len(table.size), dtype=bool), masks
+    else:
+        what, good, wrong = "buffer", bufs[kind], bufs
+    wrong[kind] = {"short": good[:-1], "long": np.append(good, good[:1]),
+                   "2-d": good[None], "int": np.zeros(len(good), dtype=int)}[how]
+    with pytest.raises(SchemaError, match=rf"{kind} {what} .* expected \({len(good)},\)"):
+        SkeletalUTC(cat.ring, bufs["F"], bufs["R"], (masks["F"], masks["R"]))
 
 
 def test_missing_braiding_raises():
