@@ -15,7 +15,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import AxiomViolation, RingAxiomError, SchemaError, UnknownLabel
+from .errors import AxiomViolation, RingAxiomError, UnknownLabel
 
 __all__ = ["BlockTable", "FusionRing", "validate_ring"]
 
@@ -198,23 +198,13 @@ class FusionRing:
             codes = _encode(rows[:, :4], L)
             order = np.argsort(codes, kind="stable")
             by_key.append((codes[order], rows[order]))
-        (codes, left), (rcodes, right) = by_key
-        if not np.array_equal(codes, rcodes):
-            self._inconsistent(codes, rcodes)
+        # a key has as many right rows as left ones: check_ring_axioms' associativity
+        (codes, left), (_, right) = by_key
         t = _block_table(codes, left, 4, self.index[self.unit], L)
         # slots per channel: N_ab^e·N_ec^d on the left, N_bc^f·N_af^d on the right
         N, (a, b, c, d) = self._N, t.keys.T
         count = np.stack([N[a, b] * N[:, c, d].T, N[b, c] * N[a, :, d]], axis=1)
         return t._replace(right=right[:, 4:], chan=np.cumsum(count, axis=2) - count)
-
-    def _inconsistent(self, left: np.ndarray, right: np.ndarray):
-        """Raise at the first key whose left and right bases (sorted key codes
-        of their trees) differ in size."""
-        n = min(len(left), len(right))
-        i = int(np.flatnonzero(np.append(left[:n] != right[:n], True))[0])
-        code = min(int(x[i]) for x in (left, right) if i < len(x))
-        a, b, c, d = (self.labels[x] for x in np.unravel_index(code, (len(self.labels),) * 4))
-        raise SchemaError(f"inconsistent hom dimensions for F[{a},{b},{c};{d}]")
 
     @cached_property
     def rtable(self) -> BlockTable:

@@ -3,7 +3,9 @@
 Wire conventions: complex numbers are ``[re, im]`` pairs (a bare real is
 read as ``[re, 0]``); composite keys are comma/semicolon joined label strings
 ("x,y", "a,b,c;d", "X,Y;Z;v").  Parsing failures raise :class:`SchemaError`
-carrying a JSON-pointer-ish path.
+carrying a JSON-pointer-ish path.  The F and R readers check a payload in
+bulk, which only decides whether it is accepted; a refused one is read again
+by a walk in payload order that raises its first failure.
 
 Skeletal categories: ``F`` maps every key "a,b,c;d" whose block is nonzero
 and has no unit among a, b, c to an object of its nonzero channel
@@ -19,17 +21,16 @@ F and R are ignored.
 from __future__ import annotations
 
 import itertools
-import operator
 
 import numpy as np
 
 from .algebra_object import AlgebraObject
 from .errors import SchemaError
-from .fusion_ring import FusionRing, _join, validate_ring
+from .fusion_ring import FusionRing, validate_ring
 from .semicircular import BaseAlgebra, CovarianceMatrix
 from .skeletal import SkeletalUTC
-from .wire import (check_key, complex_array, complex_in, complex_out, first_failure,
-                   key_positions, matrices, matrix_in, matrix_out, rows_in, split)
+from .wire import (check_key, complex_array, complex_out, key_positions, matrices,
+                   matrix_in, matrix_out, split, vector_in)
 
 __all__ = [
     "aobj_from_json", "aobj_to_json", "base_from_json", "cat_from_json",
@@ -111,72 +112,75 @@ def _given(t, keys: np.ndarray) -> np.ndarray:
 def _f_in(ring: FusionRing, fraw: dict) -> tuple:
     """The flat F buffer of ``ring.ftable`` and the mask of the blocks given.
 
-    One pass over the payload splits the keys into label positions and
-    gathers the sub-blocks and every number; keys, channel pairs, shapes and
-    numbers are then checked as arrays.  The first failure in payload order
-    is raised, else the sub-blocks are scattered into the buffer."""
+    One pass over the payload splits the keys and channel pairs into label
+    positions and gathers the sub-blocks and every number; keys, channel
+    pairs, shapes and numbers are then checked as arrays, and the sub-blocks
+    of a payload that passes are scattered into the buffer.  A payload that
+    fails is read again by :func:`_f_failure`, which names its failure."""
     index, N, t = ring.index, ring._N, ring.ftable
-    keys, blocks = list(fraw), list(fraw.values())
-    pos, k = key_positions(keys, 4, index)
-    many = itertools.repeat
-    obj = np.fromiter(map(isinstance, blocks[:k], many(dict)), dtype=bool, count=k)
-    k = k if obj.all() else int(np.argmax(~obj))
-    pos, blocks = pos[:k], blocks[:k]
-    nsub = np.fromiter(map(len, blocks), dtype=int, count=k)
-    owner = np.repeat(np.arange(k), nsub)
-    pairs = list(itertools.chain.from_iterable(blocks))
-    shape, s, flat = matrices(list(itertools.chain.from_iterable(map(dict.values, blocks))))
-    # channel pairs "e,f": two known labels with a nonzero sub-block
-    two = np.fromiter(map(str.count, pairs, many(",")), dtype=int, count=len(pairs)) == 1
-    ef = list(map(str.partition, pairs, many(",")))
-    e, f = (np.fromiter(map(index.get, map(operator.itemgetter(i), ef), many(-1)),
-                        dtype=int, count=len(ef)) for i in (0, 2))
-    a, b, c, d = pos[owner].T
-    want = np.column_stack([N[a, b, e] * N[e, c, d], N[b, c, f] * N[a, f, d]])
-    allowed = two & (e >= 0) & (f >= 0) & np.all(want > 0, axis=1)
-    s = min(s, int(np.argmax(~allowed)) if not allowed.all() else s)
+    blocks = list(fraw.values())
+    pos = key_positions(list(fraw), (";", ","), 4, index)
+    if pos is not None and all(map(isinstance, blocks, itertools.repeat(dict))):
+        nsub = np.fromiter(map(len, blocks), dtype=int, count=len(blocks))
+        ef = key_positions(list(itertools.chain.from_iterable(blocks)), (",",), 2, index)
+        shape, flat = matrices(list(itertools.chain.from_iterable(map(dict.values, blocks))))
+        if ef is not None and shape is not None:
+            (a, b, c, d), (e, f) = pos[np.repeat(np.arange(len(blocks)), nsub)].T, ef.T
+            want = np.column_stack([N[a, b, e] * N[e, c, d], N[b, c, f] * N[a, f, d]])
+            vals, bad = complex_array(flat)
+            if bad is None and want.all() and np.array_equal(shape, want):
+                blk = t.number[a, b, c, d]
+                corner = np.column_stack([t.chan[blk, 0, e], t.chan[blk, 1, f]])
+                return _scatter(t, blk, shape, corner, vals), _given(t, pos)
+    _f_failure(ring, fraw)
 
-    def where(i):
-        return f"/F/{keys[owner[i]]}/{pairs[i]}"
 
-    flat = flat[:int(np.sum(shape[:s, 0] * shape[:s, 1]))]
-    vals, bad = complex_array(flat)
-    failure = first_failure(where, flat, bad, shape[:s], want[:s], "submatrix")
-    if failure:
-        raise failure
-    if s < len(pairs):  # the channel pair or the matrix of sub-block s
-        e, f = split(pairs[s], (",",), 2, where(s))
-        if not allowed[s]:
-            raise SchemaError(f"channel pair ({e},{f}) not allowed here", where(s))
-        rows_in(fraw[keys[owner[s]]][pairs[s]], where(s), [])
-    if k < len(keys):
-        check_key(index, keys[k], 4, f"/F/{keys[k]}")
-        raise SchemaError("F block must be an object keyed by 'e,f'", f"/F/{keys[k]}")
-    blk = t.number[tuple(pos[owner].T)]
-    corner = np.column_stack([t.chan[blk, 0, e], t.chan[blk, 1, f]])
-    return _scatter(t, blk, shape, corner, vals), _given(t, pos)
+def _f_failure(ring: FusionRing, fraw: dict) -> None:
+    """Raise the first failure of an F payload in payload order: a key, its
+    block, then each sub-block's channel pair, entries and shape."""
+    for key, block in fraw.items():
+        ptr = f"/F/{key}"
+        a, b, c, d = check_key(ring.index, key, 4, ptr)
+        if not isinstance(block, dict):
+            raise SchemaError("F block must be an object keyed by 'e,f'", ptr)
+        for pair, rows in block.items():
+            where = f"{ptr}/{pair}"
+            e, f = split(pair, (",",), 2, where)
+            want = (0, 0)
+            if e in ring.index and f in ring.index:
+                want = (ring.N(a, b, e) * ring.N(e, c, d), ring.N(b, c, f) * ring.N(a, f, d))
+            if 0 in want:
+                raise SchemaError(f"channel pair ({e},{f}) not allowed here", where)
+            m = matrix_in(rows, where)
+            if m.shape != want:
+                raise SchemaError(f"submatrix shape {m.shape} != {want}", where)
 
 
 def _r_in(ring: FusionRing, rraw: dict) -> tuple:
     """The flat R buffer of ``ring.rtable`` and the mask of the blocks given,
-    parsed as :func:`_f_in` does."""
+    parsed as :func:`_f_in` does; :func:`_r_failure` names a failure."""
     t = ring.rtable
-    keys = list(rraw)
-    pos, k = key_positions(keys, 3, ring.index)
-    shape, s, flat = matrices(list(rraw.values())[:k])
-    n = ring._N[tuple(pos.T)]
-    vals, bad = complex_array(flat)
-    failure = first_failure(lambda i: f"/R/{keys[i]}", flat, bad, shape[:s],
-                             np.column_stack([n, n])[:s], "R block")
-    if failure:
-        raise failure
-    if s < k:
-        rows_in(rraw[keys[s]], f"/R/{keys[s]}", [])
-    if k < len(keys):
-        check_key(ring.index, keys[k], 3, f"/R/{keys[k]}")
-    blk = t.number[tuple(pos[n > 0].T)]
-    return (_scatter(t, blk, shape[n > 0], np.zeros((len(blk), 2), dtype=int), vals),
-            _given(t, pos))
+    pos = key_positions(list(rraw), (";", ","), 3, ring.index)
+    shape, flat = matrices(list(rraw.values()))
+    if pos is not None and shape is not None:
+        n = ring._N[tuple(pos.T)]
+        vals, bad = complex_array(flat)
+        if bad is None and np.array_equal(shape, np.column_stack([n, n])):
+            blk = t.number[tuple(pos[n > 0].T)]
+            return (_scatter(t, blk, shape[n > 0], np.zeros((len(blk), 2), dtype=int), vals),
+                    _given(t, pos))
+    _r_failure(ring, rraw)
+
+
+def _r_failure(ring: FusionRing, rraw: dict) -> None:
+    """Raise the first failure of an R payload in payload order: a key, then
+    its block's entries and shape."""
+    for key, rows in rraw.items():
+        ptr = f"/R/{key}"
+        n = ring.N(*check_key(ring.index, key, 3, ptr))
+        m = matrix_in(rows, ptr)
+        if m.shape != (n, n):
+            raise SchemaError(f"R block shape {m.shape} != {(n, n)}", ptr)
 
 
 def cat_from_json(raw: dict) -> SkeletalUTC:
@@ -200,17 +204,11 @@ def _blocks_out(ring: FusionRing, kind: str, buf: np.ndarray) -> dict:
     block without a unit leg, F by its nonzero channel sub-blocks."""
     t, lab = ring.ftable if kind == "F" else ring.rtable, ring.labels
     if kind == "F":
-        # channel runs of each side: (block, channel, first slot, length)
-        blk = np.repeat(np.arange(len(t.size)), t.size)
-        runs = []
-        for side in (t.left, t.right):
-            first = np.flatnonzero(np.diff(blk * len(lab) + side[:, 0], prepend=-1))
-            runs.append((blk[first], side[first, 0], first - t.start[blk[first]],
-                         np.diff(first, append=len(blk))))
-        i, j = _join(runs[0][0], runs[1][0])
-        k, e, f = runs[0][0][i], runs[0][1][i], runs[1][1][j]
-        corner = np.column_stack([runs[0][2][i], runs[1][2][j]])
-        shape = np.column_stack([runs[0][3][i], runs[1][3][j]])
+        # channel sub-blocks: a channel's slot count is the gap to the next start
+        count = np.diff(t.chan, axis=2, append=t.size[:, None, None].repeat(2, axis=1))
+        k, e, f = np.nonzero(count[:, 0, :, None] * count[:, 1, None, :])
+        corner = np.column_stack([t.chan[k, 0, e], t.chan[k, 1, f]])
+        shape = np.column_stack([count[k, 0, e], count[k, 1, f]])
     else:
         k = np.arange(len(t.size))
         corner, shape = np.zeros((len(k), 2), dtype=int), np.column_stack([t.size, t.size])
@@ -301,8 +299,7 @@ def aobj_from_json(cat: SkeletalUTC, raw: dict) -> AlgebraObject:
     unit_raw = _require(raw, "unit")
     if not isinstance(unit_raw, list):
         raise SchemaError("unit must be a coefficient vector", "/unit")
-    unit = np.array([complex_in(v, f"/unit/{i}")
-                     for i, v in enumerate(unit_raw)], dtype=complex)
+    unit = vector_in(unit_raw, "/unit")
     if unit.shape != (fibers.get(ring.unit, 0),):
         raise SchemaError(f"unit vector length {unit.shape[0]} != "
                           f"{fibers.get(ring.unit, 0)}", "/unit")
@@ -333,8 +330,7 @@ def state_from_json(raw, dim: int) -> np.ndarray:
     """Coefficient vector over the 𝒟(1) basis."""
     if not isinstance(raw, list):
         raise SchemaError("state must be a coefficient vector", "/")
-    vec = np.array([complex_in(v, f"/{i}") for i, v in enumerate(raw)],
-                   dtype=complex)
+    vec = vector_in(raw, "")
     if vec.shape != (dim,):
         raise SchemaError(f"state has {vec.shape[0]} coefficients, "
                           f"ground algebra has dimension {dim}", "/")
@@ -358,7 +354,8 @@ def eta_from_json(raw: dict, algebra: BaseAlgebra) -> CovarianceMatrix:
     if not isinstance(index, list) or not index:
         raise SchemaError("index must be a nonempty list of ids", "/index")
     pos = {str(i): x for x, i in enumerate(index)}
-    if len(pos) != len(index):
+    # distinct as entry keys name them and as the constructor compares them (true == 1)
+    if len(pos) != len(index) or any(index.index(i) != x for x, i in enumerate(index)):
         raise SchemaError("index ids must be distinct", "/index")
     stack = np.zeros((len(index),) * 2 + (algebra.dim,) * 2, dtype=complex)
     for key, rows in _object(raw, "entries", "entries must be an object keyed by 'i,j'").items():

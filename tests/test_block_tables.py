@@ -1,7 +1,8 @@
 """The integer F/R tables of a fusion ring against the per-key reference of
 ``tests/index_reference.py``, the JSON round trip through them, every F/R
-schema failure with its pointer, and the array form of the ring axioms
-against their loop form."""
+schema failure with its pointer, seeded faults that the bulk reader must
+refuse with the error the payload-order walk names, and the array form of
+the ring axioms against their loop form."""
 
 import copy
 import itertools
@@ -166,6 +167,10 @@ FAILURES = {
                       "/R/tau,tau;1", "R block shape (1, 2) != (1, 1)"),
     "non-complex R entry": (lambda raw: _set(raw, ("R", "tau,tau;1"), [[None]]),
                             "/R/tau,tau;1/0/0", "complex number"),
+    "bool F entry": (lambda raw: _set(raw, ("F", TTTT, "1,1"), [[True]]),
+                     f"/F/{TTTT}/1,1/0/0", "got True"),
+    "bool R entry": (lambda raw: _set(raw, ("R", "tau,tau;1"), [[[False, 1]]]),
+                     "/R/tau,tau;1/0/0", "got [False, 1]"),
     "missing R block": (lambda raw: _set(raw, ("R", "tau,tau;tau"), None),
                         "/R/tau,tau;tau", "missing"),
     "unknown F label": (_rename_key("F", "tau,tau,tau;1", "zeta,tau,tau;1"),
@@ -243,6 +248,161 @@ def test_unknown_label_in_a_block_key_exits_as_input_error(capsys, tmp_path, sec
     rep = json.loads(capsys.readouterr().out)
     assert code == EXIT_INPUT
     assert rep["pointer"] == f"/{section}/{key.replace('tau', 'zeta', 1)}"
+
+
+# -- seeded faults: the bulk reader refuses exactly what the walk names ------------
+
+def _get(raw, path):
+    for k in path:
+        raw = raw[k]
+    return raw
+
+
+def _pick(rng, items):
+    return items[int(rng.integers(len(items)))]
+
+
+def _insert(parent: dict, old, new, value):
+    """Put ``new``: ``value`` at the place of key ``old`` (after the last key if None)."""
+    items = [(new, value) if k == old else (k, v) for k, v in parent.items()]
+    parent.clear()
+    parent.update(items + ([(new, value)] if old is None else []))
+
+
+def _join_key(labels):
+    return ",".join(labels[:-1]) + ";" + labels[-1]
+
+
+def _matrix_paths(raw, sections=("F", "R")):
+    """The paths of the sub-blocks of F and the blocks of R that are nonempty
+    lists of nonempty row lists."""
+    paths = [("R", k) for k in raw.get("R", {}) if "R" in sections]
+    if "F" in sections:
+        paths += [("F", k, p) for k, blk in raw["F"].items() if isinstance(blk, dict) for p in blk]
+    return [p for p in paths if (m := _get(raw, p)) and isinstance(m, list)
+            and all(isinstance(row, list) and row for row in m)]
+
+
+def _key_fault(arity_change):
+    def fault(raw, rng):
+        sec = _pick(rng, ["F", "R"])
+        key = _pick(rng, list(raw[sec]))
+        labels = key.replace(";", ",").split(",")
+        if arity_change:
+            labels = labels[:-2] + labels[-1:] if rng.integers(2) else labels + labels[-1:]
+        else:
+            labels[int(rng.integers(len(labels)))] = "zeta"
+        _insert(raw[sec], key, _join_key(labels), raw[sec][key])
+    return fault
+
+
+def _not_an_object(raw, rng):
+    key = _pick(rng, list(raw["F"]))
+    raw["F"][key] = _pick(rng, [[[1.0]], 7, "x", None])
+
+
+def _pair_fault(kind):
+    def fault(raw, rng):
+        *head, pair = _pick(rng, _matrix_paths(raw, ("F",)))
+        e, f = pair.split(",")
+        new = {"unknown": _pick(rng, [f"zeta,{f}", f"{e},zeta"]), "3-part": f"{e},{f},{e}"}[kind]
+        _insert(_get(raw, head), pair, new, _get(raw, head)[pair])
+    return fault
+
+
+def _forbidden_pair(raw, rng):
+    """A sub-block on a channel pair that is no channel of its key, in a
+    given block or in a new one."""
+    ring, fraw = io.ring_from_json(raw), raw["F"]
+    spots = [(key, e, f) for a, b, c, d in itertools.product(ring.labels, repeat=4)
+             if isinstance(fraw.get(key := _join_key([a, b, c, d]), {}), dict)
+             for e in ring.labels for f in ring.labels
+             if not ring.N(a, b, e) * ring.N(e, c, d) * ring.N(b, c, f) * ring.N(a, f, d)]
+    key, e, f = _pick(rng, spots)
+    blk = fraw.setdefault(key, {})
+    _insert(blk, _pick(rng, [None, *blk]), f"{e},{f}", _pick(rng, [[], [[1.0]], [[[0.5, 0.0]]]]))
+
+
+def _matrix_fault(kind):
+    def fault(raw, rng):
+        path = _pick(rng, _matrix_paths(raw))
+        m = _get(raw, path)
+        if kind == "non-list":
+            m = _pick(rng, [3, "x", {"0": 1}, [1.0]])
+        elif kind == "ragged":  # one row longer, or one row more and longer
+            i = int(rng.integers(len(m)))
+            m = m[:i] + [m[i] + [0.0]] + m[i + 1:] if len(m) > 1 else m + [m[0] + [0.0]]
+        elif kind == "empty":
+            m = _pick(rng, [[], [[]]])
+        elif kind == "wrong shape":
+            m = _pick(rng, [[row + [0.0] for row in m], m + [m[0]], m[:-1] or [[]]])
+        _set(raw, path, m)
+    return fault
+
+
+def _entry_fault(values):
+    def fault(raw, rng):
+        path = _pick(rng, _matrix_paths(raw))
+        m = _get(raw, path)
+        row = m[int(rng.integers(len(m)))]
+        row[int(rng.integers(len(row)))] = _pick(rng, values)
+    return fault
+
+
+FAULTS = {
+    "unknown key label": _key_fault(False),
+    "wrong-arity key": _key_fault(True),
+    "block not an object": _not_an_object,
+    "unknown channel pair": _pair_fault("unknown"),
+    "3-part channel pair": _pair_fault("3-part"),
+    "forbidden channel pair": _forbidden_pair,
+    "non-list sub-block": _matrix_fault("non-list"),
+    "ragged sub-block": _matrix_fault("ragged"),
+    "empty sub-block": _matrix_fault("empty"),
+    "wrong-shape sub-block": _matrix_fault("wrong shape"),
+    "string entry": _entry_fault(["x", "1.0"]),
+    "3-list entry": _entry_fault([[1.0, 0.0, 0.0], [[1.0, 0.0]]]),
+    "NaN entry": _entry_fault([float("nan"), [0.0, float("nan")], float("inf")]),
+    "bool entry": _entry_fault([True, False, [True, 0], [0.5, False]]),
+}
+# mult2_random has the only sub-blocks with two rows or more, so the only
+# ragged ones with as many rows as the shape asks
+FAULT_FIXTURES = ("fib", "ising", "su2_3", "su2_4", "mult2_random")
+
+
+def _faulty(name, kinds, seed):
+    """The payload of fixture ``name`` with the faults ``kinds`` applied in
+    turn, each placed by a generator of ``seed``."""
+    raw = io.cat_to_json(CASES[name]())
+    rng = np.random.default_rng(seed)
+    for kind in kinds:
+        FAULTS[kind](raw, rng)
+    return raw
+
+
+def _walk_error(raw):
+    """(pointer, message) of the first failure the payload-order walk names."""
+    ring = io.ring_from_json(raw)
+    try:
+        io._f_failure(ring, raw["F"])
+        io._r_failure(ring, raw["R"])
+    except SchemaError as exc:
+        return exc.pointer, str(exc)
+    return None
+
+
+@pytest.mark.parametrize("name", FAULT_FIXTURES)
+@pytest.mark.parametrize("kind", [*FAULTS, "two faults"])
+def test_the_bulk_reader_raises_what_the_walk_names(name, kind):
+    for seed in range(3):
+        rng = np.random.default_rng([seed, 1])
+        kinds = [kind] if kind in FAULTS else [_pick(rng, list(FAULTS)) for _ in range(2)]
+        raw = _faulty(name, kinds, seed)
+        want = _walk_error(raw)
+        assert want is not None, (kinds, seed)
+        with pytest.raises(SchemaError) as exc:  # any other exception fails the test
+            io.cat_from_json(raw)
+        assert (exc.value.pointer, str(exc.value)) == want, (kinds, seed)
 
 
 # -- ring axioms: arrays against loops ---------------------------------------------

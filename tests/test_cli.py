@@ -83,6 +83,23 @@ def test_schema_errors_carry_pointers():
     with pytest.raises(SchemaError, match="non-negative int") as exc:
         io.aobj_from_json(cat, raw)
     assert exc.value.pointer == "/fibers/g1"
+    # true == 1 and str(1) == "1": [true, 1] and [1, "1"] name one id twice;
+    # a true coefficient is no number
+    base = io.base_from_json({"blocks": [1]})
+    for eta, pointer in (({"index": [True, 1], "entries": {}}, "/index"),
+                         ({"index": [1, "1"], "entries": {}}, "/index"),
+                         ({"index": [0], "entries": {"0,0": [[True]]}}, "/entries/0,0/0/0")):
+        with pytest.raises(SchemaError) as exc:
+            io.eta_from_json(eta, base)
+        assert exc.value.pointer == pointer
+    with pytest.raises(SchemaError, match="finite complex number") as exc:
+        io.state_from_json([True, 0], 2)
+    assert exc.value.pointer == "/0"
+    raw = io.aobj_to_json(group_algebra_object(cat))
+    raw["unit"] = [[True, 0]]
+    with pytest.raises(SchemaError, match="finite complex number") as exc:
+        io.aobj_from_json(cat, raw)
+    assert exc.value.pointer == "/unit/0"
 
 
 def test_complex_wire_format():
@@ -170,11 +187,11 @@ def test_a_non_finite_f_entry_in_json_exits_3_at_its_pointer(capsys, tmp_path, t
         assert "finite" in rep["error"]
 
 
-@pytest.mark.parametrize("v", [float("nan"), [1.0, float("inf")], (float("-inf"), 0)])
+@pytest.mark.parametrize("v", [float("nan"), [1.0, float("inf")], (float("-inf"), 0), True, [0, False]])
 def test_complex_readers_refuse_non_finite_numbers(v):
-    with pytest.raises(SchemaError) as exc:
-        wire.complex_in(v, "/unit/0")
-    assert exc.value.pointer == "/unit/0"
+    with pytest.raises(SchemaError, match="finite complex number") as exc:
+        wire.vector_in([0.5, v], "/unit")
+    assert exc.value.pointer == "/unit/1"
     assert wire.complex_array([1.0, [2, 3], v, 4]) == (None, 2)
 
 
